@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .diminishing import SIGNAL_CATALOG, make_signal
+from .diminishing import SIGNAL_CATALOG, _freq_exp, _freq_t4, make_signal
 from .model import PerturbationSpec
 
 
@@ -49,14 +49,6 @@ def _col0_example1_bounded(t):
 def _col1_example1_bounded(t):
     t = np.asarray(t, dtype=float)
     return np.stack([np.zeros_like(t), np.cos(np.exp(t))])
-
-
-def _freq_t4(t):
-    return 4.0 * t ** 3
-
-
-def _freq_exp(t):
-    return np.exp(t)
 
 
 def _from_signal(name):

@@ -1,11 +1,15 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
-All three wrap :func:`evuas.integrate.integrate`.  Closed-loop runs
-evaluate the feedback inside the right-hand side with the previous input as
-a warm start; that cache lives in the enclosing run, never on the shared
-controller, so concurrent trajectories stay independent.  The feedback
-solve is treated as exact inside the RHS (its residual tolerance sits far
-below any integrator tolerance used here).
+All three wrap :func:`evuas.integrate.integrate`.  An implicit controller
+defines U = G(X) by the closing residual shift(X) + F(X, U) - A_H e(X) = 0,
+so on the closed loop the last block of the first-order form is exactly
+-input_free_term(X) + W(t, X): the designed error dynamics e' = A_H e + W.
+Those are integrated in closed form, with no feedback solve inside the
+right-hand side.  Newton then runs once per stored point, warm-started
+from the previous one, and has two jobs: it reports the inputs, and it
+checks that the feedback exists along the trajectory (the controller's
+domain of validity).  Any other controller is evaluated inside the
+right-hand side.
 """
 
 import csv
@@ -15,9 +19,70 @@ import numpy as np
 
 from .errors import ControllerEvaluationError, NewtonError
 from .integrate import integrate
-from .model import evaluate_dynamics, flatten_state
+from .model import evaluate_dynamics, flatten_state, unflatten_state
+from .synthesis import ImplicitController, input_free_term
 
 _CSV_FMT = "%.17g"
+
+
+def _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm, max_steps):
+    hint = None if (pert is None or pert.kind == "zero") else pert.freq_hint
+    kwargs = {} if max_steps is None else {"max_steps": max_steps}
+    return integrate(rhs, t0, x0, t_end, tol=tol, freq_hint=hint,
+                     sample_times=sample_times, norm=norm, **kwargs)
+
+
+def _flat_state(x0, model):
+    x0 = np.asarray(x0, dtype=float)
+    x0_flat = flatten_state(x0) if x0.ndim == 2 else x0
+    unflatten_state(x0_flat, model.m, model.n)      # shape check only
+    return x0_flat
+
+
+def _designed_rhs(model, design, hurwitz, pert, track=None):
+    """Closed-loop right-hand side with the feedback eliminated.
+
+    The first (n-1)m entries are the column shift; the last block is
+    -input_free_term(state) + W(t, x_true).  For tracking the state is the
+    deviation Delta and x_true = Delta + X_d(t); the reference feedforward
+    y_d^(n) cancels against the derivative of X_d's last column.
+    """
+    m, n = model.m, model.n
+    split = (n - 1) * m
+    gamma, a_h = design.gamma, hurwitz.a_h
+    forced = pert is not None and pert.kind != "zero"
+
+    def rhs(t, x):
+        out = np.empty(m * n)
+        out[:split] = x[m:]
+        last = -input_free_term(x, gamma, a_h, m, n)
+        if forced:
+            x_true = x if track is None else x + flatten_state(track.value(t))
+            last = last + pert.evaluate(t, x_true)
+        out[split:] = last
+        return out
+    return rhs
+
+
+def _report_inputs(traj, m, feedback):
+    """Solve the feedback at every stored point, warm-started from the last.
+
+    ``feedback(t, x, u0)`` returns U at a stored point.  This is also the
+    domain-of-validity check: a failed solve aborts with the time, state
+    and residual of the first stored point where no feedback exists.
+    """
+    inputs = np.empty((traj.times.size, m))
+    u = None
+    for i, t in enumerate(traj.times):
+        try:
+            u = feedback(t, traj.states[i], u)
+        except NewtonError as exc:
+            raise ControllerEvaluationError(
+                f"feedback solve failed at t={t}: {exc}", t=float(t),
+                x=traj.states[i].copy(), residual=exc.residual) from exc
+        inputs[i] = u
+    traj.inputs = inputs
+    return traj
 
 
 def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
@@ -29,23 +94,18 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
     if pert is None or pert.kind == "zero":
         def rhs(t, e):
             return a_h @ e
-        hint = None
     elif pert.kind == "time":
         # direct signal call: the integrator's finite check covers failures
         w = pert.w
 
         def rhs(t, e):
             return a_h @ e + w(t)
-        hint = pert.freq_hint
     else:
         d, k = pert.d, pert.k
 
         def rhs(t, e):
             return a_h @ e + np.asarray(d(t), dtype=float) @ k(e)
-        hint = pert.freq_hint
-    kwargs = {} if max_steps is None else {"max_steps": max_steps}
-    return integrate(rhs, t0, e0, t_end, tol=tol, freq_hint=hint,
-                     sample_times=sample_times, norm=norm, **kwargs)
+    return _run(rhs, pert, e0, t0, t_end, tol, sample_times, norm, max_steps)
 
 
 def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
@@ -53,38 +113,25 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
                          max_steps=None):
     """Integrate the first-order form under U = G(X).
 
-    A feedback-solve failure mid-run aborts the trajectory and surfaces
-    the time, state and residual (the state left the controller's domain
-    of validity).
+    Under an :class:`~evuas.synthesis.ImplicitController` for ``model`` the
+    designed dynamics (column shift, then -input_free_term(X) + W(t, X))
+    are integrated in closed form.  Newton then runs once per stored point
+    (every accepted step, or every sample time): it fills ``traj.inputs``
+    and is the domain-of-validity check.  A solve failure therefore
+    surfaces after integration, as a ControllerEvaluationError carrying the
+    time, state and residual of the first stored point where no feedback
+    exists.  Any other controller is called inside the right-hand side.
     """
-    x0 = np.asarray(x0, dtype=float)
-    x0_flat = flatten_state(x0) if x0.ndim == 2 else x0
-    warm = {"u": None}
-
-    def rhs(t, x):
-        try:
-            u = ctrl.solve(x, u0=warm["u"])
-        except NewtonError as exc:
-            raise ControllerEvaluationError(
-                f"feedback solve failed at t={t}: {exc}", t=float(t),
-                x=np.array(x), residual=exc.residual) from exc
-        warm["u"] = u
-        return evaluate_dynamics(model, pert, t, x, u)
-
-    hint = None if (pert is None or pert.kind == "zero") else pert.freq_hint
-    kwargs = {} if max_steps is None else {"max_steps": max_steps}
-    traj = integrate(rhs, t0, x0_flat, t_end, tol=tol, freq_hint=hint,
-                     sample_times=sample_times, norm=norm, **kwargs)
-
-    inputs = np.empty((traj.times.size, model.m))
-    u_prev = None
-    for i in range(traj.times.size):
-        u_prev = ctrl.solve(traj.states[i], u0=u_prev)
-        inputs[i] = u_prev
-    traj.inputs = inputs
-    traj.diagnostics["controller_failures"] = len(
-        getattr(getattr(ctrl, "validity", None), "failures", []) or [])
-    return traj
+    x0_flat = _flat_state(x0, model)
+    if isinstance(ctrl, ImplicitController) and ctrl.model is model:
+        rhs = _designed_rhs(model, ctrl.design, ctrl.hurwitz, pert)
+    else:
+        def rhs(t, x):
+            return evaluate_dynamics(model, pert, t, x, ctrl.solve(x))
+    traj = _run(rhs, pert, x0_flat, t0, t_end, tol, sample_times, norm,
+                max_steps)
+    return _report_inputs(traj, model.m,
+                          lambda t, x, u0: ctrl.solve(x, u0=u0))
 
 
 class TrackingSpec:
@@ -144,55 +191,28 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
 
     The feedback solves the time-dependent closing residual in U with the
     reference's nth derivative as feedforward; the returned trajectory is
-    of the deviation Delta = X - X_d(t).  With the zero reference this
-    reduces exactly to the stabilization loop.
+    of the deviation Delta = X - X_d(t).  That feedforward cancels on the
+    closed loop, so the designed deviation dynamics (column shift, then
+    -input_free_term(Delta) + W(t, Delta + X_d(t))) are integrated in
+    closed form.  Newton then runs once per stored point: it fills
+    ``traj.inputs`` and is the domain-of-validity check, so a solve
+    failure surfaces after integration, as a ControllerEvaluationError at
+    the first stored point where no feedback exists.  With the zero
+    reference this reduces exactly to the stabilization loop.
     """
-    from .synthesis import ImplicitController
-
-    m, n = model.m, model.n
     if validate:
         track.check_consistency(t0, t_end)
         track.check_admissible(model, t0, t_end)
     ctrl = ImplicitController(model, design, hurwitz)
-    x0 = np.asarray(x0, dtype=float)
-    x0_flat = flatten_state(x0) if x0.ndim == 2 else x0
-    delta0 = x0_flat - flatten_state(track.value(t0))
-    warm = {"u": None}
+    delta0 = _flat_state(x0, model) - flatten_state(track.value(t0))
+    traj = _run(_designed_rhs(model, design, hurwitz, pert, track), pert,
+                delta0, t0, t_end, tol, sample_times, norm, max_steps)
 
-    def rhs(t, delta):
-        xd_flat = flatten_state(track.value(t))
+    def feedback(t, delta, u0):
+        x_total = delta + flatten_state(track.value(t))
         ydn = np.asarray(track.y_d_n(t), dtype=float)
-        x_total = delta + xd_flat
-        try:
-            u = ctrl.solve_shifted(delta, x_total, -ydn, u0=warm["u"])
-        except NewtonError as exc:
-            raise ControllerEvaluationError(
-                f"tracking feedback failed at t={t}: {exc}", t=float(t),
-                x=np.array(delta), residual=exc.residual) from exc
-        warm["u"] = u
-        out = np.empty(m * n)
-        out[:(n - 1) * m] = delta[m:]
-        last = model.eval_f(x_total, u)
-        if pert is not None and pert.kind != "zero":
-            last = last + pert.evaluate(t, x_total)
-        out[(n - 1) * m:] = last - ydn
-        return out
-
-    hint = None if (pert is None or pert.kind == "zero") else pert.freq_hint
-    kwargs = {} if max_steps is None else {"max_steps": max_steps}
-    traj = integrate(rhs, t0, delta0, t_end, tol=tol, freq_hint=hint,
-                     sample_times=sample_times, norm=norm, **kwargs)
-
-    inputs = np.empty((traj.times.size, m))
-    u_prev = None
-    for i, t in enumerate(traj.times):
-        xd_flat = flatten_state(track.value(t))
-        ydn = np.asarray(track.y_d_n(t), dtype=float)
-        u_prev = ctrl.solve_shifted(traj.states[i], traj.states[i] + xd_flat,
-                                    -ydn, u0=u_prev)
-        inputs[i] = u_prev
-    traj.inputs = inputs
-    return traj
+        return ctrl.solve_shifted(delta, x_total, -ydn, u0=u0)
+    return _report_inputs(traj, model.m, feedback)
 
 
 # reference catalog for tracking scenarios

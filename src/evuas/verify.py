@@ -13,11 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EnvelopeFitError
+from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
+                     NewtonError, QuadratureBudgetError)
 from .norms import check_norm_id, vector_norm
 
 _SETTLE_MARGIN = 0.95      # settle must happen inside this fraction of the window
 _TREND_DROP = 0.9          # tail must drop below this fraction to count as decreasing
+
+# runtime failures of a trajectory factory that count as data; anything else
+# (a shape or type bug, say) propagates.  IntegrationError covers
+# ControllerEvaluationError.
+_SIM_FAILURES = (IntegrationError, NewtonError, EvaluationError,
+                 QuadratureBudgetError)
 
 
 @dataclass
@@ -98,7 +105,9 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     ----------
     sim : callable
         Trajectory factory ``sim(t0, x0) -> Trajectory`` covering at least
-        [t0, t0 + horizon].
+        [t0, t0 + horizon].  Its runtime failures (IntegrationError,
+        NewtonError, EvaluationError, QuadratureBudgetError) are recorded
+        as sim failures; any other exception propagates.
     delta0 : float
         Radius of the sampled initial ball; spheres at delta0, delta0/2
         and delta0/4 are drawn.
@@ -144,7 +153,7 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
                 x0 = radius * d
                 try:
                     traj = sim(t0, x0)
-                except Exception as exc:   # factory failures stay data
+                except _SIM_FAILURES as exc:
                     sim_failures.append({"t0": t0, "x0": x0.tolist(),
                                          "error": str(exc)})
                     continue
@@ -354,7 +363,8 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
 
     Bisects over the level in (0, eps]; sampled directions are seeded and
     shared across levels.  Returns 0.0 when even the smallest tested level
-    fails.
+    fails.  A runtime failure of the factory fails the level; any other
+    exception propagates.
     """
     check_norm_id(norm)
     if eps <= 0:
@@ -368,7 +378,7 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
         for d in dirs:
             try:
                 traj = sim(t0, level * d)
-            except Exception:
+            except _SIM_FAILURES:
                 return False
             norms = vector_norm(traj.states, norm)
             if float(np.max(norms)) >= eps:

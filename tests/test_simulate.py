@@ -92,6 +92,111 @@ def test_closed_loop_controller_failure_surfaces_state():
     assert exc.value.residual is not None
 
 
+def _newton_in_rhs(model, ctrl, pert, x0, ts, track=None):
+    """Reference run that solves the feedback inside every RHS call.
+
+    The input is re-solved at each stage state, warm-started from the
+    previous solve, and the inputs are solved afterwards at the samples.
+    """
+    warm = {"u": None}
+
+    def feedback(t, x, u0):
+        if track is None:
+            return ctrl.solve(x, u0=u0)
+        x_true = x + ev.flatten_state(track.value(t))
+        return ctrl.solve_shifted(x, x_true, -track.y_d_n(t), u0=u0)
+
+    def rhs(t, x):
+        warm["u"] = feedback(t, x, warm["u"])
+        if track is None:
+            return ev.evaluate_dynamics(model, pert, t, x, warm["u"])
+        # deviation dynamics: the reference's nth derivative comes off
+        x_true = x + ev.flatten_state(track.value(t))
+        out = ev.evaluate_dynamics(model, pert, t, x_true, warm["u"])
+        out[:-model.m] = x[model.m:]
+        out[-model.m:] -= track.y_d_n(t)
+        return out
+
+    x0 = np.asarray(x0, dtype=float)
+    if track is not None:
+        x0 = x0 - ev.flatten_state(track.value(ts[0]))
+    traj = ev.integrate(rhs, ts[0], x0, ts[-1], tol=1e-8,
+                        freq_hint=pert.freq_hint, sample_times=ts)
+    u = None
+    inputs = []
+    for t, x in zip(traj.times, traj.states):
+        u = feedback(t, x, u)
+        inputs.append(u)
+    return traj.states, np.array(inputs)
+
+
+@pytest.mark.parametrize("name", ["chain", "cubic", "tanh"])
+def test_closed_form_matches_newton_in_rhs(name):
+    model = ev.make_model(name)
+    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                  ev.default_hurwitz(1))
+    pert = ev.make_perturbation("cos_exp")
+    x0 = np.array([0.3, -0.1])
+    ts = np.linspace(0.0, 6.0, 601)
+    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, ts)
+    traj = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, 6.0,
+                                   tol=1e-8, sample_times=ts)
+    assert np.max(np.abs(traj.states - states)) < 1e-10
+    assert np.max(np.abs(traj.inputs - inputs)) < 1e-10
+
+
+def test_closed_form_tracking_matches_newton_in_rhs():
+    model = ev.make_model("chain", m=1, n=2)
+    design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
+    ctrl = ev.ImplicitController(model, design, hurwitz)
+    track = ev.make_reference("sin_cos")
+    pert = ev.make_perturbation("cos_exp")
+    x0 = np.array([0.3, 1.0])
+    ts = np.linspace(0.0, 6.0, 601)
+    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, ts, track=track)
+    traj = ev.simulate_tracking(model, design, hurwitz, track, pert, x0, 0.0,
+                                6.0, tol=1e-8, sample_times=ts)
+    assert np.max(np.abs(traj.states - states)) < 1e-10
+    assert np.max(np.abs(traj.inputs - inputs)) < 1e-10
+
+
+def test_one_feedback_solve_per_stored_point(monkeypatch):
+    calls = {"solve": 0, "solve_shifted": 0}
+    for attr in calls:
+        orig = getattr(ev.ImplicitController, attr)
+
+        def counted(self, *args, _orig=orig, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(ev.ImplicitController, attr, counted)
+    model = ev.make_model("cubic")
+    design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
+    ctrl = ev.synthesize_feedback(model, design, hurwitz)
+    pert = ev.make_perturbation("cos_exp")
+    traj = ev.simulate_closed_loop(model, ctrl, pert, np.array([0.3, 0.0]),
+                                   0.0, 2.0, tol=1e-6)
+    assert traj.diagnostics["n_rhs"] > traj.times.size
+    assert calls == {"solve": traj.times.size, "solve_shifted": 0}
+    calls["solve"] = 0
+    traj = ev.simulate_tracking(model, design, hurwitz,
+                                ev.make_reference("zero", m=1, n=2), pert,
+                                np.array([0.3, 0.0]), 0.0, 2.0, tol=1e-6)
+    assert calls == {"solve": 0, "solve_shifted": traj.times.size}
+
+
+def test_controller_failure_on_sample_grid_chains_newton_error():
+    model = ev.make_model("tanh")
+    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                  ev.default_hurwitz(1))
+    ts = np.linspace(0.0, 5.0, 51)
+    with pytest.raises(ev.ControllerEvaluationError) as exc:
+        ev.simulate_closed_loop(model, ctrl, None, np.array([3.0, 0.0]),
+                                0.0, 5.0, tol=1e-8, sample_times=ts)
+    assert exc.value.t in ts
+    assert isinstance(exc.value.__cause__, ev.NewtonError)
+    assert exc.value.residual == exc.value.__cause__.residual
+
+
 def test_tracking_zero_reference_reduces_to_stabilization():
     model, ctrl = _chain_controller()
     x0 = np.array([0.37, -0.21])

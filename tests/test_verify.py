@@ -101,13 +101,25 @@ def test_truncated_onset_search_is_inconclusive_not_fail():
 def test_sim_failures_cap_the_verdict():
     def flaky(t0, x0):
         if t0 >= 2.0:
-            raise RuntimeError("backend hiccup")
+            raise ev.IntegrationError("backend hiccup")
         return ev.integrate(lambda t, x: -x, t0, x0, t0 + 8.0, tol=1e-8)
     rep = ev.verify_evuas(flaky, delta0=0.5, t0_grid=[0.0, 2.0],
                           eps_levels=[0.6], horizon=8.0, samples=3, seed=0,
                           dim=1)
     assert rep.sim_failures
     assert rep.evuas in ("inconclusive", "fail")
+
+
+def test_factory_programming_errors_propagate():
+    # only the package's runtime failures become data; a type bug does not
+    # turn into an inconclusive verdict or a zero radius
+    def broken(t0, x0):
+        raise TypeError("factory bug")
+    with pytest.raises(TypeError, match="factory bug"):
+        ev.verify_evuas(broken, delta0=0.5, t0_grid=[0.0], eps_levels=[0.6],
+                        horizon=8.0, samples=3, seed=0, dim=1)
+    with pytest.raises(TypeError, match="factory bug"):
+        ev.estimate_delta_of_eps(broken, eps=0.1, t0=0.0, horizon=8.0, dim=1)
 
 
 @pytest.mark.slow
