@@ -7,6 +7,11 @@ high-frequency oscillation the caller passes its angular frequency (a
 constant or a function of t) and the step is additionally capped at an
 eighth of the local period, which keeps the controller from blindly
 marching across whole oscillation periods of phases like t**4.
+
+Capped phases such as t**4 take hundreds of thousands of steps, so the step
+loop keeps its bookkeeping small: the seven stages live in one (7, dim)
+buffer, and the Butcher tableau is held as arrays, so every stage input, the
+new state and the error estimate are each one dot product with that buffer.
 """
 
 import math
@@ -17,18 +22,19 @@ import numpy as np
 from .errors import IntegrationError
 from .norms import vector_norm
 
-# Dormand-Prince coefficients
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# fifth-minus-fourth-order weights for the error estimate
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince tableau: the nodes c, the rows of A with the fifth-order
+# weights b as the last row, and the fifth-minus-fourth-order weights E of
+# the error estimate
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)))
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -66,13 +72,16 @@ class Trajectory:
         return self.states[-1]
 
 
-def _step_cap(freq_hint, t):
-    if freq_hint is None:
-        return math.inf
-    omega = abs(freq_hint(t)) if callable(freq_hint) else abs(freq_hint)
-    if omega <= 0.0:
-        return math.inf
-    return (2.0 * math.pi / omega) / 8.0
+def _step_cap(freq_hint):
+    """t -> the step cap: an eighth of the local forcing period, or inf."""
+    def cap(omega):
+        omega = abs(float(omega))
+        return (2.0 * math.pi / omega) / 8.0 if omega > 0.0 else math.inf
+
+    if callable(freq_hint):
+        return lambda t: cap(freq_hint(t))
+    const = math.inf if freq_hint is None else cap(freq_hint)
+    return lambda t: const
 
 
 def _hermite(t, t0, h, y0, y1, f0, f1):
@@ -142,34 +151,33 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         y = y.ravel()
     dim = y.size
 
+    samples = None    # a list starting at t0, for cheap lookups per step
     if sample_times is not None:
         samples = np.asarray(sample_times, dtype=float)
         if samples.ndim != 1 or np.any(np.diff(samples) <= 0):
             raise ValueError("sample_times must be strictly increasing")
         if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
             raise ValueError("sample_times must lie within [t0, t_end]")
-        if abs(samples[0] - t0) > 1e-12:
-            samples = np.concatenate(([t0], samples))
-        else:
-            samples = samples.copy()
-            samples[0] = t0
-    else:
-        samples = None
+        skip = 0 if abs(samples[0] - t0) > 1e-12 else 1
+        samples = [t0] + samples[skip:].tolist()
 
     out_t = [t0]
     out_y = [y.copy()]
-    sample_ptr = 1 if samples is not None else None
+    sample_ptr = 1
 
     t = t0
+    K = np.empty((7, dim))    # the stages; FSAL carries K[6] into K[0]
+    K_head = [K[:i] for i in range(7)]    # views of the first i stages
     f = np.asarray(rhs(t, y), dtype=float)
     if f.shape != y.shape:
         raise ValueError(f"rhs returned shape {f.shape}, expected {y.shape}")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
                                x_last=y.copy(), reason="non-finite")
+    K[0] = f
     n_rhs = 2  # f0 plus the initial-step probe
-    cap = _step_cap(freq_hint, t)
-    h = _initial_step(rhs, t, y, f, t_end, tol, cap)
+    cap = _step_cap(freq_hint)
+    h = _initial_step(rhs, t, y, f, t_end, tol, cap(t))
 
     n_accepted = 0
     n_rejected = 0
@@ -177,8 +185,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     rejected_last = False
 
     while t < t_end:
-        h_eff = min(h, _step_cap(freq_hint, t),
-                    _step_cap(freq_hint, min(t + h, t_end)))
+        h_eff = min(h, cap(t), cap(min(t + h, t_end)))
         if h_eff >= t_end - t:
             h_eff = t_end - t
             t_new = t_end
@@ -194,47 +201,37 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                 x_last=y.copy(), reason="budget")
 
         hh = h_eff
-        k1 = f
-        k2 = np.asarray(rhs(t + _C[1] * hh, y + hh * (_A21 * k1)), dtype=float)
-        k3 = np.asarray(rhs(t + _C[2] * hh, y + hh * (_A31 * k1 + _A32 * k2)),
-                        dtype=float)
-        k4 = np.asarray(rhs(t + _C[3] * hh,
-                            y + hh * (_A41 * k1 + _A42 * k2 + _A43 * k3)),
-                        dtype=float)
-        k5 = np.asarray(rhs(t + _C[4] * hh,
-                            y + hh * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                                      + _A54 * k4)), dtype=float)
-        k6 = np.asarray(rhs(t_new,
-                            y + hh * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                      + _A64 * k4 + _A65 * k5)), dtype=float)
-        y_new = y + hh * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = np.asarray(rhs(t_new, y_new), dtype=float)
+        for i in range(1, 6):
+            K[i] = rhs(t + _C[i] * hh if i < 5 else t_new,
+                       y + hh * np.dot(_A[i - 1], K_head[i]))
+        y_new = y + hh * np.dot(_A[5], K_head[6])
+        K[6] = rhs(t_new, y_new)
         n_rhs += 6
 
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(k7))):
+        if not (np.isfinite(y_new).all() and np.isfinite(K[6]).all()):
             raise IntegrationError(
                 f"non-finite state at t={t_new}", t_last=t, x_last=y.copy(),
                 reason="non-finite")
 
-        err_vec = hh * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                        + _E7 * k7)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        r = hh * np.dot(_E, K) / (tol + tol * np.maximum(np.abs(y),
+                                                         np.abs(y_new)))
+        err = math.sqrt(float(np.dot(r, r)) / dim)
 
         if err <= 1.0:
             if samples is not None:
-                while (sample_ptr < samples.size
+                while (sample_ptr < len(samples)
                        and samples[sample_ptr] <= t_new + 1e-13):
-                    ts = min(samples[sample_ptr], t_new)
-                    out_t.append(float(samples[sample_ptr]))
-                    out_y.append(_hermite(ts, t, hh, y, y_new, k1, k7))
+                    out_t.append(samples[sample_ptr])
+                    out_y.append(_hermite(min(samples[sample_ptr], t_new),
+                                          t, hh, y, y_new, K[0], K[6]))
                     sample_ptr += 1
             else:
                 out_t.append(t_new)
-                out_y.append(y_new.copy())
+                out_y.append(y_new)
             n_accepted += 1
             min_step = min(min_step, hh)
-            t, y, f = t_new, y_new, k7
+            t, y = t_new, y_new
+            K[0] = K[6]
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -0.2)
             if rejected_last:
@@ -254,6 +251,6 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     diagnostics = {"n_accepted": n_accepted, "n_rejected": n_rejected,
                    "n_rhs": n_rhs,
                    "min_step": min_step if math.isfinite(min_step) else 0.0,
-                   "tol": tol}
+                   "tol": float(tol)}
     return Trajectory(times=times, states=states, diagnostics=diagnostics,
                       norm_used=norm)

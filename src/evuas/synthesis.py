@@ -451,7 +451,9 @@ def coercivity_probe(model, x_samples, ray_count=16, radii=(1.0, 10.0, 100.0, 10
     radius to exceed the largest cost at the smallest radius by a factor of
     10; a plateau (or decay) on the outermost two radii on every ray yields
     "non-coercive-evidence"; anything else is inconclusive.  Finite
-    sampling proves nothing either way, hence the naming.
+    sampling proves nothing either way, hence the naming.  A ray on which F
+    fails arithmetically (EvaluationError for a non-finite value, overflow)
+    is listed in "excluded"; any other exception propagates.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3 or np.any(np.diff(radii) <= 0):
@@ -469,7 +471,7 @@ def coercivity_probe(model, x_samples, ray_count=16, radii=(1.0, 10.0, 100.0, 10
             try:
                 for r in radii:
                     costs.append(input_cost(model, x, r * d))
-            except Exception:
+            except ArithmeticError:
                 excluded.append((xi, ri))
                 continue
             data.append(costs)

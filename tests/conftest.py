@@ -1,5 +1,22 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# the same examples on every run, and no example database in the repository
+settings.register_profile("evuas", derandomize=True, database=None)
+settings.load_profile("evuas")
+
+
+def pytest_configure(config):
+    # hypothesis still caches the literals of imported modules in its home
+    # directory; keep that out of the working tree and drop it afterwards
+    home = tempfile.mkdtemp(prefix="evuas-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 _ACCEPTANCE = []
 

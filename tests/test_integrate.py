@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evuas as ev
 
-from oracles import linear_trajectory
+from oracles import dopri_reference, linear_trajectory
 
 
 def test_constant_solution():
@@ -133,3 +135,77 @@ def test_diagnostics_populated():
     assert d["n_accepted"] == traj.times.size - 1
     assert d["n_rhs"] >= 6 * d["n_accepted"]
     assert 0.0 < d["min_step"] <= 1.0
+
+
+def test_diagnostics_are_plain_python_types():
+    # cos_exp's frequency hint returns numpy scalars, and the cap is active
+    sig = ev.make_signal("cos_exp")
+    traj = ev.integrate(lambda t, x: -x + sig.fn(t), 0.0, np.array([1.0]),
+                        3.0, tol=1e-6, freq_hint=sig.freq_hint)
+    d = traj.diagnostics
+    assert d["min_step"] <= (2 * math.pi / math.exp(3.0)) / 8.0
+    for key in ("n_accepted", "n_rejected", "n_rhs"):
+        assert type(d[key]) is int
+    for key in ("min_step", "tol"):
+        assert type(d[key]) is float
+
+
+_A_EX1 = np.array([[-1.0, 2.0], [0.0, -1.5]])     # the Example 1 scenarios
+_A_LIN3 = np.array([[-0.5, 2.0, 0.0], [-2.0, -0.5, 1.0], [0.0, -1.0, -1.0]])
+
+
+def _reference_system(name):
+    """(rhs, freq_hint) of an error system under a catalog perturbation."""
+    if name == "linear3":
+        return (lambda t, x: _A_LIN3 @ x), None
+    pert = ev.make_perturbation(name)
+    if pert.kind == "time":
+        return (lambda t, e: _A_EX1 @ e + pert.w(t)), pert.freq_hint
+    return (lambda t, e: _A_EX1 @ e
+            + np.asarray(pert.d(t), dtype=float) @ pert.k(e)), pert.freq_hint
+
+
+@pytest.mark.parametrize("system, x0, t_end, tol, samples", [
+    ("example1_unbounded", [-1.0, 1.5], 5.0, 1e-6, np.linspace(0.0, 5.0, 501)),
+    ("example1_bounded", [-1.0, 1.5], 3.0, 1e-7, np.linspace(0.0, 3.0, 601)),
+    ("linear3", [1.0, -2.0, 0.5], 10.0, 1e-8, np.linspace(0.0, 10.0, 101)),
+    # every accepted step stored: rows must not alias the stage buffer
+    ("example1_unbounded", [-1.0, 1.5], 5.0, 1e-6, None),
+], ids=["example1_unbounded", "example1_bounded", "linear3", "every_step"])
+def test_matches_reference_stepper(system, x0, t_end, tol, samples):
+    rhs, hint = _reference_system(system)
+    traj = ev.integrate(rhs, 0.0, np.array(x0), t_end, tol=tol,
+                        freq_hint=hint, sample_times=samples)
+    times, states, counts = dopri_reference(rhs, 0.0, x0, t_end, tol,
+                                            freq_hint=hint,
+                                            sample_times=samples)
+    for key, value in counts.items():
+        assert traj.diagnostics[key] == value, key
+    assert traj.times.shape == times.shape
+    assert np.max(np.abs(traj.times - times)) <= 1e-11
+    assert np.max(np.abs(traj.states - states)) <= 1e-11
+
+
+@st.composite
+def _hurwitz_systems(draw):
+    dim = draw(st.integers(1, 4))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=dim * dim,
+                       max_size=dim * dim)
+    a = np.array(draw(entries)).reshape(dim, dim)
+    margin = draw(st.floats(0.1, 2.0))
+    a -= (np.max(np.linalg.eigvals(a).real) + margin) * np.eye(dim)
+    x0 = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim,
+                                max_size=dim)))
+    return a, x0
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=_hurwitz_systems())
+def test_random_hurwitz_matches_expm(system):
+    # compared at the accepted step points, where no interpolation enters
+    a, x0 = system
+    tol = 1e-8
+    traj = ev.integrate(lambda t, x: a @ x, 0.0, x0, 2.0, tol=tol)
+    exact = linear_trajectory(a, x0, traj.times)
+    assert np.max(np.abs(traj.states - exact)) <= 10 * tol * max(
+        1.0, float(np.max(np.abs(exact))))

@@ -211,6 +211,14 @@ def test_coercivity_excludes_failing_rays():
     assert len(data["costs"]) + len(data["excluded"]) == 8
 
 
+def test_coercivity_programming_errors_propagate():
+    def f(x, u):
+        raise TypeError("bad model")
+    model = ev.SystemModel(1, 2, f)
+    with pytest.raises(TypeError, match="bad model"):
+        ev.coercivity_probe(model, [np.zeros(2)], ray_count=4)
+
+
 # --- linear alternative
 
 def test_pole_placement_double_integrator():
