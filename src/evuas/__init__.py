@@ -35,7 +35,8 @@ from .synthesis import (GammaDesign, HurwitzMatrix, ImplicitController,
                         input_cost, input_free_term, linearize_and_place,
                         linearization, synthesize_feedback, tracking_error)
 from .verify import (KlEnvelope, StabilityReport, estimate_delta_of_eps,
-                     fit_kl_envelope, make_error_factory, verify_evuas)
+                     fit_kl_envelope, make_closed_loop_factory,
+                     make_error_factory, verify_evuas)
 
 __version__ = "0.1.0"
 
@@ -55,8 +56,9 @@ __all__ = [
     "estimate_roa", "evaluate_dynamics", "fit_kl_envelope", "flatten_state",
     "input_cost", "input_free_term", "integrate", "jacobian_F_U",
     "jacobian_F_X", "linearization", "linearize_and_place",
-    "make_error_factory", "make_model", "make_perturbation",
-    "make_reference", "make_signal", "simulate_closed_loop",
+    "make_closed_loop_factory", "make_error_factory", "make_model",
+    "make_perturbation", "make_reference", "make_signal",
+    "simulate_closed_loop",
     "simulate_error_dynamics", "simulate_tracking", "synthesize_feedback",
     "tracking_error", "trajectory_to_csv", "trend_verdict",
     "unflatten_state", "verify_evuas", "window_integral_sup",

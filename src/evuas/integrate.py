@@ -12,6 +12,12 @@ Capped phases such as t**4 take hundreds of thousands of steps, so the step
 loop keeps its bookkeeping small: the seven stages live in one (7, dim)
 buffer, and the Butcher tableau is held as arrays, so every stage input, the
 new state and the error estimate are each one dot product with that buffer.
+
+The cap depends on t only, so many initial states of one system take nearly
+the same steps.  A batch of N states, given as an (N, dim) array, is
+therefore integrated with one shared step: the state is one flat vector in
+a (7, N*dim) buffer, and the error norm is the largest of the rows' own
+norms, so every row meets its own tolerance.
 """
 
 import math
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, ShapeError
 from .norms import vector_norm
 
 # Dormand-Prince tableau: the nodes c, the rows of A with the fifth-order
@@ -46,9 +52,11 @@ _DEFAULT_MAX_STEPS = 10_000_000
 class Trajectory:
     """Time-stamped samples of one integration run.
 
-    states has one row per sample; inputs (when the run was closed loop)
-    likewise.  diagnostics carries accepted/rejected step counts, the
-    smallest accepted step and the RHS evaluation count.
+    states has one row per sample: shape (T, dim) for one initial state,
+    (T, N, dim) for a batch of N.  inputs (when the run was closed loop)
+    likewise, (T, m) or (T, N, m).  diagnostics carries accepted/rejected
+    step counts, the smallest accepted step and the RHS evaluation count,
+    shared by every row of a batch.
     """
 
     times: np.ndarray
@@ -63,7 +71,7 @@ class Trajectory:
 
     @property
     def dim(self):
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     def norms(self, norm=None):
         return vector_norm(self.states, norm or self.norm_used)
@@ -93,22 +101,27 @@ def _hermite(t, t0, h, y0, y1, f0, f1):
                    + (theta - 1.0) * h * f0 + theta * h * f1))
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, tol, cap):
-    scale = tol + tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0, cap)
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(t0 + h0, y1), dtype=float)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if not math.isfinite(d2):
-        return h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end - t0, cap)
+def _initial_step(rhs, t0, y0, f0, t_end, tol, cap, rows):
+    # the usual heuristic per row, probed once at the smallest row step;
+    # a batch takes the smallest of its rows' steps
+    y, f = y0.reshape(rows, -1), f0.reshape(rows, -1)
+    scale = tol + tol * np.abs(y)
+    d0 = [math.sqrt(v) for v in np.mean((y / scale) ** 2, axis=1).tolist()]
+    d1 = [math.sqrt(v) for v in np.mean((f / scale) ** 2, axis=1).tolist()]
+    h0 = min(min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
+                 for a, b in zip(d0, d1)), t_end - t0, cap)
+    f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=float)
+    d2 = np.mean(((f1.reshape(rows, -1) - f) / scale) ** 2, axis=1).tolist()
+    h = math.inf
+    for b, c in zip(d1, d2):
+        c = math.sqrt(c) / h0
+        if not math.isfinite(c):
+            h = min(h, h0)
+        elif max(b, c) <= 1e-15:
+            h = min(h, 100 * h0, max(1e-6, h0 * 1e-3), t_end - t0, cap)
+        else:
+            h = min(h, 100 * h0, (0.01 / max(b, c)) ** 0.2, t_end - t0, cap)
+    return h
 
 
 def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
@@ -118,8 +131,18 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, x) -> ndarray``.
-    t0, t_end : float
+        ``rhs(t, x) -> ndarray`` of the shape of x.
+    t0 : float
+    x0 : array_like
+        One initial state, shape (dim,), or a batch of N, shape (N, dim).
+        A batch is integrated with one shared step sequence: ``rhs``
+        receives the (N, dim) batch, the error norm is the largest of the
+        rows' own norms and the initial step the smallest of the rows'
+        own, so every row meets the tolerance.  The returned states are
+        then (T, N, dim).  Any 2-D x0 is such a batch: a (dim, 1) column
+        is dim one-component states.  A scalar is one state of dim 1;
+        more than two axes raise ShapeError.
+    t_end : float
         t_end must exceed t0.
     tol : float
         Per-step error tolerance, applied mixed (absolute and relative).
@@ -147,9 +170,12 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     y = np.array(x0, dtype=float)
-    if y.ndim != 1:
-        y = y.ravel()
-    dim = y.size
+    if y.ndim > 2:
+        raise ShapeError(
+            f"x0 must have shape (dim,) or (N, dim), got {y.shape}")
+    shape = y.shape if y.ndim == 2 else (y.size,)    # as rhs sees the state
+    rows, width = shape if y.ndim == 2 else (1, y.size)
+    y = y.ravel()          # one flat vector, batch rows back to back
 
     samples = None    # a list starting at t0, for cheap lookups per step
     if sample_times is not None:
@@ -166,18 +192,24 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     sample_ptr = 1
 
     t = t0
-    K = np.empty((7, dim))    # the stages; FSAL carries K[6] into K[0]
+    K = np.empty((7, y.size))    # the stages; FSAL carries K[6] into K[0]
     K_head = [K[:i] for i in range(7)]    # views of the first i stages
-    f = np.asarray(rhs(t, y), dtype=float)
-    if f.shape != y.shape:
-        raise ValueError(f"rhs returned shape {f.shape}, expected {y.shape}")
+    f = np.asarray(rhs(t, y.reshape(shape)), dtype=float)
+    if f.shape != shape:
+        raise ValueError(f"rhs returned shape {f.shape}, expected {shape}")
     if not np.isfinite(f).all():
         raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
-                               x_last=y.copy(), reason="non-finite")
-    K[0] = f
+                               x_last=y.reshape(shape).copy(),
+                               reason="non-finite")
+    if len(shape) == 2:
+        batch_rhs = rhs
+
+        def rhs(t, x):
+            return np.reshape(batch_rhs(t, x.reshape(shape)), -1)
+    K[0] = f.ravel()
     n_rhs = 2  # f0 plus the initial-step probe
     cap = _step_cap(freq_hint)
-    h = _initial_step(rhs, t, y, f, t_end, tol, cap(t))
+    h = _initial_step(rhs, t, y, K[0], t_end, tol, cap(t), rows)
 
     n_accepted = 0
     n_rejected = 0
@@ -194,11 +226,11 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         if h_eff < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(
                 f"step underflow at t={t} (h={h_eff:.3e})", t_last=t,
-                x_last=y.copy(), reason="step-underflow")
+                x_last=y.reshape(shape).copy(), reason="step-underflow")
         if n_accepted + n_rejected >= max_steps:
             raise IntegrationError(
                 f"step budget {max_steps} exhausted at t={t}", t_last=t,
-                x_last=y.copy(), reason="budget")
+                x_last=y.reshape(shape).copy(), reason="budget")
 
         hh = h_eff
         for i in range(1, 6):
@@ -210,12 +242,17 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
 
         if not (np.isfinite(y_new).all() and np.isfinite(K[6]).all()):
             raise IntegrationError(
-                f"non-finite state at t={t_new}", t_last=t, x_last=y.copy(),
-                reason="non-finite")
+                f"non-finite state at t={t_new}", t_last=t,
+                x_last=y.reshape(shape).copy(), reason="non-finite")
 
         r = hh * np.dot(_E, K) / (tol + tol * np.maximum(np.abs(y),
                                                          np.abs(y_new)))
-        err = math.sqrt(float(np.dot(r, r)) / dim)
+        if rows == 1:
+            err = math.sqrt(float(np.dot(r, r)) / width)
+        else:
+            r = r.reshape(rows, width)
+            err = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r)))
+                            / width)
 
         if err <= 1.0:
             if samples is not None:
@@ -248,6 +285,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     if samples is not None:
         # exact-end bookkeeping: the final requested sample is t_end itself
         states[-1] = y if abs(times[-1] - t_end) <= 1e-12 else states[-1]
+    states = states.reshape(times.shape + shape)
     diagnostics = {"n_accepted": n_accepted, "n_rejected": n_rejected,
                    "n_rhs": n_rhs,
                    "min_step": min_step if math.isfinite(min_step) else 0.0,

@@ -31,7 +31,8 @@ from .simulate import (REFERENCE_CATALOG, diagnostics_to_json, make_reference,
 from .svgplot import line_plot
 from .synthesis import (build_gamma, build_hurwitz, default_hurwitz,
                         linearize_and_place, synthesize_feedback)
-from .verify import make_error_factory, verify_evuas
+from .verify import (make_closed_loop_factory, make_error_factory,
+                     verify_evuas)
 
 SCENARIO_PATH_ENV = "EVUAS_SCENARIO_PATH"
 _STAGES = ("classify", "synthesize", "simulate", "verify")
@@ -565,10 +566,8 @@ def _stage_verify(run):
             ctrl = synthesize_feedback(model, run.gamma_design(),
                                        run.hurwitz(model.m))
         dim = model.state_dim
-
-        def factory(t0, x0, _m=model, _c=ctrl, _p=pert):
-            return simulate_closed_loop(_m, _c, _p, x0, t0,
-                                        t0 + cfg["horizon"], tol=cfg["tol"])
+        factory = make_closed_loop_factory(model, ctrl, pert, cfg["horizon"],
+                                           tol=cfg["tol"])
     report = verify_evuas(factory, cfg["delta0"], cfg["t0_grid"],
                           cfg["eps_levels"], cfg["horizon"],
                           samples=cfg["samples"], seed=doc["seed"], dim=dim,

@@ -1,9 +1,17 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
-All three wrap :func:`evuas.integrate.integrate`.  An implicit controller
-defines U = G(X) by the closing residual shift(X) + F(X, U) - A_H e(X) = 0,
-so on the closed loop the last block of the first-order form is exactly
--input_free_term(X) + W(t, X): the designed error dynamics e' = A_H e + W.
+All three wrap :func:`evuas.integrate.integrate`.  Error-dynamics and
+closed-loop runs also take an (N, dim) batch of flat states, one per row,
+integrated with one shared step (the Monte-Carlo sweeps of
+:mod:`evuas.verify` use this).  User callables written for one state (the
+factored disturbance's K, the controller) only ever see one row: time
+factors and the designed closed loop's input-free term are evaluated once
+per call for the whole batch, K and any controller row by row.
+
+An implicit controller defines U = G(X) by the closing residual
+shift(X) + F(X, U) - A_H e(X) = 0, so on the closed loop the last block of
+the first-order form is exactly -input_free_term(X) + W(t, X): the
+designed error dynamics e' = A_H e + W.
 Those are integrated in closed form, with no feedback solve inside the
 right-hand side.  Newton then runs once per stored point, warm-started
 from the previous one, and has two jobs: it reports the inputs, and it
@@ -45,7 +53,9 @@ def _designed_rhs(model, design, hurwitz, pert, track=None):
     The first (n-1)m entries are the column shift; the last block is
     -input_free_term(state) + W(t, x_true).  For tracking the state is the
     deviation Delta and x_true = Delta + X_d(t); the reference feedforward
-    y_d^(n) cancels against the derivative of X_d's last column.
+    y_d^(n) cancels against the derivative of X_d's last column.  The state
+    may also be an (N, m*n) batch, one flat state per row: a time-only W is
+    then evaluated once per call, any other W row by row.
     """
     m, n = model.m, model.n
     split = (n - 1) * m
@@ -53,13 +63,17 @@ def _designed_rhs(model, design, hurwitz, pert, track=None):
     forced = pert is not None and pert.kind != "zero"
 
     def rhs(t, x):
-        out = np.empty(m * n)
-        out[:split] = x[m:]
+        out = np.empty_like(x)
+        out[..., :split] = x[..., m:]
         last = -input_free_term(x, gamma, a_h, m, n)
         if forced:
             x_true = x if track is None else x + flatten_state(track.value(t))
-            last = last + pert.evaluate(t, x_true)
-        out[split:] = last
+            if x.ndim == 1 or pert.kind == "time":
+                last = last + pert.evaluate(t, x_true)
+            else:
+                last = last + np.array([pert.evaluate(t, row)
+                                        for row in x_true])
+        out[..., split:] = last
         return out
     return rhs
 
@@ -67,31 +81,42 @@ def _designed_rhs(model, design, hurwitz, pert, track=None):
 def _report_inputs(traj, m, feedback):
     """Solve the feedback at every stored point, warm-started from the last.
 
-    ``feedback(t, x, u0)`` returns U at a stored point.  This is also the
-    domain-of-validity check: a failed solve aborts with the time, state
-    and residual of the first stored point where no feedback exists.
+    ``feedback(t, x, u0)`` returns U at a stored point; a batch is solved
+    row by row, each row warm-started from its own last input.  This is
+    also the domain-of-validity check: a failed solve aborts with the
+    time, state and residual of the first stored point where no feedback
+    exists.
     """
-    inputs = np.empty((traj.times.size, m))
-    u = None
-    for i, t in enumerate(traj.times):
-        try:
-            u = feedback(t, traj.states[i], u)
-        except NewtonError as exc:
-            raise ControllerEvaluationError(
-                f"feedback solve failed at t={t}: {exc}", t=float(t),
-                x=traj.states[i].copy(), residual=exc.residual) from exc
-        inputs[i] = u
-    traj.inputs = inputs
+    states = traj.states if traj.states.ndim == 3 else traj.states[:, None]
+    inputs = np.empty(states.shape[:2] + (m,))
+    for j in range(states.shape[1]):
+        u = None
+        for i, t in enumerate(traj.times):
+            try:
+                u = feedback(t, states[i, j], u)
+            except NewtonError as exc:
+                raise ControllerEvaluationError(
+                    f"feedback solve failed at t={t}: {exc}", t=float(t),
+                    x=states[i, j].copy(), residual=exc.residual) from exc
+            inputs[i, j] = u
+    traj.inputs = inputs.reshape(traj.states.shape[:-1] + (m,))
     return traj
 
 
 def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
                             sample_times=None, norm="euclidean",
                             max_steps=None):
-    """Integrate the error system e' = A_H e + W(t, e)."""
+    """Integrate the error system e' = A_H e + W(t, e).
+
+    ``e0`` is one state (dim,) or an (N, dim) batch, integrated with one
+    shared step (see :func:`evuas.integrate.integrate`); on a batch D(t)
+    is evaluated once per call and K row by row.
+    """
     a_h = hurwitz.a_h
     e0 = np.asarray(e0, dtype=float)
-    if pert is None or pert.kind == "zero":
+    if e0.ndim == 2:
+        rhs = _error_rhs_rows(a_h, pert)
+    elif pert is None or pert.kind == "zero":
         def rhs(t, e):
             return a_h @ e
     elif pert.kind == "time":
@@ -108,6 +133,41 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
     return _run(rhs, pert, e0, t0, t_end, tol, sample_times, norm, max_steps)
 
 
+def _error_rhs_rows(a_h, pert):
+    # e' = A_H e + W(t, e) with one state per row
+    a_t = a_h.T
+    if pert is None or pert.kind == "zero":
+        return lambda t, e: e @ a_t
+    if pert.kind == "time":
+        w = pert.w
+        return lambda t, e: e @ a_t + w(t)
+    d, k = pert.d, pert.k
+
+    def rhs(t, e):
+        return (e @ a_t
+                + np.array([k(row) for row in e])
+                @ np.asarray(d(t), dtype=float).T)
+    return rhs
+
+
+def _closed_loop(model, ctrl, pert, x0, t0, t_end, tol, sample_times=None,
+                 norm="euclidean", max_steps=None):
+    """Closed-loop run from a flat state (m*n,) or an (N, m*n) batch."""
+    if isinstance(ctrl, ImplicitController) and ctrl.model is model:
+        rhs = _designed_rhs(model, ctrl.design, ctrl.hurwitz, pert)
+    elif x0.ndim == 1:
+        def rhs(t, x):
+            return evaluate_dynamics(model, pert, t, x, ctrl.solve(x))
+    else:
+        def rhs(t, x):
+            return np.array([evaluate_dynamics(model, pert, t, row,
+                                               ctrl.solve(row))
+                             for row in x])
+    traj = _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm, max_steps)
+    return _report_inputs(traj, model.m,
+                          lambda t, x, u0: ctrl.solve(x, u0=u0))
+
+
 def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
                          sample_times=None, norm="euclidean",
                          max_steps=None):
@@ -121,17 +181,10 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     surfaces after integration, as a ControllerEvaluationError carrying the
     time, state and residual of the first stored point where no feedback
     exists.  Any other controller is called inside the right-hand side.
+    ``x0`` is a flat state or an (m, n) state matrix.
     """
-    x0_flat = _flat_state(x0, model)
-    if isinstance(ctrl, ImplicitController) and ctrl.model is model:
-        rhs = _designed_rhs(model, ctrl.design, ctrl.hurwitz, pert)
-    else:
-        def rhs(t, x):
-            return evaluate_dynamics(model, pert, t, x, ctrl.solve(x))
-    traj = _run(rhs, pert, x0_flat, t0, t_end, tol, sample_times, norm,
-                max_steps)
-    return _report_inputs(traj, model.m,
-                          lambda t, x, u0: ctrl.solve(x, u0=u0))
+    return _closed_loop(model, ctrl, pert, _flat_state(x0, model), t0,
+                        t_end, tol, sample_times, norm, max_steps)
 
 
 class TrackingSpec:

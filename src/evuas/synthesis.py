@@ -238,14 +238,21 @@ def tracking_error(x_flat, gamma, m, n):
 
 def _shift_term(xmat, gamma, n):
     # Diag(X [0; Gamma]): the error derivative's input-free part
-    return (xmat[:, 1:] * gamma.T).sum(axis=1)
+    return (xmat[..., 1:] * gamma.T).sum(axis=-1)
 
 
 def input_free_term(x_flat, gamma, a_h, m, n):
-    """The U-independent part of the closing residual at state X."""
-    xmat = np.asarray(x_flat, dtype=float).reshape((m, n), order="F")
-    err = (xmat[:, :n - 1] * gamma.T).sum(axis=1) + xmat[:, n - 1]
-    return _shift_term(xmat, gamma, n) - a_h @ err
+    """The U-independent part of the closing residual at state X.
+
+    Leading axes of ``x_flat`` are batch axes: flat states of shape
+    (..., m*n) give terms of shape (..., m), each exactly as for its state
+    alone.
+    """
+    x = np.asarray(x_flat, dtype=float)
+    # a flat state is X column by column, so X is the transposed (n, m)
+    xmat = x.reshape(x.shape[:-1] + (n, m)).swapaxes(-1, -2)
+    err = (xmat[..., :n - 1] * gamma.T).sum(axis=-1) + xmat[..., n - 1]
+    return _shift_term(xmat, gamma, n) - (a_h @ err[..., None])[..., 0]
 
 
 @dataclass

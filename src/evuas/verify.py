@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
-                     NewtonError, QuadratureBudgetError)
+                     NewtonError, QuadratureBudgetError, ShapeError)
 from .norms import check_norm_id, vector_norm
 
 _SETTLE_MARGIN = 0.95      # settle must happen inside this fraction of the window
@@ -97,6 +97,60 @@ def _tail_decreasing(norms):
     return tail <= _TREND_DROP * max(ref, 1e-300)
 
 
+def _batch_norms(traj, count, norm):
+    """(T, count) norms of a batched factory run, one column per sample."""
+    if traj.states.ndim != 3 or traj.states.shape[1] != count:
+        raise ShapeError(
+            f"a factory given {count} initial states must return states of "
+            f"shape (T, {count}, dim), got {traj.states.shape}")
+    return vector_norm(traj.states, norm)
+
+
+def _sweep(sim, t0, x0s, norm, sim_failures):
+    """[(row, times, norms)] of every sample of one start time that ran.
+
+    One factory call covers the whole stack.  When it hits a runtime
+    failure the rows run again one at a time, so each failure is recorded
+    against its own x0, as a serial sweep would record it.
+    """
+    try:
+        traj = sim(t0, x0s)
+    except _SIM_FAILURES:
+        pass
+    else:
+        norms = _batch_norms(traj, len(x0s), norm)
+        return [(i, traj.times, norms[:, i]) for i in range(len(x0s))]
+    done = []
+    for i, x0 in enumerate(x0s):
+        try:
+            traj = sim(t0, x0)
+        except _SIM_FAILURES as exc:
+            sim_failures.append({"t0": t0, "x0": x0.tolist(),
+                                 "error": str(exc)})
+            continue
+        done.append((i, traj.times, vector_norm(traj.states, norm)))
+    return done
+
+
+def _witness(sim, run, norm, kind, eps, at_peak, sim_failures):
+    """[witness] re-derived from a run of its sample alone, ``sim(t0, x0)``.
+
+    A batch shares its step sequence among its rows, so the figures of the
+    sample's own run are the ones a replay reproduces.  If that run fails,
+    the failure is recorded in ``sim_failures`` and the list is empty.
+    """
+    x0 = run["x0"].tolist()
+    try:
+        traj = sim(run["t0"], run["x0"])
+    except _SIM_FAILURES as exc:
+        sim_failures.append({"t0": run["t0"], "x0": x0, "error": str(exc)})
+        return []
+    norms = vector_norm(traj.states, norm)
+    i = int(np.argmax(norms)) if at_peak else norms.size - 1
+    return [{"kind": kind, "eps": eps, "t0": run["t0"], "x0": x0,
+             "t": float(traj.times[i]), "value": float(norms[i])}]
+
+
 def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
                  seed=0, dim=None, norm="euclidean"):
     """Empirical eventual-uniform-stability/attraction report.
@@ -105,9 +159,18 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     ----------
     sim : callable
         Trajectory factory ``sim(t0, x0) -> Trajectory`` covering at least
-        [t0, t0 + horizon].  Its runtime failures (IntegrationError,
-        NewtonError, EvaluationError, QuadratureBudgetError) are recorded
-        as sim failures; any other exception propagates.
+        [t0, t0 + horizon].  It is called once per start time with the
+        (3 * samples, dim) stack of initial states and must then return
+        states of shape (T, 3 * samples, dim), one column per sample (the
+        factories of this module and :func:`evuas.integrate.integrate`
+        do).  It must also take one state of shape (dim,).  Its runtime
+        failures (IntegrationError, NewtonError, EvaluationError,
+        QuadratureBudgetError) are data: when the stack fails, its samples
+        run again one at a time and each failure is recorded against its
+        own x0 in ``sim_failures``.  Any other exception propagates.
+        Witnesses are re-derived from ``sim(t0, x0)`` with the single
+        state, so they replay exactly; if that run fails, the failure goes
+        to ``sim_failures`` in place of the witness.
     delta0 : float
         Radius of the sampled initial ball; spheres at delta0, delta0/2
         and delta0/4 are drawn.
@@ -144,22 +207,14 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     rng = np.random.default_rng(seed)
     dirs = _unit_directions(dim, samples, rng)
     radii = [delta0, delta0 / 2.0, delta0 / 4.0]
+    x0s = np.concatenate([radius * dirs for radius in radii])
 
     runs = []          # {t0, radius, x0, norms (ndarray), times}
     sim_failures = []
     for t0 in t0_grid:
-        for radius in radii:
-            for d in dirs:
-                x0 = radius * d
-                try:
-                    traj = sim(t0, x0)
-                except _SIM_FAILURES as exc:
-                    sim_failures.append({"t0": t0, "x0": x0.tolist(),
-                                         "error": str(exc)})
-                    continue
-                runs.append({"t0": t0, "radius": radius, "x0": x0,
-                             "times": traj.times,
-                             "norms": vector_norm(traj.states, norm)})
+        for i, times, norms in _sweep(sim, t0, x0s, norm, sim_failures):
+            runs.append({"t0": t0, "radius": radii[i // samples],
+                         "x0": x0s[i], "times": times, "norms": norms})
 
     alphas = _alpha_grid(horizon, t0_grid)
     witnesses = []
@@ -205,12 +260,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
             worst = max(runs, key=lambda r: float(np.max(r["norms"])),
                         default=None)
             if worst is not None:
-                i = int(np.argmax(worst["norms"]))
-                witnesses.append({
-                    "kind": "evus", "eps": eps, "t0": worst["t0"],
-                    "x0": worst["x0"].tolist(),
-                    "t": float(worst["times"][i]),
-                    "value": float(worst["norms"][i])})
+                witnesses += _witness(sim, worst, norm, "evus", eps,
+                                      at_peak=True, sim_failures=sim_failures)
     if sim_failures and evus_overall == "pass":
         evus_overall = "inconclusive"
 
@@ -262,11 +313,9 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
                 verdict = "fail" if hard else "inconclusive"
                 if hard:
                     soft_only = False
-                r = (hard or unsettled)[0]
-                witnesses.append({
-                    "kind": "evua", "eps": eps, "t0": r["t0"],
-                    "x0": r["x0"].tolist(), "t": float(r["times"][-1]),
-                    "value": float(r["norms"][-1])})
+                witnesses += _witness(sim, (hard or unsettled)[0], norm,
+                                      "evua", eps, at_peak=False,
+                                      sim_failures=sim_failures)
             evua_table.append({"eps": eps, "T": None, "verdict": verdict})
         evua_overall = "inconclusive" if soft_only else "fail"
     if sim_failures and evua_overall == "pass":
@@ -363,7 +412,10 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
 
     Bisects over the level in (0, eps]; sampled directions are seeded and
     shared across levels.  Returns 0.0 when even the smallest tested level
-    fails.  A runtime failure of the factory fails the level; any other
+    fails.  The factory ``sim`` is called once per level with the
+    (directions, dim) stack of initial states and must return states of
+    shape (T, directions, dim), as the factories of this module do.  A
+    runtime failure anywhere in the stack fails the level; any other
     exception propagates.
     """
     check_norm_id(norm)
@@ -375,19 +427,16 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
     dirs = _unit_directions(dim, directions, rng)
 
     def passes(level):
-        for d in dirs:
-            try:
-                traj = sim(t0, level * d)
-            except _SIM_FAILURES:
-                return False
-            norms = vector_norm(traj.states, norm)
-            if float(np.max(norms)) >= eps:
-                return False
-            # a tail still growing at the window end certifies nothing
-            v80 = float(norms[int(0.8 * (norms.size - 1))])
-            if float(norms[-1]) > 1.5 * max(v80, 1e-300):
-                return False
-        return True
+        try:
+            traj = sim(t0, level * dirs)
+        except _SIM_FAILURES:
+            return False
+        norms = _batch_norms(traj, directions, norm)
+        if float(np.max(norms)) >= eps:
+            return False
+        # a tail still growing at the window end certifies nothing
+        v80 = norms[int(0.8 * (len(norms) - 1))]
+        return bool(np.all(norms[-1] <= 1.5 * np.maximum(v80, 1e-300)))
 
     lo, hi = 0.0, eps
     best = 0.0
@@ -404,10 +453,32 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
 
 
 def make_error_factory(hurwitz, pert, horizon, tol=1e-7, max_steps=None):
-    """Trajectory factory over [t0, t0+horizon] for the error dynamics."""
+    """Trajectory factory over [t0, t0+horizon] for the error dynamics.
+
+    ``sim(t0, x0)`` takes one state (dim,) or an (N, dim) batch.
+    """
     from .simulate import simulate_error_dynamics
 
     def sim(t0, x0):
         return simulate_error_dynamics(hurwitz, pert, x0, t0, t0 + horizon,
                                        tol=tol, max_steps=max_steps)
+    return sim
+
+
+def make_closed_loop_factory(model, ctrl, pert, horizon, tol=1e-7):
+    """Trajectory factory over [t0, t0+horizon] for the loop closed by ctrl.
+
+    ``sim(t0, x0)`` takes one flat state (m*n,) or an (N, m*n) batch, one
+    flat state per row; the run fills ``inputs`` as (T, m) or (T, N, m).
+    """
+    from .simulate import _closed_loop
+
+    dim = model.state_dim
+
+    def sim(t0, x0):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.ndim not in (1, 2) or x0.shape[-1] != dim:
+            raise ShapeError(
+                f"x0: expected shape ({dim},) or (N, {dim}), got {x0.shape}")
+        return _closed_loop(model, ctrl, pert, x0, t0, t0 + horizon, tol)
     return sim

@@ -209,3 +209,80 @@ def test_random_hurwitz_matches_expm(system):
     exact = linear_trajectory(a, x0, traj.times)
     assert np.max(np.abs(traj.states - exact)) <= 10 * tol * max(
         1.0, float(np.max(np.abs(exact))))
+
+
+# --- batches: (N, dim) initial states share one step sequence
+
+@pytest.mark.parametrize("system, x0, t_end, tol, samples", [
+    ("example1_unbounded", [-1.0, 1.5], 5.0, 1e-6, np.linspace(0.0, 5.0, 501)),
+    ("example1_bounded", [-1.0, 1.5], 3.0, 1e-7, None),
+    ("linear3", [1.0, -2.0, 0.5], 10.0, 1e-8, np.linspace(0.0, 10.0, 101)),
+], ids=["example1_unbounded", "example1_bounded", "linear3"])
+def test_single_row_batch_is_the_plain_run(system, x0, t_end, tol, samples):
+    # the batch rhs calls the plain one on its only row, so any difference
+    # comes from the batch bookkeeping: it must reproduce the run bit for bit
+    rhs, hint = _reference_system(system)
+    plain = ev.integrate(rhs, 0.0, np.array(x0), t_end, tol=tol,
+                         freq_hint=hint, sample_times=samples)
+    batch = ev.integrate(lambda t, x: rhs(t, x[0])[None], 0.0,
+                         np.array([x0]), t_end, tol=tol, freq_hint=hint,
+                         sample_times=samples)
+    for key in ("n_accepted", "n_rejected", "n_rhs"):
+        assert batch.diagnostics[key] == plain.diagnostics[key], key
+    assert batch.states.shape == (plain.times.size, 1, len(x0))
+    assert np.array_equal(batch.times, plain.times)
+    assert np.array_equal(batch.states[:, 0], plain.states)
+    assert batch.dim == plain.dim == len(x0)
+
+
+@pytest.mark.parametrize("signal, a", [
+    ("cos_exp", [[-1.0]]),
+    ("vec_cos_sin_exp", _A_EX1),
+])
+def test_batch_rows_obey_superposition(signal, a):
+    # under time-only forcing e(t; e0) = expm(A (t - t0)) e0 + e(t; 0); the
+    # e(t; 0) row rides in the same batch
+    a = np.asarray(a)
+    sig = ev.make_signal(signal)
+    dim = a.shape[0]
+    e0s = np.vstack([np.zeros(dim), np.linspace(-0.8, 0.6, 3 * dim)
+                     .reshape(3, dim)])
+    ts = np.linspace(1.0, 4.0, 121)
+    traj = ev.integrate(lambda t, e: e @ a.T + sig.fn(t), ts[0], e0s, ts[-1],
+                        tol=1e-10, freq_hint=sig.freq_hint, sample_times=ts)
+    assert traj.states.shape == (ts.size, e0s.shape[0], dim)
+    forced = traj.states[:, 0]
+    for j in range(1, e0s.shape[0]):
+        homogeneous = linear_trajectory(a, e0s[j], ts)
+        assert np.max(np.abs(traj.states[:, j] - forced - homogeneous)) <= 1e-8
+
+
+def test_batch_error_control_is_per_row():
+    # one fast row among slow ones: every row meets its own tolerance, so
+    # the fast row is not diluted by the others and sets the shared step
+    rates = np.array([[-20.0], [-1.0], [-1.0], [-1.0]])
+    traj = ev.integrate(lambda t, x: rates * x, 0.0, np.ones((4, 1)), 1.0,
+                        tol=1e-8)
+    fast = ev.integrate(lambda t, x: rates[0] * x, 0.0, np.ones(1), 1.0,
+                        tol=1e-8)
+    assert traj.diagnostics["n_accepted"] >= fast.diagnostics["n_accepted"]
+    exact = np.exp(np.outer(traj.times, rates))
+    assert np.max(np.abs(traj.states[:, :, 0] - exact)) <= 1e-8
+    with pytest.raises(ValueError, match="shape"):
+        ev.integrate(lambda t, x: x[0], 0.0, np.ones((3, 2)), 1.0)
+
+
+def test_two_dimensional_x0_is_always_a_batch():
+    # a (dim, 1) column is dim one-component states, each under its own
+    # error norm; more than two axes is no state shape at all
+    rates = np.array([[-1.0], [-2.0], [-3.0]])
+    traj = ev.integrate(lambda t, x: rates * x, 0.0, np.ones((3, 1)), 1.0,
+                        tol=1e-10)
+    assert traj.states.shape == (traj.times.size, 3, 1)
+    assert traj.dim == 1
+    assert np.max(np.abs(traj.states[-1, :, 0] - np.exp(rates[:, 0]))) \
+        <= 1e-8
+    scalar = ev.integrate(lambda t, x: -x, 0.0, 1.0, 1.0, tol=1e-10)
+    assert scalar.states.shape == (scalar.times.size, 1)
+    with pytest.raises(ev.ShapeError, match=r"\(2, 1, 1\)"):
+        ev.integrate(lambda t, x: -x, 0.0, np.ones((2, 1, 1)), 1.0)

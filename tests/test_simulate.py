@@ -197,6 +197,54 @@ def test_controller_failure_on_sample_grid_chains_newton_error():
     assert exc.value.residual == exc.value.__cause__.residual
 
 
+def test_batched_factored_disturbance_rows_match_serial():
+    # K is written for one state; on a two-row batch, reading the rows as
+    # components would run without a shape error and give wrong answers
+    hurwitz = ev.build_hurwitz(A_H)
+    pert = ev.make_perturbation("example1_bounded")
+    e0s = np.array([[-1.0, 1.5], [0.4, -0.2]])
+    tol = 1e-8
+    batch = ev.simulate_error_dynamics(hurwitz, pert, e0s, 0.0, 4.0, tol=tol)
+    assert batch.states.shape == (batch.times.size, 2, 2)
+    for j, e0 in enumerate(e0s):
+        alone = ev.simulate_error_dynamics(hurwitz, pert, e0, 0.0, 4.0,
+                                           tol=tol)
+        assert np.max(np.abs(batch.states[-1, j] - alone.states[-1])) \
+            <= 100 * tol
+
+
+@pytest.mark.parametrize("case", ["designed_time", "designed_factored",
+                                  "linear_gain"])
+def test_closed_loop_factory_batch_rows_match_serial(case):
+    if case == "linear_gain":
+        model = ev.make_model("chain", m=1, n=2)
+        ctrl = ev.linearize_and_place(model, [-1.0, -2.0])
+        pert = ev.make_perturbation("cos_exp")
+    else:
+        model = ev.make_model("chain", m=2, n=2)
+        ctrl = ev.synthesize_feedback(model,
+                                      ev.build_gamma([[-1.0], [-2.0]], 2),
+                                      ev.default_hurwitz(2))
+        pert = ev.make_perturbation("vec_cos_sin_exp"
+                                    if case == "designed_time"
+                                    else "example1_bounded")
+    dim, tol = model.state_dim, 1e-8
+    x0s = np.linspace(-0.4, 0.5, 2 * dim).reshape(2, dim)
+    sim = ev.make_closed_loop_factory(model, ctrl, pert, 3.0, tol=tol)
+    batch = sim(1.0, x0s)
+    assert batch.states.shape == (batch.times.size, 2, dim)
+    assert batch.inputs.shape == (batch.times.size, 2, model.m)
+    for j, x0 in enumerate(x0s):
+        alone = sim(1.0, x0)
+        assert alone.inputs.shape == (alone.times.size, model.m)
+        assert np.max(np.abs(batch.states[-1, j] - alone.states[-1])) \
+            <= 100 * tol
+        assert np.max(np.abs(batch.inputs[-1, j] - alone.inputs[-1])) \
+            <= 100 * tol
+    with pytest.raises(ev.ShapeError):
+        sim(1.0, np.zeros((2, dim + 1)))
+
+
 def test_tracking_zero_reference_reduces_to_stabilization():
     model, ctrl = _chain_controller()
     x0 = np.array([0.37, -0.21])

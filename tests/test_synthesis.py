@@ -309,3 +309,26 @@ def test_controller_summary_round_trips_json():
     back = json.loads(blob)
     assert back["mode"] == "implicit-newton"
     assert back["newton"]["tol"] == 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 2)])
+def test_input_free_term_batch_rows_are_the_single_state_terms(m, n):
+    # leading axes are batch axes: each row's term is bit for bit the term
+    # of its state alone, and the flat layout is X column by column
+    rng = np.random.default_rng(m * 10 + n)
+    gamma = rng.standard_normal((n - 1, m))
+    a_h = rng.standard_normal((m, m))
+    xs = rng.standard_normal((5, m * n))
+    batch = ev.input_free_term(xs, gamma, a_h, m, n)
+    assert batch.shape == (5, m)
+    for x, row in zip(xs, batch):
+        assert np.array_equal(row, ev.input_free_term(x, gamma, a_h, m, n))
+        # X[j, k] is y_j^(k); e_j = sum_k gamma[k, j] y_j^(k) + y_j^(n-1),
+        # and the input-free part of e_j' shifts every derivative up by one
+        xmat = [[x[k * m + j] for k in range(n)] for j in range(m)]
+        err = [sum(gamma[k, j] * xmat[j][k] for k in range(n - 1))
+               + xmat[j][n - 1] for j in range(m)]
+        want = [sum(gamma[k, j] * xmat[j][k + 1] for k in range(n - 1))
+                - sum(a_h[j, i] * err[i] for i in range(m))
+                for j in range(m)]
+        assert np.allclose(row, want, rtol=0.0, atol=1e-12)

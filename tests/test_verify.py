@@ -122,6 +122,90 @@ def test_factory_programming_errors_propagate():
         ev.estimate_delta_of_eps(broken, eps=0.1, t0=0.0, horizon=8.0, dim=1)
 
 
+def test_failed_witness_replay_is_a_sim_failure():
+    # the batch runs, but the witness sample's own run fails: the failure is
+    # recorded against that sample and no witness is reported for it
+    pert = ev.make_perturbation("const_e1", dim=2)
+    fac = ev.make_error_factory(ev.build_hurwitz(A_H), pert, 12.0, tol=1e-8)
+
+    def batch_only(t0, x0):
+        if np.ndim(x0) == 1:
+            raise ev.IntegrationError("single-state backend down")
+        return fac(t0, x0)
+    rep = ev.verify_evuas(batch_only, delta0=0.5, t0_grid=[0.0, 1.0],
+                          eps_levels=[0.5], horizon=12.0, samples=4, seed=9,
+                          dim=2)
+    assert rep.evuas == "fail"
+    assert rep.samples == 2 * 3 * 4
+    assert rep.witnesses == []
+    assert rep.sim_failures
+    assert all(f["error"] == "single-state backend down"
+               for f in rep.sim_failures)
+    good = ev.verify_evuas(fac, delta0=0.5, t0_grid=[0.0, 1.0],
+                           eps_levels=[0.5], horizon=12.0, samples=4, seed=9,
+                           dim=2)
+    assert [(f["t0"], f["x0"]) for f in rep.sim_failures] == \
+        [(w["t0"], w["x0"]) for w in good.witnesses]
+
+
+def _blowup_factory(t0, x0):
+    # x' = x^2: positive x0 blow up at t0 + 1/x0, inside the window for
+    # x0 >= 1/8; negative x0 decay
+    return ev.integrate(lambda t, x: x * x, t0, x0, t0 + 8.0, tol=1e-8)
+
+
+def test_batch_failures_are_attributed_per_sample():
+    t0_grid = [0.0, 3.0]
+    rep = ev.verify_evuas(_blowup_factory, delta0=1.0, t0_grid=t0_grid,
+                          eps_levels=[2.0], horizon=8.0, samples=4, seed=5,
+                          dim=1)
+    dirs = np.random.default_rng(5).standard_normal((4, 1))
+    x0s = [r * float(np.sign(d[0])) for r in (1.0, 0.5, 0.25) for d in dirs]
+    positive = [x for x in x0s if x > 0]
+    assert positive and len(positive) < len(x0s)
+    assert sorted((f["t0"], f["x0"][0]) for f in rep.sim_failures) == \
+        sorted((t0, x) for t0 in t0_grid for x in positive)
+    assert rep.samples == len(t0_grid) * (len(x0s) - len(positive))
+    # every sample that ran is in the tables: the decaying ones pass
+    assert rep.evus_table[0]["verdict"] == "pass"
+    assert rep.evuas == "inconclusive"
+
+
+def _serial_delta_of_eps(sim, eps, t0, dim, directions, seed, iters):
+    # the bisection of estimate_delta_of_eps, one direction per factory call
+    dirs = np.random.default_rng(seed).standard_normal((directions, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+
+    def passes(level):
+        for d in dirs:
+            try:
+                norms = sim(t0, level * d).norms()
+            except ev.IntegrationError:
+                return False
+            v80 = float(norms[int(0.8 * (norms.size - 1))])
+            if np.max(norms) >= eps or norms[-1] > 1.5 * max(v80, 1e-300):
+                return False
+        return True
+
+    lo, hi, best = 0.0, eps, 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            best = lo = mid
+        else:
+            hi = mid
+    return best
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_batched_delta_estimate_matches_serial_bisection(eps):
+    kwargs = dict(eps=eps, t0=0.0, dim=1, directions=4, seed=5, iters=16)
+    want = _serial_delta_of_eps(_blowup_factory, **kwargs)
+    assert 0.0 < want < eps
+    assert ev.estimate_delta_of_eps(_blowup_factory, horizon=8.0,
+                                    **kwargs) == want
+
+
 @pytest.mark.slow
 def test_bounded_oscillating_perturbation_is_eventually_stable():
     # the origin is not a solution here: stability only binds for late
