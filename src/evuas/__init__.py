@@ -20,7 +20,7 @@ from .errors import (ControllerEvaluationError, DesignError, EnvelopeFitError,
                      EvaluationError, IntegrationError, NewtonError,
                      QuadratureBudgetError, ScenarioError, ShapeError)
 from .integrate import Trajectory, integrate
-from .model import (MODEL_CATALOG, PerturbationSpec, StateMatrix, SystemModel,
+from .model import (MODEL_CATALOG, PerturbationSpec, SystemModel,
                     evaluate_dynamics, flatten_state, jacobian_F_U,
                     jacobian_F_X, make_model, unflatten_state)
 from .perturbations import PERTURBATION_CATALOG, make_perturbation
@@ -49,7 +49,7 @@ __all__ = [
     "PerturbationClassification", "PerturbationSpec",
     "QuadratureBudgetError", "REFERENCE_CATALOG", "RoaEstimate",
     "SIGNAL_CATALOG", "ScenarioError", "ShapeError", "StabilityReport",
-    "StateMatrix", "SystemModel", "TrackingSpec", "Trajectory",
+    "SystemModel", "TrackingSpec", "Trajectory",
     "WindowMetricProfile", "build_gamma", "build_hurwitz",
     "check_nonsingular", "classify", "coercivity_probe", "default_hurwitz",
     "diagnostics_to_json", "diminishing_profile", "estimate_delta_of_eps",

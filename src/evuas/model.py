@@ -37,49 +37,6 @@ def _check_finite(v, where):
     return v
 
 
-class StateMatrix:
-    """m-by-n state matrix with an exactly round-tripping flat view.
-
-    Column ``i`` holds the i-th derivative block; the flat view stacks the
-    columns in order, so entries ``[k*m:(k+1)*m]`` of the vector are column
-    ``k`` of the matrix.
-    """
-
-    __slots__ = ("m", "n", "_mat")
-
-    def __init__(self, entries, m=None, n=None):
-        mat = np.asarray(entries, dtype=float)
-        if mat.ndim == 1:
-            if m is None or n is None:
-                raise ShapeError("flat state needs explicit m and n")
-            if mat.shape != (m * n,):
-                raise ShapeError(
-                    f"flat state: expected shape ({m * n},), got {mat.shape}")
-            mat = mat.reshape((m, n), order="F")
-        elif mat.ndim == 2:
-            if m is not None and n is not None and mat.shape != (m, n):
-                raise ShapeError(
-                    f"state matrix: expected shape ({m}, {n}), got {mat.shape}")
-        else:
-            raise ShapeError(f"state must be 1-d or 2-d, got ndim={mat.ndim}")
-        self._mat = mat
-        self.m, self.n = mat.shape
-
-    @property
-    def matrix(self):
-        return self._mat
-
-    @property
-    def flat(self):
-        return self._mat.flatten(order="F")
-
-    def column(self, i):
-        return self._mat[:, i]
-
-    def __repr__(self):
-        return f"StateMatrix(m={self.m}, n={self.n})"
-
-
 def flatten_state(mat):
     """Column-stack an (m, n) state matrix into the flat (m*n,) vector."""
     return np.asarray(mat, dtype=float).flatten(order="F")
@@ -158,8 +115,7 @@ class PerturbationSpec:
 
     ``kind`` is one of ``"zero"``, ``"time"`` (pure time signal) or
     ``"factored"``.  A time-only signal is representable as the factored
-    form with ``D = diag(w(t))`` and ``K`` identically one; the two
-    evaluations agree (see :meth:`to_factored`).
+    form with ``D = diag(w(t))`` and ``K`` identically one.
 
     Parameters
     ----------
@@ -246,26 +202,6 @@ class PerturbationSpec:
                 f"W: expected output shape ({self.dim},), got {out.shape}")
         return _check_finite(out, "W")
 
-    def to_factored(self):
-        """Equivalent factored spec; identity for already-factored kinds.
-
-        For a time signal the factor is ``D(t) = diag(w(t))`` with K
-        identically the all-ones vector, which evaluates to the same W.
-        """
-        if self.kind == "factored":
-            return self
-        if self.kind == "zero":
-            dim = self.dim
-            return PerturbationSpec.factored(
-                lambda t, _dim=dim: np.zeros((_dim, _dim)),
-                lambda x, _dim=dim: np.ones(_dim),
-                dim, name=self.name)
-        w, dim = self.w, self.dim
-        return PerturbationSpec.factored(
-            lambda t: np.diag(np.atleast_1d(np.asarray(w(t), dtype=float))),
-            lambda x, _dim=dim: np.ones(_dim),
-            dim, freq_hint=self.freq_hint, flags=self.flags, name=self.name)
-
     def columns(self):
         """The columns of D as time signals (list of callables t -> (dim,)).
 
@@ -321,7 +257,7 @@ def evaluate_dynamics(model, pert, t, x, u):
         None means no disturbance.
     t : float
     x : array_like
-        Flat state of length m*n, or an (m, n) state matrix, or StateMatrix.
+        Flat state of length m*n, or an (m, n) state matrix.
     u : array_like
         Input of length m.
 
@@ -332,11 +268,8 @@ def evaluate_dynamics(model, pert, t, x, u):
         shift); the last m entries are F(X, U) + W(t, X).
     """
     m, n = model.m, model.n
-    if isinstance(x, StateMatrix):
-        x_flat = x.flat
-    else:
-        x_arr = np.asarray(x, dtype=float)
-        x_flat = flatten_state(x_arr) if x_arr.ndim == 2 else x_arr
+    x_arr = np.asarray(x, dtype=float)
+    x_flat = flatten_state(x_arr) if x_arr.ndim == 2 else x_arr
     x_flat = _as_vector(x_flat, m * n, "state")
 
     last = model.eval_f(x_flat, u)

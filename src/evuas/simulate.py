@@ -1,12 +1,14 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
 All three wrap :func:`evuas.integrate.integrate`.  Error-dynamics and
-closed-loop runs also take an (N, dim) batch of flat states, one per row,
-integrated with one shared step (the Monte-Carlo sweeps of
-:mod:`evuas.verify` use this).  User callables written for one state (the
-factored disturbance's K, the controller) only ever see one row: time
-factors and the designed closed loop's input-free term are evaluated once
-per call for the whole batch, K and any controller row by row.
+closed-loop runs take one flat state (dim,) or an (N, dim) batch, one
+state per row, integrated with one shared step (the Monte-Carlo sweeps of
+:mod:`evuas.verify` use this); tracking runs take one flat state.  Each
+right-hand side is written once for both shapes.  User callables written
+for one state (the factored disturbance's K, the controller) only ever
+see one row: time factors and the designed closed loop's input-free term
+are evaluated once per call for the whole batch, K and any controller row
+by row.
 
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, so on the closed loop the last block of
@@ -25,7 +27,7 @@ import json
 
 import numpy as np
 
-from .errors import ControllerEvaluationError, NewtonError
+from .errors import ControllerEvaluationError, NewtonError, ShapeError
 from .integrate import integrate
 from .model import evaluate_dynamics, flatten_state, unflatten_state
 from .synthesis import ImplicitController, input_free_term
@@ -33,18 +35,17 @@ from .synthesis import ImplicitController, input_free_term
 _CSV_FMT = "%.17g"
 
 
-def _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm, max_steps):
+def _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm):
     hint = None if (pert is None or pert.kind == "zero") else pert.freq_hint
-    kwargs = {} if max_steps is None else {"max_steps": max_steps}
     return integrate(rhs, t0, x0, t_end, tol=tol, freq_hint=hint,
-                     sample_times=sample_times, norm=norm, **kwargs)
+                     sample_times=sample_times, norm=norm)
 
 
-def _flat_state(x0, model):
-    x0 = np.asarray(x0, dtype=float)
-    x0_flat = flatten_state(x0) if x0.ndim == 2 else x0
-    unflatten_state(x0_flat, model.m, model.n)      # shape check only
-    return x0_flat
+def _per_row(fn, x):
+    """``fn`` of one flat state, applied to x or to each row of a batch."""
+    if x.ndim == 1:
+        return fn(x)
+    return np.array([fn(row) for row in x])
 
 
 def _designed_rhs(model, design, hurwitz, pert, track=None):
@@ -68,11 +69,11 @@ def _designed_rhs(model, design, hurwitz, pert, track=None):
         last = -input_free_term(x, gamma, a_h, m, n)
         if forced:
             x_true = x if track is None else x + flatten_state(track.value(t))
-            if x.ndim == 1 or pert.kind == "time":
+            if pert.kind == "time":
                 last = last + pert.evaluate(t, x_true)
             else:
-                last = last + np.array([pert.evaluate(t, row)
-                                        for row in x_true])
+                last = last + _per_row(lambda row: pert.evaluate(t, row),
+                                       x_true)
         out[..., split:] = last
         return out
     return rhs
@@ -104,96 +105,74 @@ def _report_inputs(traj, m, feedback):
 
 
 def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
-                            sample_times=None, norm="euclidean",
-                            max_steps=None):
+                            sample_times=None, norm="euclidean"):
     """Integrate the error system e' = A_H e + W(t, e).
 
     ``e0`` is one state (dim,) or an (N, dim) batch, integrated with one
     shared step (see :func:`evuas.integrate.integrate`); on a batch D(t)
     is evaluated once per call and K row by row.
     """
-    a_h = hurwitz.a_h
-    e0 = np.asarray(e0, dtype=float)
-    if e0.ndim == 2:
-        rhs = _error_rhs_rows(a_h, pert)
-    elif pert is None or pert.kind == "zero":
+    # e @ A_H^T is A_H e on one state and on each row of a batch
+    a_t = hurwitz.a_h.T
+    if pert is None or pert.kind == "zero":
         def rhs(t, e):
-            return a_h @ e
+            return e @ a_t
     elif pert.kind == "time":
         # direct signal call: the integrator's finite check covers failures
         w = pert.w
 
         def rhs(t, e):
-            return a_h @ e + w(t)
+            return e @ a_t + w(t)
     else:
         d, k = pert.d, pert.k
 
         def rhs(t, e):
-            return a_h @ e + np.asarray(d(t), dtype=float) @ k(e)
-    return _run(rhs, pert, e0, t0, t_end, tol, sample_times, norm, max_steps)
-
-
-def _error_rhs_rows(a_h, pert):
-    # e' = A_H e + W(t, e) with one state per row
-    a_t = a_h.T
-    if pert is None or pert.kind == "zero":
-        return lambda t, e: e @ a_t
-    if pert.kind == "time":
-        w = pert.w
-        return lambda t, e: e @ a_t + w(t)
-    d, k = pert.d, pert.k
-
-    def rhs(t, e):
-        return (e @ a_t
-                + np.array([k(row) for row in e])
-                @ np.asarray(d(t), dtype=float).T)
-    return rhs
-
-
-def _closed_loop(model, ctrl, pert, x0, t0, t_end, tol, sample_times=None,
-                 norm="euclidean", max_steps=None):
-    """Closed-loop run from a flat state (m*n,) or an (N, m*n) batch."""
-    if isinstance(ctrl, ImplicitController) and ctrl.model is model:
-        rhs = _designed_rhs(model, ctrl.design, ctrl.hurwitz, pert)
-    elif x0.ndim == 1:
-        def rhs(t, x):
-            return evaluate_dynamics(model, pert, t, x, ctrl.solve(x))
-    else:
-        def rhs(t, x):
-            return np.array([evaluate_dynamics(model, pert, t, row,
-                                               ctrl.solve(row))
-                             for row in x])
-    traj = _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm, max_steps)
-    return _report_inputs(traj, model.m,
-                          lambda t, x, u0: ctrl.solve(x, u0=u0))
+            return (e @ a_t
+                    + _per_row(k, e) @ np.asarray(d(t), dtype=float).T)
+    return _run(rhs, pert, e0, t0, t_end, tol, sample_times, norm)
 
 
 def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
-                         sample_times=None, norm="euclidean",
-                         max_steps=None):
+                         sample_times=None, norm="euclidean"):
     """Integrate the first-order form under U = G(X).
 
+    ``x0`` is one flat state (m*n,) or an (N, m*n) batch, one flat state
+    per row, integrated with one shared step; states come back as
+    (T, m*n) or (T, N, m*n) and ``traj.inputs`` as (T, m) or (T, N, m).
     Under an :class:`~evuas.synthesis.ImplicitController` for ``model`` the
     designed dynamics (column shift, then -input_free_term(X) + W(t, X))
     are integrated in closed form.  Newton then runs once per stored point
-    (every accepted step, or every sample time): it fills ``traj.inputs``
-    and is the domain-of-validity check.  A solve failure therefore
-    surfaces after integration, as a ControllerEvaluationError carrying the
-    time, state and residual of the first stored point where no feedback
-    exists.  Any other controller is called inside the right-hand side.
-    ``x0`` is a flat state or an (m, n) state matrix.
+    (every accepted step, or every sample time) and row: it fills
+    ``traj.inputs`` and is the domain-of-validity check.  A solve failure
+    therefore surfaces after integration, as a ControllerEvaluationError
+    carrying the time, state and residual of the first stored point where
+    no feedback exists.  Any other controller is called inside the
+    right-hand side, row by row.
     """
-    return _closed_loop(model, ctrl, pert, _flat_state(x0, model), t0,
-                        t_end, tol, sample_times, norm, max_steps)
+    dim = model.state_dim
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.ndim > 2 or x0.shape[-1] != dim:
+        raise ShapeError(
+            f"x0: expected shape ({dim},) or (N, {dim}), got {x0.shape}")
+    if isinstance(ctrl, ImplicitController) and ctrl.model is model:
+        rhs = _designed_rhs(model, ctrl.design, ctrl.hurwitz, pert)
+    else:
+        def rhs(t, x):
+            return _per_row(lambda row: evaluate_dynamics(
+                model, pert, t, row, ctrl.solve(row)), x)
+    traj = _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm)
+    return _report_inputs(traj, model.m,
+                          lambda t, x, u0: ctrl.solve(x, u0=u0))
 
 
 class TrackingSpec:
     """Reference trajectory with all derivative columns.
 
     x_d maps time to the (m, n) reference state matrix, y_d_n to the m
-    first derivatives of its last column.  ``validate`` spot-checks the
-    derivative consistency of adjacent columns at seeded random times and
-    the admissibility condition F(X_d(t), 0) = 0 on a sample grid.
+    first derivatives of its last column.  :meth:`check_consistency`
+    spot-checks the derivative consistency of adjacent columns at seeded
+    random times and :meth:`check_admissible` the admissibility condition
+    F(X_d(t), 0) = 0 on a sample grid; :func:`simulate_tracking` runs both.
     """
 
     def __init__(self, x_d, y_d_n, m, n, name=None):
@@ -238,14 +217,16 @@ class TrackingSpec:
 
 
 def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
-                      tol=1e-8, sample_times=None, norm="euclidean",
-                      max_steps=None, validate=True):
+                      tol=1e-8, sample_times=None, norm="euclidean"):
     """Integrate the deviation from a reference under the tracking feedback.
 
-    The feedback solves the time-dependent closing residual in U with the
-    reference's nth derivative as feedforward; the returned trajectory is
-    of the deviation Delta = X - X_d(t).  That feedforward cancels on the
-    closed loop, so the designed deviation dynamics (column shift, then
+    ``x0`` is one flat state (m*n,).  The reference is checked first: its
+    columns must be derivatives of each other and F(X_d(t), 0) = 0 must
+    hold on a grid (see :class:`TrackingSpec`).  The feedback solves the
+    time-dependent closing residual in U with the reference's nth
+    derivative as feedforward; the returned trajectory is of the deviation
+    Delta = X - X_d(t).  That feedforward cancels on the closed loop, so
+    the designed deviation dynamics (column shift, then
     -input_free_term(Delta) + W(t, Delta + X_d(t))) are integrated in
     closed form.  Newton then runs once per stored point: it fills
     ``traj.inputs`` and is the domain-of-validity check, so a solve
@@ -253,13 +234,13 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
     the first stored point where no feedback exists.  With the zero
     reference this reduces exactly to the stabilization loop.
     """
-    if validate:
-        track.check_consistency(t0, t_end)
-        track.check_admissible(model, t0, t_end)
+    track.check_consistency(t0, t_end)
+    track.check_admissible(model, t0, t_end)
     ctrl = ImplicitController(model, design, hurwitz)
-    delta0 = _flat_state(x0, model) - flatten_state(track.value(t0))
+    delta0 = flatten_state(unflatten_state(x0, model.m, model.n)
+                           - track.value(t0))
     traj = _run(_designed_rhs(model, design, hurwitz, pert, track), pert,
-                delta0, t0, t_end, tol, sample_times, norm, max_steps)
+                delta0, t0, t_end, tol, sample_times, norm)
 
     def feedback(t, delta, u0):
         x_total = delta + flatten_state(track.value(t))

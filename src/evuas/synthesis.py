@@ -18,7 +18,7 @@ closed-loop poles of the linearization directly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -230,10 +230,20 @@ def check_nonsingular(b):
 # error coordinates and the implicit feedback
 
 
+def _state_matrices(x_flat, m, n):
+    # a flat state is X column by column, so X is the transposed (n, m)
+    x = np.asarray(x_flat, dtype=float)
+    return x.reshape(x.shape[:-1] + (n, m)).swapaxes(-1, -2)
+
+
 def tracking_error(x_flat, gamma, m, n):
-    """Per-channel error vector e = Diag(X [Gamma; 1])."""
-    xmat = np.asarray(x_flat, dtype=float).reshape((m, n), order="F")
-    return (xmat[:, :n - 1] * gamma.T).sum(axis=1) + xmat[:, n - 1]
+    """Per-channel error vector e = Diag(X [Gamma; 1]).
+
+    Leading axes of ``x_flat`` are batch axes, as in
+    :func:`input_free_term`.
+    """
+    xmat = _state_matrices(x_flat, m, n)
+    return (xmat[..., :n - 1] * gamma.T).sum(axis=-1) + xmat[..., n - 1]
 
 
 def _shift_term(xmat, gamma, n):
@@ -248,27 +258,9 @@ def input_free_term(x_flat, gamma, a_h, m, n):
     (..., m*n) give terms of shape (..., m), each exactly as for its state
     alone.
     """
-    x = np.asarray(x_flat, dtype=float)
-    # a flat state is X column by column, so X is the transposed (n, m)
-    xmat = x.reshape(x.shape[:-1] + (n, m)).swapaxes(-1, -2)
-    err = (xmat[..., :n - 1] * gamma.T).sum(axis=-1) + xmat[..., n - 1]
-    return _shift_term(xmat, gamma, n) - (a_h @ err[..., None])[..., 0]
-
-
-@dataclass
-class ValidityLog:
-    """Domain-of-validity bookkeeping for an implicit controller."""
-
-    max_good_radius: float = 0.0
-    failures: list = field(default_factory=list)
-
-    def record_success(self, radius):
-        if radius > self.max_good_radius:
-            self.max_good_radius = radius
-
-    def record_failure(self, info):
-        if len(self.failures) < 50:
-            self.failures.append(info)
+    err = tracking_error(x_flat, gamma, m, n)
+    return (_shift_term(_state_matrices(x_flat, m, n), gamma, n)
+            - (a_h @ err[..., None])[..., 0])
 
 
 class ImplicitController:
@@ -277,9 +269,10 @@ class ImplicitController:
     Evaluation runs a damped Newton iteration on U with the state frozen;
     the cold start is U = 0 (so the feedback is exactly zero at the
     origin), and trajectory integrators pass the previous input as a warm
-    start.  The controller itself is immutable apart from the validity
-    log, so one instance can serve many concurrent trajectories as long as
-    warm starts are kept per trajectory.
+    start.  The controller is immutable, so one instance can serve many
+    concurrent trajectories as long as warm starts are kept per
+    trajectory.  A failed solve raises :class:`~evuas.errors.NewtonError`
+    carrying the state, residual and iteration count.
     """
 
     mode = "implicit-newton"
@@ -299,7 +292,6 @@ class ImplicitController:
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self.max_halvings = int(max_halvings)
-        self.validity = ValidityLog()
 
     def residual(self, x_flat, u):
         """Closing residual at (X, U); zero defines the feedback."""
@@ -334,15 +326,11 @@ class ImplicitController:
         rn = float(np.linalg.norm(r))
         for it in range(self.max_iter):
             if rn <= self.tol:
-                self.validity.record_success(float(np.linalg.norm(x_flat)))
                 return u
             jac = _model.jacobian_F_U(model, x_eval, u)
             try:
                 step = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
-                info = {"x": x_flat.copy(), "residual": rn, "iterations": it,
-                        "singular": True}
-                self.validity.record_failure(info)
                 raise NewtonError(
                     f"singular input Jacobian after {it} iterations "
                     f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
@@ -358,20 +346,13 @@ class ImplicitController:
                     break
                 lam *= 0.5
             if not improved:
-                info = {"x": x_flat.copy(), "residual": rn,
-                        "iterations": it, "singular": False}
-                self.validity.record_failure(info)
                 raise NewtonError(
                     f"no descent after {self.max_halvings} halvings "
                     f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
                     iterations=it)
             u, r, rn = u_try, r_try, rn_try
         if rn <= self.tol:
-            self.validity.record_success(float(np.linalg.norm(x_flat)))
             return u
-        info = {"x": x_flat.copy(), "residual": rn,
-                "iterations": self.max_iter, "singular": False}
-        self.validity.record_failure(info)
         raise NewtonError(
             f"no convergence in {self.max_iter} iterations "
             f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,

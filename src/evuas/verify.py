@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
                      NewtonError, QuadratureBudgetError, ShapeError)
 from .norms import check_norm_id, vector_norm
+from .simulate import simulate_closed_loop, simulate_error_dynamics
 
 _SETTLE_MARGIN = 0.95      # settle must happen inside this fraction of the window
 _TREND_DROP = 0.9          # tail must drop below this fraction to count as decreasing
@@ -452,16 +453,14 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
     return best
 
 
-def make_error_factory(hurwitz, pert, horizon, tol=1e-7, max_steps=None):
+def make_error_factory(hurwitz, pert, horizon, tol=1e-7):
     """Trajectory factory over [t0, t0+horizon] for the error dynamics.
 
     ``sim(t0, x0)`` takes one state (dim,) or an (N, dim) batch.
     """
-    from .simulate import simulate_error_dynamics
-
     def sim(t0, x0):
         return simulate_error_dynamics(hurwitz, pert, x0, t0, t0 + horizon,
-                                       tol=tol, max_steps=max_steps)
+                                       tol=tol)
     return sim
 
 
@@ -471,14 +470,7 @@ def make_closed_loop_factory(model, ctrl, pert, horizon, tol=1e-7):
     ``sim(t0, x0)`` takes one flat state (m*n,) or an (N, m*n) batch, one
     flat state per row; the run fills ``inputs`` as (T, m) or (T, N, m).
     """
-    from .simulate import _closed_loop
-
-    dim = model.state_dim
-
     def sim(t0, x0):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim not in (1, 2) or x0.shape[-1] != dim:
-            raise ShapeError(
-                f"x0: expected shape ({dim},) or (N, {dim}), got {x0.shape}")
-        return _closed_loop(model, ctrl, pert, x0, t0, t0 + horizon, tol)
+        return simulate_closed_loop(model, ctrl, pert, x0, t0, t0 + horizon,
+                                    tol=tol)
     return sim

@@ -54,20 +54,9 @@ def test_zero_kind_matches_zero_factored_bitwise(rng):
         assert np.array_equal(a, b)
 
 
-def test_time_only_agrees_with_factored_form(rng):
-    pert = ev.make_perturbation("vec_cos_sin_exp")
-    fac = pert.to_factored()
-    for t in rng.uniform(0.0, 5.0, 20):
-        x = rng.standard_normal(2)
-        assert np.allclose(pert.evaluate(t, x), fac.evaluate(t, x),
-                           rtol=0, atol=1e-15)
-
-
 def test_state_matrix_round_trip(rng):
     for m, n in ((1, 2), (2, 3), (4, 5)):
         flat = rng.standard_normal(m * n)
-        sm = ev.StateMatrix(flat, m=m, n=n)
-        assert np.array_equal(sm.flat, flat)
         assert np.array_equal(ev.flatten_state(ev.unflatten_state(flat, m, n)),
                               flat)
         # column i+1 of the matrix is derivative block i

@@ -234,6 +234,11 @@ def test_closed_loop_factory_batch_rows_match_serial(case):
     batch = sim(1.0, x0s)
     assert batch.states.shape == (batch.times.size, 2, dim)
     assert batch.inputs.shape == (batch.times.size, 2, model.m)
+    direct = ev.simulate_closed_loop(model, ctrl, pert, x0s, 1.0, 4.0,
+                                     tol=tol)
+    assert np.array_equal(direct.times, batch.times)
+    assert np.array_equal(direct.states, batch.states)
+    assert np.array_equal(direct.inputs, batch.inputs)
     for j, x0 in enumerate(x0s):
         alone = sim(1.0, x0)
         assert alone.inputs.shape == (alone.times.size, model.m)
@@ -243,6 +248,39 @@ def test_closed_loop_factory_batch_rows_match_serial(case):
             <= 100 * tol
     with pytest.raises(ev.ShapeError):
         sim(1.0, np.zeros((2, dim + 1)))
+
+
+@pytest.mark.parametrize("kind", ["zero", "time", "factored"])
+def test_error_dynamics_one_row_batch_is_the_single_run(kind):
+    pert = {"zero": None, "time": ev.make_perturbation("vec_cos_sin_exp"),
+            "factored": ev.make_perturbation("example1_bounded")}[kind]
+    e0 = np.array([-1.0, 1.5])
+    hurwitz = ev.build_hurwitz(A_H)
+    alone = ev.simulate_error_dynamics(hurwitz, pert, e0, 0.0, 3.0, tol=1e-8)
+    batch = ev.simulate_error_dynamics(hurwitz, pert, e0[None], 0.0, 3.0,
+                                       tol=1e-8)
+    assert np.array_equal(batch.times, alone.times)
+    assert np.array_equal(batch.states[:, 0], alone.states)
+
+
+@pytest.mark.parametrize("case", ["designed", "linear_gain"])
+def test_closed_loop_one_row_batch_is_the_single_run(case):
+    if case == "designed":
+        model = ev.make_model("cubic")
+        ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                      ev.default_hurwitz(1))
+    else:
+        model = ev.make_model("chain", m=1, n=2)
+        ctrl = ev.linearize_and_place(model, [-1.0, -2.0])
+    pert = ev.make_perturbation("cos_exp")
+    x0 = np.array([0.3, -0.1])
+    alone = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, 3.0,
+                                    tol=1e-8)
+    batch = ev.simulate_closed_loop(model, ctrl, pert, x0[None], 0.0, 3.0,
+                                    tol=1e-8)
+    assert np.array_equal(batch.times, alone.times)
+    assert np.array_equal(batch.states[:, 0], alone.states)
+    assert np.array_equal(batch.inputs[:, 0], alone.inputs)
 
 
 def test_tracking_zero_reference_reduces_to_stabilization():

@@ -157,15 +157,6 @@ def test_newton_failure_carries_state():
         ctrl.solve(np.array([3.0, 0.0]))
     assert exc.value.x is not None
     assert exc.value.residual > 0
-    assert ctrl.validity.failures
-
-
-def test_validity_log_tracks_radius():
-    model = ev.make_model("chain", m=1, n=2)
-    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
-                                  ev.default_hurwitz(1))
-    ctrl.solve(np.array([3.0, 4.0]))
-    assert ctrl.validity.max_good_radius == pytest.approx(5.0)
 
 
 def test_synthesize_rejects_singular_input_jacobian():
@@ -320,9 +311,11 @@ def test_input_free_term_batch_rows_are_the_single_state_terms(m, n):
     a_h = rng.standard_normal((m, m))
     xs = rng.standard_normal((5, m * n))
     batch = ev.input_free_term(xs, gamma, a_h, m, n)
-    assert batch.shape == (5, m)
-    for x, row in zip(xs, batch):
+    errors = ev.tracking_error(xs, gamma, m, n)
+    assert batch.shape == errors.shape == (5, m)
+    for x, row, err_row in zip(xs, batch, errors):
         assert np.array_equal(row, ev.input_free_term(x, gamma, a_h, m, n))
+        assert np.array_equal(err_row, ev.tracking_error(x, gamma, m, n))
         # X[j, k] is y_j^(k); e_j = sum_k gamma[k, j] y_j^(k) + y_j^(n-1),
         # and the input-free part of e_j' shifts every derivative up by one
         xmat = [[x[k * m + j] for k in range(n)] for j in range(m)]
@@ -331,4 +324,5 @@ def test_input_free_term_batch_rows_are_the_single_state_terms(m, n):
         want = [sum(gamma[k, j] * xmat[j][k + 1] for k in range(n - 1))
                 - sum(a_h[j, i] * err[i] for i in range(m))
                 for j in range(m)]
+        assert np.allclose(err_row, err, rtol=0.0, atol=1e-12)
         assert np.allclose(row, want, rtol=0.0, atol=1e-12)
