@@ -16,8 +16,10 @@ reproduced to the requested tolerance.  Blind adaptive schemes stall on
 phases like t**4, which is why the hint is threaded through everywhere.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -447,14 +449,46 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
 # signal catalog
 
 
+class ChirpTerm(NamedTuple):
+    """One term Re[c a(t) e^{i phase(t)}] of a chirp-form signal.
+
+    ``c`` is a constant complex vector of the signal's dimension; ``a``,
+    ``phase`` and its derivative ``rate`` are vectorized callables of t.
+    ``phase`` and ``rate`` are None for a term that does not oscillate.
+    """
+
+    c: tuple
+    a: object
+    phase: object = None
+    rate: object = None
+
+
+def chirp_freq(terms):
+    """t -> max over the terms of |phase'(t)|, or None if none oscillates."""
+    rates = list(dict.fromkeys(term.rate for term in terms
+                               if term.rate is not None))
+    if not rates:
+        return None
+    if len(rates) == 1:
+        # the integrator's step cap calls this twice per step
+        rate = rates[0]
+        return lambda t: abs(rate(t))
+    return lambda t: functools.reduce(np.maximum, [abs(r(t)) for r in rates])
+
+
 @dataclass(frozen=True)
 class CatalogSignal:
     name: str
     dim: int
     fn: object                  # vectorized callable, t -> (dim, N)
-    freq_hint: object = None    # angular frequency, float or callable
+    terms: tuple = None         # the ChirpTerms whose sum is fn
     bound: object = None        # analytic decay bound for the window metric
     description: str = ""
+
+    @property
+    def freq_hint(self):
+        """Angular frequency of the fastest term, derived from the terms."""
+        return chirp_freq(self.terms or ())
 
     def __call__(self, t):
         return self.fn(t)
@@ -467,40 +501,57 @@ def _stack2(f1, f2):
     return fn
 
 
-def _freq_exp(t):
-    return np.exp(t)
+def _one(t):
+    return np.ones_like(np.asarray(t, dtype=float))
 
 
-def _freq_t4(t):
-    return 4.0 * t ** 3
+def _ident(t):
+    return np.asarray(t, dtype=float)
+
+
+def constant_term(c):
+    """The constant c as a chirp term."""
+    return ChirpTerm(c, _one)
+
+
+def exp_chirp(c):
+    """Re[c e^{i e^t}] as a chirp term."""
+    return ChirpTerm(c, _one, np.exp, np.exp)
+
+
+def quartic_chirp(c):
+    """Re[c t e^{i t^4}] as a chirp term."""
+    return ChirpTerm(c, _ident, lambda t: t ** 4, lambda t: 4.0 * t ** 3)
 
 
 SIGNAL_CATALOG = {
     "cos_exp": CatalogSignal(
         "cos_exp", 1, lambda t: np.cos(np.exp(np.asarray(t, dtype=float))),
-        freq_hint=_freq_exp, bound=lambda t: 4.0 * np.exp(-t),
+        terms=(exp_chirp((1,)),), bound=lambda t: 4.0 * np.exp(-t),
         description="cos(e^t): bounded, ever-faster oscillation"),
     "vec_cos_sin_exp": CatalogSignal(
         "vec_cos_sin_exp", 2,
         _stack2(lambda t: np.cos(np.exp(t)), lambda t: np.sin(np.exp(t))),
-        freq_hint=_freq_exp, bound=lambda t: np.sqrt(32.0) * np.exp(-t),
+        terms=(exp_chirp((1, -1j)),),
+        bound=lambda t: np.sqrt(32.0) * np.exp(-t),
         description="(cos(e^t), sin(e^t)): unit-norm oscillating pair"),
     "t_cos_t4": CatalogSignal(
         "t_cos_t4", 1,
         lambda t: np.asarray(t, dtype=float) * np.cos(np.asarray(t, dtype=float) ** 4),
-        freq_hint=_freq_t4,
+        terms=(quartic_chirp((1,)),),
         description="t*cos(t^4): unbounded amplitude, quartic phase"),
     "vec_t_cos_sin_t4": CatalogSignal(
         "vec_t_cos_sin_t4", 2,
         _stack2(lambda t: t * np.cos(t ** 4), lambda t: t * np.sin(t ** 4)),
-        freq_hint=_freq_t4,
+        terms=(quartic_chirp((1, -1j)),),
         description="(t*cos(t^4), t*sin(t^4)): unbounded oscillating pair"),
     "const1": CatalogSignal(
         "const1", 1, lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        terms=(constant_term((1,)),),
         description="constant 1: not diminishing"),
     "zero": CatalogSignal(
         "zero", 1, lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        description="identically zero"),
+        terms=(), description="identically zero"),
 }
 
 

@@ -18,12 +18,20 @@ the same steps.  A batch of N states, given as an (N, dim) array, is
 therefore integrated with one shared step: the state is one flat vector in
 a (7, N*dim) buffer, and the error norm is the largest of the rows' own
 norms, so every row meets its own tolerance.
+
+A linear system under a chirp-form forcing, x' = A x + w(t) with w the
+real part of a sum of c a(t) e^{i phase(t)}, needs no steps at all
+between output times: :func:`propagate_linear` maps each sample to the
+next exactly, by e^{A h} and the forced integral, which Levin collocation
+on Chebyshev nodes computes at a cost independent of the frequency.
+Error-dynamics runs on a sample grid use it (see :mod:`evuas.simulate`).
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import IntegrationError, ShapeError
 from .norms import vector_norm
@@ -46,6 +54,13 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _DEFAULT_MAX_STEPS = 10_000_000
+
+# Levin collocation in the propagator for x' = A x + w(t)
+_LEVIN_NODES = 12        # Chebyshev-Lobatto nodes per interval
+_LEVIN_BLOCK = 32        # intervals per batched solve; bounds the memory
+_LEVIN_RTOL = 1e-10      # residual check, relative to the equation's terms
+_LEVIN_MAX_SPLITS = 40   # halvings of one sample interval before giving up
+_LEVIN_SHORT = 1.0       # h (|phase'| + |A|) below which q(lo) = 0 is imposed
 
 
 @dataclass
@@ -78,6 +93,17 @@ class Trajectory:
 
     def terminal_state(self):
         return self.states[-1]
+
+
+def _sample_grid(sample_times, t0, t_end):
+    """The sample times as a list that starts at t0."""
+    samples = np.asarray(sample_times, dtype=float)
+    if samples.ndim != 1 or np.any(np.diff(samples) <= 0):
+        raise ValueError("sample_times must be strictly increasing")
+    if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
+        raise ValueError("sample_times must lie within [t0, t_end]")
+    skip = 0 if abs(samples[0] - t0) > 1e-12 else 1
+    return [t0] + samples[skip:].tolist()
 
 
 def _step_cap(freq_hint):
@@ -177,15 +203,9 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     rows, width = shape if y.ndim == 2 else (1, y.size)
     y = y.ravel()          # one flat vector, batch rows back to back
 
-    samples = None    # a list starting at t0, for cheap lookups per step
-    if sample_times is not None:
-        samples = np.asarray(sample_times, dtype=float)
-        if samples.ndim != 1 or np.any(np.diff(samples) <= 0):
-            raise ValueError("sample_times must be strictly increasing")
-        if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
-            raise ValueError("sample_times must lie within [t0, t_end]")
-        skip = 0 if abs(samples[0] - t0) > 1e-12 else 1
-        samples = [t0] + samples[skip:].tolist()
+    # a list starting at t0, for cheap lookups per step
+    samples = None if sample_times is None else _sample_grid(
+        sample_times, t0, t_end)
 
     out_t = [t0]
     out_y = [y.copy()]
@@ -292,3 +312,199 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                    "tol": float(tol)}
     return Trajectory(times=times, states=states, diagnostics=diagnostics,
                       norm_used=norm)
+
+
+def _chebyshev(n):
+    """Chebyshev-Lobatto nodes on [-1, 1] with their differentiation matrix,
+    and the interpolation matrix onto the n - 1 points halfway between the
+    nodes in angle, where the residual is checked."""
+    k = np.arange(n)
+    x = -np.cos(np.pi * k / (n - 1))
+    w = (-1.0) ** k                  # barycentric weights
+    w[[0, -1]] *= 0.5
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, 1.0)
+    d = w / w[:, None] / diff
+    np.fill_diagonal(d, 0.0)
+    d -= np.diag(d.sum(axis=1))
+    y = -np.cos(np.pi * (k[:-1] + 0.5) / (n - 1))
+    p = w / (y[:, None] - x)
+    p /= p.sum(axis=1, keepdims=True)
+    return x, d, p
+
+
+_X, _D, _P = _chebyshev(_LEVIN_NODES)
+_Y = _P @ _X                         # the check points
+_PD = _P @ _D
+_PD_ABS = np.abs(_P) @ np.abs(_D)
+
+
+def _expm(a, h):
+    """e^{A h} for each length in h, one exponential per distinct length."""
+    lengths, index = np.unique(h, return_inverse=True)
+    return scipy.linalg.expm(a * lengths[:, None, None])[index]
+
+
+def _levin(a, terms, lo, hi):
+    """Forced part over each interval [lo, hi] and its residual check.
+
+    For each term Re[c a(s) e^{i phase(s)}], q' + (i phase' I - A) q = c a(s)
+    is collocated at the Chebyshev nodes of the interval.  Then
+    d/ds [e^{A (hi - s)} q(s) e^{i phase(s)}] is e^{A (hi - s)} c a(s)
+    e^{i phase(s)}, so the integral of e^{A (hi - s)} w(s) over the interval
+    is Re[q(hi) e^{i phase(hi)} - e^{A h} q(lo) e^{i phase(lo)}]
+    (Levin, Math. Comp. 38, 1982).  No eigen-decomposition of A is needed.
+    An interval passes when the residual of the collocation solution at
+    the off-node check points is small against the equation's own terms;
+    a non-finite residual passes too, so that the stepping reports it.
+    """
+    dim, n, size = a.shape[0], _X.size, lo.size
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + half[:, None] * _X
+    checks = mid[:, None] + half[:, None] * _Y
+    op = (np.kron(_D, np.eye(dim)) / half[:, None, None]
+          - np.kron(np.eye(n), a)).astype(complex)
+    diag = np.arange(n * dim)
+    decay = _expm(a, hi - lo)
+    norm_a = np.linalg.norm(a, 2)
+    forced = np.zeros((size, dim))
+    ok = np.ones(size, dtype=bool)
+    for term in terms:
+        c = np.asarray(term.c, dtype=complex)
+        mat = op.copy()
+        fastest = 0.0
+        if term.rate is not None:
+            rate = term.rate(nodes)
+            mat[:, diag, diag] += 1j * np.repeat(rate, dim, axis=1)
+            fastest = np.abs(rate).max(axis=1)
+        rhs = (term.a(nodes)[..., None] * c).reshape(size, n * dim, 1)
+        # on an interval short against A and the phase, every solution of
+        # the equation is nearly a polynomial, so collocation alone leaves q
+        # nearly undetermined: the first node's equations become q(lo) = 0
+        short = 2.0 * half * (fastest + norm_a) <= _LEVIN_SHORT
+        mat[short, :dim] = 0.0
+        mat[short, :dim, :dim] = np.eye(dim)
+        rhs[short, :dim] = 0.0
+        q = np.linalg.solve(mat, rhs).reshape(size, n, dim)
+
+        # the residual against the size of the terms it sums, so that the
+        # rounding of q' on short intervals never fails the check
+        at = _P @ q
+        parts = [_PD @ q / half[:, None, None], -(at @ a.T),
+                 -(term.a(checks)[..., None] * c)]
+        scale = (_PD_ABS @ np.abs(q) / half[:, None, None]
+                 + np.abs(at) @ np.abs(a.T) + np.abs(parts[2]))
+        if term.rate is not None:
+            parts.append(1j * term.rate(checks)[..., None] * at)
+            scale += np.abs(parts[3])
+        resid = np.abs(sum(parts)).max(axis=(1, 2))
+        ok &= ~(resid > _LEVIN_RTOL * scale.max(axis=(1, 2)))
+
+        start, end = q[:, 0], q[:, -1]
+        if term.phase is not None:
+            start = start * np.exp(1j * term.phase(lo))[:, None]
+            end = end * np.exp(1j * term.phase(hi))[:, None]
+        forced += (end - np.einsum("kij,kj->ki", decay, start)).real
+    return forced, ok
+
+
+def _forced_parts(a, terms, lo, hi, depth=0):
+    """Integral of e^{A (hi - s)} w(s) over each interval [lo, hi].
+
+    Intervals are solved in blocks of _LEVIN_BLOCK; one that fails the
+    residual check is halved and its halves are combined exactly, as
+    e^{A h/2} (left part) + (right part).  Returns the parts and the work
+    counts: accepted sub-intervals, halvings, the smallest sub-interval
+    and the forcing evaluations.
+    """
+    forced = np.empty((lo.size, a.shape[0]))
+    ok = np.empty(lo.size, dtype=bool)
+    for i in range(0, lo.size, _LEVIN_BLOCK):
+        block = slice(i, i + _LEVIN_BLOCK)
+        forced[block], ok[block] = _levin(a, terms, lo[block], hi[block])
+    stats = {"n_accepted": int(ok.sum()), "n_rejected": lo.size - int(ok.sum()),
+             "n_rhs": lo.size * (2 * _X.size - 1) * len(terms),
+             "min_step": float(np.min(hi[ok] - lo[ok], initial=math.inf))}
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        if depth == _LEVIN_MAX_SPLITS:
+            k = int(bad[0])
+            raise IntegrationError(
+                f"no accurate forcing on [{lo[k]}, {hi[k]}] after "
+                f"{depth} halvings", t_last=float(lo[k]), reason="residual")
+        mid = 0.5 * (lo[bad] + hi[bad])
+        halves, sub = _forced_parts(a, terms, np.concatenate([lo[bad], mid]),
+                                    np.concatenate([mid, hi[bad]]), depth + 1)
+        left, right = halves[:bad.size], halves[bad.size:]
+        forced[bad] = np.einsum("kij,kj->ki", _expm(a, hi[bad] - mid),
+                                left) + right
+        for key in ("n_accepted", "n_rejected", "n_rhs"):
+            stats[key] += sub[key]
+        stats["min_step"] = min(stats["min_step"], sub["min_step"])
+    return forced, stats
+
+
+def propagate_linear(a, terms, t0, x0, t_end, sample_times,
+                     norm="euclidean"):
+    """Exact samples of x' = A x + w(t) for a chirp-form forcing w.
+
+    w(t) is the real part of the sum of ``c a(t) exp(i phase(t))`` over
+    ``terms`` (see :class:`evuas.diminishing.ChirpTerm`; no terms means
+    w = 0).  Between consecutive sample times the update is exact,
+    x_{k+1} = e^{A h} x_k + integral of e^{A (t_{k+1} - s)} w(s) ds, and
+    the integral is computed by Levin collocation, whose cost does not
+    grow with the frequency of w (Hochbruck & Ostermann, Acta Numerica
+    19, 2010, for the exponential-integrator form).  A sample interval
+    whose collocation fails a residual check is halved until it passes.
+
+    ``x0``, ``sample_times`` and the returned :class:`Trajectory` follow
+    :func:`integrate`; an (N, dim) batch is stepped as ``x @ E.T``.  The
+    diagnostics keep integrate's keys: ``n_accepted`` counts the accepted
+    sub-intervals, ``n_rejected`` the halvings, ``n_rhs`` the time points
+    at which a term of w was evaluated, ``min_step`` is the shortest
+    sub-interval and ``tol`` the relative residual of the check.
+
+    Raises
+    ------
+    IntegrationError
+        On a non-finite state, carrying the last finite sample, or when an
+        interval still fails the residual check after _LEVIN_MAX_SPLITS
+        halvings (``reason="residual"``, ``t_last`` its start).
+    """
+    t0 = float(t0)
+    t_end = float(t_end)
+    if not t_end > t0:
+        raise ValueError(f"t_end={t_end} must exceed t0={t0}")
+    a = np.asarray(a, dtype=float)
+    times = np.asarray(_sample_grid(sample_times, t0, t_end))
+    y = np.array(x0, dtype=float)
+    shape = y.shape if y.ndim == 2 else (y.size,)
+    if y.ndim > 2 or shape[-1] != a.shape[0]:
+        raise ShapeError(f"x0 must have shape ({a.shape[0]},) or "
+                         f"(N, {a.shape[0]}), got {y.shape}")
+    terms = tuple(terms)
+    for term in terms:
+        if np.shape(term.c) != a.shape[:1]:
+            raise ShapeError(f"chirp term: expected c of shape "
+                             f"({a.shape[0]},), got {np.shape(term.c)}")
+    lo, hi = times[:-1], times[1:]
+    forced, stats = _forced_parts(a, terms, lo, hi)
+    steps = _expm(a, hi - lo).transpose(0, 2, 1)
+    # one state is a one-row batch, so both take the same arithmetic
+    out = np.empty((times.size,) + y.reshape(-1, a.shape[0]).shape)
+    out[0] = y.reshape(out.shape[1:])
+    for k in range(lo.size):
+        out[k + 1] = out[k] @ steps[k] + forced[k]
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        last = max(k - 1, 0)
+        raise IntegrationError(
+            f"non-finite state at t={times[k]}", t_last=float(times[last]),
+            x_last=out[last].reshape(shape).copy(), reason="non-finite")
+    stats["min_step"] = (stats["min_step"] if math.isfinite(stats["min_step"])
+                         else 0.0)
+    stats["tol"] = _LEVIN_RTOL
+    return Trajectory(times=times, states=out.reshape(times.shape + shape),
+                      diagnostics=stats, norm_used=norm)

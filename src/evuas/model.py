@@ -139,19 +139,34 @@ class PerturbationSpec:
     column_signals : list of callables, optional
         Vectorized time signals for the columns of D, overriding the
         generic (slow, per-scalar) column extraction.
+    terms : sequence of ChirpTerm, optional
+        The chirp form of ``w`` for ``kind="time"``: w(t) is the real part
+        of the sum of ``c a(t) exp(i phase(t))`` over the terms (see
+        :class:`evuas.diminishing.ChirpTerm`).  ``w`` stays the evaluation
+        path; the terms let error-dynamics runs on a sample grid use the
+        exact propagator :func:`evuas.integrate.propagate_linear`.
     flags : dict, optional
         Declared metadata, e.g. ``{"bounded_columns": True,
         "diminishing_claimed": True}``.
     """
 
     def __init__(self, kind, dim, w=None, d=None, k=None, freq_hint=None,
-                 state_dim=None, column_signals=None, flags=None, name=None):
+                 state_dim=None, column_signals=None, flags=None, name=None,
+                 terms=None):
         if kind not in ("zero", "time", "factored"):
             raise ValueError(f"unknown perturbation kind {kind!r}")
         if kind == "time" and w is None:
             raise ValueError("kind='time' requires w")
         if kind == "factored" and (d is None or k is None):
             raise ValueError("kind='factored' requires d and k")
+        if terms is not None:
+            if kind != "time":
+                raise ValueError("only kind='time' takes chirp terms")
+            for term in terms:
+                if np.shape(term.c) != (int(dim),):
+                    raise ShapeError(
+                        f"chirp term: expected c of shape ({int(dim)},), "
+                        f"got {np.shape(term.c)}")
         self.kind = kind
         self.dim = int(dim)
         self.w = w
@@ -162,6 +177,7 @@ class PerturbationSpec:
         self.column_signals = column_signals
         self.flags = dict(flags or {})
         self.name = name
+        self.terms = None if terms is None else tuple(terms)
 
     @classmethod
     def zero(cls, dim):
@@ -169,9 +185,9 @@ class PerturbationSpec:
 
     @classmethod
     def from_signal(cls, w, dim, freq_hint=None, flags=None, name=None,
-                    state_dim=None):
+                    state_dim=None, terms=None):
         return cls("time", dim, w=w, freq_hint=freq_hint, flags=flags,
-                   name=name, state_dim=state_dim)
+                   name=name, state_dim=state_dim, terms=terms)
 
     @classmethod
     def factored(cls, d, k, dim, freq_hint=None, flags=None, name=None,

@@ -3,7 +3,9 @@
 Catalog entries come in two flavors: pure time signals lifted from the
 signal catalog, and the two canonical error-system disturbances (one with
 linearly growing amplitude and quartic phase, one bounded with exponential
-phase and a cube-root state coupling).  Scalar evaluation paths use the
+phase and a cube-root state coupling).  Every time signal here also
+declares its chirp form (see :class:`evuas.diminishing.ChirpTerm`), from
+which its frequency hint is derived.  Scalar evaluation paths use the
 math module because they sit inside integrator inner loops.
 """
 
@@ -11,8 +13,15 @@ import math
 
 import numpy as np
 
-from .diminishing import SIGNAL_CATALOG, _freq_exp, _freq_t4, make_signal
+from .diminishing import (SIGNAL_CATALOG, chirp_freq, constant_term,
+                          exp_chirp, make_signal, quartic_chirp)
 from .model import PerturbationSpec
+
+
+# (0.5 t sin t^4, -t cos t^4) = Re[(-0.5i, -1) t e^{i t^4}]
+_TERMS_EXAMPLE1_UNBOUNDED = (quartic_chirp((-0.5j, -1.0)),)
+# the columns (sin e^t, 0) and (0, cos e^t) of D(t) share the phase e^t
+_COLUMN_TERMS_EXAMPLE1_BOUNDED = (exp_chirp((-1j, 0.0)), exp_chirp((0.0, 1.0)))
 
 
 def _w_example1_unbounded(t):
@@ -60,7 +69,8 @@ def _from_signal(name):
                 f"signal {name!r} has dimension {sig.dim}, requested {dim}")
         return PerturbationSpec.from_signal(
             sig.fn, sig.dim, freq_hint=sig.freq_hint,
-            flags={"signal": name}, name=name, state_dim=state_dim)
+            flags={"signal": name}, name=name, state_dim=state_dim,
+            terms=sig.terms)
     return build
 
 
@@ -70,14 +80,17 @@ def _build_zero(dim=None, state_dim=None):
 
 def _build_example1_unbounded(dim=None, state_dim=None):
     return PerturbationSpec.from_signal(
-        _w_example1_unbounded, 2, freq_hint=_freq_t4,
+        _w_example1_unbounded, 2,
+        freq_hint=chirp_freq(_TERMS_EXAMPLE1_UNBOUNDED),
         flags={"diminishing_claimed": True, "bounded_columns": False},
-        name="example1_unbounded", state_dim=state_dim)
+        name="example1_unbounded", state_dim=state_dim,
+        terms=_TERMS_EXAMPLE1_UNBOUNDED)
 
 
 def _build_example1_bounded(dim=None, state_dim=None):
     return PerturbationSpec.factored(
-        _d_example1_bounded, _k_example1_bounded, 2, freq_hint=_freq_exp,
+        _d_example1_bounded, _k_example1_bounded, 2,
+        freq_hint=chirp_freq(_COLUMN_TERMS_EXAMPLE1_BOUNDED),
         flags={"diminishing_claimed": True, "bounded_columns": True},
         name="example1_bounded", state_dim=state_dim or 2,
         column_signals=[_col0_example1_bounded, _col1_example1_bounded])
@@ -98,7 +111,7 @@ def _build_const_e1(dim=None, state_dim=None):
 
     return PerturbationSpec.from_signal(
         w, dim, flags={"diminishing_claimed": False}, name="const_e1",
-        state_dim=state_dim)
+        state_dim=state_dim, terms=(constant_term(np.eye(dim)[0]),))
 
 
 PERTURBATION_CATALOG = {

@@ -1,9 +1,18 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
-All three wrap :func:`evuas.integrate.integrate`.  Error-dynamics and
-closed-loop runs take one flat state (dim,) or an (N, dim) batch, one
-state per row, integrated with one shared step (the Monte-Carlo sweeps of
-:mod:`evuas.verify` use this); tracking runs take one flat state.  Each
+All three wrap :func:`evuas.integrate.integrate`, except one case: an
+error-dynamics run on a sample grid whose disturbance is zero or a time
+signal with a declared chirp form (every time signal of the catalogs).
+The error system e' = A_H e + w(t) is then linear and time-forced, and
+:func:`evuas.integrate.propagate_linear` steps it exactly from sample to
+sample at a cost that does not grow with the frequency of w.  Runs
+without sample times (the verify factories), factored disturbances and
+closed-loop and tracking runs stay on the integrator.
+
+Error-dynamics and closed-loop runs take one flat state (dim,) or an
+(N, dim) batch, one state per row, integrated with one shared step (the
+Monte-Carlo sweeps of :mod:`evuas.verify` use this); tracking runs take
+one flat state.  Each
 right-hand side is written once for both shapes.  User callables written
 for one state (the factored disturbance's K, the controller) only ever
 see one row: time factors and the designed closed loop's input-free term
@@ -28,7 +37,7 @@ import json
 import numpy as np
 
 from .errors import ControllerEvaluationError, NewtonError, ShapeError
-from .integrate import integrate
+from .integrate import integrate, propagate_linear
 from .model import evaluate_dynamics, flatten_state, unflatten_state
 from .synthesis import ImplicitController, input_free_term
 
@@ -110,11 +119,19 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
 
     ``e0`` is one state (dim,) or an (N, dim) batch, integrated with one
     shared step (see :func:`evuas.integrate.integrate`); on a batch D(t)
-    is evaluated once per call and K row by row.
+    is evaluated once per call and K row by row.  With ``sample_times``
+    and a W that is zero or a time signal with chirp terms, the samples
+    come from the exact propagator
+    :func:`evuas.integrate.propagate_linear` instead, and ``tol`` is not
+    used: its diagnostics count sub-intervals, not steps.
     """
+    forced = pert is not None and pert.kind != "zero"
+    if sample_times is not None and (not forced or pert.terms is not None):
+        return propagate_linear(hurwitz.a_h, pert.terms if forced else (),
+                                t0, e0, t_end, sample_times, norm=norm)
     # e @ A_H^T is A_H e on one state and on each row of a batch
     a_t = hurwitz.a_h.T
-    if pert is None or pert.kind == "zero":
+    if not forced:
         def rhs(t, e):
             return e @ a_t
     elif pert.kind == "time":
@@ -283,7 +300,15 @@ def make_reference(name, m=1, n=2):
 
 
 def trajectory_to_csv(traj, path, norm=None):
-    """RFC-4180 CSV: t, x_1..x_k, u_1..u_m (when present), norm."""
+    """RFC-4180 CSV: t, x_1..x_k, u_1..u_m (when present), norm.
+
+    One trajectory per file: a batch run's (T, N, dim) states raise
+    ShapeError before the file is opened.
+    """
+    if traj.states.ndim != 2:
+        raise ShapeError(
+            "trajectory_to_csv writes one trajectory, states of shape "
+            f"(T, dim); got {traj.states.shape}")
     norm = norm or traj.norm_used
     norms = traj.norms(norm)
     with open(path, "w", newline="", encoding="ascii") as fh:

@@ -2,13 +2,15 @@
 
 These deliberately share no code with the package: uniform composite
 Simpson quadrature for the windowed-integral metric, the matrix
-exponential for linear trajectories, and a plain Dormand-Prince stepper
-that spells every stage out term by term.
+exponential for linear trajectories, a plain Dormand-Prince stepper
+that spells every stage out term by term, and scipy's DOP853 at a tight
+tolerance for linear systems under a time forcing.
 """
 
 import math
 
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
 
@@ -35,6 +37,23 @@ def linear_trajectory(a, x0, ts):
     """Exact solution of x' = a x at the given times (t relative to ts[0])."""
     x0 = np.asarray(x0, dtype=float)
     return np.stack([scipy.linalg.expm(a * (t - ts[0])) @ x0 for t in ts])
+
+
+def forced_linear_reference(a, w, x0, ts):
+    """x' = a x + w(t) from x(ts[0]) = x0, sampled at ts, by DOP853.
+
+    scipy's eighth-order Dormand-Prince pair at rtol 1e-13 with dense
+    output; w(t) returns the forcing as a (dim,) vector.
+    """
+    a = np.asarray(a, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    sol = scipy.integrate.solve_ivp(
+        lambda t, x: a @ x + np.asarray(w(t), dtype=float).ravel(),
+        (ts[0], ts[-1]), np.asarray(x0, dtype=float), method="DOP853",
+        rtol=1e-13, atol=1e-15, t_eval=ts)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol.y.T
 
 
 def dopri_reference(rhs, t0, x0, t_end, tol, freq_hint=None,

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evuas as ev
 import evuas.diminishing as dim
+from evuas.perturbations import _COLUMN_TERMS_EXAMPLE1_BOUNDED
 
 from oracles import window_sup_simpson
 
@@ -186,3 +189,72 @@ def test_profile_points_deterministic():
     b = ev.diminishing_profile(sig.fn, np.arange(0.0, 5.0), quad_tol=1e-9,
                                freq_hint=sig.freq_hint)
     assert np.array_equal(a.values, b.values)
+
+
+@settings(max_examples=8, deadline=None)
+@given(t=st.floats(0.0, 8.0))
+def test_window_sup_matches_simpson_oracle_on_cos_exp(t):
+    sig = ev.make_signal("cos_exp")
+    mine = ev.window_integral_sup(sig.fn, t, quad_tol=1e-9,
+                                  freq_hint=sig.freq_hint)
+    ref = window_sup_simpson(sig.fn, t, math.exp(t + 1.0))
+    assert mine == pytest.approx(ref, abs=2e-6)
+
+
+# the frequency hints as they were written by hand before the catalog
+# declared chirp terms: |phase'| of e^t and of t^4
+_HAND_HINTS = {"cos_exp": np.exp, "vec_cos_sin_exp": np.exp,
+               "t_cos_t4": lambda t: 4.0 * t ** 3,
+               "vec_t_cos_sin_t4": lambda t: 4.0 * t ** 3,
+               "example1_unbounded": lambda t: 4.0 * t ** 3,
+               "example1_bounded": np.exp,
+               "const1": None, "const_e1": None, "zero": None}
+
+
+def _chirp_sum(terms, t, dim):
+    out = np.zeros((dim, t.size))
+    for term in terms:
+        phase = 1.0 if term.phase is None else np.exp(1j * term.phase(t))
+        out += np.real(np.asarray(term.c)[:, None] * term.a(t) * phase)
+    return out
+
+
+def _catalog_chirps():
+    """(name, [(terms, vectorized fn)], dim, freq_hint) of every entry."""
+    for name, sig in ev.SIGNAL_CATALOG.items():
+        yield "signal:" + name, [(sig.terms, sig.fn)], sig.dim, sig.freq_hint
+    for name in ev.PERTURBATION_CATALOG:
+        pert = ev.make_perturbation(name)
+        if pert.kind == "time":
+            pairs = [(pert.terms, pert.w)]
+        elif pert.kind == "factored":
+            pairs = [((term,), col) for term, col in
+                     zip(_COLUMN_TERMS_EXAMPLE1_BOUNDED, pert.column_signals)]
+        else:
+            continue
+        yield name, pairs, pert.dim, pert.freq_hint
+
+
+@pytest.mark.parametrize("entry", list(_catalog_chirps()),
+                         ids=lambda entry: entry[0])
+def test_chirp_terms_are_the_signal(entry, rng):
+    name, pairs, dim_, hint = entry
+    t = np.sort(rng.uniform(0.0, 20.0, 200))
+    for terms, fn in pairs:
+        want = np.asarray(fn(t), dtype=float).reshape(dim_, t.size)
+        amp = sum(np.abs(term.a(t)) for term in terms)
+        assert np.all(np.abs(_chirp_sum(terms, t, dim_) - want)
+                      <= 1e-12 * np.maximum(1.0, amp))
+    old = _HAND_HINTS[name.removeprefix("signal:")]
+    if old is None:
+        assert hint is None
+    else:
+        assert [hint(s) for s in t.tolist()] == [old(s) for s in t.tolist()]
+
+
+def test_chirp_freq_is_the_fastest_rate():
+    freq = dim.chirp_freq([dim.exp_chirp((1,)), dim.quartic_chirp((1,)),
+                           dim.constant_term((1,))])
+    t = np.linspace(0.0, 5.0, 11)
+    assert np.array_equal(freq(t), np.maximum(np.exp(t), 4.0 * t ** 3))
+    assert dim.chirp_freq([dim.constant_term((1,))]) is None

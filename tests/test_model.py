@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evuas as ev
 from evuas.model import ORIGIN_TOL
@@ -63,6 +65,20 @@ def test_state_matrix_round_trip(rng):
         mat = ev.unflatten_state(flat, m, n)
         for i in range(n):
             assert np.array_equal(mat[:, i], flat[i * m:(i + 1) * m])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 4))
+def test_flatten_round_trip(data, m, n):
+    entries = data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=m * n, max_size=m * n))
+    mat = np.array(entries).reshape(m, n)
+    flat = ev.flatten_state(mat)
+    assert np.array_equal(ev.unflatten_state(flat, m, n), mat)
+    assert np.array_equal(ev.flatten_state(ev.unflatten_state(flat, m, n)),
+                          flat)
+    assert np.array_equal(flat[:m], mat[:, 0])
 
 
 def test_jacobian_u_examples():

@@ -356,6 +356,18 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert b"\r\n" in raw                        # RFC-4180 line endings
 
 
+def test_trajectory_csv_rejects_a_batch(tmp_path):
+    traj = ev.simulate_error_dynamics(ev.build_hurwitz(A_H), None,
+                                      [[1.0, 0.0], [0.0, 1.0]], 0.0, 1.0,
+                                      tol=1e-8,
+                                      sample_times=np.linspace(0.0, 1.0, 11))
+    assert traj.states.shape == (11, 2, 2)
+    path = tmp_path / "batch.csv"
+    with pytest.raises(ev.ShapeError, match=r"\(11, 2, 2\)"):
+        ev.trajectory_to_csv(traj, path)
+    assert not path.exists()
+
+
 def test_trajectory_diagnostics_sidecar(tmp_path):
     import json
     traj = ev.simulate_error_dynamics(ev.build_hurwitz(A_H), None,
