@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureBudgetError
-from .norms import check_norm_id, vector_norm
+from .norms import check_norm_id, max_row_norm, vector_norm
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -58,12 +58,7 @@ class SignalAdapter:
         return out
 
     def _loop(self, ts):
-        first = self.scalar(ts[0])
-        out = np.empty((self.dim, ts.size))
-        out[:, 0] = first
-        for i in range(1, ts.size):
-            out[:, i] = self.scalar(ts[i])
-        return out
+        return np.stack([self.scalar(t) for t in ts], axis=1)
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -246,9 +241,6 @@ class WindowMetricProfile:
     partial: bool = False
     failures: list = field(default_factory=list)
 
-    def as_rows(self):
-        return list(zip(self.t_grid.tolist(), self.values.tolist()))
-
 
 def _bucket_maxima(t_grid, values):
     buckets = {}
@@ -340,12 +332,13 @@ class PerturbationClassification:
 
 
 def _ball_samples(dim, radius, rng, n_dirs=8):
+    """The origin and n_dirs random directions at three radii, as rows."""
     dirs = rng.standard_normal((n_dirs, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = [np.zeros(dim)]
     for r in (radius, radius / 2.0, radius / 4.0):
         pts.extend(r * d for d in dirs)
-    return pts
+    return np.array(pts)
 
 
 def _tail_times(t_horizon):
@@ -369,13 +362,14 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
     if t_horizon <= 0:
         raise ValueError("t_horizon must be positive")
     rng = np.random.default_rng(seed)
-    x_dim = getattr(pert, "state_dim", None) or pert.dim
     tail = _tail_times(t_horizon)
     late = tail >= t_horizon / 2.0
+    # W on the probe ball, one evaluation per time; its first point is x = 0
+    pts = _ball_samples(pert.state_dim, probe_radius, rng)
+    w_tail = [pert.evaluate(t, pts) for t in tail]
 
     # Definition-style pointwise checks at x = 0
-    z0 = np.array([vector_norm(pert.evaluate(t, np.zeros(x_dim)), norm)
-                   for t in tail])
+    z0 = np.array([vector_norm(w[0], norm) for w in w_tail])
     if np.all(z0[late] <= _ZVAL):
         van_x0 = "yes"
     elif np.any(z0[late] > _VTOL):
@@ -384,9 +378,7 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
         van_x0 = "unknown"
 
     # vanishing at t = infinity, sampled over the probe ball
-    pts = _ball_samples(x_dim, probe_radius, rng)
-    g = np.array([max(vector_norm(pert.evaluate(t, p), norm) for p in pts)
-                  for t in tail])
+    g = np.array([max_row_norm(w, norm) for w in w_tail])
     g_early = float(np.max(g[~late], initial=0.0))
     g_late = float(np.max(g[late], initial=0.0))
     if g_late <= _ZVAL:
@@ -428,8 +420,7 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
 
     # boundedness of |w| itself over the horizon window
     ts = np.linspace(0.0, t_horizon, 513)
-    sup_t = np.array([max(vector_norm(pert.evaluate(t, p), norm) for p in pts)
-                      for t in ts])
+    sup_t = np.array([max_row_norm(pert.evaluate(t, pts), norm) for t in ts])
     chunks = np.array_split(sup_t, 8)
     s = np.array([float(np.max(c)) for c in chunks])
     growing_tail = bool(np.all(s[-3:] >= np.maximum.accumulate(s[-3:]) * 0.95))

@@ -91,9 +91,6 @@ class Trajectory:
     def norms(self, norm=None):
         return vector_norm(self.states, norm or self.norm_used)
 
-    def terminal_state(self):
-        return self.states[-1]
-
 
 def _sample_grid(sample_times, t0, t_end):
     """The sample times as a list that starts at t0."""
@@ -345,7 +342,7 @@ def _expm(a, h):
     return scipy.linalg.expm(a * lengths[:, None, None])[index]
 
 
-def _levin(a, terms, lo, hi):
+def _levin(a, terms, lo, hi, decay):
     """Forced part over each interval [lo, hi] and its residual check.
 
     For each term Re[c a(s) e^{i phase(s)}], q' + (i phase' I - A) q = c a(s)
@@ -357,6 +354,7 @@ def _levin(a, terms, lo, hi):
     An interval passes when the residual of the collocation solution at
     the off-node check points is small against the equation's own terms;
     a non-finite residual passes too, so that the stepping reports it.
+    ``decay`` holds e^{A h} of each interval.
     """
     dim, n, size = a.shape[0], _X.size, lo.size
     half = 0.5 * (hi - lo)
@@ -366,7 +364,6 @@ def _levin(a, terms, lo, hi):
     op = (np.kron(_D, np.eye(dim)) / half[:, None, None]
           - np.kron(np.eye(n), a)).astype(complex)
     diag = np.arange(n * dim)
-    decay = _expm(a, hi - lo)
     norm_a = np.linalg.norm(a, 2)
     forced = np.zeros((size, dim))
     ok = np.ones(size, dtype=bool)
@@ -414,15 +411,18 @@ def _forced_parts(a, terms, lo, hi, depth=0):
 
     Intervals are solved in blocks of _LEVIN_BLOCK; one that fails the
     residual check is halved and its halves are combined exactly, as
-    e^{A h/2} (left part) + (right part).  Returns the parts and the work
-    counts: accepted sub-intervals, halvings, the smallest sub-interval
-    and the forcing evaluations.
+    e^{A h/2} (left part) + (right part).  Returns the parts, the work
+    counts (accepted sub-intervals, halvings, the smallest sub-interval
+    and the forcing evaluations) and e^{A h} of each interval, computed
+    once for all of them.
     """
+    decay = _expm(a, hi - lo)
     forced = np.empty((lo.size, a.shape[0]))
     ok = np.empty(lo.size, dtype=bool)
     for i in range(0, lo.size, _LEVIN_BLOCK):
         block = slice(i, i + _LEVIN_BLOCK)
-        forced[block], ok[block] = _levin(a, terms, lo[block], hi[block])
+        forced[block], ok[block] = _levin(a, terms, lo[block], hi[block],
+                                          decay[block])
     stats = {"n_accepted": int(ok.sum()), "n_rejected": lo.size - int(ok.sum()),
              "n_rhs": lo.size * (2 * _X.size - 1) * len(terms),
              "min_step": float(np.min(hi[ok] - lo[ok], initial=math.inf))}
@@ -434,15 +434,16 @@ def _forced_parts(a, terms, lo, hi, depth=0):
                 f"no accurate forcing on [{lo[k]}, {hi[k]}] after "
                 f"{depth} halvings", t_last=float(lo[k]), reason="residual")
         mid = 0.5 * (lo[bad] + hi[bad])
-        halves, sub = _forced_parts(a, terms, np.concatenate([lo[bad], mid]),
-                                    np.concatenate([mid, hi[bad]]), depth + 1)
+        halves, sub, half_decay = _forced_parts(
+            a, terms, np.concatenate([lo[bad], mid]),
+            np.concatenate([mid, hi[bad]]), depth + 1)
         left, right = halves[:bad.size], halves[bad.size:]
-        forced[bad] = np.einsum("kij,kj->ki", _expm(a, hi[bad] - mid),
+        forced[bad] = np.einsum("kij,kj->ki", half_decay[bad.size:],
                                 left) + right
         for key in ("n_accepted", "n_rejected", "n_rhs"):
             stats[key] += sub[key]
         stats["min_step"] = min(stats["min_step"], sub["min_step"])
-    return forced, stats
+    return forced, stats, decay
 
 
 def propagate_linear(a, terms, t0, x0, t_end, sample_times,
@@ -489,8 +490,8 @@ def propagate_linear(a, terms, t0, x0, t_end, sample_times,
             raise ShapeError(f"chirp term: expected c of shape "
                              f"({a.shape[0]},), got {np.shape(term.c)}")
     lo, hi = times[:-1], times[1:]
-    forced, stats = _forced_parts(a, terms, lo, hi)
-    steps = _expm(a, hi - lo).transpose(0, 2, 1)
+    forced, stats, decay = _forced_parts(a, terms, lo, hi)
+    steps = decay.transpose(0, 2, 1)
     # one state is a one-row batch, so both take the same arithmetic
     out = np.empty((times.size,) + y.reshape(-1, a.shape[0]).shape)
     out[0] = y.reshape(out.shape[1:])

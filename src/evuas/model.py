@@ -9,8 +9,12 @@ then the column shift plus ``F + W`` in the last column, where ``W`` is an
 additive disturbance.
 """
 
+import functools
+import math
+
 import numpy as np
 
+from .diminishing import chirp_freq
 from .errors import EvaluationError, ShapeError
 
 # central-difference step scale for C^1 maps
@@ -110,12 +114,63 @@ class SystemModel:
         return f"SystemModel{tag}(m={self.m}, n={self.n})"
 
 
-class PerturbationSpec:
-    """Additive disturbance ``W(t, X)``, kept in factored form ``D(t) K(X)``.
+def _per_row(fn, x):
+    """``fn`` of one flat state, applied to x or to each row of a batch."""
+    if x.ndim == 1:
+        return fn(x)
+    return np.array([fn(row) for row in x])
 
-    ``kind`` is one of ``"zero"``, ``"time"`` (pure time signal) or
-    ``"factored"``.  A time-only signal is representable as the factored
-    form with ``D = diag(w(t))`` and ``K`` identically one.
+
+def _shape_checked(fn, shape, what):
+    """``fn`` with its value as a float array of ``shape``, else ShapeError."""
+    def call(arg):
+        out = np.atleast_1d(np.asarray(fn(arg), dtype=float))
+        if out.shape != shape:
+            raise ShapeError(f"{what}: expected shape {shape}, got {out.shape}")
+        return out
+    return call
+
+
+def _disturbance(kind, w, d, k):
+    """Unchecked W(t, x) on a flat state or an (N, state_dim) batch: w(t),
+    to broadcast, or D(t) once and K row by row, each row's product with D
+    taken on its own so that it is the one-state value bit for bit."""
+    if kind == "zero":
+        return None
+    if kind == "time":
+        return lambda t, x: w(t)
+
+    def factored(t, x):
+        d_t = np.asarray(d(t), dtype=float).T
+        if x.ndim == 1:
+            return k(x) @ d_t
+        return (_per_row(k, x)[:, None] @ d_t)[:, 0]
+    return factored
+
+
+def _column(kind, dim, w, d):
+    """(j, t) -> column j of D(t), with D = diag(w(t)) for a time signal."""
+    if kind == "factored":
+        return lambda j, t: np.asarray(d(t), dtype=float)[:, j]
+    if kind == "zero":
+        return lambda j, t: np.zeros((dim,) + np.shape(t))
+
+    def diagonal(j, t):
+        out = np.zeros((dim,) + np.shape(t))
+        out[j] = np.reshape(np.asarray(w(t), dtype=float), out.shape)[j]
+        return out
+    return diagonal
+
+
+class PerturbationSpec:
+    """Additive disturbance ``W(t, X)``: zero, a time signal or ``D(t) K(X)``.
+
+    ``kind`` is ``"zero"``, ``"time"`` (W = w(t)) or ``"factored"``.  The
+    spec alone knows how W of each kind is evaluated on one flat state or
+    an (N, state_dim) batch: :meth:`evaluate` checks, ``unchecked(t, x)``
+    (None for the zero kind) serves right-hand sides, whose integrator
+    checks the states, and :meth:`columns` slices D (diag(w(t)) for a time
+    signal).
 
     Parameters
     ----------
@@ -128,17 +183,16 @@ class PerturbationSpec:
         scalar-only callables are handled via a fallback loop.
     d, k : callable, optional
         ``d(t) -> (dim, dim)`` and ``k(x_flat) -> (dim,)`` for
-        ``kind="factored"``.
+        ``kind="factored"``; ``k`` only ever sees one state, and ``d`` may
+        take an array of times like ``w``, returning ``(dim, dim, len(t))``.
     freq_hint : float or callable, optional
         Dominant angular frequency of the fastest oscillation (a constant
         or a function of t); integrators and quadrature cap their step at
-        an eighth of the corresponding period.
+        an eighth of the corresponding period.  Defaults to
+        ``chirp_freq(terms)`` when ``terms`` are given.
     state_dim : int, optional
         Input dimension of K (defaults to ``dim``); the analyzer probes the
         state ball in this dimension.
-    column_signals : list of callables, optional
-        Vectorized time signals for the columns of D, overriding the
-        generic (slow, per-scalar) column extraction.
     terms : sequence of ChirpTerm, optional
         The chirp form of ``w`` for ``kind="time"``: w(t) is the real part
         of the sum of ``c a(t) exp(i phase(t))`` over the terms (see
@@ -151,8 +205,7 @@ class PerturbationSpec:
     """
 
     def __init__(self, kind, dim, w=None, d=None, k=None, freq_hint=None,
-                 state_dim=None, column_signals=None, flags=None, name=None,
-                 terms=None):
+                 state_dim=None, flags=None, name=None, terms=None):
         if kind not in ("zero", "time", "factored"):
             raise ValueError(f"unknown perturbation kind {kind!r}")
         if kind == "time" and w is None:
@@ -167,17 +220,24 @@ class PerturbationSpec:
                     raise ShapeError(
                         f"chirp term: expected c of shape ({int(dim)},), "
                         f"got {np.shape(term.c)}")
+            if freq_hint is None:
+                freq_hint = chirp_freq(terms)
         self.kind = kind
-        self.dim = int(dim)
+        self.dim = dim = int(dim)
         self.w = w
         self.d = d
         self.k = k
         self.freq_hint = freq_hint
-        self.state_dim = int(state_dim) if state_dim is not None else int(dim)
-        self.column_signals = column_signals
+        self.state_dim = int(state_dim) if state_dim is not None else dim
         self.flags = dict(flags or {})
         self.name = name
         self.terms = None if terms is None else tuple(terms)
+        self.unchecked = _disturbance(kind, w, d, k)
+        self._checked = _disturbance(
+            kind, _shape_checked(w, (dim,), "W"),
+            _shape_checked(d, (dim, dim), "D(t)"),
+            _shape_checked(k, (dim,), "K(x)"))
+        self._column = _column(kind, dim, w, d)
 
     @classmethod
     def zero(cls, dim):
@@ -191,72 +251,38 @@ class PerturbationSpec:
 
     @classmethod
     def factored(cls, d, k, dim, freq_hint=None, flags=None, name=None,
-                 state_dim=None, column_signals=None):
+                 state_dim=None):
         return cls("factored", dim, d=d, k=k, freq_hint=freq_hint,
-                   flags=flags, name=name, state_dim=state_dim,
-                   column_signals=column_signals)
+                   flags=flags, name=name, state_dim=state_dim)
 
     def evaluate(self, t, x_flat=None):
-        """W(t, X) as a (dim,) vector."""
-        if self.kind == "zero":
-            return np.zeros(self.dim)
-        if self.kind == "time":
-            out = np.atleast_1d(np.asarray(self.w(t), dtype=float))
-        else:
-            dmat = np.asarray(self.d(t), dtype=float)
-            if dmat.shape != (self.dim, self.dim):
-                raise ShapeError(
-                    f"D(t): expected shape ({self.dim}, {self.dim}), "
-                    f"got {dmat.shape}")
-            if x_flat is None:
-                raise ValueError("factored perturbation needs the state")
-            kvec = np.atleast_1d(np.asarray(self.k(np.asarray(x_flat, dtype=float)),
-                                            dtype=float))
-            out = dmat @ kvec
-        if out.shape != (self.dim,):
-            raise ShapeError(
-                f"W: expected output shape ({self.dim},), got {out.shape}")
-        return _check_finite(out, "W")
+        """W(t, X): (dim,) at one flat state, (N, dim) on a batch of them.
+
+        The shapes of w, D and K are checked, and a non-finite entry raises
+        EvaluationError naming its component (in the first such row).
+        """
+        if x_flat is None and self.kind == "factored":
+            raise ValueError("factored perturbation needs the state")
+        shape = np.shape(x_flat)[:-1] + (self.dim,)
+        if self._checked is None:
+            return np.zeros(shape)
+        x = None if x_flat is None else np.asarray(x_flat, dtype=float)
+        out = self._checked(t, x)
+        if out.shape != shape:            # w(t) on a batch
+            out = np.tile(out, shape[:-1] + (1,))
+        if not np.isfinite(out).all():
+            for row in out.reshape(-1, self.dim):
+                _check_finite(row, "W")
+        return out
 
     def columns(self):
-        """The columns of D as time signals (list of callables t -> (dim,)).
+        """The columns of D as time signals t -> (dim,).
 
-        For time-only kinds these are the diagonal embeddings, so column j
-        is w_j(t) at position j and zero elsewhere; those are built
-        vectorized directly from w.  Factored kinds use registered
-        ``column_signals`` when present and fall back to per-scalar
-        extraction from D otherwise.
+        A column takes an array of N times too, returning (dim, N), when D
+        (or w) does; :class:`evuas.diminishing.SignalAdapter` falls back to
+        one time at a time otherwise.
         """
-        if self.column_signals is not None:
-            return list(self.column_signals)
-        if self.kind == "zero":
-            dim = self.dim
-            return [(lambda t, _d=dim: np.zeros((_d,) + np.shape(t)))
-                    for _ in range(dim)]
-        if self.kind == "time":
-            w, dim = self.w, self.dim
-
-            def embed(j):
-                def col(t):
-                    t_arr = np.asarray(t, dtype=float)
-                    vals = np.asarray(w(t_arr), dtype=float)
-                    if vals.ndim == t_arr.ndim:      # scalar signal
-                        vals = vals[None] if t_arr.ndim else np.atleast_1d(vals)
-                    out = np.zeros((dim,) + t_arr.shape)
-                    out[j] = vals[j] if vals.shape[0] == dim else vals[0]
-                    return out
-                return col
-
-            return [embed(j) for j in range(dim)]
-
-        d = self.d
-
-        def column(j):
-            def col(t):
-                return np.asarray(d(float(t)), dtype=float)[:, j]
-            return col
-
-        return [column(j) for j in range(self.dim)]
+        return [functools.partial(self._column, j) for j in range(self.dim)]
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -367,10 +393,16 @@ def _cubic(n=2):
                        name="cubic")
 
 
+def _sech2(u):
+    # sech(u)^2 from e^{-2|u|}: no overflow where cosh(u) would overflow
+    e = math.exp(-2.0 * abs(u))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
 def _tanh(n=2):
     # bounded input map: |F| < 1, so the feedback exists only locally
     return SystemModel(1, n, lambda x, u: np.array([np.tanh(u[0])]),
-                       jac_u=lambda x, u: np.array([[1.0 / np.cosh(u[0]) ** 2]]),
+                       jac_u=lambda x, u: np.array([[_sech2(u[0])]]),
                        jac_x=lambda x, u: np.zeros((1, n)),
                        name="tanh")
 

@@ -20,3 +20,15 @@ def vector_norm(v, norm="euclidean"):
         m = np.max(np.abs(v), axis=-1) if v.ndim > 1 else float(np.max(np.abs(v)))
         return m
     raise ValueError(f"unknown norm {norm!r}, expected one of {NORM_IDS}")
+
+
+def max_row_norm(rows, norm="euclidean"):
+    """Largest norm over the rows of a 2-d array, each row's bit for bit
+    as :func:`vector_norm` of that row alone (a dot product, which the
+    row-wise reduction of a 2-d array is not)."""
+    rows = np.asarray(rows, dtype=float)
+    if norm == "euclidean":
+        return float(np.sqrt(np.max(rows[:, None] @ rows[:, :, None])))
+    if norm == "inf":
+        return float(np.max(np.abs(rows)))
+    raise ValueError(f"unknown norm {norm!r}, expected one of {NORM_IDS}")

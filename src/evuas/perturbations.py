@@ -5,8 +5,12 @@ signal catalog, and the two canonical error-system disturbances (one with
 linearly growing amplitude and quartic phase, one bounded with exponential
 phase and a cube-root state coupling).  Every time signal here also
 declares its chirp form (see :class:`evuas.diminishing.ChirpTerm`), from
-which its frequency hint is derived.  Scalar evaluation paths use the
-math module because they sit inside integrator inner loops.
+which its frequency hint is derived.  Signals take one time or an array
+through one numpy path, with the time as an array first (``np.float64 **
+4`` rounds unlike the array power), so both agree bit for bit.  Only D of
+``example1_bounded`` keeps a ``math`` path for one time: it sits in every
+integrator step there and saves about 1 us per call, 0.2 s over the
+bundled scenarios; it matches its array path to an ulp of e^t in phase.
 """
 
 import math
@@ -25,10 +29,6 @@ _COLUMN_TERMS_EXAMPLE1_BOUNDED = (exp_chirp((-1j, 0.0)), exp_chirp((0.0, 1.0)))
 
 
 def _w_example1_unbounded(t):
-    if isinstance(t, float) or np.ndim(t) == 0:
-        tf = float(t)
-        p = tf ** 4
-        return np.array([0.5 * tf * math.sin(p), -tf * math.cos(p)])
     t = np.asarray(t, dtype=float)
     return np.stack([0.5 * t * np.sin(t ** 4), -t * np.cos(t ** 4)])
 
@@ -50,16 +50,6 @@ def _k_example1_bounded(x):
     return np.array([-x[1], 2.0 * (np.cbrt(x[0]) + x[1] + 1.0)])
 
 
-def _col0_example1_bounded(t):
-    t = np.asarray(t, dtype=float)
-    return np.stack([np.sin(np.exp(t)), np.zeros_like(t)])
-
-
-def _col1_example1_bounded(t):
-    t = np.asarray(t, dtype=float)
-    return np.stack([np.zeros_like(t), np.cos(np.exp(t))])
-
-
 def _from_signal(name):
     sig = make_signal(name)
 
@@ -68,9 +58,8 @@ def _from_signal(name):
             raise ValueError(
                 f"signal {name!r} has dimension {sig.dim}, requested {dim}")
         return PerturbationSpec.from_signal(
-            sig.fn, sig.dim, freq_hint=sig.freq_hint,
-            flags={"signal": name}, name=name, state_dim=state_dim,
-            terms=sig.terms)
+            sig.fn, sig.dim, flags={"signal": name}, name=name,
+            state_dim=state_dim, terms=sig.terms)
     return build
 
 
@@ -81,7 +70,6 @@ def _build_zero(dim=None, state_dim=None):
 def _build_example1_unbounded(dim=None, state_dim=None):
     return PerturbationSpec.from_signal(
         _w_example1_unbounded, 2,
-        freq_hint=chirp_freq(_TERMS_EXAMPLE1_UNBOUNDED),
         flags={"diminishing_claimed": True, "bounded_columns": False},
         name="example1_unbounded", state_dim=state_dim,
         terms=_TERMS_EXAMPLE1_UNBOUNDED)
@@ -92,20 +80,14 @@ def _build_example1_bounded(dim=None, state_dim=None):
         _d_example1_bounded, _k_example1_bounded, 2,
         freq_hint=chirp_freq(_COLUMN_TERMS_EXAMPLE1_BOUNDED),
         flags={"diminishing_claimed": True, "bounded_columns": True},
-        name="example1_bounded", state_dim=state_dim or 2,
-        column_signals=[_col0_example1_bounded, _col1_example1_bounded])
+        name="example1_bounded", state_dim=state_dim or 2)
 
 
 def _build_const_e1(dim=None, state_dim=None):
     dim = dim or 2
 
     def w(t):
-        if np.ndim(t) == 0:
-            out = np.zeros(dim)
-            out[0] = 1.0
-            return out
-        t = np.asarray(t, dtype=float)
-        out = np.zeros((dim,) + t.shape)
+        out = np.zeros((dim,) + np.shape(t))
         out[0] = 1.0
         return out
 

@@ -635,7 +635,8 @@ def run_scenario(source, out_dir, seed=None, tol=None, norm=None,
     }
     for name in run.artifacts:
         path = os.path.join(out_dir, name)
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         manifest["artifacts"].append({
             "path": name,
             "sha256": hashlib.sha256(blob).hexdigest(),

@@ -12,12 +12,12 @@ closed-loop and tracking runs stay on the integrator.
 Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, integrated with one shared step (the
 Monte-Carlo sweeps of :mod:`evuas.verify` use this); tracking runs take
-one flat state.  Each
-right-hand side is written once for both shapes.  User callables written
-for one state (the factored disturbance's K, the controller) only ever
-see one row: time factors and the designed closed loop's input-free term
-are evaluated once per call for the whole batch, K and any controller row
-by row.
+one flat state.  Each right-hand side is written once for both shapes.
+W comes from one place, the ``unchecked`` W(t, x) of
+:class:`evuas.model.PerturbationSpec`: w(t) or D(t) once per call, K row
+by row, with no checks (the integrator checks that every step stays
+finite).  The designed closed loop's input-free term is evaluated once
+per call for the whole batch, any other controller row by row.
 
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, so on the closed loop the last block of
@@ -38,23 +38,17 @@ import numpy as np
 
 from .errors import ControllerEvaluationError, NewtonError, ShapeError
 from .integrate import integrate, propagate_linear
-from .model import evaluate_dynamics, flatten_state, unflatten_state
+from .model import (_per_row, evaluate_dynamics, flatten_state,
+                    unflatten_state)
 from .synthesis import ImplicitController, input_free_term
 
 _CSV_FMT = "%.17g"
 
 
 def _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm):
-    hint = None if (pert is None or pert.kind == "zero") else pert.freq_hint
+    hint = None if pert is None else pert.freq_hint
     return integrate(rhs, t0, x0, t_end, tol=tol, freq_hint=hint,
                      sample_times=sample_times, norm=norm)
-
-
-def _per_row(fn, x):
-    """``fn`` of one flat state, applied to x or to each row of a batch."""
-    if x.ndim == 1:
-        return fn(x)
-    return np.array([fn(row) for row in x])
 
 
 def _designed_rhs(model, design, hurwitz, pert, track=None):
@@ -64,25 +58,20 @@ def _designed_rhs(model, design, hurwitz, pert, track=None):
     -input_free_term(state) + W(t, x_true).  For tracking the state is the
     deviation Delta and x_true = Delta + X_d(t); the reference feedforward
     y_d^(n) cancels against the derivative of X_d's last column.  The state
-    may also be an (N, m*n) batch, one flat state per row: a time-only W is
-    then evaluated once per call, any other W row by row.
+    may also be an (N, m*n) batch, one flat state per row.
     """
     m, n = model.m, model.n
     split = (n - 1) * m
     gamma, a_h = design.gamma, hurwitz.a_h
-    forced = pert is not None and pert.kind != "zero"
+    w = None if pert is None else pert.unchecked
 
     def rhs(t, x):
         out = np.empty_like(x)
         out[..., :split] = x[..., m:]
         last = -input_free_term(x, gamma, a_h, m, n)
-        if forced:
+        if w is not None:
             x_true = x if track is None else x + flatten_state(track.value(t))
-            if pert.kind == "time":
-                last = last + pert.evaluate(t, x_true)
-            else:
-                last = last + _per_row(lambda row: pert.evaluate(t, row),
-                                       x_true)
+            last = last + w(t, x_true)
         out[..., split:] = last
         return out
     return rhs
@@ -125,27 +114,18 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
     :func:`evuas.integrate.propagate_linear` instead, and ``tol`` is not
     used: its diagnostics count sub-intervals, not steps.
     """
-    forced = pert is not None and pert.kind != "zero"
-    if sample_times is not None and (not forced or pert.terms is not None):
-        return propagate_linear(hurwitz.a_h, pert.terms if forced else (),
+    w = None if pert is None else pert.unchecked
+    if sample_times is not None and (w is None or pert.terms is not None):
+        return propagate_linear(hurwitz.a_h, () if w is None else pert.terms,
                                 t0, e0, t_end, sample_times, norm=norm)
     # e @ A_H^T is A_H e on one state and on each row of a batch
     a_t = hurwitz.a_h.T
-    if not forced:
+    if w is None:
         def rhs(t, e):
             return e @ a_t
-    elif pert.kind == "time":
-        # direct signal call: the integrator's finite check covers failures
-        w = pert.w
-
-        def rhs(t, e):
-            return e @ a_t + w(t)
     else:
-        d, k = pert.d, pert.k
-
         def rhs(t, e):
-            return (e @ a_t
-                    + _per_row(k, e) @ np.asarray(d(t), dtype=float).T)
+            return e @ a_t + w(t, e)
     return _run(rhs, pert, e0, t0, t_end, tol, sample_times, norm)
 
 

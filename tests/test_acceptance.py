@@ -161,7 +161,7 @@ def test_c10_roa_formulas():
 
 def test_c11_reproducibility(tmp_path):
     def artifact_bytes(out_dir, names):
-        return {n: open(out_dir / n, "rb").read() for n in names}
+        return {n: (out_dir / n).read_bytes() for n in names}
 
     for source in ("remark1_bounds", {
             "name": "repro_verify", "seed": 5, "stages": ["verify"],
@@ -178,7 +178,7 @@ def test_c11_reproducibility(tmp_path):
         bytes_b = artifact_bytes(tmp_path / f"{tag}_b", b["artifacts"])
         assert bytes_a == bytes_b
         # manifests agree on everything except the timestamp
-        ma = json.load(open(tmp_path / f"{tag}_a" / "manifest.json"))
-        mb = json.load(open(tmp_path / f"{tag}_b" / "manifest.json"))
+        ma = json.loads((tmp_path / f"{tag}_a" / "manifest.json").read_text())
+        mb = json.loads((tmp_path / f"{tag}_b" / "manifest.json").read_text())
         ma.pop("created"), mb.pop("created")
         assert ma == mb

@@ -229,7 +229,7 @@ def _catalog_chirps():
             pairs = [(pert.terms, pert.w)]
         elif pert.kind == "factored":
             pairs = [((term,), col) for term, col in
-                     zip(_COLUMN_TERMS_EXAMPLE1_BOUNDED, pert.column_signals)]
+                     zip(_COLUMN_TERMS_EXAMPLE1_BOUNDED, pert.columns())]
         else:
             continue
         yield name, pairs, pert.dim, pert.freq_hint
@@ -258,3 +258,60 @@ def test_chirp_freq_is_the_fastest_rate():
     t = np.linspace(0.0, 5.0, 11)
     assert np.array_equal(freq(t), np.maximum(np.exp(t), 4.0 * t ** 3))
     assert dim.chirp_freq([dim.constant_term((1,))]) is None
+
+
+def _catalog_time_signals():
+    for name, sig in ev.SIGNAL_CATALOG.items():
+        yield "signal:" + name, sig.fn, sig.dim
+    for name in ev.PERTURBATION_CATALOG:
+        pert = ev.make_perturbation(name)
+        if pert.kind == "time":
+            yield name, pert.w, pert.dim
+
+
+@pytest.mark.parametrize("entry", list(_catalog_time_signals()),
+                         ids=lambda entry: entry[0])
+def test_time_signal_at_one_time_is_its_array_column(entry, rng):
+    # the integrators call a signal at one time, the window quadrature and
+    # the chirp terms on arrays: both must be the same signal, bit for bit
+    _, fn, dim_ = entry
+    t = rng.uniform(0.0, 20.0, 200)
+    arr = np.asarray(fn(t), dtype=float).reshape(dim_, t.size)
+    for i, s in enumerate(t.tolist()):
+        one = np.asarray(fn(s), dtype=float).reshape(dim_)
+        assert np.array_equal(one, arr[:, i]), s
+
+
+def test_example1_bounded_scalar_d_tracks_its_array_path(rng):
+    # D keeps a math path for one time; it may differ from the array path
+    # only by what one ulp of e^t does to the phase
+    d = ev.make_perturbation("example1_bounded").d
+    t = rng.uniform(0.0, 20.0, 2000)
+    arr = d(t)
+    for i, s in enumerate(t.tolist()):
+        gap = np.max(np.abs(d(s) - arr[..., i]))
+        assert gap <= 4.0 * np.finfo(float).eps * math.exp(s), s
+
+
+def test_scalar_only_d_columns_match_a_vectorized_twin():
+    def d_scalar(t):
+        return np.diag([math.sin(t), 1.0])        # one time only
+
+    def d_array(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros((2, 2) + t.shape)
+        out[0, 0] = np.sin(t)
+        out[1, 1] = 1.0
+        return out
+
+    grid = np.arange(0.0, 3.0)
+    profiles = []
+    for d in (d_scalar, d_array):
+        pert = ev.PerturbationSpec.factored(d, lambda x: x, 2, freq_hint=1.0)
+        cols = pert.columns()
+        assert np.array_equal(cols[0](0.3), [math.sin(0.3), 0.0])
+        profiles.append([ev.diminishing_profile(col, grid, quad_tol=1e-10,
+                                                freq_hint=1.0).values
+                         for col in cols])
+    for scalar, vector in zip(*profiles):
+        assert np.allclose(scalar, vector, rtol=1e-12, atol=1e-14)

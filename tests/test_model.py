@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evuas as ev
+from evuas.diminishing import quartic_chirp
 from evuas.model import ORIGIN_TOL
 
 
@@ -157,3 +158,65 @@ def test_catalog_names_resolve():
         assert ev.make_model(name).name == name
     with pytest.raises(KeyError):
         ev.make_model("nope")
+
+
+def _random_factored(dim, seed):
+    # a dense D, so a batched product summing in another order would show
+    d = np.random.default_rng(seed).standard_normal((dim, dim))
+    return ev.PerturbationSpec.factored(
+        lambda t: np.cos(t) * d, lambda x: np.sin(x) + x ** 3, dim)
+
+
+@pytest.mark.parametrize("name", ["zero", "example1_unbounded",
+                                  "example1_bounded", "random3"])
+def test_batched_evaluate_rows_are_one_state_values(name, rng):
+    pert = (_random_factored(3, 0) if name == "random3"
+            else ev.make_perturbation(name, dim=2, state_dim=2))
+    xs = rng.uniform(-2.0, 2.0, (25, pert.state_dim))
+    for t in rng.uniform(0.0, 20.0, 10):
+        batch = pert.evaluate(t, xs)
+        assert batch.shape == (25, pert.dim)
+        raw = (None if pert.unchecked is None
+               else np.broadcast_to(pert.unchecked(t, xs), batch.shape))
+        for i, x in enumerate(xs):
+            one = pert.evaluate(t, x)
+            assert np.array_equal(batch[i], one)
+            if raw is not None:
+                assert np.array_equal(raw[i], one)
+                assert np.array_equal(pert.unchecked(t, x), one)
+
+
+def test_bad_row_of_a_batch_raises():
+    def k(x):
+        if x[0] > 1.0:
+            return np.array([np.inf, 0.0])
+        if x[0] < -1.0:
+            return np.zeros(3)
+        return x
+    pert = ev.PerturbationSpec.factored(
+        lambda t: np.array([[1.0, 0.0], [0.5, 1.0]]), k, 2)
+    good = np.zeros((4, 2))
+    assert pert.evaluate(0.0, good).shape == (4, 2)
+    with pytest.raises(ev.EvaluationError) as exc:
+        pert.evaluate(0.0, np.vstack([good, [[2.0, 0.0]]]))
+    assert exc.value.component == 0 and exc.value.where == "W"
+    with pytest.raises(ev.ShapeError, match="K"):
+        pert.evaluate(0.0, np.vstack([good, [[-2.0, 0.0]]]))
+    wide = ev.PerturbationSpec.factored(lambda t: np.eye(3),
+                                        lambda x: x, 2)
+    with pytest.raises(ev.ShapeError, match="D"):
+        wide.evaluate(0.0, good)
+    with pytest.raises(ev.ShapeError, match="W"):
+        ev.PerturbationSpec.from_signal(lambda t: np.ones(3), 2).evaluate(
+            0.0, good)
+
+
+def test_freq_hint_defaults_to_the_chirp_terms():
+    terms = (quartic_chirp((1.0, 0.0)),)
+    w = ev.make_perturbation("example1_unbounded").w
+    derived = ev.PerturbationSpec.from_signal(w, 2, terms=terms)
+    t = np.linspace(0.0, 5.0, 11).tolist()
+    assert [derived.freq_hint(s) for s in t] == [4.0 * s ** 3 for s in t]
+    given_hint = ev.PerturbationSpec.from_signal(w, 2, freq_hint=3.0,
+                                                 terms=terms)
+    assert given_hint.freq_hint == 3.0

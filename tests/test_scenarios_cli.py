@@ -86,7 +86,7 @@ def test_validate_eps_levels_ordering():
 def test_empty_stage_scenario_writes_manifest_only(tmp_path):
     out = run_scenario({"name": "noop", "stages": []}, tmp_path / "o")
     assert out["artifacts"] == []
-    manifest = json.load(open(tmp_path / "o" / "manifest.json"))
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["name"] == "noop"
     assert manifest["artifacts"] == []
 
@@ -99,14 +99,14 @@ def test_remark1_bounds_scenario_respects_bound(tmp_path):
         assert float(value) <= float(bound)
         assert float(bound) == pytest.approx(4.0 * math.exp(-float(t)),
                                              rel=1e-12)
-    cls = json.load(open(tmp_path / "o" / "classification.json"))
+    cls = json.loads((tmp_path / "o" / "classification.json").read_text())
     assert cls["diminishing_evidence"] == "supported"
     assert cls["vanishing_at_tinf"] == "no"
 
 
 def test_verify_scenario_reports_contrapositive(tmp_path):
     out = run_scenario(_SMALL_VERIFY, tmp_path / "o")
-    rep = json.load(open(tmp_path / "o" / "stability_report.json"))
+    rep = json.loads((tmp_path / "o" / "stability_report.json").read_text())
     assert rep["evua"] == "fail"
     assert rep["evuas"] == "fail"
     assert out["results"]["report"].evua == "fail"
@@ -123,7 +123,7 @@ def test_verify_scenario_closed_loop_target(tmp_path):
                    "horizon": 10.0, "samples": 3, "tol": 1e-7},
     }
     run_scenario(doc, tmp_path / "o")
-    rep = json.load(open(tmp_path / "o" / "stability_report.json"))
+    rep = json.loads((tmp_path / "o" / "stability_report.json").read_text())
     assert rep["evuas"] == "pass"
 
 
@@ -132,13 +132,13 @@ def test_tracking_scenario(tmp_path):
     rows = _read_csv(tmp_path / "o" / "trajectory.csv")
     assert rows[0] == ["t", "x_1", "x_2", "u_1", "norm"]
     assert float(rows[-1][-1]) < 1e-6
-    ctrl = json.load(open(tmp_path / "o" / "controller.json"))
+    ctrl = json.loads((tmp_path / "o" / "controller.json").read_text())
     assert ctrl["mode"] == "implicit-newton"
 
 
 def test_pole_placement_scenario(tmp_path):
     run_scenario("pole_placement_demo", tmp_path / "o")
-    ctrl = json.load(open(tmp_path / "o" / "controller.json"))
+    ctrl = json.loads((tmp_path / "o" / "controller.json").read_text())
     assert ctrl["mode"] == "linear-gain"
     assert np.allclose(ctrl["gain"], [[-1.0, -2.0]])
     rows = _read_csv(tmp_path / "o" / "trajectory.csv")
@@ -148,12 +148,12 @@ def test_pole_placement_scenario(tmp_path):
 def test_manifest_lists_every_artifact_with_hash(tmp_path):
     import hashlib
     run_scenario(_SMALL_VERIFY, tmp_path / "o")
-    manifest = json.load(open(tmp_path / "o" / "manifest.json"))
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     files = {e["path"]: e["sha256"] for e in manifest["artifacts"]}
     emitted = {f for f in os.listdir(tmp_path / "o") if f != "manifest.json"}
     assert set(files) == emitted
     for name, digest in files.items():
-        blob = open(tmp_path / "o" / name, "rb").read()
+        blob = (tmp_path / "o" / name).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -167,7 +167,7 @@ def test_svg_format_emits_plots(tmp_path):
                      "t_end": 5.0, "tol": 1e-8, "samples": 101},
     }
     run_scenario(doc, tmp_path / "o")
-    svg = open(tmp_path / "o" / "trajectory.svg").read()
+    svg = (tmp_path / "o" / "trajectory.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
 
@@ -253,7 +253,7 @@ def test_cli_classify(tmp_path, capsys):
                    "--t-horizon", "8", "--grid", "0,1,2,3,4",
                    "--out", str(tmp_path / "o")])
     assert rc == 0
-    cls = json.load(open(tmp_path / "o" / "classification.json"))
+    cls = json.loads((tmp_path / "o" / "classification.json").read_text())
     assert cls["diminishing_evidence"] == "refuted"
 
 
@@ -261,7 +261,7 @@ def test_cli_synthesize_and_simulate(tmp_path):
     rc = cli_main(["synthesize", "--model", "cubic", "--poles=-1",
                    "--out", str(tmp_path / "a")])
     assert rc == 0
-    ctrl = json.load(open(tmp_path / "a" / "controller.json"))
+    ctrl = json.loads((tmp_path / "a" / "controller.json").read_text())
     assert ctrl["mode"] == "implicit-newton"
 
     rc = cli_main(["simulate", "--kind", "error", "--a-h=-1,2;0,-1.5",
@@ -285,7 +285,7 @@ def test_cli_verify(tmp_path):
                    "--eps-levels", "0.5,0.25", "--horizon", "10",
                    "--samples", "3", "--out", str(tmp_path / "o")])
     assert rc == 0
-    rep = json.load(open(tmp_path / "o" / "stability_report.json"))
+    rep = json.loads((tmp_path / "o" / "stability_report.json").read_text())
     assert rep["evua"] == "fail"
 
 
@@ -293,5 +293,5 @@ def test_cli_norm_and_seed_overrides(tmp_path):
     rc = cli_main(["run", "remark1_bounds", "--out", str(tmp_path / "o"),
                    "--seed", "9", "--norm", "inf"])
     assert rc == 0
-    manifest = json.load(open(tmp_path / "o" / "manifest.json"))
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["seed"] == 9

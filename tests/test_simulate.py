@@ -352,7 +352,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     back = np.array([[float(v) for v in row] for row in rows[1:]])
     assert np.array_equal(back[:, 0], ts)        # 17 digits round-trip floats
     assert np.array_equal(back[:, 1:3], traj.states)
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     assert b"\r\n" in raw                        # RFC-4180 line endings
 
 
@@ -374,7 +374,7 @@ def test_trajectory_diagnostics_sidecar(tmp_path):
                                       [1.0, 0.0], 0.0, 1.0, tol=1e-8)
     path = tmp_path / "diag.json"
     ev.diagnostics_to_json(traj, path)
-    d = json.load(open(path))
+    d = json.loads(path.read_text())
     assert d["n_accepted"] > 0 and d["tol"] == 1e-8
 
 

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evuas as ev
 
@@ -136,6 +140,31 @@ def test_newton_residual_contract(rng):
         x = rng.uniform(-2.0, 2.0, 2)
         u = ctrl.solve(x)
         assert np.linalg.norm(ctrl.residual(x, u)) <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _controller(name):
+    return ev.synthesize_feedback(ev.make_model(name),
+                                  ev.build_gamma([[-1.0]], 2),
+                                  ev.default_hurwitz(1))
+
+
+@pytest.mark.parametrize("name", ["cubic", "tanh"])
+@settings(max_examples=60, deadline=None)
+@given(x=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2))
+def test_newton_returns_a_root_or_raises_with_the_state(name, x):
+    # tanh is bounded, so far from the origin no feedback exists: a solve
+    # either meets the residual tolerance or says where and by how much
+    ctrl = _controller(name)
+    x = np.array(x)
+    try:
+        u = ctrl.solve(x)
+    except ev.NewtonError as exc:
+        assert name == "tanh"
+        assert np.array_equal(exc.x, x)
+        assert exc.residual > ctrl.tol
+    else:
+        assert np.linalg.norm(ctrl.residual(x, u)) <= ctrl.tol
 
 
 def test_newton_warm_start_consistency(rng):
