@@ -9,13 +9,16 @@ class EvaluationError(ArithmeticError):
     """A user-supplied map returned NaN/inf.
 
     ``component`` is the index of the first offending entry, ``where`` names
-    the map that produced it.
+    the map that produced it.  On a batch ``row`` is the first row with
+    such an entry and ``component`` the index within that row; it is None
+    for one state.
     """
 
-    def __init__(self, message, component=None, where=None):
+    def __init__(self, message, component=None, where=None, row=None):
         super().__init__(message)
         self.component = component
         self.where = where
+        self.row = row
 
 
 class DesignError(ValueError):
@@ -27,16 +30,18 @@ class NewtonError(RuntimeError):
 
     Carries the state, the last residual norm and the iteration count so a
     failure can be interpreted as the state leaving the controller's domain
-    of validity.
+    of validity.  A solve on a batch of states reports its lowest failing
+    row, whose index is ``row``; it is None for one state.
     """
 
     def __init__(self, message, x=None, residual=None, iterations=None,
-                 singular=False):
+                 singular=False, row=None):
         super().__init__(message)
         self.x = x
         self.residual = residual
         self.iterations = iterations
         self.singular = singular
+        self.row = row
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -66,13 +71,17 @@ class IntegrationError(RuntimeError):
 
 
 class ControllerEvaluationError(IntegrationError):
-    """A closed-loop run aborted because the feedback solve failed mid-trajectory."""
+    """A closed-loop run aborted because the feedback solve failed mid-trajectory.
 
-    def __init__(self, message, t=None, x=None, residual=None):
+    On a batched run ``row`` is the failing row (None for one trajectory).
+    """
+
+    def __init__(self, message, t=None, x=None, residual=None, row=None):
         super().__init__(message, t_last=t, x_last=x, reason="controller")
         self.t = t
         self.x = x
         self.residual = residual
+        self.row = row
 
 
 class EnvelopeFitError(RuntimeError):

@@ -31,14 +31,47 @@ def _as_vector(x, length, name):
     return x
 
 
-def _check_finite(v, where):
+def _as_rows(x, rows, length, name):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (rows, length):
+        raise ShapeError(
+            f"{name}: expected shape ({rows}, {length}), got {x.shape}")
+    return x
+
+
+def _state_and_input(model, x, u):
+    """Checked ``(x, u, batch)``: a flat state and its input, or a batch of
+    (N, m*n) states and (N, m) inputs.  The input decides, since for m = 1
+    an (m, n) state matrix has the shape of a one-row batch."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 2:
+        return (_as_rows(x, len(u), model.state_dim, "state"),
+                _as_rows(u, len(u), model.m, "input"), True)
+    return (_as_vector(x, model.state_dim, "state"),
+            _as_vector(u, model.m, "input"), False)
+
+
+def _check_finite(v, where, rows=False):
+    """``v``, else EvaluationError at its first non-finite entry.
+
+    The component is the flat index into ``v``; with ``rows`` the first
+    axis indexes a batch, and the error names the first failing row and
+    the component (flat index) within it.
+    """
     bad = ~np.isfinite(v)
-    if bad.any():
+    if not bad.any():
+        return v
+    if not rows:
         idx = int(np.argmax(bad))
         raise EvaluationError(
             f"{where} returned a non-finite value at component {idx}",
             component=idx, where=where)
-    return v
+    bad = bad.reshape(len(v), -1)
+    row = int(np.argmax(bad.any(axis=1)))
+    idx = int(np.argmax(bad[row]))
+    raise EvaluationError(
+        f"{where} returned a non-finite value in row {row} at component "
+        f"{idx}", component=idx, where=where, row=row)
 
 
 def flatten_state(mat):
@@ -92,13 +125,16 @@ class SystemModel:
         return self.m * self.n
 
     def eval_f(self, x_flat, u):
-        x_flat = _as_vector(x_flat, self.state_dim, "state")
-        u = _as_vector(u, self.m, "input")
-        out = np.atleast_1d(np.asarray(self.f(x_flat, u), dtype=float))
-        if out.shape != (self.m,):
+        """F(X, U): (m,) at one flat state, (N, m) on a batch of (N, m*n)
+        states with (N, m) inputs; ``f`` sees one state at a time."""
+        x_flat, u, batch = _state_and_input(self, x_flat, u)
+        out = np.asarray(_per_row(self.f, x_flat, u), dtype=float)
+        if out.shape == u.shape[:-1] and self.m == 1:   # a scalar F
+            out = out[..., None]
+        if out.shape != u.shape:
             raise ShapeError(
-                f"F: expected output shape ({self.m},), got {out.shape}")
-        return _check_finite(out, "F")
+                f"F: expected output shape {u.shape}, got {out.shape}")
+        return _check_finite(out, "F", rows=batch)
 
     def check_origin_equilibrium(self, tol=ORIGIN_TOL):
         """Verify F(0,0)=0 within ``tol`` (Euclidean); raises DesignError-free ValueError."""
@@ -114,11 +150,12 @@ class SystemModel:
         return f"SystemModel{tag}(m={self.m}, n={self.n})"
 
 
-def _per_row(fn, x):
-    """``fn`` of one flat state, applied to x or to each row of a batch."""
+def _per_row(fn, x, *rest):
+    """``fn`` of one flat state, applied to x or to each row of a batch
+    (with the same row of each array in ``rest``)."""
     if x.ndim == 1:
-        return fn(x)
-    return np.array([fn(row) for row in x])
+        return fn(x, *rest)
+    return np.array([fn(*rows) for rows in zip(x, *rest)])
 
 
 def _shape_checked(fn, shape, what):
@@ -259,7 +296,8 @@ class PerturbationSpec:
         """W(t, X): (dim,) at one flat state, (N, dim) on a batch of them.
 
         The shapes of w, D and K are checked, and a non-finite entry raises
-        EvaluationError naming its component (in the first such row).
+        EvaluationError naming its component (and on a batch the first row
+        that has one).
         """
         if x_flat is None and self.kind == "factored":
             raise ValueError("factored perturbation needs the state")
@@ -270,9 +308,9 @@ class PerturbationSpec:
         out = self._checked(t, x)
         if out.shape != shape:            # w(t) on a batch
             out = np.tile(out, shape[:-1] + (1,))
-        if not np.isfinite(out).all():
-            for row in out.reshape(-1, self.dim):
-                _check_finite(row, "W")
+        if out.ndim == 1:
+            return _check_finite(out, "W")
+        _check_finite(out.reshape(-1, self.dim), "W", rows=True)
         return out
 
     def columns(self):
@@ -330,28 +368,31 @@ def _fd_steps(v):
 
 
 def jacobian_F_U(model, x, u):
-    """m-by-m Jacobian of F with respect to the input.
+    """m-by-m Jacobian of F with respect to the input, (N, m, m) on a batch.
 
-    Uses the analytic Jacobian when the model supplies one, otherwise
-    symmetric central differences with a per-coordinate step
-    ``cbrt(eps) * max(1, |u_i|)``.
+    A batch is as for :meth:`SystemModel.eval_f`: an (N, m) input with
+    (N, m*n) states.  Uses the analytic Jacobian when the model supplies
+    one, called row by row, otherwise symmetric central differences with a
+    per-coordinate step ``cbrt(eps) * max(1, |u_i|)``.
     """
-    x = _as_vector(np.asarray(x, dtype=float).flatten(order="F"),
-                   model.state_dim, "state")
-    u = _as_vector(u, model.m, "input")
+    m = model.m
+    if np.ndim(u) < 2:      # one state, flat or as its (m, n) matrix
+        x = np.asarray(x, dtype=float).flatten(order="F")
+    x, u, batch = _state_and_input(model, x, u)
+    shape = u.shape[:-1] + (m, m)
     if model.jac_u is not None:
-        jac = np.asarray(model.jac_u(x, u), dtype=float)
-        if jac.shape != (model.m, model.m):
-            raise ShapeError(
-                f"jac_u: expected ({model.m}, {model.m}), got {jac.shape}")
-        return _check_finite(jac, "jac_u")
-    jac = np.empty((model.m, model.m))
+        jac = np.asarray(_per_row(model.jac_u, x, u), dtype=float)
+        if jac.shape != shape:
+            raise ShapeError(f"jac_u: expected {shape}, got {jac.shape}")
+        return _check_finite(jac, "jac_u", rows=batch)
+    jac = np.empty(shape)
     h = _fd_steps(u)
-    for j in range(model.m):
-        up = u.copy(); up[j] += h[j]
-        um = u.copy(); um[j] -= h[j]
-        jac[:, j] = (model.eval_f(x, up) - model.eval_f(x, um)) / (2 * h[j])
-    return _check_finite(jac, "jacobian_F_U")
+    for j in range(m):
+        up = u.copy(); up[..., j] += h[..., j]
+        um = u.copy(); um[..., j] -= h[..., j]
+        jac[..., j] = ((model.eval_f(x, up) - model.eval_f(x, um))
+                       / (2 * h[..., j, None]))
+    return _check_finite(jac, "jacobian_F_U", rows=batch)
 
 
 def jacobian_F_X(model, x, u):

@@ -22,13 +22,20 @@ def vector_norm(v, norm="euclidean"):
     raise ValueError(f"unknown norm {norm!r}, expected one of {NORM_IDS}")
 
 
-def max_row_norm(rows, norm="euclidean"):
-    """Largest norm over the rows of a 2-d array, each row's bit for bit
-    as :func:`vector_norm` of that row alone (a dot product, which the
+def row_norms(rows):
+    """Euclidean norm of each row of a 2-d array, each bit for bit as
+    :func:`vector_norm` of that row alone (a dot product, which the
     row-wise reduction of a 2-d array is not)."""
     rows = np.asarray(rows, dtype=float)
+    return np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0, 0])
+
+
+def max_row_norm(rows, norm="euclidean"):
+    """Largest norm over the rows of a 2-d array, each row's as
+    :func:`vector_norm` of that row alone."""
+    rows = np.asarray(rows, dtype=float)
     if norm == "euclidean":
-        return float(np.sqrt(np.max(rows[:, None] @ rows[:, :, None])))
+        return float(np.max(row_norms(rows)))
     if norm == "inf":
         return float(np.max(np.abs(rows)))
     raise ValueError(f"unknown norm {norm!r}, expected one of {NORM_IDS}")

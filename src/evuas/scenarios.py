@@ -447,12 +447,13 @@ def _stage_classify(run):
         _write_profile_csv(run.path(f"profile_col{j}.csv"), prof)
     if pert.kind == "time":
         sig = SIGNAL_CATALOG.get(pert.flags.get("signal", pert.name))
-        grid = cfg.get("profile_grid")
-        if grid is None:
-            grid = cls.column_profiles[0].t_grid
-        prof = diminishing_profile(pert.w, np.asarray(grid, dtype=float),
-                                   quad_tol=cfg["quad_tol"], norm=doc["norm"],
-                                   freq_hint=pert.freq_hint)
+        # a one-dimensional signal is its own column 0, profiled already
+        prof = cls.column_profiles[0]
+        if pert.dim > 1:
+            prof = diminishing_profile(pert.w, prof.t_grid,
+                                       quad_tol=cfg["quad_tol"],
+                                       norm=doc["norm"],
+                                       freq_hint=pert.freq_hint)
         bound = sig.bound if sig is not None else None
         _write_profile_csv(run.path("signal_profile.csv"), prof,
                            bound_fn=bound)

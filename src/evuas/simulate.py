@@ -17,18 +17,18 @@ W comes from one place, the ``unchecked`` W(t, x) of
 :class:`evuas.model.PerturbationSpec`: w(t) or D(t) once per call, K row
 by row, with no checks (the integrator checks that every step stays
 finite).  The designed closed loop's input-free term is evaluated once
-per call for the whole batch, any other controller row by row.
+per call for the whole batch.
 
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, so on the closed loop the last block of
 the first-order form is exactly -input_free_term(X) + W(t, X): the
 designed error dynamics e' = A_H e + W.
 Those are integrated in closed form, with no feedback solve inside the
-right-hand side.  Newton then runs once per stored point, warm-started
-from the previous one, and has two jobs: it reports the inputs, and it
-checks that the feedback exists along the trajectory (the controller's
-domain of validity).  Any other controller is evaluated inside the
-right-hand side.
+right-hand side.  Newton then runs once per stored time, one solve for
+all rows of a batch, each row warm-started from its own previous input,
+and has two jobs: it reports the inputs, and it checks that the feedback
+exists along the trajectory (the controller's domain of validity).  Any
+other controller is evaluated inside the right-hand side, row by row.
 """
 
 import csv
@@ -80,24 +80,28 @@ def _designed_rhs(model, design, hurwitz, pert, track=None):
 def _report_inputs(traj, m, feedback):
     """Solve the feedback at every stored point, warm-started from the last.
 
-    ``feedback(t, x, u0)`` returns U at a stored point; a batch is solved
-    row by row, each row warm-started from its own last input.  This is
-    also the domain-of-validity check: a failed solve aborts with the
-    time, state and residual of the first stored point where no feedback
-    exists.
+    ``feedback(t, x, u0)`` returns U at one stored time for the (N, dim)
+    block of its states (one trajectory is a one-row block), with ``u0``
+    the block's inputs at the time before, so each row is warm-started
+    from its own last input.  This is also the domain-of-validity check: a
+    failed solve aborts with the time, state and residual of the first
+    stored point where no feedback exists (the earliest time, then the
+    lowest row).
     """
-    states = traj.states if traj.states.ndim == 3 else traj.states[:, None]
+    batch = traj.states.ndim == 3
+    states = traj.states if batch else traj.states[:, None]
     inputs = np.empty(states.shape[:2] + (m,))
-    for j in range(states.shape[1]):
-        u = None
-        for i, t in enumerate(traj.times):
-            try:
-                u = feedback(t, states[i, j], u)
-            except NewtonError as exc:
-                raise ControllerEvaluationError(
-                    f"feedback solve failed at t={t}: {exc}", t=float(t),
-                    x=states[i, j].copy(), residual=exc.residual) from exc
-            inputs[i, j] = u
+    u = None
+    for i, t in enumerate(traj.times):
+        try:
+            u = inputs[i] = feedback(t, states[i], u)
+        except NewtonError as exc:
+            row = exc.row if batch else None
+            where = f" in row {row}" if batch else ""
+            raise ControllerEvaluationError(
+                f"feedback solve failed at t={t}{where}: {exc}", t=float(t),
+                x=states[i, exc.row].copy(), residual=exc.residual,
+                row=row) from exc
     traj.inputs = inputs.reshape(traj.states.shape[:-1] + (m,))
     return traj
 
@@ -138,13 +142,15 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     (T, m*n) or (T, N, m*n) and ``traj.inputs`` as (T, m) or (T, N, m).
     Under an :class:`~evuas.synthesis.ImplicitController` for ``model`` the
     designed dynamics (column shift, then -input_free_term(X) + W(t, X))
-    are integrated in closed form.  Newton then runs once per stored point
-    (every accepted step, or every sample time) and row: it fills
-    ``traj.inputs`` and is the domain-of-validity check.  A solve failure
-    therefore surfaces after integration, as a ControllerEvaluationError
-    carrying the time, state and residual of the first stored point where
-    no feedback exists.  Any other controller is called inside the
-    right-hand side, row by row.
+    are integrated in closed form.  Newton then runs once per stored time
+    (every accepted step, or every sample time), one solve for all rows:
+    it fills ``traj.inputs`` and is the domain-of-validity check.  A solve
+    failure therefore surfaces after integration, as a
+    ControllerEvaluationError carrying the time, state and residual of the
+    first stored point where no feedback exists (the earliest time, then
+    the lowest row, named in the message and in ``row``).  Any other
+    controller is called inside the right-hand side, row by row, and on
+    the stored states with one call per time.
     """
     dim = model.state_dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -225,11 +231,12 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
     Delta = X - X_d(t).  That feedforward cancels on the closed loop, so
     the designed deviation dynamics (column shift, then
     -input_free_term(Delta) + W(t, Delta + X_d(t))) are integrated in
-    closed form.  Newton then runs once per stored point: it fills
-    ``traj.inputs`` and is the domain-of-validity check, so a solve
-    failure surfaces after integration, as a ControllerEvaluationError at
-    the first stored point where no feedback exists.  With the zero
-    reference this reduces exactly to the stabilization loop.
+    closed form.  Newton then runs once per stored time, on the state as a
+    one-row block: it fills ``traj.inputs`` and is the domain-of-validity
+    check, so a solve failure surfaces after integration, as a
+    ControllerEvaluationError at the first stored point where no feedback
+    exists.  With the zero reference this reduces exactly to the
+    stabilization loop.
     """
     track.check_consistency(t0, t_end)
     track.check_admissible(model, t0, t_end)

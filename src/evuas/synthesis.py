@@ -25,6 +25,7 @@ import scipy.linalg
 
 from . import model as _model
 from .errors import DesignError, NewtonError, ShapeError
+from .norms import row_norms
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -263,16 +264,40 @@ def input_free_term(x_flat, gamma, a_h, m, n):
             - (a_h @ err[..., None])[..., 0])
 
 
+def _newton_steps(jac, r):
+    """Newton steps -J^{-1} r of a stack of rows, and which J are singular.
+
+    One stacked solve when no J is singular, else row by row, since LAPACK
+    rejects the whole stack; either way each row's step is the one-state
+    solve bit for bit.
+    """
+    singular = np.zeros(len(r), dtype=bool)
+    try:
+        return np.linalg.solve(jac, -r[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(r)
+    for i in range(len(r)):
+        try:
+            step[i] = np.linalg.solve(jac[i], -r[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return step, singular
+
+
 class ImplicitController:
     """State feedback obtained by solving the closing residual for U.
 
-    Evaluation runs a damped Newton iteration on U with the state frozen;
-    the cold start is U = 0 (so the feedback is exactly zero at the
-    origin), and trajectory integrators pass the previous input as a warm
-    start.  The controller is immutable, so one instance can serve many
+    Evaluation runs a damped Newton iteration on U with the state frozen,
+    on one flat state or on each row of an (N, m*n) batch at once; the
+    cold start is U = 0 (so the feedback is exactly zero at the origin),
+    and trajectory integrators pass the previous input as a warm start,
+    row by row for a batch.  A row's result is its one-state solve bit for
+    bit.  The controller is immutable, so one instance can serve many
     concurrent trajectories as long as warm starts are kept per
     trajectory.  A failed solve raises :class:`~evuas.errors.NewtonError`
-    carrying the state, residual and iteration count.
+    carrying the state, residual and iteration count (of the lowest
+    failing row, on a batch).
     """
 
     mode = "implicit-newton"
@@ -300,63 +325,89 @@ class ImplicitController:
         return free + self.model.eval_f(x_flat, u)
 
     def solve(self, x_flat, u0=None):
-        """Feedback value at a state, Newton-solved to the residual tolerance."""
+        """Feedback value at a state, Newton-solved to the residual tolerance.
+
+        ``x_flat`` is one flat state (m*n,) with U and ``u0`` of shape
+        (m,), or an (N, m*n) batch with U and ``u0`` of shape (N, m).
+        """
         return self._solve(np.asarray(x_flat, dtype=float), u0=u0)
 
     def solve_shifted(self, delta_flat, f_state, offset, u0=None):
         """Tracking variant: error terms in the deviation, F at the true state.
 
         Solves shift_term(delta) + F(f_state, U) + offset - A_H e(delta) = 0;
-        the offset carries the reference feedforward.
+        the offset carries the reference feedforward.  Shapes are as for
+        :meth:`solve`, ``f_state`` laid out as ``delta_flat``.
         """
         return self._solve(np.asarray(delta_flat, dtype=float), u0=u0,
                            f_state=np.asarray(f_state, dtype=float),
                            offset=offset)
 
     def _solve(self, x_flat, u0=None, f_state=None, offset=None):
-        model = self.model
-        free = input_free_term(x_flat, self.design.gamma, self.hurwitz.a_h,
-                               model.m, model.n)
+        model, m, tol = self.model, self.model.m, self.tol
+        x = np.atleast_2d(x_flat)
+        if x.ndim != 2 or x.shape[1] != model.state_dim:
+            raise ShapeError(
+                f"state: expected shape ({model.state_dim},) or "
+                f"(N, {model.state_dim}), got {x_flat.shape}")
+        x_eval = x if f_state is None else f_state.reshape(x.shape)
+        free = input_free_term(x, self.design.gamma, self.hurwitz.a_h,
+                               m, model.n)
         if offset is not None:
             free = free + offset
-        x_eval = x_flat if f_state is None else f_state
 
-        u = np.zeros(model.m) if u0 is None else np.array(u0, dtype=float)
+        u = (np.zeros((len(x), m)) if u0 is None
+             else np.array(u0, dtype=float).reshape(len(x), m))
         r = free + model.eval_f(x_eval, u)
-        rn = float(np.linalg.norm(r))
+        rn = row_norms(r)
+        live = ~(rn <= tol)           # rows still iterating
+        failed = {}                   # row -> (reason, iterations, singular)
         for it in range(self.max_iter):
-            if rn <= self.tol:
-                return u
-            jac = _model.jacobian_F_U(model, x_eval, u)
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
-                raise NewtonError(
-                    f"singular input Jacobian after {it} iterations "
-                    f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
-                    iterations=it, singular=True)
+            rows = live.nonzero()[0]
+            if not rows.size:
+                break
+            # take() gathers rows of a 2-d array several times faster than
+            # indexing with an array
+            step, singular = _newton_steps(_model.jacobian_F_U(
+                model, x_eval.take(rows, 0), u.take(rows, 0)), r.take(rows, 0))
+            if singular.any():
+                for i in rows[singular]:
+                    failed[i] = (f"singular input Jacobian after {it} "
+                                 "iterations", it, True)
+                live[rows[singular]] = False
+                rows, step = rows[~singular], step[~singular]
+            # halve the step length of each row until its residual drops
             lam = 1.0
-            improved = False
             for _ in range(self.max_halvings + 1):
-                u_try = u + lam * step
-                r_try = free + model.eval_f(x_eval, u_try)
-                rn_try = float(np.linalg.norm(r_try))
-                if np.isfinite(rn_try) and rn_try < rn:
-                    improved = True
+                if not rows.size:
                     break
+                u_try = u.take(rows, 0) + lam * step
+                r_try = free.take(rows, 0) + model.eval_f(x_eval.take(rows, 0),
+                                                          u_try)
+                rn_try = row_norms(r_try)
+                down = rn_try < rn[rows]        # False for NaN and inf
+                took = rows[down]
+                u[took], r[took], rn[took] = (u_try[down], r_try[down],
+                                              rn_try[down])
+                rows, step = rows[~down], step[~down]
                 lam *= 0.5
-            if not improved:
-                raise NewtonError(
-                    f"no descent after {self.max_halvings} halvings "
-                    f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
-                    iterations=it)
-            u, r, rn = u_try, r_try, rn_try
-        if rn <= self.tol:
-            return u
-        raise NewtonError(
-            f"no convergence in {self.max_iter} iterations "
-            f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
-            iterations=self.max_iter)
+            for i in rows:
+                failed[i] = (f"no descent after {self.max_halvings} halvings",
+                             it, False)
+            live[rows] = False
+            live &= ~(rn <= tol)
+        for i in live.nonzero()[0]:
+            failed[i] = (f"no convergence in {self.max_iter} iterations",
+                         self.max_iter, False)
+        one = x_flat.ndim < 2
+        if failed:
+            row = int(min(failed))
+            reason, iterations, singular = failed[row]
+            raise NewtonError(f"{reason} (residual {rn[row]:.3e})",
+                              x=x[row].copy(), residual=float(rn[row]),
+                              iterations=iterations, singular=singular,
+                              row=None if one else row)
+        return u[0] if one else u
 
     def __call__(self, x_flat, u0=None):
         return self.solve(x_flat, u0=u0)
@@ -384,7 +435,10 @@ class LinearController:
         self.placed_poles = placed_poles
 
     def solve(self, x_flat, u0=None):
-        return self.gain @ np.asarray(x_flat, dtype=float)
+        """G x at one flat state (m*n,) or at each row of an (N, m*n) batch."""
+        x = np.asarray(x_flat, dtype=float)
+        # a stack of matrix-vector products: each row is G x bit for bit
+        return (self.gain @ x[..., None])[..., 0]
 
     def __call__(self, x_flat, u0=None):
         return self.solve(x_flat)

@@ -4,7 +4,9 @@ These deliberately share no code with the package: uniform composite
 Simpson quadrature for the windowed-integral metric, the matrix
 exponential for linear trajectories, a plain Dormand-Prince stepper
 that spells every stage out term by term, and scipy's DOP853 at a tight
-tolerance for linear systems under a time forcing.
+tolerance for linear systems under a time forcing.  The one exception is
+the damped Newton reference, which solves one state at a time through the
+model's own one-state F and Jacobian.
 """
 
 import math
@@ -12,6 +14,10 @@ import math
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+from evuas.errors import NewtonError
+from evuas.model import jacobian_F_U
+from evuas.synthesis import input_free_term
 
 
 def window_sup_simpson(fn, t, freq_max, min_panels=65536):
@@ -173,3 +179,54 @@ def dopri_reference(rhs, t0, x0, t_end, tol, freq_hint=None,
         states[-1] = y
     return times, states, {"n_accepted": n_acc, "n_rejected": n_rej,
                            "n_rhs": n_rhs}
+
+
+def newton_reference(ctrl, x_flat, u0=None):
+    """The implicit feedback at one flat state, one Newton row at a time.
+
+    The damped Newton loop of an ImplicitController written for a single
+    state: full step, halved until the residual norm drops, at most
+    ``max_halvings`` times; the residual norm is ``np.linalg.norm`` of the
+    vector.  Failures raise NewtonError as the controller does, with
+    ``row`` unset.
+    """
+    model = ctrl.model
+    x_flat = np.asarray(x_flat, dtype=float)
+    free = input_free_term(x_flat, ctrl.design.gamma, ctrl.hurwitz.a_h,
+                           model.m, model.n)
+    u = np.zeros(model.m) if u0 is None else np.array(u0, dtype=float)
+    r = free + model.eval_f(x_flat, u)
+    rn = float(np.linalg.norm(r))
+    for it in range(ctrl.max_iter):
+        if rn <= ctrl.tol:
+            return u
+        jac = jacobian_F_U(model, x_flat, u)
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            raise NewtonError(
+                f"singular input Jacobian after {it} iterations "
+                f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
+                iterations=it, singular=True)
+        lam = 1.0
+        improved = False
+        for _ in range(ctrl.max_halvings + 1):
+            u_try = u + lam * step
+            r_try = free + model.eval_f(x_flat, u_try)
+            rn_try = float(np.linalg.norm(r_try))
+            if np.isfinite(rn_try) and rn_try < rn:
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            raise NewtonError(
+                f"no descent after {ctrl.max_halvings} halvings "
+                f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
+                iterations=it)
+        u, r, rn = u_try, r_try, rn_try
+    if rn <= ctrl.tol:
+        return u
+    raise NewtonError(
+        f"no convergence in {ctrl.max_iter} iterations "
+        f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
+        iterations=ctrl.max_iter)

@@ -142,6 +142,74 @@ def test_non_finite_evaluation_flags_component():
     assert exc.value.where == "F"
 
 
+def test_non_finite_f_in_a_batch_names_its_row():
+    model = ev.SystemModel(
+        2, 1, lambda x, u: np.array([u[0], np.inf if x[0] > 0 else u[1]]))
+    xs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ev.EvaluationError, match="in row 1 at component 1") \
+            as exc:
+        model.eval_f(xs, np.zeros((3, 2)))
+    assert (exc.value.row, exc.value.component, exc.value.where) == \
+        (1, 1, "F")
+    with pytest.raises(ev.EvaluationError) as exc:
+        model.eval_f(xs[1], np.zeros(2))
+    assert exc.value.row is None and exc.value.component == 1
+
+
+def _fd_twin(model):
+    return ev.SystemModel(model.m, model.n, model.f, name="fd")
+
+
+@pytest.mark.parametrize("name", ["cubic", "tanh", "chain"])
+def test_batched_f_and_jacobian_rows_are_one_state_values(name, rng):
+    m = 2 if name == "chain" else 1
+    model = ev.make_model(name, m=m, n=2)
+    xs = rng.uniform(-3.0, 3.0, (6, model.state_dim))
+    us = rng.uniform(-3.0, 3.0, (6, m))
+    f = model.eval_f(xs, us)
+    assert f.shape == (6, m)
+    for fd in (False, True):
+        mod = _fd_twin(model) if fd else model
+        jac = ev.jacobian_F_U(mod, xs, us)
+        assert jac.shape == (6, m, m)
+        for i in range(6):
+            assert np.array_equal(jac[i], ev.jacobian_F_U(mod, xs[i], us[i]))
+    for i in range(6):
+        assert np.array_equal(f[i], model.eval_f(xs[i], us[i]))
+
+
+def test_batched_f_shapes():
+    # a scalar F per row is the (N, 1) column, as a scalar F is (1,) alone
+    scalar = ev.SystemModel(1, 2, lambda x, u: float(u[0]) ** 3)
+    us = np.array([[1.0], [-2.0]])
+    assert np.array_equal(scalar.eval_f(np.zeros((2, 2)), us), us ** 3)
+    model = ev.make_model("cubic")
+    with pytest.raises(ev.ShapeError, match="state"):
+        model.eval_f(np.zeros((3, 2)), us)
+    with pytest.raises(ev.ShapeError, match="input"):
+        model.eval_f(np.zeros((2, 2)), np.zeros((2, 2)))
+    ragged = ev.SystemModel(1, 2, lambda x, u: np.zeros(1 + (x[0] > 0)))
+    with pytest.raises(ValueError):
+        ragged.eval_f(np.eye(2), np.zeros((2, 1)))
+    wide = ev.SystemModel(1, 2, lambda x, u: np.zeros(2),
+                          jac_u=lambda x, u: np.zeros((1, 2)))
+    with pytest.raises(ev.ShapeError, match="F: expected output shape"):
+        wide.eval_f(np.zeros((2, 2)), us)
+    with pytest.raises(ev.ShapeError, match="jac_u"):
+        ev.jacobian_F_U(wide, np.zeros((2, 2)), us)
+
+
+def test_non_finite_jacobian_in_a_batch_names_its_row():
+    model = ev.SystemModel(
+        1, 2, lambda x, u: u.copy(),
+        jac_u=lambda x, u: np.array([[np.nan if x[0] > 0 else 1.0]]))
+    xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ev.EvaluationError) as exc:
+        ev.jacobian_F_U(model, xs, np.zeros((3, 1)))
+    assert (exc.value.row, exc.value.component, exc.value.where) == \
+        (2, 0, "jac_u")
+
+
 def test_model_is_reentrant_after_construction():
     # concurrent-style interleaved evaluations see identical results
     model = ev.make_model("cubic")
@@ -200,6 +268,7 @@ def test_bad_row_of_a_batch_raises():
     with pytest.raises(ev.EvaluationError) as exc:
         pert.evaluate(0.0, np.vstack([good, [[2.0, 0.0]]]))
     assert exc.value.component == 0 and exc.value.where == "W"
+    assert exc.value.row == 4
     with pytest.raises(ev.ShapeError, match="K"):
         pert.evaluate(0.0, np.vstack([good, [[-2.0, 0.0]]]))
     wide = ev.PerturbationSpec.factored(lambda t: np.eye(3),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import newton_reference
 
 import evuas as ev
 
@@ -182,6 +183,61 @@ def test_one_feedback_solve_per_stored_point(monkeypatch):
                                 ev.make_reference("zero", m=1, n=2), pert,
                                 np.array([0.3, 0.0]), 0.0, 2.0, tol=1e-6)
     assert calls == {"solve": 0, "solve_shifted": traj.times.size}
+    # a batch is one solve per stored time for all of its rows
+    calls["solve_shifted"] = 0
+    traj = ev.simulate_closed_loop(model, ctrl, pert,
+                                   np.array([[0.3, 0.0], [-0.2, 0.1],
+                                             [0.1, 0.4]]), 0.0, 2.0, tol=1e-6)
+    assert traj.inputs.shape == (traj.times.size, 3, 1)
+    assert calls == {"solve": traj.times.size, "solve_shifted": 0}
+
+
+def test_batch_rows_are_warm_started_from_their_own_inputs():
+    # the reported inputs of each row are its per-row solves, in time
+    # order, each warm-started from the row's own input before
+    model = ev.make_model("cubic")
+    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                  ev.default_hurwitz(1))
+    traj = ev.simulate_closed_loop(
+        model, ctrl, ev.make_perturbation("cos_exp"),
+        np.array([[0.3, 0.0], [-0.6, 0.1], [0.1, 0.9]]), 0.0, 2.0, tol=1e-6)
+    for j in range(3):
+        u = None
+        for i, x in enumerate(traj.states[:, j]):
+            u = newton_reference(ctrl, x, u)
+            assert np.array_equal(traj.inputs[i, j], u)
+
+
+def _tanh_controller():
+    model = ev.make_model("tanh")
+    return model, ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                         ev.default_hurwitz(1))
+
+
+def test_batch_failure_is_the_earliest_time_then_the_lowest_row():
+    # on the designed loop x1 + 2 x2 = (x1(0) + 2 x2(0) - (x1(0) + x2(0)) t)
+    # e^-t, and the feedback exists only while it stays inside (-1, 1):
+    # row 1 leaves that domain at about t = 0.14, row 0 at about 0.31
+    model, ctrl = _tanh_controller()
+    ts = np.linspace(0.0, 2.0, 201)
+    x0s = np.array([[-10.0, 4.9], [-20.0, 9.9]])
+    alone = []
+    for x0 in x0s:
+        with pytest.raises(ev.ControllerEvaluationError) as exc:
+            ev.simulate_closed_loop(model, ctrl, None, x0, 0.0, 2.0,
+                                    tol=1e-8, sample_times=ts)
+        assert exc.value.row is None and "row" not in str(exc.value)
+        alone.append(exc.value.t)
+    assert alone[1] < alone[0]
+    with pytest.raises(ev.ControllerEvaluationError) as exc:
+        ev.simulate_closed_loop(model, ctrl, None, x0s, 0.0, 2.0, tol=1e-8,
+                                sample_times=ts)
+    assert exc.value.t == alone[1] and exc.value.row == 1
+    assert f"at t={alone[1]} in row 1:" in str(exc.value)
+    cause = exc.value.__cause__
+    assert isinstance(cause, ev.NewtonError) and cause.row == 1
+    assert np.array_equal(exc.value.x, cause.x)
+    assert exc.value.residual == cause.residual
 
 
 def test_controller_failure_on_sample_grid_chains_newton_error():

@@ -2,8 +2,9 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from oracles import newton_reference
 
 import evuas as ev
 
@@ -165,6 +166,127 @@ def test_newton_returns_a_root_or_raises_with_the_state(name, x):
         assert exc.residual > ctrl.tol
     else:
         assert np.linalg.norm(ctrl.residual(x, u)) <= ctrl.tol
+
+
+def _fd_model():
+    # coupled m = 2 map without jac_u: its Jacobian is a central difference
+    return ev.SystemModel(
+        2, 2, lambda x, u: np.array([u[0] + u[0] ** 3 + 0.5 * u[1],
+                                     np.tanh(u[1]) + 0.2 * u[0] * x[0]]),
+        name="fd")
+
+
+def _cube_model():
+    # F = u^3: its Jacobian 3u^2 is exactly singular at a cold start
+    return ev.SystemModel(1, 2, lambda x, u: u ** 3,
+                          jac_u=lambda x, u: np.array([[3.0 * u[0] ** 2]]),
+                          name="cube")
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_controller(name):
+    if name == "chain2":
+        model, poles = ev.make_model("chain", m=2, n=2), [[-1.0], [-2.0]]
+    else:
+        model = {"fd": _fd_model, "cube": _cube_model}.get(
+            name, lambda: ev.make_model(name))()
+        poles = [[-1.0]] * model.m
+    return ev.ImplicitController(model, ev.build_gamma(poles, 2),
+                                 ev.default_hurwitz(model.m))
+
+
+_WARM = st.floats(0.05, 3.0) | st.floats(-3.0, -0.05) | st.just(0.0)
+
+
+@pytest.mark.parametrize("name", ["cubic", "tanh", "chain2", "fd", "cube"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_batched_newton_is_the_per_row_solve(name, data):
+    ctrl = _batch_controller(name)
+    dim, m = ctrl.model.state_dim, ctrl.model.m
+    rows = data.draw(st.integers(1, 5))
+    xs = np.array(data.draw(st.lists(
+        st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim),
+        min_size=rows, max_size=rows)))
+    u0 = None
+    if data.draw(st.booleans()):
+        u0 = np.array(data.draw(st.lists(
+            st.lists(_WARM, min_size=m, max_size=m),
+            min_size=rows, max_size=rows)))
+    want = []
+    for i, x in enumerate(xs):
+        try:
+            want.append(newton_reference(ctrl, x,
+                                         None if u0 is None else u0[i]))
+        except ev.NewtonError as exc:
+            want.append(exc)
+        except ev.EvaluationError:
+            reject()
+    for i in range(min(rows, 2)):   # one state: the same solve
+        try:
+            got = ctrl.solve(xs[i], None if u0 is None else u0[i])
+        except ev.NewtonError as exc:
+            got = exc
+            assert exc.row is None
+        _assert_same_solve(got, want[i])
+    failed = [i for i, w in enumerate(want) if isinstance(w, ev.NewtonError)]
+    if not failed:
+        got = ctrl.solve(xs, u0=u0)
+        assert got.shape == (rows, m)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        return
+    # the lowest failing row is reported, as the per-row solve reports it
+    with pytest.raises(ev.NewtonError) as exc:
+        ctrl.solve(xs, u0=u0)
+    assert exc.value.row == failed[0]
+    _assert_same_solve(exc.value, want[failed[0]])
+
+
+def _assert_same_solve(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, ev.NewtonError):
+        assert str(got) == str(want)
+        assert np.array_equal(got.x, want.x)
+        assert (got.residual, got.iterations, got.singular) == \
+            (want.residual, want.iterations, want.singular)
+    else:
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_batched_newton_covers_every_failure():
+    # each failure kind in one batch, behind a row that converges; the
+    # lowest failing row is reported, and alone each row fails as before
+    tanh, cube = _batch_controller("tanh"), _batch_controller("cube")
+    far = np.array([[0.1, 0.0], [3.0, 0.0], [-4.0, 0.0]])
+    assert tanh.solve(far[:1]).shape == (1, 1)
+    with pytest.raises(ev.NewtonError) as exc:
+        tanh.solve(far)
+    assert exc.value.row == 1 and not exc.value.singular
+    with pytest.raises(ev.NewtonError) as exc:
+        tanh.solve(far[::-1])
+    assert exc.value.row == 0 and np.array_equal(exc.value.x, far[2])
+    with pytest.raises(ev.NewtonError) as exc:
+        cube.solve(np.array([[0.0, 0.0], [0.5, 0.0]]))
+    assert exc.value.row == 1 and exc.value.singular
+    assert exc.value.iterations == 0
+    stalled = ev.ImplicitController(tanh.model, tanh.design, tanh.hurwitz,
+                                    max_iter=1)
+    with pytest.raises(ev.NewtonError, match="no convergence in 1") as exc:
+        stalled.solve(np.array([[0.0, 0.0], [0.5, 0.0]]))
+    assert exc.value.row == 1 and exc.value.iterations == 1
+
+
+def test_linear_controller_batch_rows_are_one_state_values(rng):
+    model = ev.make_model("chain", m=2, n=3)
+    ctrl = ev.linearize_and_place(model, [-1.0, -2.0, -3.0, -1.5, -2.5,
+                                          -0.5])
+    xs = rng.standard_normal((7, model.state_dim))
+    batch = ctrl.solve(xs)
+    assert batch.shape == (7, 2)
+    for x, row in zip(xs, batch):
+        assert np.array_equal(row, ctrl.gain @ x)
+        assert np.array_equal(ctrl.solve(x), ctrl.gain @ x)
 
 
 def test_newton_warm_start_consistency(rng):

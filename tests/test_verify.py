@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import evuas as ev
+from evuas.norms import vector_norm
+from evuas.verify import _sweep
 
 A_H = [[-1.0, 2.0], [0.0, -1.5]]
 
@@ -169,6 +171,26 @@ def test_batch_failures_are_attributed_per_sample():
     # every sample that ran is in the tables: the decaying ones pass
     assert rep.evus_table[0]["verdict"] == "pass"
     assert rep.evuas == "inconclusive"
+
+
+def test_closed_loop_batch_failure_records_only_its_sample():
+    # x1 + 2 x2 = 3 at the second start: no feedback exists there, so the
+    # batch fails and its rows run again one at a time
+    model = ev.make_model("tanh")
+    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                  ev.default_hurwitz(1))
+    sim = ev.make_closed_loop_factory(model, ctrl, None, 2.0)
+    x0s = np.array([[0.1, 0.0], [3.0, 0.0], [-0.2, 0.1]])
+    with pytest.raises(ev.ControllerEvaluationError):
+        sim(0.5, x0s)
+    failures = []
+    done = _sweep(sim, 0.5, x0s, "euclidean", failures)
+    assert [(f["t0"], f["x0"]) for f in failures] == [(0.5, [3.0, 0.0])]
+    assert [i for i, _, _ in done] == [0, 2]
+    for i, times, norms in done:
+        alone = sim(0.5, x0s[i])
+        assert np.array_equal(times, alone.times)
+        assert np.array_equal(norms, vector_norm(alone.states))
 
 
 def _serial_delta_of_eps(sim, eps, t0, dim, directions, seed, iters):
