@@ -20,11 +20,12 @@ a (7, N*dim) buffer, and the error norm is the largest of the rows' own
 norms, so every row meets its own tolerance.
 
 A linear system under a chirp-form forcing, x' = A x + w(t) with w the
-real part of a sum of c a(t) e^{i phase(t)}, needs no steps at all
-between output times: :func:`propagate_linear` maps each sample to the
-next exactly, by e^{A h} and the forced integral, which Levin collocation
-on Chebyshev nodes computes at a cost independent of the frequency.
-Error-dynamics runs on a sample grid use it (see :mod:`evuas.simulate`).
+real part of a sum of c a(t) e^{i phase(t)}, needs no steps between
+output times: :func:`propagate_linear` maps each sample to the next
+exactly, by e^{A h} and the forced integral, which Levin collocation on
+Chebyshev nodes computes at a cost independent of the frequency.  The
+error, closed-loop and tracking runs of :mod:`evuas.simulate` use it on a
+sample grid.
 """
 
 import math

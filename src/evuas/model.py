@@ -234,8 +234,8 @@ class PerturbationSpec:
         The chirp form of ``w`` for ``kind="time"``: w(t) is the real part
         of the sum of ``c a(t) exp(i phase(t))`` over the terms (see
         :class:`evuas.diminishing.ChirpTerm`).  ``w`` stays the evaluation
-        path; the terms let error-dynamics runs on a sample grid use the
-        exact propagator :func:`evuas.integrate.propagate_linear`.
+        path; the terms let the linear runs of :mod:`evuas.simulate` use
+        the exact propagator :func:`evuas.integrate.propagate_linear`.
     flags : dict, optional
         Declared metadata, e.g. ``{"bounded_columns": True,
         "diminishing_claimed": True}``.

@@ -1,34 +1,30 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
-All three wrap :func:`evuas.integrate.integrate`, except one case: an
-error-dynamics run on a sample grid whose disturbance is zero or a time
-signal with a declared chirp form (every time signal of the catalogs).
-The error system e' = A_H e + w(t) is then linear and time-forced, and
-:func:`evuas.integrate.propagate_linear` steps it exactly from sample to
-sample at a cost that does not grow with the frequency of w.  Runs
-without sample times (the verify factories), factored disturbances and
-closed-loop and tracking runs stay on the integrator.
+The error system e' = A_H e + W and the designed closed loop are one
+system, x' = M x + (0, W(t, x)) with a constant M: A_H, or
+:func:`evuas.synthesis.closed_loop_matrix` for a loop closed by an
+implicit controller and for the deviation from a reference under the
+tracking feedback.  One runner serves all three.  On a sample grid with W
+zero or a time signal with chirp terms (every time signal of the
+catalogs), :func:`evuas.integrate.propagate_linear` steps it exactly from
+sample to sample, at a cost that does not grow with the frequency of W.
+Runs without sample times (the verify factories) and factored
+disturbances are integrated, as are loops closed by any other controller,
+which is then called inside the right-hand side, row by row.
 
 Error-dynamics and closed-loop runs take one flat state (dim,) or an
-(N, dim) batch, one state per row, integrated with one shared step (the
-Monte-Carlo sweeps of :mod:`evuas.verify` use this); tracking runs take
-one flat state.  Each right-hand side is written once for both shapes.
-W comes from one place, the ``unchecked`` W(t, x) of
-:class:`evuas.model.PerturbationSpec`: w(t) or D(t) once per call, K row
-by row, with no checks (the integrator checks that every step stays
-finite).  The designed closed loop's input-free term is evaluated once
-per call for the whole batch.
+(N, dim) batch, one state per row, with one shared step (the Monte-Carlo
+sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
+state.  W is the ``unchecked`` W(t, x) of
+:class:`evuas.model.PerturbationSpec`; its width is checked once per run.
 
 An implicit controller defines U = G(X) by the closing residual
-shift(X) + F(X, U) - A_H e(X) = 0, so on the closed loop the last block of
-the first-order form is exactly -input_free_term(X) + W(t, X): the
-designed error dynamics e' = A_H e + W.
-Those are integrated in closed form, with no feedback solve inside the
-right-hand side.  Newton then runs once per stored time, one solve for
-all rows of a batch, each row warm-started from its own previous input,
-and has two jobs: it reports the inputs, and it checks that the feedback
-exists along the trajectory (the controller's domain of validity).  Any
-other controller is evaluated inside the right-hand side, row by row.
+shift(X) + F(X, U) - A_H e(X) = 0, which cancels F: on the closed loop the
+last block is -input_free_term(X) + W(t, X), linear in X.  Newton runs
+afterwards, once per stored time for all rows of a batch, each row
+warm-started from its own last input.  It reports the inputs and checks
+that the feedback exists along the trajectory (the controller's domain of
+validity).
 """
 
 import csv
@@ -40,41 +36,47 @@ from .errors import ControllerEvaluationError, NewtonError, ShapeError
 from .integrate import integrate, propagate_linear
 from .model import (_per_row, evaluate_dynamics, flatten_state,
                     unflatten_state)
-from .synthesis import ImplicitController, input_free_term
+from .synthesis import ImplicitController, closed_loop_matrix
 
 _CSV_FMT = "%.17g"
 
 
-def _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm):
-    hint = None if pert is None else pert.freq_hint
-    return integrate(rhs, t0, x0, t_end, tol=tol, freq_hint=hint,
-                     sample_times=sample_times, norm=norm)
+def _check_width(pert, width):
+    # a zero W has no width to get wrong
+    if pert is not None and pert.kind != "zero" and pert.dim != width:
+        raise ShapeError(f"perturbation {pert.name!r} has {pert.dim} "
+                         f"components; this system takes {width}")
 
 
-def _designed_rhs(model, design, hurwitz, pert, track=None):
-    """Closed-loop right-hand side with the feedback eliminated.
-
-    The first (n-1)m entries are the column shift; the last block is
-    -input_free_term(state) + W(t, x_true).  For tracking the state is the
-    deviation Delta and x_true = Delta + X_d(t); the reference feedforward
-    y_d^(n) cancels against the derivative of X_d's last column.  The state
-    may also be an (N, m*n) batch, one flat state per row.
-    """
-    m, n = model.m, model.n
-    split = (n - 1) * m
-    gamma, a_h = design.gamma, hurwitz.a_h
+def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, norm, track=None):
+    """Run x' = A x + (0, W(t, x_true)), W in the last ``pert.dim`` entries
+    and x_true = x + X_d(t) for the deviation from a reference ``track``:
+    propagated on a sample grid under a zero or chirp-form W (each term's
+    c zero-padded to the state), else integrated."""
     w = None if pert is None else pert.unchecked
+    if sample_times is not None and (w is None or pert.terms is not None):
+        terms = () if w is None else [
+            term._replace(c=np.concatenate([np.zeros(len(a) - pert.dim),
+                                            term.c]))
+            for term in pert.terms]
+        return propagate_linear(a, terms, t0, x0, t_end, sample_times,
+                                norm=norm)
+    # x @ A^T is A x on one state and on each row of a batch
+    a_t = a.T
+    if w is None:
+        def rhs(t, x):
+            return x @ a_t
+    else:
+        split = len(a) - pert.dim
 
-    def rhs(t, x):
-        out = np.empty_like(x)
-        out[..., :split] = x[..., m:]
-        last = -input_free_term(x, gamma, a_h, m, n)
-        if w is not None:
-            x_true = x if track is None else x + flatten_state(track.value(t))
-            last = last + w(t, x_true)
-        out[..., split:] = last
-        return out
-    return rhs
+        def rhs(t, x):
+            out = x @ a_t
+            out[..., split:] += w(t, x if track is None
+                                  else x + flatten_state(track.value(t)))
+            return out
+    return integrate(rhs, t0, x0, t_end, tol=tol,
+                     freq_hint=None if w is None else pert.freq_hint,
+                     sample_times=sample_times, norm=norm)
 
 
 def _report_inputs(traj, m, feedback):
@@ -110,60 +112,49 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
                             sample_times=None, norm="euclidean"):
     """Integrate the error system e' = A_H e + W(t, e).
 
-    ``e0`` is one state (dim,) or an (N, dim) batch, integrated with one
-    shared step (see :func:`evuas.integrate.integrate`); on a batch D(t)
-    is evaluated once per call and K row by row.  With ``sample_times``
-    and a W that is zero or a time signal with chirp terms, the samples
-    come from the exact propagator
-    :func:`evuas.integrate.propagate_linear` instead, and ``tol`` is not
-    used: its diagnostics count sub-intervals, not steps.
+    ``e0`` is one state (dim,) or an (N, dim) batch.  With
+    ``sample_times`` and a zero or chirp-form W the samples are exact and
+    ``tol`` is not used: the diagnostics of
+    :func:`evuas.integrate.propagate_linear` count sub-intervals, not
+    steps.  A W whose width is not dim raises ShapeError.
     """
-    w = None if pert is None else pert.unchecked
-    if sample_times is not None and (w is None or pert.terms is not None):
-        return propagate_linear(hurwitz.a_h, () if w is None else pert.terms,
-                                t0, e0, t_end, sample_times, norm=norm)
-    # e @ A_H^T is A_H e on one state and on each row of a batch
-    a_t = hurwitz.a_h.T
-    if w is None:
-        def rhs(t, e):
-            return e @ a_t
-    else:
-        def rhs(t, e):
-            return e @ a_t + w(t, e)
-    return _run(rhs, pert, e0, t0, t_end, tol, sample_times, norm)
+    _check_width(pert, len(hurwitz.a_h))
+    return _run_linear(hurwitz.a_h, pert, e0, t0, t_end, tol, sample_times,
+                       norm)
 
 
 def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
                          sample_times=None, norm="euclidean"):
     """Integrate the first-order form under U = G(X).
 
-    ``x0`` is one flat state (m*n,) or an (N, m*n) batch, one flat state
-    per row, integrated with one shared step; states come back as
-    (T, m*n) or (T, N, m*n) and ``traj.inputs`` as (T, m) or (T, N, m).
+    ``x0`` is one flat state (m*n,) or an (N, m*n) batch; states come back
+    as (T, m*n) or (T, N, m*n) and ``traj.inputs`` as (T, m) or (T, N, m).
     Under an :class:`~evuas.synthesis.ImplicitController` for ``model`` the
-    designed dynamics (column shift, then -input_free_term(X) + W(t, X))
-    are integrated in closed form.  Newton then runs once per stored time
-    (every accepted step, or every sample time), one solve for all rows:
-    it fills ``traj.inputs`` and is the domain-of-validity check.  A solve
-    failure therefore surfaces after integration, as a
+    designed loop runs as the error system does, with M from
+    :func:`~evuas.synthesis.closed_loop_matrix`.  Newton then fills
+    ``traj.inputs``, so a solve failure surfaces after integration, as a
     ControllerEvaluationError carrying the time, state and residual of the
     first stored point where no feedback exists (the earliest time, then
-    the lowest row, named in the message and in ``row``).  Any other
-    controller is called inside the right-hand side, row by row, and on
-    the stored states with one call per time.
+    the lowest row, named in ``row``).  Any other controller is called
+    inside the right-hand side, row by row, and on the stored states with
+    one call per time.  A W whose width is not m raises ShapeError.
     """
     dim = model.state_dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim > 2 or x0.shape[-1] != dim:
         raise ShapeError(
             f"x0: expected shape ({dim},) or (N, {dim}), got {x0.shape}")
+    _check_width(pert, model.m)
     if isinstance(ctrl, ImplicitController) and ctrl.model is model:
-        rhs = _designed_rhs(model, ctrl.design, ctrl.hurwitz, pert)
+        traj = _run_linear(closed_loop_matrix(ctrl.design, ctrl.hurwitz),
+                           pert, x0, t0, t_end, tol, sample_times, norm)
     else:
         def rhs(t, x):
             return _per_row(lambda row: evaluate_dynamics(
                 model, pert, t, row, ctrl.solve(row)), x)
-    traj = _run(rhs, pert, x0, t0, t_end, tol, sample_times, norm)
+        traj = integrate(rhs, t0, x0, t_end, tol=tol,
+                         freq_hint=None if pert is None else pert.freq_hint,
+                         sample_times=sample_times, norm=norm)
     return _report_inputs(traj, model.m,
                           lambda t, x, u0: ctrl.solve(x, u0=u0))
 
@@ -221,30 +212,30 @@ class TrackingSpec:
 
 def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
                       tol=1e-8, sample_times=None, norm="euclidean"):
-    """Integrate the deviation from a reference under the tracking feedback.
+    """Integrate the deviation Delta = X - X_d(t) from a reference.
 
-    ``x0`` is one flat state (m*n,).  The reference is checked first: its
-    columns must be derivatives of each other and F(X_d(t), 0) = 0 must
-    hold on a grid (see :class:`TrackingSpec`).  The feedback solves the
-    time-dependent closing residual in U with the reference's nth
-    derivative as feedforward; the returned trajectory is of the deviation
-    Delta = X - X_d(t).  That feedforward cancels on the closed loop, so
-    the designed deviation dynamics (column shift, then
-    -input_free_term(Delta) + W(t, Delta + X_d(t))) are integrated in
-    closed form.  Newton then runs once per stored time, on the state as a
-    one-row block: it fills ``traj.inputs`` and is the domain-of-validity
-    check, so a solve failure surfaces after integration, as a
-    ControllerEvaluationError at the first stored point where no feedback
-    exists.  With the zero reference this reduces exactly to the
-    stabilization loop.
+    ``x0`` is one flat state (m*n,).  The reference must have the model's
+    m and n (else ShapeError), derivative-consistent columns and
+    F(X_d(t), 0) = 0 (see :class:`TrackingSpec`); a W whose width is not m
+    raises ShapeError.  The feedback solves the closing residual in U with
+    the reference's nth derivative as feedforward, which cancels on the
+    closed loop: Delta follows the designed loop of
+    :func:`simulate_closed_loop` under W(t, Delta + X_d(t)), and Newton
+    fills ``traj.inputs`` afterwards, on the state as a one-row block.
+    With the zero reference this reduces exactly to the stabilization loop.
     """
+    if (track.m, track.n) != (model.m, model.n):
+        raise ShapeError(
+            f"reference {track.name!r} has m={track.m}, n={track.n}; the "
+            f"model has m={model.m}, n={model.n}")
+    _check_width(pert, model.m)
     track.check_consistency(t0, t_end)
     track.check_admissible(model, t0, t_end)
     ctrl = ImplicitController(model, design, hurwitz)
     delta0 = flatten_state(unflatten_state(x0, model.m, model.n)
                            - track.value(t0))
-    traj = _run(_designed_rhs(model, design, hurwitz, pert, track), pert,
-                delta0, t0, t_end, tol, sample_times, norm)
+    traj = _run_linear(closed_loop_matrix(design, hurwitz), pert, delta0, t0,
+                       t_end, tol, sample_times, norm, track)
 
     def feedback(t, delta, u0):
         x_total = delta + flatten_state(track.value(t))
@@ -255,7 +246,10 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
 
 # reference catalog for tracking scenarios
 
-def _sin_cos_reference():
+def _sin_cos_reference(m, n):
+    if (m, n) != (1, 2):
+        raise ValueError("reference 'sin_cos' has m=1, n=2, got "
+                         f"m={m}, n={n}")
     return TrackingSpec(
         lambda t: np.array([[np.sin(t), np.cos(t)]]),
         lambda t: np.array([-np.sin(t)]),
@@ -268,18 +262,19 @@ def _zero_reference(m, n):
 
 
 REFERENCE_CATALOG = {
-    "sin_cos": (lambda m=1, n=2: _sin_cos_reference(),
+    "sin_cos": (_sin_cos_reference,
                 "scalar second-order reference (sin t, cos t)"),
     "zero": (_zero_reference, "identically zero reference"),
 }
 
 
 def make_reference(name, m=1, n=2):
+    """Instantiate a catalog reference for a system of m channels of
+    order n; ValueError if the reference has no such form."""
     if name not in REFERENCE_CATALOG:
         raise KeyError(
             f"unknown reference {name!r}; catalog: {sorted(REFERENCE_CATALOG)}")
-    factory = REFERENCE_CATALOG[name][0]
-    return factory(m, n) if name == "zero" else factory(m=m, n=n)
+    return REFERENCE_CATALOG[name][0](m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -89,15 +89,13 @@ def _check_conjugate_closed(roots, what):
                 f"{what}: complex pole {r} lacks its conjugate partner")
 
 
-def companion_matrix(coeffs_ascending):
-    """Companion matrix of a monic polynomial given ascending coefficients."""
-    coeffs = np.asarray(coeffs_ascending, dtype=float)
-    deg = coeffs.size - 1
-    comp = np.zeros((deg, deg))
-    if deg > 1:
-        comp[:-1, 1:] = np.eye(deg - 1)
-    comp[-1, :] = -coeffs[:-1]
-    return comp
+def _first_order(m, n, last):
+    """The column shift in the first (n-1)m rows, then the (m, m*n) block
+    ``last`` (for m = 1 a companion matrix)."""
+    a = np.zeros((m * n, m * n))
+    a[:(n - 1) * m, m:] = np.eye((n - 1) * m)
+    a[(n - 1) * m:] = last
+    return a
 
 
 def _estimate_overshoot(design_gamma, mu_gamma):
@@ -107,7 +105,7 @@ def _estimate_overshoot(design_gamma, mu_gamma):
     applies a 1.05 safety factor; clamped to at least 1.
     """
     n_minus_1, m = design_gamma.shape
-    blocks = [companion_matrix(np.append(design_gamma[:, j], 1.0))
+    blocks = [_first_order(1, n_minus_1, -design_gamma[:, j])
               for j in range(m)]
     a = scipy.linalg.block_diag(*blocks)
     t_max = 20.0 / mu_gamma
@@ -262,6 +260,15 @@ def input_free_term(x_flat, gamma, a_h, m, n):
     err = tracking_error(x_flat, gamma, m, n)
     return (_shift_term(_state_matrices(x_flat, m, n), gamma, n)
             - (a_h @ err[..., None])[..., 0])
+
+
+def closed_loop_matrix(design, hurwitz):
+    """M of the designed closed loop X' = M X + (0, W(t, X)): the feedback
+    cancels F, leaving -input_free_term(X) in the last block.  Its
+    eigenvalues are the design poles together with those of A_H."""
+    m, n = design.m, design.n
+    free = input_free_term(np.eye(m * n), design.gamma, hurwitz.a_h, m, n)
+    return _first_order(m, n, -free.T)
 
 
 def _newton_steps(jac, r):
@@ -593,10 +600,7 @@ def linearization(model):
     m, n = model.m, model.n
     x0 = np.zeros(model.state_dim)
     u0 = np.zeros(m)
-    a = np.zeros((m * n, m * n))
-    if n > 1:
-        a[:(n - 1) * m, m:] = np.eye((n - 1) * m)
-    a[(n - 1) * m:, :] = _model.jacobian_F_X(model, x0, u0)
+    a = _first_order(m, n, _model.jacobian_F_X(model, x0, u0))
     b = np.zeros((m * n, m))
     b[(n - 1) * m:, :] = _model.jacobian_F_U(model, x0, u0)
     return a, b

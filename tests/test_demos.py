@@ -26,15 +26,21 @@ def _run(script, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
+# lines a demo must print, by its number
+EXPECTED = {
+    "04": ("states bitwise equal: True",),
+    "05": ("unforced error system: pass", "attraction=fail",
+           "bounded oscillating disturbance: pass"),
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
     proc = _run(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    if script.stem.startswith("05_"):
-        for verdict in ("unforced error system: pass", "attraction=fail",
-                        "bounded oscillating disturbance: pass"):
-            assert verdict in proc.stdout, proc.stdout
+    for line in EXPECTED.get(script.stem[:2], ()):
+        assert line in proc.stdout, proc.stdout
 
 
 def test_all_demos_are_collected():

@@ -136,6 +136,19 @@ def test_tracking_scenario(tmp_path):
     assert ctrl["mode"] == "implicit-newton"
 
 
+def test_tracking_scenario_is_the_closed_form(tmp_path):
+    # Delta(0) = (0.3, 0) under the double closed-loop pole -1
+    run_scenario("tracking_demo", tmp_path / "o")
+    rows = _read_csv(tmp_path / "o" / "trajectory.csv")
+    got = np.array([[float(v) for v in row[:3]] for row in rows[1:]])
+    t = got[:, 0]
+    want = np.stack([0.3 * (1 + t) * np.exp(-t), -0.3 * t * np.exp(-t)], 1)
+    assert np.max(np.abs(got[:, 1:] - want)) <= 1e-14
+    diag = json.loads((tmp_path / "o" /
+                       "trajectory_diagnostics.json").read_text())
+    assert diag["n_rhs"] == 0
+
+
 def test_pole_placement_scenario(tmp_path):
     run_scenario("pole_placement_demo", tmp_path / "o")
     ctrl = json.loads((tmp_path / "o" / "controller.json").read_text())
@@ -287,6 +300,20 @@ def test_cli_verify(tmp_path):
     assert rc == 0
     rep = json.loads((tmp_path / "o" / "stability_report.json").read_text())
     assert rep["evua"] == "fail"
+
+
+@pytest.mark.parametrize("samples", [[], ["--samples", "11"]],
+                         ids=["integrate", "propagate"])
+def test_cli_rejects_a_disturbance_of_the_wrong_width(tmp_path, samples,
+                                                       capsys):
+    rc = cli_main(["simulate", "--kind", "error", "--a-h=-1,0;0,-1",
+                   "--e0=0,0", "--perturbation", "cos_exp",
+                   "--out", str(tmp_path / "s")] + samples)
+    assert rc == 1
+    rc = cli_main(["verify", "--a-h=-1,0;0,-1", "--perturbation", "cos_exp",
+                   "--samples", "2", "--out", str(tmp_path / "v")])
+    assert rc == 1
+    assert "1 components" in capsys.readouterr().err
 
 
 def test_cli_norm_and_seed_overrides(tmp_path):

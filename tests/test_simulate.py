@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from oracles import newton_reference
+from oracles import forced_linear_reference, newton_reference
 
 import evuas as ev
+from evuas.synthesis import closed_loop_matrix
 
 A_H = [[-1.0, 2.0], [0.0, -1.5]]
 
@@ -133,15 +134,15 @@ def _newton_in_rhs(model, ctrl, pert, x0, ts, track=None):
 
 @pytest.mark.parametrize("name", ["chain", "cubic", "tanh"])
 def test_closed_form_matches_newton_in_rhs(name):
+    # without a grid the designed loop stays on the integrator, so the
+    # reference takes the same steps, sampled at the run's stored times
     model = ev.make_model(name)
     ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
                                   ev.default_hurwitz(1))
     pert = ev.make_perturbation("cos_exp")
     x0 = np.array([0.3, -0.1])
-    ts = np.linspace(0.0, 6.0, 601)
-    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, ts)
-    traj = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, 6.0,
-                                   tol=1e-8, sample_times=ts)
+    traj = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, 6.0, tol=1e-8)
+    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, traj.times)
     assert np.max(np.abs(traj.states - states)) < 1e-10
     assert np.max(np.abs(traj.inputs - inputs)) < 1e-10
 
@@ -153,12 +154,48 @@ def test_closed_form_tracking_matches_newton_in_rhs():
     track = ev.make_reference("sin_cos")
     pert = ev.make_perturbation("cos_exp")
     x0 = np.array([0.3, 1.0])
-    ts = np.linspace(0.0, 6.0, 601)
-    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, ts, track=track)
     traj = ev.simulate_tracking(model, design, hurwitz, track, pert, x0, 0.0,
-                                6.0, tol=1e-8, sample_times=ts)
+                                6.0, tol=1e-8)
+    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, traj.times,
+                                    track=track)
     assert np.max(np.abs(traj.states - states)) < 1e-10
     assert np.max(np.abs(traj.inputs - inputs)) < 1e-10
+
+
+def _padded(pert):
+    # (0, w(t)): the disturbance enters the last block of the state
+    return lambda t: np.concatenate([[0.0], np.ravel(pert.w(t))])
+
+
+@pytest.mark.parametrize("name", ["chain", "cubic", "tanh"])
+def test_propagated_closed_loop_matches_oracle(name):
+    model = ev.make_model(name)
+    design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
+    ctrl = ev.synthesize_feedback(model, design, hurwitz)
+    pert = ev.make_perturbation("cos_exp")
+    x0 = np.array([0.3, -0.1])
+    ts = np.linspace(0.0, 6.0, 601)
+    traj = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, 6.0,
+                                   sample_times=ts)
+    assert traj.diagnostics["tol"] == 1e-10       # the propagator's check
+    ref = forced_linear_reference(closed_loop_matrix(design, hurwitz),
+                                  _padded(pert), x0, ts)
+    assert np.max(np.abs(traj.states - ref)) < 1e-10
+
+
+def test_propagated_tracking_matches_oracle():
+    model = ev.make_model("chain", m=1, n=2)
+    design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
+    pert = ev.make_perturbation("cos_exp")
+    ts = np.linspace(0.0, 6.0, 601)
+    traj = ev.simulate_tracking(model, design, hurwitz,
+                                ev.make_reference("sin_cos"), pert,
+                                np.array([0.3, 1.0]), 0.0, 6.0,
+                                sample_times=ts)
+    assert traj.diagnostics["tol"] == 1e-10
+    ref = forced_linear_reference(closed_loop_matrix(design, hurwitz),
+                                  _padded(pert), [0.3, 0.0], ts)
+    assert np.max(np.abs(traj.states - ref)) < 1e-10
 
 
 def test_one_feedback_solve_per_stored_point(monkeypatch):
@@ -190,6 +227,15 @@ def test_one_feedback_solve_per_stored_point(monkeypatch):
                                              [0.1, 0.4]]), 0.0, 2.0, tol=1e-6)
     assert traj.inputs.shape == (traj.times.size, 3, 1)
     assert calls == {"solve": traj.times.size, "solve_shifted": 0}
+    # on a sample grid the states are propagated: one solve per sample
+    ts = np.linspace(0.0, 2.0, 41)
+    calls["solve"] = 0
+    ev.simulate_closed_loop(model, ctrl, pert, np.array([0.3, 0.0]), 0.0,
+                            2.0, sample_times=ts)
+    ev.simulate_tracking(model, design, hurwitz,
+                         ev.make_reference("zero", m=1, n=2), pert,
+                         np.array([0.3, 0.0]), 0.0, 2.0, sample_times=ts)
+    assert calls == {"solve": ts.size, "solve_shifted": ts.size}
 
 
 def test_batch_rows_are_warm_started_from_their_own_inputs():
@@ -319,9 +365,10 @@ def test_error_dynamics_one_row_batch_is_the_single_run(kind):
     assert np.array_equal(batch.states[:, 0], alone.states)
 
 
-@pytest.mark.parametrize("case", ["designed", "linear_gain"])
+@pytest.mark.parametrize("case", ["designed", "designed_grid",
+                                  "linear_gain"])
 def test_closed_loop_one_row_batch_is_the_single_run(case):
-    if case == "designed":
+    if case.startswith("designed"):
         model = ev.make_model("cubic")
         ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
                                       ev.default_hurwitz(1))
@@ -330,10 +377,11 @@ def test_closed_loop_one_row_batch_is_the_single_run(case):
         ctrl = ev.linearize_and_place(model, [-1.0, -2.0])
     pert = ev.make_perturbation("cos_exp")
     x0 = np.array([0.3, -0.1])
+    ts = np.linspace(0.0, 3.0, 61) if case == "designed_grid" else None
     alone = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, 3.0,
-                                    tol=1e-8)
+                                    tol=1e-8, sample_times=ts)
     batch = ev.simulate_closed_loop(model, ctrl, pert, x0[None], 0.0, 3.0,
-                                    tol=1e-8)
+                                    tol=1e-8, sample_times=ts)
     assert np.array_equal(batch.times, alone.times)
     assert np.array_equal(batch.states[:, 0], alone.states)
     assert np.array_equal(batch.inputs[:, 0], alone.inputs)
@@ -381,6 +429,47 @@ def test_tracking_rejects_inadmissible_reference():
             model, ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1),
             ev.make_reference("sin_cos"), None, np.array([0.3, 1.0]),
             0.0, 5.0, tol=1e-8)
+
+
+def test_tracking_rejects_a_reference_of_another_shape():
+    model = ev.make_model("chain", m=2, n=3)
+    with pytest.raises(ev.ShapeError, match="reference 'sin_cos'"):
+        ev.simulate_tracking(
+            model, ev.build_gamma([[-1.0, -1.0], [-2.0, -2.0]], 3),
+            ev.default_hurwitz(2), ev.make_reference("sin_cos"), None,
+            np.zeros(6), 0.0, 5.0)
+
+
+def test_make_reference_rejects_a_shape_it_does_not_have():
+    with pytest.raises(ValueError, match="m=1, n=2"):
+        ev.make_reference("sin_cos", m=2, n=3)
+    ref = ev.make_reference("zero", m=2, n=3)
+    assert (ref.m, ref.n) == (2, 3)
+
+
+@pytest.mark.parametrize("ts", [None, np.linspace(0.0, 1.0, 11)],
+                         ids=["integrate", "propagate"])
+def test_disturbance_of_the_wrong_width_is_rejected(ts):
+    # cos_exp has one component: it would be broadcast over two
+    pert = ev.make_perturbation("cos_exp")
+    with pytest.raises(ev.ShapeError, match="1 components"):
+        ev.simulate_error_dynamics(ev.default_hurwitz(2), pert, [0.0, 0.0],
+                                   0.0, 1.0, sample_times=ts)
+    model = ev.make_model("chain", m=2, n=2)
+    design, hurwitz = ev.build_gamma([[-1.0], [-2.0]], 2), \
+        ev.default_hurwitz(2)
+    for ctrl in (ev.synthesize_feedback(model, design, hurwitz),
+                 ev.linearize_and_place(model, [-1.0, -1.0, -2.0, -2.0])):
+        with pytest.raises(ev.ShapeError, match="1 components"):
+            ev.simulate_closed_loop(model, ctrl, pert, np.zeros(4), 0.0, 1.0,
+                                    sample_times=ts)
+    with pytest.raises(ev.ShapeError, match="1 components"):
+        ev.simulate_tracking(model, design, hurwitz,
+                             ev.make_reference("zero", m=2, n=2), pert,
+                             np.zeros(4), 0.0, 1.0, sample_times=ts)
+    # a zero disturbance has no width to get wrong
+    ev.simulate_error_dynamics(ev.default_hurwitz(2), ev.make_perturbation(
+        "zero"), [0.0, 0.0], 0.0, 1.0, sample_times=ts)
 
 
 def test_tracking_rejects_inconsistent_reference():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import newton_reference
 
 import evuas as ev
+from evuas.synthesis import closed_loop_matrix
 
 
 # --- error-polynomial designs
@@ -477,3 +478,45 @@ def test_input_free_term_batch_rows_are_the_single_state_terms(m, n):
                 for j in range(m)]
         assert np.allclose(err_row, err, rtol=0.0, atol=1e-12)
         assert np.allclose(row, want, rtol=0.0, atol=1e-12)
+
+
+_DESIGNS = {(1, 2): ([[-1.0]], [[-2.0]]),
+            (2, 3): ([[-1.0, -2.0], [-0.5 + 1j, -0.5 - 1j]],
+                     [[-1.0, 2.0], [0.0, -1.5]]),
+            (1, 4): ([[-1.0, -2.0, -3.0]], [[-0.5]])}
+
+
+@pytest.mark.parametrize("m, n", sorted(_DESIGNS))
+def test_closed_loop_matrix_is_the_designed_right_hand_side(m, n):
+    poles, a_h = _DESIGNS[(m, n)]
+    design, hurwitz = ev.build_gamma(poles, n), ev.build_hurwitz(a_h)
+    mat = closed_loop_matrix(design, hurwitz)
+    xs = np.random.default_rng(m * 10 + n).standard_normal((20, m * n))
+    want = np.concatenate(
+        [xs[:, m:], -ev.input_free_term(xs, design.gamma, hurwitz.a_h, m, n)],
+        axis=1)
+    got = xs @ mat.T
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m, n", sorted(_DESIGNS))
+def test_closed_loop_matrix_spectrum(m, n):
+    # the design poles together with eig(A_H), compared as characteristic
+    # polynomials, which a repeated eigenvalue leaves well conditioned
+    poles, a_h = _DESIGNS[(m, n)]
+    design, hurwitz = ev.build_gamma(poles, n), ev.build_hurwitz(a_h)
+    mat = closed_loop_matrix(design, hurwitz)
+    want = np.concatenate([np.ravel(poles), hurwitz.eigenvalues])
+    assert np.allclose(np.poly(mat), np.poly(want).real, rtol=0, atol=1e-12)
+
+
+def test_closed_loop_matrix_jordan_block():
+    # cubic with pole -1 and A_H = -1: a double eigenvalue -1 with one
+    # eigenvector, so M cannot be diagonalized
+    model = ev.make_model("cubic")
+    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                  ev.default_hurwitz(1))
+    mat = closed_loop_matrix(ctrl.design, ctrl.hurwitz)
+    assert np.array_equal(mat, [[0.0, 1.0], [-1.0, -2.0]])
+    assert np.allclose(np.poly(mat), [1.0, 2.0, 1.0], rtol=0, atol=1e-14)
+    assert np.linalg.matrix_rank(mat + np.eye(2)) == 1
