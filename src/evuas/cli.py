@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages; each flag-driven subcommand builds
-a one-stage scenario document and hands it to the scenario runner, so CLI
-runs and scenario-file runs share one code path (and one reproducibility
-story).  Exit codes: 0 success, 1 pipeline-stage failure, 2 invalid
-scenario or arguments.
+a scenario document and hands it to the scenario runner, so CLI runs and
+scenario-file runs share one code path (and one reproducibility story).
+A document holds only the flags the user gave: the schema in
+:mod:`evuas.scenarios` supplies the defaults, and it validates the
+overrides (``--seed``, ``--tol``, ``--norm``, ``--format``) like document
+fields.  Exit codes: 0 success, 1 pipeline-stage failure, 2 invalid
+scenario or arguments (the message names the field).
 """
 
 import argparse
@@ -27,10 +30,14 @@ def _parse_pole(token):
     return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
-def _parse_pole_columns(spec):
-    # columns split by ';', poles inside a column by ','
-    return [[_parse_pole(tok) for tok in col.split(",") if tok.strip()]
-            for col in spec.split(";") if col.strip()]
+def _parse_rows(spec, parse=float):
+    # rows (pole columns) split by ';', entries inside a row by ','
+    return [[parse(tok) for tok in row.split(",") if tok.strip()]
+            for row in spec.split(";") if row.strip()]
+
+
+def _parse_poles(spec):
+    return _parse_rows(spec, _parse_pole)
 
 
 def _parse_floats(spec):
@@ -38,18 +45,15 @@ def _parse_floats(spec):
 
 
 def _parse_matrix(spec):
-    if spec.strip() == "default":
-        return "default"
-    return [[float(tok) for tok in row.split(",") if tok.strip()]
-            for row in spec.split(";") if row.strip()]
+    return "default" if spec.strip() == "default" else _parse_rows(spec)
 
 
 def _common_flags(sub):
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="override seed")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--seed", type=int, help="override seed")
+    sub.add_argument("--tol", type=float,
                      help="override integration tolerance")
-    sub.add_argument("--norm", choices=("euclidean", "inf"), default=None)
+    sub.add_argument("--norm", choices=("euclidean", "inf"))
     sub.add_argument("--format", dest="formats", action="append",
                      choices=("csv", "json", "svg"),
                      help="artifact formats (repeatable)")
@@ -97,38 +101,35 @@ def _cmd_run(args):
     return _run(args.scenario, args)
 
 
+def _given(**fields):
+    """The fields whose flags were given; the scenario schema supplies
+    the defaults of the rest."""
+    return {k: v for k, v in fields.items() if v is not None}
+
+
 def _cmd_classify(args):
     doc = {
         "name": f"classify_{args.perturbation}",
-        "seed": 0,
         "stages": ["classify"],
-        "perturbation": {"name": args.perturbation},
-        "classify": {"probe_radius": args.probe_radius,
-                     "t_horizon": args.t_horizon,
-                     "quad_tol": args.quad_tol},
+        "perturbation": _given(name=args.perturbation, dim=args.dim),
+        "classify": _given(probe_radius=args.probe_radius,
+                           t_horizon=args.t_horizon, quad_tol=args.quad_tol,
+                           profile_grid=args.grid),
     }
-    if args.dim is not None:
-        doc["perturbation"]["dim"] = args.dim
-    if args.grid is not None:
-        doc["classify"]["profile_grid"] = _parse_floats(args.grid)
     return _run(doc, args)
 
 
 def _cmd_synthesize(args):
+    if args.mode == "linear":
+        design = {"poles": [p for col in args.poles for p in col]}
+    else:
+        design = {"poles": args.poles, "a_h": args.a_h}
     doc = {
         "name": f"synthesize_{args.model}",
-        "seed": 0,
         "stages": ["synthesize"],
-        "model": {"name": args.model, "m": args.m, "n": args.n},
-        "design": {"mode": args.mode},
+        "model": _given(name=args.model, m=args.m, n=args.n),
+        "design": _given(mode=args.mode, **design),
     }
-    if args.mode == "implicit":
-        doc["design"]["poles"] = _parse_pole_columns(args.poles)
-        doc["design"]["a_h"] = _parse_matrix(args.a_h)
-    else:
-        doc["design"]["poles"] = [_parse_pole(tok)
-                                  for tok in args.poles.replace(";", ",").split(",")
-                                  if tok.strip()]
     return _run(doc, args)
 
 
@@ -137,36 +138,18 @@ def _cmd_simulate(args):
         return _run(args.scenario, args)
     doc = {
         "name": "simulate_cli",
-        "seed": 0,
         "stages": ["simulate"],
-        "simulate": {"kind": args.kind, "t0": args.t0, "t_end": args.t_end,
-                     "tol": args.tol if args.tol is not None else 1e-7},
+        "simulate": _given(kind=args.kind, t0=args.t0, t_end=args.t_end,
+                           e0=args.e0, x0=args.x0, reference=args.reference,
+                           samples=args.samples),
+        "design": {"a_h": args.a_h},
     }
-    if args.kind == "error":
-        if args.e0 is None:
-            print("simulate error: --e0 is required for kind=error",
-                  file=sys.stderr)
-            return 2
-        doc["simulate"]["e0"] = _parse_floats(args.e0)
-        doc["design"] = {"a_h": _parse_matrix(args.a_h)}
-    else:
-        if args.x0 is None:
-            print(f"simulate error: --x0 is required for kind={args.kind}",
-                  file=sys.stderr)
-            return 2
-        doc["simulate"]["x0"] = _parse_floats(args.x0)
-        doc["model"] = {"name": args.model, "m": args.m, "n": args.n}
+    if args.kind != "error":
         doc["stages"] = ["synthesize", "simulate"]
-        doc["design"] = {"mode": "implicit",
-                         "poles": _parse_pole_columns(args.poles),
-                         "a_h": _parse_matrix(args.a_h)}
-        if args.kind == "tracking":
-            doc["simulate"]["reference"] = args.reference
-    if args.samples:
-        doc["simulate"]["samples"] = args.samples
+        doc["model"] = _given(name=args.model, m=args.m, n=args.n)
+        doc["design"]["poles"] = args.poles
     if args.perturbation:
         doc["perturbation"] = {"name": args.perturbation}
-    args.tol = None     # already baked into the document
     return _run(doc, args)
 
 
@@ -175,19 +158,14 @@ def _cmd_verify(args):
         return _run(args.scenario, args)
     doc = {
         "name": "verify_cli",
-        "seed": args.seed if args.seed is not None else 0,
         "stages": ["verify"],
-        "verify": {"target": "error", "delta0": args.delta0,
-                   "t0_grid": _parse_floats(args.t0_grid),
-                   "eps_levels": _parse_floats(args.eps_levels),
-                   "horizon": args.horizon, "samples": args.samples,
-                   "tol": args.tol if args.tol is not None else 1e-6},
-        "design": {"a_h": _parse_matrix(args.a_h)},
+        "verify": _given(delta0=args.delta0, t0_grid=args.t0_grid,
+                         eps_levels=args.eps_levels, horizon=args.horizon,
+                         samples=args.samples),
+        "design": {"a_h": args.a_h},
     }
     if args.perturbation:
         doc["perturbation"] = {"name": args.perturbation}
-    args.tol = None
-    args.seed = None
     return _run(doc, args)
 
 
@@ -211,25 +189,24 @@ def main(argv=None):
     p_cls = subs.add_parser("classify", help="classify a disturbance term")
     p_cls.add_argument("--perturbation", required=True,
                        choices=sorted(PERTURBATION_CATALOG))
-    p_cls.add_argument("--dim", type=int, default=None)
-    p_cls.add_argument("--probe-radius", type=float, default=1.0)
-    p_cls.add_argument("--t-horizon", type=float, default=20.0)
-    p_cls.add_argument("--quad-tol", type=float, default=1e-8)
-    p_cls.add_argument("--grid", default=None,
+    p_cls.add_argument("--dim", type=int)
+    p_cls.add_argument("--probe-radius", type=float)
+    p_cls.add_argument("--t-horizon", type=float)
+    p_cls.add_argument("--quad-tol", type=float)
+    p_cls.add_argument("--grid", type=_parse_floats,
                        help="profile grid, comma separated")
     _common_flags(p_cls)
     p_cls.set_defaults(fn=_cmd_classify)
 
     p_syn = subs.add_parser("synthesize", help="build a feedback controller")
     p_syn.add_argument("--model", required=True, choices=sorted(MODEL_CATALOG))
-    p_syn.add_argument("--m", type=int, default=1)
-    p_syn.add_argument("--n", type=int, default=2)
-    p_syn.add_argument("--mode", choices=("implicit", "linear"),
-                       default="implicit")
-    p_syn.add_argument("--poles", required=True,
+    p_syn.add_argument("--m", type=int)
+    p_syn.add_argument("--n", type=int)
+    p_syn.add_argument("--mode", choices=("implicit", "linear"))
+    p_syn.add_argument("--poles", type=_parse_poles, required=True,
                        help="';'-separated columns of ','-separated poles "
                             "(implicit) or a flat pole list (linear)")
-    p_syn.add_argument("--a-h", default="default",
+    p_syn.add_argument("--a-h", type=_parse_matrix, default="default",
                        help="';'-separated rows of ','-separated entries, "
                             "or 'default'")
     _common_flags(p_syn)
@@ -237,39 +214,37 @@ def main(argv=None):
 
     p_sim = subs.add_parser("simulate", help="simulate a loop or the error "
                                              "dynamics")
-    p_sim.add_argument("--scenario", default=None,
+    p_sim.add_argument("--scenario",
                        help="run the simulate stage of this scenario")
     p_sim.add_argument("--kind", choices=("error", "closed-loop", "tracking"),
                        default="error")
     p_sim.add_argument("--model", default="chain",
                        choices=sorted(MODEL_CATALOG))
-    p_sim.add_argument("--m", type=int, default=1)
-    p_sim.add_argument("--n", type=int, default=2)
-    p_sim.add_argument("--poles", default="-1")
-    p_sim.add_argument("--a-h", default="default")
-    p_sim.add_argument("--perturbation", default=None,
-                       choices=sorted(PERTURBATION_CATALOG))
-    p_sim.add_argument("--reference", default="sin_cos",
-                       choices=sorted(REFERENCE_CATALOG))
-    p_sim.add_argument("--e0", default=None, help="comma separated")
-    p_sim.add_argument("--x0", default=None, help="comma separated")
-    p_sim.add_argument("--t0", type=float, default=0.0)
+    p_sim.add_argument("--m", type=int)
+    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--poles", type=_parse_poles, default="-1")
+    p_sim.add_argument("--a-h", type=_parse_matrix, default="default")
+    p_sim.add_argument("--perturbation", choices=sorted(PERTURBATION_CATALOG))
+    p_sim.add_argument("--reference", choices=sorted(REFERENCE_CATALOG))
+    p_sim.add_argument("--e0", type=_parse_floats, help="comma separated")
+    p_sim.add_argument("--x0", type=_parse_floats, help="comma separated")
+    p_sim.add_argument("--t0", type=float)
     p_sim.add_argument("--t-end", type=float, default=10.0)
-    p_sim.add_argument("--samples", type=int, default=None)
+    p_sim.add_argument("--samples", type=int)
     _common_flags(p_sim)
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_ver = subs.add_parser("verify", help="empirical stability report")
-    p_ver.add_argument("--scenario", default=None,
+    p_ver.add_argument("--scenario",
                        help="run the verify stage of this scenario")
-    p_ver.add_argument("--a-h", default="default")
-    p_ver.add_argument("--perturbation", default=None,
-                       choices=sorted(PERTURBATION_CATALOG))
+    p_ver.add_argument("--a-h", type=_parse_matrix, default="default")
+    p_ver.add_argument("--perturbation", choices=sorted(PERTURBATION_CATALOG))
     p_ver.add_argument("--delta0", type=float, default=0.5)
-    p_ver.add_argument("--t0-grid", default="0,1,2")
-    p_ver.add_argument("--eps-levels", default="0.5,0.25")
+    p_ver.add_argument("--t0-grid", type=_parse_floats, default="0,1,2")
+    p_ver.add_argument("--eps-levels", type=_parse_floats,
+                       default="0.5,0.25")
     p_ver.add_argument("--horizon", type=float, default=10.0)
-    p_ver.add_argument("--samples", type=int, default=6)
+    p_ver.add_argument("--samples", type=int)
     _common_flags(p_ver)
     p_ver.set_defaults(fn=_cmd_verify)
 

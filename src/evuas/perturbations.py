@@ -50,13 +50,17 @@ def _k_example1_bounded(x):
     return np.array([-x[1], 2.0 * (np.cbrt(x[0]) + x[1] + 1.0)])
 
 
+def _check_dim(name, have, requested):
+    if requested is not None and requested != have:
+        raise ValueError(
+            f"{name!r} has dimension {have}, requested {requested}")
+
+
 def _from_signal(name):
     sig = make_signal(name)
 
     def build(dim=None, state_dim=None):
-        if dim is not None and dim != sig.dim:
-            raise ValueError(
-                f"signal {name!r} has dimension {sig.dim}, requested {dim}")
+        _check_dim(name, sig.dim, dim)
         return PerturbationSpec.from_signal(
             sig.fn, sig.dim, flags={"signal": name}, name=name,
             state_dim=state_dim, terms=sig.terms)
@@ -68,6 +72,7 @@ def _build_zero(dim=None, state_dim=None):
 
 
 def _build_example1_unbounded(dim=None, state_dim=None):
+    _check_dim("example1_unbounded", 2, dim)
     return PerturbationSpec.from_signal(
         _w_example1_unbounded, 2,
         flags={"diminishing_claimed": True, "bounded_columns": False},
@@ -76,6 +81,7 @@ def _build_example1_unbounded(dim=None, state_dim=None):
 
 
 def _build_example1_bounded(dim=None, state_dim=None):
+    _check_dim("example1_bounded", 2, dim)
     return PerturbationSpec.factored(
         _d_example1_bounded, _k_example1_bounded, 2,
         freq_hint=chirp_freq(_COLUMN_TERMS_EXAMPLE1_BOUNDED),

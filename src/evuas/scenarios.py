@@ -2,19 +2,28 @@
 
 A scenario is one JSON document declaring what to run (stages in order:
 classify, synthesize, simulate, verify) and with which model, disturbance
-and design.  Artifacts are written to an output directory together with a
-manifest that lists every file with its content hash; reruns with the same
-seed produce byte-identical artifacts, timestamps live only in the
-manifest.
+and design.  ``_SCHEMA`` declares every field once, with its parser,
+default and bounds, and rejects any field it does not list or that the
+section's kind or mode does not use; :func:`validate_scenario` adds the
+rules that relate fields.  :func:`run_scenario` validates once, after its
+overrides.  A validation failure, or a catalog entry asked for a shape it
+does not have, is a ScenarioError naming the field.
+
+Artifacts are written to an output directory together with a manifest
+that lists every file with its content hash; reruns with the same seed
+produce byte-identical artifacts, timestamps live only in the manifest.
 """
 
 import csv
 import hashlib
 import json
+import math
+import numbers
 import os
 import platform
 from datetime import datetime, timezone
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -35,251 +44,219 @@ from .verify import (make_closed_loop_factory, make_error_factory,
                      verify_evuas)
 
 SCENARIO_PATH_ENV = "EVUAS_SCENARIO_PATH"
-_STAGES = ("classify", "synthesize", "simulate", "verify")
+# the stages in their order, each with the sections it reads
+_NEEDS = {"classify": ("classify", "perturbation"), "synthesize": ("design",),
+          "simulate": ("simulate",), "verify": ("verify",)}
 _FORMATS = ("csv", "json", "svg")
 _CSV_FMT = "%.17g"
-
-_TOP_KEYS = {"name", "description", "seed", "norm", "outputs", "stages",
-             "model", "perturbation", "design", "classify", "simulate",
-             "verify"}
+_REQUIRED = object()        # the default of a field that must be given
 
 
 def _fail(field, msg):
     raise ScenarioError(f"{field}: {msg}", field=field)
 
 
-def _req(doc, key, types, field, what):
-    if key not in doc:
-        _fail(f"{field}{key}", f"required {what}")
-    return _typed(doc[key], types, f"{field}{key}", what)
+# ---------------------------------------------------------------------------
+# field parsers: parse(value, path) returns the normalized value or fails
+# naming the path
 
 
-def _typed(value, types, field, what):
-    if types is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(field, f"expected {what}")
-        return float(value)
-    if types is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail(field, f"expected {what}")
+def _of_type(types, convert, what):
+    """A value of ``types``, never a bool, passed through ``convert``."""
+    def parse(value, path):
+        if isinstance(value, bool) or not isinstance(value, types):
+            _fail(path, f"expected {what}")
+        return convert(value)
+    return parse
+
+
+def _one_of(choices):
+    def parse(value, path):
+        if not isinstance(value, str) or value not in choices:
+            _fail(path, f"must be one of {tuple(choices)}")
         return value
-    if not isinstance(value, types):
-        _fail(field, f"expected {what}")
-    return value
+    return parse
 
 
-def _number_list(value, field, what="list of numbers"):
-    _typed(value, list, field, what)
-    out = []
-    for i, v in enumerate(value):
-        out.append(_typed(v, float, f"{field}[{i}]", "number"))
-    return out
+def _list_of(item):
+    def parse(value, path):
+        if not isinstance(value, list):
+            _fail(path, "expected a list")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse
 
 
-def _pole(value, field):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value, 0.0)
-    if isinstance(value, list) and len(value) == 2:
-        re = _typed(value[0], float, f"{field}[0]", "number")
-        im = _typed(value[1], float, f"{field}[1]", "number")
-        return complex(re, im)
-    _fail(field, "expected a number or an [re, im] pair")
+def _rule(parse, holds, what):
+    """``parse``, then fail with "must be <what>" unless ``holds(value)``."""
+    def checked(value, path):
+        value = parse(value, path)
+        if not holds(value):
+            _fail(path, f"must be {what}")
+        return value
+    return checked
 
 
-def _matrix(value, field):
-    _typed(value, list, field, "matrix (list of rows)")
-    rows = []
-    width = None
-    for i, row in enumerate(value):
-        r = _number_list(row, f"{field}[{i}]", "row of numbers")
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            _fail(f"{field}[{i}]", f"ragged row (expected width {width})")
-        rows.append(r)
+_number = _rule(_of_type(numbers.Real, float, "a number"), math.isfinite,
+                "finite")
+_integer = _of_type(numbers.Integral, int, "an integer")
+_string = _of_type(str, str, "a string")
+
+
+def _increasing(xs):
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+def _at_least(k):
+    return _rule(_integer, lambda v: v >= k, f">= {k}")
+
+
+_numbers = _list_of(_number)
+_positive = _rule(_number, lambda v: v > 0, "positive")
+
+
+def _pole(value, path):
+    if not isinstance(value, list):
+        return complex(_number(value, path))
+    if len(value) != 2:
+        _fail(path, "expected a number or an [re, im] pair")
+    return complex(*_numbers(value, path))
+
+
+def _matrix(value, path):
+    rows = _list_of(_numbers)(value, path)
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            _fail(f"{path}[{i}]", f"ragged row (expected width "
+                                  f"{len(rows[0])})")
     return np.asarray(rows, dtype=float)
 
 
+_square = _rule(_matrix, lambda a: a.size > 0 and a.shape == (len(a),) * 2,
+                "a square matrix")
+
+
+def _a_h(value, path):
+    return value if value == "default" else _square(value, path)
+
+
+class _Field(NamedTuple):
+    """One field of an object: ``parse`` normalizes a given value or
+    ``default`` (None leaves an absent field out, _REQUIRED rejects its
+    absence); ``only`` lists the values of the object's first field (its
+    kind or mode) under which the field is used, empty for all."""
+
+    key: str
+    parse: object
+    default: object = None
+    only: tuple = ()
+
+
+def _object(*fields):
+    """Parser of an object holding ``fields`` and no other."""
+    keys = {f.key for f in fields}
+
+    def parse(doc, path):
+        def at(key):
+            return f"{path}.{key}" if path else key
+        if not isinstance(doc, dict):
+            _fail(path, "expected an object")
+        for key in doc:
+            if key not in keys:
+                _fail(at(key), "unknown field")
+        out = {}
+        for f in fields:
+            if f.only and out[fields[0].key] not in f.only:
+                continue
+            if f.key in doc:
+                out[f.key] = f.parse(doc[f.key], at(f.key))
+            elif f.default is _REQUIRED:
+                _fail(at(f.key), "required field")
+            elif f.default is not None:
+                out[f.key] = f.parse(f.default, at(f.key))
+        for key in doc:
+            if key not in out:
+                first = fields[0].key
+                _fail(at(key), f"not used when {first} is {out[first]!r}")
+        return out
+    return parse
+
+
+# The schema: every field of a scenario document, its parser, default and
+# bounds.  An omitted section is left out of the validated document.
+_SCHEMA = _object(
+    _Field("name", _string, _REQUIRED),
+    _Field("description", _string, ""),
+    _Field("seed", _integer, 0),
+    _Field("norm", _one_of(NORM_IDS), "euclidean"),
+    _Field("outputs", _object(
+        _Field("formats", _list_of(_one_of(_FORMATS)), ["csv", "json"])),
+        {}),
+    _Field("stages", _list_of(_one_of(_NEEDS)), []),
+    _Field("model", _object(
+        _Field("name", _one_of(MODEL_CATALOG), _REQUIRED),
+        _Field("m", _at_least(1), 1),
+        _Field("n", _at_least(1), 2))),
+    _Field("perturbation", _object(
+        _Field("name", _one_of(PERTURBATION_CATALOG), _REQUIRED),
+        _Field("dim", _at_least(1)))),
+    _Field("design", _object(
+        _Field("mode", _one_of(("implicit", "linear")), "implicit"),
+        # implicit: one list of poles per column of Gamma
+        _Field("poles", _list_of(_list_of(_pole)), only=("implicit",)),
+        _Field("poles", _list_of(_pole), _REQUIRED, only=("linear",)),
+        _Field("a_h", _a_h))),
+    _Field("classify", _object(
+        _Field("probe_radius", _positive, 1.0),
+        _Field("t_horizon", _positive, 20.0),
+        _Field("quad_tol", _positive, 1e-8),
+        _Field("profile_grid",
+               _rule(_numbers, _increasing, "strictly increasing")))),
+    _Field("simulate", _object(
+        _Field("kind", _one_of(("error", "closed-loop", "tracking")),
+               _REQUIRED),
+        _Field("t0", _number, 0.0),
+        _Field("t_end", _number, _REQUIRED),
+        _Field("tol", _positive, 1e-7),
+        _Field("e0", _numbers, _REQUIRED, only=("error",)),
+        _Field("x0", _numbers, _REQUIRED, only=("closed-loop", "tracking")),
+        _Field("reference", _one_of(REFERENCE_CATALOG), "sin_cos",
+               only=("tracking",)),
+        _Field("samples", _at_least(2)))),
+    _Field("verify", _object(
+        _Field("target", _one_of(("error", "closed-loop")), "error"),
+        _Field("delta0", _positive, _REQUIRED),
+        _Field("t0_grid", _rule(_numbers, len, "non-empty"), _REQUIRED),
+        _Field("eps_levels",
+               _rule(_numbers, lambda e: min(e, default=1) > 0
+                     and _increasing(e[::-1]),
+                     "positive and strictly decreasing"), _REQUIRED),
+        _Field("horizon", _positive, _REQUIRED),
+        _Field("samples", _at_least(1), 6),
+        _Field("tol", _positive, 1e-6))),
+)
+
+
 def validate_scenario(doc):
-    """Normalize and validate a scenario document; raises ScenarioError."""
-    _typed(doc, dict, "", "JSON object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            _fail(key, "unknown field")
-    out = {}
-    out["name"] = _req(doc, "name", str, "", "string")
-    out["description"] = _typed(doc.get("description", ""), str,
-                                "description", "string")
-    out["seed"] = _typed(doc.get("seed", 0), int, "seed", "integer")
-    out["norm"] = _typed(doc.get("norm", "euclidean"), str, "norm", "string")
-    if out["norm"] not in NORM_IDS:
-        _fail("norm", f"must be one of {NORM_IDS}")
+    """Normalize and validate a scenario document; raises ScenarioError.
 
-    outputs = _typed(doc.get("outputs", {}), dict, "outputs", "object")
-    formats = _typed(outputs.get("formats", ["csv", "json"]), list,
-                     "outputs.formats", "list")
-    for i, f in enumerate(formats):
-        if f not in _FORMATS:
-            _fail(f"outputs.formats[{i}]", f"must be one of {_FORMATS}")
-    out["formats"] = list(dict.fromkeys(formats))
-
-    stages = _typed(doc.get("stages", []), list, "stages", "list")
-    for i, s in enumerate(stages):
-        if s not in _STAGES:
-            _fail(f"stages[{i}]", f"must be one of {_STAGES}")
-        if s in _STAGES and s != "synthesize" and s not in doc:
-            _fail(s, f"stage {s!r} is listed but has no configuration")
-    out["stages"] = stages
-
-    if "model" in doc:
-        mc = _typed(doc["model"], dict, "model", "object")
-        name = _req(mc, "name", str, "model.", "string")
-        if name not in MODEL_CATALOG:
-            _fail("model.name", f"unknown model (catalog: {sorted(MODEL_CATALOG)})")
-        m = _typed(mc.get("m", 1), int, "model.m", "integer")
-        n = _typed(mc.get("n", 2), int, "model.n", "integer")
-        if m < 1:
-            _fail("model.m", "must be >= 1")
-        if n < 1:
-            _fail("model.n", "must be >= 1")
-        out["model"] = {"name": name, "m": m, "n": n}
-
-    if "perturbation" in doc:
-        pc = _typed(doc["perturbation"], dict, "perturbation", "object")
-        name = _req(pc, "name", str, "perturbation.", "string")
-        if name not in PERTURBATION_CATALOG:
-            _fail("perturbation.name",
-                  f"unknown perturbation (catalog: {sorted(PERTURBATION_CATALOG)})")
-        entry = {"name": name}
-        if "dim" in pc:
-            dim = _typed(pc["dim"], int, "perturbation.dim", "integer")
-            if dim < 1:
-                _fail("perturbation.dim", "must be >= 1")
-            entry["dim"] = dim
-        out["perturbation"] = entry
-
-    if "design" in doc:
-        dc = _typed(doc["design"], dict, "design", "object")
-        mode = _typed(dc.get("mode", "implicit"), str, "design.mode", "string")
-        if mode not in ("implicit", "linear"):
-            _fail("design.mode", "must be 'implicit' or 'linear'")
-        design = {"mode": mode}
-        if "poles" in dc:
-            poles = _typed(dc["poles"], list, "design.poles", "list")
-            if mode == "implicit":
-                cols = []
-                for j, col in enumerate(poles):
-                    col = _typed(col, list, f"design.poles[{j}]",
-                                 "list of poles")
-                    cols.append([_pole(p, f"design.poles[{j}][{i}]")
-                                 for i, p in enumerate(col)])
-                design["poles"] = cols
-            else:
-                design["poles"] = [_pole(p, f"design.poles[{i}]")
-                                   for i, p in enumerate(poles)]
-        if "a_h" in dc:
-            if dc["a_h"] == "default":
-                design["a_h"] = "default"
-            else:
-                design["a_h"] = _matrix(dc["a_h"], "design.a_h")
-        out["design"] = design
-
-    if "classify" in doc:
-        cc = _typed(doc["classify"], dict, "classify", "object")
-        cfg = {
-            "probe_radius": _typed(cc.get("probe_radius", 1.0), float,
-                                   "classify.probe_radius", "number"),
-            "t_horizon": _typed(cc.get("t_horizon", 20.0), float,
-                                "classify.t_horizon", "number"),
-            "quad_tol": _typed(cc.get("quad_tol", 1e-8), float,
-                               "classify.quad_tol", "number"),
-        }
-        if cfg["probe_radius"] <= 0:
-            _fail("classify.probe_radius", "must be positive")
-        if cfg["t_horizon"] <= 0:
-            _fail("classify.t_horizon", "must be positive")
-        if cfg["quad_tol"] <= 0:
-            _fail("classify.quad_tol", "must be positive")
-        if "profile_grid" in cc:
-            grid = _number_list(cc["profile_grid"], "classify.profile_grid")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                _fail("classify.profile_grid", "must be strictly increasing")
-            cfg["profile_grid"] = grid
-        out["classify"] = cfg
-
-    if "simulate" in doc:
-        sc = _typed(doc["simulate"], dict, "simulate", "object")
-        kind = _req(sc, "kind", str, "simulate.", "string")
-        if kind not in ("error", "closed-loop", "tracking"):
-            _fail("simulate.kind",
-                  "must be 'error', 'closed-loop' or 'tracking'")
-        cfg = {"kind": kind,
-               "t0": _typed(sc.get("t0", 0.0), float, "simulate.t0", "number"),
-               "t_end": _req(sc, "t_end", float, "simulate.", "number"),
-               "tol": _typed(sc.get("tol", 1e-7), float, "simulate.tol",
-                             "number")}
-        if cfg["t_end"] <= cfg["t0"]:
-            _fail("simulate.t_end", "must exceed simulate.t0")
-        if cfg["tol"] <= 0:
-            _fail("simulate.tol", "must be positive")
-        if kind == "error":
-            cfg["e0"] = _number_list(_req(sc, "e0", list, "simulate.",
-                                          "list of numbers"), "simulate.e0")
-        else:
-            cfg["x0"] = _number_list(_req(sc, "x0", list, "simulate.",
-                                          "list of numbers"), "simulate.x0")
-        if kind == "tracking":
-            ref = _typed(sc.get("reference", "sin_cos"), str,
-                         "simulate.reference", "string")
-            if ref not in REFERENCE_CATALOG:
-                _fail("simulate.reference",
-                      f"unknown reference (catalog: {sorted(REFERENCE_CATALOG)})")
-            cfg["reference"] = ref
-        if "samples" in sc:
-            cfg["samples"] = _typed(sc["samples"], int, "simulate.samples",
-                                    "integer")
-            if cfg["samples"] < 2:
-                _fail("simulate.samples", "must be >= 2")
-        out["simulate"] = cfg
-
-    if "verify" in doc:
-        vc = _typed(doc["verify"], dict, "verify", "object")
-        target = _typed(vc.get("target", "error"), str, "verify.target",
-                        "string")
-        if target not in ("error", "closed-loop"):
-            _fail("verify.target", "must be 'error' or 'closed-loop'")
-        eps = _number_list(_req(vc, "eps_levels", list, "verify.", "list"),
-                           "verify.eps_levels")
-        if any(e <= 0 for e in eps) or \
-                any(b >= a for a, b in zip(eps, eps[1:])):
-            _fail("verify.eps_levels",
-                  "must be positive and strictly decreasing")
-        cfg = {
-            "target": target,
-            "delta0": _req(vc, "delta0", float, "verify.", "number"),
-            "t0_grid": _number_list(_req(vc, "t0_grid", list, "verify.",
-                                         "list"), "verify.t0_grid"),
-            "eps_levels": eps,
-            "horizon": _req(vc, "horizon", float, "verify.", "number"),
-            "samples": _typed(vc.get("samples", 6), int, "verify.samples",
-                              "integer"),
-            "tol": _typed(vc.get("tol", 1e-6), float, "verify.tol", "number"),
-        }
-        if cfg["delta0"] <= 0:
-            _fail("verify.delta0", "must be positive")
-        if not cfg["t0_grid"]:
-            _fail("verify.t0_grid", "must not be empty")
-        if cfg["horizon"] <= 0:
-            _fail("verify.horizon", "must be positive")
-        if cfg["samples"] < 1:
-            _fail("verify.samples", "must be >= 1")
-        if cfg["tol"] <= 0:
-            _fail("verify.tol", "must be positive")
-        out["verify"] = cfg
-
+    Each field is checked by ``_SCHEMA``; the rules here relate fields to
+    each other.  The output formats come back deduplicated at top level.
+    """
+    out = _SCHEMA(doc, "")
+    out["formats"] = list(dict.fromkeys(out.pop("outputs")["formats"]))
     for stage in out["stages"]:
-        if stage != "synthesize" and stage not in out:
-            _fail(stage, f"stage {stage!r} is listed but has no configuration")
+        for section in _NEEDS[stage]:
+            if section not in out:
+                _fail(section, f"stage {stage!r} needs a {section} section")
+    sim = out.get("simulate")
+    if sim is not None:
+        if sim["t_end"] <= sim["t0"]:
+            _fail("simulate.t_end", "must exceed simulate.t0")
+        a_h = out.get("design", {}).get("a_h", "default")
+        if "e0" in sim and not isinstance(a_h, str) \
+                and len(sim["e0"]) != len(a_h):
+            _fail("simulate.e0", f"must have {len(a_h)} entries, the size "
+                                 "of design.a_h")
     return out
 
 
@@ -324,30 +301,34 @@ def list_scenarios(extra_dirs=None):
     return rows
 
 
-def load_scenario(source, extra_dirs=None):
-    """Resolve a scenario by dict, file path, or catalog name."""
+def _read_scenario(source, extra_dirs=None):
+    """The raw document of a scenario given as a dict, a file path or a
+    catalog name."""
     if isinstance(source, dict):
-        return validate_scenario(source)
+        return source
     source = str(source)
     if os.path.isfile(source):
         with open(source, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                return json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"invalid JSON in {source}: {exc}",
                                     field="") from exc
-        return validate_scenario(doc)
     for d in _user_dirs(extra_dirs):
         path = os.path.join(d, source + ".json")
         if os.path.isfile(path):
-            return load_scenario(path)
+            return _read_scenario(path)
     bundled = _bundled_scenarios()
     if source in bundled:
-        return validate_scenario(
-            json.loads(bundled[source].read_text(encoding="utf-8")))
+        return json.loads(bundled[source].read_text(encoding="utf-8"))
     raise ScenarioError(
         f"scenario {source!r} is neither a file nor a known name "
         f"(bundled: {sorted(bundled)})", field="name")
+
+
+def load_scenario(source, extra_dirs=None):
+    """Resolve a scenario by dict, file path, or catalog name; validated."""
+    return validate_scenario(_read_scenario(source, extra_dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +363,15 @@ def _write_profile_csv(path, prof, bound_fn=None):
             writer.writerow(row)
 
 
+def _catalog(field, make, *args, **kwargs):
+    """A catalog entry; a shape the entry does not have (its ValueError)
+    is a ScenarioError on ``field``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: {exc}", field=field) from exc
+
+
 class _Run:
     """One scenario execution: resolved objects plus emitted artifacts."""
 
@@ -390,9 +380,11 @@ class _Run:
         self.out_dir = out_dir
         self.artifacts = []
         self.results = {}
-        self.controller = None
+        self.ctrl = None
         self._model = None
         self._pert = None
+        a_h = doc.get("design", {}).get("a_h", "default")
+        self.a_h = None if isinstance(a_h, str) else a_h    # None: default
 
     def path(self, name):
         self.artifacts.append(name)
@@ -405,22 +397,35 @@ class _Run:
             if cfg is None:
                 raise ScenarioError("stage needs a model section",
                                     field="model")
-            self._model = make_model(cfg["name"], m=cfg["m"], n=cfg["n"])
+            self._model = _catalog("model.m", make_model, cfg["name"],
+                                   m=cfg["m"], n=cfg["n"])
         return self._model
 
     def pert(self, state_dim=None):
-        if self._pert is None:
-            cfg = self.doc.get("perturbation")
-            if cfg is None:
-                return None
-            self._pert = make_perturbation(cfg["name"], dim=cfg.get("dim"),
-                                           state_dim=state_dim)
+        cfg = self.doc.get("perturbation")
+        if self._pert is None and cfg is not None:
+            self._pert = _catalog("perturbation.dim", make_perturbation,
+                                  cfg["name"], dim=cfg.get("dim"),
+                                  state_dim=state_dim)
         return self._pert
 
+    def error_dim(self):
+        """The error system's size: that of a matrix design.a_h, else the
+        length of an error run's e0, else the perturbation's dim."""
+        if self.a_h is not None:
+            return len(self.a_h)
+        if "e0" in self.doc.get("simulate", {}):
+            return len(self.doc["simulate"]["e0"])
+        if self.pert() is None:
+            raise ScenarioError(
+                "cannot infer the error-system dimension; give design.a_h "
+                "or a perturbation", field="verify")
+        return self.pert().dim
+
     def hurwitz(self, m):
-        design = self.doc.get("design", {})
-        a_h = design.get("a_h", "default")
-        return default_hurwitz(m) if isinstance(a_h, str) else build_hurwitz(a_h)
+        if self.a_h is None:
+            return default_hurwitz(m)
+        return build_hurwitz(self.a_h)
 
     def gamma_design(self):
         design = self.doc.get("design", {})
@@ -429,14 +434,18 @@ class _Run:
                                 "(per-column lists)", field="design.poles")
         return build_gamma(design["poles"], self.model.n)
 
+    def controller(self):
+        """The synthesize stage's controller, else the implicit design's."""
+        if self.ctrl is None:
+            self.ctrl = synthesize_feedback(self.model, self.gamma_design(),
+                                            self.hurwitz(self.model.m))
+        return self.ctrl
+
 
 def _stage_classify(run):
     doc = run.doc
     cfg = doc["classify"]
     pert = run.pert()
-    if pert is None:
-        raise ScenarioError("classify stage needs a perturbation section",
-                            field="perturbation")
     cls = classify(pert, cfg["probe_radius"], cfg["t_horizon"],
                    quad_tol=cfg["quad_tol"], norm=doc["norm"],
                    seed=doc["seed"],
@@ -471,22 +480,11 @@ def _stage_classify(run):
 
 
 def _stage_synthesize(run):
-    doc = run.doc
-    design = doc.get("design")
-    if design is None:
-        raise ScenarioError("synthesize stage needs a design section",
-                            field="design")
+    design = run.doc["design"]
     if design["mode"] == "linear":
-        if "poles" not in design:
-            raise ScenarioError("linear design needs design.poles",
-                                field="design.poles")
-        ctrl = linearize_and_place(run.model, design["poles"])
-    else:
-        ctrl = synthesize_feedback(run.model, run.gamma_design(),
-                                   run.hurwitz(run.model.m))
-    run.controller = ctrl
-    run.results["controller"] = ctrl
-    _write_json(run.path("controller.json"), ctrl.to_summary())
+        run.ctrl = linearize_and_place(run.model, design["poles"])
+    run.results["controller"] = run.controller()
+    _write_json(run.path("controller.json"), run.ctrl.to_summary())
 
 
 def _stage_simulate(run):
@@ -496,25 +494,22 @@ def _stage_simulate(run):
     if "samples" in cfg:
         samples = np.linspace(cfg["t0"], cfg["t_end"], cfg["samples"])
     if cfg["kind"] == "error":
-        m = len(cfg["e0"])
-        pert = run.pert(state_dim=m)
+        dim = run.error_dim()
         traj = simulate_error_dynamics(
-            run.hurwitz(m), pert, cfg["e0"], cfg["t0"], cfg["t_end"],
-            tol=cfg["tol"], sample_times=samples, norm=doc["norm"])
+            run.hurwitz(dim), run.pert(state_dim=dim), cfg["e0"], cfg["t0"],
+            cfg["t_end"], tol=cfg["tol"], sample_times=samples,
+            norm=doc["norm"])
     elif cfg["kind"] == "closed-loop":
         model = run.model
-        pert = run.pert(state_dim=model.state_dim)
-        ctrl = run.controller
-        if ctrl is None:
-            ctrl = synthesize_feedback(model, run.gamma_design(),
-                                       run.hurwitz(model.m))
         traj = simulate_closed_loop(
-            model, ctrl, pert, cfg["x0"], cfg["t0"], cfg["t_end"],
-            tol=cfg["tol"], sample_times=samples, norm=doc["norm"])
+            model, run.controller(), run.pert(state_dim=model.state_dim),
+            cfg["x0"], cfg["t0"], cfg["t_end"], tol=cfg["tol"],
+            sample_times=samples, norm=doc["norm"])
     else:
         model = run.model
         pert = run.pert(state_dim=model.state_dim)
-        ref = make_reference(cfg["reference"], m=model.m, n=model.n)
+        ref = _catalog("simulate.reference", make_reference,
+                       cfg["reference"], m=model.m, n=model.n)
         traj = simulate_tracking(
             model, run.gamma_design(), run.hurwitz(model.m), ref, pert,
             cfg["x0"], cfg["t0"], cfg["t_end"], tol=cfg["tol"],
@@ -537,38 +532,15 @@ def _stage_verify(run):
     doc = run.doc
     cfg = doc["verify"]
     if cfg["target"] == "error":
-        sizes = []
-        if "simulate" in doc and doc["simulate"]["kind"] == "error":
-            sizes.append(len(doc["simulate"]["e0"]))
-        design = doc.get("design", {})
-        a_h = design.get("a_h", "default")
-        if not isinstance(a_h, str):
-            sizes.append(np.asarray(a_h).shape[0])
-        pc = doc.get("perturbation")
-        if pc and "dim" in pc:
-            sizes.append(pc["dim"])
-        if not sizes:
-            pert_probe = run.pert()
-            if pert_probe is not None:
-                sizes.append(pert_probe.dim)
-        if not sizes:
-            raise ScenarioError(
-                "cannot infer the error-system dimension; give design.a_h "
-                "or perturbation.dim", field="verify")
-        dim = sizes[0]
-        pert = run.pert(state_dim=dim)
-        factory = make_error_factory(run.hurwitz(dim), pert, cfg["horizon"],
-                                     tol=cfg["tol"])
+        dim = run.error_dim()
+        factory = make_error_factory(run.hurwitz(dim), run.pert(state_dim=dim),
+                                     cfg["horizon"], tol=cfg["tol"])
     else:
         model = run.model
-        pert = run.pert(state_dim=model.state_dim)
-        ctrl = run.controller
-        if ctrl is None:
-            ctrl = synthesize_feedback(model, run.gamma_design(),
-                                       run.hurwitz(model.m))
         dim = model.state_dim
-        factory = make_closed_loop_factory(model, ctrl, pert, cfg["horizon"],
-                                           tol=cfg["tol"])
+        factory = make_closed_loop_factory(
+            model, run.controller(), run.pert(state_dim=dim), cfg["horizon"],
+            tol=cfg["tol"])
     report = verify_evuas(factory, cfg["delta0"], cfg["t0_grid"],
                           cfg["eps_levels"], cfg["horizon"],
                           samples=cfg["samples"], seed=doc["seed"], dim=dim,
@@ -581,35 +553,34 @@ _STAGE_FNS = {"classify": _stage_classify, "synthesize": _stage_synthesize,
               "simulate": _stage_simulate, "verify": _stage_verify}
 
 
+def _with(section, **fields):
+    """A copy of an object with the given fields that are not None; a
+    section that is not an object is left for validation to reject."""
+    if not isinstance(section, dict):
+        return section
+    return {**section, **{k: v for k, v in fields.items() if v is not None}}
+
+
 def run_scenario(source, out_dir, seed=None, tol=None, norm=None,
                  formats=None, extra_dirs=None):
     """Execute a scenario and write its artifacts plus a manifest.
 
-    Overrides (seed, tol, norm, formats) are applied to the validated
-    document before execution and therefore participate in the config
-    hash.  Returns a summary dict with the resolved document, the emitted
-    artifact names and the in-memory stage results.
+    Overrides (seed, tol, norm, formats) are applied to the document and
+    validated with it, so they participate in the config hash; tol applies
+    to the simulate and verify sections present.  Returns a summary dict
+    with the resolved document, the emitted artifact names and the
+    in-memory stage results.
     """
-    doc = load_scenario(source, extra_dirs=extra_dirs)
-    if seed is not None:
-        doc["seed"] = int(seed)
-    if norm is not None:
-        if norm not in NORM_IDS:
-            raise ScenarioError(f"norm: must be one of {NORM_IDS}",
-                                field="norm")
-        doc["norm"] = norm
-    if formats is not None:
-        for f in formats:
-            if f not in _FORMATS:
-                raise ScenarioError(
-                    f"outputs.formats: must be one of {_FORMATS}",
-                    field="outputs.formats")
-        doc["formats"] = list(dict.fromkeys(formats))
-    if tol is not None:
-        if "simulate" in doc:
-            doc["simulate"]["tol"] = float(tol)
-        if "verify" in doc:
-            doc["verify"]["tol"] = float(tol)
+    doc = _read_scenario(source, extra_dirs)
+    if isinstance(doc, dict):       # else validation rejects it
+        doc = _with(doc, seed=seed, norm=norm)
+        if formats is not None:
+            doc["outputs"] = _with(doc.get("outputs", {}),
+                                   formats=list(formats))
+        for stage in ("simulate", "verify"):
+            if stage in doc:
+                doc[stage] = _with(doc[stage], tol=tol)
+    doc = validate_scenario(doc)
 
     os.makedirs(out_dir, exist_ok=True)
     run = _Run(doc, out_dir)

@@ -48,6 +48,16 @@ def _check_width(pert, width):
                          f"components; this system takes {width}")
 
 
+def _states(x, dim, name):
+    """One flat state (dim,) or an (N, dim) batch as floats, else
+    ShapeError."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 2 or x.shape[-1] != dim:
+        raise ShapeError(
+            f"{name}: expected shape ({dim},) or (N, {dim}), got {x.shape}")
+    return x
+
+
 def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, norm, track=None):
     """Run x' = A x + (0, W(t, x_true)), W in the last ``pert.dim`` entries
     and x_true = x + X_d(t) for the deviation from a reference ``track``:
@@ -116,9 +126,11 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
     ``sample_times`` and a zero or chirp-form W the samples are exact and
     ``tol`` is not used: the diagnostics of
     :func:`evuas.integrate.propagate_linear` count sub-intervals, not
-    steps.  A W whose width is not dim raises ShapeError.
+    steps.  An e0 or a W whose width is not dim raises ShapeError.
     """
-    _check_width(pert, len(hurwitz.a_h))
+    dim = len(hurwitz.a_h)
+    e0 = _states(e0, dim, "e0")
+    _check_width(pert, dim)
     return _run_linear(hurwitz.a_h, pert, e0, t0, t_end, tol, sample_times,
                        norm)
 
@@ -139,11 +151,7 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     inside the right-hand side, row by row, and on the stored states with
     one call per time.  A W whose width is not m raises ShapeError.
     """
-    dim = model.state_dim
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.ndim > 2 or x0.shape[-1] != dim:
-        raise ShapeError(
-            f"x0: expected shape ({dim},) or (N, {dim}), got {x0.shape}")
+    x0 = _states(x0, model.state_dim, "x0")
     _check_width(pert, model.m)
     if isinstance(ctrl, ImplicitController) and ctrl.model is model:
         traj = _run_linear(closed_loop_matrix(ctrl.design, ctrl.hurwitz),

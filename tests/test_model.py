@@ -228,6 +228,15 @@ def test_catalog_names_resolve():
         ev.make_model("nope")
 
 
+@pytest.mark.parametrize("name", ["example1_unbounded", "example1_bounded",
+                                  "cos_exp"])
+def test_perturbation_rejects_a_dim_it_does_not_have(name):
+    dim = ev.make_perturbation(name).dim
+    assert ev.make_perturbation(name, dim=dim).dim == dim
+    with pytest.raises(ValueError, match="has dimension"):
+        ev.make_perturbation(name, dim=3)
+
+
 def _random_factored(dim, seed):
     # a dense D, so a batched product summing in another order would show
     d = np.random.default_rng(seed).standard_normal((dim, dim))

@@ -1,15 +1,19 @@
+import copy
 import csv
 import json
 import math
 import os
+import shlex
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evuas as ev
 from evuas.cli import main as cli_main
-from evuas.scenarios import (list_scenarios, load_scenario, run_scenario,
-                             validate_scenario)
+from evuas.scenarios import (_config_hash, list_scenarios, load_scenario,
+                             run_scenario, validate_scenario)
 
 A_H = [[-1.0, 2.0], [0.0, -1.5]]
 
@@ -28,6 +32,24 @@ _SMALL_VERIFY = {
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _bundled(name):
+    """A bundled scenario's raw document."""
+    entry = resources.files("evuas").joinpath(f"scenario_files/{name}.json")
+    return json.loads(entry.read_text(encoding="utf-8"))
+
+
+def _renamed(doc, section, old, new):
+    doc = copy.deepcopy(doc)
+    doc[section][new] = doc[section].pop(old)
+    return doc
+
+
+def _field_of(doc):
+    with pytest.raises(ev.ScenarioError) as exc:
+        validate_scenario(doc)
+    return exc.value.field
 
 
 # --- validation
@@ -79,6 +101,112 @@ def test_validate_eps_levels_ordering():
     with pytest.raises(ev.ScenarioError) as exc:
         validate_scenario(bad)
     assert exc.value.field == "verify.eps_levels"
+
+
+# a misspelt field, one per level of the document
+_TYPOS = {
+    "stage": {"name": "x", "stage": []},
+    "outputs.format": {"name": "x", "outputs": {"format": ["svg"]}},
+    "model.M": {"name": "x", "model": {"name": "chain", "M": 2}},
+    "perturbation.dims": {"name": "x",
+                          "perturbation": {"name": "zero", "dims": 2}},
+    "design.a_H": {"name": "x", "design": {"a_H": A_H}},
+    "classify.quad_tols": {"name": "x", "classify": {"quad_tols": 1e-9}},
+    # 203,740 RK steps instead of 2,001 propagated samples if dropped
+    "simulate.sample": _renamed(_bundled("example1_unbounded"), "simulate",
+                                "samples", "sample"),
+    "verify.sample": _renamed(_SMALL_VERIFY, "verify", "samples", "sample"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_TYPOS))
+def test_a_misspelt_field_is_rejected_at_every_level(field):
+    assert _field_of(_TYPOS[field]) == field
+
+
+def _with_section(section, body):
+    return {"name": "x", "stages": [], section: body}
+
+
+_SIM = {"kind": "error", "e0": [1.0, 0.0], "t_end": 1.0}
+_RULES = {
+    "required": ({"stages": []}, "name"),
+    "required_in_section": (_with_section(
+        "simulate", {"kind": "error", "e0": [1.0]}), "simulate.t_end"),
+    "required_by_mode": (_with_section("design", {"mode": "linear"}),
+                         "design.poles"),
+    "type": ({"name": "x", "seed": "7"}, "seed"),
+    "finite": (_with_section("simulate", dict(_SIM, t_end=math.nan)),
+               "simulate.t_end"),
+    "object": (_with_section("model", ["chain"]), "model"),
+    "positive": (_with_section("classify", {"probe_radius": 0}),
+                 "classify.probe_radius"),
+    "at_least": (_with_section("simulate", dict(_SIM, samples=1)),
+                 "simulate.samples"),
+    "one_of": (_with_section("design", {"mode": "explicit"}), "design.mode"),
+    "one_of_in_list": ({"name": "x", "stages": ["plot"]}, "stages[0]"),
+    "increasing": (_with_section("classify", {"profile_grid": [0, 2, 1]}),
+                   "classify.profile_grid"),
+    "decreasing": (_with_section("verify", dict(
+        _SMALL_VERIFY["verify"], eps_levels=[0.5, 0.5])),
+        "verify.eps_levels"),
+    "non_empty": (_with_section("verify", dict(
+        _SMALL_VERIFY["verify"], t0_grid=[])), "verify.t0_grid"),
+    "ragged_row": (_with_section("design", {"a_h": [[-1.0, 0.0], [-1.0]]}),
+                   "design.a_h[1]"),
+    "square": (_with_section("design", {"a_h": [[-1.0, 2.0]]}),
+               "design.a_h"),
+    "pole_pair": (_with_section("design", {"poles": [[[-1.0, 0.0, 1.0]]]}),
+                  "design.poles[0][0]"),
+    "pole_part": (_with_section("design", {"poles": [[[-1.0, "i"]]]}),
+                  "design.poles[0][0][1]"),
+    "t_end_after_t0": (_with_section("simulate", dict(_SIM, t0=2.0)),
+                       "simulate.t_end"),
+    "e0_fits_a_h": (dict(_with_section("simulate", _SIM), design={
+        "a_h": [[-1.0]]}), "simulate.e0"),
+    "stage_section": ({"name": "x", "stages": ["classify"],
+                       "classify": {}}, "perturbation"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_RULES))
+def test_each_rule_names_its_field(rule):
+    doc, field = _RULES[rule]
+    assert _field_of(doc) == field
+
+
+@pytest.mark.parametrize("sim, key", [
+    ({"kind": "closed-loop", "x0": [0.0, 0.0], "e0": [0.0, 0.0]}, "e0"),
+    ({"kind": "error", "e0": [0.0], "x0": [0.0]}, "x0"),
+    ({"kind": "closed-loop", "x0": [0.0, 0.0], "reference": "sin_cos"},
+     "reference"),
+], ids=["e0_on_a_loop", "x0_on_an_error_run", "reference_off_tracking"])
+def test_a_field_its_kind_does_not_use_is_rejected(sim, key):
+    doc = _with_section("simulate", dict(sim, t_end=1.0))
+    assert _field_of(doc) == f"simulate.{key}"
+
+
+# config hashes of the bundled scenarios: a change to a default or to the
+# validated document's form shows here
+_PINNED_HASHES = {
+    "example1_unbounded":
+        "25b48b2a086379f1dbcb9a39525fc35970fb100bc2f24e287c455e219f588674",
+    "example1_bounded":
+        "f6326c6b8981e371740d9f878e499a2026f2b477a554a122177daeaf936b5e39",
+    "remark1_bounds":
+        "da8c790dbd2a81b7a90db57a6920ebfcbe2e597758162377849c0099636dc1e7",
+    "remark1_unbounded_profile":
+        "3454f445c719369fe2db8a4ea0ff085bc23baa440d56280d4693cacc1d23f115",
+    "tracking_demo":
+        "66f4ede4b04dc12c35143f3b3045923de73a2a293cdbd99caefeee18d3b6d566",
+    "pole_placement_demo":
+        "9dad23cf8fff5ff2210f1782bee4cc614781eca6041ba856a94cfbc7519da2bc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_HASHES))
+def test_bundled_scenario_config_hash_is_pinned(name):
+    assert _config_hash(load_scenario(name)) == _PINNED_HASHES[name]
 
 
 # --- execution
@@ -182,6 +310,27 @@ def test_svg_format_emits_plots(tmp_path):
     run_scenario(doc, tmp_path / "o")
     svg = (tmp_path / "o" / "trajectory.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_overrides_are_validated_like_document_fields(tmp_path):
+    for override, field in [({"tol": -1}, "simulate.tol"),
+                            ({"norm": "manhattan"}, "norm"),
+                            ({"formats": ["pdf"]}, "outputs.formats[0]"),
+                            ({"seed": "7"}, "seed")]:
+        with pytest.raises(ev.ScenarioError) as exc:
+            run_scenario("example1_unbounded", tmp_path / "o", **override)
+        assert exc.value.field == field
+    assert not (tmp_path / "o").exists()
+
+
+def test_overrides_leave_the_callers_document_alone(tmp_path):
+    doc = copy.deepcopy(_SMALL_VERIFY)
+    out = run_scenario(doc, tmp_path / "o", seed=2, tol=1e-6, norm="inf",
+                       formats=["json"])
+    assert doc == _SMALL_VERIFY
+    assert (out["doc"]["seed"], out["doc"]["verify"]["tol"],
+            out["doc"]["norm"], out["doc"]["formats"]) == \
+        (2, 1e-6, "inf", ["json"])
 
 
 def test_stage_failure_raises_runtime_error(tmp_path):
@@ -322,3 +471,93 @@ def test_cli_norm_and_seed_overrides(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["seed"] == 9
+
+
+def test_cli_override_is_validated(tmp_path, capsys):
+    rc = cli_main(["run", "example1_unbounded", "--tol", "-1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "simulate.tol" in capsys.readouterr().err
+
+
+# a command, the written document it stands for and their config hash;
+# the flags left out and the fields omitted take the schema's defaults
+_CLI_DOCUMENTS = {
+    "simulate": (
+        ["simulate", "--kind", "error", "--a-h=-1,2;0,-1.5", "--e0=-1,1.5",
+         "--t-end", "10", "--samples", "201"],
+        {"name": "simulate_cli", "stages": ["simulate"],
+         "design": {"a_h": A_H},
+         "simulate": {"kind": "error", "e0": [-1, 1.5], "t_end": 10,
+                      "samples": 201}},
+        "0848614dd70acfbb26499ab8bf964270bd561e5a88fb7d6704684cca6a51dfb9"),
+    "verify": (
+        ["verify", "--a-h=-1,2;0,-1.5", "--perturbation", "const_e1",
+         "--samples", "3", "--seed", "4", "--tol", "1e-5"],
+        {"name": "verify_cli", "seed": 4, "stages": ["verify"],
+         "design": {"a_h": A_H}, "perturbation": {"name": "const_e1"},
+         "verify": {"delta0": 0.5, "t0_grid": [0, 1, 2],
+                    "eps_levels": [0.5, 0.25], "horizon": 10,
+                    "samples": 3, "tol": 1e-5}},
+        "c7f7bfe5caf8687d5da9a32a5fac5243161a23ed1c05cf276d7cced13447f07a"),
+    "synthesize": (
+        ["synthesize", "--model", "cubic", "--poles=-1"],
+        {"name": "synthesize_cubic", "stages": ["synthesize"],
+         "model": {"name": "cubic"},
+         "design": {"poles": [[-1]], "a_h": "default"}},
+        "3178885d422c21c5f2efa9873e927c88952f553b59eae4f4389e2fcd13ff9248"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_DOCUMENTS))
+def test_cli_document_has_the_hash_of_the_written_document(tmp_path,
+                                                           command):
+    argv, written, digest = _CLI_DOCUMENTS[command]
+    assert cli_main(argv + ["--out", str(tmp_path / "cli")]) == 0
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+    assert manifest["config_hash"] == digest
+    assert _config_hash(load_scenario(written)) == digest
+
+
+# document errors: exit 2 naming the field, not a stage failure
+_DOCUMENT_ERRORS = {
+    "scalar_model": (["synthesize", "--model", "cubic", "--m", "2",
+                      "--poles=-1;-1"], "model.m"),
+    "signal_dim": (["classify", "--perturbation", "cos_exp", "--dim", "2"],
+                   "perturbation.dim"),
+    "non_square_a_h_simulate": (["simulate", "--kind", "error", "--a-h=-1,2",
+                                 "--e0=-1,1.5"], "design.a_h"),
+    "non_square_a_h_verify": (["verify", "--a-h=-1,2"], "design.a_h"),
+    "e0_width": (["simulate", "--kind", "error", "--a-h=-1,0;0,-1",
+                  "--e0=1,2,3"], "simulate.e0"),
+    "reference_shape": (["simulate", "--kind", "tracking", "--m", "2",
+                         "--poles=-1;-2", "--x0", "0,0,0,0"],
+                        "simulate.reference"),
+    "missing_e0": (["simulate", "--kind", "error"], "simulate.e0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DOCUMENT_ERRORS))
+def test_cli_document_errors_exit_2_naming_the_field(tmp_path, capsys,
+                                                      case):
+    argv, field = _DOCUMENT_ERRORS[case]
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"scenario error: {field}:" in capsys.readouterr().err
+
+
+def test_readme_command_lines_are_one_shell_command_each():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```sh")[1]
+    lines = block.split("```")[0].strip().splitlines()
+    assert len(lines) >= 5
+    for line in lines:
+        tokens = shlex.shlex(line, posix=True, punctuation_chars=True)
+        # a control operator: ';', '&', '|' or a run of them
+        assert not [t for t in tokens if t and set(t) <= set(";&|")], line
+
+
+def test_cli_bad_pole_is_an_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["synthesize", "--model", "cubic", "--poles=x"])
+    assert exc.value.code == 2
+    assert "bad pole 'x'" in capsys.readouterr().err

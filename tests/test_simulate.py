@@ -449,6 +449,16 @@ def test_make_reference_rejects_a_shape_it_does_not_have():
 
 @pytest.mark.parametrize("ts", [None, np.linspace(0.0, 1.0, 11)],
                          ids=["integrate", "propagate"])
+def test_error_state_of_the_wrong_width_is_rejected(ts):
+    # checked once, before either path; not numpy's matmul error
+    with pytest.raises(ev.ShapeError, match=r"e0: expected shape \(2,\)"):
+        ev.simulate_error_dynamics(ev.default_hurwitz(2), None,
+                                   [1.0, 0.0, 0.0], 0.0, 1.0,
+                                   sample_times=ts)
+
+
+@pytest.mark.parametrize("ts", [None, np.linspace(0.0, 1.0, 11)],
+                         ids=["integrate", "propagate"])
 def test_disturbance_of_the_wrong_width_is_rejected(ts):
     # cos_exp has one component: it would be broadcast over two
     pert = ev.make_perturbation("cos_exp")
