@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureBudgetError
-from .norms import check_norm_id, max_row_norm, vector_norm
+from .norms import check_norm_id, max_row_norm, unit_directions, vector_norm
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -333,8 +333,7 @@ class PerturbationClassification:
 
 def _ball_samples(dim, radius, rng, n_dirs=8):
     """The origin and n_dirs random directions at three radii, as rows."""
-    dirs = rng.standard_normal((n_dirs, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = unit_directions(dim, n_dirs, rng)
     pts = [np.zeros(dim)]
     for r in (radius, radius / 2.0, radius / 4.0):
         pts.extend(r * d for d in dirs)

@@ -22,6 +22,13 @@ def vector_norm(v, norm="euclidean"):
     raise ValueError(f"unknown norm {norm!r}, expected one of {NORM_IDS}")
 
 
+def unit_directions(dim, count, rng):
+    """(count, dim) seeded directions, uniform on the unit sphere: each row
+    a standard normal draw of ``rng`` divided by its Euclidean norm."""
+    dirs = rng.standard_normal((count, dim))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
 def row_norms(rows):
     """Euclidean norm of each row of a 2-d array, each bit for bit as
     :func:`vector_norm` of that row alone (a dot product, which the

@@ -292,11 +292,11 @@ def list_scenarios(extra_dirs=None):
         for fn in sorted(os.listdir(d)):
             if fn.endswith(".json"):
                 try:
-                    with open(os.path.join(d, fn), encoding="utf-8") as fh:
-                        doc = json.load(fh)
-                    desc = doc.get("description", "")
-                except (OSError, json.JSONDecodeError):
-                    desc = "(unreadable)"
+                    doc = _read_scenario(os.path.join(d, fn))
+                except (OSError, ScenarioError):
+                    doc = None
+                desc = doc.get("description", "") \
+                    if isinstance(doc, dict) else "(unreadable)"
                 rows.append((fn[:-5], desc, d))
     return rows
 
@@ -311,7 +311,7 @@ def _read_scenario(source, extra_dirs=None):
         with open(source, encoding="utf-8") as fh:
             try:
                 return json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ScenarioError(f"invalid JSON in {source}: {exc}",
                                     field="") from exc
     for d in _user_dirs(extra_dirs):

@@ -25,7 +25,7 @@ import scipy.linalg
 
 from . import model as _model
 from .errors import DesignError, NewtonError, ShapeError
-from .norms import row_norms
+from .norms import row_norms, unit_directions
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -507,9 +507,7 @@ def coercivity_probe(model, x_samples, ray_count=16, radii=(1.0, 10.0, 100.0, 10
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be at least 3 increasing values")
-    rng = np.random.default_rng(seed)
-    rays = rng.standard_normal((ray_count, model.m))
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    rays = unit_directions(model.m, ray_count, np.random.default_rng(seed))
 
     data = []       # (state index, ray index) -> cost per radius
     excluded = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
                      NewtonError, QuadratureBudgetError, ShapeError)
-from .norms import check_norm_id, vector_norm
+from .norms import check_norm_id, unit_directions, vector_norm
 from .simulate import simulate_closed_loop, simulate_error_dynamics
 
 _SETTLE_MARGIN = 0.95      # settle must happen inside this fraction of the window
@@ -28,13 +28,20 @@ _SIM_FAILURES = (IntegrationError, NewtonError, EvaluationError,
                  QuadratureBudgetError)
 
 
+_VERDICTS = ("fail", "inconclusive", "pass")     # worst first
+
+
+def _worst(*verdicts):
+    return min(verdicts, key=_VERDICTS.index)
+
+
 @dataclass
 class StabilityReport:
     evus: str                      # "pass" | "fail" | "inconclusive"
     evua: str
     evuas: str
     evus_table: list               # rows {eps, delta, alpha, verdict}
-    evua_table: list               # rows {eps, T, verdict}
+    evua_table: list               # rows {eps, T, verdict}, same eps order
     delta0: float
     alpha0: float = None
     samples: int = 0
@@ -47,18 +54,9 @@ class StabilityReport:
 
     def rows(self):
         """Merged per-level rows {eps, delta, alpha, T, verdict}."""
-        order = {"fail": 0, "inconclusive": 1, "pass": 2}
-        evua_by_eps = {row["eps"]: row for row in self.evua_table}
-        merged = []
-        for row in self.evus_table:
-            other = evua_by_eps.get(row["eps"], {})
-            verdict = min((row["verdict"],
-                           other.get("verdict", "inconclusive")),
-                          key=order.get)
-            merged.append({"eps": row["eps"], "delta": row["delta"],
-                           "alpha": row["alpha"], "T": other.get("T"),
-                           "verdict": verdict})
-        return merged
+        return [{"eps": s["eps"], "delta": s["delta"], "alpha": s["alpha"],
+                 "T": a["T"], "verdict": _worst(s["verdict"], a["verdict"])}
+                for s, a in zip(self.evus_table, self.evua_table)]
 
     def to_dict(self):
         return {
@@ -70,11 +68,6 @@ class StabilityReport:
             "witnesses": self.witnesses, "sim_failures": self.sim_failures,
             "note": self.note,
         }
-
-
-def _unit_directions(dim, count, rng):
-    dirs = rng.standard_normal((count, dim))
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
 def _alpha_grid(horizon, t0_grid):
@@ -96,6 +89,17 @@ def _tail_decreasing(norms):
     ref = float(np.max(norms[i70:i90 + 1]))
     tail = float(np.max(norms[i90:]))
     return tail <= _TREND_DROP * max(ref, 1e-300)
+
+
+def _settle(times, norms, t0, eps):
+    """Time after t0 from the last stored norm at or above eps to the next
+    stored time; 0 if there is none, inf if the run ends at or above eps."""
+    above = np.flatnonzero(norms >= eps)
+    if above.size == 0:
+        return 0.0
+    if above[-1] == norms.size - 1:
+        return math.inf
+    return float(times[above[-1] + 1] - t0)
 
 
 def _batch_norms(traj, count, norm):
@@ -133,28 +137,49 @@ def _sweep(sim, t0, x0s, norm, sim_failures):
     return done
 
 
-def _witness(sim, run, norm, kind, eps, at_peak, sim_failures):
+def _witness(sim, t0, x0, norm, kind, eps, at_peak, sim_failures):
     """[witness] re-derived from a run of its sample alone, ``sim(t0, x0)``.
 
     A batch shares its step sequence among its rows, so the figures of the
     sample's own run are the ones a replay reproduces.  If that run fails,
     the failure is recorded in ``sim_failures`` and the list is empty.
     """
-    x0 = run["x0"].tolist()
+    t0 = float(t0)
     try:
-        traj = sim(run["t0"], run["x0"])
+        traj = sim(t0, x0)
     except _SIM_FAILURES as exc:
-        sim_failures.append({"t0": run["t0"], "x0": x0, "error": str(exc)})
+        sim_failures.append({"t0": t0, "x0": x0.tolist(),
+                             "error": str(exc)})
         return []
     norms = vector_norm(traj.states, norm)
     i = int(np.argmax(norms)) if at_peak else norms.size - 1
-    return [{"kind": kind, "eps": eps, "t0": run["t0"], "x0": x0,
+    return [{"kind": kind, "eps": eps, "t0": t0, "x0": x0.tolist(),
              "t": float(traj.times[i]), "value": float(norms[i])}]
 
 
 def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
                  seed=0, dim=None, norm="euclidean"):
     """Empirical eventual-uniform-stability/attraction report.
+
+    Every sample that runs is reduced to one row of a table: its start
+    time, radius, peak and final norm, whether its tail is decreasing, and
+    per level eps its settle time (after the last stored norm at or above
+    eps, inf if the run ends there).  The verdicts are reductions over
+    that table on the onset grid 0, 1, 2, 4, ... (up to horizon / 2 and
+    the largest start time):
+
+    * EVUS, per level: the smallest onset alpha at or past the previous
+      level's, then the largest radius at most the previous level's whose
+      samples started at or after alpha all peak below eps.  A level with
+      none fails, or is inconclusive when every sample peaking at or
+      above eps ends below it with a decreasing tail.
+    * EVUA: the smallest onset alpha0 at which every sample settles
+      within 0.95 * horizon at every level; T is read on the stored grid.
+      With no such onset the levels are classified at the largest onset
+      that has samples: "inconclusive" when every unsettled tail is
+      decreasing, else "fail" ("inconclusive" with no samples at all).
+
+    Any sim failure caps a passing overall verdict at "inconclusive".
 
     Parameters
     ----------
@@ -173,14 +198,14 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
         state, so they replay exactly; if that run fails, the failure goes
         to ``sim_failures`` in place of the witness.
     delta0 : float
-        Radius of the sampled initial ball; spheres at delta0, delta0/2
-        and delta0/4 are drawn.
+        Radius of the sampled initial ball, positive and finite; spheres
+        at delta0, delta0/2 and delta0/4 are drawn.
     t0_grid : sequence of float
         Start times to quantify over.
     eps_levels : sequence of float
         Positive, strictly decreasing bound levels.
     horizon : float
-        Per-sample observation window length.
+        Per-sample observation window length, positive and finite.
     samples : int
         Directions per (start time, radius) pair.
     seed : int
@@ -197,6 +222,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     if any(e <= 0 for e in eps_levels) or \
             any(b >= a for a, b in zip(eps_levels, eps_levels[1:])):
         raise ValueError("eps_levels must be positive and strictly decreasing")
+    if not (0.0 < delta0 < math.inf and 0.0 < horizon < math.inf):
+        raise ValueError("delta0 and horizon must be positive and finite")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if dim is None:
@@ -205,129 +232,92 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     if not t0_grid:
         raise ValueError("t0_grid must not be empty")
 
-    rng = np.random.default_rng(seed)
-    dirs = _unit_directions(dim, samples, rng)
+    dirs = unit_directions(dim, samples, np.random.default_rng(seed))
     radii = [delta0, delta0 / 2.0, delta0 / 4.0]
     x0s = np.concatenate([radius * dirs for radius in radii])
 
-    runs = []          # {t0, radius, x0, norms (ndarray), times}
+    # one row per sample that ran: t0, x0 row, peak, final, tail
+    # decreasing, then the settle time at each level
+    table = []
     sim_failures = []
     for t0 in t0_grid:
         for i, times, norms in _sweep(sim, t0, x0s, norm, sim_failures):
-            runs.append({"t0": t0, "radius": radii[i // samples],
-                         "x0": x0s[i], "times": times, "norms": norms})
+            table.append([t0, i, np.max(norms), norms[-1],
+                          _tail_decreasing(norms)]
+                         + [_settle(times, norms, t0, e) for e in eps_levels])
+    table = np.array(table, dtype=float).reshape(-1, 5 + len(eps_levels))
+    starts, peak, final = table[:, 0], table[:, 2], table[:, 3]
+    rows = table[:, 1].astype(int)
+    falling = table[:, 4].astype(bool)
+    settle = table[:, 5:]
 
+    # late[a]: rows started at or after onset a; ball[k]: rows of radius
+    # at most radii[k]; group[a, k]: both
     alphas = _alpha_grid(horizon, t0_grid)
+    late = starts >= np.array(alphas)[:, None]
+    ball = rows // samples >= np.arange(len(radii))[:, None]
+    group = late[:, None, :] & ball[None, :, :]
     witnesses = []
 
     # --- eventual uniform stability: per level, smallest onset then the
     # largest passing radius; onsets never shrink as the level tightens
     evus_table = []
-    evus_overall = "pass"
-    alpha_floor_idx = 0
-    delta_cap = delta0
+    floor = cap = 0
     for eps in eps_levels:
-        found = None
-        soft_only = True
-        for ai in range(alpha_floor_idx, len(alphas)):
-            alpha = alphas[ai]
-            for level in [r for r in radii if r <= delta_cap]:
-                group = [r for r in runs
-                         if r["t0"] >= alpha and r["radius"] <= level]
-                if not group:
-                    continue
-                bad = [r for r in group if float(np.max(r["norms"])) >= eps]
-                if not bad:
-                    found = (alpha, level, ai)
-                    break
-                for r in bad:
-                    if not (r["norms"][-1] < eps
-                            and _tail_decreasing(r["norms"])):
-                        soft_only = False
-            if found:
-                break
-        if found:
-            alpha, level, ai = found
-            alpha_floor_idx = ai
-            delta_cap = level
-            evus_table.append({"eps": eps, "delta": level, "alpha": alpha,
-                               "verdict": "pass"})
-        else:
-            verdict = "inconclusive" if soft_only else "fail"
-            evus_table.append({"eps": eps, "delta": None, "alpha": None,
-                               "verdict": verdict})
-            if evus_overall != "fail":
-                evus_overall = verdict
-            worst = max(runs, key=lambda r: float(np.max(r["norms"])),
-                        default=None)
-            if worst is not None:
-                witnesses += _witness(sim, worst, norm, "evus", eps,
-                                      at_peak=True, sim_failures=sim_failures)
-    if sim_failures and evus_overall == "pass":
-        evus_overall = "inconclusive"
+        ok = group.any(axis=2) & ~(group & (peak >= eps)).any(axis=2)
+        ok[:floor] = ok[:, :cap] = False
+        if ok.any():
+            floor, cap = np.argwhere(ok)[0]
+            evus_table.append({"eps": eps, "delta": radii[cap],
+                               "alpha": alphas[floor], "verdict": "pass"})
+            continue
+        hard = group[floor, cap] & (peak >= eps) \
+            & ~((final < eps) & falling)
+        evus_table.append({"eps": eps, "delta": None, "alpha": None,
+                           "verdict": "fail" if hard.any()
+                           else "inconclusive"})
+        if peak.size:
+            j = int(np.argmax(peak))
+            witnesses += _witness(sim, starts[j], x0s[rows[j]], norm, "evus",
+                                  eps, at_peak=True, sim_failures=sim_failures)
+    doubt = "inconclusive" if sim_failures else "pass"
+    evus = _worst(*(row["verdict"] for row in evus_table), doubt)
 
     # --- eventual uniform attraction: one onset must serve every level
-    evua_overall = None
-    evua_table = []
+    t_settle = np.max(np.where(late[:, :, None], settle, 0.0), axis=1,
+                      initial=0.0)                            # (onset, level)
+    settled = late.any(axis=1) \
+        & (t_settle <= _SETTLE_MARGIN * horizon).all(axis=1)
     alpha0 = None
-    for alpha in alphas:
-        group = [r for r in runs if r["t0"] >= alpha]
-        if not group:
-            continue
-        table = []
-        ok = True
-        for eps in eps_levels:
-            t_settle = 0.0
-            unsettled = []
-            for r in runs:
-                if r["t0"] < alpha:
-                    continue
-                above = r["norms"] >= eps
-                if above[-1]:
-                    unsettled.append(r)
-                    continue
-                idx = np.nonzero(above)[0]
-                ts = 0.0 if idx.size == 0 else \
-                    float(r["times"][idx[-1] + 1] - r["t0"])
-                t_settle = max(t_settle, ts)
-            if unsettled or t_settle > _SETTLE_MARGIN * horizon:
-                ok = False
-                break
-            table.append({"eps": eps, "T": t_settle, "verdict": "pass"})
-        if ok:
-            evua_overall = "pass"
-            evua_table = table
-            alpha0 = alpha
-            break
-    if evua_overall is None:
-        # classify the failure at the largest usable onset
-        alpha = alphas[-1]
-        soft_only = True
+    if settled.any():
+        ai = int(np.argmax(settled))
+        alpha0 = alphas[ai]
+        evua_table = [{"eps": eps, "T": float(t), "verdict": "pass"}
+                      for eps, t in zip(eps_levels, t_settle[ai])]
+    else:
+        # classify the failure at the largest onset that has samples
+        usable = np.flatnonzero(late.any(axis=1))
         evua_table = []
         for eps in eps_levels:
-            unsettled = [r for r in runs
-                         if r["t0"] >= alpha and r["norms"][-1] >= eps]
-            verdict = "pass"
-            if unsettled:
-                hard = [r for r in unsettled
-                        if not _tail_decreasing(r["norms"])]
-                verdict = "fail" if hard else "inconclusive"
-                if hard:
-                    soft_only = False
-                witnesses += _witness(sim, (hard or unsettled)[0], norm,
-                                      "evua", eps, at_peak=False,
-                                      sim_failures=sim_failures)
+            verdict = "inconclusive"                  # no samples at all
+            if usable.size:
+                unsettled = late[usable[-1]] & (final >= eps)
+                hard = unsettled & ~falling
+                verdict = "fail" if hard.any() else \
+                    "inconclusive" if unsettled.any() else "pass"
+                if unsettled.any():
+                    j = int(np.argmax(hard if hard.any() else unsettled))
+                    witnesses += _witness(sim, starts[j], x0s[rows[j]], norm,
+                                          "evua", eps, at_peak=False,
+                                          sim_failures=sim_failures)
             evua_table.append({"eps": eps, "T": None, "verdict": verdict})
-        evua_overall = "inconclusive" if soft_only else "fail"
-    if sim_failures and evua_overall == "pass":
-        evua_overall = "inconclusive"
+    evua = _worst(*(row["verdict"] for row in evua_table),
+                  doubt if alpha0 is not None else "inconclusive")
 
-    order = {"fail": 0, "inconclusive": 1, "pass": 2}
-    evuas = min((evus_overall, evua_overall), key=order.get)
     return StabilityReport(
-        evus=evus_overall, evua=evua_overall, evuas=evuas,
+        evus=evus, evua=evua, evuas=_worst(evus, evua),
         evus_table=evus_table, evua_table=evua_table, delta0=delta0,
-        alpha0=alpha0, samples=len(runs), seed=seed, norm=norm,
+        alpha0=alpha0, samples=len(table), seed=seed, norm=norm,
         witnesses=witnesses, sim_failures=sim_failures)
 
 
@@ -424,8 +414,7 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
         raise ValueError("eps must be positive")
     if dim is None:
         raise ValueError("dim (factory state dimension) is required")
-    rng = np.random.default_rng(seed)
-    dirs = _unit_directions(dim, directions, rng)
+    dirs = unit_directions(dim, directions, np.random.default_rng(seed))
 
     def passes(level):
         try:

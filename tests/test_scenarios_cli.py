@@ -392,6 +392,34 @@ def test_cli_list_includes_user_scenarios(tmp_path, capsys):
     assert "extra_case" in capsys.readouterr().out
 
 
+_NOT_A_DOCUMENT = {"a_list": b"[1, 2]", "not_utf8": b"\xff\xfe\x7b",
+                   "bad_json": b"{not json"}
+
+
+def test_cli_list_marks_files_that_are_not_documents(tmp_path, capsys):
+    userdir = tmp_path / "sc"
+    userdir.mkdir()
+    for name, blob in _NOT_A_DOCUMENT.items():
+        (userdir / f"{name}.json").write_bytes(blob)
+    (userdir / "fine.json").write_text(json.dumps({"description": "ok"}))
+    assert cli_main(["list", "--scenario-dir", str(userdir)]) == 0
+    assert capsys.readouterr().out.count("(unreadable)") == 3
+    rows = {n: desc for n, desc, _ in list_scenarios([str(userdir)])}
+    assert rows["fine"] == "ok"
+    for name in _NOT_A_DOCUMENT:
+        assert rows[name] == "(unreadable)"
+
+
+def test_cli_run_of_a_file_that_is_not_utf8_is_a_scenario_error(tmp_path,
+                                                                 capsys):
+    bad = tmp_path / "not_utf8.json"
+    bad.write_bytes(_NOT_A_DOCUMENT["not_utf8"])
+    with pytest.raises(ev.ScenarioError, match="invalid JSON"):
+        load_scenario(str(bad))
+    assert cli_main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "scenario error: invalid JSON" in capsys.readouterr().err
+
+
 def test_cli_run_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

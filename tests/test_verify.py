@@ -320,3 +320,137 @@ def test_report_serializes_to_json():
                           dim=2)
     blob = json.dumps(rep.to_dict(), sort_keys=True)
     assert '"evuas": "pass"' in blob
+
+
+# --- whole reports on closed-form norms: no integration, tables by hand
+
+def _law_factory(law, horizon, step=0.5):
+    """sim(t0, x0) whose states are x0 / |x0| * law(t0, |x0|, s) on the
+    stored grid t0 + s, s = 0, step, ..., horizon."""
+    s = np.arange(0.0, horizon + step / 2.0, step)
+
+    def sim(t0, x0):
+        x0 = np.asarray(x0, dtype=float)
+        r = np.linalg.norm(x0, axis=-1, keepdims=True)
+        s_col = s.reshape(s.shape + (1,) * x0.ndim)
+        return ev.Trajectory(times=t0 + s, states=law(t0, r, s_col) * x0 / r)
+    return sim
+
+
+def _report(sim, eps_levels, horizon, t0_grid=(0.0, 1.0, 2.0)):
+    # seed 0 draws a positive direction, so the samples are 1, 0.5, 0.25
+    return ev.verify_evuas(sim, delta0=1.0, t0_grid=list(t0_grid),
+                           eps_levels=eps_levels, horizon=horizon,
+                           samples=1, seed=0, dim=1).to_dict()
+
+
+def test_evus_onset_and_radius_carry_over_and_evua_t_is_on_the_grid():
+    # peak r * g(t0) at s = 0, halving per unit of s.  Peaks by (t0, r):
+    #   t0 = 0: 8, 4, 2;  t0 = 1: 2, 1, 0.5;  t0 = 2: 0.25, 0.125, 0.0625
+    # eps 1.5: nothing passes at onset 0; onset 1 passes up to r = 0.5.
+    # eps 0.4: onset 1 fails at r <= 0.5; onset 2 passes at the cap 0.5,
+    #   though r = 1 (peak 0.25) would pass there without it.
+    # EVUA at onset 0: the peak-8 sample is last at or above 1.5 at s = 2
+    #   and above 0.4 at s = 4 (crossings 2.415 and 4.32), so T = 2.5, 4.5.
+    gain = {0.0: 8.0, 1.0: 2.0, 2.0: 0.25}
+    rep = _report(_law_factory(lambda t0, r, s: r * gain[t0] * 2.0 ** -s,
+                               6.0), [1.5, 0.4], 6.0)
+    assert rep["evus_table"] == [
+        {"eps": 1.5, "delta": 0.5, "alpha": 1.0, "verdict": "pass"},
+        {"eps": 0.4, "delta": 0.5, "alpha": 2.0, "verdict": "pass"}]
+    assert rep["evua_table"] == [
+        {"eps": 1.5, "T": 2.5, "verdict": "pass"},
+        {"eps": 0.4, "T": 4.5, "verdict": "pass"}]
+    assert rep["rows"] == [
+        {"eps": 1.5, "delta": 0.5, "alpha": 1.0, "T": 2.5, "verdict": "pass"},
+        {"eps": 0.4, "delta": 0.5, "alpha": 2.0, "T": 4.5, "verdict": "pass"}]
+    assert (rep["evus"], rep["evua"], rep["evuas"]) == ("pass",) * 3
+    assert (rep["alpha0"], rep["samples"]) == (0.0, 9)
+    assert rep["witnesses"] == rep["sim_failures"] == []
+
+
+def test_evua_failures_are_classified_fail_and_inconclusive():
+    # r = 1 decays as 4 * 2^(-s/3) to 1.0 at s = 6 (a decreasing tail);
+    # r = 0.5 and 0.25 sit at 0.3 (a flat tail).  Classified at onset 2:
+    # eps 0.5 leaves only the decaying sample unsettled -> inconclusive;
+    # eps 0.2 leaves the flat ones too -> fail.  EVUS passes eps 0.5 at
+    # onset 0 with r <= 0.5 and finds no radius for 0.2: the flat 0.3
+    # tails end above it -> fail.
+    def law(t0, r, s):
+        return np.where(r > 0.75, 4.0 * 2.0 ** (-s / 3.0), 0.3)
+    rep = _report(_law_factory(law, 6.0), [0.5, 0.2], 6.0)
+    assert rep["evus_table"] == [
+        {"eps": 0.5, "delta": 0.5, "alpha": 0.0, "verdict": "pass"},
+        {"eps": 0.2, "delta": None, "alpha": None, "verdict": "fail"}]
+    assert rep["evua_table"] == [
+        {"eps": 0.5, "T": None, "verdict": "inconclusive"},
+        {"eps": 0.2, "T": None, "verdict": "fail"}]
+    assert rep["rows"] == [
+        {"eps": 0.5, "delta": 0.5, "alpha": 0.0, "T": None,
+         "verdict": "inconclusive"},
+        {"eps": 0.2, "delta": None, "alpha": None, "T": None,
+         "verdict": "fail"}]
+    assert (rep["evus"], rep["evua"], rep["evuas"]) == ("fail",) * 3
+    assert (rep["alpha0"], rep["samples"]) == (None, 9)
+    assert rep["witnesses"] == [
+        {"kind": "evus", "eps": 0.2, "t0": 0.0, "x0": [1.0], "t": 0.0,
+         "value": 4.0},
+        {"kind": "evua", "eps": 0.5, "t0": 2.0, "x0": [1.0], "t": 8.0,
+         "value": 1.0},
+        {"kind": "evua", "eps": 0.2, "t0": 2.0, "x0": [0.5], "t": 8.0,
+         "value": 0.3}]
+    assert rep["sim_failures"] == []
+
+
+def _down_from(t_fail):
+    """Constant norm 1; an IntegrationError for every t0 >= t_fail."""
+    flat = _law_factory(lambda t0, r, s: np.ones_like(s * r), 5.0)
+
+    def sim(t0, x0):
+        if t0 >= t_fail:
+            raise ev.IntegrationError("down")
+        return flat(t0, x0)
+    return sim
+
+
+def test_evua_is_classified_at_the_largest_onset_that_has_samples():
+    # every run from t0 = 2 fails, so onset 2 has no samples: the samples
+    # from t0 = 1, which never settle and do not decrease, decide
+    rep = _report(_down_from(2.0), [0.5, 0.25], 5.0)
+    assert rep["evua_table"] == [
+        {"eps": 0.5, "T": None, "verdict": "fail"},
+        {"eps": 0.25, "T": None, "verdict": "fail"}]
+    assert [row["verdict"] for row in rep["evus_table"]] == ["fail"] * 2
+    assert (rep["evus"], rep["evua"], rep["evuas"]) == ("fail",) * 3
+    assert rep["samples"] == 6
+    assert [(w["kind"], w["t0"], w["t"]) for w in rep["witnesses"]] == \
+        [("evus", 0.0, 0.0)] * 2 + [("evua", 1.0, 6.0)] * 2
+    assert [(f["t0"], f["x0"]) for f in rep["sim_failures"]] == \
+        [(2.0, [1.0]), (2.0, [0.5]), (2.0, [0.25])]
+
+
+def test_a_sweep_with_no_samples_is_inconclusive_at_every_level():
+    rep = _report(_down_from(0.0), [0.5, 0.25], 5.0)
+    assert rep["evus_table"] == [
+        {"eps": 0.5, "delta": None, "alpha": None, "verdict": "inconclusive"},
+        {"eps": 0.25, "delta": None, "alpha": None,
+         "verdict": "inconclusive"}]
+    assert rep["evua_table"] == [
+        {"eps": 0.5, "T": None, "verdict": "inconclusive"},
+        {"eps": 0.25, "T": None, "verdict": "inconclusive"}]
+    assert (rep["evus"], rep["evua"], rep["evuas"]) == ("inconclusive",) * 3
+    assert (rep["samples"], rep["witnesses"]) == (0, [])
+    assert len(rep["sim_failures"]) == 9
+
+
+@pytest.mark.parametrize("bad", [{"delta0": -0.5}, {"delta0": 0.0},
+                                 {"delta0": np.nan}, {"delta0": np.inf},
+                                 {"horizon": 0.0}, {"horizon": np.nan},
+                                 {"horizon": np.inf}])
+def test_radius_and_horizon_must_be_positive_and_finite(bad):
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    kwargs = dict(delta0=0.5, t0_grid=[0.0], eps_levels=[0.5], horizon=5.0,
+                  samples=1, dim=1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ev.verify_evuas(never_called, **{**kwargs, **bad})
