@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureBudgetError
+from .integrate import _step_cap
 from .norms import check_norm_id, max_row_norm, unit_directions, vector_norm
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -81,16 +82,6 @@ class SignalAdapter:
         return self._loop(ts)
 
 
-def _hint_max(freq_hint, t0, t1):
-    """Largest angular frequency promised by the hint on [t0, t1]."""
-    if freq_hint is None:
-        return None
-    if callable(freq_hint):
-        probes = [freq_hint(t0), freq_hint(0.5 * (t0 + t1)), freq_hint(t1)]
-        return float(max(abs(p) for p in probes))
-    return float(abs(freq_hint))
-
-
 def _crossing_count(sig, t0, t1):
     """Max sign-change count over components, scanned on 2048 samples."""
     ts = np.linspace(t0, t1, 2048)
@@ -108,9 +99,11 @@ def _crossing_count(sig, t0, t1):
 
 
 def _initial_panels(sig, t, freq_hint):
-    omega = _hint_max(freq_hint, t, t + 1.0)
-    if omega is not None and omega > 0.0:
-        step = min(1.0 / _DEFAULT_PANELS, (2.0 * math.pi / omega) / 8.0)
+    # the integrator's step cap, probed at the window's ends and middle
+    cap = _step_cap(freq_hint)
+    step = min(cap(t), cap(t + 0.5), cap(t + 1.0))
+    if math.isfinite(step):
+        step = min(1.0 / _DEFAULT_PANELS, step)
     else:
         crossings = _crossing_count(sig, t, t + 1.0)
         # c crossings in a unit window ~ period 2/c; resolve with 8 panels each
@@ -174,9 +167,12 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
         carries the best estimate and the last refinement difference.
     """
     check_norm_id(norm)
-    if quad_tol <= 0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
+    if not 0.0 < quad_tol < math.inf:
+        raise ValueError(
+            f"quad_tol must be positive and finite, got {quad_tol}")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     sig = h if isinstance(h, SignalAdapter) else SignalAdapter(h)
 
     n = _initial_panels(sig, t, freq_hint)
@@ -283,6 +279,8 @@ def diminishing_profile(h, t_grid, quad_tol=1e-10, norm="euclidean",
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     sig = h if isinstance(h, SignalAdapter) else SignalAdapter(h)
@@ -358,8 +356,11 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
     are tri-state; nothing is silently guessed.
     """
     check_norm_id(norm)
-    if t_horizon <= 0:
-        raise ValueError("t_horizon must be positive")
+    for name, value in (("probe_radius", probe_radius),
+                        ("t_horizon", t_horizon)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{value}")
     rng = np.random.default_rng(seed)
     tail = _tail_times(t_horizon)
     late = tail >= t_horizon / 2.0

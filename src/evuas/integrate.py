@@ -79,7 +79,6 @@ class Trajectory:
     states: np.ndarray
     inputs: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
-    norm_used: str = "euclidean"
 
     @property
     def t0(self):
@@ -89,14 +88,18 @@ class Trajectory:
     def dim(self):
         return self.states.shape[-1]
 
-    def norms(self, norm=None):
-        return vector_norm(self.states, norm or self.norm_used)
+    def norms(self, norm="euclidean"):
+        return vector_norm(self.states, norm)
 
 
 def _sample_grid(sample_times, t0, t_end):
     """The sample times as a list that starts at t0."""
     samples = np.asarray(sample_times, dtype=float)
-    if samples.ndim != 1 or np.any(np.diff(samples) <= 0):
+    if samples.ndim != 1 or samples.size == 0 or \
+            not np.isfinite(samples).all():
+        raise ValueError(
+            "sample_times must be a non-empty 1-d sequence of finite times")
+    if np.any(np.diff(samples) <= 0):
         raise ValueError("sample_times must be strictly increasing")
     if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
         raise ValueError("sample_times must lie within [t0, t_end]")
@@ -149,7 +152,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol, cap, rows):
 
 
 def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
-              max_steps=_DEFAULT_MAX_STEPS, norm="euclidean"):
+              max_steps=_DEFAULT_MAX_STEPS):
     """Integrate x' = rhs(t, x) from t0 to t_end.
 
     Parameters
@@ -178,8 +181,6 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         t0 is always included as the first sample.
     max_steps : int
         Step budget before giving up.
-    norm : str
-        Stored on the trajectory for downstream reporting.
 
     Raises
     ------
@@ -191,8 +192,8 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     t_end = float(t_end)
     if not t_end > t0:
         raise ValueError(f"t_end={t_end} must exceed t0={t0}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     y = np.array(x0, dtype=float)
     if y.ndim > 2:
         raise ShapeError(
@@ -308,8 +309,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                    "n_rhs": n_rhs,
                    "min_step": min_step if math.isfinite(min_step) else 0.0,
                    "tol": float(tol)}
-    return Trajectory(times=times, states=states, diagnostics=diagnostics,
-                      norm_used=norm)
+    return Trajectory(times=times, states=states, diagnostics=diagnostics)
 
 
 def _chebyshev(n):
@@ -447,8 +447,7 @@ def _forced_parts(a, terms, lo, hi, depth=0):
     return forced, stats, decay
 
 
-def propagate_linear(a, terms, t0, x0, t_end, sample_times,
-                     norm="euclidean"):
+def propagate_linear(a, terms, t0, x0, t_end, sample_times):
     """Exact samples of x' = A x + w(t) for a chirp-form forcing w.
 
     w(t) is the real part of the sum of ``c a(t) exp(i phase(t))`` over
@@ -509,4 +508,4 @@ def propagate_linear(a, terms, t0, x0, t_end, sample_times,
                          else 0.0)
     stats["tol"] = _LEVIN_RTOL
     return Trajectory(times=times, states=out.reshape(times.shape + shape),
-                      diagnostics=stats, norm_used=norm)
+                      diagnostics=stats)

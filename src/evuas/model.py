@@ -228,27 +228,27 @@ class PerturbationSpec:
         an eighth of the corresponding period.  Defaults to
         ``chirp_freq(terms)`` when ``terms`` are given.
     state_dim : int, optional
-        Input dimension of K (defaults to ``dim``); the analyzer probes the
-        state ball in this dimension.
+        Input dimension of K for ``kind="factored"`` (defaults to ``dim``);
+        the analyzer probes the state ball in this dimension.  The other
+        kinds ignore the state and take none.
     terms : sequence of ChirpTerm, optional
         The chirp form of ``w`` for ``kind="time"``: w(t) is the real part
         of the sum of ``c a(t) exp(i phase(t))`` over the terms (see
         :class:`evuas.diminishing.ChirpTerm`).  ``w`` stays the evaluation
         path; the terms let the linear runs of :mod:`evuas.simulate` use
         the exact propagator :func:`evuas.integrate.propagate_linear`.
-    flags : dict, optional
-        Declared metadata, e.g. ``{"bounded_columns": True,
-        "diminishing_claimed": True}``.
     """
 
     def __init__(self, kind, dim, w=None, d=None, k=None, freq_hint=None,
-                 state_dim=None, flags=None, name=None, terms=None):
+                 state_dim=None, name=None, terms=None):
         if kind not in ("zero", "time", "factored"):
             raise ValueError(f"unknown perturbation kind {kind!r}")
         if kind == "time" and w is None:
             raise ValueError("kind='time' requires w")
         if kind == "factored" and (d is None or k is None):
             raise ValueError("kind='factored' requires d and k")
+        if state_dim is not None and kind != "factored":
+            raise ValueError("only kind='factored' takes a state_dim")
         if terms is not None:
             if kind != "time":
                 raise ValueError("only kind='time' takes chirp terms")
@@ -266,7 +266,6 @@ class PerturbationSpec:
         self.k = k
         self.freq_hint = freq_hint
         self.state_dim = int(state_dim) if state_dim is not None else dim
-        self.flags = dict(flags or {})
         self.name = name
         self.terms = None if terms is None else tuple(terms)
         self.unchecked = _disturbance(kind, w, d, k)
@@ -281,16 +280,14 @@ class PerturbationSpec:
         return cls("zero", dim, name="zero")
 
     @classmethod
-    def from_signal(cls, w, dim, freq_hint=None, flags=None, name=None,
-                    state_dim=None, terms=None):
-        return cls("time", dim, w=w, freq_hint=freq_hint, flags=flags,
-                   name=name, state_dim=state_dim, terms=terms)
+    def from_signal(cls, w, dim, freq_hint=None, name=None, terms=None):
+        return cls("time", dim, w=w, freq_hint=freq_hint, name=name,
+                   terms=terms)
 
     @classmethod
-    def factored(cls, d, k, dim, freq_hint=None, flags=None, name=None,
-                 state_dim=None):
+    def factored(cls, d, k, dim, freq_hint=None, name=None, state_dim=None):
         return cls("factored", dim, d=d, k=k, freq_hint=freq_hint,
-                   flags=flags, name=name, state_dim=state_dim)
+                   name=name, state_dim=state_dim)
 
     def evaluate(self, t, x_flat=None):
         """W(t, X): (dim,) at one flat state, (N, dim) on a batch of them.
@@ -337,7 +334,7 @@ def evaluate_dynamics(model, pert, t, x, u):
         None means no disturbance.
     t : float
     x : array_like
-        Flat state of length m*n, or an (m, n) state matrix.
+        Flat state of length m*n.
     u : array_like
         Input of length m.
 
@@ -348,9 +345,7 @@ def evaluate_dynamics(model, pert, t, x, u):
         shift); the last m entries are F(X, U) + W(t, X).
     """
     m, n = model.m, model.n
-    x_arr = np.asarray(x, dtype=float)
-    x_flat = flatten_state(x_arr) if x_arr.ndim == 2 else x_arr
-    x_flat = _as_vector(x_flat, m * n, "state")
+    x_flat = _as_vector(x, m * n, "state")
 
     last = model.eval_f(x_flat, u)
     if pert is not None and pert.kind != "zero":
@@ -376,8 +371,6 @@ def jacobian_F_U(model, x, u):
     per-coordinate step ``cbrt(eps) * max(1, |u_i|)``.
     """
     m = model.m
-    if np.ndim(u) < 2:      # one state, flat or as its (m, n) matrix
-        x = np.asarray(x, dtype=float).flatten(order="F")
     x, u, batch = _state_and_input(model, x, u)
     shape = u.shape[:-1] + (m, m)
     if model.jac_u is not None:
@@ -397,8 +390,7 @@ def jacobian_F_U(model, x, u):
 
 def jacobian_F_X(model, x, u):
     """m-by-(m*n) Jacobian of F with respect to the flat state."""
-    x = _as_vector(np.asarray(x, dtype=float).flatten(order="F"),
-                   model.state_dim, "state")
+    x = _as_vector(x, model.state_dim, "state")
     u = _as_vector(u, model.m, "input")
     if model.jac_x is not None:
         jac = np.asarray(model.jac_x(x, u), dtype=float)

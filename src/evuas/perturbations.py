@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .diminishing import (SIGNAL_CATALOG, chirp_freq, constant_term,
-                          exp_chirp, make_signal, quartic_chirp)
+                          exp_chirp, quartic_chirp)
 from .model import PerturbationSpec
 
 
@@ -56,40 +56,34 @@ def _check_dim(name, have, requested):
             f"{name!r} has dimension {have}, requested {requested}")
 
 
-def _from_signal(name):
-    sig = make_signal(name)
-
-    def build(dim=None, state_dim=None):
-        _check_dim(name, sig.dim, dim)
-        return PerturbationSpec.from_signal(
-            sig.fn, sig.dim, flags={"signal": name}, name=name,
-            state_dim=state_dim, terms=sig.terms)
+def _from_signal(sig):
+    def build(dim=None):
+        _check_dim(sig.name, sig.dim, dim)
+        return PerturbationSpec.from_signal(sig.fn, sig.dim, name=sig.name,
+                                            terms=sig.terms)
     return build
 
 
-def _build_zero(dim=None, state_dim=None):
+def _build_zero(dim=None):
     return PerturbationSpec.zero(dim or 1)
 
 
-def _build_example1_unbounded(dim=None, state_dim=None):
+def _build_example1_unbounded(dim=None):
     _check_dim("example1_unbounded", 2, dim)
     return PerturbationSpec.from_signal(
-        _w_example1_unbounded, 2,
-        flags={"diminishing_claimed": True, "bounded_columns": False},
-        name="example1_unbounded", state_dim=state_dim,
+        _w_example1_unbounded, 2, name="example1_unbounded",
         terms=_TERMS_EXAMPLE1_UNBOUNDED)
 
 
-def _build_example1_bounded(dim=None, state_dim=None):
+def _build_example1_bounded(dim=None):
     _check_dim("example1_bounded", 2, dim)
     return PerturbationSpec.factored(
         _d_example1_bounded, _k_example1_bounded, 2,
         freq_hint=chirp_freq(_COLUMN_TERMS_EXAMPLE1_BOUNDED),
-        flags={"diminishing_claimed": True, "bounded_columns": True},
-        name="example1_bounded", state_dim=state_dim or 2)
+        name="example1_bounded")
 
 
-def _build_const_e1(dim=None, state_dim=None):
+def _build_const_e1(dim=None):
     dim = dim or 2
 
     def w(t):
@@ -98,19 +92,14 @@ def _build_const_e1(dim=None, state_dim=None):
         return out
 
     return PerturbationSpec.from_signal(
-        w, dim, flags={"diminishing_claimed": False}, name="const_e1",
-        state_dim=state_dim, terms=(constant_term(np.eye(dim)[0]),))
+        w, dim, name="const_e1", terms=(constant_term(np.eye(dim)[0]),))
 
 
 PERTURBATION_CATALOG = {
     "zero": (_build_zero, "no disturbance"),
-    "cos_exp": (_from_signal("cos_exp"), SIGNAL_CATALOG["cos_exp"].description),
-    "vec_cos_sin_exp": (_from_signal("vec_cos_sin_exp"),
-                        SIGNAL_CATALOG["vec_cos_sin_exp"].description),
-    "t_cos_t4": (_from_signal("t_cos_t4"), SIGNAL_CATALOG["t_cos_t4"].description),
-    "vec_t_cos_sin_t4": (_from_signal("vec_t_cos_sin_t4"),
-                         SIGNAL_CATALOG["vec_t_cos_sin_t4"].description),
-    "const1": (_from_signal("const1"), SIGNAL_CATALOG["const1"].description),
+    # the time signals of the signal catalog, lifted as W(t, x) = w(t)
+    **{name: (_from_signal(sig), sig.description)
+       for name, sig in SIGNAL_CATALOG.items() if name != "zero"},
     "example1_unbounded": (_build_example1_unbounded,
                            "(0.5 t sin(t^4), -t cos(t^4)): unbounded, "
                            "quartic phase"),
@@ -122,9 +111,12 @@ PERTURBATION_CATALOG = {
 }
 
 
-def make_perturbation(name, dim=None, state_dim=None):
+def make_perturbation(name, dim=None):
+    """Instantiate a catalog disturbance; ``dim`` is the output dimension,
+    which only ``zero`` and ``const_e1`` may choose (ValueError if another
+    entry does not have it)."""
     if name not in PERTURBATION_CATALOG:
         raise KeyError(
             f"unknown perturbation {name!r}; catalog: "
             f"{sorted(PERTURBATION_CATALOG)}")
-    return PERTURBATION_CATALOG[name][0](dim=dim, state_dim=state_dim)
+    return PERTURBATION_CATALOG[name][0](dim=dim)

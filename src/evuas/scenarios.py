@@ -53,7 +53,8 @@ _REQUIRED = object()        # the default of a field that must be given
 
 
 def _fail(field, msg):
-    raise ScenarioError(f"{field}: {msg}", field=field)
+    # the empty path is the document itself
+    raise ScenarioError(f"{field or 'document'}: {msg}", field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +402,11 @@ class _Run:
                                    m=cfg["m"], n=cfg["n"])
         return self._model
 
-    def pert(self, state_dim=None):
+    def pert(self):
         cfg = self.doc.get("perturbation")
         if self._pert is None and cfg is not None:
             self._pert = _catalog("perturbation.dim", make_perturbation,
-                                  cfg["name"], dim=cfg.get("dim"),
-                                  state_dim=state_dim)
+                                  cfg["name"], dim=cfg.get("dim"))
         return self._pert
 
     def error_dim(self):
@@ -455,7 +455,7 @@ def _stage_classify(run):
     for j, prof in enumerate(cls.column_profiles):
         _write_profile_csv(run.path(f"profile_col{j}.csv"), prof)
     if pert.kind == "time":
-        sig = SIGNAL_CATALOG.get(pert.flags.get("signal", pert.name))
+        sig = SIGNAL_CATALOG.get(pert.name)
         # a one-dimensional signal is its own column 0, profiled already
         prof = cls.column_profiles[0]
         if pert.dim > 1:
@@ -496,32 +496,29 @@ def _stage_simulate(run):
     if cfg["kind"] == "error":
         dim = run.error_dim()
         traj = simulate_error_dynamics(
-            run.hurwitz(dim), run.pert(state_dim=dim), cfg["e0"], cfg["t0"],
-            cfg["t_end"], tol=cfg["tol"], sample_times=samples,
-            norm=doc["norm"])
+            run.hurwitz(dim), run.pert(), cfg["e0"], cfg["t0"], cfg["t_end"],
+            tol=cfg["tol"], sample_times=samples)
     elif cfg["kind"] == "closed-loop":
         model = run.model
         traj = simulate_closed_loop(
-            model, run.controller(), run.pert(state_dim=model.state_dim),
-            cfg["x0"], cfg["t0"], cfg["t_end"], tol=cfg["tol"],
-            sample_times=samples, norm=doc["norm"])
+            model, run.controller(), run.pert(), cfg["x0"], cfg["t0"],
+            cfg["t_end"], tol=cfg["tol"], sample_times=samples)
     else:
         model = run.model
-        pert = run.pert(state_dim=model.state_dim)
         ref = _catalog("simulate.reference", make_reference,
                        cfg["reference"], m=model.m, n=model.n)
         traj = simulate_tracking(
-            model, run.gamma_design(), run.hurwitz(model.m), ref, pert,
+            model, run.gamma_design(), run.hurwitz(model.m), ref, run.pert(),
             cfg["x0"], cfg["t0"], cfg["t_end"], tol=cfg["tol"],
-            sample_times=samples, norm=doc["norm"])
+            sample_times=samples)
     run.results["trajectory"] = traj
-    trajectory_to_csv(traj, run.path("trajectory.csv"))
+    trajectory_to_csv(traj, run.path("trajectory.csv"), norm=doc["norm"])
     diagnostics_to_json(traj, run.path("trajectory_diagnostics.json"))
     if "svg" in doc["formats"]:
         series = [traj.states[:, i].tolist()
                   for i in range(min(traj.dim, 4))]
         labels = [f"x_{i + 1}" for i in range(len(series))]
-        series.append(traj.norms().tolist())
+        series.append(traj.norms(doc["norm"]).tolist())
         labels.append("norm")
         line_plot(run.path("trajectory.svg"), traj.times.tolist(), series,
                   labels=labels, title=f"{doc['name']}: {cfg['kind']}",
@@ -533,13 +530,13 @@ def _stage_verify(run):
     cfg = doc["verify"]
     if cfg["target"] == "error":
         dim = run.error_dim()
-        factory = make_error_factory(run.hurwitz(dim), run.pert(state_dim=dim),
+        factory = make_error_factory(run.hurwitz(dim), run.pert(),
                                      cfg["horizon"], tol=cfg["tol"])
     else:
         model = run.model
         dim = model.state_dim
         factory = make_closed_loop_factory(
-            model, run.controller(), run.pert(state_dim=dim), cfg["horizon"],
+            model, run.controller(), run.pert(), cfg["horizon"],
             tol=cfg["tol"])
     report = verify_evuas(factory, cfg["delta0"], cfg["t0_grid"],
                           cfg["eps_levels"], cfg["horizon"],

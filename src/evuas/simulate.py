@@ -39,6 +39,10 @@ from .model import (_per_row, evaluate_dynamics, flatten_state,
 from .synthesis import ImplicitController, closed_loop_matrix
 
 _CSV_FMT = "%.17g"
+# the reference checks of TrackingSpec
+_CONSISTENCY_RTOL = 1e-4    # finite-difference derivative vs next column
+_ADMISSIBLE_TOL = 1e-8      # bound on |F(X_d(t), 0)|
+_ADMISSIBLE_GRID = 17       # sample times of the admissibility check
 
 
 def _check_width(pert, width):
@@ -58,7 +62,7 @@ def _states(x, dim, name):
     return x
 
 
-def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, norm, track=None):
+def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None):
     """Run x' = A x + (0, W(t, x_true)), W in the last ``pert.dim`` entries
     and x_true = x + X_d(t) for the deviation from a reference ``track``:
     propagated on a sample grid under a zero or chirp-form W (each term's
@@ -69,8 +73,7 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, norm, track=None):
             term._replace(c=np.concatenate([np.zeros(len(a) - pert.dim),
                                             term.c]))
             for term in pert.terms]
-        return propagate_linear(a, terms, t0, x0, t_end, sample_times,
-                                norm=norm)
+        return propagate_linear(a, terms, t0, x0, t_end, sample_times)
     # x @ A^T is A x on one state and on each row of a batch
     a_t = a.T
     if w is None:
@@ -86,7 +89,7 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, norm, track=None):
             return out
     return integrate(rhs, t0, x0, t_end, tol=tol,
                      freq_hint=None if w is None else pert.freq_hint,
-                     sample_times=sample_times, norm=norm)
+                     sample_times=sample_times)
 
 
 def _report_inputs(traj, m, feedback):
@@ -119,7 +122,7 @@ def _report_inputs(traj, m, feedback):
 
 
 def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
-                            sample_times=None, norm="euclidean"):
+                            sample_times=None):
     """Integrate the error system e' = A_H e + W(t, e).
 
     ``e0`` is one state (dim,) or an (N, dim) batch.  With
@@ -131,12 +134,11 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
     dim = len(hurwitz.a_h)
     e0 = _states(e0, dim, "e0")
     _check_width(pert, dim)
-    return _run_linear(hurwitz.a_h, pert, e0, t0, t_end, tol, sample_times,
-                       norm)
+    return _run_linear(hurwitz.a_h, pert, e0, t0, t_end, tol, sample_times)
 
 
 def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
-                         sample_times=None, norm="euclidean"):
+                         sample_times=None):
     """Integrate the first-order form under U = G(X).
 
     ``x0`` is one flat state (m*n,) or an (N, m*n) batch; states come back
@@ -155,14 +157,14 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     _check_width(pert, model.m)
     if isinstance(ctrl, ImplicitController) and ctrl.model is model:
         traj = _run_linear(closed_loop_matrix(ctrl.design, ctrl.hurwitz),
-                           pert, x0, t0, t_end, tol, sample_times, norm)
+                           pert, x0, t0, t_end, tol, sample_times)
     else:
         def rhs(t, x):
             return _per_row(lambda row: evaluate_dynamics(
                 model, pert, t, row, ctrl.solve(row)), x)
         traj = integrate(rhs, t0, x0, t_end, tol=tol,
                          freq_hint=None if pert is None else pert.freq_hint,
-                         sample_times=sample_times, norm=norm)
+                         sample_times=sample_times)
     return _report_inputs(traj, model.m,
                           lambda t, x, u0: ctrl.solve(x, u0=u0))
 
@@ -191,8 +193,8 @@ class TrackingSpec:
                 f"x_d(t) must have shape ({self.m}, {self.n}), got {mat.shape}")
         return mat
 
-    def check_consistency(self, t0, t_end, rel_tol=1e-4, seed=0):
-        rng = np.random.default_rng(seed)
+    def check_consistency(self, t0, t_end):
+        rng = np.random.default_rng(0)
         span = t_end - t0
         dt = 1e-5 * max(1.0, span)
         for t in t0 + span * rng.random(10):
@@ -203,23 +205,23 @@ class TrackingSpec:
             for i in range(self.n - 1):
                 scale = max(1.0, float(np.max(np.abs(deriv[:, i]))))
                 err = float(np.max(np.abs(deriv[:, i] - mid[:, i + 1])))
-                if err > rel_tol * scale:
+                if err > _CONSISTENCY_RTOL * scale:
                     raise ValueError(
                         f"reference column {i + 1} is not the derivative of "
                         f"column {i} at t={t:.4f} (error {err:.2e})")
 
-    def check_admissible(self, model, t0, t_end, tol=1e-8, n_grid=17):
-        for t in np.linspace(t0, t_end, n_grid):
+    def check_admissible(self, model, t0, t_end):
+        for t in np.linspace(t0, t_end, _ADMISSIBLE_GRID):
             resid = float(np.linalg.norm(
                 model.eval_f(flatten_state(self.value(t)), np.zeros(self.m))))
-            if resid > tol:
+            if resid > _ADMISSIBLE_TOL:
                 raise ValueError(
                     f"reference is inadmissible: |F(X_d({t:.4f}), 0)| = "
-                    f"{resid:.2e} exceeds {tol:.1e}")
+                    f"{resid:.2e} exceeds {_ADMISSIBLE_TOL:.1e}")
 
 
 def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
-                      tol=1e-8, sample_times=None, norm="euclidean"):
+                      tol=1e-8, sample_times=None):
     """Integrate the deviation Delta = X - X_d(t) from a reference.
 
     ``x0`` is one flat state (m*n,).  The reference must have the model's
@@ -243,7 +245,7 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
     delta0 = flatten_state(unflatten_state(x0, model.m, model.n)
                            - track.value(t0))
     traj = _run_linear(closed_loop_matrix(design, hurwitz), pert, delta0, t0,
-                       t_end, tol, sample_times, norm, track)
+                       t_end, tol, sample_times, track)
 
     def feedback(t, delta, u0):
         x_total = delta + flatten_state(track.value(t))
@@ -289,7 +291,7 @@ def make_reference(name, m=1, n=2):
 # trajectory export
 
 
-def trajectory_to_csv(traj, path, norm=None):
+def trajectory_to_csv(traj, path, norm="euclidean"):
     """RFC-4180 CSV: t, x_1..x_k, u_1..u_m (when present), norm.
 
     One trajectory per file: a batch run's (T, N, dim) states raise
@@ -299,7 +301,6 @@ def trajectory_to_csv(traj, path, norm=None):
         raise ShapeError(
             "trajectory_to_csv writes one trajectory, states of shape "
             f"(T, dim); got {traj.states.shape}")
-    norm = norm or traj.norm_used
     norms = traj.norms(norm)
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

@@ -304,13 +304,17 @@ class ImplicitController:
     concurrent trajectories as long as warm starts are kept per
     trajectory.  A failed solve raises :class:`~evuas.errors.NewtonError`
     carrying the state, residual and iteration count (of the lowest
-    failing row, on a batch).
+    failing row, on a batch).  The iteration stops at a residual norm of
+    ``tol``, after ``max_iter`` steps, or when ``max_halvings`` halvings of
+    a step find no descent.
     """
 
     mode = "implicit-newton"
+    tol = NEWTON_TOL
+    max_iter = NEWTON_MAX_ITER
+    max_halvings = NEWTON_MAX_HALVINGS
 
-    def __init__(self, model, design, hurwitz, tol=NEWTON_TOL,
-                 max_iter=NEWTON_MAX_ITER, max_halvings=NEWTON_MAX_HALVINGS):
+    def __init__(self, model, design, hurwitz):
         if design.m != model.m or design.n != model.n:
             raise DesignError(
                 f"design is (m={design.m}, n={design.n}) but the model is "
@@ -321,9 +325,6 @@ class ImplicitController:
         self.model = model
         self.design = design
         self.hurwitz = hurwitz
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.max_halvings = int(max_halvings)
 
     def residual(self, x_flat, u):
         """Closing residual at (X, U); zero defines the feedback."""
@@ -416,9 +417,6 @@ class ImplicitController:
                               row=None if one else row)
         return u[0] if one else u
 
-    def __call__(self, x_flat, u0=None):
-        return self.solve(x_flat, u0=u0)
-
     def to_summary(self):
         return {
             "mode": self.mode,
@@ -447,9 +445,6 @@ class LinearController:
         # a stack of matrix-vector products: each row is G x bit for bit
         return (self.gain @ x[..., None])[..., 0]
 
-    def __call__(self, x_flat, u0=None):
-        return self.solve(x_flat)
-
     def to_summary(self):
         return {
             "mode": self.mode,
@@ -460,9 +455,7 @@ class LinearController:
         }
 
 
-def synthesize_feedback(model, design, hurwitz, tol=NEWTON_TOL,
-                        max_iter=NEWTON_MAX_ITER,
-                        max_halvings=NEWTON_MAX_HALVINGS):
+def synthesize_feedback(model, design, hurwitz):
     """Build the implicit Newton-backed feedback for a model.
 
     Checks the origin equilibrium and the non-singularity of the input
@@ -475,8 +468,7 @@ def synthesize_feedback(model, design, hurwitz, tol=NEWTON_TOL,
         raise DesignError(
             "input Jacobian at the origin is numerically singular "
             f"(condition estimate {report.condition_estimate:.3e})")
-    return ImplicitController(model, design, hurwitz, tol=tol,
-                              max_iter=max_iter, max_halvings=max_halvings)
+    return ImplicitController(model, design, hurwitz)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +497,9 @@ def coercivity_probe(model, x_samples, ray_count=16, radii=(1.0, 10.0, 100.0, 10
     is listed in "excluded"; any other exception propagates.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.size < 3 or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be at least 3 increasing values")
+    if radii.size < 3 or not np.isfinite(radii).all() \
+            or np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be at least 3 finite, increasing values")
     rays = unit_directions(model.m, ray_count, np.random.default_rng(seed))
 
     data = []       # (state index, ray index) -> cost per radius
@@ -695,8 +688,8 @@ def estimate_roa(design, r_max, epsilon, delta_E_of_eps, theta1=1.0,
     for nm, v in (("r_max", r_max), ("epsilon", epsilon),
                   ("delta_E_of_eps", delta_E_of_eps), ("theta1", theta1),
                   ("theta2", theta2)):
-        if v <= 0:
-            raise ValueError(f"{nm} must be positive, got {v}")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{nm} must be positive and finite, got {v}")
     if epsilon >= r_max * design.mu_gamma:
         raise DesignError(
             f"epsilon {epsilon} must be below r_max*mu_gamma = "

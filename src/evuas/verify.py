@@ -20,6 +20,7 @@ from .simulate import simulate_closed_loop, simulate_error_dynamics
 
 _SETTLE_MARGIN = 0.95      # settle must happen inside this fraction of the window
 _TREND_DROP = 0.9          # tail must drop below this fraction to count as decreasing
+_SKIP_FRACTION = 0.1       # leading share of elapsed time the envelope fit skips
 
 # runtime failures of a trajectory factory that count as data; anything else
 # (a shape or type bug, say) propagates.  IntegrationError covers
@@ -219,9 +220,10 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     """
     check_norm_id(norm)
     eps_levels = [float(e) for e in eps_levels]
-    if any(e <= 0 for e in eps_levels) or \
+    if not all(0.0 < e < math.inf for e in eps_levels) or \
             any(b >= a for a, b in zip(eps_levels, eps_levels[1:])):
-        raise ValueError("eps_levels must be positive and strictly decreasing")
+        raise ValueError("eps_levels must be positive, finite and strictly "
+                         "decreasing")
     if not (0.0 < delta0 < math.inf and 0.0 < horizon < math.inf):
         raise ValueError("delta0 and horizon must be positive and finite")
     if samples < 1:
@@ -340,22 +342,27 @@ class KlEnvelope:
                 "validity": self.validity}
 
 
-def fit_kl_envelope(trajectories, skip_fraction=0.1, norm=None):
+def fit_kl_envelope(trajectories, norm="euclidean"):
     """Exponential envelope fitted to decaying trajectories.
 
     Pools the log-norm drop against elapsed time with one intercept per
-    trajectory and a shared slope; the envelope gain is then inflated so
-    the inequality holds on every input sample.  Non-decaying data is
-    rejected.
+    trajectory and a shared slope, fitted past the first tenth of each
+    trajectory's elapsed time; the envelope gain is then inflated so the
+    inequality holds on every input sample.  Non-decaying data is
+    rejected.  Each trajectory is one run, states of shape (T, dim); a
+    batch run's (T, N, dim) states raise ShapeError.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    used_norm = norm or trajectories[0].norm_used
-    check_norm_id(used_norm)
+    check_norm_id(norm)
 
     per_traj = []
     for traj in trajectories:
-        norms = vector_norm(traj.states, used_norm)
+        if traj.states.ndim != 2:
+            raise ShapeError(
+                "fit_kl_envelope fits single trajectories, states of shape "
+                f"(T, dim); got {traj.states.shape}")
+        norms = vector_norm(traj.states, norm)
         if norms[0] <= 0.0:
             raise ValueError("envelope fitting needs nonzero initial states")
         s = traj.times - traj.times[0]
@@ -365,7 +372,7 @@ def fit_kl_envelope(trajectories, skip_fraction=0.1, norm=None):
     num = 0.0
     den = 0.0
     for s, y in per_traj:
-        mask = s >= skip_fraction * s[-1]
+        mask = s >= _SKIP_FRACTION * s[-1]
         sw, yw = s[mask], y[mask]
         if sw.size < 2:
             continue
@@ -383,7 +390,7 @@ def fit_kl_envelope(trajectories, skip_fraction=0.1, norm=None):
     kappa = 1.0
     residuals = []
     for s, y in per_traj:
-        mask = s >= skip_fraction * s[-1]
+        mask = s >= _SKIP_FRACTION * s[-1]
         c = float(np.mean(y[mask] + mu * s[mask])) if np.any(mask) else 0.0
         kappa = max(kappa, math.exp(c))
         residuals.append(y[mask] + mu * s[mask] - c)
@@ -410,8 +417,8 @@ def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
     exception propagates.
     """
     check_norm_id(norm)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if dim is None:
         raise ValueError("dim (factory state dimension) is required")
     dirs = unit_directions(dim, directions, np.random.default_rng(seed))

@@ -133,6 +133,29 @@ def test_profile_rejects_bad_grid():
         ev.window_integral_sup(np.sin, 0.0, norm="manhattan")
 
 
+@pytest.mark.parametrize("name, call", [
+    pytest.param("t", lambda: ev.window_integral_sup(np.sin, math.nan),
+                 id="window_t_nan"),
+    pytest.param("quad_tol", lambda: ev.window_integral_sup(
+        np.sin, 0.0, quad_tol=math.nan), id="window_quad_tol_nan"),
+    pytest.param("t_grid", lambda: ev.diminishing_profile(
+        np.sin, [0.0, math.nan, 2.0]), id="profile_grid_nan"),
+    pytest.param("probe_radius", lambda: ev.classify(
+        ev.make_perturbation("cos_exp"), math.nan, 20.0),
+        id="classify_radius_nan"),
+    pytest.param("t_horizon", lambda: ev.classify(
+        ev.make_perturbation("cos_exp"), 1.0, math.nan),
+        id="classify_horizon_nan"),
+    pytest.param("t_horizon", lambda: ev.classify(
+        ev.make_perturbation("cos_exp"), 1.0, math.inf),
+        id="classify_horizon_inf")])
+def test_non_finite_arguments_are_rejected_up_front(name, call):
+    # NaN passes a "<= 0" check: it must be an input error, not a budget
+    # error after a long refinement or an "inconclusive" verdict
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
 def test_classify_state_proportional_vanishes_at_origin():
     pert = ev.PerturbationSpec.factored(
         lambda t: np.eye(2), lambda x: np.asarray(x, dtype=float), 2,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evuas as ev
+from evuas.integrate import propagate_linear
 
 from oracles import dopri_reference, linear_trajectory
 
@@ -127,6 +128,30 @@ def test_rejects_bad_windows():
     with pytest.raises(ValueError):
         ev.integrate(lambda t, x: -x, 0.0, np.array([1.0]), 1.0,
                      sample_times=[0.0, 2.0])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_rejects_a_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ev.integrate(lambda t, x: -x, 0.0, np.array([1.0]), 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("samples", [[], [0.0, math.nan, 1.0]])
+@pytest.mark.parametrize("run", ["integrate", "propagate_linear",
+                                 "simulate_error_dynamics"])
+def test_empty_or_nan_sample_times_are_a_value_error(run, samples):
+    # an empty grid used to raise IndexError, and a NaN time made
+    # integrate return the initial sample alone
+    calls = {
+        "integrate": lambda: ev.integrate(
+            lambda t, x: -x, 0.0, np.ones(1), 1.0, sample_times=samples),
+        "propagate_linear": lambda: propagate_linear(
+            -np.eye(1), (), 0.0, np.ones(1), 1.0, samples),
+        "simulate_error_dynamics": lambda: ev.simulate_error_dynamics(
+            ev.default_hurwitz(1), None, np.ones(1), 0.0, 1.0,
+            sample_times=samples)}
+    with pytest.raises(ValueError, match="non-empty 1-d sequence of finite"):
+        calls[run]()
 
 
 def test_diagnostics_populated():

@@ -248,7 +248,7 @@ def _random_factored(dim, seed):
                                   "example1_bounded", "random3"])
 def test_batched_evaluate_rows_are_one_state_values(name, rng):
     pert = (_random_factored(3, 0) if name == "random3"
-            else ev.make_perturbation(name, dim=2, state_dim=2))
+            else ev.make_perturbation(name, dim=2))
     xs = rng.uniform(-2.0, 2.0, (25, pert.state_dim))
     for t in rng.uniform(0.0, 20.0, 10):
         batch = pert.evaluate(t, xs)
@@ -298,3 +298,13 @@ def test_freq_hint_defaults_to_the_chirp_terms():
     given_hint = ev.PerturbationSpec.from_signal(w, 2, freq_hint=3.0,
                                                  terms=terms)
     assert given_hint.freq_hint == 3.0
+
+
+def test_only_a_factored_disturbance_takes_a_state_dim():
+    pert = ev.PerturbationSpec.factored(lambda t: np.eye(2),
+                                        lambda x: x[:2], 2, state_dim=4)
+    assert pert.state_dim == 4 and pert.evaluate(0.0, np.ones(4)).shape == (2,)
+    assert ev.make_perturbation("cos_exp").state_dim == 1
+    for kind, w in (("zero", None), ("time", lambda t: np.zeros(2))):
+        with pytest.raises(ValueError, match="state_dim"):
+            ev.PerturbationSpec(kind, 2, w=w, state_dim=4)

@@ -420,6 +420,15 @@ def test_cli_run_of_a_file_that_is_not_utf8_is_a_scenario_error(tmp_path,
     assert "scenario error: invalid JSON" in capsys.readouterr().err
 
 
+def test_cli_run_of_a_document_that_is_not_an_object_names_it(tmp_path,
+                                                               capsys):
+    bad = tmp_path / "a_list.json"
+    bad.write_bytes(_NOT_A_DOCUMENT["a_list"])
+    assert cli_main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "scenario error: document: expected an object" in \
+        capsys.readouterr().err
+
+
 def test_cli_run_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

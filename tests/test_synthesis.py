@@ -271,8 +271,11 @@ def test_batched_newton_covers_every_failure():
         cube.solve(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert exc.value.row == 1 and exc.value.singular
     assert exc.value.iterations == 0
-    stalled = ev.ImplicitController(tanh.model, tanh.design, tanh.hurwitz,
-                                    max_iter=1)
+
+    class Stalled(ev.ImplicitController):
+        max_iter = 1
+
+    stalled = Stalled(tanh.model, tanh.design, tanh.hurwitz)
     with pytest.raises(ev.NewtonError, match="no convergence in 1") as exc:
         stalled.solve(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert exc.value.row == 1 and exc.value.iterations == 1
@@ -341,6 +344,14 @@ def test_coercivity_radii_validation():
     chain = ev.make_model("chain", m=1, n=2)
     with pytest.raises(ValueError):
         ev.coercivity_probe(chain, [np.zeros(2)], radii=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_coercivity_rejects_non_finite_radii(bad):
+    # a NaN radius used to come back as an "inconclusive" verdict
+    with pytest.raises(ValueError, match="finite, increasing"):
+        ev.coercivity_probe(ev.make_model("cubic"), [np.zeros(2)],
+                            radii=(1.0, 10.0, 100.0, bad))
 
 
 def test_coercivity_excludes_failing_rays():
@@ -434,6 +445,19 @@ def test_roa_worked_examples():
                           n=2, m=4, gamma_star=2.0, mu_gamma=2.0, kappa=1.0)
     r = ev.estimate_roa(wide, r_max=1.0, epsilon=0.5, delta_E_of_eps=0.4, m=4)
     assert r.delta_star_E == pytest.approx(0.1, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [{"r_max": np.nan}, {"r_max": np.inf},
+                                 {"epsilon": np.nan},
+                                 {"delta_E_of_eps": np.nan},
+                                 {"theta2": np.inf}])
+def test_roa_rejects_non_finite_constants(bad):
+    unit = ev.GammaDesign(gamma=np.array([[1.0]]), poles=[[-1.0]], n=2, m=1,
+                          gamma_star=1.0, mu_gamma=1.0, kappa=1.0)
+    kwargs = dict(r_max=1.0, epsilon=0.5, delta_E_of_eps=0.3)
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be "
+                                         "positive and finite"):
+        ev.estimate_roa(unit, **{**kwargs, **bad})
 
 
 def test_roa_rejects_oversized_epsilon():

@@ -287,7 +287,29 @@ def test_envelope_needs_nonzero_initial_state():
         ev.fit_kl_envelope([traj])
 
 
+def test_envelope_rejects_a_batch_trajectory():
+    batch = _decay_factory()(0.0, np.array([[0.3, 0.4], [-0.5, 0.1]]))
+    with pytest.raises(ev.ShapeError, match=r"\(T, dim\)"):
+        ev.fit_kl_envelope([batch])
+
+
 # --- delta(eps) estimation
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda sim: ev.estimate_delta_of_eps(
+        sim, eps=np.nan, t0=0.0, horizon=5.0, dim=1), id="delta_eps_nan"),
+    pytest.param(lambda sim: ev.estimate_delta_of_eps(
+        sim, eps=np.inf, t0=0.0, horizon=5.0, dim=1), id="delta_eps_inf"),
+    pytest.param(lambda sim: ev.verify_evuas(
+        sim, delta0=0.5, t0_grid=[0.0], eps_levels=[0.5, np.nan],
+        horizon=5.0, samples=1, dim=1), id="verify_eps_levels_nan")])
+def test_non_finite_eps_is_rejected_before_any_run(call):
+    # a NaN or infinite level used to come back as a delta of 0.0
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    with pytest.raises(ValueError, match="^eps(_levels)? must be positive"):
+        call(never_called)
+
 
 def test_delta_for_monotone_scalar_decay():
     def fac(t0, x0):
