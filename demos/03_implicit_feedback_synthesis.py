@@ -39,7 +39,7 @@ print(f"\nclosed loop under cos(e^t): |X(0)| = {norms[0]:.2f}, "
 
 # region-of-attraction arithmetic from the design constants
 fac = ev.make_error_factory(hurwitz, pert, horizon=6.0, tol=1e-7)
-delta_e = ev.estimate_delta_of_eps(fac, eps=0.5, t0=0.0, horizon=6.0, dim=1,
+delta_e = ev.estimate_delta_of_eps(fac, eps=0.5, t0=0.0, dim=1,
                                    directions=4, iters=12)
 roa = ev.estimate_roa(design, r_max=1.0, epsilon=0.25,
                       delta_E_of_eps=delta_e)

@@ -151,6 +151,12 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol, cap, rows):
     return h
 
 
+def _non_finite(t_new, t, y, shape):
+    return IntegrationError(f"non-finite state at t={t_new}", t_last=t,
+                            x_last=y.reshape(shape).copy(),
+                            reason="non-finite")
+
+
 def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
               max_steps=_DEFAULT_MAX_STEPS):
     """Integrate x' = rhs(t, x) from t0 to t_end.
@@ -234,6 +240,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     n_rejected = 0
     min_step = math.inf
     rejected_last = False
+    abs_y = np.abs(y)
 
     while t < t_end:
         h_eff = min(h, cap(t), cap(min(t + h, t_end)))
@@ -251,27 +258,32 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                 f"step budget {max_steps} exhausted at t={t}", t_last=t,
                 x_last=y.reshape(shape).copy(), reason="budget")
 
+        # ndarray.dot is np.dot, bit for bit, without its dispatch cost
         hh = h_eff
         for i in range(1, 6):
             K[i] = rhs(t + _C[i] * hh if i < 5 else t_new,
-                       y + hh * np.dot(_A[i - 1], K_head[i]))
-        y_new = y + hh * np.dot(_A[5], K_head[6])
+                       y + hh * _A[i - 1].dot(K_head[i]))
+        y_new = y + hh * _A[5].dot(K_head[6])
         K[6] = rhs(t_new, y_new)
         n_rhs += 6
 
-        if not (np.isfinite(y_new).all() and np.isfinite(K[6]).all()):
-            raise IntegrationError(
-                f"non-finite state at t={t_new}", t_last=t,
-                x_last=y.reshape(shape).copy(), reason="non-finite")
-
-        r = hh * np.dot(_E, K) / (tol + tol * np.maximum(np.abs(y),
-                                                         np.abs(y_new)))
+        # a non-finite y_new is caught before the division, where it would
+        # raise a RuntimeWarning (its squared norm alone also overflows on
+        # huge finite entries); with y_new finite, a non-finite K[6] shows
+        # as a non-finite error norm, which otherwise means an overflow
+        # and a rejected step
+        if not (y_new.dot(y_new) < math.inf or np.isfinite(y_new).all()):
+            raise _non_finite(t_new, t, y, shape)
+        abs_new = np.abs(y_new)
+        r = hh * _E.dot(K) / (tol + tol * np.maximum(abs_y, abs_new))
         if rows == 1:
-            err = math.sqrt(float(np.dot(r, r)) / width)
+            err = math.sqrt(float(r.dot(r)) / width)
         else:
             r = r.reshape(rows, width)
             err = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r)))
                             / width)
+        if not err < math.inf and not np.isfinite(K[6]).all():
+            raise _non_finite(t_new, t, y, shape)
 
         if err <= 1.0:
             if samples is not None:
@@ -286,7 +298,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                 out_y.append(y_new)
             n_accepted += 1
             min_step = min(min_step, hh)
-            t, y = t_new, y_new
+            t, y, abs_y = t_new, y_new, abs_new
             K[0] = K[6]
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -0.2)

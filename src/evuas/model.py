@@ -180,7 +180,7 @@ def _disturbance(kind, w, d, k):
     def factored(t, x):
         d_t = np.asarray(d(t), dtype=float).T
         if x.ndim == 1:
-            return k(x) @ d_t
+            return np.asarray(k(x), dtype=float).dot(d_t)
         return (_per_row(k, x)[:, None] @ d_t)[:, 0]
     return factored
 

@@ -74,19 +74,20 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None):
                                             term.c]))
             for term in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
-    # x @ A^T is A x on one state and on each row of a batch
+    # x.dot(A^T) is A x on one state and on each row of a batch
     a_t = a.T
-    if w is None:
-        def rhs(t, x):
-            return x @ a_t
-    else:
-        split = len(a) - pert.dim
+    split = len(a) - (0 if w is None else pert.dim)
 
-        def rhs(t, x):
-            out = x @ a_t
-            out[..., split:] += w(t, x if track is None
-                                  else x + flatten_state(track.value(t)))
+    def rhs(t, x):
+        out = x.dot(a_t)
+        if w is None:
             return out
+        w_t = w(t, x if track is None else x + flatten_state(track.value(t)))
+        if split:
+            out[..., split:] += w_t
+        else:
+            out += w_t
+        return out
     return integrate(rhs, t0, x0, t_end, tol=tol,
                      freq_hint=None if w is None else pert.freq_hint,
                      sample_times=sample_times)

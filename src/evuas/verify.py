@@ -233,6 +233,9 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     t0_grid = [float(t) for t in t0_grid]
     if not t0_grid:
         raise ValueError("t0_grid must not be empty")
+    for t0 in t0_grid:
+        if not math.isfinite(t0):
+            raise ValueError(f"t0_grid must hold finite start times, got {t0}")
 
     dirs = unit_directions(dim, samples, np.random.default_rng(seed))
     radii = [delta0, delta0 / 2.0, delta0 / 4.0]
@@ -404,15 +407,16 @@ def fit_kl_envelope(trajectories, norm="euclidean"):
                       validity=validity)
 
 
-def estimate_delta_of_eps(sim, eps, t0, horizon, dim=None, directions=8,
-                          seed=0, iters=20, norm="euclidean"):
+def estimate_delta_of_eps(sim, eps, t0, dim=None, directions=8, seed=0,
+                          iters=20, norm="euclidean"):
     """Largest sampled initial-norm level whose trajectories stay below eps.
 
     Bisects over the level in (0, eps]; sampled directions are seeded and
-    shared across levels.  Returns 0.0 when even the smallest tested level
-    fails.  The factory ``sim`` is called once per level with the
-    (directions, dim) stack of initial states and must return states of
-    shape (T, directions, dim), as the factories of this module do.  A
+    shared across levels, and the factory fixes the observation window.
+    Returns 0.0 when even the smallest tested level fails.  The factory
+    ``sim`` is called once per level with the (directions, dim) stack of
+    initial states and must return states of shape (T, directions, dim),
+    as the factories of this module do.  A
     runtime failure anywhere in the stack fails the level; any other
     exception propagates.
     """

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,21 +98,61 @@ def test_time_varying_freq_hint():
     assert np.max(np.abs(traj.states)) < 0.02
 
 
+def _raises_without_warnings(*args, **kwargs):
+    """The IntegrationError of ev.integrate(*args), no warning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ev.IntegrationError) as exc:
+            ev.integrate(*args, **kwargs)
+    return exc.value
+
+
 def test_non_finite_rhs_reports_time():
+    # NaN from t = 1 on: the first step to evaluate there fails, and the
+    # error carries the last step the run without the NaN accepted before 1
     def rhs(t, x):
-        return np.array([1.0 / (1.0 - t) if t < 1.0 else np.nan])
-    with pytest.raises(ev.IntegrationError) as exc:
-        ev.integrate(rhs, 0.0, np.zeros(1), 2.0, tol=1e-6)
-    assert exc.value.t_last is not None
-    assert exc.value.x_last is not None
+        return -x if t < 1.0 else np.full_like(x, np.nan)
+    clean = ev.integrate(lambda t, x: -x, 0.0, np.ones(1), 2.0, tol=1e-6)
+    exc = _raises_without_warnings(rhs, 0.0, np.ones(1), 2.0, tol=1e-6)
+    last = np.flatnonzero(clean.times < 1.0)[-1]
+    assert exc.reason == "non-finite"
+    assert exc.t_last == clean.times[last]
+    assert np.array_equal(exc.x_last, clean.states[last])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("x0", [np.ones(2), np.ones((3, 2))])
+@pytest.mark.parametrize("call", [31, 32], ids=["y_new", "last_stage"])
+def test_non_finite_late_stage_fails_the_step(call, bad, x0):
+    # one RHS value of the fifth step is non-finite (calls 1 and 2 are f0
+    # and the initial-step probe, then six per step): the last stage input
+    # (call 31), which makes y_new non-finite, or the FSAL stage
+    # K[6] = rhs(t_new, y_new) (call 32), with y_new finite.  Either way
+    # the step fails, with no warning and not as a rejected step
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return np.full_like(x, bad) if len(calls) == call else -x
+    clean = ev.integrate(lambda t, x: -x, 0.0, x0, 10.0, tol=1e-6)
+    assert clean.diagnostics["n_rejected"] == 0
+    exc = _raises_without_warnings(rhs, 0.0, x0, 10.0, tol=1e-6)
+    assert exc.reason == "non-finite" and len(calls) == 32
+    assert exc.t_last == clean.times[4]
+    assert np.array_equal(exc.x_last, clean.states[4])
 
 
 def test_step_underflow_near_singularity():
+    # x' = 1 / (1 - t), x(0) = 0 is -log(1 - t): the step shrinks with
+    # 1 - t until it underflows at the last accepted step before t = 1,
+    # where -log(1 - t) is about 26 and the per-step errors have added up
+    # to about 1e-5 of it
     rhs = lambda t, x: np.array([1.0 / (1.0 - t)])
-    with pytest.raises(ev.IntegrationError) as exc:
-        ev.integrate(rhs, 0.0, np.zeros(1), 2.0, tol=1e-10)
-    assert exc.value.reason in ("step-underflow", "non-finite")
-    assert exc.value.t_last < 1.0 + 1e-6
+    exc = _raises_without_warnings(rhs, 0.0, np.zeros(1), 2.0, tol=1e-10)
+    assert exc.reason == "step-underflow"
+    assert exc.t_last < 1.0
+    assert exc.x_last[0] == pytest.approx(-math.log1p(-exc.t_last),
+                                          rel=1e-4)
 
 
 def test_step_budget():

@@ -369,8 +369,13 @@ def test_unknown_scenario_name_is_a_scenario_error():
 def test_module_entry_point():
     import subprocess
     import sys
+    # the child imports the evuas this test imported, however it was found
+    package_root = str(Path(ev.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "evuas", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "scenarios:" in proc.stdout
 

@@ -315,6 +315,39 @@ def test_batched_factored_disturbance_rows_match_serial():
             <= 100 * tol
 
 
+def test_factored_error_run_is_the_plain_rhs_bit_for_bit():
+    # the runner's right-hand side is A e + D(t) K(e) spelled out in row
+    # form, to the last bit, on a sample grid and on the stored steps
+    pert = ev.make_perturbation("example1_bounded")
+    a = np.array(A_H)
+
+    def rhs(t, e):
+        return e @ a.T + pert.k(e) @ np.asarray(pert.d(t), dtype=float).T
+    for samples in (np.linspace(0.0, 3.0, 601), None):
+        run = ev.simulate_error_dynamics(ev.build_hurwitz(A_H), pert,
+                                         [-1.0, 1.5], 0.0, 3.0, tol=1e-7,
+                                         sample_times=samples)
+        plain = ev.integrate(rhs, 0.0, [-1.0, 1.5], 3.0, tol=1e-7,
+                             freq_hint=pert.freq_hint, sample_times=samples)
+        assert np.array_equal(run.times, plain.times)
+        assert np.array_equal(run.states, plain.states)
+        assert run.diagnostics == plain.diagnostics
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_example1_bounded_k_is_its_formula_bit_for_bit(width, rng):
+    # K reads the first two entries of a state of any width (a closed loop
+    # passes its whole state); signed zeros must come out as the formula's
+    k = ev.make_perturbation("example1_bounded").k
+    xs = rng.standard_normal((500, width)) * 10.0 ** rng.uniform(
+        -8.0, 8.0, (500, 1))
+    xs[:20, :2] = [[0.0, -0.0], [-0.0, 0.0], [-1.0, -0.0], [-0.0, -1.0],
+                   [1.0, -3.0]] * 4
+    for x in xs:
+        want = np.array([-x[1], 2 * (np.cbrt(x[0]) + x[1] + 1)])
+        assert k(x).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case", ["designed_time", "designed_factored",
                                   "linear_gain"])
 def test_closed_loop_factory_batch_rows_match_serial(case):

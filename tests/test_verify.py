@@ -121,7 +121,7 @@ def test_factory_programming_errors_propagate():
         ev.verify_evuas(broken, delta0=0.5, t0_grid=[0.0], eps_levels=[0.6],
                         horizon=8.0, samples=3, seed=0, dim=1)
     with pytest.raises(TypeError, match="factory bug"):
-        ev.estimate_delta_of_eps(broken, eps=0.1, t0=0.0, horizon=8.0, dim=1)
+        ev.estimate_delta_of_eps(broken, eps=0.1, t0=0.0, dim=1)
 
 
 def test_failed_witness_replay_is_a_sim_failure():
@@ -224,8 +224,7 @@ def test_batched_delta_estimate_matches_serial_bisection(eps):
     kwargs = dict(eps=eps, t0=0.0, dim=1, directions=4, seed=5, iters=16)
     want = _serial_delta_of_eps(_blowup_factory, **kwargs)
     assert 0.0 < want < eps
-    assert ev.estimate_delta_of_eps(_blowup_factory, horizon=8.0,
-                                    **kwargs) == want
+    assert ev.estimate_delta_of_eps(_blowup_factory, **kwargs) == want
 
 
 @pytest.mark.slow
@@ -297,9 +296,9 @@ def test_envelope_rejects_a_batch_trajectory():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda sim: ev.estimate_delta_of_eps(
-        sim, eps=np.nan, t0=0.0, horizon=5.0, dim=1), id="delta_eps_nan"),
+        sim, eps=np.nan, t0=0.0, dim=1), id="delta_eps_nan"),
     pytest.param(lambda sim: ev.estimate_delta_of_eps(
-        sim, eps=np.inf, t0=0.0, horizon=5.0, dim=1), id="delta_eps_inf"),
+        sim, eps=np.inf, t0=0.0, dim=1), id="delta_eps_inf"),
     pytest.param(lambda sim: ev.verify_evuas(
         sim, delta0=0.5, t0_grid=[0.0], eps_levels=[0.5, np.nan],
         horizon=5.0, samples=1, dim=1), id="verify_eps_levels_nan")])
@@ -314,14 +313,13 @@ def test_non_finite_eps_is_rejected_before_any_run(call):
 def test_delta_for_monotone_scalar_decay():
     def fac(t0, x0):
         return ev.integrate(lambda t, x: -x, t0, x0, t0 + 10.0, tol=1e-9)
-    d = ev.estimate_delta_of_eps(fac, eps=0.1, t0=0.0, horizon=10.0, dim=1)
+    d = ev.estimate_delta_of_eps(fac, eps=0.1, t0=0.0, dim=1)
     assert 0.099 <= d < 0.1
 
 
 def test_delta_for_example_matrix():
     fac = _decay_factory()
-    d = ev.estimate_delta_of_eps(fac, eps=1.0, t0=0.0, horizon=12.0, dim=2,
-                                 seed=11)
+    d = ev.estimate_delta_of_eps(fac, eps=1.0, t0=0.0, dim=2, seed=11)
     trajs = [fac(0.0, np.array(x)) for x in ([0.3, 0.4], [-0.5, 0.1])]
     env = ev.fit_kl_envelope(trajs)
     assert d <= 1.0
@@ -331,8 +329,7 @@ def test_delta_for_example_matrix():
 def test_delta_zero_for_unstable_dynamics():
     def fac(t0, x0):
         return ev.integrate(lambda t, x: +x, t0, x0, t0 + 5.0, tol=1e-9)
-    assert ev.estimate_delta_of_eps(fac, eps=0.5, t0=0.0, horizon=5.0,
-                                    dim=1) == 0.0
+    assert ev.estimate_delta_of_eps(fac, eps=0.5, t0=0.0, dim=1) == 0.0
 
 
 def test_report_serializes_to_json():
@@ -476,3 +473,15 @@ def test_radius_and_horizon_must_be_positive_and_finite(bad):
                   samples=1, dim=1)
     with pytest.raises(ValueError, match="positive and finite"):
         ev.verify_evuas(never_called, **{**kwargs, **bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_time_is_rejected_before_any_run(bad):
+    # a NaN start time used to reach integrate as "t_end=nan must exceed
+    # t0=nan", naming neither the argument nor the entry
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    with pytest.raises(ValueError, match=f"^t0_grid must hold finite start "
+                                         f"times, got {bad}$"):
+        ev.verify_evuas(never_called, delta0=0.5, t0_grid=[0.0, bad],
+                        eps_levels=[0.5], horizon=5.0, samples=1, dim=1)
