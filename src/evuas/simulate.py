@@ -76,17 +76,13 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None):
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
     # x.dot(A^T) is A x on one state and on each row of a batch
     a_t = a.T
-    split = len(a) - (0 if w is None else pert.dim)
+    split = None if w is None else len(a) - pert.dim
 
     def rhs(t, x):
         out = x.dot(a_t)
-        if w is None:
-            return out
-        w_t = w(t, x if track is None else x + flatten_state(track.value(t)))
-        if split:
-            out[..., split:] += w_t
-        else:
-            out += w_t
+        if w is not None:
+            out[..., split:] += w(t, x if track is None
+                                  else x + flatten_state(track.value(t)))
         return out
     return integrate(rhs, t0, x0, t_end, tol=tol,
                      freq_hint=None if w is None else pert.freq_hint,
