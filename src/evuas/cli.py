@@ -57,6 +57,9 @@ def _common_flags(sub):
     sub.add_argument("--format", dest="formats", action="append",
                      choices=("csv", "json", "svg"),
                      help="artifact formats (repeatable)")
+
+
+def _scenario_dir_flag(sub):
     sub.add_argument("--scenario-dir", dest="scenario_dirs", action="append",
                      default=[], help="extra scenario directory (repeatable)")
 
@@ -66,7 +69,8 @@ def _run(doc_or_source, args):
         summary = run_scenario(doc_or_source, args.out, seed=args.seed,
                                tol=args.tol, norm=args.norm,
                                formats=args.formats,
-                               extra_dirs=args.scenario_dirs)
+                               extra_dirs=getattr(args, "scenario_dirs",
+                                                  None))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -134,8 +138,6 @@ def _cmd_synthesize(args):
 
 
 def _cmd_simulate(args):
-    if args.scenario:
-        return _run(args.scenario, args)
     doc = {
         "name": "simulate_cli",
         "stages": ["simulate"],
@@ -154,8 +156,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
-    if args.scenario:
-        return _run(args.scenario, args)
     doc = {
         "name": "verify_cli",
         "stages": ["verify"],
@@ -177,13 +177,13 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_list = subs.add_parser("list", help="print the catalogs")
-    p_list.add_argument("--scenario-dir", dest="scenario_dirs",
-                        action="append", default=[])
+    _scenario_dir_flag(p_list)
     p_list.set_defaults(fn=_cmd_list)
 
     p_run = subs.add_parser("run", help="run a scenario file or name")
     p_run.add_argument("scenario", help="scenario path or catalog name")
     _common_flags(p_run)
+    _scenario_dir_flag(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
     p_cls = subs.add_parser("classify", help="classify a disturbance term")
@@ -214,8 +214,6 @@ def main(argv=None):
 
     p_sim = subs.add_parser("simulate", help="simulate a loop or the error "
                                              "dynamics")
-    p_sim.add_argument("--scenario",
-                       help="run the simulate stage of this scenario")
     p_sim.add_argument("--kind", choices=("error", "closed-loop", "tracking"),
                        default="error")
     p_sim.add_argument("--model", default="chain",
@@ -235,8 +233,6 @@ def main(argv=None):
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_ver = subs.add_parser("verify", help="empirical stability report")
-    p_ver.add_argument("--scenario",
-                       help="run the verify stage of this scenario")
     p_ver.add_argument("--a-h", type=_parse_matrix, default="default")
     p_ver.add_argument("--perturbation", choices=sorted(PERTURBATION_CATALOG))
     p_ver.add_argument("--delta0", type=float, default=0.5)

@@ -481,9 +481,6 @@ class CatalogSignal:
         """Angular frequency of the fastest term, derived from the terms."""
         return chirp_freq(self.terms or ())
 
-    def __call__(self, t):
-        return self.fn(t)
-
 
 def _stack2(f1, f2):
     def fn(t):

@@ -81,10 +81,6 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def t0(self):
-        return float(self.times[0])
-
-    @property
     def dim(self):
         return self.states.shape[-1]
 

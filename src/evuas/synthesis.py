@@ -74,19 +74,45 @@ class GammaDesign:
         }
 
 
-def _check_conjugate_closed(roots, what):
-    pending = list(roots)
+def _pole_groups(poles, count, what):
+    """Check a pole set and split it into its conjugate groups.
+
+    The set must hold ``count`` poles with negative real parts, closed
+    under conjugation up to ``_POLE_TOL``.  Groups come in (real part,
+    |imag|) order: a near-real pole alone, snapped to an exact real, and a
+    complex pole p, the first of its pair in that order, as [p, conj(p)].
+    """
+    poles = [complex(p) for p in poles]
+    if len(poles) != count:
+        raise DesignError(f"{what}: expected {count} poles, got {len(poles)}")
+    for p in poles:
+        if p.real >= 0.0:
+            raise DesignError(f"{what}: pole {p} has nonnegative real part")
+    pending = sorted(poles, key=lambda p: (p.real, abs(p.imag)))
+    groups = []
     while pending:
-        r = pending.pop()
-        if abs(r.imag) <= _POLE_TOL:
+        p = pending.pop(0)
+        if abs(p.imag) <= _POLE_TOL:
+            groups.append([complex(p.real, 0.0)])
             continue
-        for i, s in enumerate(pending):
-            if abs(s - np.conj(r)) <= _POLE_TOL * max(1.0, abs(r)):
+        for i, q in enumerate(pending):
+            if abs(q - np.conj(p)) <= _POLE_TOL * max(1.0, abs(p)):
                 pending.pop(i)
                 break
         else:
             raise DesignError(
-                f"{what}: complex pole {r} lacks its conjugate partner")
+                f"{what}: complex pole {p} lacks its conjugate partner")
+        groups.append([p, np.conj(p)])
+    return groups
+
+
+def _monic_ascending(roots, what):
+    """Coefficients c_0 ... c_{k-1} of the real monic polynomial with these
+    k roots, the leading 1 left off."""
+    coeffs = np.poly(roots)               # descending, monic
+    if np.max(np.abs(coeffs.imag)) > 1e-10:
+        raise DesignError(f"{what}: pole expansion is not real")
+    return coeffs.real[1:][::-1]
 
 
 def _first_order(m, n, last):
@@ -108,11 +134,10 @@ def _estimate_overshoot(design_gamma, mu_gamma):
     blocks = [_first_order(1, n_minus_1, -design_gamma[:, j])
               for j in range(m)]
     a = scipy.linalg.block_diag(*blocks)
-    t_max = 20.0 / mu_gamma
-    sup = 1.0
-    for t in np.linspace(0.0, t_max, 201):
-        sup = max(sup, float(np.linalg.norm(scipy.linalg.expm(a * t), 2)))
-    return max(1.0, 1.05 * sup)
+    ts = np.linspace(0.0, 20.0 / mu_gamma, 201)
+    norms = np.linalg.norm(scipy.linalg.expm(a * ts[:, None, None]), 2,
+                           axis=(1, 2))
+    return 1.05 * max(1.0, float(np.max(norms)))
 
 
 def build_gamma(poles_per_column, n):
@@ -136,18 +161,8 @@ def build_gamma(poles_per_column, n):
     worst_real = -np.inf
     for j, col in enumerate(poles_per_column):
         roots = [complex(p) for p in col]
-        if len(roots) != n - 1:
-            raise DesignError(
-                f"column {j}: expected {n - 1} poles, got {len(roots)}")
-        for r in roots:
-            if r.real >= 0.0:
-                raise DesignError(
-                    f"column {j}: pole {r} has nonnegative real part")
-        _check_conjugate_closed(roots, f"column {j}")
-        coeffs = np.poly(roots)           # descending, monic
-        if np.max(np.abs(coeffs.imag)) > 1e-10:
-            raise DesignError(f"column {j}: expansion is not real")
-        gamma[:, j] = coeffs.real[1:][::-1]
+        _pole_groups(roots, n - 1, f"column {j}")
+        gamma[:, j] = _monic_ascending(roots, f"column {j}")
         poles.append(roots)
         worst_real = max(worst_real, max(r.real for r in roots))
     gamma_star = max(1.0, float(np.max(np.abs(gamma))))
@@ -164,11 +179,6 @@ class HurwitzMatrix:
     a_h: np.ndarray
     eigenvalues: np.ndarray
     max_real_part: float
-
-    def to_dict(self):
-        return {"a_h": self.a_h.tolist(),
-                "eigenvalues": [(z.real, z.imag) for z in self.eigenvalues],
-                "max_real_part": self.max_real_part}
 
 
 def build_hurwitz(a_h):
@@ -195,11 +205,6 @@ class NonSingularityReport:
     levy_desplanques: bool
     numeric_nonsingular: bool
     condition_estimate: float
-
-    def to_dict(self):
-        return {"levy_desplanques": self.levy_desplanques,
-                "numeric_nonsingular": self.numeric_nonsingular,
-                "condition_estimate": self.condition_estimate}
 
 
 def check_nonsingular(b):
@@ -455,12 +460,10 @@ class LinearController:
         }
 
 
-def synthesize_feedback(model, design, hurwitz):
-    """Build the implicit Newton-backed feedback for a model.
-
-    Checks the origin equilibrium and the non-singularity of the input
-    Jacobian at the origin before handing out the controller.
-    """
+def _check_origin(model):
+    """The design's preconditions at x = 0: the origin is an equilibrium,
+    F(0, 0) = 0 (a ValueError otherwise), and the input Jacobian there is
+    numerically nonsingular."""
     model.check_origin_equilibrium()
     report = check_nonsingular(_model.jacobian_F_U(
         model, np.zeros(model.state_dim), np.zeros(model.m)))
@@ -468,6 +471,12 @@ def synthesize_feedback(model, design, hurwitz):
         raise DesignError(
             "input Jacobian at the origin is numerically singular "
             f"(condition estimate {report.condition_estimate:.3e})")
+
+
+def synthesize_feedback(model, design, hurwitz):
+    """Build the implicit Newton-backed feedback for a model, after checking
+    the origin preconditions."""
+    _check_origin(model)
     return ImplicitController(model, design, hurwitz)
 
 
@@ -545,36 +554,10 @@ def _partition_poles(poles, m, n):
     (real part, |imag|) and dealt greedily into the lowest-index channel
     with enough remaining capacity.
     """
-    poles = [complex(p) for p in poles]
-    if len(poles) != m * n:
-        raise DesignError(f"expected {m * n} poles, got {len(poles)}")
-    _check_conjugate_closed(poles, "desired poles")
-    for p in poles:
-        if p.real >= 0.0:
-            raise DesignError(f"pole {p} has nonnegative real part")
-
-    used = [False] * len(poles)
-    groups = []           # list of (sort key, [poles])
-    order = sorted(range(len(poles)),
-                   key=lambda i: (poles[i].real, abs(poles[i].imag)))
-    for i in order:
-        if used[i]:
-            continue
-        p = poles[i]
-        used[i] = True
-        if abs(p.imag) <= _POLE_TOL:
-            groups.append(((p.real, 0.0), [complex(p.real, 0.0)]))
-            continue
-        for jj in order:
-            if not used[jj] and abs(poles[jj] - np.conj(p)) <= \
-                    _POLE_TOL * max(1.0, abs(p)):
-                used[jj] = True
-                break
-        groups.append(((p.real, abs(p.imag)), [p, np.conj(p)]))
-
-    groups.sort(key=lambda g: (-len(g[1]), g[0]))
+    groups = _pole_groups(poles, m * n, "desired poles")
+    groups.sort(key=lambda g: (-len(g), g[0].real, abs(g[0].imag)))
     channels = [[] for _ in range(m)]
-    for _, grp in groups:
+    for grp in groups:
         for ch in channels:
             if len(ch) + len(grp) <= n:
                 ch.extend(grp)
@@ -597,14 +580,6 @@ def linearization(model):
     return a, b
 
 
-def controllability_rank(a, b):
-    dim = a.shape[0]
-    blocks = [b]
-    for _ in range(dim - 1):
-        blocks.append(a @ blocks[-1])
-    return int(np.linalg.matrix_rank(np.hstack(blocks)))
-
-
 def linearize_and_place(model, desired_poles):
     """Linear gain whose closed-loop linearization has the desired spectrum.
 
@@ -613,28 +588,17 @@ def linearize_and_place(model, desired_poles):
     derivative i) exposes one controllable companion block per channel.
     Cancelling the state coupling through the input Jacobian and imposing
     the per-channel characteristic polynomials then places all poles
-    exactly.
+    exactly.  A nonsingular input Jacobian already makes the linearization
+    controllable, so the origin preconditions are the only ones checked;
+    the final spectrum comparison guards the numerics.
     """
     m, n = model.m, model.n
+    _check_origin(model)
     a, b = linearization(model)
-    rank = controllability_rank(a, b)
-    if rank < m * n:
-        raise DesignError(
-            f"linearization is uncontrollable: controllability rank {rank} "
-            f"< {m * n}")
-    report = check_nonsingular(b[(n - 1) * m:, :])
-    if not report.numeric_nonsingular:
-        raise DesignError(
-            "input Jacobian at the origin is numerically singular "
-            f"(condition estimate {report.condition_estimate:.3e})")
-
     channels = _partition_poles(desired_poles, m, n)
     gain_v = np.zeros((m, m * n))   # virtual gain in companion coordinates
     for j, ch in enumerate(channels):
-        coeffs = np.poly(ch)
-        if np.max(np.abs(np.asarray(coeffs).imag)) > 1e-10:
-            raise DesignError(f"channel {j}: pole expansion is not real")
-        ascending = np.real(coeffs)[1:][::-1]       # a_0 ... a_{n-1}
+        ascending = _monic_ascending(ch, f"channel {j}")   # a_0 ... a_{n-1}
         for i in range(n):
             gain_v[j, i * m + j] = -ascending[i]
     ju = b[(n - 1) * m:, :]
@@ -666,11 +630,6 @@ class RoaEstimate:
     delta_star_E: float
     delta_star_X: float
     delta_star: float
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "r_max", "epsilon", "delta_E_of_eps", "theta1", "theta2",
-            "delta_star_E", "delta_star_X", "delta_star")}
 
 
 def estimate_roa(design, r_max, epsilon, delta_E_of_eps, theta1=1.0,

@@ -339,11 +339,6 @@ class KlEnvelope:
     def bound(self, r0, s):
         return self.kappa * r0 * np.exp(-self.mu * np.asarray(s))
 
-    def to_dict(self):
-        return {"kappa": self.kappa, "mu": self.mu,
-                "fit_residual": self.fit_residual, "slack": self.slack,
-                "validity": self.validity}
-
 
 def fit_kl_envelope(trajectories, norm="euclidean"):
     """Exponential envelope fitted to decaying trajectories.
@@ -423,6 +418,10 @@ def estimate_delta_of_eps(sim, eps, t0, dim=None, directions=8, seed=0,
     check_norm_id(norm)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be a finite start time, got {t0}")
+    if directions < 1:
+        raise ValueError("directions must be at least 1")
     if dim is None:
         raise ValueError("dim (factory state dimension) is required")
     dirs = unit_directions(dim, directions, np.random.default_rng(seed))

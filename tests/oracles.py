@@ -4,7 +4,8 @@ These deliberately share no code with the package: uniform composite
 Simpson quadrature for the windowed-integral metric, the matrix
 exponential for linear trajectories, a plain Dormand-Prince stepper
 that spells every stage out term by term, and scipy's DOP853 at a tight
-tolerance for linear systems under a time forcing.  The one exception is
+tolerance for linear systems under a time forcing, and the pole-placement
+gain spelled out from the Jacobians at the origin.  The one exception is
 the damped Newton reference, which solves one state at a time through the
 model's own one-state F and Jacobian.
 """
@@ -230,3 +231,45 @@ def newton_reference(ctrl, x_flat, u0=None):
         f"no convergence in {ctrl.max_iter} iterations "
         f"(residual {rn:.3e})", x=x_flat.copy(), residual=rn,
         iterations=ctrl.max_iter)
+
+
+def place_reference(jx, ju, poles, tol=1e-9):
+    """Pole-placement gain from the input and state Jacobians at the origin.
+
+    The poles are dealt into m conjugate-closed channel groups of n: reals
+    (snapped to exact reals) and pairs [p, conj(p)], sorted by (real part,
+    |imag|), pairs before reals, each into the lowest-index channel with
+    room.  Each channel's monic polynomial sets its companion row; the
+    gain cancels the state coupling through the input Jacobian.
+    """
+    m = ju.shape[0]
+    n = jx.shape[1] // m
+    poles = [complex(p) for p in poles]
+    order = sorted(range(len(poles)),
+                   key=lambda i: (poles[i].real, abs(poles[i].imag)))
+    used = [False] * len(poles)
+    groups = []
+    for i in order:
+        if used[i]:
+            continue
+        p = poles[i]
+        used[i] = True
+        if abs(p.imag) <= tol:
+            groups.append(((p.real, 0.0), [complex(p.real, 0.0)]))
+            continue
+        for k in order:
+            if not used[k] and abs(poles[k] - np.conj(p)) <= \
+                    tol * max(1.0, abs(p)):
+                used[k] = True
+                break
+        groups.append(((p.real, abs(p.imag)), [p, np.conj(p)]))
+    groups.sort(key=lambda g: (-len(g[1]), g[0]))
+    channels = [[] for _ in range(m)]
+    for _, group in groups:
+        next(ch for ch in channels if len(ch) + len(group) <= n).extend(group)
+    virtual = np.zeros((m, m * n))
+    for j, ch in enumerate(channels):
+        ascending = np.real(np.poly(ch))[1:][::-1]
+        for i in range(n):
+            virtual[j, i * m + j] = -ascending[i]
+    return np.linalg.solve(ju, virtual - jx)

@@ -603,3 +603,12 @@ def test_cli_bad_pole_is_an_argument_error(capsys):
         cli_main(["synthesize", "--model", "cubic", "--poles=x"])
     assert exc.value.code == 2
     assert "bad pole 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_cli_stage_commands_take_no_scenario(command, capsys):
+    # a whole scenario runs through `evuas run`
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--scenario", "tracking_demo"])
+    assert exc.value.code == 2
+    assert "--scenario" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from oracles import newton_reference
+from oracles import newton_reference, place_reference
 
 import evuas as ev
 from evuas.synthesis import closed_loop_matrix
@@ -389,16 +389,50 @@ def test_pole_placement_scales_with_input_gain():
     assert np.allclose(ctrl.gain, [[-0.5, -1.0]], atol=1e-12)
 
 
-def test_pole_placement_exact_spectrum(rng):
-    for m, n in ((1, 3), (2, 2)):
-        model = ev.make_model("chain", m=m, n=n)
-        poles = []
-        while len(poles) < m * n:
-            if m * n - len(poles) >= 2 and rng.random() < 0.5:
-                re, im = -rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
-                poles += [complex(re, im), complex(re, -im)]
+def _linear_model(jx, ju):
+    """F = J_X x + J_U u with its exact Jacobians."""
+    m = len(ju)
+    return ev.SystemModel(m, jx.shape[1] // m, lambda x, u: jx @ x + ju @ u,
+                          jac_u=lambda x, u: ju, jac_x=lambda x, u: jx)
+
+
+def _random_poles(rng, m, n, noise=0.0):
+    """m conjugate-closed sets of n stable poles, shuffled together.
+
+    Either pole of a pair may come first; ``noise`` moves the imaginary
+    part of a real pole and of a pair's second pole.
+    """
+    poles = []
+    for _ in range(m):
+        col = []
+        while len(col) < n:
+            jitter = noise * rng.uniform(-1.0, 1.0)
+            if n - len(col) >= 2 and rng.random() < 0.5:
+                re, im = -rng.uniform(0.2, 3.0), rng.uniform(0.2, 2.0)
+                pair = [complex(re, im), complex(re, -im + jitter)]
+                col += pair if rng.random() < 0.5 else pair[::-1]
             else:
-                poles.append(complex(-rng.uniform(0.5, 3.0), 0.0))
+                col.append(complex(-rng.uniform(0.2, 3.0), jitter))
+        poles += col
+    return [poles[i] for i in rng.permutation(len(poles))]
+
+
+def _well_conditioned(rng, m):
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    return q * rng.uniform(0.5, 2.0, m)            # condition number <= 4
+
+
+def test_pole_placement_exact_spectrum(rng):
+    # the chain models, then random J_X and well-conditioned J_U: a
+    # nonsingular J_U alone makes the linearization controllable
+    models = [ev.make_model("chain", m=1, n=3),
+              ev.make_model("chain", m=2, n=2)]
+    for _ in range(200):
+        m, n = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        jx = rng.normal(scale=3.0, size=(m, m * n))
+        models.append(_linear_model(jx, _well_conditioned(rng, m)))
+    for model in models:
+        poles = _random_poles(rng, model.m, model.n)
         ctrl = ev.linearize_and_place(model, poles)
         a, b = ev.linearization(model)
         got = np.sort_complex(np.linalg.eigvals(a + b @ ctrl.gain))
@@ -429,6 +463,38 @@ def test_pole_placement_rejects_singular_input_map():
     model = ev.SystemModel(1, 2, lambda x, u: np.array([0.0 * u[0]]))
     with pytest.raises(ev.DesignError):
         ev.linearize_and_place(model, [-1.0, -1.0])
+
+
+def test_pole_placement_rejects_shifted_equilibrium():
+    # the gain alone would settle the loop at x1 = 0.5, not at the origin
+    model = ev.SystemModel(1, 2, lambda x, u: np.asarray(u) + 0.5)
+    with pytest.raises(ValueError, match="equilibrium"):
+        ev.linearize_and_place(model, [-1.0, -1.0])
+
+
+def test_pole_placement_gain_is_the_reference_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        jx = rng.normal(size=(m, m * n))
+        ju = _well_conditioned(rng, m)
+        poles = _random_poles(rng, m, n, noise=1e-12)
+        ctrl = ev.linearize_and_place(_linear_model(jx, ju), poles)
+        assert np.array_equal(ctrl.gain, place_reference(jx, ju, poles))
+
+
+def test_pole_placement_with_a_large_state_coupling():
+    # J_X = 1000 (1 ... 1) makes the Kalman matrix numerically rank 1,
+    # yet J_U = 1 keeps the linearization controllable
+    n = 6
+    model = ev.SystemModel(1, n, lambda x, u: u + 1000.0 * np.sum(x),
+                           jac_u=lambda x, u: np.ones((1, 1)),
+                           jac_x=lambda x, u: np.full((1, n), 1000.0))
+    poles = [-1.5, -1.4, -1.3, -1.2, -1.1, -1.0]
+    ctrl = ev.linearize_and_place(model, poles)
+    a, b = ev.linearization(model)
+    got = np.sort(np.linalg.eigvals(a + b @ ctrl.gain).real)
+    assert np.max(np.abs(got - poles)) < 1e-8
 
 
 # --- region-of-attraction arithmetic

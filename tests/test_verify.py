@@ -310,6 +310,18 @@ def test_non_finite_eps_is_rejected_before_any_run(call):
         call(never_called)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    pytest.param({"t0": np.nan}, "t0", id="t0_nan"),
+    pytest.param({"t0": np.inf}, "t0", id="t0_inf"),
+    pytest.param({"t0": 0.0, "directions": 0}, "directions",
+                 id="no_directions")])
+def test_delta_of_eps_checks_its_inputs_before_any_run(kwargs, name):
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        ev.estimate_delta_of_eps(never_called, eps=0.5, dim=1, **kwargs)
+
+
 def test_delta_for_monotone_scalar_decay():
     def fac(t0, x0):
         return ev.integrate(lambda t, x: -x, t0, x0, t0 + 10.0, tol=1e-9)
