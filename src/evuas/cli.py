@@ -83,18 +83,14 @@ def _run(doc_or_source, args):
 
 
 def _cmd_list(args):
-    print("models:")
-    for name, (_, desc) in sorted(MODEL_CATALOG.items()):
-        print(f"  {name:<22} {desc}")
-    print("signals:")
-    for name, sig in sorted(SIGNAL_CATALOG.items()):
-        print(f"  {name:<22} {sig.description}")
-    print("perturbations:")
-    for name, (_, desc) in sorted(PERTURBATION_CATALOG.items()):
-        print(f"  {name:<22} {desc}")
-    print("references:")
-    for name, (_, desc) in sorted(REFERENCE_CATALOG.items()):
-        print(f"  {name:<22} {desc}")
+    signals = {name: (sig, sig.description)
+               for name, sig in SIGNAL_CATALOG.items()}
+    for title, catalog in (("models", MODEL_CATALOG), ("signals", signals),
+                           ("perturbations", PERTURBATION_CATALOG),
+                           ("references", REFERENCE_CATALOG)):
+        print(f"{title}:")
+        for name, (_, desc) in sorted(catalog.items()):
+            print(f"  {name:<22} {desc}")
     print("scenarios:")
     for name, desc, origin in list_scenarios(args.scenario_dirs):
         print(f"  {name:<26} [{origin}] {desc}")

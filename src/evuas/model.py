@@ -136,13 +136,13 @@ class SystemModel:
                 f"F: expected output shape {u.shape}, got {out.shape}")
         return _check_finite(out, "F", rows=batch)
 
-    def check_origin_equilibrium(self, tol=ORIGIN_TOL):
-        """Verify F(0,0)=0 within ``tol`` (Euclidean); raises DesignError-free ValueError."""
+    def check_origin_equilibrium(self):
+        """|F(0, 0)| (Euclidean); ValueError if it exceeds ORIGIN_TOL."""
         r = float(np.linalg.norm(self.eval_f(np.zeros(self.state_dim),
                                              np.zeros(self.m))))
-        if r > tol:
-            raise ValueError(
-                f"F(0,0) = {r:.3e} exceeds the equilibrium tolerance {tol:.1e}")
+        if r > ORIGIN_TOL:
+            raise ValueError(f"F(0,0) = {r:.3e} exceeds the equilibrium "
+                             f"tolerance {ORIGIN_TOL:.1e}")
         return r
 
     def __repr__(self):

@@ -4,10 +4,15 @@ A scenario is one JSON document declaring what to run (stages in order:
 classify, synthesize, simulate, verify) and with which model, disturbance
 and design.  ``_SCHEMA`` declares every field once, with its parser,
 default and bounds, and rejects any field it does not list or that the
-section's kind or mode does not use; :func:`validate_scenario` adds the
-rules that relate fields.  :func:`run_scenario` validates once, after its
-overrides.  A validation failure, or a catalog entry asked for a shape it
-does not have, is a ScenarioError naming the field.
+section's kind or mode does not use.  :func:`validate_scenario` adds the
+rules relating fields and what each stage needs (``_NEEDS``): classify a
+perturbation; synthesize, a closed-loop or tracking simulate and a
+closed-loop verify a model and design.poles, tracking in implicit mode;
+an error verify a matrix design.a_h, simulate.e0 or a perturbation to
+size the error system.  It builds the catalog entries named, so every
+document error is a ScenarioError naming the field, raised before any
+stage runs.  The controller follows design.mode with or without a
+synthesize stage; a stage builds it, so a design it rejects fails there.
 
 Artifacts are written to an output directory together with a manifest
 that lists every file with its content hash; reruns with the same seed
@@ -15,6 +20,7 @@ produce byte-identical artifacts, timestamps live only in the manifest.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,7 +40,8 @@ from .errors import ScenarioError
 from .model import MODEL_CATALOG, make_model
 from .norms import NORM_IDS
 from .perturbations import PERTURBATION_CATALOG, make_perturbation
-from .simulate import (REFERENCE_CATALOG, diagnostics_to_json, make_reference,
+from .simulate import (_CSV_FMT, REFERENCE_CATALOG, _write_json,
+                       diagnostics_to_json, make_reference,
                        simulate_closed_loop, simulate_error_dynamics,
                        simulate_tracking, trajectory_to_csv)
 from .svgplot import line_plot
@@ -44,11 +51,15 @@ from .verify import (make_closed_loop_factory, make_error_factory,
                      verify_evuas)
 
 SCENARIO_PATH_ENV = "EVUAS_SCENARIO_PATH"
-# the stages in their order, each with the sections it reads
-_NEEDS = {"classify": ("classify", "perturbation"), "synthesize": ("design",),
-          "simulate": ("simulate",), "verify": ("verify",)}
+_STAGES = ("classify", "synthesize", "simulate", "verify")
+# the sections and fields each stage reads: by stage, then by stage and the
+# kind (simulate) or target (verify) of its section
+_LOOP = ("model", "design.poles")
+_NEEDS = {"classify": ("classify", "perturbation"), "synthesize": _LOOP,
+          "simulate": ("simulate",), "verify": ("verify",),
+          ("simulate", "closed-loop"): _LOOP, ("simulate", "tracking"): _LOOP,
+          ("verify", "closed-loop"): _LOOP}
 _FORMATS = ("csv", "json", "svg")
-_CSV_FMT = "%.17g"
 _REQUIRED = object()        # the default of a field that must be given
 
 
@@ -192,7 +203,7 @@ _SCHEMA = _object(
     _Field("outputs", _object(
         _Field("formats", _list_of(_one_of(_FORMATS)), ["csv", "json"])),
         {}),
-    _Field("stages", _list_of(_one_of(_NEEDS)), []),
+    _Field("stages", _list_of(_one_of(_STAGES)), []),
     _Field("model", _object(
         _Field("name", _one_of(MODEL_CATALOG), _REQUIRED),
         _Field("m", _at_least(1), 1),
@@ -237,28 +248,63 @@ _SCHEMA = _object(
 )
 
 
-def validate_scenario(doc):
-    """Normalize and validate a scenario document; raises ScenarioError.
+def _catalog(field, make, *args, **kwargs):
+    """A catalog entry; a shape the entry does not have (its ValueError)
+    is a ScenarioError on ``field``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: {exc}", field=field) from exc
 
-    Each field is checked by ``_SCHEMA``; the rules here relate fields to
-    each other.  The output formats come back deduplicated at top level.
-    """
+
+def _resolve(doc):
+    """The run of a scenario document: the validated document and the
+    objects it resolves to; raises ScenarioError."""
     out = _SCHEMA(doc, "")
     out["formats"] = list(dict.fromkeys(out.pop("outputs")["formats"]))
-    for stage in out["stages"]:
-        for section in _NEEDS[stage]:
-            if section not in out:
-                _fail(section, f"stage {stage!r} needs a {section} section")
-    sim = out.get("simulate")
-    if sim is not None:
+    design = out.get("design", {})
+    sim = out.get("simulate", {})
+    a_h = None if isinstance(design.get("a_h", ""), str) else design["a_h"]
+    if sim:
         if sim["t_end"] <= sim["t0"]:
             _fail("simulate.t_end", "must exceed simulate.t0")
-        a_h = out.get("design", {}).get("a_h", "default")
-        if "e0" in sim and not isinstance(a_h, str) \
-                and len(sim["e0"]) != len(a_h):
+        if "e0" in sim and a_h is not None and len(sim["e0"]) != len(a_h):
             _fail("simulate.e0", f"must have {len(a_h)} entries, the size "
                                  "of design.a_h")
-    return out
+    model = pert = reference = None
+    if "model" in out:
+        model = _catalog("model.m", make_model, **out["model"])
+    if "perturbation" in out:
+        pert = _catalog("perturbation.dim", make_perturbation,
+                        **out["perturbation"])
+    if "reference" in sim and model is not None:
+        reference = _catalog("simulate.reference", make_reference,
+                             sim["reference"], m=model.m, n=model.n)
+    # the error system's size: a matrix a_h's, else e0's, else W's
+    error_dim = len(a_h) if a_h is not None else len(sim["e0"]) \
+        if "e0" in sim else getattr(pert, "dim", None)
+    for stage in out["stages"]:
+        section = out.get(stage, {})
+        variant = section.get("kind", section.get("target"))
+        who = f"stage {stage!r}" + (f" ({variant})" if variant else "")
+        for path in _NEEDS[stage] + _NEEDS.get((stage, variant), ()):
+            head, _, key = path.partition(".")
+            if head not in out:
+                _fail(head, f"{who} needs a {head} section")
+            if key and key not in out[head]:
+                _fail(path, f"{who} needs {path}")
+        if variant == "tracking" and design["mode"] != "implicit":
+            _fail("design.mode", f"{who} needs the implicit design")
+        if (stage, variant, error_dim) == ("verify", "error", None):
+            _fail("verify", "cannot infer the error-system dimension; "
+                            "give design.a_h or a perturbation")
+    return _Run(out, model, pert, reference, a_h, error_dim)
+
+
+def validate_scenario(doc):
+    """Normalize and validate a scenario document; raises ScenarioError on
+    every document :func:`run_scenario` rejects.  Formats are deduplicated."""
+    return _resolve(doc).doc
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +313,9 @@ def validate_scenario(doc):
 
 def _bundled_scenarios():
     root = resources.files("evuas").joinpath("scenario_files")
-    out = {}
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out[entry.name[:-5]] = entry
-    return out
+    return {entry.name[:-5]: entry
+            for entry in sorted(root.iterdir(), key=lambda e: e.name)
+            if entry.name.endswith(".json")}
 
 
 def _user_dirs(extra_dirs=None):
@@ -347,12 +391,6 @@ def _config_hash(doc):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_profile_csv(path, prof, bound_fn=None):
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -364,88 +402,48 @@ def _write_profile_csv(path, prof, bound_fn=None):
             writer.writerow(row)
 
 
-def _catalog(field, make, *args, **kwargs):
-    """A catalog entry; a shape the entry does not have (its ValueError)
-    is a ScenarioError on ``field``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{field}: {exc}", field=field) from exc
-
-
+@dataclasses.dataclass
 class _Run:
-    """One scenario execution: resolved objects plus emitted artifacts."""
+    """One scenario execution: the validated document, the objects it
+    resolves to (None where absent), its controller and its artifacts."""
 
-    def __init__(self, doc, out_dir):
-        self.doc = doc
-        self.out_dir = out_dir
-        self.artifacts = []
-        self.results = {}
-        self.ctrl = None
-        self._model = None
-        self._pert = None
-        a_h = doc.get("design", {}).get("a_h", "default")
-        self.a_h = None if isinstance(a_h, str) else a_h    # None: default
+    doc: dict
+    model: object
+    pert: object
+    reference: object
+    a_h: object
+    error_dim: int        # None where nothing gives it
+    out_dir: str = None
+    artifacts: list = dataclasses.field(default_factory=list)
+    results: dict = dataclasses.field(default_factory=dict)
+    _ctrl: object = None
 
     def path(self, name):
         self.artifacts.append(name)
         return os.path.join(self.out_dir, name)
 
-    @property
-    def model(self):
-        if self._model is None:
-            cfg = self.doc.get("model")
-            if cfg is None:
-                raise ScenarioError("stage needs a model section",
-                                    field="model")
-            self._model = _catalog("model.m", make_model, cfg["name"],
-                                   m=cfg["m"], n=cfg["n"])
-        return self._model
-
-    def pert(self):
-        cfg = self.doc.get("perturbation")
-        if self._pert is None and cfg is not None:
-            self._pert = _catalog("perturbation.dim", make_perturbation,
-                                  cfg["name"], dim=cfg.get("dim"))
-        return self._pert
-
-    def error_dim(self):
-        """The error system's size: that of a matrix design.a_h, else the
-        length of an error run's e0, else the perturbation's dim."""
-        if self.a_h is not None:
-            return len(self.a_h)
-        if "e0" in self.doc.get("simulate", {}):
-            return len(self.doc["simulate"]["e0"])
-        if self.pert() is None:
-            raise ScenarioError(
-                "cannot infer the error-system dimension; give design.a_h "
-                "or a perturbation", field="verify")
-        return self.pert().dim
-
     def hurwitz(self, m):
-        if self.a_h is None:
-            return default_hurwitz(m)
-        return build_hurwitz(self.a_h)
-
-    def gamma_design(self):
-        design = self.doc.get("design", {})
-        if "poles" not in design or design.get("mode") != "implicit":
-            raise ScenarioError("implicit design needs design.poles "
-                                "(per-column lists)", field="design.poles")
-        return build_gamma(design["poles"], self.model.n)
+        return default_hurwitz(m) if self.a_h is None \
+            else build_hurwitz(self.a_h)
 
     def controller(self):
-        """The synthesize stage's controller, else the implicit design's."""
-        if self.ctrl is None:
-            self.ctrl = synthesize_feedback(self.model, self.gamma_design(),
-                                            self.hurwitz(self.model.m))
-        return self.ctrl
+        """The design's controller, built on first use: a gain placed on
+        the linearization (design.mode linear) or the implicit feedback."""
+        if self._ctrl is None:
+            design = self.doc["design"]
+            if design["mode"] == "linear":
+                self._ctrl = linearize_and_place(self.model, design["poles"])
+            else:
+                self._ctrl = synthesize_feedback(
+                    self.model, build_gamma(design["poles"], self.model.n),
+                    self.hurwitz(self.model.m))
+        return self._ctrl
 
 
 def _stage_classify(run):
     doc = run.doc
     cfg = doc["classify"]
-    pert = run.pert()
+    pert = run.pert
     cls = classify(pert, cfg["probe_radius"], cfg["t_horizon"],
                    quad_tol=cfg["quad_tol"], norm=doc["norm"],
                    seed=doc["seed"],
@@ -455,7 +453,6 @@ def _stage_classify(run):
     for j, prof in enumerate(cls.column_profiles):
         _write_profile_csv(run.path(f"profile_col{j}.csv"), prof)
     if pert.kind == "time":
-        sig = SIGNAL_CATALOG.get(pert.name)
         # a one-dimensional signal is its own column 0, profiled already
         prof = cls.column_profiles[0]
         if pert.dim > 1:
@@ -463,7 +460,7 @@ def _stage_classify(run):
                                        quad_tol=cfg["quad_tol"],
                                        norm=doc["norm"],
                                        freq_hint=pert.freq_hint)
-        bound = sig.bound if sig is not None else None
+        bound = getattr(SIGNAL_CATALOG.get(pert.name), "bound", None)
         _write_profile_csv(run.path("signal_profile.csv"), prof,
                            bound_fn=bound)
         run.results["signal_profile"] = prof
@@ -480,37 +477,28 @@ def _stage_classify(run):
 
 
 def _stage_synthesize(run):
-    design = run.doc["design"]
-    if design["mode"] == "linear":
-        run.ctrl = linearize_and_place(run.model, design["poles"])
-    run.results["controller"] = run.controller()
-    _write_json(run.path("controller.json"), run.ctrl.to_summary())
+    ctrl = run.results["controller"] = run.controller()
+    _write_json(run.path("controller.json"), ctrl.to_summary())
 
 
 def _stage_simulate(run):
     doc = run.doc
     cfg = doc["simulate"]
-    samples = None
-    if "samples" in cfg:
-        samples = np.linspace(cfg["t0"], cfg["t_end"], cfg["samples"])
+    samples = np.linspace(cfg["t0"], cfg["t_end"], cfg["samples"]) \
+        if "samples" in cfg else None
     if cfg["kind"] == "error":
-        dim = run.error_dim()
         traj = simulate_error_dynamics(
-            run.hurwitz(dim), run.pert(), cfg["e0"], cfg["t0"], cfg["t_end"],
-            tol=cfg["tol"], sample_times=samples)
+            run.hurwitz(run.error_dim), run.pert, cfg["e0"], cfg["t0"],
+            cfg["t_end"], tol=cfg["tol"], sample_times=samples)
     elif cfg["kind"] == "closed-loop":
-        model = run.model
         traj = simulate_closed_loop(
-            model, run.controller(), run.pert(), cfg["x0"], cfg["t0"],
+            run.model, run.controller(), run.pert, cfg["x0"], cfg["t0"],
             cfg["t_end"], tol=cfg["tol"], sample_times=samples)
     else:
-        model = run.model
-        ref = _catalog("simulate.reference", make_reference,
-                       cfg["reference"], m=model.m, n=model.n)
         traj = simulate_tracking(
-            model, run.gamma_design(), run.hurwitz(model.m), ref, run.pert(),
-            cfg["x0"], cfg["t0"], cfg["t_end"], tol=cfg["tol"],
-            sample_times=samples)
+            run.model, build_gamma(doc["design"]["poles"], run.model.n),
+            run.hurwitz(run.model.m), run.reference, run.pert, cfg["x0"],
+            cfg["t0"], cfg["t_end"], tol=cfg["tol"], sample_times=samples)
     run.results["trajectory"] = traj
     trajectory_to_csv(traj, run.path("trajectory.csv"), norm=doc["norm"])
     diagnostics_to_json(traj, run.path("trajectory_diagnostics.json"))
@@ -529,14 +517,13 @@ def _stage_verify(run):
     doc = run.doc
     cfg = doc["verify"]
     if cfg["target"] == "error":
-        dim = run.error_dim()
-        factory = make_error_factory(run.hurwitz(dim), run.pert(),
+        dim = run.error_dim
+        factory = make_error_factory(run.hurwitz(dim), run.pert,
                                      cfg["horizon"], tol=cfg["tol"])
     else:
-        model = run.model
-        dim = model.state_dim
+        dim = run.model.state_dim
         factory = make_closed_loop_factory(
-            model, run.controller(), run.pert(), cfg["horizon"],
+            run.model, run.controller(), run.pert, cfg["horizon"],
             tol=cfg["tol"])
     report = verify_evuas(factory, cfg["delta0"], cfg["t0_grid"],
                           cfg["eps_levels"], cfg["horizon"],
@@ -577,15 +564,14 @@ def run_scenario(source, out_dir, seed=None, tol=None, norm=None,
         for stage in ("simulate", "verify"):
             if stage in doc:
                 doc[stage] = _with(doc[stage], tol=tol)
-    doc = validate_scenario(doc)
+    run = _resolve(doc)
+    doc = run.doc
 
     os.makedirs(out_dir, exist_ok=True)
-    run = _Run(doc, out_dir)
+    run.out_dir = out_dir
     for stage in doc["stages"]:
         try:
             _STAGE_FNS[stage](run)
-        except ScenarioError:
-            raise
         except Exception as exc:
             raise RuntimeError(f"stage {stage!r} failed: {exc}") from exc
 
@@ -603,14 +589,11 @@ def run_scenario(source, out_dir, seed=None, tol=None, norm=None,
         "created": datetime.now(timezone.utc).isoformat(),
     }
     for name in run.artifacts:
-        path = os.path.join(out_dir, name)
-        with open(path, "rb") as fh:
+        with open(os.path.join(out_dir, name), "rb") as fh:
             blob = fh.read()
         manifest["artifacts"].append({
-            "path": name,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "bytes": len(blob),
-        })
+            "path": name, "sha256": hashlib.sha256(blob).hexdigest(),
+            "bytes": len(blob)})
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return {"doc": doc, "out_dir": out_dir, "artifacts": run.artifacts,
             "results": run.results, "manifest": manifest}

@@ -315,8 +315,12 @@ def trajectory_to_csv(traj, path, norm="euclidean"):
             writer.writerow(row)
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def diagnostics_to_json(traj, path):
     """Sidecar with the integrator diagnostics."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(traj.diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, traj.diagnostics)

@@ -580,6 +580,22 @@ def linearization(model):
     return a, b
 
 
+def _all_matched(near):
+    """Whether each column of the boolean matrix ``near`` can have a row of
+    its own that is True there (Kuhn's augmenting paths)."""
+    owner = {}                  # row -> the column it is matched to
+
+    def claim(j, seen):
+        for i in np.flatnonzero(near[:, j]):
+            if i not in seen:
+                seen.add(i)
+                if i not in owner or claim(owner[i], seen):
+                    owner[i] = j
+                    return True
+        return False
+    return all(claim(j, set()) for j in range(near.shape[1]))
+
+
 def linearize_and_place(model, desired_poles):
     """Linear gain whose closed-loop linearization has the desired spectrum.
 
@@ -605,12 +621,14 @@ def linearize_and_place(model, desired_poles):
     jx = a[(n - 1) * m:, :]
     gain = np.linalg.solve(ju, gain_v - jx)
 
-    closed = a + b @ gain
-    placed = np.sort_complex(np.linalg.eigvals(closed))
+    placed = np.linalg.eigvals(a + b @ gain)
     wanted = np.sort_complex(np.asarray([complex(p) for p in desired_poles]))
-    if np.max(np.abs(placed - wanted)) > 1e-8 * max(1.0, np.max(np.abs(wanted))):
-        raise DesignError(
-            f"pole placement mismatch: got {placed}, wanted {wanted}")
+    # each wanted pole needs a placed one of its own within the bound,
+    # whatever order the two sets sort in
+    bound = 1e-8 * max(1.0, np.max(np.abs(wanted)))
+    if not _all_matched(np.abs(placed[:, None] - wanted) <= bound):
+        raise DesignError(f"pole placement mismatch: got "
+                          f"{np.sort_complex(placed)}, wanted {wanted}")
     return LinearController(gain, model=model, placed_poles=list(wanted))
 
 
@@ -633,17 +651,15 @@ class RoaEstimate:
 
 
 def estimate_roa(design, r_max, epsilon, delta_E_of_eps, theta1=1.0,
-                 theta2=1.0, m=None):
+                 theta2=1.0):
     """Initial-state radius guaranteeing the trajectory stays in the
     synthesis domain.
 
     delta*_E scales the error-system margin back through the error map
     (theta1 / (gamma* theta2 sqrt(m)) factor); delta*_X keeps the state
     inside the radius-r_max ball via the companion-subsystem decay,
-    requiring epsilon < r_max * mu_gamma.
+    requiring epsilon < r_max * mu_gamma; m is the design's.
     """
-    if m is None:
-        m = design.m
     for nm, v in (("r_max", r_max), ("epsilon", epsilon),
                   ("delta_E_of_eps", delta_E_of_eps), ("theta1", theta1),
                   ("theta2", theta2)):
@@ -653,8 +669,8 @@ def estimate_roa(design, r_max, epsilon, delta_E_of_eps, theta1=1.0,
         raise DesignError(
             f"epsilon {epsilon} must be below r_max*mu_gamma = "
             f"{r_max * design.mu_gamma}")
-    delta_star_e = theta1 / (design.gamma_star * theta2 * math.sqrt(m)) \
-        * delta_E_of_eps
+    delta_star_e = theta1 / (design.gamma_star * theta2
+                             * math.sqrt(design.m)) * delta_E_of_eps
     delta_star_x = (r_max - epsilon / design.mu_gamma) / design.kappa
     return RoaEstimate(r_max=r_max, epsilon=epsilon,
                        delta_E_of_eps=delta_E_of_eps, theta1=theta1,

@@ -147,7 +147,7 @@ def test_c10_roa_formulas():
     unit = ev.GammaDesign(gamma=np.array([[1.0]]), poles=[[-1.0]], n=2, m=1,
                           gamma_star=1.0, mu_gamma=1.0, kappa=1.0)
     r = ev.estimate_roa(unit, r_max=1.0, epsilon=0.5, delta_E_of_eps=0.3,
-                        theta1=1.0, theta2=1.0, m=1)
+                        theta1=1.0, theta2=1.0)
     assert r.delta_star_E == 0.3
     assert r.delta_star_X == 0.5
     assert r.delta_star == 0.3
@@ -155,7 +155,7 @@ def test_c10_roa_formulas():
     wide = ev.GammaDesign(gamma=np.array([[2.0] * 4]), poles=[[-2.0]] * 4,
                           n=2, m=4, gamma_star=2.0, mu_gamma=2.0, kappa=1.0)
     r = ev.estimate_roa(wide, r_max=1.0, epsilon=0.5, delta_E_of_eps=0.4,
-                        theta1=1.0, theta2=1.0, m=4)
+                        theta1=1.0, theta2=1.0)
     assert r.delta_star_E == 0.4 / (2.0 * 2.0)
 
 

@@ -101,6 +101,29 @@ def test_budget_error_carries_estimate(monkeypatch):
     assert exc.value.error_bound is not None
 
 
+def test_profile_point_over_the_budget_is_a_partial_profile(monkeypatch):
+    # the window at t = 9 needs more panels than the budget; the windows
+    # at t = 0 and 1 resolve as they do without it
+    sig = ev.make_signal("cos_exp")
+    grid = [0.0, 1.0, 9.0]
+    full = ev.diminishing_profile(sig.fn, grid, quad_tol=1e-10,
+                                  freq_hint=sig.freq_hint)
+    monkeypatch.setattr(dim, "_MAX_PANELS", 1024)
+    prof = ev.diminishing_profile(sig.fn, grid, quad_tol=1e-10,
+                                  freq_hint=sig.freq_hint)
+    assert np.array_equal(prof.values[:2], full.values[:2])
+    assert np.isnan(prof.values[2])
+    assert prof.partial and prof.trend == "inconclusive"
+    [failure] = prof.failures
+    assert failure["t"] == 9.0
+    assert failure["error_bound"] > 1e-10
+    assert 0.0 < failure["estimate"] <= 4.0 * math.exp(-9.0)
+    cls = ev.classify(ev.make_perturbation("cos_exp"), 1.0, 10.0,
+                      quad_tol=1e-10, profile_grid=grid)
+    assert cls.column_profiles[0].partial
+    assert cls.diminishing_evidence == "inconclusive"
+
+
 def test_vector_profile_under_paper_bound():
     sig = ev.make_signal("vec_cos_sin_exp")
     prof = ev.diminishing_profile(sig.fn, np.arange(0.0, 9.0),

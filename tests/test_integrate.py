@@ -120,6 +120,14 @@ def test_non_finite_rhs_reports_time():
     assert np.array_equal(exc.x_last, clean.states[last])
 
 
+def test_non_finite_initial_derivative_fails_at_t0():
+    exc = _raises_without_warnings(lambda t, x: np.full_like(x, np.nan),
+                                   0.5, np.ones(2), 2.0, tol=1e-6)
+    assert exc.reason == "non-finite"
+    assert exc.t_last == 0.5
+    assert np.array_equal(exc.x_last, np.ones(2))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("x0", [np.ones(2), np.ones((3, 2))])
 @pytest.mark.parametrize("call", [31, 32], ids=["y_new", "last_stage"])

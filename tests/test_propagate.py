@@ -5,6 +5,8 @@ collocation integral; these tests hold it against scipy's DOP853 at a
 tight tolerance, the matrix exponential and the superposition identity.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from evuas.diminishing import ChirpTerm
 from evuas.integrate import propagate_linear
 
 from oracles import forced_linear_reference, linear_trajectory
+
+# the module: the package attribute evuas.integrate is the function
+integrate_module = importlib.import_module("evuas.integrate")
 
 A_EX1 = np.array([[-1.0, 2.0], [0.0, -1.5]])
 JORDAN = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -112,6 +117,26 @@ def test_sample_contract_and_errors():
     assert exc.value.reason == "non-finite"
     assert np.isfinite(exc.value.x_last).all()
     assert 1.5 <= exc.value.t_last < 2.0
+
+
+def test_an_interval_that_never_passes_gives_up_at_its_start(monkeypatch):
+    # a residual check that fails on every interval holding s = 1.3: each
+    # halving leaves one failing half, until the last allowed halving
+    levin = integrate_module._levin
+
+    def failing_at(a, terms, lo, hi, decay):
+        forced, ok = levin(a, terms, lo, hi, decay)
+        return forced, ok & ~((lo < 1.3) & (1.3 < hi))
+
+    monkeypatch.setattr(integrate_module, "_levin", failing_at)
+    splits = integrate_module._LEVIN_MAX_SPLITS
+    with pytest.raises(ev.IntegrationError,
+                       match=f"after {splits} halvings") as exc:
+        propagate_linear([[-1.0]], ev.make_perturbation("cos_exp").terms,
+                         0.0, [1.0], 2.0, [1.0, 2.0])
+    assert exc.value.reason == "residual"
+    # the start of the failing piece of [1, 2], of width 2**-splits
+    assert 1.3 - 2.0 ** -splits < exc.value.t_last < 1.3
 
 
 def test_error_dynamics_dispatch():

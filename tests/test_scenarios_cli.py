@@ -364,6 +364,100 @@ def test_unknown_scenario_name_is_a_scenario_error():
         load_scenario("definitely_not_a_scenario")
 
 
+# documents whose stages need what they lack, with the field named; each
+# is rejected before its first stage, so no artifact is written
+_CHAIN = {"name": "chain", "m": 1, "n": 2}
+_LOOP_SIM = {"kind": "closed-loop", "x0": [0.5, 0.0], "t_end": 1.0}
+_CLASSIFY_FIRST = {"name": "x", "perturbation": {"name": "cos_exp"},
+                   "classify": {"t_horizon": 4.0, "profile_grid": [0, 1]}}
+_STAGE_NEEDS = {
+    "loop_without_model": (dict(
+        _CLASSIFY_FIRST, stages=["classify", "simulate"],
+        design={"poles": [[-1.0]]}, simulate=_LOOP_SIM), "model"),
+    "scalar_model_after_classify": (dict(
+        _CLASSIFY_FIRST, stages=["classify", "synthesize"],
+        model={"name": "cubic", "m": 2},
+        design={"poles": [[-1.0], [-1.0]]}), "model.m"),
+    "synthesize_without_model": ({
+        "name": "x", "stages": ["synthesize"],
+        "design": {"poles": [[-1.0]]}}, "model"),
+    "synthesize_without_design": ({
+        "name": "x", "stages": ["synthesize"], "model": _CHAIN}, "design"),
+    "tracking_under_linear_mode": ({
+        "name": "x", "stages": ["simulate"], "model": _CHAIN,
+        "design": {"mode": "linear", "poles": [-1.0, -1.0]},
+        "simulate": {"kind": "tracking", "x0": [0.3, 1.0], "t_end": 1.0}},
+        "design.mode"),
+    "implicit_loop_without_poles": ({
+        "name": "x", "stages": ["simulate"], "model": _CHAIN,
+        "design": {"a_h": "default"}, "simulate": _LOOP_SIM},
+        "design.poles"),
+    "closed_loop_verify_without_model": ({
+        "name": "x", "stages": ["verify"], "design": {"poles": [[-1.0]]},
+        "verify": dict(_SMALL_VERIFY["verify"], target="closed-loop")},
+        "model"),
+    "error_verify_without_size": ({
+        "name": "x", "stages": ["verify"], "design": {"a_h": "default"},
+        "verify": _SMALL_VERIFY["verify"]}, "verify"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STAGE_NEEDS))
+def test_what_a_stage_needs_is_checked_before_any_stage_runs(tmp_path,
+                                                             capsys, case):
+    doc, field = _STAGE_NEEDS[case]
+    assert _field_of(doc) == field
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli_main(["run", str(path), "--out", str(out)]) == 2
+    assert f"scenario error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _pole_placement(stages, **sections):
+    doc = dict(_bundled("pole_placement_demo"), stages=stages, **sections)
+    doc["simulate"] = dict(doc["simulate"], t_end=5.0, samples=51)
+    return doc
+
+
+_LINEAR_VERIFY = {"target": "closed-loop", "delta0": 0.5,
+                  "t0_grid": [0.0, 1.0], "eps_levels": [0.5, 0.25],
+                  "horizon": 5.0, "samples": 2, "tol": 1e-7}
+
+
+@pytest.mark.parametrize("stage, artifact", [
+    ("simulate", "trajectory.csv"), ("verify", "stability_report.json")])
+def test_the_linear_controller_needs_no_synthesize_stage(tmp_path, stage,
+                                                        artifact):
+    alone = run_scenario(_pole_placement([stage], verify=_LINEAR_VERIFY),
+                         tmp_path / "alone")
+    after = run_scenario(
+        _pole_placement(["synthesize", stage], verify=_LINEAR_VERIFY),
+        tmp_path / "after")
+    assert artifact in alone["artifacts"]
+    assert after["artifacts"] == ["controller.json"] + alone["artifacts"]
+    for name in alone["artifacts"]:
+        assert (tmp_path / "alone" / name).read_bytes() == \
+            (tmp_path / "after" / name).read_bytes()
+
+
+@pytest.mark.parametrize("sections", [
+    {"simulate": {"kind": "error", "e0": [0.1, 0.0, 0.0], "t_end": 1.0}},
+    {"perturbation": {"name": "const_e1", "dim": 3}},
+], ids=["e0", "perturbation"])
+def test_an_error_verify_takes_its_size_from_e0_or_the_perturbation(
+        tmp_path, sections):
+    # a default a_h has no size; every witness is a point of the error
+    # system, and the smallest sampled radius 1 / 4 exceeds the level 0.1
+    verify = dict(_SMALL_VERIFY["verify"], delta0=1.0, eps_levels=[0.1])
+    doc = {"name": "x", "stages": ["verify"], "design": {"a_h": "default"},
+           "verify": verify, **sections}
+    report = run_scenario(doc, tmp_path / "o")["results"]["report"]
+    assert report.witnesses
+    assert {len(w["x0"]) for w in report.witnesses} == {3}
+
+
 # --- CLI
 
 def test_module_entry_point():

@@ -483,6 +483,39 @@ def test_pole_placement_gain_is_the_reference_bit_for_bit():
         assert np.array_equal(ctrl.gain, place_reference(jx, ju, poles))
 
 
+def test_pole_placement_rejects_a_spectrum_it_misses():
+    # the computed spectrum of the n = 10 chain's loop misses the poles
+    # -1.0 ... -1.9 by about 3e-8, beyond the 1e-8 bound
+    model = ev.make_model("chain", m=1, n=10)
+    with pytest.raises(ev.DesignError, match="pole placement mismatch"):
+        ev.linearize_and_place(model, list(-1.0 - 0.1 * np.arange(10)))
+
+
+def test_pole_placement_pairs_a_partner_that_sorts_first():
+    # the partner's real part is off by rounding noise, so the requested
+    # set sorts [p, conj(p)] the other way round from the placed spectrum
+    model = ev.make_model("chain", m=1, n=2)
+    poles = [complex(-1.0 - 1e-13, 1.0), complex(-1.0, -1.0)]
+    ctrl = ev.linearize_and_place(model, poles)
+    assert np.allclose(ctrl.gain, [[-2.0, -2.0]], rtol=0.0, atol=1e-12)
+    assert ctrl.placed_poles == list(np.sort_complex(poles))
+
+
+def test_pole_placement_accepts_noisy_conjugate_partners():
+    # rounding noise in the real part of either member of a pair
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        jx = rng.normal(size=(m, m * n))
+        ju = _well_conditioned(rng, m)
+        poles = [complex(p.real * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0)),
+                         p.imag) if p.imag else p
+                 for p in _random_poles(rng, m, n)]
+        ctrl = ev.linearize_and_place(_linear_model(jx, ju), poles)
+        assert np.array_equal(ctrl.gain, place_reference(jx, ju, poles))
+        assert ctrl.placed_poles == list(np.sort_complex(poles))
+
+
 def test_pole_placement_with_a_large_state_coupling():
     # J_X = 1000 (1 ... 1) makes the Kalman matrix numerically rank 1,
     # yet J_U = 1 keeps the linearization controllable
@@ -509,7 +542,7 @@ def test_roa_worked_examples():
 
     wide = ev.GammaDesign(gamma=np.array([[2.0] * 4]), poles=[[-2.0]] * 4,
                           n=2, m=4, gamma_star=2.0, mu_gamma=2.0, kappa=1.0)
-    r = ev.estimate_roa(wide, r_max=1.0, epsilon=0.5, delta_E_of_eps=0.4, m=4)
+    r = ev.estimate_roa(wide, r_max=1.0, epsilon=0.5, delta_E_of_eps=0.4)
     assert r.delta_star_E == pytest.approx(0.1, abs=1e-15)
 
 
