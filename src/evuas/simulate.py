@@ -21,10 +21,9 @@ state.  W is the ``unchecked`` W(t, x) of
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, which cancels F: on the closed loop the
 last block is -input_free_term(X) + W(t, X), linear in X.  Newton runs
-afterwards, once per stored time for all rows of a batch, each row
-warm-started from its own last input.  It reports the inputs and checks
-that the feedback exists along the trajectory (the controller's domain of
-validity).
+afterwards, once per run, cold-started on every stored state at once.  It
+reports the inputs and checks that the feedback exists along the
+trajectory (the controller's domain of validity).
 """
 
 import csv
@@ -89,31 +88,28 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None):
                      sample_times=sample_times)
 
 
-def _report_inputs(traj, m, feedback):
-    """Solve the feedback at every stored point, warm-started from the last.
+def _report_inputs(traj, m, solve):
+    """Solve the feedback at every stored point in one cold-started call.
 
-    ``feedback(t, x, u0)`` returns U at one stored time for the (N, dim)
-    block of its states (one trajectory is a one-row block), with ``u0``
-    the block's inputs at the time before, so each row is warm-started
-    from its own last input.  This is also the domain-of-validity check: a
-    failed solve aborts with the time, state and residual of the first
-    stored point where no feedback exists (the earliest time, then the
-    lowest row).
+    ``solve(x)`` returns U for the (T*N, dim) block of all stored states,
+    time-major (a trajectory is one row per time).  U depends on the state
+    alone, so no input from an earlier time is needed.  This is also the
+    domain-of-validity check: a failed solve aborts with the time, state
+    and residual of the first stored point where no feedback exists (the
+    earliest time, then the lowest row).
     """
     batch = traj.states.ndim == 3
-    states = traj.states if batch else traj.states[:, None]
-    inputs = np.empty(states.shape[:2] + (m,))
-    u = None
-    for i, t in enumerate(traj.times):
-        try:
-            u = inputs[i] = feedback(t, states[i], u)
-        except NewtonError as exc:
-            row = exc.row if batch else None
-            where = f" in row {row}" if batch else ""
-            raise ControllerEvaluationError(
-                f"feedback solve failed at t={t}{where}: {exc}", t=float(t),
-                x=states[i, exc.row].copy(), residual=exc.residual,
-                row=row) from exc
+    rows = traj.states.shape[1] if batch else 1
+    try:
+        inputs = solve(traj.states.reshape(-1, traj.states.shape[-1]))
+    except NewtonError as exc:
+        i, row = divmod(exc.row, rows)
+        t = traj.times[i]
+        where = f" in row {row}" if batch else ""
+        raise ControllerEvaluationError(
+            f"feedback solve failed at t={t}{where}: {exc}", t=float(t),
+            x=exc.x, residual=exc.residual,
+            row=row if batch else None) from exc
     traj.inputs = inputs.reshape(traj.states.shape[:-1] + (m,))
     return traj
 
@@ -148,7 +144,7 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     first stored point where no feedback exists (the earliest time, then
     the lowest row, named in ``row``).  Any other controller is called
     inside the right-hand side, row by row, and on the stored states with
-    one call per time.  A W whose width is not m raises ShapeError.
+    one call for all of them.  A W whose width is not m raises ShapeError.
     """
     x0 = _states(x0, model.state_dim, "x0")
     _check_width(pert, model.m)
@@ -162,8 +158,7 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
         traj = integrate(rhs, t0, x0, t_end, tol=tol,
                          freq_hint=None if pert is None else pert.freq_hint,
                          sample_times=sample_times)
-    return _report_inputs(traj, model.m,
-                          lambda t, x, u0: ctrl.solve(x, u0=u0))
+    return _report_inputs(traj, model.m, ctrl.solve)
 
 
 class TrackingSpec:
@@ -228,7 +223,7 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
     the reference's nth derivative as feedforward, which cancels on the
     closed loop: Delta follows the designed loop of
     :func:`simulate_closed_loop` under W(t, Delta + X_d(t)), and Newton
-    fills ``traj.inputs`` afterwards, on the state as a one-row block.
+    fills ``traj.inputs`` afterwards, as for the closed loop.
     With the zero reference this reduces exactly to the stabilization loop.
     """
     if (track.m, track.n) != (model.m, model.n):
@@ -244,11 +239,10 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
     traj = _run_linear(closed_loop_matrix(design, hurwitz), pert, delta0, t0,
                        t_end, tol, sample_times, track)
 
-    def feedback(t, delta, u0):
-        x_total = delta + flatten_state(track.value(t))
-        ydn = np.asarray(track.y_d_n(t), dtype=float)
-        return ctrl.solve_shifted(delta, x_total, -ydn, u0=u0)
-    return _report_inputs(traj, model.m, feedback)
+    ref = np.array([flatten_state(track.value(t)) for t in traj.times])
+    ydn = np.array([track.y_d_n(t) for t in traj.times], dtype=float)
+    return _report_inputs(traj, model.m, lambda delta: ctrl.solve_shifted(
+        delta, delta + ref, -ydn))
 
 
 # reference catalog for tracking scenarios

@@ -301,17 +301,14 @@ class ImplicitController:
     """State feedback obtained by solving the closing residual for U.
 
     Evaluation runs a damped Newton iteration on U with the state frozen,
-    on one flat state or on each row of an (N, m*n) batch at once; the
-    cold start is U = 0 (so the feedback is exactly zero at the origin),
-    and trajectory integrators pass the previous input as a warm start,
-    row by row for a batch.  A row's result is its one-state solve bit for
-    bit.  The controller is immutable, so one instance can serve many
-    concurrent trajectories as long as warm starts are kept per
-    trajectory.  A failed solve raises :class:`~evuas.errors.NewtonError`
-    carrying the state, residual and iteration count (of the lowest
-    failing row, on a batch).  The iteration stops at a residual norm of
-    ``tol``, after ``max_iter`` steps, or when ``max_halvings`` halvings of
-    a step find no descent.
+    on one flat state or on each row of an (N, m*n) batch at once, from
+    U = 0 (so the feedback is exactly zero at the origin).  A row's result
+    is its one-state solve bit for bit.  The controller is immutable, so
+    one instance can serve many concurrent trajectories.  A failed solve
+    raises :class:`~evuas.errors.NewtonError` carrying the state, residual
+    and iteration count (of the lowest failing row, on a batch).  The
+    iteration stops at a residual norm of ``tol``, after ``max_iter``
+    steps, or when ``max_halvings`` halvings of a step find no descent.
     """
 
     mode = "implicit-newton"
@@ -337,26 +334,27 @@ class ImplicitController:
                                self.model.m, self.model.n)
         return free + self.model.eval_f(x_flat, u)
 
-    def solve(self, x_flat, u0=None):
+    def solve(self, x_flat):
         """Feedback value at a state, Newton-solved to the residual tolerance.
 
-        ``x_flat`` is one flat state (m*n,) with U and ``u0`` of shape
-        (m,), or an (N, m*n) batch with U and ``u0`` of shape (N, m).
+        ``x_flat`` is one flat state (m*n,) with U of shape (m,), or an
+        (N, m*n) batch with U of shape (N, m).
         """
-        return self._solve(np.asarray(x_flat, dtype=float), u0=u0)
+        return self._solve(np.asarray(x_flat, dtype=float))
 
-    def solve_shifted(self, delta_flat, f_state, offset, u0=None):
+    def solve_shifted(self, delta_flat, f_state, offset):
         """Tracking variant: error terms in the deviation, F at the true state.
 
         Solves shift_term(delta) + F(f_state, U) + offset - A_H e(delta) = 0;
-        the offset carries the reference feedforward.  Shapes are as for
-        :meth:`solve`, ``f_state`` laid out as ``delta_flat``.
+        the offset carries the reference feedforward, (m,) or one row per
+        state.  Shapes are as for :meth:`solve`, ``f_state`` laid out as
+        ``delta_flat``.
         """
-        return self._solve(np.asarray(delta_flat, dtype=float), u0=u0,
+        return self._solve(np.asarray(delta_flat, dtype=float),
                            f_state=np.asarray(f_state, dtype=float),
                            offset=offset)
 
-    def _solve(self, x_flat, u0=None, f_state=None, offset=None):
+    def _solve(self, x_flat, f_state=None, offset=None):
         model, m, tol = self.model, self.model.m, self.tol
         x = np.atleast_2d(x_flat)
         if x.ndim != 2 or x.shape[1] != model.state_dim:
@@ -369,8 +367,7 @@ class ImplicitController:
         if offset is not None:
             free = free + offset
 
-        u = (np.zeros((len(x), m)) if u0 is None
-             else np.array(u0, dtype=float).reshape(len(x), m))
+        u = np.zeros((len(x), m))
         r = free + model.eval_f(x_eval, u)
         rn = row_norms(r)
         live = ~(rn <= tol)           # rows still iterating
@@ -444,7 +441,7 @@ class LinearController:
         self.model = model
         self.placed_poles = placed_poles
 
-    def solve(self, x_flat, u0=None):
+    def solve(self, x_flat):
         """G x at one flat state (m*n,) or at each row of an (N, m*n) batch."""
         x = np.asarray(x_flat, dtype=float)
         # a stack of matrix-vector products: each row is G x bit for bit

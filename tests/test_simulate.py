@@ -97,24 +97,21 @@ def test_closed_loop_controller_failure_surfaces_state():
 def _newton_in_rhs(model, ctrl, pert, x0, ts, track=None):
     """Reference run that solves the feedback inside every RHS call.
 
-    The input is re-solved at each stage state, warm-started from the
-    previous solve, and the inputs are solved afterwards at the samples.
+    The input is solved, cold-started, at each stage state, and again
+    afterwards at the samples.
     """
-    warm = {"u": None}
-
-    def feedback(t, x, u0):
+    def feedback(t, x):
         if track is None:
-            return ctrl.solve(x, u0=u0)
+            return ctrl.solve(x)
         x_true = x + ev.flatten_state(track.value(t))
-        return ctrl.solve_shifted(x, x_true, -track.y_d_n(t), u0=u0)
+        return ctrl.solve_shifted(x, x_true, -track.y_d_n(t))
 
     def rhs(t, x):
-        warm["u"] = feedback(t, x, warm["u"])
         if track is None:
-            return ev.evaluate_dynamics(model, pert, t, x, warm["u"])
+            return ev.evaluate_dynamics(model, pert, t, x, feedback(t, x))
         # deviation dynamics: the reference's nth derivative comes off
         x_true = x + ev.flatten_state(track.value(t))
-        out = ev.evaluate_dynamics(model, pert, t, x_true, warm["u"])
+        out = ev.evaluate_dynamics(model, pert, t, x_true, feedback(t, x))
         out[:-model.m] = x[model.m:]
         out[-model.m:] -= track.y_d_n(t)
         return out
@@ -124,11 +121,7 @@ def _newton_in_rhs(model, ctrl, pert, x0, ts, track=None):
         x0 = x0 - ev.flatten_state(track.value(ts[0]))
     traj = ev.integrate(rhs, ts[0], x0, ts[-1], tol=1e-8,
                         freq_hint=pert.freq_hint, sample_times=ts)
-    u = None
-    inputs = []
-    for t, x in zip(traj.times, traj.states):
-        u = feedback(t, x, u)
-        inputs.append(u)
+    inputs = [feedback(t, x) for t, x in zip(traj.times, traj.states)]
     return traj.states, np.array(inputs)
 
 
@@ -198,7 +191,7 @@ def test_propagated_tracking_matches_oracle():
     assert np.max(np.abs(traj.states - ref)) < 1e-10
 
 
-def test_one_feedback_solve_per_stored_point(monkeypatch):
+def test_one_feedback_solve_per_run(monkeypatch):
     calls = {"solve": 0, "solve_shifted": 0}
     for attr in calls:
         orig = getattr(ev.ImplicitController, attr)
@@ -213,21 +206,23 @@ def test_one_feedback_solve_per_stored_point(monkeypatch):
     pert = ev.make_perturbation("cos_exp")
     traj = ev.simulate_closed_loop(model, ctrl, pert, np.array([0.3, 0.0]),
                                    0.0, 2.0, tol=1e-6)
-    assert traj.diagnostics["n_rhs"] > traj.times.size
-    assert calls == {"solve": traj.times.size, "solve_shifted": 0}
+    assert traj.diagnostics["n_rhs"] > traj.times.size > 1
+    assert traj.inputs.shape == (traj.times.size, 1)
+    assert calls == {"solve": 1, "solve_shifted": 0}
     calls["solve"] = 0
     traj = ev.simulate_tracking(model, design, hurwitz,
                                 ev.make_reference("zero", m=1, n=2), pert,
                                 np.array([0.3, 0.0]), 0.0, 2.0, tol=1e-6)
-    assert calls == {"solve": 0, "solve_shifted": traj.times.size}
-    # a batch is one solve per stored time for all of its rows
+    assert traj.inputs.shape == (traj.times.size, 1)
+    assert calls == {"solve": 0, "solve_shifted": 1}
+    # a batch is one solve for every row at every stored time
     calls["solve_shifted"] = 0
     traj = ev.simulate_closed_loop(model, ctrl, pert,
                                    np.array([[0.3, 0.0], [-0.2, 0.1],
                                              [0.1, 0.4]]), 0.0, 2.0, tol=1e-6)
     assert traj.inputs.shape == (traj.times.size, 3, 1)
-    assert calls == {"solve": traj.times.size, "solve_shifted": 0}
-    # on a sample grid the states are propagated: one solve per sample
+    assert calls == {"solve": 1, "solve_shifted": 0}
+    # on a sample grid the states are propagated: still one solve a run
     ts = np.linspace(0.0, 2.0, 41)
     calls["solve"] = 0
     ev.simulate_closed_loop(model, ctrl, pert, np.array([0.3, 0.0]), 0.0,
@@ -235,12 +230,13 @@ def test_one_feedback_solve_per_stored_point(monkeypatch):
     ev.simulate_tracking(model, design, hurwitz,
                          ev.make_reference("zero", m=1, n=2), pert,
                          np.array([0.3, 0.0]), 0.0, 2.0, sample_times=ts)
-    assert calls == {"solve": ts.size, "solve_shifted": ts.size}
+    assert calls == {"solve": 1, "solve_shifted": 1}
 
 
-def test_batch_rows_are_warm_started_from_their_own_inputs():
-    # the reported inputs of each row are its per-row solves, in time
-    # order, each warm-started from the row's own input before
+def test_stored_inputs_are_cold_one_state_solves():
+    # each reported input is the one-state solve from U = 0, bit for bit,
+    # and within round-off of a chain of solves along the row, each
+    # warm-started from the input at the time before
     model = ev.make_model("cubic")
     ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
                                   ev.default_hurwitz(1))
@@ -248,10 +244,11 @@ def test_batch_rows_are_warm_started_from_their_own_inputs():
         model, ctrl, ev.make_perturbation("cos_exp"),
         np.array([[0.3, 0.0], [-0.6, 0.1], [0.1, 0.9]]), 0.0, 2.0, tol=1e-6)
     for j in range(3):
-        u = None
+        warm = None
         for i, x in enumerate(traj.states[:, j]):
-            u = newton_reference(ctrl, x, u)
-            assert np.array_equal(traj.inputs[i, j], u)
+            assert np.array_equal(traj.inputs[i, j], newton_reference(ctrl, x))
+            warm = newton_reference(ctrl, x, warm)
+            assert np.max(np.abs(traj.inputs[i, j] - warm)) < 1e-11
 
 
 def _tanh_controller():
@@ -280,10 +277,33 @@ def test_batch_failure_is_the_earliest_time_then_the_lowest_row():
                                 sample_times=ts)
     assert exc.value.t == alone[1] and exc.value.row == 1
     assert f"at t={alone[1]} in row 1:" in str(exc.value)
+    # one solve over every (time, row) pair: the flat index, time-major
+    k = int(np.flatnonzero(ts == alone[1])[0])
     cause = exc.value.__cause__
-    assert isinstance(cause, ev.NewtonError) and cause.row == 1
+    assert isinstance(cause, ev.NewtonError) and cause.row == k * 2 + 1
     assert np.array_equal(exc.value.x, cause.x)
     assert exc.value.residual == cause.residual
+
+
+def test_tracking_failure_is_the_closed_loop_failure():
+    # under the zero reference the deviation is the state, so the tracking
+    # run fails where the closed loop does, at the same point
+    model, ctrl = _tanh_controller()
+    ts = np.linspace(0.0, 2.0, 201)
+    x0 = np.array([-20.0, 9.9])
+    with pytest.raises(ev.ControllerEvaluationError) as loop:
+        ev.simulate_closed_loop(model, ctrl, None, x0, 0.0, 2.0,
+                                sample_times=ts)
+    with pytest.raises(ev.ControllerEvaluationError) as exc:
+        ev.simulate_tracking(model, ctrl.design, ctrl.hurwitz,
+                             ev.make_reference("zero"), None, x0, 0.0, 2.0,
+                             sample_times=ts)
+    assert exc.value.t == ts[14] and exc.value.row is None
+    assert "row" not in str(exc.value)
+    assert exc.value.t == loop.value.t
+    assert np.array_equal(exc.value.x, loop.value.x)
+    assert exc.value.residual == loop.value.residual
+    assert isinstance(exc.value.__cause__, ev.NewtonError)
 
 
 def test_controller_failure_on_sample_grid_chains_newton_error():

@@ -196,9 +196,6 @@ def _batch_controller(name):
                                  ev.default_hurwitz(model.m))
 
 
-_WARM = st.floats(0.05, 3.0) | st.floats(-3.0, -0.05) | st.just(0.0)
-
-
 @pytest.mark.parametrize("name", ["cubic", "tanh", "chain2", "fd", "cube"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -209,37 +206,31 @@ def test_batched_newton_is_the_per_row_solve(name, data):
     xs = np.array(data.draw(st.lists(
         st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim),
         min_size=rows, max_size=rows)))
-    u0 = None
-    if data.draw(st.booleans()):
-        u0 = np.array(data.draw(st.lists(
-            st.lists(_WARM, min_size=m, max_size=m),
-            min_size=rows, max_size=rows)))
     want = []
-    for i, x in enumerate(xs):
+    for x in xs:
         try:
-            want.append(newton_reference(ctrl, x,
-                                         None if u0 is None else u0[i]))
+            want.append(newton_reference(ctrl, x))
         except ev.NewtonError as exc:
             want.append(exc)
         except ev.EvaluationError:
             reject()
     for i in range(min(rows, 2)):   # one state: the same solve
         try:
-            got = ctrl.solve(xs[i], None if u0 is None else u0[i])
+            got = ctrl.solve(xs[i])
         except ev.NewtonError as exc:
             got = exc
             assert exc.row is None
         _assert_same_solve(got, want[i])
     failed = [i for i, w in enumerate(want) if isinstance(w, ev.NewtonError)]
     if not failed:
-        got = ctrl.solve(xs, u0=u0)
+        got = ctrl.solve(xs)
         assert got.shape == (rows, m)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         return
     # the lowest failing row is reported, as the per-row solve reports it
     with pytest.raises(ev.NewtonError) as exc:
-        ctrl.solve(xs, u0=u0)
+        ctrl.solve(xs)
     assert exc.value.row == failed[0]
     _assert_same_solve(exc.value, want[failed[0]])
 
@@ -291,16 +282,6 @@ def test_linear_controller_batch_rows_are_one_state_values(rng):
     for x, row in zip(xs, batch):
         assert np.array_equal(row, ctrl.gain @ x)
         assert np.array_equal(ctrl.solve(x), ctrl.gain @ x)
-
-
-def test_newton_warm_start_consistency(rng):
-    model = ev.make_model("cubic")
-    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
-                                  ev.default_hurwitz(1))
-    x = np.array([0.8, -0.4])
-    cold = ctrl.solve(x)
-    warm = ctrl.solve(x, u0=cold + 1e-3)
-    assert warm[0] == pytest.approx(cold[0], abs=1e-9)
 
 
 def test_newton_failure_carries_state():
