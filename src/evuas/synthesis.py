@@ -86,6 +86,8 @@ def _pole_groups(poles, count, what):
     if len(poles) != count:
         raise DesignError(f"{what}: expected {count} poles, got {len(poles)}")
     for p in poles:
+        if not np.isfinite(p):
+            raise DesignError(f"{what}: pole {p} is not finite")
         if p.real >= 0.0:
             raise DesignError(f"{what}: pole {p} has nonnegative real part")
     pending = sorted(poles, key=lambda p: (p.real, abs(p.imag)))
@@ -106,13 +108,11 @@ def _pole_groups(poles, count, what):
     return groups
 
 
-def _monic_ascending(roots, what):
-    """Coefficients c_0 ... c_{k-1} of the real monic polynomial with these
-    k roots, the leading 1 left off."""
-    coeffs = np.poly(roots)               # descending, monic
-    if np.max(np.abs(coeffs.imag)) > 1e-10:
-        raise DesignError(f"{what}: pole expansion is not real")
-    return coeffs.real[1:][::-1]
+def _monic_ascending(roots):
+    """Coefficients c_0 ... c_{k-1} of the monic polynomial with these k
+    roots, the leading 1 left off.  The roots are ``_pole_groups``' poles,
+    whose pairs are exact conjugates, so ``np.poly`` returns real ones."""
+    return np.poly(roots)[1:][::-1]
 
 
 def _first_order(m, n, last):
@@ -161,8 +161,8 @@ def build_gamma(poles_per_column, n):
     worst_real = -np.inf
     for j, col in enumerate(poles_per_column):
         roots = [complex(p) for p in col]
-        _pole_groups(roots, n - 1, f"column {j}")
-        gamma[:, j] = _monic_ascending(roots, f"column {j}")
+        groups = _pole_groups(roots, n - 1, f"column {j}")
+        gamma[:, j] = _monic_ascending([p for grp in groups for p in grp])
         poles.append(roots)
         worst_real = max(worst_real, max(r.real for r in roots))
     gamma_star = max(1.0, float(np.max(np.abs(gamma))))
@@ -185,6 +185,8 @@ def build_hurwitz(a_h):
     a_h = np.asarray(a_h, dtype=float)
     if a_h.ndim != 2 or a_h.shape[0] != a_h.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a_h.shape}")
+    if not np.isfinite(a_h).all():
+        raise DesignError(f"matrix {a_h.tolist()} is not finite")
     eig = np.linalg.eigvals(a_h)
     worst = int(np.argmax(eig.real))
     if eig.real[worst] >= _HURWITZ_MARGIN:
@@ -460,14 +462,16 @@ class LinearController:
 def _check_origin(model):
     """The design's preconditions at x = 0: the origin is an equilibrium,
     F(0, 0) = 0 (a ValueError otherwise), and the input Jacobian there is
-    numerically nonsingular."""
+    numerically nonsingular.  Returns that Jacobian."""
     model.check_origin_equilibrium()
-    report = check_nonsingular(_model.jacobian_F_U(
-        model, np.zeros(model.state_dim), np.zeros(model.m)))
+    ju = _model.jacobian_F_U(model, np.zeros(model.state_dim),
+                             np.zeros(model.m))
+    report = check_nonsingular(ju)
     if not report.numeric_nonsingular:
         raise DesignError(
             "input Jacobian at the origin is numerically singular "
             f"(condition estimate {report.condition_estimate:.3e})")
+    return ju
 
 
 def synthesize_feedback(model, design, hurwitz):
@@ -577,56 +581,44 @@ def linearization(model):
     return a, b
 
 
-def _all_matched(near):
-    """Whether each column of the boolean matrix ``near`` can have a row of
-    its own that is True there (Kuhn's augmenting paths)."""
-    owner = {}                  # row -> the column it is matched to
-
-    def claim(j, seen):
-        for i in np.flatnonzero(near[:, j]):
-            if i not in seen:
-                seen.add(i)
-                if i not in owner or claim(owner[i], seen):
-                    owner[i] = j
-                    return True
-        return False
-    return all(claim(j, set()) for j in range(near.shape[1]))
-
-
 def linearize_and_place(model, desired_poles):
     """Linear gain whose closed-loop linearization has the desired spectrum.
 
     The first-order form interleaves derivative blocks, so grouping each
     channel's own chain (the permutation flat index i*m + j <-> channel j,
     derivative i) exposes one controllable companion block per channel.
-    Cancelling the state coupling through the input Jacobian and imposing
-    the per-channel characteristic polynomials then places all poles
-    exactly.  A nonsingular input Jacobian already makes the linearization
-    controllable, so the origin preconditions are the only ones checked;
-    the final spectrum comparison guards the numerics.
+    Cancelling the state coupling through the input Jacobian J_U and
+    imposing the per-channel characteristic polynomials then places all
+    poles exactly.  A nonsingular J_U already makes the linearization
+    controllable, so the origin preconditions are the only ones checked.
+
+    The gain G solves J_U G = V - J_X, with V the wanted block-companion
+    rows.  The loop's last block row is J_X + J_U G, and every other row is
+    the fixed shift, so the placed poles are the roots of the polynomials
+    that row holds.  G is accepted when it is finite and that row misses V
+    by at most 1e-8 max(1, max|V - J_X|): a backward-error certificate
+    that the loop is the one asked for.  Its eigenvalues are not
+    recomputed: for a pole of multiplicity k they are only accurate to
+    about eps^(1/k), so an eigenvalue check rejects exact designs.
     """
     m, n = model.m, model.n
-    _check_origin(model)
-    a, b = linearization(model)
-    channels = _partition_poles(desired_poles, m, n)
-    gain_v = np.zeros((m, m * n))   # virtual gain in companion coordinates
-    for j, ch in enumerate(channels):
-        ascending = _monic_ascending(ch, f"channel {j}")   # a_0 ... a_{n-1}
-        for i in range(n):
-            gain_v[j, i * m + j] = -ascending[i]
-    ju = b[(n - 1) * m:, :]
-    jx = a[(n - 1) * m:, :]
-    gain = np.linalg.solve(ju, gain_v - jx)
-
-    placed = np.linalg.eigvals(a + b @ gain)
-    wanted = np.sort_complex(np.asarray([complex(p) for p in desired_poles]))
-    # each wanted pole needs a placed one of its own within the bound,
-    # whatever order the two sets sort in
-    bound = 1e-8 * max(1.0, np.max(np.abs(wanted)))
-    if not _all_matched(np.abs(placed[:, None] - wanted) <= bound):
-        raise DesignError(f"pole placement mismatch: got "
-                          f"{np.sort_complex(placed)}, wanted {wanted}")
-    return LinearController(gain, model=model, placed_poles=list(wanted))
+    ju = _check_origin(model)
+    jx = _model.jacobian_F_X(model, np.zeros(model.state_dim), np.zeros(m))
+    wanted = np.zeros((m, m * n))     # V, channel j's row in columns j::m
+    for j, ch in enumerate(_partition_poles(desired_poles, m, n)):
+        wanted[j, j::m] = -_monic_ascending(ch)
+    rhs = wanted - jx
+    gain = np.linalg.solve(ju, rhs)
+    if not np.isfinite(gain).all():
+        raise DesignError(f"pole placement gives a non-finite gain {gain}")
+    miss = float(np.max(np.abs(jx + ju @ gain - wanted)))
+    bound = 1e-8 * max(1.0, float(np.max(np.abs(rhs))))
+    if not miss <= bound:
+        raise DesignError(
+            f"pole placement mismatch: the loop's last block row misses "
+            f"the wanted companion rows by {miss:.3e} (bound {bound:.3e})")
+    return LinearController(gain, model=model, placed_poles=list(
+        np.sort_complex(np.asarray([complex(p) for p in desired_poles]))))
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,23 @@ def _pole_placement(stages, **sections):
     return doc
 
 
+def test_pole_placement_scenario_with_a_triple_pole(tmp_path):
+    # y^(3) = u with all three poles at -1: y0 (1 + t + t^2 / 2) e^{-t}
+    y0 = 0.5
+    doc = _pole_placement(["synthesize", "simulate"],
+                          model={"name": "chain", "m": 1, "n": 3},
+                          design={"mode": "linear", "poles": [-1.0] * 3})
+    doc["simulate"] = dict(doc["simulate"], x0=[y0, 0.0, 0.0], tol=1e-11)
+    run_scenario(doc, tmp_path / "o")
+    ctrl = json.loads((tmp_path / "o" / "controller.json").read_text())
+    assert ctrl["gain"] == [[-1.0, -3.0, -3.0]]
+    rows = _read_csv(tmp_path / "o" / "trajectory.csv")
+    got = np.array([[float(v) for v in row[:2]] for row in rows[1:]])
+    t = got[:, 0]
+    want = y0 * (1.0 + t + t ** 2 / 2.0) * np.exp(-t)
+    assert np.max(np.abs(got[:, 1] - want)) <= 1e-8
+
+
 _LINEAR_VERIFY = {"target": "closed-loop", "delta0": 0.5,
                   "t0_grid": [0.0, 1.0], "eps_levels": [0.5, 0.25],
                   "horizon": 5.0, "samples": 2, "tol": 1e-7}
@@ -575,6 +592,14 @@ def test_cli_synthesize_and_simulate(tmp_path):
     assert rc == 0
     rows = _read_csv(tmp_path / "c" / "trajectory.csv")
     assert float(rows[-1][-1]) < 0.01
+
+
+def test_cli_places_repeated_poles(tmp_path):
+    rc = cli_main(["synthesize", "--mode", "linear", "--model", "chain",
+                   "--n", "3", "--poles=-1,-1,-1", "--out", str(tmp_path)])
+    assert rc == 0
+    ctrl = json.loads((tmp_path / "controller.json").read_text())
+    assert ctrl["gain"] == [[-1.0, -3.0, -3.0]]
 
 
 def test_cli_verify(tmp_path):

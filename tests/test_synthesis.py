@@ -49,6 +49,33 @@ def test_build_gamma_rejections():
         ev.build_gamma([[-1.0, -2.0]], 2)               # wrong pole count
 
 
+def test_build_gamma_accepts_a_noisy_conjugate_partner():
+    # the partner's imaginary part is off by 1e-10, inside the pairing
+    # tolerance; the column expands the snapped pair, as placement does
+    col = [complex(-1000.0, 1000.0), complex(-1000.0, -(1000.0 - 1e-10))]
+    d = ev.build_gamma([col], 3)
+    assert np.allclose(d.gamma[:, 0], [1999999.9999998, 2000.0],
+                       rtol=1e-15, atol=0.0)
+    ctrl = ev.linearize_and_place(ev.make_model("chain", m=1, n=2), col)
+    assert np.array_equal(ctrl.gain, -d.gamma.T)
+
+
+@pytest.mark.parametrize("design, match", [
+    (lambda: ev.build_gamma([[np.nan]], 2),
+     r"pole \(nan\+0j\) is not finite"),
+    (lambda: ev.build_gamma([[-np.inf]], 2),
+     r"pole \(-inf\+0j\) is not finite"),
+    (lambda: ev.linearize_and_place(ev.make_model("chain", m=1, n=2),
+                                    [np.nan, -1.0]),
+     r"pole \(nan\+0j\) is not finite"),
+    (lambda: ev.build_hurwitz([[np.nan]]),
+     r"matrix \[\[nan\]\] is not finite"),
+], ids=["gamma-nan", "gamma-inf", "place-nan", "hurwitz-nan"])
+def test_design_inputs_must_be_finite(design, match):
+    with pytest.raises(ev.DesignError, match=match):
+        design()
+
+
 def test_root_reconstruction(rng):
     # rebuilt column polynomials have exactly the declared roots
     for _ in range(20):
@@ -464,12 +491,42 @@ def test_pole_placement_gain_is_the_reference_bit_for_bit():
         assert np.array_equal(ctrl.gain, place_reference(jx, ju, poles))
 
 
+def test_pole_placement_accepts_repeated_and_clustered_poles():
+    # the loops are defective or nearly so, and their computed spectra miss
+    # the poles by up to 7.6e-5, yet each gain builds the wanted loop
+    for n, poles in [(3, [-1.0] * 3), (4, [-1.0] * 4),
+                     (10, list(-1.0 - 0.1 * np.arange(10)))]:
+        model = ev.make_model("chain", m=1, n=n)
+        x0, u0 = np.zeros(n), np.zeros(1)
+        jx = ev.jacobian_F_X(model, x0, u0)
+        ju = ev.jacobian_F_U(model, x0, u0)
+        ctrl = ev.linearize_and_place(model, poles)
+        assert np.array_equal(ctrl.gain, place_reference(jx, ju, poles))
+        a, b = ev.linearization(model)
+        want = -np.poly(poles)[1:][::-1]
+        last = (a + b @ ctrl.gain)[-1]
+        assert np.max(np.abs(last - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_pole_placement_rejects_a_spectrum_it_misses():
-    # the computed spectrum of the n = 10 chain's loop misses the poles
-    # -1.0 ... -1.9 by about 3e-8, beyond the 1e-8 bound
-    model = ev.make_model("chain", m=1, n=10)
+    # cond(J_U) = 1e10 passes the origin check, but the solve for the gain
+    # loses the wanted companion rows beyond the 1e-8 relative bound
+    rng = np.random.default_rng(20261020)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    ju = q @ np.diag([1.0, 1.0, 1e-10]) @ q.T
+    jx = rng.normal(size=(3, 6))
     with pytest.raises(ev.DesignError, match="pole placement mismatch"):
-        ev.linearize_and_place(model, list(-1.0 - 0.1 * np.arange(10)))
+        ev.linearize_and_place(_linear_model(jx, ju),
+                               [-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+
+
+def test_pole_placement_rejects_a_non_finite_gain():
+    # J_U = 1e-300 is well conditioned, but the gain overflows
+    model = ev.SystemModel(1, 2, lambda x, u: 1e-300 * np.asarray(u),
+                           jac_u=lambda x, u: np.array([[1e-300]]),
+                           jac_x=lambda x, u: np.zeros((1, 2)))
+    with pytest.raises(ev.DesignError, match="non-finite gain"):
+        ev.linearize_and_place(model, [-1e5, -1e5])
 
 
 def test_pole_placement_pairs_a_partner_that_sorts_first():
