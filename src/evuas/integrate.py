@@ -23,17 +23,18 @@ A linear system under a chirp-form forcing, x' = A x + w(t) with w the
 real part of a sum of c a(t) e^{i phase(t)}, needs no steps between
 output times: :func:`propagate_linear` maps each sample to the next
 exactly, by e^{A h} and the forced integral, which Levin collocation on
-Chebyshev nodes computes at a cost independent of the frequency.  The
-error, closed-loop and tracking runs of :mod:`evuas.simulate` use it on a
-sample grid.
+Chebyshev nodes computes at a cost independent of the frequency.  e^{A h}
+comes from the numpy-only scaling-and-squaring Pade exponential of
+:mod:`evuas._expm`, one per distinct sample length.  The error, closed-loop
+and tracking runs of :mod:`evuas.simulate` use it on a sample grid.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from ._expm import expm
 from .errors import IntegrationError, ShapeError
 from .norms import vector_norm
 
@@ -348,7 +349,7 @@ _PD_ABS = np.abs(_P) @ np.abs(_D)
 def _expm(a, h):
     """e^{A h} for each length in h, one exponential per distinct length."""
     lengths, index = np.unique(h, return_inverse=True)
-    return scipy.linalg.expm(a * lengths[:, None, None])[index]
+    return expm(a * lengths[:, None, None])[index]
 
 
 def _levin(a, terms, lo, hi, decay):

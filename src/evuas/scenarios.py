@@ -32,7 +32,6 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__ as _pkg_version
 from .diminishing import SIGNAL_CATALOG, diminishing_profile, classify
@@ -582,7 +581,6 @@ def run_scenario(source, out_dir, seed=None, tol=None, norm=None,
         "versions": {
             "evuas": _pkg_version,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "artifacts": [],

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import model as _model
+from ._expm import expm
 from .errors import DesignError, NewtonError, ShapeError
 from .norms import row_norms, unit_directions
 
@@ -128,15 +128,25 @@ def _estimate_overshoot(design_gamma, mu_gamma):
     """Numerical overshoot constant of the block companion subsystem.
 
     Samples the induced 2-norm of the transition matrix on [0, 20/mu] and
-    applies a 1.05 safety factor; clamped to at least 1.
+    applies a 1.05 safety factor; clamped to at least 1.  The matrix is
+    block diagonal with one companion block per column, and the 2-norm of
+    a block-diagonal matrix is the largest of its blocks' 2-norms, so each
+    block's exponential is taken on its own.  Pole sets too stiff for
+    double precision make the exponential overflow; they raise a
+    DesignError.
     """
     n_minus_1, m = design_gamma.shape
-    blocks = [_first_order(1, n_minus_1, -design_gamma[:, j])
-              for j in range(m)]
-    a = scipy.linalg.block_diag(*blocks)
+    blocks = np.stack([_first_order(1, n_minus_1, -design_gamma[:, j])
+                       for j in range(m)])
     ts = np.linspace(0.0, 20.0 / mu_gamma, 201)
-    norms = np.linalg.norm(scipy.linalg.expm(a * ts[:, None, None]), 2,
-                           axis=(1, 2))
+    try:
+        with np.errstate(over="raise"):
+            transition = expm(blocks * ts[:, None, None, None])
+    except FloatingPointError as exc:
+        raise DesignError(
+            f"Gamma {design_gamma.tolist()}: the transition matrix "
+            f"overflows ({exc}); the poles are too stiff") from exc
+    norms = np.linalg.norm(transition, 2, axis=(-2, -1))
     return 1.05 * max(1.0, float(np.max(norms)))
 
 
@@ -163,6 +173,10 @@ def build_gamma(poles_per_column, n):
         roots = [complex(p) for p in col]
         groups = _pole_groups(roots, n - 1, f"column {j}")
         gamma[:, j] = _monic_ascending([p for grp in groups for p in grp])
+        if not np.isfinite(gamma[:, j]).all():
+            raise DesignError(
+                f"column {j}: poles {roots} expand to a non-finite Gamma "
+                f"column {gamma[:, j].tolist()}")
         poles.append(roots)
         worst_real = max(worst_real, max(r.real for r in roots))
     gamma_star = max(1.0, float(np.max(np.abs(gamma))))

@@ -477,18 +477,48 @@ def test_an_error_verify_takes_its_size_from_e0_or_the_perturbation(
 
 # --- CLI
 
-def test_module_entry_point():
-    import subprocess
-    import sys
+def _child_env():
     # the child imports the evuas this test imported, however it was found
     package_root = str(Path(ev.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point():
+    import subprocess
+    import sys
     proc = subprocess.run([sys.executable, "-m", "evuas", "list"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "scenarios:" in proc.stdout
+
+
+_SCIPY_FREE_RUN = """
+import sys
+import evuas, evuas.cli, evuas.scenarios
+factory = evuas.make_error_factory(evuas.default_hurwitz(1),
+                                   evuas.make_perturbation("cos_exp"), 6.0)
+evuas.verify_evuas(factory, delta0=0.5, t0_grid=[0.0, 1.0], eps_levels=[0.5],
+                   horizon=6.0, samples=2, seed=7, dim=1)
+evuas.scenarios.run_scenario("tracking_demo", sys.argv[1])
+evuas.build_gamma([[-1.0, -2.0]], 3)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: an error verify sweep, a scenario
+    # that propagates and designs Gamma, and a Gamma design load none of it
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SCIPY_FREE_RUN,
+         str(tmp_path / "tracking")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_list_prints_catalogs(capsys):

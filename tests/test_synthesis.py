@@ -76,6 +76,35 @@ def test_design_inputs_must_be_finite(design, match):
         design()
 
 
+def test_build_gamma_rejects_a_column_that_overflows(monkeypatch):
+    # [-1e200]*2 expands to [1e400, 2e200]: rejected before the overshoot
+    # estimate, which must never see the inf
+    def unreachable(a):
+        raise AssertionError("the overflowed Gamma reached expm")
+    monkeypatch.setattr("evuas.synthesis.expm", unreachable)
+    with pytest.raises(ev.DesignError,
+                       match=r"column 1: .* non-finite Gamma column \[inf"):
+        ev.build_gamma([[-1.0, -2.0], [-1e200, -1e200]], 3)
+
+
+def test_build_gamma_rejects_poles_too_stiff_for_the_overshoot():
+    # Gamma is finite, but e^{At} of the first block over the second's
+    # time range overflows in double precision
+    with pytest.raises(ev.DesignError, match="too stiff"):
+        ev.build_gamma([[-1e150, -1e150], [-1.0, -2.0]], 3)
+
+
+def test_overshoot_constant_is_the_sampled_closed_form():
+    # a double pole -p has e^{At} = e^{-pt} [[1 + pt, t], [-p^2 t, 1 - pt]];
+    # kappa is 1.05 times the largest 2-norm over both blocks on the grid
+    d = ev.build_gamma([[-1.0, -1.0], [-4.0, -4.0]], 3)
+    ts = np.linspace(0.0, 20.0, 201)
+    norms = [np.linalg.norm(np.exp(-p * t) * np.array(
+        [[1 + p * t, t], [-p * p * t, 1 - p * t]]), 2)
+        for p in (1.0, 4.0) for t in ts]
+    assert d.kappa == pytest.approx(1.05 * max(norms), rel=1e-13)
+
+
 def test_root_reconstruction(rng):
     # rebuilt column polynomials have exactly the declared roots
     for _ in range(20):
