@@ -69,7 +69,7 @@ class SignalAdapter:
             return self._loop(ts)
         try:
             out = np.asarray(self.h(ts), dtype=float)
-        except Exception:
+        except (TypeError, ValueError):   # a scalar-only callable
             self._vectorized = False
             return self._loop(ts)
         if out.shape == (self.dim, ts.size):

@@ -55,7 +55,7 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_DEFAULT_MAX_STEPS = 10_000_000
+_MAX_STEPS = 10_000_000     # step budget of one integrate call
 
 # Levin collocation in the propagator for x' = A x + w(t)
 _LEVIN_NODES = 12        # Chebyshev-Lobatto nodes per interval
@@ -154,8 +154,7 @@ def _non_finite(t_new, t, y, shape):
                             reason="non-finite")
 
 
-def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
-              max_steps=_DEFAULT_MAX_STEPS):
+def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     """Integrate x' = rhs(t, x) from t0 to t_end.
 
     Parameters
@@ -182,14 +181,12 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     sample_times : array_like, optional
         Dense-output sample times; defaults to the accepted step points.
         t0 is always included as the first sample.
-    max_steps : int
-        Step budget before giving up.
 
     Raises
     ------
     IntegrationError
-        On step underflow, non-finite states, or an exhausted budget; the
-        error carries the last good (t, x).
+        On step underflow, non-finite states, or an exhausted step budget;
+        the error carries the last good (t, x).
     """
     t0 = float(t0)
     t_end = float(t_end)
@@ -250,9 +247,9 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
             raise IntegrationError(
                 f"step underflow at t={t} (h={h_eff:.3e})", t_last=t,
                 x_last=y.reshape(shape).copy(), reason="step-underflow")
-        if n_accepted + n_rejected >= max_steps:
+        if n_accepted + n_rejected >= _MAX_STEPS:
             raise IntegrationError(
-                f"step budget {max_steps} exhausted at t={t}", t_last=t,
+                f"step budget {_MAX_STEPS} exhausted at t={t}", t_last=t,
                 x_last=y.reshape(shape).copy(), reason="budget")
 
         # ndarray.dot is np.dot, bit for bit, without its dispatch cost

@@ -24,31 +24,21 @@ _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 ORIGIN_TOL = 1e-10
 
 
-def _as_vector(x, length, name):
+def _as_shape(x, shape, name):
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (length,):
-        raise ShapeError(f"{name}: expected shape ({length},), got {x.shape}")
-    return x
-
-
-def _as_rows(x, rows, length, name):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (rows, length):
-        raise ShapeError(
-            f"{name}: expected shape ({rows}, {length}), got {x.shape}")
+    if x.shape != shape:
+        raise ShapeError(f"{name}: expected shape {shape}, got {x.shape}")
     return x
 
 
 def _state_and_input(model, x, u):
-    """Checked ``(x, u, batch)``: a flat state and its input, or a batch of
+    """Checked ``(x, u)``: a flat state and its input, or a batch of
     (N, m*n) states and (N, m) inputs.  The input decides, since for m = 1
     an (m, n) state matrix has the shape of a one-row batch."""
     u = np.asarray(u, dtype=float)
-    if u.ndim == 2:
-        return (_as_rows(x, len(u), model.state_dim, "state"),
-                _as_rows(u, len(u), model.m, "input"), True)
-    return (_as_vector(x, model.state_dim, "state"),
-            _as_vector(u, model.m, "input"), False)
+    batch = u.shape[:1] if u.ndim == 2 else ()
+    return (_as_shape(x, batch + (model.state_dim,), "state"),
+            _as_shape(u, batch + (model.m,), "input"))
 
 
 def _check_finite(v, where, rows=False):
@@ -81,7 +71,7 @@ def flatten_state(mat):
 
 def unflatten_state(vec, m, n):
     """Inverse of :func:`flatten_state`; exact round trip."""
-    vec = _as_vector(vec, m * n, "state")
+    vec = _as_shape(vec, (m * n,), "state")
     return vec.reshape((m, n), order="F")
 
 
@@ -127,14 +117,8 @@ class SystemModel:
     def eval_f(self, x_flat, u):
         """F(X, U): (m,) at one flat state, (N, m) on a batch of (N, m*n)
         states with (N, m) inputs; ``f`` sees one state at a time."""
-        x_flat, u, batch = _state_and_input(self, x_flat, u)
-        out = np.asarray(_per_row(self.f, x_flat, u), dtype=float)
-        if out.shape == u.shape[:-1] and self.m == 1:   # a scalar F
-            out = out[..., None]
-        if out.shape != u.shape:
-            raise ShapeError(
-                f"F: expected output shape {u.shape}, got {out.shape}")
-        return _check_finite(out, "F", rows=batch)
+        x_flat, u = _state_and_input(self, x_flat, u)
+        return _evaluate(self.f, (self.m,), "F", x_flat, u)
 
     def check_origin_equilibrium(self):
         """|F(0, 0)| (Euclidean); ValueError if it exceeds ORIGIN_TOL."""
@@ -158,14 +142,23 @@ def _per_row(fn, x, *rest):
     return np.array([fn(*rows) for rows in zip(x, *rest)])
 
 
+def _evaluate(fn, shape, where, x, *rest):
+    """``_per_row(fn, x, *rest)`` as floats of ``shape`` per state (a
+    scalar standing for a (1,) value), each entry finite; else ShapeError
+    or EvaluationError naming ``where``."""
+    out = np.asarray(_per_row(fn, x, *rest), dtype=float)
+    if shape == (1,) and out.shape == x.shape[:-1]:
+        out = out[..., None]
+    shape = x.shape[:-1] + shape
+    if out.shape != shape:
+        raise ShapeError(
+            f"{where}: expected output shape {shape}, got {out.shape}")
+    return _check_finite(out, where, rows=x.ndim == 2)
+
+
 def _shape_checked(fn, shape, what):
     """``fn`` with its value as a float array of ``shape``, else ShapeError."""
-    def call(arg):
-        out = np.atleast_1d(np.asarray(fn(arg), dtype=float))
-        if out.shape != shape:
-            raise ShapeError(f"{what}: expected shape {shape}, got {out.shape}")
-        return out
-    return call
+    return lambda arg: _as_shape(fn(arg), shape, what)
 
 
 def _disturbance(kind, w, d, k):
@@ -334,32 +327,41 @@ def evaluate_dynamics(model, pert, t, x, u):
         None means no disturbance.
     t : float
     x : array_like
-        Flat state of length m*n.
+        Flat state of length m*n, or an (N, m*n) batch of them.
     u : array_like
-        Input of length m.
+        Input of length m, or (N, m) with a batch.
 
     Returns
     -------
-    ndarray (m*n,)
+    ndarray (m*n,) or (N, m*n)
         First (n-1)*m entries are the state entries m..n*m (the column
-        shift); the last m entries are F(X, U) + W(t, X).
+        shift); the last m entries are F(X, U) + W(t, X).  A row of a batch
+        is its one-state value bit for bit.
     """
     m, n = model.m, model.n
-    x_flat = _as_vector(x, m * n, "state")
+    x, u = _state_and_input(model, x, u)
 
-    last = model.eval_f(x_flat, u)
+    last = model.eval_f(x, u)
     if pert is not None and pert.kind != "zero":
-        last = last + pert.evaluate(t, x_flat)
-        _check_finite(last, "F+W")
+        last = last + pert.evaluate(t, x)
+        _check_finite(last, "F+W", rows=x.ndim == 2)
 
-    out = np.empty(m * n)
-    out[:(n - 1) * m] = x_flat[m:]
-    out[(n - 1) * m:] = last
+    out = np.empty(x.shape)
+    out[..., :(n - 1) * m] = x[..., m:]
+    out[..., (n - 1) * m:] = last
     return out
 
 
-def _fd_steps(v):
-    return _FD_STEP * np.maximum(1.0, np.abs(v))
+def _central_difference(fn, v, where):
+    """Jacobian of ``fn`` at v, or at each row of a batch, by the central
+    differences of :func:`jacobian_F_U`."""
+    h = _FD_STEP * np.maximum(1.0, np.abs(v))
+    cols = []
+    for j in range(v.shape[-1]):
+        vp = v.copy(); vp[..., j] += h[..., j]
+        vm = v.copy(); vm[..., j] -= h[..., j]
+        cols.append((fn(vp) - fn(vm)) / (2 * h[..., j, None]))
+    return _check_finite(np.stack(cols, axis=-1), where, rows=v.ndim == 2)
 
 
 def jacobian_F_U(model, x, u):
@@ -370,41 +372,23 @@ def jacobian_F_U(model, x, u):
     one, called row by row, otherwise symmetric central differences with a
     per-coordinate step ``cbrt(eps) * max(1, |u_i|)``.
     """
-    m = model.m
-    x, u, batch = _state_and_input(model, x, u)
-    shape = u.shape[:-1] + (m, m)
+    x, u = _state_and_input(model, x, u)
     if model.jac_u is not None:
-        jac = np.asarray(_per_row(model.jac_u, x, u), dtype=float)
-        if jac.shape != shape:
-            raise ShapeError(f"jac_u: expected {shape}, got {jac.shape}")
-        return _check_finite(jac, "jac_u", rows=batch)
-    jac = np.empty(shape)
-    h = _fd_steps(u)
-    for j in range(m):
-        up = u.copy(); up[..., j] += h[..., j]
-        um = u.copy(); um[..., j] -= h[..., j]
-        jac[..., j] = ((model.eval_f(x, up) - model.eval_f(x, um))
-                       / (2 * h[..., j, None]))
-    return _check_finite(jac, "jacobian_F_U", rows=batch)
+        return _evaluate(model.jac_u, (model.m, model.m), "jac_u", x, u)
+    return _central_difference(lambda v: model.eval_f(x, v), u,
+                               "jacobian_F_U")
 
 
 def jacobian_F_X(model, x, u):
-    """m-by-(m*n) Jacobian of F with respect to the flat state."""
-    x = _as_vector(x, model.state_dim, "state")
-    u = _as_vector(u, model.m, "input")
+    """m-by-(m*n) Jacobian of F with respect to the flat state, (N, m, m*n)
+    on a batch; the batch, analytic Jacobian and steps are as for
+    :func:`jacobian_F_U`, with the step scaled by |x_i|."""
+    x, u = _state_and_input(model, x, u)
     if model.jac_x is not None:
-        jac = np.asarray(model.jac_x(x, u), dtype=float)
-        if jac.shape != (model.m, model.state_dim):
-            raise ShapeError(
-                f"jac_x: expected ({model.m}, {model.state_dim}), got {jac.shape}")
-        return _check_finite(jac, "jac_x")
-    jac = np.empty((model.m, model.state_dim))
-    h = _fd_steps(x)
-    for j in range(model.state_dim):
-        xp = x.copy(); xp[j] += h[j]
-        xm = x.copy(); xm[j] -= h[j]
-        jac[:, j] = (model.eval_f(xp, u) - model.eval_f(xm, u)) / (2 * h[j])
-    return _check_finite(jac, "jacobian_F_X")
+        return _evaluate(model.jac_x, (model.m, model.state_dim), "jac_x",
+                         x, u)
+    return _central_difference(lambda v: model.eval_f(v, u), x,
+                               "jacobian_F_X")
 
 
 # ---------------------------------------------------------------------------

@@ -495,8 +495,7 @@ def _stage_simulate(run):
             cfg["t_end"], tol=cfg["tol"], sample_times=samples)
     else:
         traj = simulate_tracking(
-            run.model, build_gamma(doc["design"]["poles"], run.model.n),
-            run.hurwitz(run.model.m), run.reference, run.pert, cfg["x0"],
+            run.model, run.controller(), run.reference, run.pert, cfg["x0"],
             cfg["t0"], cfg["t_end"], tol=cfg["tol"], sample_times=samples)
     run.results["trajectory"] = traj
     trajectory_to_csv(traj, run.path("trajectory.csv"), norm=doc["norm"])

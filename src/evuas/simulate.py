@@ -10,7 +10,7 @@ catalogs), :func:`evuas.integrate.propagate_linear` steps it exactly from
 sample to sample, at a cost that does not grow with the frequency of W.
 Runs without sample times (the verify factories) and factored
 disturbances are integrated, as are loops closed by any other controller,
-which is then called inside the right-hand side, row by row.
+which is then called inside the right-hand side on the whole batch.
 
 Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
@@ -31,10 +31,10 @@ import json
 
 import numpy as np
 
-from .errors import ControllerEvaluationError, NewtonError, ShapeError
+from .errors import (ControllerEvaluationError, DesignError, NewtonError,
+                     ShapeError)
 from .integrate import integrate, propagate_linear
-from .model import (_per_row, evaluate_dynamics, flatten_state,
-                    unflatten_state)
+from .model import evaluate_dynamics, flatten_state, unflatten_state
 from .synthesis import ImplicitController, closed_loop_matrix
 
 _CSV_FMT = "%.17g"
@@ -143,8 +143,8 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     ControllerEvaluationError carrying the time, state and residual of the
     first stored point where no feedback exists (the earliest time, then
     the lowest row, named in ``row``).  Any other controller is called
-    inside the right-hand side, row by row, and on the stored states with
-    one call for all of them.  A W whose width is not m raises ShapeError.
+    inside the right-hand side, all rows at once, and once on all stored
+    states.  A W whose width is not m raises ShapeError.
     """
     x0 = _states(x0, model.state_dim, "x0")
     _check_width(pert, model.m)
@@ -153,8 +153,7 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
                            pert, x0, t0, t_end, tol, sample_times)
     else:
         def rhs(t, x):
-            return _per_row(lambda row: evaluate_dynamics(
-                model, pert, t, row, ctrl.solve(row)), x)
+            return evaluate_dynamics(model, pert, t, x, ctrl.solve(x))
         traj = integrate(rhs, t0, x0, t_end, tol=tol,
                          freq_hint=None if pert is None else pert.freq_hint,
                          sample_times=sample_times)
@@ -203,19 +202,23 @@ class TrackingSpec:
                         f"column {i} at t={t:.4f} (error {err:.2e})")
 
     def check_admissible(self, model, t0, t_end):
-        for t in np.linspace(t0, t_end, _ADMISSIBLE_GRID):
-            resid = float(np.linalg.norm(
-                model.eval_f(flatten_state(self.value(t)), np.zeros(self.m))))
-            if resid > _ADMISSIBLE_TOL:
+        ts = np.linspace(t0, t_end, _ADMISSIBLE_GRID)
+        resid = np.linalg.norm(model.eval_f(
+            np.array([flatten_state(self.value(t)) for t in ts]),
+            np.zeros((ts.size, self.m))), axis=1)
+        for t, r in zip(ts, resid):
+            if r > _ADMISSIBLE_TOL:
                 raise ValueError(
                     f"reference is inadmissible: |F(X_d({t:.4f}), 0)| = "
-                    f"{resid:.2e} exceeds {_ADMISSIBLE_TOL:.1e}")
+                    f"{r:.2e} exceeds {_ADMISSIBLE_TOL:.1e}")
 
 
-def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
-                      tol=1e-8, sample_times=None):
+def simulate_tracking(model, ctrl, track, pert, x0, t0, t_end, tol=1e-8,
+                      sample_times=None):
     """Integrate the deviation Delta = X - X_d(t) from a reference.
 
+    ``ctrl`` is an :class:`~evuas.synthesis.ImplicitController` for
+    ``model`` (else DesignError), whose design and A_H the loop takes.
     ``x0`` is one flat state (m*n,).  The reference must have the model's
     m and n (else ShapeError), derivative-consistent columns and
     F(X_d(t), 0) = 0 (see :class:`TrackingSpec`); a W whose width is not m
@@ -226,6 +229,10 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
     fills ``traj.inputs`` afterwards, as for the closed loop.
     With the zero reference this reduces exactly to the stabilization loop.
     """
+    if not (isinstance(ctrl, ImplicitController) and ctrl.model is model):
+        raise DesignError(
+            f"tracking needs an ImplicitController built for {model!r}, "
+            f"got {type(ctrl).__name__}")
     if (track.m, track.n) != (model.m, model.n):
         raise ShapeError(
             f"reference {track.name!r} has m={track.m}, n={track.n}; the "
@@ -233,11 +240,10 @@ def simulate_tracking(model, design, hurwitz, track, pert, x0, t0, t_end,
     _check_width(pert, model.m)
     track.check_consistency(t0, t_end)
     track.check_admissible(model, t0, t_end)
-    ctrl = ImplicitController(model, design, hurwitz)
     delta0 = flatten_state(unflatten_state(x0, model.m, model.n)
                            - track.value(t0))
-    traj = _run_linear(closed_loop_matrix(design, hurwitz), pert, delta0, t0,
-                       t_end, tol, sample_times, track)
+    traj = _run_linear(closed_loop_matrix(ctrl.design, ctrl.hurwitz), pert,
+                       delta0, t0, t_end, tol, sample_times, track)
 
     ref = np.array([flatten_state(track.value(t)) for t in traj.times])
     ydn = np.array([track.y_d_n(t) for t in traj.times], dtype=float)

@@ -33,6 +33,9 @@ NEWTON_MAX_HALVINGS = 6
 
 _POLE_TOL = 1e-9          # conjugate-closure matching tolerance
 _HURWITZ_MARGIN = -1e-12  # eigenvalue real parts must stay below this
+# largest/smallest pole magnitude in a Gamma column; the companion form
+# rounds wider spreads: kappa is off by 5e-6 at 1e12, 1e-4 at 1e13
+_MAX_POLE_SPREAD = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +160,8 @@ def build_gamma(poles_per_column, n):
     ----------
     poles_per_column : sequence of m sequences
         Each inner sequence holds exactly n-1 poles, closed under complex
-        conjugation, with strictly negative real parts.
+        conjugation, with strictly negative real parts and magnitudes
+        within a factor 1e12 of each other.
     n : int
         Derivative order of the system; must exceed 1.
     """
@@ -172,6 +176,12 @@ def build_gamma(poles_per_column, n):
     for j, col in enumerate(poles_per_column):
         roots = [complex(p) for p in col]
         groups = _pole_groups(roots, n - 1, f"column {j}")
+        mags = [abs(r) for r in roots]
+        if max(mags) > _MAX_POLE_SPREAD * min(mags):
+            raise DesignError(
+                f"column {j}: pole magnitudes {min(mags):.3g} ... "
+                f"{max(mags):.3g} differ by more than a factor "
+                f"{_MAX_POLE_SPREAD:.0e}, too wide for the companion form")
         gamma[:, j] = _monic_ascending([p for grp in groups for p in grp])
         if not np.isfinite(gamma[:, j]).all():
             raise DesignError(

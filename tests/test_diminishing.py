@@ -361,3 +361,15 @@ def test_scalar_only_d_columns_match_a_vectorized_twin():
                          for col in cols])
     for scalar, vector in zip(*profiles):
         assert np.allclose(scalar, vector, rtol=1e-12, atol=1e-14)
+
+
+def test_a_signal_failing_on_arrays_for_another_reason_raises():
+    # only a scalar-only callable's TypeError or ValueError falls back to
+    # one time at a time; any other error on an array is the signal's own
+    def h(t):
+        if isinstance(t, np.ndarray):
+            raise RuntimeError("array evaluation failed")
+        return math.sin(t)
+
+    with pytest.raises(RuntimeError, match="array evaluation failed"):
+        dim.SignalAdapter(h)(np.linspace(0.0, 1.0, 5))

@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -10,6 +11,8 @@ import evuas as ev
 from evuas.integrate import propagate_linear
 
 from oracles import dopri_reference, linear_trajectory
+
+integrate_module = importlib.import_module("evuas.integrate")
 
 
 def test_constant_solution():
@@ -163,10 +166,10 @@ def test_step_underflow_near_singularity():
                                           rel=1e-4)
 
 
-def test_step_budget():
-    with pytest.raises(ev.IntegrationError, match="budget"):
-        ev.integrate(lambda t, x: -x, 0.0, np.array([1.0]), 10.0, tol=1e-10,
-                     max_steps=5)
+def test_step_budget(monkeypatch):
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 5)
+    with pytest.raises(ev.IntegrationError, match="budget 5"):
+        ev.integrate(lambda t, x: -x, 0.0, np.array([1.0]), 10.0, tol=1e-10)
 
 
 def test_rejects_bad_windows():

@@ -96,8 +96,8 @@ def test_jacobian_u_examples():
                        [[1.0, 2.0], [0.0, 3.0]], atol=1e-7)
 
 
-def test_finite_difference_matches_analytic(rng):
-    # smooth model with both jacobians supplied: FD agrees to ~1e-6 relative
+def _smooth():
+    # F depends on X and U, with both Jacobians supplied
     def f(x, u):
         return np.array([np.sin(u[0]) + x[0] * u[1] + x[2] ** 2,
                          np.exp(0.3 * u[1]) - 1.0 + np.cos(x[1]) - 1.0])
@@ -113,8 +113,23 @@ def test_finite_difference_matches_analytic(rng):
         out[1, 1] = -np.sin(x[1])
         return out
 
-    analytic = ev.SystemModel(2, 2, f, jac_u=jac_u, jac_x=jac_x)
-    numeric = ev.SystemModel(2, 2, f)
+    return ev.SystemModel(2, 2, f, jac_u=jac_u, jac_x=jac_x, name="smooth")
+
+
+def _fd_twin(model):
+    return ev.SystemModel(model.m, model.n, model.f, name="fd")
+
+
+def _model(name):
+    if name == "smooth":
+        return _smooth()
+    return ev.make_model(name, m=2 if name == "chain" else 1, n=2)
+
+
+def test_finite_difference_matches_analytic(rng):
+    # FD agrees with the supplied Jacobians to ~1e-6 relative
+    analytic = _smooth()
+    numeric = _fd_twin(analytic)
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, 4)
         u = rng.uniform(-1.0, 1.0, 2)
@@ -156,26 +171,43 @@ def test_non_finite_f_in_a_batch_names_its_row():
     assert exc.value.row is None and exc.value.component == 1
 
 
-def _fd_twin(model):
-    return ev.SystemModel(model.m, model.n, model.f, name="fd")
-
-
-@pytest.mark.parametrize("name", ["cubic", "tanh", "chain"])
+@pytest.mark.parametrize("name", ["cubic", "tanh", "chain", "smooth"])
 def test_batched_f_and_jacobian_rows_are_one_state_values(name, rng):
-    m = 2 if name == "chain" else 1
-    model = ev.make_model(name, m=m, n=2)
-    xs = rng.uniform(-3.0, 3.0, (6, model.state_dim))
+    model = _model(name)
+    m, dim = model.m, model.state_dim
+    xs = rng.uniform(-3.0, 3.0, (6, dim))
     us = rng.uniform(-3.0, 3.0, (6, m))
     f = model.eval_f(xs, us)
     assert f.shape == (6, m)
-    for fd in (False, True):
-        mod = _fd_twin(model) if fd else model
-        jac = ev.jacobian_F_U(mod, xs, us)
-        assert jac.shape == (6, m, m)
-        for i in range(6):
-            assert np.array_equal(jac[i], ev.jacobian_F_U(mod, xs[i], us[i]))
+    for mod in (model, _fd_twin(model)):       # analytic, then FD
+        for jacobian, width in ((ev.jacobian_F_U, m), (ev.jacobian_F_X, dim)):
+            jac = jacobian(mod, xs, us)
+            assert jac.shape == (6, m, width)
+            for i in range(6):
+                assert np.array_equal(jac[i], jacobian(mod, xs[i], us[i]))
     for i in range(6):
         assert np.array_equal(f[i], model.eval_f(xs[i], us[i]))
+
+
+@pytest.mark.parametrize("name", ["cubic", "chain", "smooth"])
+def test_batched_dynamics_rows_are_one_state_values(name, rng):
+    model = _model(name)
+    m = model.m
+    xs = rng.uniform(-3.0, 3.0, (6, model.state_dim))
+    us = rng.uniform(-3.0, 3.0, (6, m))
+    d = rng.standard_normal((m, m))
+    for pert in (None, ev.PerturbationSpec.zero(m),
+                 ev.PerturbationSpec.from_signal(
+                     lambda t: np.cos(t) * np.arange(1.0, m + 1), m),
+                 ev.PerturbationSpec.factored(
+                     lambda t: np.cos(t) * d,
+                     lambda x: np.sin(x[:m]) + x[-m:] ** 3, m,
+                     state_dim=model.state_dim)):
+        out = ev.evaluate_dynamics(model, pert, 0.7, xs, us)
+        assert out.shape == xs.shape
+        for i in range(6):
+            assert np.array_equal(
+                out[i], ev.evaluate_dynamics(model, pert, 0.7, xs[i], us[i]))
 
 
 def test_batched_f_shapes():

@@ -8,6 +8,11 @@ from evuas.synthesis import closed_loop_matrix
 A_H = [[-1.0, 2.0], [0.0, -1.5]]
 
 
+def _implicit(model, poles):
+    return ev.ImplicitController(model, ev.build_gamma(poles, model.n),
+                                 ev.default_hurwitz(model.m))
+
+
 def _chain_controller():
     model = ev.make_model("chain", m=1, n=2)
     ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
@@ -147,8 +152,8 @@ def test_closed_form_tracking_matches_newton_in_rhs():
     track = ev.make_reference("sin_cos")
     pert = ev.make_perturbation("cos_exp")
     x0 = np.array([0.3, 1.0])
-    traj = ev.simulate_tracking(model, design, hurwitz, track, pert, x0, 0.0,
-                                6.0, tol=1e-8)
+    traj = ev.simulate_tracking(model, ctrl, track, pert, x0, 0.0, 6.0,
+                                tol=1e-8)
     states, inputs = _newton_in_rhs(model, ctrl, pert, x0, traj.times,
                                     track=track)
     assert np.max(np.abs(traj.states - states)) < 1e-10
@@ -181,7 +186,8 @@ def test_propagated_tracking_matches_oracle():
     design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
     pert = ev.make_perturbation("cos_exp")
     ts = np.linspace(0.0, 6.0, 601)
-    traj = ev.simulate_tracking(model, design, hurwitz,
+    traj = ev.simulate_tracking(model,
+                                ev.ImplicitController(model, design, hurwitz),
                                 ev.make_reference("sin_cos"), pert,
                                 np.array([0.3, 1.0]), 0.0, 6.0,
                                 sample_times=ts)
@@ -210,7 +216,7 @@ def test_one_feedback_solve_per_run(monkeypatch):
     assert traj.inputs.shape == (traj.times.size, 1)
     assert calls == {"solve": 1, "solve_shifted": 0}
     calls["solve"] = 0
-    traj = ev.simulate_tracking(model, design, hurwitz,
+    traj = ev.simulate_tracking(model, ctrl,
                                 ev.make_reference("zero", m=1, n=2), pert,
                                 np.array([0.3, 0.0]), 0.0, 2.0, tol=1e-6)
     assert traj.inputs.shape == (traj.times.size, 1)
@@ -227,9 +233,9 @@ def test_one_feedback_solve_per_run(monkeypatch):
     calls["solve"] = 0
     ev.simulate_closed_loop(model, ctrl, pert, np.array([0.3, 0.0]), 0.0,
                             2.0, sample_times=ts)
-    ev.simulate_tracking(model, design, hurwitz,
-                         ev.make_reference("zero", m=1, n=2), pert,
-                         np.array([0.3, 0.0]), 0.0, 2.0, sample_times=ts)
+    ev.simulate_tracking(model, ctrl, ev.make_reference("zero", m=1, n=2),
+                         pert, np.array([0.3, 0.0]), 0.0, 2.0,
+                         sample_times=ts)
     assert calls == {"solve": 1, "solve_shifted": 1}
 
 
@@ -295,9 +301,8 @@ def test_tracking_failure_is_the_closed_loop_failure():
         ev.simulate_closed_loop(model, ctrl, None, x0, 0.0, 2.0,
                                 sample_times=ts)
     with pytest.raises(ev.ControllerEvaluationError) as exc:
-        ev.simulate_tracking(model, ctrl.design, ctrl.hurwitz,
-                             ev.make_reference("zero"), None, x0, 0.0, 2.0,
-                             sample_times=ts)
+        ev.simulate_tracking(model, ctrl, ev.make_reference("zero"), None,
+                             x0, 0.0, 2.0, sample_times=ts)
     assert exc.value.t == ts[14] and exc.value.row is None
     assert "row" not in str(exc.value)
     assert exc.value.t == loop.value.t
@@ -418,6 +423,19 @@ def test_error_dynamics_one_row_batch_is_the_single_run(kind):
     assert np.array_equal(batch.states[:, 0], alone.states)
 
 
+def test_another_controller_sees_the_whole_batch_once_per_evaluation():
+    model = ev.make_model("chain", m=1, n=2)
+    ctrl = ev.linearize_and_place(model, [-1.0, -2.0])
+    shapes, solve = [], ctrl.solve
+    ctrl.solve = lambda x: shapes.append(np.shape(x)) or solve(x)
+    x0s = np.array([[0.3, 0.0], [-0.2, 0.1], [0.0, 0.4]])
+    traj = ev.simulate_closed_loop(model, ctrl, ev.make_perturbation(
+        "cos_exp"), x0s, 0.0, 2.0, tol=1e-6)
+    # one call per right-hand-side evaluation, then one on all stored states
+    assert shapes == ([(3, 2)] * traj.diagnostics["n_rhs"]
+                      + [(3 * traj.times.size, 2)])
+
+
 @pytest.mark.parametrize("case", ["designed", "designed_grid",
                                   "linear_gain"])
 def test_closed_loop_one_row_batch_is_the_single_run(case):
@@ -447,9 +465,8 @@ def test_tracking_zero_reference_reduces_to_stabilization():
     loop = ev.simulate_closed_loop(model, ctrl, None, x0, 0.0, 3.0, tol=1e-9,
                                    sample_times=ts)
     track = ev.simulate_tracking(
-        model, ev.build_gamma([[-1.0]], 2), ev.build_hurwitz([[-1.0]]),
-        ev.make_reference("zero", m=1, n=2), None, x0, 0.0, 3.0, tol=1e-9,
-        sample_times=ts)
+        model, ctrl, ev.make_reference("zero", m=1, n=2), None, x0, 0.0, 3.0,
+        tol=1e-9, sample_times=ts)
     assert np.array_equal(loop.states, track.states)
     assert np.array_equal(loop.inputs, track.inputs)
 
@@ -457,9 +474,8 @@ def test_tracking_zero_reference_reduces_to_stabilization():
 def test_tracking_sine_reference():
     model = ev.make_model("chain", m=1, n=2)
     traj = ev.simulate_tracking(
-        model, ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1),
-        ev.make_reference("sin_cos"), None, np.array([0.3, 1.0]), 0.0, 20.0,
-        tol=1e-9)
+        model, _implicit(model, [[-1.0]]), ev.make_reference("sin_cos"),
+        None, np.array([0.3, 1.0]), 0.0, 20.0, tol=1e-9)
     assert np.allclose(traj.states[0], [0.3, 0.0], atol=1e-12)
     assert traj.norms()[-1] < 1e-6
 
@@ -468,9 +484,8 @@ def test_tracking_with_diminishing_perturbation_decays():
     model = ev.make_model("chain", m=1, n=2)
     pert = ev.make_perturbation("cos_exp")
     traj = ev.simulate_tracking(
-        model, ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1),
-        ev.make_reference("sin_cos"), pert, np.array([0.3, 1.0]), 0.0, 8.0,
-        tol=1e-8)
+        model, _implicit(model, [[-1.0]]), ev.make_reference("sin_cos"),
+        pert, np.array([0.3, 1.0]), 0.0, 8.0, tol=1e-8)
     assert traj.norms()[-1] < 5e-3             # pinned from a reference run
 
 
@@ -479,18 +494,26 @@ def test_tracking_rejects_inadmissible_reference():
                            name="state_coupled")
     with pytest.raises(ValueError, match="inadmissible"):
         ev.simulate_tracking(
-            model, ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1),
-            ev.make_reference("sin_cos"), None, np.array([0.3, 1.0]),
-            0.0, 5.0, tol=1e-8)
+            model, _implicit(model, [[-1.0]]), ev.make_reference("sin_cos"),
+            None, np.array([0.3, 1.0]), 0.0, 5.0, tol=1e-8)
+
+
+def test_tracking_takes_an_implicit_controller_for_its_model():
+    model = ev.make_model("chain", m=1, n=2)
+    other = ev.make_model("chain", m=1, n=2)
+    for ctrl in (ev.linearize_and_place(model, [-1.0, -1.0]),
+                 _implicit(other, [[-1.0]])):
+        with pytest.raises(ev.DesignError, match="ImplicitController built"):
+            ev.simulate_tracking(model, ctrl, ev.make_reference("sin_cos"),
+                                 None, np.array([0.3, 1.0]), 0.0, 1.0)
 
 
 def test_tracking_rejects_a_reference_of_another_shape():
     model = ev.make_model("chain", m=2, n=3)
     with pytest.raises(ev.ShapeError, match="reference 'sin_cos'"):
         ev.simulate_tracking(
-            model, ev.build_gamma([[-1.0, -1.0], [-2.0, -2.0]], 3),
-            ev.default_hurwitz(2), ev.make_reference("sin_cos"), None,
-            np.zeros(6), 0.0, 5.0)
+            model, _implicit(model, [[-1.0, -1.0], [-2.0, -2.0]]),
+            ev.make_reference("sin_cos"), None, np.zeros(6), 0.0, 5.0)
 
 
 def test_make_reference_rejects_a_shape_it_does_not_have():
@@ -527,7 +550,8 @@ def test_disturbance_of_the_wrong_width_is_rejected(ts):
             ev.simulate_closed_loop(model, ctrl, pert, np.zeros(4), 0.0, 1.0,
                                     sample_times=ts)
     with pytest.raises(ev.ShapeError, match="1 components"):
-        ev.simulate_tracking(model, design, hurwitz,
+        ev.simulate_tracking(model,
+                             ev.ImplicitController(model, design, hurwitz),
                              ev.make_reference("zero", m=2, n=2), pert,
                              np.zeros(4), 0.0, 1.0, sample_times=ts)
     # a zero disturbance has no width to get wrong
@@ -540,8 +564,7 @@ def test_tracking_rejects_inconsistent_reference():
                           lambda t: np.array([-np.sin(t)]), m=1, n=2)
     model = ev.make_model("chain", m=1, n=2)
     with pytest.raises(ValueError, match="derivative"):
-        ev.simulate_tracking(model, ev.build_gamma([[-1.0]], 2),
-                             ev.default_hurwitz(1), bad, None,
+        ev.simulate_tracking(model, _implicit(model, [[-1.0]]), bad, None,
                              np.array([0.3, 1.0]), 0.0, 5.0, tol=1e-8)
 
 

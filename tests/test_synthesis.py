@@ -94,6 +94,16 @@ def test_build_gamma_rejects_poles_too_stiff_for_the_overshoot():
         ev.build_gamma([[-1e150, -1e150], [-1.0, -2.0]], 3)
 
 
+@pytest.mark.parametrize("poles, n", [
+    ([[-1e17, -1.0]], 3), ([[-1.0, -2.0, -3.0], [-1e16, -1.0, -2.0]], 4)])
+def test_build_gamma_rejects_a_column_of_too_widely_spread_poles(poles, n):
+    # unchecked, kappa came out as 2.2e111 and 12.8 against sampled closed
+    # forms of about 1.344 and 3.04: the companion form rounds such spreads
+    with pytest.raises(ev.DesignError, match=f"column {len(poles) - 1}: "
+                       r"pole magnitudes 1 \.\.\. 1e\+1[67] differ"):
+        ev.build_gamma(poles, n)
+
+
 def test_overshoot_constant_is_the_sampled_closed_form():
     # a double pole -p has e^{At} = e^{-pt} [[1 + pt, t], [-p^2 t, 1 - pt]];
     # kappa is 1.05 times the largest 2-norm over both blocks on the grid
