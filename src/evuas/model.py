@@ -10,7 +10,7 @@ additive disturbance.
 """
 
 import functools
-import math
+import operator
 
 import numpy as np
 
@@ -86,11 +86,13 @@ class SystemModel:
         Derivative order, n > 1 for synthesis; n >= 1 accepted for plain
         simulation of integrator chains.
     f : callable
-        ``f(x_flat, u) -> ndarray (m,)``, the highest-derivative map,
-        assumed C^1.  ``x_flat`` has length ``m*n``.
+        ``f(x, u) -> ndarray (N, m)`` (or (N,) for m = 1), the
+        highest-derivative map on N flat states (N, m*n) with inputs (N, m),
+        assumed C^1.  One state comes as a one-row batch; rows must not
+        interact, so that each row of a batch is its one-state value.
     jac_u, jac_x : callable, optional
-        Analytic Jacobians of ``f`` with respect to the input (m, m) and the
-        flat state (m, m*n).  Finite differences are used when absent.
+        Analytic Jacobians of ``f``, called like it: (N, m, m) in the input
+        and (N, m, m*n) in the flat state; finite differences when absent.
     name : str, optional
         Catalog identifier, carried through exports.
 
@@ -99,12 +101,15 @@ class SystemModel:
     """
 
     def __init__(self, m, n, f, jac_u=None, jac_x=None, name=None):
-        if int(m) < 1:
-            raise ValueError(f"m must be a positive integer, got {m}")
-        if int(n) < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.m = int(m)
-        self.n = int(n)
+        for arg, value in (("m", m), ("n", n)):
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{arg}: expected an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{arg} must be >= 1, got {value}")
+            setattr(self, arg, value)
         self.f = f
         self.jac_u = jac_u
         self.jac_x = jac_x
@@ -116,7 +121,7 @@ class SystemModel:
 
     def eval_f(self, x_flat, u):
         """F(X, U): (m,) at one flat state, (N, m) on a batch of (N, m*n)
-        states with (N, m) inputs; ``f`` sees one state at a time."""
+        states with (N, m) inputs, from one call of ``f``."""
         x_flat, u = _state_and_input(self, x_flat, u)
         return _evaluate(self.f, (self.m,), "F", x_flat, u)
 
@@ -134,26 +139,23 @@ class SystemModel:
         return f"SystemModel{tag}(m={self.m}, n={self.n})"
 
 
-def _per_row(fn, x, *rest):
-    """``fn`` of one flat state, applied to x or to each row of a batch
-    (with the same row of each array in ``rest``)."""
-    if x.ndim == 1:
-        return fn(x, *rest)
-    return np.array([fn(*rows) for rows in zip(x, *rest)])
-
-
 def _evaluate(fn, shape, where, x, *rest):
-    """``_per_row(fn, x, *rest)`` as floats of ``shape`` per state (a
-    scalar standing for a (1,) value), each entry finite; else ShapeError
-    or EvaluationError naming ``where``."""
-    out = np.asarray(_per_row(fn, x, *rest), dtype=float)
+    """``fn`` called once on the batch x (a flat state is a one-row batch
+    whose row is returned), with the same rows of ``rest``, as floats of
+    ``shape`` per state (an (N,) value stands for (N, 1) when ``shape`` is
+    (1,)), each entry finite; else ShapeError or EvaluationError naming
+    ``where``."""
+    one = x.ndim == 1
+    if one:
+        x, rest = x[None], [v[None] for v in rest]
+    out = np.asarray(fn(x, *rest), dtype=float)
     if shape == (1,) and out.shape == x.shape[:-1]:
         out = out[..., None]
     shape = x.shape[:-1] + shape
     if out.shape != shape:
         raise ShapeError(
             f"{where}: expected output shape {shape}, got {out.shape}")
-    return _check_finite(out, where, rows=x.ndim == 2)
+    return _check_finite(out[0] if one else out, where, rows=not one)
 
 
 def _shape_checked(fn, shape, what):
@@ -174,7 +176,7 @@ def _disturbance(kind, w, d, k):
         d_t = np.asarray(d(t), dtype=float).T
         if x.ndim == 1:
             return np.asarray(k(x), dtype=float).dot(d_t)
-        return (_per_row(k, x)[:, None] @ d_t)[:, 0]
+        return (np.array([k(row) for row in x])[:, None] @ d_t)[:, 0]
     return factored
 
 
@@ -336,7 +338,7 @@ def evaluate_dynamics(model, pert, t, x, u):
     ndarray (m*n,) or (N, m*n)
         First (n-1)*m entries are the state entries m..n*m (the column
         shift); the last m entries are F(X, U) + W(t, X).  A row of a batch
-        is its one-state value bit for bit.
+        is its one-state value bit for bit when F treats rows independently.
     """
     m, n = model.m, model.n
     x, u = _state_and_input(model, x, u)
@@ -369,8 +371,8 @@ def jacobian_F_U(model, x, u):
 
     A batch is as for :meth:`SystemModel.eval_f`: an (N, m) input with
     (N, m*n) states.  Uses the analytic Jacobian when the model supplies
-    one, called row by row, otherwise symmetric central differences with a
-    per-coordinate step ``cbrt(eps) * max(1, |u_i|)``.
+    one, called once on the batch, otherwise symmetric central differences
+    with a per-coordinate step ``cbrt(eps) * max(1, |u_i|)``.
     """
     x, u = _state_and_input(model, x, u)
     if model.jac_u is not None:
@@ -396,31 +398,31 @@ def jacobian_F_X(model, x, u):
 
 
 def _chain(m=1, n=2):
-    return SystemModel(m, n, lambda x, u: np.asarray(u, dtype=float).copy(),
-                       jac_u=lambda x, u: np.eye(m),
-                       jac_x=lambda x, u: np.zeros((m, m * n)),
+    return SystemModel(m, n, lambda x, u: u.copy(),
+                       jac_u=lambda x, u: np.tile(np.eye(m), (len(u), 1, 1)),
+                       jac_x=lambda x, u: np.zeros((len(u), m, m * n)),
                        name="chain")
 
 
 def _cubic(n=2):
     # scalar input nonlinearity u + u^3; coercive with globally nonsingular J_{F,U}
-    return SystemModel(1, n, lambda x, u: np.array([u[0] + u[0] ** 3]),
-                       jac_u=lambda x, u: np.array([[1.0 + 3.0 * u[0] ** 2]]),
-                       jac_x=lambda x, u: np.zeros((1, n)),
+    return SystemModel(1, n, lambda x, u: u + u ** 3,
+                       jac_u=lambda x, u: (1.0 + 3.0 * u ** 2)[:, :, None],
+                       jac_x=lambda x, u: np.zeros((len(u), 1, n)),
                        name="cubic")
 
 
 def _sech2(u):
     # sech(u)^2 from e^{-2|u|}: no overflow where cosh(u) would overflow
-    e = math.exp(-2.0 * abs(u))
+    e = np.exp(-2.0 * np.abs(u))
     return 4.0 * e / (1.0 + e) ** 2
 
 
 def _tanh(n=2):
     # bounded input map: |F| < 1, so the feedback exists only locally
-    return SystemModel(1, n, lambda x, u: np.array([np.tanh(u[0])]),
-                       jac_u=lambda x, u: np.array([[_sech2(u[0])]]),
-                       jac_x=lambda x, u: np.zeros((1, n)),
+    return SystemModel(1, n, lambda x, u: np.tanh(u),
+                       jac_u=lambda x, u: _sech2(u)[:, :, None],
+                       jac_x=lambda x, u: np.zeros((len(u), 1, n)),
                        name="tanh")
 
 

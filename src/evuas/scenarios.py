@@ -238,9 +238,9 @@ _SCHEMA = _object(
         _Field("delta0", _positive, _REQUIRED),
         _Field("t0_grid", _rule(_numbers, len, "non-empty"), _REQUIRED),
         _Field("eps_levels",
-               _rule(_numbers, lambda e: min(e, default=1) > 0
-                     and _increasing(e[::-1]),
-                     "positive and strictly decreasing"), _REQUIRED),
+               _rule(_numbers, lambda e: e and min(e) > 0
+                     and _increasing(e[::-1]), "non-empty, positive and "
+                     "strictly decreasing"), _REQUIRED),
         _Field("horizon", _positive, _REQUIRED),
         _Field("samples", _at_least(1), 6),
         _Field("tol", _positive, 1e-6))),

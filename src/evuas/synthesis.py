@@ -329,7 +329,8 @@ class ImplicitController:
     Evaluation runs a damped Newton iteration on U with the state frozen,
     on one flat state or on each row of an (N, m*n) batch at once, from
     U = 0 (so the feedback is exactly zero at the origin).  A row's result
-    is its one-state solve bit for bit.  The controller is immutable, so
+    is its one-state solve bit for bit when the model's maps treat rows
+    independently.  The controller is immutable, so
     one instance can serve many concurrent trajectories.  A failed solve
     raises :class:`~evuas.errors.NewtonError` carrying the state, residual
     and iteration count (of the lowest failing row, on a batch).  The

@@ -204,7 +204,7 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     t0_grid : sequence of float
         Start times to quantify over.
     eps_levels : sequence of float
-        Positive, strictly decreasing bound levels.
+        Positive, strictly decreasing bound levels; at least one.
     horizon : float
         Per-sample observation window length, positive and finite.
     samples : int
@@ -220,10 +220,10 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     """
     check_norm_id(norm)
     eps_levels = [float(e) for e in eps_levels]
-    if not all(0.0 < e < math.inf for e in eps_levels) or \
-            any(b >= a for a, b in zip(eps_levels, eps_levels[1:])):
+    if not eps_levels or not all(0.0 < e < math.inf for e in eps_levels) \
+            or any(b >= a for a, b in zip(eps_levels, eps_levels[1:])):
         raise ValueError("eps_levels must be positive, finite and strictly "
-                         "decreasing")
+                         "decreasing, and not empty")
     if not (0.0 < delta0 < math.inf and 0.0 < horizon < math.inf):
         raise ValueError("delta0 and horizon must be positive and finite")
     if samples < 1:

@@ -90,8 +90,8 @@ def test_jacobian_u_examples():
     jac = ev.jacobian_F_U(cubic_fd, np.zeros(2), np.array([1.0]))
     assert jac[0, 0] == pytest.approx(4.0, rel=1e-7)
 
-    lin = ev.SystemModel(2, 2, lambda x, u: np.array([u[0] + 2 * u[1],
-                                                      3 * u[1]]))
+    lin = ev.SystemModel(2, 2, lambda x, u: np.column_stack(
+        [u[:, 0] + 2 * u[:, 1], 3 * u[:, 1]]))
     assert np.allclose(ev.jacobian_F_U(lin, np.zeros(4), np.zeros(2)),
                        [[1.0, 2.0], [0.0, 3.0]], atol=1e-7)
 
@@ -99,18 +99,22 @@ def test_jacobian_u_examples():
 def _smooth():
     # F depends on X and U, with both Jacobians supplied
     def f(x, u):
-        return np.array([np.sin(u[0]) + x[0] * u[1] + x[2] ** 2,
-                         np.exp(0.3 * u[1]) - 1.0 + np.cos(x[1]) - 1.0])
+        return np.column_stack(
+            [np.sin(u[:, 0]) + x[:, 0] * u[:, 1] + x[:, 2] ** 2,
+             np.exp(0.3 * u[:, 1]) - 1.0 + np.cos(x[:, 1]) - 1.0])
 
     def jac_u(x, u):
-        return np.array([[np.cos(u[0]), x[0]],
-                         [0.0, 0.3 * np.exp(0.3 * u[1])]])
+        out = np.zeros((len(u), 2, 2))
+        out[:, 0, 0] = np.cos(u[:, 0])
+        out[:, 0, 1] = x[:, 0]
+        out[:, 1, 1] = 0.3 * np.exp(0.3 * u[:, 1])
+        return out
 
     def jac_x(x, u):
-        out = np.zeros((2, 4))
-        out[0, 0] = u[1]
-        out[0, 2] = 2.0 * x[2]
-        out[1, 1] = -np.sin(x[1])
+        out = np.zeros((len(u), 2, 4))
+        out[:, 0, 0] = u[:, 1]
+        out[:, 0, 2] = 2.0 * x[:, 2]
+        out[:, 1, 1] = -np.sin(x[:, 1])
         return out
 
     return ev.SystemModel(2, 2, f, jac_u=jac_u, jac_x=jac_x, name="smooth")
@@ -150,7 +154,8 @@ def test_dimension_mismatch_reports_shapes():
 
 
 def test_non_finite_evaluation_flags_component():
-    model = ev.SystemModel(2, 1, lambda x, u: np.array([u[0], np.inf]))
+    model = ev.SystemModel(2, 1, lambda x, u: np.column_stack(
+        [u[:, 0], np.full(len(u), np.inf)]))
     with pytest.raises(ev.EvaluationError) as exc:
         model.eval_f(np.zeros(2), np.zeros(2))
     assert exc.value.component == 1
@@ -158,8 +163,8 @@ def test_non_finite_evaluation_flags_component():
 
 
 def test_non_finite_f_in_a_batch_names_its_row():
-    model = ev.SystemModel(
-        2, 1, lambda x, u: np.array([u[0], np.inf if x[0] > 0 else u[1]]))
+    model = ev.SystemModel(2, 1, lambda x, u: np.column_stack(
+        [u[:, 0], np.where(x[:, 0] > 0, np.inf, u[:, 1])]))
     xs = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ev.EvaluationError, match="in row 1 at component 1") \
             as exc:
@@ -211,8 +216,8 @@ def test_batched_dynamics_rows_are_one_state_values(name, rng):
 
 
 def test_batched_f_shapes():
-    # a scalar F per row is the (N, 1) column, as a scalar F is (1,) alone
-    scalar = ev.SystemModel(1, 2, lambda x, u: float(u[0]) ** 3)
+    # for m = 1 an (N,) F is the (N, 1) column
+    scalar = ev.SystemModel(1, 2, lambda x, u: u[:, 0] ** 3)
     us = np.array([[1.0], [-2.0]])
     assert np.array_equal(scalar.eval_f(np.zeros((2, 2)), us), us ** 3)
     model = ev.make_model("cubic")
@@ -220,11 +225,12 @@ def test_batched_f_shapes():
         model.eval_f(np.zeros((3, 2)), us)
     with pytest.raises(ev.ShapeError, match="input"):
         model.eval_f(np.zeros((2, 2)), np.zeros((2, 2)))
-    ragged = ev.SystemModel(1, 2, lambda x, u: np.zeros(1 + (x[0] > 0)))
+    ragged = ev.SystemModel(
+        1, 2, lambda x, u: [np.zeros(1 + (row[0] > 0)) for row in x])
     with pytest.raises(ValueError):
         ragged.eval_f(np.eye(2), np.zeros((2, 1)))
-    wide = ev.SystemModel(1, 2, lambda x, u: np.zeros(2),
-                          jac_u=lambda x, u: np.zeros((1, 2)))
+    wide = ev.SystemModel(1, 2, lambda x, u: np.zeros((len(u), 2)),
+                          jac_u=lambda x, u: np.zeros((len(u), 1, 2)))
     with pytest.raises(ev.ShapeError, match="F: expected output shape"):
         wide.eval_f(np.zeros((2, 2)), us)
     with pytest.raises(ev.ShapeError, match="jac_u"):
@@ -234,12 +240,67 @@ def test_batched_f_shapes():
 def test_non_finite_jacobian_in_a_batch_names_its_row():
     model = ev.SystemModel(
         1, 2, lambda x, u: u.copy(),
-        jac_u=lambda x, u: np.array([[np.nan if x[0] > 0 else 1.0]]))
+        jac_u=lambda x, u: np.where(x[:, 0] > 0, np.nan, 1.0)[:, None, None])
     xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ev.EvaluationError) as exc:
         ev.jacobian_F_U(model, xs, np.zeros((3, 1)))
     assert (exc.value.row, exc.value.component, exc.value.where) == \
         (2, 0, "jac_u")
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4680])
+@pytest.mark.parametrize("name", ["chain", "cubic", "tanh"])
+def test_catalog_rows_are_one_state_values(name, rows):
+    # the catalog maps are array expressions; a row of a batch must still
+    # be its one-state value bit for bit, at any batch size
+    model = _model(name)
+    rng = np.random.default_rng(rows)
+    scale = 1e3 if name == "tanh" else 3.0
+    xs = rng.uniform(-3.0, 3.0, (rows, model.state_dim))
+    us = rng.uniform(-scale, scale, (rows, model.m))
+    for evaluate in (model.eval_f,
+                     lambda x, u: ev.jacobian_F_U(model, x, u),
+                     lambda x, u: ev.jacobian_F_X(model, x, u)):
+        batch = evaluate(xs, us)
+        for i in range(rows):
+            assert np.array_equal(batch[i], evaluate(xs[i], us[i]))
+
+
+def _counted(fn, calls, key):
+    def wrapped(x, u):
+        calls[key].append(len(x))
+        return fn(x, u)
+    return wrapped
+
+
+def test_model_maps_are_called_once_per_batch():
+    cubic = ev.make_model("cubic")
+    calls = {"f": [], "jac_u": [], "jac_x": []}
+    model = ev.SystemModel(
+        1, 2, _counted(cubic.f, calls, "f"),
+        jac_u=_counted(cubic.jac_u, calls, "jac_u"),
+        jac_x=_counted(cubic.jac_x, calls, "jac_x"))
+    xs, us = np.zeros((4680, 2)), np.linspace(-2.0, 2.0, 4680)[:, None]
+    model.eval_f(xs, us)
+    model.eval_f(xs[0], us[0])
+    ev.jacobian_F_U(model, xs, us)
+    ev.jacobian_F_X(model, xs, us)
+    assert calls == {"f": [4680, 1], "jac_u": [4680], "jac_x": [4680]}
+    # central differences: two calls of f per input component
+    calls["f"].clear()
+    ev.jacobian_F_U(ev.SystemModel(1, 2, model.f), xs, us)
+    assert calls["f"] == [4680, 4680]
+
+
+def test_model_rejects_non_integral_sizes():
+    # 1.5 used to become m = 1 without a word
+    f = ev.make_model("chain").f
+    for m, n, name in ((1.5, 2, "m"), (1, 2.5, "n"), (2.0, 2, "m"),
+                       (1, "2", "n")):
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+            ev.SystemModel(m, n, f)
+    model = ev.SystemModel(np.int64(2), 3, f)
+    assert (model.m, model.n) == (2, 3) and type(model.m) is int
 
 
 def test_model_is_reentrant_after_construction():

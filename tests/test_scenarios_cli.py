@@ -95,6 +95,15 @@ def test_validate_requires_stage_config():
     assert exc.value.field == "simulate"
 
 
+def test_validate_rejects_empty_eps_levels():
+    # an empty list used to pass and write a vacuous "pass" report
+    bad = dict(_SMALL_VERIFY)
+    bad["verify"] = dict(bad["verify"], eps_levels=[])
+    with pytest.raises(ev.ScenarioError, match="must be non-empty") as exc:
+        validate_scenario(bad)
+    assert exc.value.field == "verify.eps_levels"
+
+
 def test_validate_eps_levels_ordering():
     bad = dict(_SMALL_VERIFY)
     bad["verify"] = dict(bad["verify"], eps_levels=[0.25, 0.5])

@@ -3,6 +3,7 @@ import pytest
 from oracles import forced_linear_reference, newton_reference
 
 import evuas as ev
+from evuas.norms import unit_directions
 from evuas.synthesis import closed_loop_matrix
 
 A_H = [[-1.0, 2.0], [0.0, -1.5]]
@@ -195,6 +196,34 @@ def test_propagated_tracking_matches_oracle():
     ref = forced_linear_reference(closed_loop_matrix(design, hurwitz),
                                   _padded(pert), [0.3, 0.0], ts)
     assert np.max(np.abs(traj.states - ref)) < 1e-10
+
+
+def _one_state_at_a_time(f):
+    # a map of one state, looped over the rows of a batch
+    return lambda x, u: np.array([f(xr, ur) for xr, ur in zip(x, u)])
+
+
+def test_closed_loop_inputs_match_a_per_row_solve():
+    # the closed-loop verify sweep's batch at t0 = 1 (9 rows, 520 stored
+    # times): each stored input against a Newton solve on the cubic map
+    # written for one state
+    model = ev.make_model("cubic")
+    design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
+    ctrl = ev.synthesize_feedback(model, design, hurwitz)
+    dirs = unit_directions(2, 3, np.random.default_rng(3))
+    x0s = np.concatenate([r * dirs for r in (0.5, 0.25, 0.125)])
+    sim = ev.make_closed_loop_factory(
+        model, ctrl, ev.make_perturbation("cos_exp"), 5.0, tol=1e-6)
+    traj = sim(1.0, x0s)
+    one_state = ev.ImplicitController(ev.SystemModel(
+        1, 2, _one_state_at_a_time(lambda x, u: np.array([u[0] + u[0] ** 3])),
+        jac_u=_one_state_at_a_time(
+            lambda x, u: np.array([[1.0 + 3.0 * u[0] ** 2]]))),
+        design, hurwitz)
+    states = traj.states.reshape(-1, 2)
+    want = np.array([newton_reference(one_state, x) for x in states])
+    assert states.shape[0] > 1000
+    assert np.max(np.abs(traj.inputs.reshape(-1, 1) - want)) <= 1e-15
 
 
 def test_one_feedback_solve_per_run(monkeypatch):
@@ -490,7 +519,7 @@ def test_tracking_with_diminishing_perturbation_decays():
 
 
 def test_tracking_rejects_inadmissible_reference():
-    model = ev.SystemModel(1, 2, lambda x, u: np.array([x[0] + u[0]]),
+    model = ev.SystemModel(1, 2, lambda x, u: x[:, :1] + u,
                            name="state_coupled")
     with pytest.raises(ValueError, match="inadmissible"):
         ev.simulate_tracking(

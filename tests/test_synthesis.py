@@ -238,15 +238,16 @@ def test_newton_returns_a_root_or_raises_with_the_state(name, x):
 def _fd_model():
     # coupled m = 2 map without jac_u: its Jacobian is a central difference
     return ev.SystemModel(
-        2, 2, lambda x, u: np.array([u[0] + u[0] ** 3 + 0.5 * u[1],
-                                     np.tanh(u[1]) + 0.2 * u[0] * x[0]]),
+        2, 2, lambda x, u: np.column_stack(
+            [u[:, 0] + u[:, 0] ** 3 + 0.5 * u[:, 1],
+             np.tanh(u[:, 1]) + 0.2 * u[:, 0] * x[:, 0]]),
         name="fd")
 
 
 def _cube_model():
     # F = u^3: its Jacobian 3u^2 is exactly singular at a cold start
     return ev.SystemModel(1, 2, lambda x, u: u ** 3,
-                          jac_u=lambda x, u: np.array([[3.0 * u[0] ** 2]]),
+                          jac_u=lambda x, u: (3.0 * u ** 2)[:, :, None],
                           name="cube")
 
 
@@ -362,14 +363,14 @@ def test_newton_failure_carries_state():
 
 
 def test_synthesize_rejects_singular_input_jacobian():
-    model = ev.SystemModel(1, 2, lambda x, u: np.array([0.0 * u[0]]))
+    model = ev.SystemModel(1, 2, lambda x, u: 0.0 * u)
     with pytest.raises(ev.DesignError, match="singular"):
         ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
                                ev.default_hurwitz(1))
 
 
 def test_synthesize_rejects_shifted_equilibrium():
-    model = ev.SystemModel(1, 2, lambda x, u: np.array([u[0] + 0.5]))
+    model = ev.SystemModel(1, 2, lambda x, u: u + 0.5)
     with pytest.raises(ValueError, match="equilibrium"):
         ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
                                ev.default_hurwitz(1))
@@ -403,9 +404,7 @@ def test_coercivity_rejects_non_finite_radii(bad):
 
 def test_coercivity_excludes_failing_rays():
     def f(x, u):
-        if u[0] > 50.0:
-            return np.array([np.nan])
-        return np.array([u[0]])
+        return np.where(u > 50.0, np.nan, u)
     model = ev.SystemModel(1, 2, f)
     data = ev.coercivity_probe(model, [np.zeros(2)], ray_count=8)
     assert data["excluded"]
@@ -439,8 +438,10 @@ def test_pole_placement_scales_with_input_gain():
 def _linear_model(jx, ju):
     """F = J_X x + J_U u with its exact Jacobians."""
     m = len(ju)
-    return ev.SystemModel(m, jx.shape[1] // m, lambda x, u: jx @ x + ju @ u,
-                          jac_u=lambda x, u: ju, jac_x=lambda x, u: jx)
+    return ev.SystemModel(m, jx.shape[1] // m,
+                          lambda x, u: x @ jx.T + u @ ju.T,
+                          jac_u=lambda x, u: np.tile(ju, (len(u), 1, 1)),
+                          jac_x=lambda x, u: np.tile(jx, (len(u), 1, 1)))
 
 
 def _random_poles(rng, m, n, noise=0.0):
@@ -490,8 +491,8 @@ def test_pole_placement_exact_spectrum(rng):
 def test_pole_placement_coupled_channels():
     # cross-channel state coupling is cancelled through the input Jacobian
     def f(x, u):
-        return np.array([u[0] + 0.7 * x[1] + 0.2 * x[2],
-                         2.0 * u[1] - 0.4 * x[0]])
+        return np.column_stack([u[:, 0] + 0.7 * x[:, 1] + 0.2 * x[:, 2],
+                                2.0 * u[:, 1] - 0.4 * x[:, 0]])
     model = ev.SystemModel(2, 2, f)
     poles = [-1.0, -2.0, -3.0, -4.0]
     ctrl = ev.linearize_and_place(model, poles)
@@ -507,7 +508,7 @@ def test_pole_placement_rejects_unstable_request():
 
 
 def test_pole_placement_rejects_singular_input_map():
-    model = ev.SystemModel(1, 2, lambda x, u: np.array([0.0 * u[0]]))
+    model = ev.SystemModel(1, 2, lambda x, u: 0.0 * u)
     with pytest.raises(ev.DesignError):
         ev.linearize_and_place(model, [-1.0, -1.0])
 
@@ -562,8 +563,8 @@ def test_pole_placement_rejects_a_spectrum_it_misses():
 def test_pole_placement_rejects_a_non_finite_gain():
     # J_U = 1e-300 is well conditioned, but the gain overflows
     model = ev.SystemModel(1, 2, lambda x, u: 1e-300 * np.asarray(u),
-                           jac_u=lambda x, u: np.array([[1e-300]]),
-                           jac_x=lambda x, u: np.zeros((1, 2)))
+                           jac_u=lambda x, u: np.full((len(u), 1, 1), 1e-300),
+                           jac_x=lambda x, u: np.zeros((len(u), 1, 2)))
     with pytest.raises(ev.DesignError, match="non-finite gain"):
         ev.linearize_and_place(model, [-1e5, -1e5])
 
@@ -597,9 +598,10 @@ def test_pole_placement_with_a_large_state_coupling():
     # J_X = 1000 (1 ... 1) makes the Kalman matrix numerically rank 1,
     # yet J_U = 1 keeps the linearization controllable
     n = 6
-    model = ev.SystemModel(1, n, lambda x, u: u + 1000.0 * np.sum(x),
-                           jac_u=lambda x, u: np.ones((1, 1)),
-                           jac_x=lambda x, u: np.full((1, n), 1000.0))
+    model = ev.SystemModel(
+        1, n, lambda x, u: u + 1000.0 * np.sum(x, axis=1, keepdims=True),
+        jac_u=lambda x, u: np.ones((len(u), 1, 1)),
+        jac_x=lambda x, u: np.full((len(u), 1, n), 1000.0))
     poles = [-1.5, -1.4, -1.3, -1.2, -1.1, -1.0]
     ctrl = ev.linearize_and_place(model, poles)
     a, b = ev.linearization(model)

@@ -310,6 +310,15 @@ def test_non_finite_eps_is_rejected_before_any_run(call):
         call(never_called)
 
 
+def test_empty_eps_levels_are_rejected_before_any_run():
+    # no level used to make a vacuous "pass" with empty tables
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    with pytest.raises(ValueError, match="^eps_levels must .* not empty"):
+        ev.verify_evuas(never_called, delta0=0.5, t0_grid=[0.0],
+                        eps_levels=[], horizon=5.0, samples=1, dim=1)
+
+
 @pytest.mark.parametrize("kwargs, name", [
     pytest.param({"t0": np.nan}, "t0", id="t0_nan"),
     pytest.param({"t0": np.inf}, "t0", id="t0_inf"),
