@@ -44,5 +44,5 @@ delta_e = ev.estimate_delta_of_eps(fac, eps=0.5, t0=0.0, dim=1,
 roa = ev.estimate_roa(design, r_max=1.0, epsilon=0.25,
                       delta_E_of_eps=delta_e)
 print(f"\nempirical error-system margin delta_E(0.5) = {delta_e:.3f}")
-print(f"guaranteed initial radius: delta* = {roa.delta_star:.3f} "
+print(f"initial radius from sampled inputs: delta* = {roa.delta_star:.3f} "
       f"(error side {roa.delta_star_E:.3f}, state side {roa.delta_star_X:.3f})")

@@ -21,8 +21,8 @@ from .errors import (ControllerEvaluationError, DesignError, EnvelopeFitError,
                      QuadratureBudgetError, ScenarioError, ShapeError)
 from .integrate import Trajectory, integrate
 from .model import (MODEL_CATALOG, PerturbationSpec, SystemModel,
-                    evaluate_dynamics, flatten_state, jacobian_F_U,
-                    jacobian_F_X, make_model, unflatten_state)
+                    flatten_state, jacobian_F_U, jacobian_F_X, make_model,
+                    unflatten_state)
 from .perturbations import PERTURBATION_CATALOG, make_perturbation
 from .simulate import (REFERENCE_CATALOG, TrackingSpec, diagnostics_to_json,
                        make_reference, simulate_closed_loop,
@@ -53,7 +53,7 @@ __all__ = [
     "WindowMetricProfile", "build_gamma", "build_hurwitz",
     "check_nonsingular", "classify", "coercivity_probe", "default_hurwitz",
     "diagnostics_to_json", "diminishing_profile", "estimate_delta_of_eps",
-    "estimate_roa", "evaluate_dynamics", "fit_kl_envelope", "flatten_state",
+    "estimate_roa", "fit_kl_envelope", "flatten_state",
     "input_cost", "input_free_term", "integrate", "jacobian_F_U",
     "jacobian_F_X", "linearization", "linearize_and_place",
     "make_closed_loop_factory", "make_error_factory", "make_model",

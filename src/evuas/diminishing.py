@@ -176,16 +176,14 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
     sig = h if isinstance(h, SignalAdapter) else SignalAdapter(h)
 
     n = _initial_panels(sig, t, freq_hint)
-    bounds, cum = _running_integral(sig, t, n)
+    _, cum = _running_integral(sig, t, n)
     while True:
-        bounds_f, cum_f = _running_integral(sig, t, 2 * n)
-        err = float(np.max(np.abs(cum_f[:, ::2] - cum)))
-        if err <= quad_tol:
-            bounds, cum = bounds_f, cum_f
-            n *= 2
-            break
-        bounds, cum = bounds_f, cum_f
         n *= 2
+        coarse = cum
+        bounds, cum = _running_integral(sig, t, n)
+        err = float(np.max(np.abs(cum[:, ::2] - coarse)))
+        if err <= quad_tol:
+            break
         if 2 * n > _MAX_PANELS:
             best = float(np.max(vector_norm(cum.T, norm)))
             raise QuadratureBudgetError(

@@ -213,97 +213,100 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     t = t0
     K = np.empty((7, y.size))    # the stages; FSAL carries K[6] into K[0]
     K_head = [K[:i] for i in range(7)]    # views of the first i stages
-    f = np.asarray(rhs(t, y.reshape(shape)), dtype=float)
-    if f.shape != shape:
-        raise ValueError(f"rhs returned shape {f.shape}, expected {shape}")
-    if not np.isfinite(f).all():
-        raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
-                               x_last=y.reshape(shape).copy(),
-                               reason="non-finite")
-    if len(shape) == 2:
-        batch_rhs = rhs
+    # arithmetic on a state or stage that turned non-finite stays silent,
+    # once per call: the checks below raise IntegrationError, with the last
+    # good (t, x), in place of a RuntimeWarning
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = np.asarray(rhs(t, y.reshape(shape)), dtype=float)
+        if f.shape != shape:
+            raise ValueError(f"rhs returned shape {f.shape}, expected {shape}")
+        if not np.isfinite(f).all():
+            raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
+                                   x_last=y.reshape(shape).copy(),
+                                   reason="non-finite")
+        if len(shape) == 2:
+            batch_rhs = rhs
 
-        def rhs(t, x):
-            return np.reshape(batch_rhs(t, x.reshape(shape)), -1)
-    K[0] = f.ravel()
-    n_rhs = 2  # f0 plus the initial-step probe
-    cap = _step_cap(freq_hint)
-    h = _initial_step(rhs, t, y, K[0], t_end, tol, cap(t), rows)
+            def rhs(t, x):
+                return np.reshape(batch_rhs(t, x.reshape(shape)), -1)
+        K[0] = f.ravel()
+        n_rhs = 2  # f0 plus the initial-step probe
+        cap = _step_cap(freq_hint)
+        h = _initial_step(rhs, t, y, K[0], t_end, tol, cap(t), rows)
 
-    n_accepted = 0
-    n_rejected = 0
-    min_step = math.inf
-    rejected_last = False
-    abs_y = np.abs(y)
+        n_accepted = 0
+        n_rejected = 0
+        min_step = math.inf
+        rejected_last = False
+        abs_y = np.abs(y)
 
-    while t < t_end:
-        h_eff = min(h, cap(t), cap(min(t + h, t_end)))
-        if h_eff >= t_end - t:
-            h_eff = t_end - t
-            t_new = t_end
-        else:
-            t_new = t + h_eff
-        if h_eff < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError(
-                f"step underflow at t={t} (h={h_eff:.3e})", t_last=t,
-                x_last=y.reshape(shape).copy(), reason="step-underflow")
-        if n_accepted + n_rejected >= _MAX_STEPS:
-            raise IntegrationError(
-                f"step budget {_MAX_STEPS} exhausted at t={t}", t_last=t,
-                x_last=y.reshape(shape).copy(), reason="budget")
-
-        # ndarray.dot is np.dot, bit for bit, without its dispatch cost
-        hh = h_eff
-        for i in range(1, 6):
-            K[i] = rhs(t + _C[i] * hh if i < 5 else t_new,
-                       y + hh * _A[i - 1].dot(K_head[i]))
-        y_new = y + hh * _A[5].dot(K_head[6])
-        K[6] = rhs(t_new, y_new)
-        n_rhs += 6
-
-        # a non-finite y_new is caught before the division, where it would
-        # raise a RuntimeWarning (its squared norm alone also overflows on
-        # huge finite entries); with y_new finite, a non-finite K[6] shows
-        # as a non-finite error norm, which otherwise means an overflow
-        # and a rejected step
-        if not (y_new.dot(y_new) < math.inf or np.isfinite(y_new).all()):
-            raise _non_finite(t_new, t, y, shape)
-        abs_new = np.abs(y_new)
-        r = hh * _E.dot(K) / (tol + tol * np.maximum(abs_y, abs_new))
-        if rows == 1:
-            err = math.sqrt(float(r.dot(r)) / width)
-        else:
-            r = r.reshape(rows, width)
-            err = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r)))
-                            / width)
-        if not err < math.inf and not np.isfinite(K[6]).all():
-            raise _non_finite(t_new, t, y, shape)
-
-        if err <= 1.0:
-            if samples is not None:
-                while (sample_ptr < len(samples)
-                       and samples[sample_ptr] <= t_new + 1e-13):
-                    out_t.append(samples[sample_ptr])
-                    out_y.append(_hermite(min(samples[sample_ptr], t_new),
-                                          t, hh, y, y_new, K[0], K[6]))
-                    sample_ptr += 1
+        while t < t_end:
+            h_eff = min(h, cap(t), cap(min(t + h, t_end)))
+            if h_eff >= t_end - t:
+                h_eff = t_end - t
+                t_new = t_end
             else:
-                out_t.append(t_new)
-                out_y.append(y_new)
-            n_accepted += 1
-            min_step = min(min_step, hh)
-            t, y, abs_y = t_new, y_new, abs_new
-            K[0] = K[6]
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err ** -0.2)
-            if rejected_last:
-                factor = min(factor, 1.0)
-            h = hh * max(_MIN_FACTOR, factor)
-            rejected_last = False
-        else:
-            n_rejected += 1
-            h = hh * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            rejected_last = True
+                t_new = t + h_eff
+            if h_eff < 1e-14 * max(1.0, abs(t)):
+                raise IntegrationError(
+                    f"step underflow at t={t} (h={h_eff:.3e})", t_last=t,
+                    x_last=y.reshape(shape).copy(), reason="step-underflow")
+            if n_accepted + n_rejected >= _MAX_STEPS:
+                raise IntegrationError(
+                    f"step budget {_MAX_STEPS} exhausted at t={t}", t_last=t,
+                    x_last=y.reshape(shape).copy(), reason="budget")
+
+            # ndarray.dot is np.dot, bit for bit, without its dispatch cost
+            hh = h_eff
+            for i in range(1, 6):
+                K[i] = rhs(t + _C[i] * hh if i < 5 else t_new,
+                           y + hh * _A[i - 1].dot(K_head[i]))
+            y_new = y + hh * _A[5].dot(K_head[6])
+            K[6] = rhs(t_new, y_new)
+            n_rhs += 6
+
+            # a non-finite y_new is caught before the division (its squared
+            # norm alone also overflows on huge finite entries); with y_new
+            # finite, a non-finite K[6] shows as a non-finite error norm,
+            # which otherwise means an overflow and a rejected step
+            if not (y_new.dot(y_new) < math.inf or np.isfinite(y_new).all()):
+                raise _non_finite(t_new, t, y, shape)
+            abs_new = np.abs(y_new)
+            r = hh * _E.dot(K) / (tol + tol * np.maximum(abs_y, abs_new))
+            if rows == 1:
+                err = math.sqrt(float(r.dot(r)) / width)
+            else:
+                r = r.reshape(rows, width)
+                err = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r)))
+                                / width)
+            if not err < math.inf and not np.isfinite(K[6]).all():
+                raise _non_finite(t_new, t, y, shape)
+
+            if err <= 1.0:
+                if samples is not None:
+                    while (sample_ptr < len(samples)
+                           and samples[sample_ptr] <= t_new + 1e-13):
+                        out_t.append(samples[sample_ptr])
+                        out_y.append(_hermite(min(samples[sample_ptr], t_new),
+                                              t, hh, y, y_new, K[0], K[6]))
+                        sample_ptr += 1
+                else:
+                    out_t.append(t_new)
+                    out_y.append(y_new)
+                n_accepted += 1
+                min_step = min(min_step, hh)
+                t, y, abs_y = t_new, y_new, abs_new
+                K[0] = K[6]
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** -0.2)
+                if rejected_last:
+                    factor = min(factor, 1.0)
+                h = hh * max(_MIN_FACTOR, factor)
+                rejected_last = False
+            else:
+                n_rejected += 1
+                h = hh * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+                rejected_last = True
 
     times = np.asarray(out_t)
     states = np.asarray(out_y)

@@ -64,6 +64,19 @@ def _check_finite(v, where, rows=False):
         f"{idx}", component=idx, where=where, row=row)
 
 
+def _size(name, value):
+    """``value`` as an int >= 1, else ValueError: a dimension is never
+    truncated from a float or left empty."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name}: expected an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def flatten_state(mat):
     """Column-stack an (m, n) state matrix into the flat (m*n,) vector."""
     return np.asarray(mat, dtype=float).flatten(order="F")
@@ -101,15 +114,8 @@ class SystemModel:
     """
 
     def __init__(self, m, n, f, jac_u=None, jac_x=None, name=None):
-        for arg, value in (("m", m), ("n", n)):
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{arg}: expected an integer, got {value!r}") from None
-            if value < 1:
-                raise ValueError(f"{arg} must be >= 1, got {value}")
-            setattr(self, arg, value)
+        self.m = _size("m", m)
+        self.n = _size("n", n)
         self.f = f
         self.jac_u = jac_u
         self.jac_x = jac_x
@@ -244,23 +250,25 @@ class PerturbationSpec:
             raise ValueError("kind='factored' requires d and k")
         if state_dim is not None and kind != "factored":
             raise ValueError("only kind='factored' takes a state_dim")
+        dim = _size("dim", dim)
         if terms is not None:
             if kind != "time":
                 raise ValueError("only kind='time' takes chirp terms")
             for term in terms:
-                if np.shape(term.c) != (int(dim),):
+                if np.shape(term.c) != (dim,):
                     raise ShapeError(
-                        f"chirp term: expected c of shape ({int(dim)},), "
+                        f"chirp term: expected c of shape ({dim},), "
                         f"got {np.shape(term.c)}")
             if freq_hint is None:
                 freq_hint = chirp_freq(terms)
         self.kind = kind
-        self.dim = dim = int(dim)
+        self.dim = dim
         self.w = w
         self.d = d
         self.k = k
         self.freq_hint = freq_hint
-        self.state_dim = int(state_dim) if state_dim is not None else dim
+        self.state_dim = dim if state_dim is None else _size("state_dim",
+                                                             state_dim)
         self.name = name
         self.terms = None if terms is None else tuple(terms)
         self.unchecked = _disturbance(kind, w, d, k)
@@ -317,41 +325,6 @@ class PerturbationSpec:
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"PerturbationSpec{tag}(kind={self.kind}, dim={self.dim})"
-
-
-def evaluate_dynamics(model, pert, t, x, u):
-    """Right-hand side of the first-order form: shift columns, then F + W.
-
-    Parameters
-    ----------
-    model : SystemModel
-    pert : PerturbationSpec or None
-        None means no disturbance.
-    t : float
-    x : array_like
-        Flat state of length m*n, or an (N, m*n) batch of them.
-    u : array_like
-        Input of length m, or (N, m) with a batch.
-
-    Returns
-    -------
-    ndarray (m*n,) or (N, m*n)
-        First (n-1)*m entries are the state entries m..n*m (the column
-        shift); the last m entries are F(X, U) + W(t, X).  A row of a batch
-        is its one-state value bit for bit when F treats rows independently.
-    """
-    m, n = model.m, model.n
-    x, u = _state_and_input(model, x, u)
-
-    last = model.eval_f(x, u)
-    if pert is not None and pert.kind != "zero":
-        last = last + pert.evaluate(t, x)
-        _check_finite(last, "F+W", rows=x.ndim == 2)
-
-    out = np.empty(x.shape)
-    out[..., :(n - 1) * m] = x[..., m:]
-    out[..., (n - 1) * m:] = last
-    return out
 
 
 def _central_difference(fn, v, where):

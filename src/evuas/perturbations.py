@@ -21,7 +21,7 @@ import numpy as np
 
 from .diminishing import (SIGNAL_CATALOG, chirp_freq, constant_term,
                           exp_chirp, quartic_chirp)
-from .model import PerturbationSpec
+from .model import PerturbationSpec, _size
 
 
 # (0.5 t sin t^4, -t cos t^4) = Re[(-0.5i, -1) t e^{i t^4}]
@@ -58,7 +58,7 @@ def _k_example1_bounded(x):
 
 
 def _check_dim(name, have, requested):
-    if requested is not None and requested != have:
+    if requested is not None and _size("dim", requested) != have:
         raise ValueError(
             f"{name!r} has dimension {have}, requested {requested}")
 
@@ -72,7 +72,7 @@ def _from_signal(sig):
 
 
 def _build_zero(dim=None):
-    return PerturbationSpec.zero(dim or 1)
+    return PerturbationSpec.zero(1 if dim is None else dim)
 
 
 def _build_example1_unbounded(dim=None):
@@ -91,7 +91,7 @@ def _build_example1_bounded(dim=None):
 
 
 def _build_const_e1(dim=None):
-    dim = dim or 2
+    dim = 2 if dim is None else _size("dim", dim)
 
     def w(t):
         out = np.zeros((dim,) + np.shape(t))

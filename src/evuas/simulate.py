@@ -1,22 +1,26 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
-The error system e' = A_H e + W and the designed closed loop are one
-system, x' = M x + (0, W(t, x)) with a constant M: A_H, or
+Every integrated run is one system with one right-hand side,
+x' = M x + (0, F(x) + W(t, x)).  M is A_H for the error system,
 :func:`evuas.synthesis.closed_loop_matrix` for a loop closed by an
 implicit controller and for the deviation from a reference under the
-tracking feedback.  One runner serves all three.  On a sample grid with W
-zero or a time signal with chirp terms (every time signal of the
-catalogs), :func:`evuas.integrate.propagate_linear` steps it exactly from
-sample to sample, at a cost that does not grow with the frequency of W.
-Runs without sample times (the verify factories) and factored
-disturbances are integrated, as are loops closed by any other controller,
-which is then called inside the right-hand side on the whole batch.
+tracking feedback, and the column shift for a loop closed by any other
+controller; only that loop has the state term F(x) = F(x, G(x)), with the
+controller called on the whole batch.  On a sample grid, a run without a
+state term under a zero W or a time signal with chirp terms (every time
+signal of the catalogs) is stepped exactly from sample to sample by
+:func:`evuas.integrate.propagate_linear`, at a cost that does not grow
+with the frequency of W.  Runs without sample times (the verify
+factories), factored disturbances and state terms are integrated.
 
 Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
 state.  W is the ``unchecked`` W(t, x) of
-:class:`evuas.model.PerturbationSpec`; its width is checked once per run.
+:class:`evuas.model.PerturbationSpec`; its width is checked once per run,
+and a non-finite W stops the run with an IntegrationError (or with F's
+EvaluationError, where F meets the non-finite stage state first).  F goes
+through :meth:`evuas.model.SystemModel.eval_f`, checked on every call.
 
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, which cancels F: on the closed loop the
@@ -34,8 +38,8 @@ import numpy as np
 from .errors import (ControllerEvaluationError, DesignError, NewtonError,
                      ShapeError)
 from .integrate import integrate, propagate_linear
-from .model import evaluate_dynamics, flatten_state, unflatten_state
-from .synthesis import ImplicitController, closed_loop_matrix
+from .model import _size, flatten_state, unflatten_state
+from .synthesis import ImplicitController, _first_order, closed_loop_matrix
 
 _CSV_FMT = "%.17g"
 # the reference checks of TrackingSpec
@@ -61,17 +65,20 @@ def _states(x, dim, name):
     return x
 
 
-def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None):
-    """Run x' = A x + (0, W(t, x_true)), W in the last ``pert.dim`` entries
-    and x_true = x + X_d(t) for the deviation from a reference ``track``:
-    propagated on a sample grid under a zero or chirp-form W (each term's
-    c zero-padded to the state), else integrated."""
+def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None,
+                term=None):
+    """Run x' = A x + (0, term(x) + W(t, x_true)), each in the last entries
+    of its width and x_true = x + X_d(t) for the deviation from a reference
+    ``track``: propagated on a sample grid under a zero or chirp-form W
+    (each term's c zero-padded to the state) and no state ``term``, else
+    integrated."""
     w = None if pert is None else pert.unchecked
-    if sample_times is not None and (w is None or pert.terms is not None):
+    if sample_times is not None and term is None and (
+            w is None or pert.terms is not None):
         terms = () if w is None else [
-            term._replace(c=np.concatenate([np.zeros(len(a) - pert.dim),
-                                            term.c]))
-            for term in pert.terms]
+            chirp._replace(c=np.concatenate([np.zeros(len(a) - pert.dim),
+                                             chirp.c]))
+            for chirp in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
     # x.dot(A^T) is A x on one state and on each row of a batch
     a_t = a.T
@@ -79,6 +86,9 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None):
 
     def rhs(t, x):
         out = x.dot(a_t)
+        if term is not None:
+            f = term(x)
+            out[..., len(a) - f.shape[-1]:] += f
         if w is not None:
             out[..., split:] += w(t, x if track is None
                                   else x + flatten_state(track.value(t)))
@@ -143,20 +153,20 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     ControllerEvaluationError carrying the time, state and residual of the
     first stored point where no feedback exists (the earliest time, then
     the lowest row, named in ``row``).  Any other controller is called
-    inside the right-hand side, all rows at once, and once on all stored
-    states.  A W whose width is not m raises ShapeError.
+    inside the right-hand side, all rows at once, with F(X, G(X)) added to
+    the column shift, and once on all stored states.  A W whose width is
+    not m raises ShapeError.
     """
     x0 = _states(x0, model.state_dim, "x0")
     _check_width(pert, model.m)
     if isinstance(ctrl, ImplicitController) and ctrl.model is model:
-        traj = _run_linear(closed_loop_matrix(ctrl.design, ctrl.hurwitz),
-                           pert, x0, t0, t_end, tol, sample_times)
+        a, term = closed_loop_matrix(ctrl.design, ctrl.hurwitz), None
     else:
-        def rhs(t, x):
-            return evaluate_dynamics(model, pert, t, x, ctrl.solve(x))
-        traj = integrate(rhs, t0, x0, t_end, tol=tol,
-                         freq_hint=None if pert is None else pert.freq_hint,
-                         sample_times=sample_times)
+        a = _first_order(model.m, model.n, 0)
+
+        def term(x):
+            return model.eval_f(x, ctrl.solve(x))
+    traj = _run_linear(a, pert, x0, t0, t_end, tol, sample_times, term=term)
     return _report_inputs(traj, model.m, ctrl.solve)
 
 
@@ -173,8 +183,8 @@ class TrackingSpec:
     def __init__(self, x_d, y_d_n, m, n, name=None):
         self.x_d = x_d
         self.y_d_n = y_d_n
-        self.m = int(m)
-        self.n = int(n)
+        self.m = _size("m", m)
+        self.n = _size("n", n)
         self.name = name
 
     def value(self, t):

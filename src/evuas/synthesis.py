@@ -652,7 +652,8 @@ def linearize_and_place(model, desired_poles):
 
 @dataclass
 class RoaEstimate:
-    """Guaranteed initial-state radius from the design constants."""
+    """Initial-state radius from the design constants and sampled inputs:
+    delta_E and kappa are sampled, not bounds."""
 
     r_max: float
     epsilon: float
@@ -666,8 +667,9 @@ class RoaEstimate:
 
 def estimate_roa(design, r_max, epsilon, delta_E_of_eps, theta1=1.0,
                  theta2=1.0):
-    """Initial-state radius guaranteeing the trajectory stays in the
-    synthesis domain.
+    """Initial-state radius keeping the trajectory in the synthesis domain,
+    from sampled inputs: delta_E_of_eps comes from sampled runs and the
+    design's kappa from a sampled transition norm, so it is no guarantee.
 
     delta*_E scales the error-system margin back through the error map
     (theta1 / (gamma* theta2 sqrt(m)) factor); delta*_X keeps the state

@@ -8,53 +8,53 @@ from evuas.diminishing import quartic_chirp
 from evuas.model import ORIGIN_TOL
 
 
+def _open_loop(model, pert, x0, t_end=1.0):
+    # the loop closed by a zero linear gain: x' = shift(x) + (0, F(x, 0) + W)
+    ctrl = ev.LinearController(np.zeros((model.m, model.state_dim)))
+    return ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, t_end)
+
+
 def test_shift_structure_simple():
-    model = ev.make_model("chain", m=1, n=2)
-    out = ev.evaluate_dynamics(model, ev.PerturbationSpec.zero(1), 0.0,
-                               np.array([3.0, 5.0]), np.array([0.0]))
-    assert np.array_equal(out, np.array([5.0, 0.0]))
+    # x'' = 0 from (3, 5): the position is 3 + 5 t, the velocity stays 5
+    traj = _open_loop(ev.make_model("chain", m=1, n=2),
+                      ev.PerturbationSpec.zero(1), np.array([3.0, 5.0]))
+    assert np.allclose(traj.states[:, 0], 3.0 + 5.0 * traj.times,
+                       rtol=0.0, atol=1e-13)
+    assert np.all(traj.states[:, 1] == 5.0)
 
 
 def test_equilibrium_is_fixed_point():
     for name in ("chain", "cubic", "tanh"):
         model = ev.make_model(name)
-        out = ev.evaluate_dynamics(model, ev.PerturbationSpec.zero(model.m),
-                                   0.0, np.zeros(model.state_dim),
-                                   np.zeros(model.m))
-        assert np.all(out == 0.0)
+        assert np.all(model.eval_f(np.zeros(model.state_dim),
+                                   np.zeros(model.m)) == 0.0)
         assert model.check_origin_equilibrium() <= ORIGIN_TOL
+        traj = _open_loop(model, ev.PerturbationSpec.zero(model.m),
+                          np.zeros(model.state_dim))
+        assert np.all(traj.states == 0.0)
 
 
 def test_time_perturbation_enters_last_block():
-    model = ev.make_model("chain", m=1, n=2)
-    pert = ev.make_perturbation("cos_exp")
-    out = ev.evaluate_dynamics(model, pert, 0.0, np.zeros(2), np.zeros(1))
-    assert out[0] == 0.0
-    assert out[1] == pytest.approx(np.cos(1.0), abs=1e-15)
-
-
-def test_shift_structure_random(rng):
-    # entries 1..(n-1)m of the derivative equal entries m+1..nm of the state
-    for m, n in ((1, 2), (2, 3), (3, 2)):
-        model = ev.make_model("chain", m=m, n=n)
-        for _ in range(20):
-            x = rng.standard_normal(m * n)
-            u = rng.standard_normal(m)
-            out = ev.evaluate_dynamics(model, None, 0.0, x, u)
-            assert np.array_equal(out[:(n - 1) * m], x[m:])
+    # x'' = W = 1 from rest: the velocity is t and the position t^2 / 2
+    traj = _open_loop(ev.make_model("chain", m=1, n=2),
+                      ev.make_perturbation("const1"), np.zeros(2))
+    t = traj.times
+    assert np.allclose(traj.states[:, 1], t, rtol=0.0, atol=1e-13)
+    assert np.allclose(traj.states[:, 0], 0.5 * t ** 2, rtol=0.0, atol=1e-13)
 
 
 def test_zero_kind_matches_zero_factored_bitwise(rng):
     model = ev.make_model("cubic")
     zero = ev.PerturbationSpec.zero(1)
     dzero = ev.PerturbationSpec.factored(lambda t: np.zeros((1, 1)),
-                                         lambda x: np.ones(1), 1)
-    for _ in range(25):
-        x = rng.standard_normal(2)
-        u = rng.standard_normal(1)
-        a = ev.evaluate_dynamics(model, zero, 0.3, x, u)
-        b = ev.evaluate_dynamics(model, dzero, 0.3, x, u)
-        assert np.array_equal(a, b)
+                                         lambda x: np.ones(1), 1,
+                                         state_dim=2)
+    ctrl = ev.LinearController(np.array([[-1.0, -2.0]]))
+    for x0 in (rng.standard_normal(2), rng.standard_normal((5, 2))):
+        a = ev.simulate_closed_loop(model, ctrl, zero, x0, 0.3, 2.0)
+        b = ev.simulate_closed_loop(model, ctrl, dzero, x0, 0.3, 2.0)
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.states, b.states)
 
 
 def test_state_matrix_round_trip(rng):
@@ -148,9 +148,11 @@ def test_finite_difference_matches_analytic(rng):
 def test_dimension_mismatch_reports_shapes():
     model = ev.make_model("chain", m=1, n=2)
     with pytest.raises(ev.ShapeError, match="expected shape"):
-        ev.evaluate_dynamics(model, None, 0.0, np.zeros(3), np.zeros(1))
+        model.eval_f(np.zeros(3), np.zeros(1))
     with pytest.raises(ev.ShapeError, match="input"):
-        ev.evaluate_dynamics(model, None, 0.0, np.zeros(2), np.zeros(2))
+        model.eval_f(np.zeros(2), np.zeros(2))
+    with pytest.raises(ev.ShapeError, match="x0: expected shape"):
+        _open_loop(model, None, np.zeros(3))
 
 
 def test_non_finite_evaluation_flags_component():
@@ -192,27 +194,6 @@ def test_batched_f_and_jacobian_rows_are_one_state_values(name, rng):
                 assert np.array_equal(jac[i], jacobian(mod, xs[i], us[i]))
     for i in range(6):
         assert np.array_equal(f[i], model.eval_f(xs[i], us[i]))
-
-
-@pytest.mark.parametrize("name", ["cubic", "chain", "smooth"])
-def test_batched_dynamics_rows_are_one_state_values(name, rng):
-    model = _model(name)
-    m = model.m
-    xs = rng.uniform(-3.0, 3.0, (6, model.state_dim))
-    us = rng.uniform(-3.0, 3.0, (6, m))
-    d = rng.standard_normal((m, m))
-    for pert in (None, ev.PerturbationSpec.zero(m),
-                 ev.PerturbationSpec.from_signal(
-                     lambda t: np.cos(t) * np.arange(1.0, m + 1), m),
-                 ev.PerturbationSpec.factored(
-                     lambda t: np.cos(t) * d,
-                     lambda x: np.sin(x[:m]) + x[-m:] ** 3, m,
-                     state_dim=model.state_dim)):
-        out = ev.evaluate_dynamics(model, pert, 0.7, xs, us)
-        assert out.shape == xs.shape
-        for i in range(6):
-            assert np.array_equal(
-                out[i], ev.evaluate_dynamics(model, pert, 0.7, xs[i], us[i]))
 
 
 def test_batched_f_shapes():
@@ -301,6 +282,35 @@ def test_model_rejects_non_integral_sizes():
             ev.SystemModel(m, n, f)
     model = ev.SystemModel(np.int64(2), 3, f)
     assert (model.m, model.n) == (2, 3) and type(model.m) is int
+
+
+def test_perturbation_rejects_bad_dimensions():
+    # a float is not truncated to a dimension, and 0 is none
+    for dim in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="^dim: expected an integer"):
+            ev.PerturbationSpec("zero", dim)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="^dim must be >= 1"):
+            ev.PerturbationSpec.from_signal(lambda t: np.zeros(0), dim)
+    d, k = (lambda t: np.eye(2)), (lambda x: x[:2])
+    for state_dim, match in ((2.5, "expected an integer"), (0, ">= 1")):
+        with pytest.raises(ValueError, match=f"^state_dim.*{match}"):
+            ev.PerturbationSpec.factored(d, k, 2, state_dim=state_dim)
+    pert = ev.PerturbationSpec.factored(d, k, np.int64(2),
+                                        state_dim=np.int64(4))
+    assert (pert.dim, pert.state_dim) == (2, 4)
+    assert type(pert.dim) is int and type(pert.state_dim) is int
+    # a dimension chosen from the catalog is checked the same way
+    for name in ("zero", "const_e1"):
+        with pytest.raises(ValueError, match="^dim must be >= 1"):
+            ev.make_perturbation(name, dim=0)
+        with pytest.raises(ValueError, match="^dim: expected an integer"):
+            ev.make_perturbation(name, dim=2.5)
+    with pytest.raises(ValueError, match="^dim: expected an integer"):
+        ev.make_perturbation("cos_exp", dim=1.0)
+    assert ev.make_perturbation("zero").dim == 1
+    assert ev.make_perturbation("const_e1").dim == 2
+    assert ev.make_perturbation("const_e1", dim=3).dim == 3
 
 
 def test_model_is_reentrant_after_construction():

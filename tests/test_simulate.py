@@ -113,13 +113,15 @@ def _newton_in_rhs(model, ctrl, pert, x0, ts, track=None):
         return ctrl.solve_shifted(x, x_true, -track.y_d_n(t))
 
     def rhs(t, x):
-        if track is None:
-            return ev.evaluate_dynamics(model, pert, t, x, feedback(t, x))
-        # deviation dynamics: the reference's nth derivative comes off
-        x_true = x + ev.flatten_state(track.value(t))
-        out = ev.evaluate_dynamics(model, pert, t, x_true, feedback(t, x))
-        out[:-model.m] = x[model.m:]
-        out[-model.m:] -= track.y_d_n(t)
+        # the first-order form written out: the column shift, then F + W
+        x_true = x if track is None else x + ev.flatten_state(track.value(t))
+        out = np.empty_like(x)
+        out[..., :-model.m] = x[..., model.m:]
+        out[..., -model.m:] = (model.eval_f(x_true, feedback(t, x))
+                               + pert.evaluate(t, x_true))
+        if track is not None:
+            # deviation dynamics: the reference's nth derivative comes off
+            out[..., -model.m:] -= track.y_d_n(t)
         return out
 
     x0 = np.asarray(x0, dtype=float)
@@ -159,6 +161,84 @@ def test_closed_form_tracking_matches_newton_in_rhs():
                                     track=track)
     assert np.max(np.abs(traj.states - states)) < 1e-10
     assert np.max(np.abs(traj.inputs - inputs)) < 1e-10
+
+
+def _generic_pert(kind, m, n):
+    if kind == "zero":
+        return ev.PerturbationSpec.zero(m)
+    if kind == "time":
+        return ev.PerturbationSpec.from_signal(
+            lambda t: np.cos(3.0 * t) * np.arange(1.0, m + 1), m,
+            freq_hint=3.0)
+    d = np.random.default_rng(5).standard_normal((m, m))
+    return ev.PerturbationSpec.factored(
+        lambda t: np.cos(t) * d, lambda x: np.sin(x[:m]) + x[-m:] ** 3, m,
+        state_dim=m * n)
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["one", "batch"])
+@pytest.mark.parametrize("kind", ["zero", "time", "factored"])
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 2)])
+def test_generic_loop_is_the_first_order_form_bit_for_bit(m, n, kind, rows):
+    # a loop closed by a linear gain runs the shared right-hand side, with
+    # the column shift for M and F(x, Gx) + W in the last block; it must
+    # equal integrate on the reference's shift, F and W, to the last bit
+    model = ev.make_model("chain", m=m, n=n)
+    rng = np.random.default_rng(m * n)
+    ctrl = ev.LinearController(-rng.uniform(0.5, 1.5, (m, m * n)))
+    pert = _generic_pert(kind, m, n)
+    x0 = rng.uniform(-0.5, 0.5, (m * n,) if rows is None else (rows, m * n))
+    ts = np.linspace(0.5, 2.5, 41)
+    traj = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.5, 2.5,
+                                   sample_times=ts)
+    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, ts)
+    assert np.array_equal(traj.times, ts)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.inputs, inputs)
+
+
+def _inf_after(t_bad):
+    # a finite scalar W that turns infinite after t_bad
+    return ev.PerturbationSpec.from_signal(
+        lambda t: np.array([np.inf if t > t_bad else np.cos(t)]), 1)
+
+
+@pytest.mark.parametrize("run", ["error", "error_batch", "designed",
+                                 "linear_gain"])
+def test_non_finite_disturbance_is_a_typed_failure(run):
+    # a W that overflows on the RK path is a typed failure that verify
+    # records, not a RuntimeWarning (an exception under -W error)
+    pert = _inf_after(0.5)
+    if run.startswith("error"):
+        dim = 1
+        sim = ev.make_error_factory(ev.default_hurwitz(1), pert, horizon=2.0)
+    else:
+        dim = 2
+        model = ev.make_model("cubic")
+        ctrl = (ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                       ev.default_hurwitz(1))
+                if run == "designed"
+                else ev.linearize_and_place(model, [-1.0, -2.0]))
+        sim = ev.make_closed_loop_factory(model, ctrl, pert, horizon=2.0)
+    x0 = np.full(dim, 0.2) if run != "error_batch" else np.array(
+        [[0.2], [-0.1]])
+    if run == "linear_gain":
+        # F sees the stage state that W made non-finite, unless W first
+        # shows in the last stage, which the integrator checks
+        with pytest.raises((ev.IntegrationError, ev.EvaluationError)):
+            sim(0.0, x0)
+    else:
+        with pytest.raises(ev.IntegrationError) as exc:
+            sim(0.0, x0)
+        assert exc.value.reason == "non-finite"
+        assert exc.value.t_last <= 0.5
+        assert exc.value.x_last.shape == x0.shape
+        assert np.isfinite(exc.value.x_last).all()
+    report = ev.verify_evuas(sim, delta0=0.2, t0_grid=[0.0],
+                             eps_levels=[0.5], horizon=2.0, samples=2,
+                             dim=dim)
+    assert report.samples == 0 and len(report.sim_failures) == 6
+    assert all("non-finite" in f["error"] for f in report.sim_failures)
 
 
 def _padded(pert):
@@ -595,6 +675,18 @@ def test_tracking_rejects_inconsistent_reference():
     with pytest.raises(ValueError, match="derivative"):
         ev.simulate_tracking(model, _implicit(model, [[-1.0]]), bad, None,
                              np.array([0.3, 1.0]), 0.0, 5.0, tol=1e-8)
+
+
+def test_tracking_spec_rejects_non_integral_sizes():
+    # m = 1.7, n = 2.2 are not truncated to m = 1, n = 2
+    x_d, y_d_n = (lambda t: np.zeros((1, 2))), (lambda t: np.zeros(1))
+    for m, n, match in ((1.7, 2, "^m: expected an integer"),
+                        (1, 2.2, "^n: expected an integer"),
+                        (0, 2, "^m must be >= 1")):
+        with pytest.raises(ValueError, match=match):
+            ev.TrackingSpec(x_d, y_d_n, m=m, n=n)
+    track = ev.TrackingSpec(x_d, y_d_n, m=np.int64(1), n=np.int64(2))
+    assert (track.m, track.n) == (1, 2) and type(track.m) is int
 
 
 def test_trajectory_csv_round_trip(tmp_path):
