@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureBudgetError
+from .errors import QuadratureBudgetError, ShapeError
 from .integrate import _step_cap
 from .norms import check_norm_id, max_row_norm, unit_directions, vector_norm
 
@@ -40,61 +40,34 @@ _VTOL = 1e-6                   # clearly nonzero signal magnitude
 
 
 class SignalAdapter:
-    """Uniform array evaluation for time signals.
+    """A time signal evaluated on a 1-d array of N times, as ``(dim, N)``.
 
-    Wraps ``h(t)`` so that a 1-d array of times returns a ``(dim, N)``
-    array.  Vectorized callables (returning ``(N,)`` or ``(dim, N)``) are
-    used directly; scalar-only callables fall back to a loop.
+    ``h`` is called once per evaluation on the whole array and returns
+    ``(dim, N)``, or ``(N,)`` for a scalar signal; any other shape raises
+    ShapeError.
     """
 
     def __init__(self, h):
         self.h = h
-        self.dim = None
-        self._vectorized = None
-
-    def scalar(self, t):
-        out = np.atleast_1d(np.asarray(self.h(float(t)), dtype=float)).ravel()
-        if self.dim is None:
-            self.dim = out.size
-        return out
-
-    def _loop(self, ts):
-        return np.stack([self.scalar(t) for t in ts], axis=1)
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=float)
-        if self.dim is None:
-            self.scalar(ts.flat[0])
-        if self._vectorized is False:
-            return self._loop(ts)
-        try:
-            out = np.asarray(self.h(ts), dtype=float)
-        except (TypeError, ValueError):   # a scalar-only callable
-            self._vectorized = False
-            return self._loop(ts)
-        if out.shape == (self.dim, ts.size):
-            self._vectorized = True
-            return out
-        if self.dim == 1 and out.shape == (ts.size,):
-            self._vectorized = True
+        out = np.asarray(self.h(ts), dtype=float)
+        if out.shape == ts.shape:
             return out[None, :]
-        self._vectorized = False
-        return self._loop(ts)
+        if out.ndim == 2 and out.shape[1] == ts.size:
+            return out
+        raise ShapeError(f"time signal: expected shape (N,) or (dim, N) "
+                         f"on N = {ts.size} times, got {out.shape}")
 
 
 def _crossing_count(sig, t0, t1):
     """Max sign-change count over components, scanned on 2048 samples."""
-    ts = np.linspace(t0, t1, 2048)
-    vals = sig(ts)
-    signs = np.sign(vals)
+    signs = np.sign(sig(np.linspace(t0, t1, 2048)))
     # carry the previous sign across exact zeros so they do not double-count
-    for row in signs:
-        last = 0.0
-        for i in range(row.size):
-            if row[i] == 0.0:
-                row[i] = last
-            else:
-                last = row[i]
+    last = np.where(signs != 0.0, np.arange(signs.shape[1]), 0)
+    np.maximum.accumulate(last, axis=1, out=last)
+    signs = np.take_along_axis(signs, last, axis=1)
     return int(np.max(np.sum(signs[:, 1:] * signs[:, :-1] < 0, axis=1), initial=0))
 
 
@@ -131,7 +104,7 @@ def _running_integral(sig, t, n_panels):
 def _partial_integral(sig, a, b):
     nodes, weights = _GL16
     if b <= a:
-        return np.zeros(sig.dim)
+        return 0.0
     half = 0.5 * (b - a)
     taus = 0.5 * (a + b) + half * nodes
     return sig(taus) @ weights * half
@@ -143,7 +116,7 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
     Parameters
     ----------
     h : callable
-        Time signal; scalar or vector valued (see :class:`SignalAdapter`).
+        Time signal, called on arrays of times (see :class:`SignalAdapter`).
     t : float
         Window start; h must be evaluable on [t, t+1].
     quad_tol : float

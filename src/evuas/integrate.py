@@ -154,6 +154,16 @@ def _non_finite(t_new, t, y, shape):
                             reason="non-finite")
 
 
+def _time_span(t0, t_end):
+    """(t0, t_end) as floats, else ValueError: both finite, t_end > t0."""
+    t0, t_end = float(t0), float(t_end)
+    if not math.isfinite(t0) or not math.isfinite(t_end):
+        raise ValueError(f"t0={t0} and t_end={t_end} must be finite")
+    if not t_end > t0:
+        raise ValueError(f"t_end={t_end} must exceed t0={t0}")
+    return t0, t_end
+
+
 def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     """Integrate x' = rhs(t, x) from t0 to t_end.
 
@@ -172,7 +182,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
         is dim one-component states.  A scalar is one state of dim 1;
         more than two axes raise ShapeError.
     t_end : float
-        t_end must exceed t0.
+        Finite, and it must exceed t0, which is finite too.
     tol : float
         Per-step error tolerance, applied mixed (absolute and relative).
     freq_hint : float or callable, optional
@@ -188,10 +198,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
         On step underflow, non-finite states, or an exhausted step budget;
         the error carries the last good (t, x).
     """
-    t0 = float(t0)
-    t_end = float(t_end)
-    if not t_end > t0:
-        raise ValueError(f"t_end={t_end} must exceed t0={t0}")
+    t0, t_end = _time_span(t0, t_end)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     y = np.array(x0, dtype=float)
@@ -482,10 +489,7 @@ def propagate_linear(a, terms, t0, x0, t_end, sample_times):
         interval still fails the residual check after _LEVIN_MAX_SPLITS
         halvings (``reason="residual"``, ``t_last`` its start).
     """
-    t0 = float(t0)
-    t_end = float(t_end)
-    if not t_end > t0:
-        raise ValueError(f"t_end={t_end} must exceed t0={t0}")
+    t0, t_end = _time_span(t0, t_end)
     a = np.asarray(a, dtype=float)
     times = np.asarray(_sample_grid(sample_times, t0, t_end))
     y = np.array(x0, dtype=float)

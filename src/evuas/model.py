@@ -41,27 +41,27 @@ def _state_and_input(model, x, u):
             _as_shape(u, batch + (model.m,), "input"))
 
 
-def _check_finite(v, where, rows=False):
+def _check_finite(v, where, rows=False, what=None):
     """``v``, else EvaluationError at its first non-finite entry.
 
     The component is the flat index into ``v``; with ``rows`` the first
     axis indexes a batch, and the error names the first failing row and
-    the component (flat index) within it.
+    the component (flat index) within it.  ``what`` opens the message,
+    by default "<where> returned a non-finite value".
     """
     bad = ~np.isfinite(v)
     if not bad.any():
         return v
+    what = what or f"{where} returned a non-finite value"
     if not rows:
         idx = int(np.argmax(bad))
-        raise EvaluationError(
-            f"{where} returned a non-finite value at component {idx}",
-            component=idx, where=where)
+        raise EvaluationError(f"{what} at component {idx}", component=idx,
+                              where=where)
     bad = bad.reshape(len(v), -1)
     row = int(np.argmax(bad.any(axis=1)))
     idx = int(np.argmax(bad[row]))
-    raise EvaluationError(
-        f"{where} returned a non-finite value in row {row} at component "
-        f"{idx}", component=idx, where=where, row=row)
+    raise EvaluationError(f"{what} in row {row} at component {idx}",
+                          component=idx, where=where, row=row)
 
 
 def _size(name, value):
@@ -150,7 +150,9 @@ def _evaluate(fn, shape, where, x, *rest):
     whose row is returned), with the same rows of ``rest``, as floats of
     ``shape`` per state (an (N,) value stands for (N, 1) when ``shape`` is
     (1,)), each entry finite; else ShapeError or EvaluationError naming
-    ``where``."""
+    ``where``.  A non-finite value that comes with a non-finite state or
+    input (``rest`` holds the input) names that argument instead, the
+    state first: ``where`` is then "state" or "input"."""
     one = x.ndim == 1
     if one:
         x, rest = x[None], [v[None] for v in rest]
@@ -161,7 +163,13 @@ def _evaluate(fn, shape, where, x, *rest):
     if out.shape != shape:
         raise ShapeError(
             f"{where}: expected output shape {shape}, got {out.shape}")
-    return _check_finite(out[0] if one else out, where, rows=not one)
+    out = out[0] if one else out
+    if np.isfinite(out).all():
+        return out
+    for arg, v in zip(("state", "input"), (x, *rest)):
+        _check_finite(v[0] if one else v, arg, rows=not one,
+                      what=f"{where} was passed a non-finite {arg}")
+    return _check_finite(out, where, rows=not one)
 
 
 def _shape_checked(fn, shape, what):
@@ -216,13 +224,13 @@ class PerturbationSpec:
     dim : int
         Output dimension (the m of the system it perturbs).
     w : callable, optional
-        ``w(t) -> (dim,)`` for ``kind="time"``.  Should also accept a 1-d
-        array of times and return ``(dim, len(t))`` for fast quadrature;
-        scalar-only callables are handled via a fallback loop.
+        ``w(t) -> (dim,)`` for ``kind="time"`` at one float time; on a 1-d
+        array of N times, as the window quadrature calls it once, it
+        returns ``(dim, N)`` (or ``(N,)`` when dim is 1).
     d, k : callable, optional
         ``d(t) -> (dim, dim)`` and ``k(x_flat) -> (dim,)`` for
-        ``kind="factored"``; ``k`` only ever sees one state, and ``d`` may
-        take an array of times like ``w``, returning ``(dim, dim, len(t))``.
+        ``kind="factored"``; ``k`` only ever sees one state, and ``d`` on
+        a 1-d array of N times returns ``(dim, dim, N)``.
     freq_hint : float or callable, optional
         Dominant angular frequency of the fastest oscillation (a constant
         or a function of t); integrators and quadrature cap their step at
@@ -316,9 +324,9 @@ class PerturbationSpec:
     def columns(self):
         """The columns of D as time signals t -> (dim,).
 
-        A column takes an array of N times too, returning (dim, N), when D
-        (or w) does; :class:`evuas.diminishing.SignalAdapter` falls back to
-        one time at a time otherwise.
+        A column called on a 1-d array of N times returns (dim, N), as
+        :class:`evuas.diminishing.SignalAdapter` requires; so D (or w)
+        must take such an array too.
         """
         return [functools.partial(self._column, j) for j in range(self.dim)]
 

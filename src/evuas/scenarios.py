@@ -236,7 +236,8 @@ _SCHEMA = _object(
     _Field("verify", _object(
         _Field("target", _one_of(("error", "closed-loop")), "error"),
         _Field("delta0", _positive, _REQUIRED),
-        _Field("t0_grid", _rule(_numbers, len, "non-empty"), _REQUIRED),
+        _Field("t0_grid", _rule(_numbers, lambda g: g and min(g) >= 0,
+                                "non-empty and non-negative"), _REQUIRED),
         _Field("eps_levels",
                _rule(_numbers, lambda e: e and min(e) > 0
                      and _increasing(e[::-1]), "non-empty, positive and "

@@ -202,7 +202,7 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
         Radius of the sampled initial ball, positive and finite; spheres
         at delta0, delta0/2 and delta0/4 are drawn.
     t0_grid : sequence of float
-        Start times to quantify over.
+        Start times to quantify over: finite and >= 0, as every onset is.
     eps_levels : sequence of float
         Positive, strictly decreasing bound levels; at least one.
     horizon : float
@@ -236,6 +236,9 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     for t0 in t0_grid:
         if not math.isfinite(t0):
             raise ValueError(f"t0_grid must hold finite start times, got {t0}")
+        if t0 < 0.0:
+            raise ValueError(f"t0_grid must hold non-negative start times, "
+                             f"got {t0}")
 
     dirs = unit_directions(dim, samples, np.random.default_rng(seed))
     radii = [delta0, delta0 / 2.0, delta0 / 4.0]
@@ -406,8 +409,8 @@ def estimate_delta_of_eps(sim, eps, t0, dim=None, directions=8, seed=0,
                           iters=20, norm="euclidean"):
     """Largest sampled initial-norm level whose trajectories stay below eps.
 
-    Bisects over the level in (0, eps]; sampled directions are seeded and
-    shared across levels, and the factory fixes the observation window.
+    Bisects ``iters`` >= 1 times over the level in (0, eps]; directions are
+    seeded and shared across levels, and the factory fixes the window.
     Returns 0.0 when even the smallest tested level fails.  The factory
     ``sim`` is called once per level with the (directions, dim) stack of
     initial states and must return states of shape (T, directions, dim),
@@ -422,6 +425,8 @@ def estimate_delta_of_eps(sim, eps, t0, dim=None, directions=8, seed=0,
         raise ValueError(f"t0 must be a finite start time, got {t0}")
     if directions < 1:
         raise ValueError("directions must be at least 1")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     if dim is None:
         raise ValueError("dim (factory state dimension) is required")
     dirs = unit_directions(dim, directions, np.random.default_rng(seed))

@@ -1,7 +1,8 @@
 """Independent reference computations used to pin expected test values.
 
 These deliberately share no code with the package: uniform composite
-Simpson quadrature for the windowed-integral metric, the matrix
+Simpson quadrature for the windowed-integral metric, a per-sample loop
+for the sign changes that seed its mesh, the matrix
 exponential for linear trajectories, a plain Dormand-Prince stepper
 that spells every stage out term by term, and scipy's DOP853 at a tight
 tolerance for linear systems under a time forcing, and the pole-placement
@@ -38,6 +39,24 @@ def window_sup_simpson(fn, t, freq_max, min_panels=65536):
     cum = np.concatenate([np.zeros((vals.shape[0], 1)),
                           np.cumsum(seg, axis=1)], axis=1)
     return float(np.max(np.linalg.norm(cum, axis=0)))
+
+
+def crossing_count_loop(vals):
+    """Max over the rows of vals of the sign changes along the row.
+
+    One sample at a time: an exact zero takes the sign last seen in its
+    row (0 before the first nonzero), so a zero between two signs is
+    counted once, and a row of zeros has none.
+    """
+    counts = [0]
+    for row in np.sign(np.asarray(vals, dtype=float)):
+        last, changes = 0.0, 0
+        for s in row.tolist():
+            if s != 0.0:
+                changes += last * s < 0
+                last = s
+        counts.append(changes)
+    return max(counts)
 
 
 def linear_trajectory(a, x0, ts):

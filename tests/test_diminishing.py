@@ -9,7 +9,7 @@ import evuas as ev
 import evuas.diminishing as dim
 from evuas.perturbations import _COLUMN_TERMS_EXAMPLE1_BOUNDED
 
-from oracles import window_sup_simpson
+from oracles import crossing_count_loop, window_sup_simpson
 
 
 def test_zero_signal_vanishes():
@@ -181,8 +181,8 @@ def test_non_finite_arguments_are_rejected_up_front(name, call):
 
 def test_classify_state_proportional_vanishes_at_origin():
     pert = ev.PerturbationSpec.factored(
-        lambda t: np.eye(2), lambda x: np.asarray(x, dtype=float), 2,
-        name="identity_state")
+        lambda t: np.multiply.outer(np.eye(2), np.ones(np.shape(t))),
+        lambda x: np.asarray(x, dtype=float), 2, name="identity_state")
     cls = ev.classify(pert, probe_radius=1.0, t_horizon=20.0)
     assert cls.vanishing_at_x0 == "yes"
     assert cls.bounded_on_window
@@ -339,10 +339,7 @@ def test_example1_bounded_scalar_d_tracks_its_array_path(rng):
         assert gap <= 4.0 * np.finfo(float).eps * math.exp(s), s
 
 
-def test_scalar_only_d_columns_match_a_vectorized_twin():
-    def d_scalar(t):
-        return np.diag([math.sin(t), 1.0])        # one time only
-
+def test_array_d_columns_match_their_column_signals():
     def d_array(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros((2, 2) + t.shape)
@@ -350,22 +347,86 @@ def test_scalar_only_d_columns_match_a_vectorized_twin():
         out[1, 1] = 1.0
         return out
 
+    def column_signal(j):
+        def h(t):
+            return np.stack([np.sin(t), np.zeros_like(t)] if j == 0
+                            else [np.zeros_like(t), np.ones_like(t)])
+        return h
+
     grid = np.arange(0.0, 3.0)
-    profiles = []
-    for d in (d_scalar, d_array):
-        pert = ev.PerturbationSpec.factored(d, lambda x: x, 2, freq_hint=1.0)
+    pert = ev.PerturbationSpec.factored(d_array, lambda x: x, 2,
+                                        freq_hint=1.0)
+    cols = pert.columns()
+    assert np.array_equal(cols[0](0.3), [math.sin(0.3), 0.0])
+    for j, col in enumerate(cols):
+        got, want = (ev.diminishing_profile(h, grid, quad_tol=1e-10,
+                                            freq_hint=1.0).values
+                     for h in (col, column_signal(j)))
+        assert np.array_equal(got, want)
+
+
+def _recording(fn, seen):
+    def h(t):
+        seen.append(t)
+        return fn(t)
+    return h
+
+
+@pytest.mark.parametrize("run", ["window_integral_sup",
+                                 "diminishing_profile", "classify"])
+def test_a_time_signal_is_only_called_on_arrays_of_times(run):
+    # one call per evaluation on the whole 1-d array: no probe at one time
+    seen = []
+    if run == "classify":
+        pert = ev.make_perturbation("vec_cos_sin_exp")
         cols = pert.columns()
-        assert np.array_equal(cols[0](0.3), [math.sin(0.3), 0.0])
-        profiles.append([ev.diminishing_profile(col, grid, quad_tol=1e-10,
-                                                freq_hint=1.0).values
-                         for col in cols])
-    for scalar, vector in zip(*profiles):
-        assert np.allclose(scalar, vector, rtol=1e-12, atol=1e-14)
+        pert.columns = lambda: [_recording(c, seen) for c in cols]
+        ev.classify(pert, 1.0, 4.0, profile_grid=[0.0, 1.0])
+    else:
+        h = _recording(np.sin, seen)
+        if run == "window_integral_sup":
+            ev.window_integral_sup(h, 0.5)
+        else:
+            ev.diminishing_profile(h, [0.0, 1.0])
+    assert seen
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 for t in seen)
+
+
+@pytest.mark.parametrize("h, error, match", [
+    (math.sin, TypeError, None),
+    (lambda t: np.array([1.0, 0.0]), ev.ShapeError,
+     r"expected shape \(N,\) or \(dim, N\) on N = \d+ times, got \(2,\)"),
+], ids=["scalar_only", "one_time_shape"])
+def test_a_signal_that_does_not_take_arrays_raises(h, error, match):
+    # a signal is called once on the array of times; there is no
+    # one-time-at-a-time fallback to hide a scalar-only callable
+    with pytest.raises(error, match=match):
+        ev.window_integral_sup(h, 0.0)
+
+
+def _sign_patterns(rng, count, width):
+    # rows of signs with runs of zeros, leading zeros and all-zero rows
+    for _ in range(count):
+        dim_ = int(rng.integers(1, 4))
+        runs = rng.integers(1, 40, size=(dim_, width))
+        vals = rng.choice([-1.0, 0.0, 1.0], size=(dim_, width))
+        rows = [np.repeat(v, r)[:width] for v, r in zip(vals, runs)]
+        pattern = np.array(rows)
+        pattern[:, :int(rng.integers(0, 60))] = 0.0
+        if rng.random() < 0.2:
+            pattern[int(rng.integers(dim_))] = 0.0
+        yield pattern * rng.uniform(0.5, 2.0, pattern.shape)
+
+
+def test_crossing_count_matches_the_per_sample_loop(rng):
+    # the forward fill of the last nonzero sign counts what the loop does
+    for pattern in _sign_patterns(rng, 200, 2048):
+        got = dim._crossing_count(lambda ts, p=pattern: p, 0.0, 1.0)
+        assert got == crossing_count_loop(pattern)
 
 
 def test_a_signal_failing_on_arrays_for_another_reason_raises():
-    # only a scalar-only callable's TypeError or ValueError falls back to
-    # one time at a time; any other error on an array is the signal's own
+    # an error a signal raises on the array of times is its own
     def h(t):
         if isinstance(t, np.ndarray):
             raise RuntimeError("array evaluation failed")

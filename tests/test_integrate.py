@@ -188,6 +188,22 @@ def test_rejects_a_non_finite_tol(tol):
         ev.integrate(lambda t, x: -x, 0.0, np.array([1.0]), 1.0, tol=tol)
 
 
+@pytest.mark.parametrize("t0, t_end", [(0.0, math.inf), (-math.inf, 1.0),
+                                      (math.nan, 1.0)])
+@pytest.mark.parametrize("run", ["integrate", "propagate_linear"])
+def test_rejects_non_finite_time_bounds(monkeypatch, run, t0, t_end):
+    # integrate ran its whole step budget towards t_end = inf, and
+    # propagate_linear returned a run ending at its last sample
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 50)
+    calls = {
+        "integrate": lambda: ev.integrate(lambda t, x: -x, t0, np.ones(1),
+                                          t_end),
+        "propagate_linear": lambda: propagate_linear(
+            -np.eye(1), (), t0, np.ones(1), t_end, [0.0, 0.5, 1.0])}
+    with pytest.raises(ValueError, match=" must be finite$"):
+        calls[run]()
+
+
 @pytest.mark.parametrize("samples", [[], [0.0, math.nan, 1.0]])
 @pytest.mark.parametrize("run", ["integrate", "propagate_linear",
                                  "simulate_error_dynamics"])

@@ -178,6 +178,41 @@ def test_non_finite_f_in_a_batch_names_its_row():
     assert exc.value.row is None and exc.value.component == 1
 
 
+@pytest.mark.parametrize("bad_x, bad_u, message, where, row", [
+    ((2, 1), None, "state in row 2 at component 1", "state", 2),
+    (None, (1, 0), "input in row 1 at component 0", "input", 1),
+    ((2, 1), (1, 0), "state in row 2 at component 1", "state", 2),
+], ids=["state", "input", "state_first"])
+def test_a_non_finite_argument_is_named_before_f(bad_x, bad_u, message,
+                                                 where, row):
+    # F = x + u passes a non-finite state or input on; the error names
+    # that argument, the state first, instead of blaming F
+    model = ev.SystemModel(2, 1, lambda x, u: x + u)
+    xs, us = np.zeros((3, 2)), np.zeros((3, 2))
+    if bad_x:
+        xs[bad_x] = np.inf
+    if bad_u:
+        us[bad_u] = np.nan
+    with pytest.raises(ev.EvaluationError,
+                       match=f"^F was passed a non-finite {message}$") as exc:
+        model.eval_f(xs, us)
+    assert (exc.value.where, exc.value.row) == (where, row)
+    with pytest.raises(ev.EvaluationError, match="^F was passed a non-finite "
+                       f"{where} at component {message[-1]}$") as exc:
+        model.eval_f(xs[row], us[row])
+    assert exc.value.row is None
+
+
+def test_a_non_finite_input_is_named_by_the_jacobian():
+    model = ev.make_model("cubic")
+    with pytest.raises(ev.EvaluationError, match="^jac_u was passed a "
+                       "non-finite input at component 0$"):
+        ev.jacobian_F_U(model, np.zeros(2), np.array([np.inf]))
+    # a non-finite argument that F does not pass on is not checked
+    assert np.array_equal(model.eval_f(np.array([np.inf, 0.0]), [1.0]),
+                          [2.0])
+
+
 @pytest.mark.parametrize("name", ["cubic", "tanh", "chain", "smooth"])
 def test_batched_f_and_jacobian_rows_are_one_state_values(name, rng):
     model = _model(name)

@@ -161,6 +161,10 @@ _RULES = {
         "verify.eps_levels"),
     "non_empty": (_with_section("verify", dict(
         _SMALL_VERIFY["verify"], t0_grid=[])), "verify.t0_grid"),
+    # every onset is >= 0, so a sample started before 0 is never judged
+    "non_negative": (_with_section("verify", dict(
+        _SMALL_VERIFY["verify"], t0_grid=[-1.0, 0.0, 1.0])),
+        "verify.t0_grid"),
     "ragged_row": (_with_section("design", {"a_h": [[-1.0, 0.0], [-1.0]]}),
                    "design.a_h[1]"),
     "square": (_with_section("design", {"a_h": [[-1.0, 2.0]]}),
@@ -649,6 +653,15 @@ def test_cli_verify(tmp_path):
     assert rc == 0
     rep = json.loads((tmp_path / "o" / "stability_report.json").read_text())
     assert rep["evua"] == "fail"
+
+
+def test_cli_verify_rejects_a_negative_start_time(tmp_path, capsys):
+    rc = cli_main(["verify", "--a-h=-1", "--perturbation", "cos_exp",
+                   "--t0-grid=-1,0,1", "--samples", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "verify.t0_grid: must be non-empty and non-negative" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", [[], ["--samples", "11"]],

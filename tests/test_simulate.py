@@ -223,10 +223,12 @@ def test_non_finite_disturbance_is_a_typed_failure(run):
     x0 = np.full(dim, 0.2) if run != "error_batch" else np.array(
         [[0.2], [-0.1]])
     if run == "linear_gain":
-        # F sees the stage state that W made non-finite, unless W first
-        # shows in the last stage, which the integrator checks
-        with pytest.raises((ev.IntegrationError, ev.EvaluationError)):
+        # F is passed the stage state that W made non-finite: the error
+        # names that state, not F
+        with pytest.raises(ev.EvaluationError, match="^F was passed a "
+                           "non-finite state at component 1$") as exc:
             sim(0.0, x0)
+        assert (exc.value.where, exc.value.component) == ("state", 1)
     else:
         with pytest.raises(ev.IntegrationError) as exc:
             sim(0.0, x0)

@@ -310,6 +310,26 @@ def test_non_finite_eps_is_rejected_before_any_run(call):
         call(never_called)
 
 
+def test_a_negative_start_time_is_rejected_before_any_run():
+    # every onset is >= 0: a sample started before 0 ran, counted in
+    # samples, and no verdict judged it
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    with pytest.raises(ValueError, match="^t0_grid must hold non-negative "
+                                         "start times, got -1.0$"):
+        ev.verify_evuas(never_called, delta0=0.5, t0_grid=[-1.0, 0.0, 1.0],
+                        eps_levels=[0.5], horizon=5.0, samples=1, dim=1)
+
+
+def test_a_delta_estimate_tests_at_least_one_level():
+    # iters=0 used to return 0.0 without running a level
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    with pytest.raises(ValueError, match="^iters must be at least 1$"):
+        ev.estimate_delta_of_eps(never_called, eps=0.5, t0=0.0, dim=1,
+                                 iters=0)
+
+
 def test_empty_eps_levels_are_rejected_before_any_run():
     # no level used to make a vacuous "pass" with empty tables
     def never_called(t0, x0):
