@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import QuadratureBudgetError, ShapeError
 from .integrate import _step_cap
-from .norms import check_norm_id, max_row_norm, unit_directions, vector_norm
+from .norms import check_norm_id, point_norms, unit_directions, vector_norm
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -335,12 +335,12 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
     rng = np.random.default_rng(seed)
     tail = _tail_times(t_horizon)
     late = tail >= t_horizon / 2.0
-    # W on the probe ball, one evaluation per time; its first point is x = 0
+    # |W| on the probe ball at every tail time; its first point is x = 0
     pts = _ball_samples(pert.state_dim, probe_radius, rng)
-    w_tail = [pert.evaluate(t, pts) for t in tail]
+    tail_norms = point_norms(pert.evaluate(tail, pts), norm)
 
     # Definition-style pointwise checks at x = 0
-    z0 = np.array([vector_norm(w[0], norm) for w in w_tail])
+    z0 = tail_norms[:, 0]
     if np.all(z0[late] <= _ZVAL):
         van_x0 = "yes"
     elif np.any(z0[late] > _VTOL):
@@ -349,7 +349,7 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
         van_x0 = "unknown"
 
     # vanishing at t = infinity, sampled over the probe ball
-    g = np.array([max_row_norm(w, norm) for w in w_tail])
+    g = np.max(tail_norms, axis=1)
     g_early = float(np.max(g[~late], initial=0.0))
     g_late = float(np.max(g[late], initial=0.0))
     if g_late <= _ZVAL:
@@ -391,7 +391,7 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
 
     # boundedness of |w| itself over the horizon window
     ts = np.linspace(0.0, t_horizon, 513)
-    sup_t = np.array([max_row_norm(pert.evaluate(t, pts), norm) for t in ts])
+    sup_t = np.max(point_norms(pert.evaluate(ts, pts), norm), axis=1)
     chunks = np.array_split(sup_t, 8)
     s = np.array([float(np.max(c)) for c in chunks])
     growing_tail = bool(np.all(s[-3:] >= np.maximum.accumulate(s[-3:]) * 0.95))

@@ -180,7 +180,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
         own, so every row meets the tolerance.  The returned states are
         then (T, N, dim).  Any 2-D x0 is such a batch: a (dim, 1) column
         is dim one-component states.  A scalar is one state of dim 1;
-        more than two axes raise ShapeError.
+        more than two axes, or no entry at all, raise ShapeError.
     t_end : float
         Finite, and it must exceed t0, which is finite too.
     tol : float
@@ -202,9 +202,9 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     y = np.array(x0, dtype=float)
-    if y.ndim > 2:
-        raise ShapeError(
-            f"x0 must have shape (dim,) or (N, dim), got {y.shape}")
+    if y.ndim > 2 or not y.size:
+        raise ShapeError(f"x0 must have shape (dim,) or (N, dim), with N "
+                         f"and dim >= 1, got {y.shape}")
     shape = y.shape if y.ndim == 2 else (y.size,)    # as rhs sees the state
     rows, width = shape if y.ndim == 2 else (1, y.size)
     y = y.ravel()          # one flat vector, batch rows back to back
@@ -494,9 +494,9 @@ def propagate_linear(a, terms, t0, x0, t_end, sample_times):
     times = np.asarray(_sample_grid(sample_times, t0, t_end))
     y = np.array(x0, dtype=float)
     shape = y.shape if y.ndim == 2 else (y.size,)
-    if y.ndim > 2 or shape[-1] != a.shape[0]:
+    if y.ndim > 2 or shape[-1] != a.shape[0] or not y.size:
         raise ShapeError(f"x0 must have shape ({a.shape[0]},) or "
-                         f"(N, {a.shape[0]}), got {y.shape}")
+                         f"(N, {a.shape[0]}), with N >= 1, got {y.shape}")
     terms = tuple(terms)
     for term in terms:
         if np.shape(term.c) != a.shape[:1]:

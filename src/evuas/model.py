@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from .diminishing import chirp_freq
+from .diminishing import SignalAdapter, chirp_freq
 from .errors import EvaluationError, ShapeError
 
 # central-difference step scale for C^1 maps
@@ -172,11 +172,6 @@ def _evaluate(fn, shape, where, x, *rest):
     return _check_finite(out, where, rows=not one)
 
 
-def _shape_checked(fn, shape, what):
-    """``fn`` with its value as a float array of ``shape``, else ShapeError."""
-    return lambda arg: _as_shape(fn(arg), shape, what)
-
-
 def _disturbance(kind, w, d, k):
     """Unchecked W(t, x) on a flat state or an (N, state_dim) batch: w(t),
     to broadcast, or D(t) once and K row by row, each row's product with D
@@ -212,11 +207,11 @@ class PerturbationSpec:
     """Additive disturbance ``W(t, X)``: zero, a time signal or ``D(t) K(X)``.
 
     ``kind`` is ``"zero"``, ``"time"`` (W = w(t)) or ``"factored"``.  The
-    spec alone knows how W of each kind is evaluated on one flat state or
-    an (N, state_dim) batch: :meth:`evaluate` checks, ``unchecked(t, x)``
-    (None for the zero kind) serves right-hand sides, whose integrator
-    checks the states, and :meth:`columns` slices D (diag(w(t)) for a time
-    signal).
+    spec alone knows how W of each kind is evaluated: ``unchecked(t, x)``
+    (None for the zero kind) serves right-hand sides at one float time on
+    one flat state or an (N, state_dim) batch, whose integrator checks the
+    states; :meth:`evaluate` checks W on a grid of times and states; and
+    :meth:`columns` slices D (diag(w(t)) for a time signal).
 
     Parameters
     ----------
@@ -224,13 +219,14 @@ class PerturbationSpec:
     dim : int
         Output dimension (the m of the system it perturbs).
     w : callable, optional
-        ``w(t) -> (dim,)`` for ``kind="time"`` at one float time; on a 1-d
-        array of N times, as the window quadrature calls it once, it
-        returns ``(dim, N)`` (or ``(N,)`` when dim is 1).
+        ``w(t)`` for ``kind="time"``: ``(dim,)`` at one float time, as the
+        right-hand side calls it, and ``(dim, N)`` (or ``(N,)`` when dim
+        is 1) on a 1-d array of N times, as :meth:`evaluate` and
+        :meth:`columns` call it.
     d, k : callable, optional
-        ``d(t) -> (dim, dim)`` and ``k(x_flat) -> (dim,)`` for
-        ``kind="factored"``; ``k`` only ever sees one state, and ``d`` on
-        a 1-d array of N times returns ``(dim, dim, N)``.
+        ``d(t)`` and ``k(x_flat) -> (dim,)`` for ``kind="factored"``: ``d``
+        is called like ``w`` and returns ``(dim, dim)`` or
+        ``(dim, dim, N)``; ``k`` only ever sees one state.
     freq_hint : float or callable, optional
         Dominant angular frequency of the fastest oscillation (a constant
         or a function of t); integrators and quadrature cap their step at
@@ -280,10 +276,6 @@ class PerturbationSpec:
         self.name = name
         self.terms = None if terms is None else tuple(terms)
         self.unchecked = _disturbance(kind, w, d, k)
-        self._checked = _disturbance(
-            kind, _shape_checked(w, (dim,), "W"),
-            _shape_checked(d, (dim, dim), "D(t)"),
-            _shape_checked(k, (dim,), "K(x)"))
         self._column = _column(kind, dim, w, d)
 
     @classmethod
@@ -300,25 +292,33 @@ class PerturbationSpec:
         return cls("factored", dim, d=d, k=k, freq_hint=freq_hint,
                    name=name, state_dim=state_dim)
 
-    def evaluate(self, t, x_flat=None):
-        """W(t, X): (dim,) at one flat state, (N, dim) on a batch of them.
-
-        The shapes of w, D and K are checked, and a non-finite entry raises
-        EvaluationError naming its component (and on a batch the first row
-        that has one).
-        """
-        if x_flat is None and self.kind == "factored":
-            raise ValueError("factored perturbation needs the state")
-        shape = np.shape(x_flat)[:-1] + (self.dim,)
-        if self._checked is None:
+    def evaluate(self, ts, x):
+        """W at T times and N states, (T, N, dim): one call of ``w`` or ``d``
+        on the 1-d array ``ts``, one of ``k`` per row of the (N, state_dim)
+        batch ``x``.  The shapes are checked; a non-finite entry raises
+        EvaluationError naming its time and state row (the earliest time
+        first, then the lowest row)."""
+        ts = np.asarray(ts, dtype=float)
+        x = _as_shape(x, (len(x), self.state_dim), "state")
+        shape = (ts.size, len(x), self.dim)
+        if self.kind == "zero":
             return np.zeros(shape)
-        x = None if x_flat is None else np.asarray(x_flat, dtype=float)
-        out = self._checked(t, x)
-        if out.shape != shape:            # w(t) on a batch
-            out = np.tile(out, shape[:-1] + (1,))
-        if out.ndim == 1:
-            return _check_finite(out, "W")
-        _check_finite(out.reshape(-1, self.dim), "W", rows=True)
+        if self.kind == "time":
+            w = _as_shape(SignalAdapter(self.w)(ts), (self.dim, ts.size), "W")
+            out = np.broadcast_to(w.T[:, None], shape)
+        else:
+            d = _as_shape(self.d(ts), (self.dim, self.dim, ts.size), "D(t)")
+            k = np.array([_as_shape(self.k(row), (self.dim,), "K(x)")
+                          for row in x])
+            # K(x) against an F-ordered D(t).T, as unchecked multiplies them
+            d_t = np.ascontiguousarray(np.moveaxis(d, -1, 0))
+            out = (k[:, None] @ d_t.transpose(0, 2, 1)[:, None])[:, :, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            i, row, idx = map(int, np.unravel_index(np.argmax(bad), shape))
+            raise EvaluationError(
+                f"W returned a non-finite value at t={ts[i]} in row {row} "
+                f"at component {idx}", component=idx, where="W", row=row)
         return out
 
     def columns(self):

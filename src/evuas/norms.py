@@ -29,20 +29,13 @@ def unit_directions(dim, count, rng):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def row_norms(rows):
-    """Euclidean norm of each row of a 2-d array, each bit for bit as
-    :func:`vector_norm` of that row alone (a dot product, which the
-    row-wise reduction of a 2-d array is not)."""
-    rows = np.asarray(rows, dtype=float)
-    return np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0, 0])
-
-
-def max_row_norm(rows, norm="euclidean"):
-    """Largest norm over the rows of a 2-d array, each row's as
-    :func:`vector_norm` of that row alone."""
-    rows = np.asarray(rows, dtype=float)
+def point_norms(v, norm="euclidean"):
+    """Norm over the last axis of an array, each value bit for bit as
+    :func:`vector_norm` of that vector alone (a dot product for the
+    Euclidean norm, which a reduction over an axis is not)."""
+    v = np.asarray(v, dtype=float)
     if norm == "euclidean":
-        return float(np.max(row_norms(rows)))
+        return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
     if norm == "inf":
-        return float(np.max(np.abs(rows)))
+        return np.max(np.abs(v), axis=-1)
     raise ValueError(f"unknown norm {norm!r}, expected one of {NORM_IDS}")

@@ -25,7 +25,7 @@ import numpy as np
 from . import model as _model
 from ._expm import expm
 from .errors import DesignError, NewtonError, ShapeError
-from .norms import row_norms, unit_directions
+from .norms import point_norms, unit_directions
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -396,7 +396,7 @@ class ImplicitController:
 
         u = np.zeros((len(x), m))
         r = free + model.eval_f(x_eval, u)
-        rn = row_norms(r)
+        rn = point_norms(r)
         live = ~(rn <= tol)           # rows still iterating
         failed = {}                   # row -> (reason, iterations, singular)
         for it in range(self.max_iter):
@@ -421,7 +421,7 @@ class ImplicitController:
                 u_try = u.take(rows, 0) + lam * step
                 r_try = free.take(rows, 0) + model.eval_f(x_eval.take(rows, 0),
                                                           u_try)
-                rn_try = row_norms(r_try)
+                rn_try = point_norms(r_try)
                 down = rn_try < rn[rows]        # False for NaN and inf
                 took = rows[down]
                 u[took], r[took], rn[took] = (u_try[down], r_try[down],

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
                      NewtonError, QuadratureBudgetError, ShapeError)
+from .model import _size
 from .norms import check_norm_id, unit_directions, vector_norm
 from .simulate import simulate_closed_loop, simulate_error_dynamics
 
@@ -226,10 +227,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
                          "decreasing, and not empty")
     if not (0.0 < delta0 < math.inf and 0.0 < horizon < math.inf):
         raise ValueError("delta0 and horizon must be positive and finite")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if dim is None:
-        raise ValueError("dim (factory state dimension) is required")
+    samples = _size("samples", samples)
+    dim = _size("dim", dim)
     t0_grid = [float(t) for t in t0_grid]
     if not t0_grid:
         raise ValueError("t0_grid must not be empty")
@@ -423,12 +422,9 @@ def estimate_delta_of_eps(sim, eps, t0, dim=None, directions=8, seed=0,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be a finite start time, got {t0}")
-    if directions < 1:
-        raise ValueError("directions must be at least 1")
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    if dim is None:
-        raise ValueError("dim (factory state dimension) is required")
+    directions = _size("directions", directions)
+    iters = _size("iters", iters)
+    dim = _size("dim", dim)
     dirs = unit_directions(dim, directions, np.random.default_rng(seed))
 
     def passes(level):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import evuas as ev
 import evuas.diminishing as dim
+from evuas.norms import point_norms, vector_norm
 from evuas.perturbations import _COLUMN_TERMS_EXAMPLE1_BOUNDED
 
 from oracles import crossing_count_loop, window_sup_simpson
@@ -186,6 +187,40 @@ def test_classify_state_proportional_vanishes_at_origin():
     cls = ev.classify(pert, probe_radius=1.0, t_horizon=20.0)
     assert cls.vanishing_at_x0 == "yes"
     assert cls.bounded_on_window
+
+
+def test_classify_reads_w_in_two_calls():
+    # one call on the tail times and one on the horizon times, with one
+    # K call per probe point in each
+    calls = {"evaluate": 0, "k": 0}
+
+    def k(x):
+        calls["k"] += 1
+        return x
+
+    pert = ev.PerturbationSpec.factored(
+        lambda t: np.multiply.outer(np.eye(2), np.ones(np.shape(t))), k, 2)
+    evaluate = pert.evaluate
+
+    def counted(ts, x):
+        calls["evaluate"] += 1
+        return evaluate(ts, x)
+
+    pert.evaluate = counted
+    ev.classify(pert, 1.0, 4.0, profile_grid=[0.0, 1.0])
+    points = 1 + 3 * 8           # the origin and 8 directions at 3 radii
+    assert calls == {"evaluate": 2, "k": 2 * points}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "inf"])
+@pytest.mark.parametrize("shape", [(7,), (13, 5), (4, 6, 3)],
+                         ids=["1d", "2d", "3d"])
+def test_point_norms_are_vector_norms_bit_for_bit(shape, norm, rng):
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    got = np.asarray(point_norms(v, norm))
+    assert got.shape == shape[:-1]
+    for idx in np.ndindex(*shape[:-1]):
+        assert got[idx] == vector_norm(v[idx], norm)
 
 
 def test_classify_cos_exp():

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -363,6 +364,16 @@ def test_batch_error_control_is_per_row():
     assert np.max(np.abs(traj.states[:, :, 0] - exact)) <= 1e-8
     with pytest.raises(ValueError, match="shape"):
         ev.integrate(lambda t, x: x[0], 0.0, np.ones((3, 2)), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2)],
+                         ids=["0", "3x0", "0x2"])
+def test_an_empty_state_is_rejected_before_any_rhs_call(shape):
+    # no entries is neither a state nor a batch of them
+    def never_called(t, x):
+        raise AssertionError("rhs ran")
+    with pytest.raises(ev.ShapeError, match=re.escape(f"got {shape}")):
+        ev.integrate(never_called, 0.0, np.zeros(shape), 1.0)
 
 
 def test_two_dimensional_x0_is_always_a_batch():

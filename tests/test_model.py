@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,26 +381,41 @@ def _random_factored(dim, seed):
     # a dense D, so a batched product summing in another order would show
     d = np.random.default_rng(seed).standard_normal((dim, dim))
     return ev.PerturbationSpec.factored(
-        lambda t: np.cos(t) * d, lambda x: np.sin(x) + x ** 3, dim)
+        lambda t: np.multiply.outer(d, np.cos(t)),
+        lambda x: np.sin(x) + x ** 3, dim)
 
 
 @pytest.mark.parametrize("name", ["zero", "example1_unbounded",
                                   "example1_bounded", "random3"])
 def test_batched_evaluate_rows_are_one_state_values(name, rng):
+    # each entry of the (time, state) grid is W at that one time and state
     pert = (_random_factored(3, 0) if name == "random3"
             else ev.make_perturbation(name, dim=2))
     xs = rng.uniform(-2.0, 2.0, (25, pert.state_dim))
-    for t in rng.uniform(0.0, 20.0, 10):
-        batch = pert.evaluate(t, xs)
-        assert batch.shape == (25, pert.dim)
-        raw = (None if pert.unchecked is None
-               else np.broadcast_to(pert.unchecked(t, xs), batch.shape))
-        for i, x in enumerate(xs):
-            one = pert.evaluate(t, x)
-            assert np.array_equal(batch[i], one)
-            if raw is not None:
-                assert np.array_equal(raw[i], one)
-                assert np.array_equal(pert.unchecked(t, x), one)
+    ts = rng.uniform(0.0, 20.0, 10)
+    grid = pert.evaluate(ts, xs)
+    assert grid.shape == (10, 25, pert.dim)
+    if pert.unchecked is None:
+        assert np.array_equal(grid, np.zeros(grid.shape))
+        return
+    d_ts = None if pert.d is None else pert.d(ts)
+    for i, t in enumerate(ts.tolist()):
+        for j, x in enumerate(xs):
+            one = pert.unchecked(t, x)
+            if name != "example1_bounded":
+                assert np.array_equal(grid[i, j], one)
+                continue
+            # D keeps a math path for one time: the grid is K against D's
+            # array path, and within what an ulp of e^t does of the math
+            k = pert.k(x)
+            d_i = np.ascontiguousarray(d_ts[..., i])
+            assert np.array_equal(grid[i, j], k.dot(d_i.T))
+            assert np.max(np.abs(grid[i, j] - one)) <= (
+                4.0 * np.finfo(float).eps * math.exp(t) * np.max(np.abs(k)))
+
+
+def _constant_d(mat):
+    return lambda t: np.multiply.outer(mat, np.ones(np.shape(t)))
 
 
 def test_bad_row_of_a_batch_raises():
@@ -409,22 +426,48 @@ def test_bad_row_of_a_batch_raises():
             return np.zeros(3)
         return x
     pert = ev.PerturbationSpec.factored(
-        lambda t: np.array([[1.0, 0.0], [0.5, 1.0]]), k, 2)
+        _constant_d(np.array([[1.0, 0.0], [0.5, 1.0]])), k, 2)
+    ts = np.array([0.0, 1.0])
     good = np.zeros((4, 2))
-    assert pert.evaluate(0.0, good).shape == (4, 2)
+    assert pert.evaluate(ts, good).shape == (2, 4, 2)
     with pytest.raises(ev.EvaluationError) as exc:
-        pert.evaluate(0.0, np.vstack([good, [[2.0, 0.0]]]))
+        pert.evaluate(ts, np.vstack([good, [[2.0, 0.0]]]))
     assert exc.value.component == 0 and exc.value.where == "W"
     assert exc.value.row == 4
     with pytest.raises(ev.ShapeError, match="K"):
-        pert.evaluate(0.0, np.vstack([good, [[-2.0, 0.0]]]))
-    wide = ev.PerturbationSpec.factored(lambda t: np.eye(3),
-                                        lambda x: x, 2)
-    with pytest.raises(ev.ShapeError, match="D"):
-        wide.evaluate(0.0, good)
+        pert.evaluate(ts, np.vstack([good, [[-2.0, 0.0]]]))
+    for d in (_constant_d(np.eye(3)), lambda t: np.eye(2)):
+        with pytest.raises(ev.ShapeError, match="D"):
+            ev.PerturbationSpec.factored(d, lambda x: x, 2).evaluate(ts, good)
     with pytest.raises(ev.ShapeError, match="W"):
-        ev.PerturbationSpec.from_signal(lambda t: np.ones(3), 2).evaluate(
-            0.0, good)
+        ev.PerturbationSpec.from_signal(
+            lambda t: np.ones((3, np.size(t))), 2).evaluate(ts, good)
+
+
+@pytest.mark.parametrize("kind", ["time", "factored"])
+def test_a_non_finite_w_names_its_time_and_row(kind):
+    # W is non-finite from t = 2 on: on every row for the time signal, so
+    # row 0 is named, and on the state row 3 alone for the factored W
+    ts = np.array([0.5, 1.0, 2.0, 3.0])
+    xs = np.ones((5, 2))
+    if kind == "time":
+        pert = ev.PerturbationSpec.from_signal(
+            lambda t: np.stack([np.ones(np.shape(t)),
+                                np.where(t >= 2.0, np.inf, 1.0)]), 2)
+        row, idx = 0, 1
+    else:
+        # D(t) grows to 1e300 at t = 2, where the large row 3 overflows
+        pert = ev.PerturbationSpec.factored(
+            lambda t: np.multiply.outer(
+                np.eye(2), np.where(t >= 2.0, 1e300, np.exp(t))),
+            lambda x: x, 2)
+        xs[3, 1] = 1e10
+        row, idx = 3, 1
+    with np.errstate(over="ignore"), \
+            pytest.raises(ev.EvaluationError, match=r"at t=2\.0 ") as exc:
+        pert.evaluate(ts, xs)
+    assert (exc.value.row, exc.value.component) == (row, idx)
+    assert exc.value.where == "W"
 
 
 def test_freq_hint_defaults_to_the_chirp_terms():
@@ -439,9 +482,10 @@ def test_freq_hint_defaults_to_the_chirp_terms():
 
 
 def test_only_a_factored_disturbance_takes_a_state_dim():
-    pert = ev.PerturbationSpec.factored(lambda t: np.eye(2),
+    pert = ev.PerturbationSpec.factored(_constant_d(np.eye(2)),
                                         lambda x: x[:2], 2, state_dim=4)
-    assert pert.state_dim == 4 and pert.evaluate(0.0, np.ones(4)).shape == (2,)
+    assert pert.state_dim == 4
+    assert pert.evaluate([0.0], np.ones((1, 4))).shape == (1, 1, 2)
     assert ev.make_perturbation("cos_exp").state_dim == 1
     for kind, w in (("zero", None), ("time", lambda t: np.zeros(2))):
         with pytest.raises(ValueError, match="state_dim"):

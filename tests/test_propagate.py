@@ -91,6 +91,12 @@ def test_fine_grids_stay_exact():
     assert np.max(np.abs(fine.states[::500] - coarse.states)) <= 1e-12
 
 
+def test_an_empty_batch_is_rejected():
+    # it used to come back as a (T, 0, 2) run
+    with pytest.raises(ev.ShapeError, match=r"got \(0, 2\)"):
+        propagate_linear(A_EX1, (), 0.0, np.zeros((0, 2)), 2.0, [1.0, 2.0])
+
+
 def test_sample_contract_and_errors():
     ts = np.linspace(0.5, 2.0, 4)
     traj = propagate_linear(A_EX1, (), 0.0, [1.0, 0.0], 2.0, ts)

@@ -112,13 +112,24 @@ def _newton_in_rhs(model, ctrl, pert, x0, ts, track=None):
         x_true = x + ev.flatten_state(track.value(t))
         return ctrl.solve_shifted(x, x_true, -track.y_d_n(t))
 
+    def disturbance(t, x):
+        # W written out: w(t) for every state, or K of each state row
+        # against D(t)
+        if pert.kind == "zero":
+            return 0.0
+        if pert.kind == "time":
+            return pert.w(t)
+        d_t = np.asarray(pert.d(t), dtype=float).T
+        rows = [np.dot(pert.k(row), d_t) for row in np.atleast_2d(x)]
+        return np.reshape(rows, x.shape[:-1] + (pert.dim,))
+
     def rhs(t, x):
         # the first-order form written out: the column shift, then F + W
         x_true = x if track is None else x + ev.flatten_state(track.value(t))
         out = np.empty_like(x)
         out[..., :-model.m] = x[..., model.m:]
         out[..., -model.m:] = (model.eval_f(x_true, feedback(t, x))
-                               + pert.evaluate(t, x_true))
+                               + disturbance(t, x_true))
         if track is not None:
             # deviation dynamics: the reference's nth derivative comes off
             out[..., -model.m:] -= track.y_d_n(t)

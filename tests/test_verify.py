@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -325,9 +327,35 @@ def test_a_delta_estimate_tests_at_least_one_level():
     # iters=0 used to return 0.0 without running a level
     def never_called(t0, x0):
         raise AssertionError("the factory ran")
-    with pytest.raises(ValueError, match="^iters must be at least 1$"):
+    with pytest.raises(ValueError, match="^iters must be >= 1, got 0$"):
         ev.estimate_delta_of_eps(never_called, eps=0.5, t0=0.0, dim=1,
                                  iters=0)
+
+
+def _sized_sweep(name):
+    def never_called(t0, x0):
+        raise AssertionError("the factory ran")
+    if name == "verify_evuas":
+        return functools.partial(
+            ev.verify_evuas, never_called, delta0=0.5, t0_grid=[0.0],
+            eps_levels=[0.5], horizon=5.0, samples=1, dim=1)
+    return functools.partial(ev.estimate_delta_of_eps, never_called,
+                             eps=0.5, t0=0.0, dim=1)
+
+
+@pytest.mark.parametrize("sweep, arg, value", [
+    ("verify_evuas", "samples", 2.5),
+    ("verify_evuas", "dim", 0),
+    ("verify_evuas", "dim", None),
+    ("estimate_delta_of_eps", "directions", 2.5),
+    ("estimate_delta_of_eps", "iters", 2.5),
+    ("estimate_delta_of_eps", "dim", 0),
+])
+def test_a_sweep_size_is_a_positive_integer(sweep, arg, value):
+    # 2.5 used to fail inside numpy with a TypeError, and dim=0 inside the
+    # factory's shape check
+    with pytest.raises(ValueError, match=f"^{arg}"):
+        _sized_sweep(sweep)(**{arg: value})
 
 
 def test_empty_eps_levels_are_rejected_before_any_run():
