@@ -15,9 +15,9 @@ new state and the error estimate are each one dot product with that buffer.
 
 The cap depends on t only, so many initial states of one system take nearly
 the same steps.  A batch of N states, given as an (N, dim) array, is
-therefore integrated with one shared step: the state is one flat vector in
-a (7, N*dim) buffer, and the error norm is the largest of the rows' own
-norms, so every row meets its own tolerance.
+therefore stepped in that shape with one shared step: ``rhs`` fills the
+flat (7, N*dim) stage buffer through (N, dim) views, and the error norm is
+the largest of the rows' own norms, so every row meets its own tolerance.
 
 A linear system under a chirp-form forcing, x' = A x + w(t) with w the
 real part of a sum of c a(t) e^{i phase(t)}, needs no steps between
@@ -89,6 +89,18 @@ class Trajectory:
         return vector_norm(self.states, norm)
 
 
+def _stack(x, dim=None, name="x0"):
+    """x as floats of shape (dim,) or (N, dim), N >= 1: one state, or a
+    stack of N, one per row.  Any dim >= 1 when ``dim`` is None; a scalar
+    is one state of dim 1.  Any other shape raises ShapeError."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 2 or not x.size or (dim is not None and x.shape[-1] != dim):
+        want = "dim" if dim is None else dim
+        raise ShapeError(f"{name}: expected shape ({want},) or (N, {want}), "
+                         f"with N >= 1, got {x.shape}")
+    return x
+
+
 def _sample_grid(sample_times, t0, t_end):
     """The sample times as a list that starts at t0."""
     samples = np.asarray(sample_times, dtype=float)
@@ -125,17 +137,17 @@ def _hermite(t, t0, h, y0, y1, f0, f1):
                    + (theta - 1.0) * h * f0 + theta * h * f1))
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, tol, cap, rows):
+def _initial_step(rhs, t0, y0, f0, t_end, tol, cap):
     # the usual heuristic per row, probed once at the smallest row step;
     # a batch takes the smallest of its rows' steps
-    y, f = y0.reshape(rows, -1), f0.reshape(rows, -1)
+    y, f = np.atleast_2d(y0), np.atleast_2d(f0)
     scale = tol + tol * np.abs(y)
     d0 = [math.sqrt(v) for v in np.mean((y / scale) ** 2, axis=1).tolist()]
     d1 = [math.sqrt(v) for v in np.mean((f / scale) ** 2, axis=1).tolist()]
     h0 = min(min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
                  for a, b in zip(d0, d1)), t_end - t0, cap)
     f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=float)
-    d2 = np.mean(((f1.reshape(rows, -1) - f) / scale) ** 2, axis=1).tolist()
+    d2 = np.mean(((f1.reshape(f.shape) - f) / scale) ** 2, axis=1).tolist()
     h = math.inf
     for b, c in zip(d1, d2):
         c = math.sqrt(c) / h0
@@ -174,11 +186,11 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     t0 : float
     x0 : array_like
         One initial state, shape (dim,), or a batch of N, shape (N, dim).
-        A batch is integrated with one shared step sequence: ``rhs``
-        receives the (N, dim) batch, the error norm is the largest of the
-        rows' own norms and the initial step the smallest of the rows'
-        own, so every row meets the tolerance.  The returned states are
-        then (T, N, dim).  Any 2-D x0 is such a batch: a (dim, 1) column
+        A batch is stepped in that shape with one shared step sequence:
+        ``rhs`` receives the (N, dim) batch, the error norm is the largest
+        of the rows' own norms and the initial step the smallest of the
+        rows' own, so every row meets the tolerance.  The returned states
+        are then (T, N, dim).  Any 2-D x0 is such a batch: a (dim, 1) column
         is dim one-component states.  A scalar is one state of dim 1;
         more than two axes, or no entry at all, raise ShapeError.
     t_end : float
@@ -201,13 +213,10 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     t0, t_end = _time_span(t0, t_end)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    y = np.array(x0, dtype=float)
-    if y.ndim > 2 or not y.size:
-        raise ShapeError(f"x0 must have shape (dim,) or (N, dim), with N "
-                         f"and dim >= 1, got {y.shape}")
-    shape = y.shape if y.ndim == 2 else (y.size,)    # as rhs sees the state
-    rows, width = shape if y.ndim == 2 else (1, y.size)
-    y = y.ravel()          # one flat vector, batch rows back to back
+    x0 = _stack(x0)
+    shape, width = x0.shape, x0.shape[-1]    # as rhs sees the state
+    rows = x0.size // width
+    y = x0.ravel()          # one flat vector, batch rows back to back
 
     # a list starting at t0, for cheap lookups per step
     samples = None if sample_times is None else _sample_grid(
@@ -220,6 +229,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     t = t0
     K = np.empty((7, y.size))    # the stages; FSAL carries K[6] into K[0]
     K_head = [K[:i] for i in range(7)]    # views of the first i stages
+    K_rhs = K.reshape((7,) + shape)       # the stages as rhs returns them
     # arithmetic on a state or stage that turned non-finite stays silent,
     # once per call: the checks below raise IntegrationError, with the last
     # good (t, x), in place of a RuntimeWarning
@@ -231,15 +241,10 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
             raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
                                    x_last=y.reshape(shape).copy(),
                                    reason="non-finite")
-        if len(shape) == 2:
-            batch_rhs = rhs
-
-            def rhs(t, x):
-                return np.reshape(batch_rhs(t, x.reshape(shape)), -1)
-        K[0] = f.ravel()
+        K_rhs[0] = f
         n_rhs = 2  # f0 plus the initial-step probe
         cap = _step_cap(freq_hint)
-        h = _initial_step(rhs, t, y, K[0], t_end, tol, cap(t), rows)
+        h = _initial_step(rhs, t, x0, f, t_end, tol, cap(t))
 
         n_accepted = 0
         n_rejected = 0
@@ -266,10 +271,11 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
             # ndarray.dot is np.dot, bit for bit, without its dispatch cost
             hh = h_eff
             for i in range(1, 6):
-                K[i] = rhs(t + _C[i] * hh if i < 5 else t_new,
-                           y + hh * _A[i - 1].dot(K_head[i]))
+                y_i = y + hh * _A[i - 1].dot(K_head[i])
+                K_rhs[i] = rhs(t + _C[i] * hh if i < 5 else t_new,
+                               y_i.reshape(shape))
             y_new = y + hh * _A[5].dot(K_head[6])
-            K[6] = rhs(t_new, y_new)
+            K_rhs[6] = rhs(t_new, y_new.reshape(shape))
             n_rhs += 6
 
             # a non-finite y_new is caught before the division (its squared
@@ -492,11 +498,7 @@ def propagate_linear(a, terms, t0, x0, t_end, sample_times):
     t0, t_end = _time_span(t0, t_end)
     a = np.asarray(a, dtype=float)
     times = np.asarray(_sample_grid(sample_times, t0, t_end))
-    y = np.array(x0, dtype=float)
-    shape = y.shape if y.ndim == 2 else (y.size,)
-    if y.ndim > 2 or shape[-1] != a.shape[0] or not y.size:
-        raise ShapeError(f"x0 must have shape ({a.shape[0]},) or "
-                         f"(N, {a.shape[0]}), with N >= 1, got {y.shape}")
+    y = _stack(x0, a.shape[0])
     terms = tuple(terms)
     for term in terms:
         if np.shape(term.c) != a.shape[:1]:
@@ -516,9 +518,9 @@ def propagate_linear(a, terms, t0, x0, t_end, sample_times):
         last = max(k - 1, 0)
         raise IntegrationError(
             f"non-finite state at t={times[k]}", t_last=float(times[last]),
-            x_last=out[last].reshape(shape).copy(), reason="non-finite")
+            x_last=out[last].reshape(y.shape).copy(), reason="non-finite")
     stats["min_step"] = (stats["min_step"] if math.isfinite(stats["min_step"])
                          else 0.0)
     stats["tol"] = _LEVIN_RTOL
-    return Trajectory(times=times, states=out.reshape(times.shape + shape),
+    return Trajectory(times=times, states=out.reshape(times.shape + y.shape),
                       diagnostics=stats)

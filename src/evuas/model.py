@@ -312,7 +312,8 @@ class PerturbationSpec:
                           for row in x])
             # K(x) against an F-ordered D(t).T, as unchecked multiplies them
             d_t = np.ascontiguousarray(np.moveaxis(d, -1, 0))
-            out = (k[:, None] @ d_t.transpose(0, 2, 1)[:, None])[:, :, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (k[:, None] @ d_t.transpose(0, 2, 1)[:, None])[:, :, 0]
         bad = ~np.isfinite(out)
         if bad.any():
             i, row, idx = map(int, np.unravel_index(np.argmax(bad), shape))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (ControllerEvaluationError, DesignError, NewtonError,
                      ShapeError)
-from .integrate import integrate, propagate_linear
+from .integrate import _stack, integrate, propagate_linear
 from .model import _size, flatten_state, unflatten_state
 from .synthesis import ImplicitController, _first_order, closed_loop_matrix
 
@@ -53,16 +53,6 @@ def _check_width(pert, width):
     if pert is not None and pert.kind != "zero" and pert.dim != width:
         raise ShapeError(f"perturbation {pert.name!r} has {pert.dim} "
                          f"components; this system takes {width}")
-
-
-def _states(x, dim, name):
-    """One flat state (dim,) or an (N, dim) batch as floats, else
-    ShapeError."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim > 2 or x.shape[-1] != dim:
-        raise ShapeError(
-            f"{name}: expected shape ({dim},) or (N, {dim}), got {x.shape}")
-    return x
 
 
 def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None,
@@ -135,7 +125,7 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
     steps.  An e0 or a W whose width is not dim raises ShapeError.
     """
     dim = len(hurwitz.a_h)
-    e0 = _states(e0, dim, "e0")
+    e0 = _stack(e0, dim, "e0")
     _check_width(pert, dim)
     return _run_linear(hurwitz.a_h, pert, e0, t0, t_end, tol, sample_times)
 
@@ -157,7 +147,7 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     the column shift, and once on all stored states.  A W whose width is
     not m raises ShapeError.
     """
-    x0 = _states(x0, model.state_dim, "x0")
+    x0 = _stack(x0, model.state_dim)
     _check_width(pert, model.m)
     if isinstance(ctrl, ImplicitController) and ctrl.model is model:
         a, term = closed_loop_matrix(ctrl.design, ctrl.hurwitz), None

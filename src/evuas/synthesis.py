@@ -25,6 +25,7 @@ import numpy as np
 from . import model as _model
 from ._expm import expm
 from .errors import DesignError, NewtonError, ShapeError
+from .integrate import _stack
 from .norms import point_norms, unit_directions
 
 NEWTON_TOL = 1e-12
@@ -365,9 +366,9 @@ class ImplicitController:
         """Feedback value at a state, Newton-solved to the residual tolerance.
 
         ``x_flat`` is one flat state (m*n,) with U of shape (m,), or an
-        (N, m*n) batch with U of shape (N, m).
+        (N, m*n) batch, N >= 1, with U of shape (N, m); else ShapeError.
         """
-        return self._solve(np.asarray(x_flat, dtype=float))
+        return self._solve(x_flat)
 
     def solve_shifted(self, delta_flat, f_state, offset):
         """Tracking variant: error terms in the deviation, F at the true state.
@@ -377,17 +378,14 @@ class ImplicitController:
         state.  Shapes are as for :meth:`solve`, ``f_state`` laid out as
         ``delta_flat``.
         """
-        return self._solve(np.asarray(delta_flat, dtype=float),
+        return self._solve(delta_flat,
                            f_state=np.asarray(f_state, dtype=float),
                            offset=offset)
 
     def _solve(self, x_flat, f_state=None, offset=None):
         model, m, tol = self.model, self.model.m, self.tol
+        x_flat = _stack(x_flat, model.state_dim, "state")
         x = np.atleast_2d(x_flat)
-        if x.ndim != 2 or x.shape[1] != model.state_dim:
-            raise ShapeError(
-                f"state: expected shape ({model.state_dim},) or "
-                f"(N, {model.state_dim}), got {x_flat.shape}")
         x_eval = x if f_state is None else f_state.reshape(x.shape)
         free = input_free_term(x, self.design.gamma, self.hurwitz.a_h,
                                m, model.n)
@@ -470,7 +468,7 @@ class LinearController:
 
     def solve(self, x_flat):
         """G x at one flat state (m*n,) or at each row of an (N, m*n) batch."""
-        x = np.asarray(x_flat, dtype=float)
+        x = _stack(x_flat, self.gain.shape[-1], "state")
         # a stack of matrix-vector products: each row is G x bit for bit
         return (self.gain @ x[..., None])[..., 0]
 

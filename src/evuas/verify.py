@@ -113,6 +113,18 @@ def _batch_norms(traj, count, norm):
     return vector_norm(traj.states, norm)
 
 
+def _alone(sim, t0, x0, norm, sim_failures):
+    """(times, norms) of x0 run alone, ``sim(t0, x0[None])``; None if that
+    run fails, which is then recorded in ``sim_failures``."""
+    try:
+        traj = sim(t0, x0[None])
+    except _SIM_FAILURES as exc:
+        sim_failures.append({"t0": t0, "x0": x0.tolist(),
+                             "error": str(exc)})
+        return None
+    return traj.times, _batch_norms(traj, 1, norm)[:, 0]
+
+
 def _sweep(sim, t0, x0s, norm, sim_failures):
     """[(row, times, norms)] of every sample of one start time that ran.
 
@@ -127,36 +139,25 @@ def _sweep(sim, t0, x0s, norm, sim_failures):
     else:
         norms = _batch_norms(traj, len(x0s), norm)
         return [(i, traj.times, norms[:, i]) for i in range(len(x0s))]
-    done = []
-    for i, x0 in enumerate(x0s):
-        try:
-            traj = sim(t0, x0)
-        except _SIM_FAILURES as exc:
-            sim_failures.append({"t0": t0, "x0": x0.tolist(),
-                                 "error": str(exc)})
-            continue
-        done.append((i, traj.times, vector_norm(traj.states, norm)))
-    return done
+    runs = [_alone(sim, t0, x0, norm, sim_failures) for x0 in x0s]
+    return [(i,) + run for i, run in enumerate(runs) if run is not None]
 
 
 def _witness(sim, t0, x0, norm, kind, eps, at_peak, sim_failures):
-    """[witness] re-derived from a run of its sample alone, ``sim(t0, x0)``.
+    """[witness] re-derived from a run of its sample alone.
 
     A batch shares its step sequence among its rows, so the figures of the
     sample's own run are the ones a replay reproduces.  If that run fails,
     the failure is recorded in ``sim_failures`` and the list is empty.
     """
     t0 = float(t0)
-    try:
-        traj = sim(t0, x0)
-    except _SIM_FAILURES as exc:
-        sim_failures.append({"t0": t0, "x0": x0.tolist(),
-                             "error": str(exc)})
+    run = _alone(sim, t0, x0, norm, sim_failures)
+    if run is None:
         return []
-    norms = vector_norm(traj.states, norm)
+    times, norms = run
     i = int(np.argmax(norms)) if at_peak else norms.size - 1
     return [{"kind": kind, "eps": eps, "t0": t0, "x0": x0.tolist(),
-             "t": float(traj.times[i]), "value": float(norms[i])}]
+             "t": float(times[i]), "value": float(norms[i])}]
 
 
 def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
@@ -187,18 +188,18 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     ----------
     sim : callable
         Trajectory factory ``sim(t0, x0) -> Trajectory`` covering at least
-        [t0, t0 + horizon].  It is called once per start time with the
-        (3 * samples, dim) stack of initial states and must then return
-        states of shape (T, 3 * samples, dim), one column per sample (the
+        [t0, t0 + horizon].  It takes (N, dim) stacks of initial states only
+        and returns states of shape (T, N, dim), one column per sample (the
         factories of this module and :func:`evuas.integrate.integrate`
-        do).  It must also take one state of shape (dim,).  Its runtime
-        failures (IntegrationError, NewtonError, EvaluationError,
-        QuadratureBudgetError) are data: when the stack fails, its samples
-        run again one at a time and each failure is recorded against its
-        own x0 in ``sim_failures``.  Any other exception propagates.
-        Witnesses are re-derived from ``sim(t0, x0)`` with the single
-        state, so they replay exactly; if that run fails, the failure goes
-        to ``sim_failures`` in place of the witness.
+        do).  It is called once per start time with the (3 * samples, dim)
+        stack; a lone sample runs as the one-row stack ``sim(t0, x0[None])``.
+        Its runtime failures (IntegrationError, NewtonError,
+        EvaluationError, QuadratureBudgetError) are data: when the stack
+        fails, its samples run again one at a time and each failure is
+        recorded against its own x0 in ``sim_failures``.  Any other
+        exception propagates.  Witnesses are re-derived from the sample's
+        own one-row run, so they replay exactly; if that run fails, the
+        failure goes to ``sim_failures`` in place of the witness.
     delta0 : float
         Radius of the sampled initial ball, positive and finite; spheres
         at delta0, delta0/2 and delta0/4 are drawn.

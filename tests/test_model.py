@@ -463,8 +463,7 @@ def test_a_non_finite_w_names_its_time_and_row(kind):
             lambda x: x, 2)
         xs[3, 1] = 1e10
         row, idx = 3, 1
-    with np.errstate(over="ignore"), \
-            pytest.raises(ev.EvaluationError, match=r"at t=2\.0 ") as exc:
+    with pytest.raises(ev.EvaluationError, match=r"at t=2\.0 ") as exc:
         pert.evaluate(ts, xs)
     assert (exc.value.row, exc.value.component) == (row, idx)
     assert exc.value.where == "W"

@@ -325,6 +325,18 @@ def test_svg_format_emits_plots(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+@pytest.mark.parametrize("name, bound", [("remark1_bounds", True),
+                                         ("remark1_unbounded_profile", False)])
+def test_svg_format_plots_the_signal_profile(tmp_path, name, bound):
+    # the window metric, and the catalog's analytic bound where it has one
+    out = run_scenario(name, tmp_path / "o", formats=["svg"])
+    assert "signal_profile.svg" in [a["path"]
+                                    for a in out["manifest"]["artifacts"]]
+    svg = (tmp_path / "o" / "signal_profile.svg").read_text()
+    assert svg.count("<polyline") == (2 if bound else 1)
+    assert ("analytic bound" in svg) == bound
+
+
 def test_overrides_are_validated_like_document_fields(tmp_path):
     for override, field in [({"tol": -1}, "simulate.tol"),
                             ({"norm": "manhattan"}, "norm"),

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,23 @@ def test_linear_controller_batch_rows_are_one_state_values(rng):
     for x, row in zip(xs, batch):
         assert np.array_equal(row, ctrl.gain @ x)
         assert np.array_equal(ctrl.solve(x), ctrl.gain @ x)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["3", "2x2x2"])
+def test_linear_controller_rejects_a_state_of_another_shape(shape):
+    # it used to fail in numpy's matmul, or return a (2, 2, 1) input
+    model = ev.make_model("chain", m=1, n=2)
+    ctrl = ev.linearize_and_place(model, [-1.0, -2.0])
+    with pytest.raises(ev.ShapeError, match=re.escape(
+            f"state: expected shape (2,) or (N, 2), with N >= 1, got {shape}")):
+        ctrl.solve(np.ones(shape))
+
+
+def test_implicit_controller_rejects_an_empty_stack():
+    # it used to come back as a (0, 1) input
+    ctrl = _batch_controller("tanh")
+    with pytest.raises(ev.ShapeError, match=re.escape("got (0, 2)")):
+        ctrl.solve(np.zeros((0, 2)))
 
 
 def test_newton_failure_carries_state():

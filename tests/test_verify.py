@@ -127,13 +127,13 @@ def test_factory_programming_errors_propagate():
 
 
 def test_failed_witness_replay_is_a_sim_failure():
-    # the batch runs, but the witness sample's own run fails: the failure is
-    # recorded against that sample and no witness is reported for it
+    # the batch runs, but the witness sample's own one-row run fails: the
+    # failure is recorded against that sample and no witness is reported
     pert = ev.make_perturbation("const_e1", dim=2)
     fac = ev.make_error_factory(ev.build_hurwitz(A_H), pert, 12.0, tol=1e-8)
 
     def batch_only(t0, x0):
-        if np.ndim(x0) == 1:
+        if len(x0) == 1:
             raise ev.IntegrationError("single-state backend down")
         return fac(t0, x0)
     rep = ev.verify_evuas(batch_only, delta0=0.5, t0_grid=[0.0, 1.0],
@@ -173,6 +173,34 @@ def test_batch_failures_are_attributed_per_sample():
     # every sample that ran is in the tables: the decaying ones pass
     assert rep.evus_table[0]["verdict"] == "pass"
     assert rep.evuas == "inconclusive"
+
+
+def _stacks_only(sim):
+    # a factory that takes (N, dim) stacks and nothing else
+    def stacks(t0, x0):
+        if np.ndim(x0) != 2:
+            raise TypeError(f"expected an (N, dim) stack, got {np.shape(x0)}")
+        return sim(t0, x0)
+    return stacks
+
+
+@pytest.mark.parametrize("case", ["witnesses", "sim_failures"])
+def test_a_factory_of_stacks_only_gets_the_same_report(case):
+    # a witness and the rerun of a failed stack run their lone sample as a
+    # one-row stack, with the figures of the one-state run
+    if case == "witnesses":
+        sim = ev.make_error_factory(ev.build_hurwitz(A_H),
+                                    ev.make_perturbation("const_e1", dim=2),
+                                    12.0, tol=1e-8)
+        kwargs = dict(delta0=0.5, t0_grid=[0.0, 1.0], eps_levels=[0.5],
+                      horizon=12.0, samples=4, seed=9, dim=2)
+    else:
+        sim = _blowup_factory
+        kwargs = dict(delta0=1.0, t0_grid=[0.0, 3.0], eps_levels=[2.0],
+                      horizon=8.0, samples=4, seed=5, dim=1)
+    want = ev.verify_evuas(sim, **kwargs).to_dict()
+    assert want[case]
+    assert ev.verify_evuas(_stacks_only(sim), **kwargs).to_dict() == want
 
 
 def test_closed_loop_batch_failure_records_only_its_sample():
