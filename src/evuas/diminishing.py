@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureBudgetError, ShapeError
-from .integrate import _step_cap
-from .norms import check_norm_id, point_norms, unit_directions, vector_norm
+from .integrate import _step_cap, _time_grid
+from .norms import check_norm_id, point_norms, sphere_samples, unit_directions
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -158,13 +158,13 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
         if err <= quad_tol:
             break
         if 2 * n > _MAX_PANELS:
-            best = float(np.max(vector_norm(cum.T, norm)))
+            best = float(np.max(point_norms(cum.T, norm)))
             raise QuadratureBudgetError(
                 f"window quadrature at t={t} needs more than {_MAX_PANELS} "
                 f"panels to reach tol={quad_tol:.1e}",
                 estimate=best, error_bound=err)
 
-    grid_vals = vector_norm(cum.T, norm)
+    grid_vals = point_norms(cum.T, norm)
     j = int(np.argmax(grid_vals))
     best = float(grid_vals[j])
 
@@ -177,7 +177,7 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
         k = min(int(np.searchsorted(bounds, tau, side="right")) - 1, n - 1)
         k = max(k, 0)
         vec = cum[:, k] + _partial_integral(sig, bounds[k], tau)
-        return vector_norm(vec, norm)
+        return point_norms(vec, norm)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -247,19 +247,12 @@ def diminishing_profile(h, t_grid, quad_tol=1e-10, norm="euclidean",
     Budget failures at single grid points leave NaN values and mark the
     profile partial instead of aborting the whole sweep.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a nonempty 1-d sequence")
-    if not np.isfinite(t_grid).all():
-        raise ValueError("t_grid must be finite")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    sig = h if isinstance(h, SignalAdapter) else SignalAdapter(h)
+    t_grid = _time_grid(t_grid, "t_grid")
     values = np.empty(t_grid.size)
     failures = []
     for i, t in enumerate(t_grid):
         try:
-            values[i] = window_integral_sup(sig, t, quad_tol=quad_tol,
+            values[i] = window_integral_sup(h, t, quad_tol=quad_tol,
                                             norm=norm, freq_hint=freq_hint)
         except QuadratureBudgetError as exc:
             values[i] = np.nan
@@ -300,15 +293,6 @@ class PerturbationClassification:
         }
 
 
-def _ball_samples(dim, radius, rng, n_dirs=8):
-    """The origin and n_dirs random directions at three radii, as rows."""
-    dirs = unit_directions(dim, n_dirs, rng)
-    pts = [np.zeros(dim)]
-    for r in (radius, radius / 2.0, radius / 4.0):
-        pts.extend(r * d for d in dirs)
-    return np.array(pts)
-
-
 def _tail_times(t_horizon):
     base = sorted({t_horizon / 2.0 ** j for j in range(11)})
     offsets = (0.0, 0.37, 0.71)
@@ -332,11 +316,12 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got "
                              f"{value}")
-    rng = np.random.default_rng(seed)
     tail = _tail_times(t_horizon)
     late = tail >= t_horizon / 2.0
     # |W| on the probe ball at every tail time; its first point is x = 0
-    pts = _ball_samples(pert.state_dim, probe_radius, rng)
+    dirs = unit_directions(pert.state_dim, 8, np.random.default_rng(seed))
+    pts = np.concatenate([np.zeros((1, pert.state_dim)),
+                          sphere_samples(probe_radius, dirs)[1]])
     tail_norms = point_norms(pert.evaluate(tail, pts), norm)
 
     # Definition-style pointwise checks at x = 0

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._expm import expm
 from .errors import IntegrationError, ShapeError
-from .norms import vector_norm
+from .norms import point_norms
 
 # Dormand-Prince tableau: the nodes c, the rows of A with the fifth-order
 # weights b as the last row, and the fifth-minus-fourth-order weights E of
@@ -86,7 +86,9 @@ class Trajectory:
         return self.states.shape[-1]
 
     def norms(self, norm="euclidean"):
-        return vector_norm(self.states, norm)
+        """Norm of every stored state by :func:`evuas.norms.point_norms`:
+        each is that of the state alone, whatever the states' shape."""
+        return point_norms(self.states, norm)
 
 
 def _stack(x, dim=None, name="x0"):
@@ -101,15 +103,27 @@ def _stack(x, dim=None, name="x0"):
     return x
 
 
+def _shaped(values, shape, name):
+    """``values`` as floats of ``shape``, else ShapeError naming ``name``."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != shape:
+        raise ShapeError(f"{name}: expected shape {shape}, got {out.shape}")
+    return out
+
+
+def _time_grid(values, name):
+    """``values`` as a 1-d float array of times, else ValueError."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() \
+            or np.any(np.diff(grid) <= 0):
+        raise ValueError(f"{name} must be a non-empty 1-d sequence of "
+                         f"finite, strictly increasing times")
+    return grid
+
+
 def _sample_grid(sample_times, t0, t_end):
     """The sample times as a list that starts at t0."""
-    samples = np.asarray(sample_times, dtype=float)
-    if samples.ndim != 1 or samples.size == 0 or \
-            not np.isfinite(samples).all():
-        raise ValueError(
-            "sample_times must be a non-empty 1-d sequence of finite times")
-    if np.any(np.diff(samples) <= 0):
-        raise ValueError("sample_times must be strictly increasing")
+    samples = _time_grid(sample_times, "sample_times")
     if samples[0] < t0 - 1e-12 or samples[-1] > t_end + 1e-12:
         raise ValueError("sample_times must lie within [t0, t_end]")
     skip = 0 if abs(samples[0] - t0) > 1e-12 else 1
@@ -146,7 +160,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol, cap):
     d1 = [math.sqrt(v) for v in np.mean((f / scale) ** 2, axis=1).tolist()]
     h0 = min(min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
                  for a, b in zip(d0, d1)), t_end - t0, cap)
-    f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=float)
+    f1 = _shaped(rhs(t0 + h0, y0 + h0 * f0), f0.shape, f"rhs at t={t0 + h0}")
     d2 = np.mean(((f1.reshape(f.shape) - f) / scale) ** 2, axis=1).tolist()
     h = math.inf
     for b, c in zip(d1, d2):
@@ -182,7 +196,8 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, x) -> ndarray`` of the shape of x.
+        ``rhs(t, x) -> ndarray`` of the shape of x; a result of another
+        shape raises ShapeError naming the time of the call.
     t0 : float
     x0 : array_like
         One initial state, shape (dim,), or a batch of N, shape (N, dim).
@@ -234,9 +249,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     # once per call: the checks below raise IntegrationError, with the last
     # good (t, x), in place of a RuntimeWarning
     with np.errstate(invalid="ignore", over="ignore"):
-        f = np.asarray(rhs(t, y.reshape(shape)), dtype=float)
-        if f.shape != shape:
-            raise ValueError(f"rhs returned shape {f.shape}, expected {shape}")
+        f = _shaped(rhs(t, y.reshape(shape)), shape, f"rhs at t={t}")
         if not np.isfinite(f).all():
             raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
                                    x_last=y.reshape(shape).copy(),
@@ -270,12 +283,14 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
 
             # ndarray.dot is np.dot, bit for bit, without its dispatch cost
             hh = h_eff
-            for i in range(1, 6):
+            # the last stage is at y_new; every result is shape-checked
+            for i in range(1, 7):
                 y_i = y + hh * _A[i - 1].dot(K_head[i])
-                K_rhs[i] = rhs(t + _C[i] * hh if i < 5 else t_new,
-                               y_i.reshape(shape))
-            y_new = y + hh * _A[5].dot(K_head[6])
-            K_rhs[6] = rhs(t_new, y_new.reshape(shape))
+                t_i = t + _C[i] * hh if i < 5 else t_new
+                f = rhs(t_i, y_i.reshape(shape))
+                K_rhs[i] = f if getattr(f, "shape", None) == shape else \
+                    _shaped(f, shape, f"rhs at t={t_i}")
+            y_new = y_i
             n_rhs += 6
 
             # a non-finite y_new is caught before the division (its squared

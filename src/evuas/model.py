@@ -16,6 +16,7 @@ import numpy as np
 
 from .diminishing import SignalAdapter, chirp_freq
 from .errors import EvaluationError, ShapeError
+from .integrate import _shaped
 
 # central-difference step scale for C^1 maps
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
@@ -25,10 +26,7 @@ ORIGIN_TOL = 1e-10
 
 
 def _as_shape(x, shape, name):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != shape:
-        raise ShapeError(f"{name}: expected shape {shape}, got {x.shape}")
-    return x
+    return _shaped(np.atleast_1d(x), shape, name)
 
 
 def _state_and_input(model, x, u):

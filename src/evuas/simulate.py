@@ -37,8 +37,9 @@ import numpy as np
 
 from .errors import (ControllerEvaluationError, DesignError, NewtonError,
                      ShapeError)
-from .integrate import _stack, integrate, propagate_linear
+from .integrate import _shaped, _stack, integrate, propagate_linear
 from .model import _size, flatten_state, unflatten_state
+from .norms import point_norms
 from .synthesis import ImplicitController, _first_order, closed_loop_matrix
 
 _CSV_FMT = "%.17g"
@@ -163,10 +164,10 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
 class TrackingSpec:
     """Reference trajectory with all derivative columns.
 
-    x_d maps time to the (m, n) reference state matrix, y_d_n to the m
-    first derivatives of its last column.  :meth:`check_consistency`
-    spot-checks the derivative consistency of adjacent columns at seeded
-    random times and :meth:`check_admissible` the admissibility condition
+    x_d maps time to the (m, n) reference state matrix, y_d_n to the (m,)
+    derivative of its last column (else ShapeError).  :meth:`check_consistency`
+    spot-checks at seeded random times that each column, and y_d_n, is the
+    derivative of the one before, and :meth:`check_admissible` that
     F(X_d(t), 0) = 0 on a sample grid; :func:`simulate_tracking` runs both.
     """
 
@@ -178,34 +179,34 @@ class TrackingSpec:
         self.name = name
 
     def value(self, t):
-        mat = np.asarray(self.x_d(t), dtype=float)
-        if mat.shape != (self.m, self.n):
-            raise ValueError(
-                f"x_d(t) must have shape ({self.m}, {self.n}), got {mat.shape}")
-        return mat
+        return _shaped(self.x_d(t), (self.m, self.n), "x_d(t)")
+
+    def feedforward(self, t):
+        return _shaped(self.y_d_n(t), (self.m,), "y_d_n(t)")
 
     def check_consistency(self, t0, t_end):
         rng = np.random.default_rng(0)
         span = t_end - t0
         dt = 1e-5 * max(1.0, span)
+        names = [f"reference column {i}" for i in range(1, self.n)] + ["y_d_n"]
         for t in t0 + span * rng.random(10):
             fwd = self.value(t + dt)
             bwd = self.value(t - dt)
-            mid = self.value(t)
             deriv = (fwd - bwd) / (2 * dt)
-            for i in range(self.n - 1):
+            nxt = np.column_stack([self.value(t)[:, 1:], self.feedforward(t)])
+            for i, name in enumerate(names):
                 scale = max(1.0, float(np.max(np.abs(deriv[:, i]))))
-                err = float(np.max(np.abs(deriv[:, i] - mid[:, i + 1])))
+                err = float(np.max(np.abs(deriv[:, i] - nxt[:, i])))
                 if err > _CONSISTENCY_RTOL * scale:
                     raise ValueError(
-                        f"reference column {i + 1} is not the derivative of "
-                        f"column {i} at t={t:.4f} (error {err:.2e})")
+                        f"{name} is not the derivative of column {i} at "
+                        f"t={t:.4f} (error {err:.2e})")
 
     def check_admissible(self, model, t0, t_end):
         ts = np.linspace(t0, t_end, _ADMISSIBLE_GRID)
-        resid = np.linalg.norm(model.eval_f(
+        resid = point_norms(model.eval_f(
             np.array([flatten_state(self.value(t)) for t in ts]),
-            np.zeros((ts.size, self.m))), axis=1)
+            np.zeros((ts.size, self.m))))
         for t, r in zip(ts, resid):
             if r > _ADMISSIBLE_TOL:
                 raise ValueError(
@@ -221,8 +222,9 @@ def simulate_tracking(model, ctrl, track, pert, x0, t0, t_end, tol=1e-8,
     ``model`` (else DesignError), whose design and A_H the loop takes.
     ``x0`` is one flat state (m*n,).  The reference must have the model's
     m and n (else ShapeError), derivative-consistent columns and
-    F(X_d(t), 0) = 0 (see :class:`TrackingSpec`); a W whose width is not m
-    raises ShapeError.  The feedback solves the closing residual in U with
+    feedforward, and F(X_d(t), 0) = 0 (see :class:`TrackingSpec`), all
+    checked before the run; a W whose width is not m raises ShapeError.
+    The feedback solves the closing residual in U with
     the reference's nth derivative as feedforward, which cancels on the
     closed loop: Delta follows the designed loop of
     :func:`simulate_closed_loop` under W(t, Delta + X_d(t)), and Newton
@@ -246,7 +248,7 @@ def simulate_tracking(model, ctrl, track, pert, x0, t0, t_end, tol=1e-8,
                        delta0, t0, t_end, tol, sample_times, track)
 
     ref = np.array([flatten_state(track.value(t)) for t in traj.times])
-    ydn = np.array([track.y_d_n(t) for t in traj.times], dtype=float)
+    ydn = np.array([track.feedforward(t) for t in traj.times])
     return _report_inputs(traj, model.m, lambda delta: ctrl.solve_shifted(
         delta, delta + ref, -ydn))
 

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
                      NewtonError, QuadratureBudgetError, ShapeError)
 from .model import _size
-from .norms import check_norm_id, unit_directions, vector_norm
+from .norms import (check_norm_id, point_norms, sphere_samples,
+                    unit_directions)
 from .simulate import simulate_closed_loop, simulate_error_dynamics
 
 _SETTLE_MARGIN = 0.95      # settle must happen inside this fraction of the window
@@ -110,7 +111,7 @@ def _batch_norms(traj, count, norm):
         raise ShapeError(
             f"a factory given {count} initial states must return states of "
             f"shape (T, {count}, dim), got {traj.states.shape}")
-    return vector_norm(traj.states, norm)
+    return point_norms(traj.states, norm)
 
 
 def _alone(sim, t0, x0, norm, sim_failures):
@@ -240,9 +241,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
             raise ValueError(f"t0_grid must hold non-negative start times, "
                              f"got {t0}")
 
-    dirs = unit_directions(dim, samples, np.random.default_rng(seed))
-    radii = [delta0, delta0 / 2.0, delta0 / 4.0]
-    x0s = np.concatenate([radius * dirs for radius in radii])
+    radii, x0s = sphere_samples(
+        delta0, unit_directions(dim, samples, np.random.default_rng(seed)))
 
     # one row per sample that ran: t0, x0 row, peak, final, tail
     # decreasing, then the settle time at each level
@@ -363,7 +363,7 @@ def fit_kl_envelope(trajectories, norm="euclidean"):
             raise ShapeError(
                 "fit_kl_envelope fits single trajectories, states of shape "
                 f"(T, dim); got {traj.states.shape}")
-        norms = vector_norm(traj.states, norm)
+        norms = point_norms(traj.states, norm)
         if norms[0] <= 0.0:
             raise ValueError("envelope fitting needs nonzero initial states")
         s = traj.times - traj.times[0]

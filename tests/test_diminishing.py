@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import evuas as ev
 import evuas.diminishing as dim
-from evuas.norms import point_norms, vector_norm
+from evuas.norms import point_norms
 from evuas.perturbations import _COLUMN_TERMS_EXAMPLE1_BOUNDED
 
 from oracles import crossing_count_loop, window_sup_simpson
@@ -216,11 +216,14 @@ def test_classify_reads_w_in_two_calls():
 @pytest.mark.parametrize("shape", [(7,), (13, 5), (4, 6, 3)],
                          ids=["1d", "2d", "3d"])
 def test_point_norms_are_vector_norms_bit_for_bit(shape, norm, rng):
+    # each row against its own norm, computed one vector at a time
+    alone = {"euclidean": lambda u: np.sqrt(u @ u),
+             "inf": lambda u: np.max(np.abs(u))}[norm]
     v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
     got = np.asarray(point_norms(v, norm))
     assert got.shape == shape[:-1]
     for idx in np.ndindex(*shape[:-1]):
-        assert got[idx] == vector_norm(v[idx], norm)
+        assert got[idx] == alone(v[idx])
 
 
 def test_classify_cos_exp():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import evuas as ev
 from evuas.integrate import propagate_linear
+from evuas.norms import point_norms
 
 from oracles import dopri_reference, linear_trajectory
 
@@ -221,6 +222,61 @@ def test_empty_or_nan_sample_times_are_a_value_error(run, samples):
             sample_times=samples)}
     with pytest.raises(ValueError, match="non-empty 1-d sequence of finite"):
         calls[run]()
+
+
+@pytest.mark.parametrize("grid", [[], [[0.0, 0.5]], [0.0, math.nan, 1.0],
+                                  [0.0, math.inf], [0.0, 0.5, 0.5, 1.0]],
+                         ids=["empty", "2d", "nan", "inf", "repeated"])
+@pytest.mark.parametrize("run", ["integrate", "propagate_linear",
+                                 "diminishing_profile"])
+def test_every_time_grid_gets_one_check(run, grid):
+    calls = {
+        "integrate": ("sample_times", lambda: ev.integrate(
+            lambda t, x: -x, 0.0, np.ones(1), 1.0, sample_times=grid)),
+        "propagate_linear": ("sample_times", lambda: propagate_linear(
+            -np.eye(1), (), 0.0, np.ones(1), 1.0, grid)),
+        "diminishing_profile": ("t_grid", lambda: ev.diminishing_profile(
+            np.sin, grid))}
+    name, call = calls[run]
+    with pytest.raises(ValueError, match=f"^{name} must be a non-empty 1-d "
+                       "sequence of finite, strictly increasing times$"):
+        call()
+
+
+def _turns_to(wrong):
+    """An rhs that returns -x on its first two calls, then wrong(x)."""
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return -x if len(calls) <= 2 else wrong(x)
+    return rhs
+
+
+@pytest.mark.parametrize("x0, wrong, got", [
+    ([[1.0, 2.0], [3.0, 4.0]], lambda x: -x[0], r"\(2,\)"),
+    ([1.0, 2.0], lambda x: -x[0], r"\(\)")], ids=["batch_row", "scalar"])
+def test_every_rhs_result_is_shape_checked(x0, wrong, got):
+    # a later stage result used to be broadcast into the stage buffer:
+    # row 1 of the batch ended at [2.368, 2.736], not e^-1 [3, 4]
+    shape = re.escape(str(np.shape(x0)))
+    with pytest.raises(ev.ShapeError,
+                       match=rf"^rhs at t=\S+: expected shape {shape}, "
+                       rf"got {got}$"):
+        ev.integrate(_turns_to(wrong), 0.0, x0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(200, 2), (200, 3), (50, 4, 2)],
+                         ids=["Tx2", "Tx3", "TxNx2"])
+def test_trajectory_norms_are_each_state_alone(shape, rng):
+    # a reduction over the last axis differed from a row's own norm in the
+    # last bit on about 8 % of rows
+    states = rng.standard_normal(shape)
+    traj = ev.Trajectory(times=np.arange(float(shape[0])), states=states)
+    got = traj.norms()
+    assert got.shape == shape[:-1]
+    for idx in np.ndindex(*shape[:-1]):
+        assert got[idx] == point_norms(states[idx])
 
 
 def test_diagnostics_populated():

@@ -690,6 +690,38 @@ def test_tracking_rejects_inconsistent_reference():
                              np.array([0.3, 1.0]), 0.0, 5.0, tol=1e-8)
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("the reference was not checked before the run")
+
+
+@pytest.mark.parametrize("m, x_d, y_d_n, error, match", [
+    (1, lambda t: np.array([[np.sin(t), np.cos(t)]]),
+     lambda t: np.array([np.sin(t)]), ValueError,
+     "^y_d_n is not the derivative of column 1 at"),
+    (2, lambda t: np.zeros((2, 2)), lambda t: np.zeros(1), ev.ShapeError,
+     r"^y_d_n\(t\): expected shape \(2,\), got \(1,\)$"),
+    (1, lambda t: np.array([[np.sin(t), np.cos(t)]]), lambda t: -np.sin(t),
+     ev.ShapeError, r"^y_d_n\(t\): expected shape \(1,\), got \(\)$"),
+    (1, lambda t: np.zeros(2), lambda t: np.zeros(1), ev.ShapeError,
+     r"^x_d\(t\): expected shape \(1, 2\), got \(2,\)$")],
+    ids=["wrong_sign", "one_for_two_channels", "scalar", "flat_x_d"])
+def test_tracking_checks_the_feedforward_before_the_run(
+        monkeypatch, m, x_d, y_d_n, error, match):
+    # each used to run: the sign slip reported inputs off by up to 1.99,
+    # the (1,) feedforward was broadcast to both channels, and the scalar
+    # one failed after the run with numpy's core-dimension error
+    model = ev.make_model("chain", m=m, n=2)
+    poles = [[-1.0], [-2.0]][:m]
+    monkeypatch.setattr("evuas.simulate.integrate", _no_run)
+    monkeypatch.setattr("evuas.simulate.propagate_linear", _no_run)
+    for ts in (None, np.linspace(0.0, 5.0, 51)):
+        with pytest.raises(error, match=match):
+            ev.simulate_tracking(model, _implicit(model, poles),
+                                 ev.TrackingSpec(x_d, y_d_n, m=m, n=2), None,
+                                 np.full(2 * m, 0.3), 0.0, 5.0,
+                                 sample_times=ts)
+
+
 def test_tracking_spec_rejects_non_integral_sizes():
     # m = 1.7, n = 2.2 are not truncated to m = 1, n = 2
     x_d, y_d_n = (lambda t: np.zeros((1, 2))), (lambda t: np.zeros(1))

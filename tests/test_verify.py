@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import evuas as ev
-from evuas.norms import vector_norm
 from evuas.verify import _sweep
 
 A_H = [[-1.0, 2.0], [0.0, -1.5]]
@@ -220,7 +219,7 @@ def test_closed_loop_batch_failure_records_only_its_sample():
     for i, times, norms in done:
         alone = sim(0.5, x0s[i])
         assert np.array_equal(times, alone.times)
-        assert np.array_equal(norms, vector_norm(alone.states))
+        assert np.array_equal(norms, alone.norms())
 
 
 def _serial_delta_of_eps(sim, eps, t0, dim, directions, seed, iters):
