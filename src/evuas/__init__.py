@@ -12,10 +12,9 @@ The public surface groups into five areas: system modeling
 (:func:`verify_evuas`, :func:`fit_kl_envelope`).
 """
 
-from .diminishing import (SIGNAL_CATALOG, CatalogSignal,
-                          PerturbationClassification, WindowMetricProfile,
-                          classify, diminishing_profile, make_signal,
-                          trend_verdict, window_integral_sup)
+from .diminishing import (PerturbationClassification, WindowMetricProfile,
+                          classify, diminishing_profile, trend_verdict,
+                          window_integral_sup)
 from .errors import (ControllerEvaluationError, DesignError, EnvelopeFitError,
                      EvaluationError, IntegrationError, NewtonError,
                      QuadratureBudgetError, ScenarioError, ShapeError)
@@ -41,14 +40,14 @@ from .verify import (KlEnvelope, StabilityReport, estimate_delta_of_eps,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalogSignal", "ControllerEvaluationError", "DesignError",
+    "ControllerEvaluationError", "DesignError",
     "EnvelopeFitError", "EvaluationError", "GammaDesign", "HurwitzMatrix",
     "ImplicitController", "IntegrationError", "KlEnvelope",
     "LinearController", "MODEL_CATALOG", "NewtonError",
     "NonSingularityReport", "PERTURBATION_CATALOG",
     "PerturbationClassification", "PerturbationSpec",
     "QuadratureBudgetError", "REFERENCE_CATALOG", "RoaEstimate",
-    "SIGNAL_CATALOG", "ScenarioError", "ShapeError", "StabilityReport",
+    "ScenarioError", "ShapeError", "StabilityReport",
     "SystemModel", "TrackingSpec", "Trajectory",
     "WindowMetricProfile", "build_gamma", "build_hurwitz",
     "check_nonsingular", "classify", "coercivity_probe", "default_hurwitz",
@@ -57,7 +56,7 @@ __all__ = [
     "input_cost", "input_free_term", "integrate", "jacobian_F_U",
     "jacobian_F_X", "linearization", "linearize_and_place",
     "make_closed_loop_factory", "make_error_factory", "make_model",
-    "make_perturbation", "make_reference", "make_signal",
+    "make_perturbation", "make_reference",
     "simulate_closed_loop",
     "simulate_error_dynamics", "simulate_tracking", "synthesize_feedback",
     "tracking_error", "trajectory_to_csv", "trend_verdict",

@@ -18,7 +18,6 @@ names the field).
 import argparse
 import sys
 
-from .diminishing import SIGNAL_CATALOG
 from .errors import ScenarioError
 from .model import MODEL_CATALOG
 from .perturbations import PERTURBATION_CATALOG
@@ -88,9 +87,7 @@ def _run(doc_or_source, args):
 
 
 def _cmd_list(args):
-    signals = {name: (sig, sig.description)
-               for name, sig in SIGNAL_CATALOG.items()}
-    for title, catalog in (("models", MODEL_CATALOG), ("signals", signals),
+    for title, catalog in (("models", MODEL_CATALOG),
                            ("perturbations", PERTURBATION_CATALOG),
                            ("references", REFERENCE_CATALOG)):
         print(f"{title}:")

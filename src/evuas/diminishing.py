@@ -14,6 +14,9 @@ or time-varying); the quadrature mesh is seeded at one eighth of the
 corresponding period and refined by doubling until the running integral is
 reproduced to the requested tolerance.  Blind adaptive schemes stall on
 phases like t**4, which is why the hint is threaded through everywhere.
+
+The chirp terms (:class:`ChirpTerm`) here are the form in which the time
+signals of :mod:`evuas.perturbations` declare their frequency hint.
 """
 
 import functools
@@ -126,7 +129,8 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
         "euclidean" or "inf".
     freq_hint : float or callable, optional
         Dominant angular frequency (rad per unit time) of the integrand;
-        when absent a zero-crossing scan estimates it.
+        when absent a zero-crossing scan estimates it.  A NaN hint raises
+        ValueError.
 
     Returns
     -------
@@ -393,7 +397,7 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
 
 
 # ---------------------------------------------------------------------------
-# signal catalog
+# chirp terms
 
 
 class ChirpTerm(NamedTuple):
@@ -423,28 +427,6 @@ def chirp_freq(terms):
     return lambda t: functools.reduce(np.maximum, [abs(r(t)) for r in rates])
 
 
-@dataclass(frozen=True)
-class CatalogSignal:
-    name: str
-    dim: int
-    fn: object                  # vectorized callable, t -> (dim, N)
-    terms: tuple = None         # the ChirpTerms whose sum is fn
-    bound: object = None        # analytic decay bound for the window metric
-    description: str = ""
-
-    @property
-    def freq_hint(self):
-        """Angular frequency of the fastest term, derived from the terms."""
-        return chirp_freq(self.terms or ())
-
-
-def _stack2(f1, f2):
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([f1(t), f2(t)])
-    return fn
-
-
 def _one(t):
     return np.ones_like(np.asarray(t, dtype=float))
 
@@ -467,39 +449,3 @@ def quartic_chirp(c):
     """Re[c t e^{i t^4}] as a chirp term."""
     return ChirpTerm(c, _ident, lambda t: t ** 4, lambda t: 4.0 * t ** 3)
 
-
-SIGNAL_CATALOG = {
-    "cos_exp": CatalogSignal(
-        "cos_exp", 1, lambda t: np.cos(np.exp(np.asarray(t, dtype=float))),
-        terms=(exp_chirp((1,)),), bound=lambda t: 4.0 * np.exp(-t),
-        description="cos(e^t): bounded, ever-faster oscillation"),
-    "vec_cos_sin_exp": CatalogSignal(
-        "vec_cos_sin_exp", 2,
-        _stack2(lambda t: np.cos(np.exp(t)), lambda t: np.sin(np.exp(t))),
-        terms=(exp_chirp((1, -1j)),),
-        bound=lambda t: np.sqrt(32.0) * np.exp(-t),
-        description="(cos(e^t), sin(e^t)): unit-norm oscillating pair"),
-    "t_cos_t4": CatalogSignal(
-        "t_cos_t4", 1,
-        lambda t: np.asarray(t, dtype=float) * np.cos(np.asarray(t, dtype=float) ** 4),
-        terms=(quartic_chirp((1,)),),
-        description="t*cos(t^4): unbounded amplitude, quartic phase"),
-    "vec_t_cos_sin_t4": CatalogSignal(
-        "vec_t_cos_sin_t4", 2,
-        _stack2(lambda t: t * np.cos(t ** 4), lambda t: t * np.sin(t ** 4)),
-        terms=(quartic_chirp((1, -1j)),),
-        description="(t*cos(t^4), t*sin(t^4)): unbounded oscillating pair"),
-    "const1": CatalogSignal(
-        "const1", 1, lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        terms=(constant_term((1,)),),
-        description="constant 1: not diminishing"),
-    "zero": CatalogSignal(
-        "zero", 1, lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        terms=(), description="identically zero"),
-}
-
-
-def make_signal(name):
-    if name not in SIGNAL_CATALOG:
-        raise KeyError(f"unknown signal {name!r}; catalog: {sorted(SIGNAL_CATALOG)}")
-    return SIGNAL_CATALOG[name]

@@ -111,13 +111,15 @@ def _shaped(values, shape, name):
     return out
 
 
-def _time_grid(values, name):
-    """``values`` as a 1-d float array of times, else ValueError."""
+def _time_grid(values, name, increasing=True):
+    """``values`` as a non-empty 1-d float array of finite times, strictly
+    increasing unless ``increasing`` is False; else ValueError."""
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() \
-            or np.any(np.diff(grid) <= 0):
+            or increasing and np.any(np.diff(grid) <= 0):
+        order = ", strictly increasing" if increasing else ""
         raise ValueError(f"{name} must be a non-empty 1-d sequence of "
-                         f"finite, strictly increasing times")
+                         f"finite{order} times")
     return grid
 
 
@@ -131,13 +133,19 @@ def _sample_grid(sample_times, t0, t_end):
 
 
 def _step_cap(freq_hint):
-    """t -> the step cap: an eighth of the local forcing period, or inf."""
-    def cap(omega):
+    """t -> the step cap: an eighth of the local forcing period, or inf.
+    A NaN hint raises ValueError, naming the time t of a callable's."""
+    def cap(omega, t=None):
         omega = abs(float(omega))
-        return (2.0 * math.pi / omega) / 8.0 if omega > 0.0 else math.inf
+        if omega > 0.0:
+            return (2.0 * math.pi / omega) / 8.0
+        if math.isnan(omega):
+            raise ValueError("freq_hint is NaN"
+                             + ("" if t is None else f" at t={t}"))
+        return math.inf
 
     if callable(freq_hint):
-        return lambda t: cap(freq_hint(t))
+        return lambda t: cap(freq_hint(t), t)
     const = math.inf if freq_hint is None else cap(freq_hint)
     return lambda t: const
 
@@ -214,7 +222,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
         Per-step error tolerance, applied mixed (absolute and relative).
     freq_hint : float or callable, optional
         Angular frequency of the fastest forcing; caps the step at an
-        eighth of its period.
+        eighth of its period.  A NaN hint raises ValueError.
     sample_times : array_like, optional
         Dense-output sample times; defaults to the accepted step points.
         t0 is always included as the first sample.

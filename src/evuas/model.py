@@ -16,7 +16,7 @@ import numpy as np
 
 from .diminishing import SignalAdapter, chirp_freq
 from .errors import EvaluationError, ShapeError
-from .integrate import _shaped
+from .integrate import _shaped, _time_grid
 
 # central-difference step scale for C^1 maps
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
@@ -293,10 +293,11 @@ class PerturbationSpec:
     def evaluate(self, ts, x):
         """W at T times and N states, (T, N, dim): one call of ``w`` or ``d``
         on the 1-d array ``ts``, one of ``k`` per row of the (N, state_dim)
-        batch ``x``.  The shapes are checked; a non-finite entry raises
-        EvaluationError naming its time and state row (the earliest time
-        first, then the lowest row)."""
-        ts = np.asarray(ts, dtype=float)
+        batch ``x``, at finite times in any order (else ValueError).  The
+        shapes are checked; a non-finite entry raises EvaluationError
+        naming its time and state row (the earliest time first, then the
+        lowest row)."""
+        ts = _time_grid(ts, "ts", increasing=False)
         x = _as_shape(x, (len(x), self.state_dim), "state")
         shape = (ts.size, len(x), self.dim)
         if self.kind == "zero":

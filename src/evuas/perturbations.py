@@ -1,26 +1,27 @@
-"""Named disturbance terms for scenarios and tests.
+"""The package's one catalog of named disturbances, for scenarios and tests.
 
-Catalog entries come in two flavors: pure time signals lifted from the
-signal catalog, and the two canonical error-system disturbances (one with
-linearly growing amplitude and quartic phase, one bounded with exponential
-phase and a cube-root state coupling).  Every time signal here also
-declares its chirp form (see :class:`evuas.diminishing.ChirpTerm`), from
-which its frequency hint is derived.  Signals take one time or an array
-through one numpy path, with the time as an array first (``np.float64 **
-4`` rounds unlike the array power), so both agree bit for bit.  Only D of
+Catalog entries come in three flavors: no disturbance, the time signals
+W(t, x) = w(t) of the paper's time-only class (Example 1's unbounded
+disturbance among them), and Example 1's bounded disturbance, with
+exponential phase and a cube-root state coupling.  Every time signal
+here also declares its chirp form (see
+:class:`evuas.diminishing.ChirpTerm`), from which its frequency hint is
+derived; Remark 1's analytic decay bounds are kept by catalog name in
+``REMARK1_BOUNDS``.  Signals take one time or an array through one numpy
+path, with the time as an array first (``np.float64 ** 4`` rounds unlike
+the array power), so both agree bit for bit.  Only D of
 ``example1_bounded`` keeps a ``math`` path for one time: it sits in every
 right-hand-side call of the integrator there, where it takes about
 0.5 us against about 1 us for the array path on one time, some 0.1 s
 over the run's 168,788 calls (contention-corrected, on a shared 2-vCPU
 Xeon VM); it matches its array path to an ulp of e^t in phase.
 """
-
 import math
 
 import numpy as np
 
-from .diminishing import (SIGNAL_CATALOG, chirp_freq, constant_term,
-                          exp_chirp, quartic_chirp)
+from .diminishing import (chirp_freq, constant_term, exp_chirp,
+                          quartic_chirp)
 from .model import PerturbationSpec, _size
 
 
@@ -30,9 +31,11 @@ _TERMS_EXAMPLE1_UNBOUNDED = (quartic_chirp((-0.5j, -1.0)),)
 _COLUMN_TERMS_EXAMPLE1_BOUNDED = (exp_chirp((-1j, 0.0)), exp_chirp((0.0, 1.0)))
 
 
-def _w_example1_unbounded(t):
-    t = np.asarray(t, dtype=float)
-    return np.stack([0.5 * t * np.sin(t ** 4), -t * np.cos(t ** 4)])
+def _stack2(f1, f2):
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([f1(t), f2(t)])
+    return fn
 
 
 def _d_example1_bounded(t):
@@ -63,23 +66,18 @@ def _check_dim(name, have, requested):
             f"{name!r} has dimension {have}, requested {requested}")
 
 
-def _from_signal(sig):
+
+
+def _time_signal(name, width, w, terms):
+    """Builder of the ``width``-channel W(t, x) = w(t), sum of ``terms``."""
     def build(dim=None):
-        _check_dim(sig.name, sig.dim, dim)
-        return PerturbationSpec.from_signal(sig.fn, sig.dim, name=sig.name,
-                                            terms=sig.terms)
+        _check_dim(name, width, dim)
+        return PerturbationSpec.from_signal(w, width, name=name, terms=terms)
     return build
 
 
 def _build_zero(dim=None):
     return PerturbationSpec.zero(1 if dim is None else dim)
-
-
-def _build_example1_unbounded(dim=None):
-    _check_dim("example1_unbounded", 2, dim)
-    return PerturbationSpec.from_signal(
-        _w_example1_unbounded, 2, name="example1_unbounded",
-        terms=_TERMS_EXAMPLE1_UNBOUNDED)
 
 
 def _build_example1_bounded(dim=None):
@@ -104,17 +102,46 @@ def _build_const_e1(dim=None):
 
 PERTURBATION_CATALOG = {
     "zero": (_build_zero, "no disturbance"),
-    # the time signals of the signal catalog, lifted as W(t, x) = w(t)
-    **{name: (_from_signal(sig), sig.description)
-       for name, sig in SIGNAL_CATALOG.items() if name != "zero"},
-    "example1_unbounded": (_build_example1_unbounded,
-                           "(0.5 t sin(t^4), -t cos(t^4)): unbounded, "
-                           "quartic phase"),
+    "cos_exp": (_time_signal(
+        "cos_exp", 1, lambda t: np.cos(np.exp(np.asarray(t, dtype=float))),
+        (exp_chirp((1,)),)),
+        "cos(e^t): bounded, ever-faster oscillation"),
+    "vec_cos_sin_exp": (_time_signal(
+        "vec_cos_sin_exp", 2,
+        _stack2(lambda t: np.cos(np.exp(t)), lambda t: np.sin(np.exp(t))),
+        (exp_chirp((1, -1j)),)),
+        "(cos(e^t), sin(e^t)): unit-norm oscillating pair"),
+    "t_cos_t4": (_time_signal(
+        "t_cos_t4", 1,
+        lambda t: np.asarray(t, dtype=float) * np.cos(np.asarray(t, dtype=float) ** 4),
+        (quartic_chirp((1,)),)),
+        "t*cos(t^4): unbounded amplitude, quartic phase"),
+    "vec_t_cos_sin_t4": (_time_signal(
+        "vec_t_cos_sin_t4", 2,
+        _stack2(lambda t: t * np.cos(t ** 4), lambda t: t * np.sin(t ** 4)),
+        (quartic_chirp((1, -1j)),)),
+        "(t*cos(t^4), t*sin(t^4)): unbounded oscillating pair"),
+    "const1": (_time_signal(
+        "const1", 1, lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        (constant_term((1,)),)),
+        "constant 1: not diminishing"),
+    "example1_unbounded": (_time_signal(
+        "example1_unbounded", 2,
+        _stack2(lambda t: 0.5 * t * np.sin(t ** 4),
+                lambda t: -t * np.cos(t ** 4)),
+        _TERMS_EXAMPLE1_UNBOUNDED),
+        "(0.5 t sin(t^4), -t cos(t^4)): unbounded, quartic phase"),
     "example1_bounded": (_build_example1_bounded,
                          "diag(sin(e^t), cos(e^t)) K(e) with a cube-root "
                          "state coupling"),
     "const_e1": (_build_const_e1, "constant unit disturbance on the first "
                  "channel (not diminishing)"),
+}
+
+# Remark 1's analytic bounds on the window metric, by catalog name
+REMARK1_BOUNDS = {
+    "cos_exp": lambda t: 4.0 * np.exp(-t),
+    "vec_cos_sin_exp": lambda t: np.sqrt(32.0) * np.exp(-t),
 }
 
 

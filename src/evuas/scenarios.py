@@ -34,11 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .diminishing import SIGNAL_CATALOG, diminishing_profile, classify
+from .diminishing import diminishing_profile, classify
 from .errors import ScenarioError
 from .model import MODEL_CATALOG, make_model
 from .norms import NORM_IDS
-from .perturbations import PERTURBATION_CATALOG, make_perturbation
+from .perturbations import (PERTURBATION_CATALOG, REMARK1_BOUNDS,
+                            make_perturbation)
 from .simulate import (_CSV_FMT, REFERENCE_CATALOG, _write_json,
                        diagnostics_to_json, make_reference,
                        simulate_closed_loop, simulate_error_dynamics,
@@ -460,7 +461,7 @@ def _stage_classify(run):
                                        quad_tol=cfg["quad_tol"],
                                        norm=doc["norm"],
                                        freq_hint=pert.freq_hint)
-        bound = getattr(SIGNAL_CATALOG.get(pert.name), "bound", None)
+        bound = REMARK1_BOUNDS.get(pert.name)
         _write_profile_csv(run.path("signal_profile.csv"), prof,
                            bound_fn=bound)
         run.results["signal_profile"] = prof

@@ -527,12 +527,17 @@ def coercivity_probe(model, x_samples, ray_count=16, radii=(1.0, 10.0, 100.0, 10
     "non-coercive-evidence"; anything else is inconclusive.  Finite
     sampling proves nothing either way, hence the naming.  A ray on which F
     fails arithmetically (EvaluationError for a non-finite value, overflow)
-    is listed in "excluded"; any other exception propagates.
+    is listed in "excluded"; any other exception propagates.  At least
+    one probe state and one ray are required (ValueError).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3 or not np.isfinite(radii).all() \
             or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be at least 3 finite, increasing values")
+    x_samples = list(x_samples)
+    if not x_samples:
+        raise ValueError("x_samples must hold at least one probe state")
+    ray_count = _model._size("ray_count", ray_count)
     rays = unit_directions(model.m, ray_count, np.random.default_rng(seed))
 
     data = []       # (state index, ray index) -> cost per radius

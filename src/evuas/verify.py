@@ -114,6 +114,19 @@ def _batch_norms(traj, count, norm):
     return point_norms(traj.states, norm)
 
 
+def _covering(sim, horizon):
+    """``sim`` with each run checked to cover [t0, t0 + horizon]."""
+    def run(t0, x0s):
+        traj = sim(t0, x0s)
+        start, end = float(traj.times[0]), float(traj.times[-1])
+        if start > t0 + 1e-12 or end < t0 + horizon - 1e-12:
+            raise ValueError(
+                f"a factory run from t0={t0} spans [{start}, {end}], which "
+                f"does not cover the horizon {horizon}")
+        return traj
+    return run
+
+
 def _alone(sim, t0, x0, norm, sim_failures):
     """(times, norms) of x0 run alone, ``sim(t0, x0[None])``; None if that
     run fails, which is then recorded in ``sim_failures``."""
@@ -189,7 +202,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     ----------
     sim : callable
         Trajectory factory ``sim(t0, x0) -> Trajectory`` covering at least
-        [t0, t0 + horizon].  It takes (N, dim) stacks of initial states only
+        [t0, t0 + horizon] (a run that does not raises ValueError).  It
+        takes (N, dim) stacks of initial states only
         and returns states of shape (T, N, dim), one column per sample (the
         factories of this module and :func:`evuas.integrate.integrate`
         do).  It is called once per start time with the (3 * samples, dim)
@@ -241,6 +255,7 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
             raise ValueError(f"t0_grid must hold non-negative start times, "
                              f"got {t0}")
 
+    sim = _covering(sim, horizon)
     radii, x0s = sphere_samples(
         delta0, unit_directions(dim, samples, np.random.default_rng(seed)))
 

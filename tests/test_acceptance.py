@@ -28,26 +28,26 @@ T_COS_T4_ORACLE = {
 
 
 def test_c01_remark1_scalar_bound():
-    sig = ev.make_signal("cos_exp")
+    sig = ev.make_perturbation("cos_exp")
     start = time.monotonic()
     for t in range(9):
-        v = ev.window_integral_sup(sig.fn, float(t), quad_tol=1e-9,
+        v = ev.window_integral_sup(sig.w, float(t), quad_tol=1e-9,
                                    freq_hint=sig.freq_hint)
         assert v <= 4.0 * math.exp(-t) + 1e-6
     assert time.monotonic() - start < 5.0
 
 
 def test_c02_remark1_vector_bound():
-    sig = ev.make_signal("vec_cos_sin_exp")
-    prof = ev.diminishing_profile(sig.fn, np.arange(0.0, 9.0), quad_tol=1e-9,
+    sig = ev.make_perturbation("vec_cos_sin_exp")
+    prof = ev.diminishing_profile(sig.w, np.arange(0.0, 9.0), quad_tol=1e-9,
                                   freq_hint=sig.freq_hint)
     assert np.all(prof.values <= math.sqrt(32.0) * np.exp(-prof.t_grid)
                   + 1e-6)
 
 
 def test_c03_quartic_phase_metric_decay():
-    sig = ev.make_signal("t_cos_t4")
-    prof = ev.diminishing_profile(sig.fn, np.arange(1.0, 11.0), quad_tol=1e-9,
+    sig = ev.make_perturbation("t_cos_t4")
+    prof = ev.diminishing_profile(sig.w, np.arange(1.0, 11.0), quad_tol=1e-9,
                                   freq_hint=sig.freq_hint)
     for t, want in T_COS_T4_ORACLE.items():
         got = prof.values[int(t) - 1]

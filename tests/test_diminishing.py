@@ -35,8 +35,8 @@ def test_constant_vector_attains_sup_at_window_end():
 
 
 def test_cos_exp_window_within_paper_bound():
-    sig = ev.make_signal("cos_exp")
-    v = ev.window_integral_sup(sig.fn, 3.0, quad_tol=1e-10,
+    sig = ev.make_perturbation("cos_exp")
+    v = ev.window_integral_sup(sig.w, 3.0, quad_tol=1e-10,
                                freq_hint=sig.freq_hint)
     assert 0.0 <= v <= 4.0 * math.exp(-3.0)
 
@@ -76,11 +76,11 @@ def test_scaling_homogeneity():
 
 
 def test_agrees_with_simpson_oracle():
-    sig = ev.make_signal("t_cos_t4")
+    sig = ev.make_perturbation("t_cos_t4")
     for t in (1.0, 4.0, 7.0):
-        mine = ev.window_integral_sup(sig.fn, t, quad_tol=1e-9,
+        mine = ev.window_integral_sup(sig.w, t, quad_tol=1e-9,
                                       freq_hint=sig.freq_hint)
-        ref = window_sup_simpson(sig.fn, t, 4.0 * (t + 1.0) ** 3)
+        ref = window_sup_simpson(sig.w, t, 4.0 * (t + 1.0) ** 3)
         assert mine == pytest.approx(ref, abs=5e-6)
 
 
@@ -94,9 +94,9 @@ def test_zero_crossing_scan_handles_missing_hint():
 
 def test_budget_error_carries_estimate(monkeypatch):
     monkeypatch.setattr(dim, "_MAX_PANELS", 1024)
-    sig = ev.make_signal("cos_exp")
+    sig = ev.make_perturbation("cos_exp")
     with pytest.raises(ev.QuadratureBudgetError) as exc:
-        ev.window_integral_sup(sig.fn, 9.0, quad_tol=1e-14,
+        ev.window_integral_sup(sig.w, 9.0, quad_tol=1e-14,
                                freq_hint=sig.freq_hint)
     assert exc.value.estimate is not None
     assert exc.value.error_bound is not None
@@ -105,12 +105,12 @@ def test_budget_error_carries_estimate(monkeypatch):
 def test_profile_point_over_the_budget_is_a_partial_profile(monkeypatch):
     # the window at t = 9 needs more panels than the budget; the windows
     # at t = 0 and 1 resolve as they do without it
-    sig = ev.make_signal("cos_exp")
+    sig = ev.make_perturbation("cos_exp")
     grid = [0.0, 1.0, 9.0]
-    full = ev.diminishing_profile(sig.fn, grid, quad_tol=1e-10,
+    full = ev.diminishing_profile(sig.w, grid, quad_tol=1e-10,
                                   freq_hint=sig.freq_hint)
     monkeypatch.setattr(dim, "_MAX_PANELS", 1024)
-    prof = ev.diminishing_profile(sig.fn, grid, quad_tol=1e-10,
+    prof = ev.diminishing_profile(sig.w, grid, quad_tol=1e-10,
                                   freq_hint=sig.freq_hint)
     assert np.array_equal(prof.values[:2], full.values[:2])
     assert np.isnan(prof.values[2])
@@ -126,24 +126,24 @@ def test_profile_point_over_the_budget_is_a_partial_profile(monkeypatch):
 
 
 def test_vector_profile_under_paper_bound():
-    sig = ev.make_signal("vec_cos_sin_exp")
-    prof = ev.diminishing_profile(sig.fn, np.arange(0.0, 9.0),
+    sig = ev.make_perturbation("vec_cos_sin_exp")
+    prof = ev.diminishing_profile(sig.w, np.arange(0.0, 9.0),
                                   quad_tol=1e-9, freq_hint=sig.freq_hint)
     assert prof.trend == "decreasing"
     assert np.all(prof.values <= math.sqrt(32.0) * np.exp(-prof.t_grid) + 1e-9)
 
 
 def test_unbounded_signal_profile_decays():
-    sig = ev.make_signal("t_cos_t4")
-    prof = ev.diminishing_profile(sig.fn, np.arange(1.0, 11.0),
+    sig = ev.make_perturbation("t_cos_t4")
+    prof = ev.diminishing_profile(sig.w, np.arange(1.0, 11.0),
                                   quad_tol=1e-9, freq_hint=sig.freq_hint)
     assert prof.trend == "decreasing"
     assert prof.values[-1] < 0.1 * prof.values[0]
 
 
 def test_constant_profile_not_diminishing():
-    sig = ev.make_signal("const1")
-    prof = ev.diminishing_profile(sig.fn, np.arange(0.0, 6.0))
+    sig = ev.make_perturbation("const1")
+    prof = ev.diminishing_profile(sig.w, np.arange(0.0, 6.0))
     assert np.allclose(prof.values, 1.0, atol=1e-9)
     assert prof.trend == "not-decreasing"
 
@@ -267,10 +267,10 @@ def test_classify_zero_perturbation():
 
 
 def test_profile_points_deterministic():
-    sig = ev.make_signal("cos_exp")
-    a = ev.diminishing_profile(sig.fn, np.arange(0.0, 5.0), quad_tol=1e-9,
+    sig = ev.make_perturbation("cos_exp")
+    a = ev.diminishing_profile(sig.w, np.arange(0.0, 5.0), quad_tol=1e-9,
                                freq_hint=sig.freq_hint)
-    b = ev.diminishing_profile(sig.fn, np.arange(0.0, 5.0), quad_tol=1e-9,
+    b = ev.diminishing_profile(sig.w, np.arange(0.0, 5.0), quad_tol=1e-9,
                                freq_hint=sig.freq_hint)
     assert np.array_equal(a.values, b.values)
 
@@ -278,10 +278,10 @@ def test_profile_points_deterministic():
 @settings(max_examples=8, deadline=None)
 @given(t=st.floats(0.0, 8.0))
 def test_window_sup_matches_simpson_oracle_on_cos_exp(t):
-    sig = ev.make_signal("cos_exp")
-    mine = ev.window_integral_sup(sig.fn, t, quad_tol=1e-9,
+    sig = ev.make_perturbation("cos_exp")
+    mine = ev.window_integral_sup(sig.w, t, quad_tol=1e-9,
                                   freq_hint=sig.freq_hint)
-    ref = window_sup_simpson(sig.fn, t, math.exp(t + 1.0))
+    ref = window_sup_simpson(sig.w, t, math.exp(t + 1.0))
     assert mine == pytest.approx(ref, abs=2e-6)
 
 
@@ -292,7 +292,7 @@ _HAND_HINTS = {"cos_exp": np.exp, "vec_cos_sin_exp": np.exp,
                "vec_t_cos_sin_t4": lambda t: 4.0 * t ** 3,
                "example1_unbounded": lambda t: 4.0 * t ** 3,
                "example1_bounded": np.exp,
-               "const1": None, "const_e1": None, "zero": None}
+               "const1": None, "const_e1": None}
 
 
 def _chirp_sum(terms, t, dim):
@@ -305,8 +305,6 @@ def _chirp_sum(terms, t, dim):
 
 def _catalog_chirps():
     """(name, [(terms, vectorized fn)], dim, freq_hint) of every entry."""
-    for name, sig in ev.SIGNAL_CATALOG.items():
-        yield "signal:" + name, [(sig.terms, sig.fn)], sig.dim, sig.freq_hint
     for name in ev.PERTURBATION_CATALOG:
         pert = ev.make_perturbation(name)
         if pert.kind == "time":
@@ -329,7 +327,7 @@ def test_chirp_terms_are_the_signal(entry, rng):
         amp = sum(np.abs(term.a(t)) for term in terms)
         assert np.all(np.abs(_chirp_sum(terms, t, dim_) - want)
                       <= 1e-12 * np.maximum(1.0, amp))
-    old = _HAND_HINTS[name.removeprefix("signal:")]
+    old = _HAND_HINTS[name]
     if old is None:
         assert hint is None
     else:
@@ -345,8 +343,6 @@ def test_chirp_freq_is_the_fastest_rate():
 
 
 def _catalog_time_signals():
-    for name, sig in ev.SIGNAL_CATALOG.items():
-        yield "signal:" + name, sig.fn, sig.dim
     for name in ev.PERTURBATION_CATALOG:
         pert = ev.make_perturbation(name)
         if pert.kind == "time":

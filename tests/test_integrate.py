@@ -94,9 +94,27 @@ def test_freq_hint_caps_the_step():
                                                  abs=1e-8)
 
 
+@pytest.mark.parametrize("hint, match", [
+    (math.nan, r"^freq_hint is NaN$"),
+    (lambda t: math.nan, r"^freq_hint is NaN at t=0\.0$")],
+    ids=["constant", "callable"])
+@pytest.mark.parametrize("run", ["integrate", "window_integral_sup"])
+def test_a_nan_freq_hint_raises(run, hint, match):
+    # NaN fails "omega > 0", which would otherwise lift the step cap, or
+    # send the window quadrature to its crossing scan, without a word
+    calls = {
+        "integrate": lambda: ev.integrate(
+            lambda t, x: -x + math.cos(50.0 * t), 0.0, np.zeros(1), 10.0,
+            tol=1e-6, freq_hint=hint),
+        "window_integral_sup": lambda: ev.window_integral_sup(
+            lambda t: np.cos(50.0 * np.asarray(t)), 0.0, freq_hint=hint)}
+    with pytest.raises(ValueError, match=match):
+        calls[run]()
+
+
 def test_time_varying_freq_hint():
-    sig = ev.make_signal("t_cos_t4")
-    rhs = lambda t, x: np.array([float(sig.fn(t))])
+    sig = ev.make_perturbation("t_cos_t4")
+    rhs = lambda t, x: np.array([float(sig.w(t))])
     traj = ev.integrate(rhs, 5.0, np.zeros(1), 6.0, tol=1e-7,
                         freq_hint=sig.freq_hint)
     # stationary-phase scale: |int_5^t tau cos(tau^4)| ~ 1/(4 t^2) ~ 0.01
@@ -289,8 +307,8 @@ def test_diagnostics_populated():
 
 def test_diagnostics_are_plain_python_types():
     # cos_exp's frequency hint returns numpy scalars, and the cap is active
-    sig = ev.make_signal("cos_exp")
-    traj = ev.integrate(lambda t, x: -x + sig.fn(t), 0.0, np.array([1.0]),
+    sig = ev.make_perturbation("cos_exp")
+    traj = ev.integrate(lambda t, x: -x + sig.w(t), 0.0, np.array([1.0]),
                         3.0, tol=1e-6, freq_hint=sig.freq_hint)
     d = traj.diagnostics
     assert d["min_step"] <= (2 * math.pi / math.exp(3.0)) / 8.0
@@ -393,12 +411,12 @@ def test_batch_rows_obey_superposition(signal, a):
     # under time-only forcing e(t; e0) = expm(A (t - t0)) e0 + e(t; 0); the
     # e(t; 0) row rides in the same batch
     a = np.asarray(a)
-    sig = ev.make_signal(signal)
+    sig = ev.make_perturbation(signal)
     dim = a.shape[0]
     e0s = np.vstack([np.zeros(dim), np.linspace(-0.8, 0.6, 3 * dim)
                      .reshape(3, dim)])
     ts = np.linspace(1.0, 4.0, 121)
-    traj = ev.integrate(lambda t, e: e @ a.T + sig.fn(t), ts[0], e0s, ts[-1],
+    traj = ev.integrate(lambda t, e: e @ a.T + sig.w(t), ts[0], e0s, ts[-1],
                         tol=1e-10, freq_hint=sig.freq_hint, sample_times=ts)
     assert traj.states.shape == (ts.size, e0s.shape[0], dim)
     forced = traj.states[:, 0]

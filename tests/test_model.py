@@ -414,6 +414,19 @@ def test_batched_evaluate_rows_are_one_state_values(name, rng):
                 4.0 * np.finfo(float).eps * math.exp(t) * np.max(np.abs(k)))
 
 
+@pytest.mark.parametrize("ts", [0.5, [[0.1, 0.2]], [], [0.1, math.nan]],
+                         ids=["scalar", "2d", "empty", "nan"])
+@pytest.mark.parametrize("name", ["zero", "cos_exp", "example1_bounded"])
+def test_evaluate_checks_its_times(name, ts):
+    # every kind rejects the same bad times with one message, before w, D
+    # or K sees them
+    pert = ev.make_perturbation(name)
+    xs = np.zeros((2, pert.state_dim))
+    with pytest.raises(ValueError, match="^ts must be a non-empty 1-d "
+                       "sequence of finite times$"):
+        pert.evaluate(ts, xs)
+
+
 def _constant_d(mat):
     return lambda t: np.multiply.outer(mat, np.ones(np.shape(t)))
 

@@ -420,6 +420,19 @@ def test_coercivity_rejects_non_finite_radii(bad):
                             radii=(1.0, 10.0, 100.0, bad))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"ray_count": 0}, "^ray_count must be >= 1"),
+    ({"ray_count": -1}, "^ray_count must be >= 1"),
+    ({"ray_count": 2.5}, "^ray_count: expected an integer"),
+    ({"x_samples": []}, "^x_samples must hold at least one probe state$")],
+    ids=["no_rays", "negative_rays", "fractional_rays", "no_states"])
+def test_coercivity_probe_needs_a_ray_and_a_state(kwargs, match):
+    # an empty probe used to come back as an "inconclusive" verdict
+    args = {"x_samples": [np.zeros(2)], **kwargs}
+    with pytest.raises(ValueError, match=match):
+        ev.coercivity_probe(ev.make_model("cubic"), **args)
+
+
 def test_coercivity_excludes_failing_rays():
     def f(x, u):
         return np.where(u > 50.0, np.nan, u)

@@ -151,6 +151,27 @@ def test_failed_witness_replay_is_a_sim_failure():
         [(w["t0"], w["x0"]) for w in good.witnesses]
 
 
+@pytest.mark.parametrize("run", ["stack", "alone"])
+def test_a_run_short_of_the_horizon_breaks_the_factory_contract(run):
+    # judged on 0.5-long windows, the levels of a 6.0 horizon would pass;
+    # the stack and the one-row rerun of its samples are both checked
+    short = ev.make_error_factory(ev.default_hurwitz(1),
+                                  ev.make_perturbation("cos_exp"), 0.5,
+                                  tol=1e-6)
+    sim = short
+    if run == "alone":
+        def sim(t0, x0):
+            if len(x0) > 1:
+                raise ev.IntegrationError("stack backend down")
+            return short(t0, x0)
+    with pytest.raises(ValueError, match=r"^a factory run from t0=0\.0 "
+                       r"spans \[0\.0, 0\.5\], which does not cover the "
+                       r"horizon 6\.0$"):
+        ev.verify_evuas(sim, delta0=0.5, t0_grid=[0.0, 1.0],
+                        eps_levels=[0.5, 0.25], horizon=6.0, samples=3,
+                        seed=7, dim=1)
+
+
 def _blowup_factory(t0, x0):
     # x' = x^2: positive x0 blow up at t0 + 1/x0, inside the window for
     # x0 >= 1/8; negative x0 decay
