@@ -129,8 +129,8 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
         "euclidean" or "inf".
     freq_hint : float or callable, optional
         Dominant angular frequency (rad per unit time) of the integrand;
-        when absent a zero-crossing scan estimates it.  A NaN hint raises
-        ValueError.
+        when absent a zero-crossing scan estimates it.  A NaN or infinite
+        hint raises ValueError.
 
     Returns
     -------

@@ -9,9 +9,12 @@ eighth of the local period, which keeps the controller from blindly
 marching across whole oscillation periods of phases like t**4.
 
 Capped phases such as t**4 take hundreds of thousands of steps, so the step
-loop keeps its bookkeeping small: the seven stages live in one (7, dim)
-buffer, and the Butcher tableau is held as arrays, so every stage input, the
-new state and the error estimate are each one dot product with that buffer.
+loop keeps its bookkeeping small: the current state is row 0 of one
+(8, dim) buffer and the seven stages are rows 1-7, and the tableau is one
+(7, 8) array whose column 0 weighs the state.  Scaled by the step once per
+step, with that column set to 1 on the stage rows, it makes every stage
+input, the new state and the error estimate's numerator one dot product of
+a tableau row with the whole buffer: one numpy call each.
 
 The cap depends on t only, so many initial states of one system take nearly
 the same steps.  A batch of N states, given as an (N, dim) array, is
@@ -38,19 +41,21 @@ from ._expm import expm
 from .errors import IntegrationError, ShapeError
 from .norms import point_norms
 
-# Dormand-Prince tableau: the nodes c, the rows of A with the fifth-order
-# weights b as the last row, and the fifth-minus-fourth-order weights E of
-# the error estimate
+# Dormand-Prince tableau: the nodes c, and one (7, 8) array whose rows are
+# the rows of A, the fifth-order weights b (the input of the last stage, at
+# the new state) and the fifth-minus-fourth-order weights E of the error
+# estimate.  Column 0 weighs the state and is 0 here; columns 1-7 weigh the
+# stages
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = tuple(np.array(row) for row in (
+_TABLEAU = np.array([(0.0,) + row + (0.0,) * (7 - len(row)) for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)))
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+     -1 / 40))])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -133,16 +138,18 @@ def _sample_grid(sample_times, t0, t_end):
 
 
 def _step_cap(freq_hint):
-    """t -> the step cap: an eighth of the local forcing period, or inf.
-    A NaN hint raises ValueError, naming the time t of a callable's."""
+    """t -> the step cap: an eighth of the local forcing period, or inf
+    for a zero hint.  A NaN or infinite hint (whose cap would be 0) raises
+    ValueError, naming the time t of a callable's."""
     def cap(omega, t=None):
         omega = abs(float(omega))
-        if omega > 0.0:
+        if 0.0 < omega < math.inf:
             return (2.0 * math.pi / omega) / 8.0
-        if math.isnan(omega):
-            raise ValueError("freq_hint is NaN"
-                             + ("" if t is None else f" at t={t}"))
-        return math.inf
+        if omega == 0.0:
+            return math.inf
+        raise ValueError("freq_hint is "
+                         + ("NaN" if math.isnan(omega) else "infinite")
+                         + ("" if t is None else f" at t={t}"))
 
     if callable(freq_hint):
         return lambda t: cap(freq_hint(t), t)
@@ -222,7 +229,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
         Per-step error tolerance, applied mixed (absolute and relative).
     freq_hint : float or callable, optional
         Angular frequency of the fastest forcing; caps the step at an
-        eighth of its period.  A NaN hint raises ValueError.
+        eighth of its period.  A NaN or infinite hint raises ValueError.
     sample_times : array_like, optional
         Dense-output sample times; defaults to the accepted step points.
         t0 is always included as the first sample.
@@ -239,20 +246,26 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     x0 = _stack(x0)
     shape, width = x0.shape, x0.shape[-1]    # as rhs sees the state
     rows = x0.size // width
-    y = x0.ravel()          # one flat vector, batch rows back to back
 
     # a list starting at t0, for cheap lookups per step
     samples = None if sample_times is None else _sample_grid(
         sample_times, t0, t_end)
+
+    # the state, one flat vector with batch rows back to back, then the
+    # stages; FSAL carries K[6] into K[0].  Zeros, not np.empty: a stage
+    # input's dot product takes every row, and 0 times a NaN left in a row
+    # not yet filled would poison the first step
+    YK = np.zeros((8, x0.size))
+    y, K = YK[0], YK[1:]
+    y[:] = x0.ravel()
+    K_rhs = K.reshape((7,) + shape)       # the stages as rhs returns them
+    batch = len(shape) > 1                # one state is already flat
 
     out_t = [t0]
     out_y = [y.copy()]
     sample_ptr = 1
 
     t = t0
-    K = np.empty((7, y.size))    # the stages; FSAL carries K[6] into K[0]
-    K_head = [K[:i] for i in range(7)]    # views of the first i stages
-    K_rhs = K.reshape((7,) + shape)       # the stages as rhs returns them
     # arithmetic on a state or stage that turned non-finite stays silent,
     # once per call: the checks below raise IntegrationError, with the last
     # good (t, x), in place of a RuntimeWarning
@@ -289,13 +302,16 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
                     f"step budget {_MAX_STEPS} exhausted at t={t}", t_last=t,
                     x_last=y.reshape(shape).copy(), reason="budget")
 
+            # row i - 1 of coef gives stage i's input (1, h a_i) . (y, K);
             # ndarray.dot is np.dot, bit for bit, without its dispatch cost
             hh = h_eff
+            coef = hh * _TABLEAU
+            coef[:6, 0] = 1.0
             # the last stage is at y_new; every result is shape-checked
             for i in range(1, 7):
-                y_i = y + hh * _A[i - 1].dot(K_head[i])
+                y_i = coef[i - 1].dot(YK)
                 t_i = t + _C[i] * hh if i < 5 else t_new
-                f = rhs(t_i, y_i.reshape(shape))
+                f = rhs(t_i, y_i.reshape(shape) if batch else y_i)
                 K_rhs[i] = f if getattr(f, "shape", None) == shape else \
                     _shaped(f, shape, f"rhs at t={t_i}")
             y_new = y_i
@@ -308,7 +324,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
             if not (y_new.dot(y_new) < math.inf or np.isfinite(y_new).all()):
                 raise _non_finite(t_new, t, y, shape)
             abs_new = np.abs(y_new)
-            r = hh * _E.dot(K) / (tol + tol * np.maximum(abs_y, abs_new))
+            r = coef[6].dot(YK) / (tol + tol * np.maximum(abs_y, abs_new))
             if rows == 1:
                 err = math.sqrt(float(r.dot(r)) / width)
             else:
@@ -331,7 +347,8 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
                     out_y.append(y_new)
                 n_accepted += 1
                 min_step = min(min_step, hh)
-                t, y, abs_y = t_new, y_new, abs_new
+                t, abs_y = t_new, abs_new
+                y[:] = y_new
                 K[0] = K[6]
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** -0.2)

@@ -81,8 +81,11 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None,
             f = term(x)
             out[..., len(a) - f.shape[-1]:] += f
         if w is not None:
-            out[..., split:] += w(t, x if track is None
-                                  else x + flatten_state(track.value(t)))
+            v = w(t, x if track is None else x + flatten_state(track.value(t)))
+            if split:
+                out[..., split:] += v
+            else:
+                out += v
         return out
     return integrate(rhs, t0, x0, t_end, tol=tol,
                      freq_hint=None if w is None else pert.freq_hint,

@@ -96,12 +96,15 @@ def test_freq_hint_caps_the_step():
 
 @pytest.mark.parametrize("hint, match", [
     (math.nan, r"^freq_hint is NaN$"),
-    (lambda t: math.nan, r"^freq_hint is NaN at t=0\.0$")],
-    ids=["constant", "callable"])
+    (lambda t: math.nan, r"^freq_hint is NaN at t=0\.0$"),
+    (math.inf, r"^freq_hint is infinite$"),
+    (lambda t: -math.inf, r"^freq_hint is infinite at t=0\.0$")],
+    ids=["constant", "callable", "inf_constant", "inf_callable"])
 @pytest.mark.parametrize("run", ["integrate", "window_integral_sup"])
 def test_a_nan_freq_hint_raises(run, hint, match):
     # NaN fails "omega > 0", which would otherwise lift the step cap, or
-    # send the window quadrature to its crossing scan, without a word
+    # send the window quadrature to its crossing scan, without a word; an
+    # infinite hint would make the cap 0, and the first step divide by it
     calls = {
         "integrate": lambda: ev.integrate(
             lambda t, x: -x + math.cos(50.0 * t), 0.0, np.zeros(1), 10.0,
@@ -327,6 +330,8 @@ def _reference_system(name):
     if name == "linear3":
         return (lambda t, x: _A_LIN3 @ x), None
     pert = ev.make_perturbation(name)
+    if name == "cos_exp":        # the system of the verify_error sweep
+        return (lambda t, e: -e + pert.w(t)), pert.freq_hint
     if pert.kind == "time":
         return (lambda t, e: _A_EX1 @ e + pert.w(t)), pert.freq_hint
     return (lambda t, e: _A_EX1 @ e
@@ -339,7 +344,11 @@ def _reference_system(name):
     ("linear3", [1.0, -2.0, 0.5], 10.0, 1e-8, np.linspace(0.0, 10.0, 101)),
     # every accepted step stored: rows must not alias the stage buffer
     ("example1_unbounded", [-1.0, 1.5], 5.0, 1e-6, None),
-], ids=["example1_unbounded", "example1_bounded", "linear3", "every_step"])
+    # the cap-driven window of the verify sweeps, t0 up to 2 plus horizon 6
+    ("cos_exp", [0.5], 8.0, 1e-7, np.linspace(0.0, 8.0, 801)),
+    ("cos_exp", [0.5], 8.0, 1e-7, None),
+], ids=["example1_unbounded", "example1_bounded", "linear3", "every_step",
+        "cos_exp", "cos_exp_every_step"])
 def test_matches_reference_stepper(system, x0, t_end, tol, samples):
     rhs, hint = _reference_system(system)
     traj = ev.integrate(rhs, 0.0, np.array(x0), t_end, tol=tol,
@@ -352,6 +361,22 @@ def test_matches_reference_stepper(system, x0, t_end, tol, samples):
     assert traj.times.shape == times.shape
     assert np.max(np.abs(traj.times - times)) <= 1e-11
     assert np.max(np.abs(traj.states - states)) <= 1e-11
+
+
+def test_tableau_is_dormand_prince():
+    # rows 0-4 are A's, row 5 is b, row 6 is E; column 0 weighs the state
+    tab = integrate_module._TABLEAU
+    assert tab.shape == (7, 8)
+    assert not tab[:, 0].any()
+    for i in range(6):          # explicit: stage i + 1 reads K[0..i] only
+        assert not tab[i, i + 2:].any(), i
+    nodes = integrate_module._C[1:] + (1.0,)     # b's row sums to 1
+    np.testing.assert_allclose(tab[:6].sum(axis=1), nodes, rtol=1e-15)
+    b, e = tab[5, 1:], tab[6, 1:]
+    assert abs(e.sum()) <= 1e-15
+    b4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40]          # the published fourth-order weights
+    np.testing.assert_allclose(b - e, b4, rtol=0.0, atol=1e-16)
 
 
 @st.composite
