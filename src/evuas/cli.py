@@ -3,13 +3,16 @@
 Subcommands mirror the pipeline stages; each flag-driven subcommand builds
 a scenario document and hands it to the scenario runner, so CLI runs and
 scenario-file runs share one code path (and one reproducibility story).
-A document holds the flags the user gave, plus a CLI default for each
-flag whose field the schema requires or the command's stages need, so
-that a bare command runs: ``simulate --kind/--t-end/--model/--poles/
---a-h`` and ``verify --delta0/--t0-grid/--eps-levels/--horizon/--a-h``
-(``--a-h`` writes "default", the default Hurwitz matrix).  The schema in
-:mod:`evuas.scenarios` supplies the defaults of every other field, and it
-validates the overrides (``--seed``, ``--tol``, ``--norm``,
+A document holds the flags given, plus CLI defaults for ``simulate
+--kind/--t-end/--model/--poles/--a-h`` and ``verify --delta0/--t0-grid/
+--eps-levels/--horizon/--a-h`` (``--a-h`` writes "default", the default
+Hurwitz matrix).  No command runs bare: ``classify`` needs
+``--perturbation``, ``synthesize`` ``--model`` and ``--poles``,
+``simulate`` ``--e0`` (``--x0`` for a closed-loop or tracking run), and
+``verify`` a matrix ``--a-h`` or a ``--perturbation`` to size the error
+system; without them a command exits 2.  The schema in
+:mod:`evuas.scenarios` supplies the defaults of every other field, and
+it validates the overrides (``--seed``, ``--tol``, ``--norm``,
 ``--format``) like document fields.  Exit codes: 0 success, 1
 pipeline-stage failure, 2 invalid scenario or arguments (the message
 names the field).

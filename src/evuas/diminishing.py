@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureBudgetError, ShapeError
-from .integrate import _step_cap, _time_grid
+from .integrate import _finite, _positive, _step_cap, _time_grid
 from .norms import check_norm_id, point_norms, sphere_samples, unit_directions
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -144,12 +144,8 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
         carries the best estimate and the last refinement difference.
     """
     check_norm_id(norm)
-    if not 0.0 < quad_tol < math.inf:
-        raise ValueError(
-            f"quad_tol must be positive and finite, got {quad_tol}")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _positive("quad_tol", quad_tol)
+    t = _finite("t", t)
     sig = h if isinstance(h, SignalAdapter) else SignalAdapter(h)
 
     n = _initial_panels(sig, t, freq_hint)
@@ -315,11 +311,8 @@ def classify(pert, probe_radius, t_horizon, quad_tol=1e-8, norm="euclidean",
     are tri-state; nothing is silently guessed.
     """
     check_norm_id(norm)
-    for name, value in (("probe_radius", probe_radius),
-                        ("t_horizon", t_horizon)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got "
-                             f"{value}")
+    _positive("probe_radius", probe_radius)
+    _positive("t_horizon", t_horizon)
     tail = _tail_times(t_horizon)
     late = tail >= t_horizon / 2.0
     # |W| on the probe ball at every tail time; its first point is x = 0

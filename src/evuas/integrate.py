@@ -108,6 +108,21 @@ def _stack(x, dim=None, name="x0"):
     return x
 
 
+def _positive(name, value):
+    """``value``, else ValueError unless it is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _finite(name, t):
+    """``t`` as a float, else ValueError unless it is finite."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite")
+    return t
+
+
 def _shaped(values, shape, name):
     """``values`` as floats of ``shape``, else ShapeError naming ``name``."""
     out = np.asarray(values, dtype=float)
@@ -197,9 +212,7 @@ def _non_finite(t_new, t, y, shape):
 
 def _time_span(t0, t_end):
     """(t0, t_end) as floats, else ValueError: both finite, t_end > t0."""
-    t0, t_end = float(t0), float(t_end)
-    if not math.isfinite(t0) or not math.isfinite(t_end):
-        raise ValueError(f"t0={t0} and t_end={t_end} must be finite")
+    t0, t_end = _finite("t0", t0), _finite("t_end", t_end)
     if not t_end > t0:
         raise ValueError(f"t_end={t_end} must exceed t0={t0}")
     return t0, t_end
@@ -241,8 +254,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
         the error carries the last good (t, x).
     """
     t0, t_end = _time_span(t0, t_end)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _positive("tol", tol)
     x0 = _stack(x0)
     shape, width = x0.shape, x0.shape[-1]    # as rhs sees the state
     rows = x0.size // width

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diminishing import SignalAdapter, chirp_freq
 from .errors import EvaluationError, ShapeError
-from .integrate import _shaped, _time_grid
+from .integrate import _shaped, _stack, _time_grid
 
 # central-difference step scale for C^1 maps
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
@@ -25,18 +25,13 @@ _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 ORIGIN_TOL = 1e-10
 
 
-def _as_shape(x, shape, name):
-    return _shaped(np.atleast_1d(x), shape, name)
-
-
 def _state_and_input(model, x, u):
-    """Checked ``(x, u)``: a flat state and its input, or a batch of
-    (N, m*n) states and (N, m) inputs.  The input decides, since for m = 1
-    an (m, n) state matrix has the shape of a one-row batch."""
-    u = np.asarray(u, dtype=float)
-    batch = u.shape[:1] if u.ndim == 2 else ()
-    return (_as_shape(x, batch + (model.state_dim,), "state"),
-            _as_shape(u, batch + (model.m,), "input"))
+    """Checked ``(x, u)``, each by :func:`evuas.integrate._stack`: a flat
+    state and its input, or (N, m*n) states and (N, m) inputs."""
+    x, u = _stack(x, model.state_dim, "state"), _stack(u, model.m, "input")
+    if x.shape[:-1] != u.shape[:-1]:
+        raise ShapeError(f"state {x.shape} and input {u.shape}: counts differ")
+    return x, u
 
 
 def _check_finite(v, where, rows=False, what=None):
@@ -62,6 +57,13 @@ def _check_finite(v, where, rows=False, what=None):
                           component=idx, where=where, row=row)
 
 
+def _entry(kind, catalog, name):
+    """The builder of catalog entry ``name``, else KeyError."""
+    if name not in catalog:
+        raise KeyError(f"unknown {kind} {name!r}; catalog: {sorted(catalog)}")
+    return catalog[name][0]
+
+
 def _size(name, value):
     """``value`` as an int >= 1, else ValueError: a dimension is never
     truncated from a float or left empty."""
@@ -82,8 +84,7 @@ def flatten_state(mat):
 
 def unflatten_state(vec, m, n):
     """Inverse of :func:`flatten_state`; exact round trip."""
-    vec = _as_shape(vec, (m * n,), "state")
-    return vec.reshape((m, n), order="F")
+    return _shaped(vec, (m * n,), "state").reshape((m, n), order="F")
 
 
 class SystemModel:
@@ -217,14 +218,15 @@ class PerturbationSpec:
     dim : int
         Output dimension (the m of the system it perturbs).
     w : callable, optional
-        ``w(t)`` for ``kind="time"``: ``(dim,)`` at one float time, as the
-        right-hand side calls it, and ``(dim, N)`` (or ``(N,)`` when dim
-        is 1) on a 1-d array of N times, as :meth:`evaluate` and
-        :meth:`columns` call it.
+        ``w(t)`` for ``kind="time"``: ``(dim,)`` at one float time (or a
+        scalar when dim is 1), as the right-hand side calls it, and
+        ``(dim, N)`` (or ``(N,)`` when dim is 1) on a 1-d array of N
+        times, as :meth:`evaluate` and :meth:`columns` call it.
     d, k : callable, optional
-        ``d(t)`` and ``k(x_flat) -> (dim,)`` for ``kind="factored"``: ``d``
-        is called like ``w`` and returns ``(dim, dim)`` or
-        ``(dim, dim, N)``; ``k`` only ever sees one state.
+        ``d(t)`` and ``k(x_flat)`` for ``kind="factored"``: ``d`` is
+        called like ``w`` and returns ``(dim, dim)`` or ``(dim, dim, N)``;
+        ``k`` only ever sees one state and returns exactly ``(dim,)``.
+        An integrated run checks the one-time shapes once, at t0.
     freq_hint : float or callable, optional
         Dominant angular frequency of the fastest oscillation (a constant
         or a function of t); integrators and quadrature cap their step at
@@ -293,21 +295,22 @@ class PerturbationSpec:
     def evaluate(self, ts, x):
         """W at T times and N states, (T, N, dim): one call of ``w`` or ``d``
         on the 1-d array ``ts``, one of ``k`` per row of the (N, state_dim)
-        batch ``x``, at finite times in any order (else ValueError).  The
+        batch ``x`` (by :func:`evuas.integrate._stack`; one flat state is a
+        row), at finite times in any order (else ValueError).  The exact
         shapes are checked; a non-finite entry raises EvaluationError
         naming its time and state row (the earliest time first, then the
         lowest row)."""
         ts = _time_grid(ts, "ts", increasing=False)
-        x = _as_shape(x, (len(x), self.state_dim), "state")
+        x = _stack(x, self.state_dim, "state").reshape(-1, self.state_dim)
         shape = (ts.size, len(x), self.dim)
         if self.kind == "zero":
             return np.zeros(shape)
         if self.kind == "time":
-            w = _as_shape(SignalAdapter(self.w)(ts), (self.dim, ts.size), "W")
+            w = _shaped(SignalAdapter(self.w)(ts), (self.dim, ts.size), "W")
             out = np.broadcast_to(w.T[:, None], shape)
         else:
-            d = _as_shape(self.d(ts), (self.dim, self.dim, ts.size), "D(t)")
-            k = np.array([_as_shape(self.k(row), (self.dim,), "K(x)")
+            d = _shaped(self.d(ts), (self.dim, self.dim, ts.size), "D(t)")
+            k = np.array([_shaped(self.k(row), (self.dim,), "K(x)")
                           for row in x])
             # K(x) against an F-ordered D(t).T, as unchecked multiplies them
             d_t = np.ascontiguousarray(np.moveaxis(d, -1, 0))
@@ -320,6 +323,19 @@ class PerturbationSpec:
                 f"W returned a non-finite value at t={ts[i]} in row {row} "
                 f"at component {idx}", component=idx, where="W", row=row)
         return out
+
+    def _check_at(self, t, x):
+        """ShapeError naming the spec and t unless w(t) is (dim,) (or () at
+        dim 1), or D(t) is (dim, dim) and K (dim,) on each row of x."""
+        where = f"perturbation {self.name!r} at t0={t}: "
+        if self.kind == "time":
+            w = np.asarray(self.w(t), dtype=float)
+            scalar = w.shape == () and self.dim == 1
+            _shaped(w, () if scalar else (self.dim,), where + "w(t)")
+        elif self.kind == "factored":
+            _shaped(self.d(t), (self.dim, self.dim), where + "D(t)")
+            for row in x.reshape(-1, x.shape[-1]):
+                _shaped(self.k(row), (self.dim,), where + "K(x)")
 
     def columns(self):
         """The columns of D as time signals t -> (dim,).
@@ -385,12 +401,16 @@ def _chain(m=1, n=2):
                        name="chain")
 
 
-def _cubic(n=2):
-    # scalar input nonlinearity u + u^3; coercive with globally nonsingular J_{F,U}
-    return SystemModel(1, n, lambda x, u: u + u ** 3,
-                       jac_u=lambda x, u: (1.0 + 3.0 * u ** 2)[:, :, None],
-                       jac_x=lambda x, u: np.zeros((len(u), 1, n)),
-                       name="cubic")
+def _scalar(name, f, df):
+    """Builder of the one-channel model F = f(u), with dF/du = df(u)."""
+    def build(m=1, n=2):
+        if m != 1:
+            raise ValueError(f"model {name!r} is scalar (m=1), got m={m}")
+        return SystemModel(1, n, lambda x, u: f(u),
+                           jac_u=lambda x, u: df(u)[:, :, None],
+                           jac_x=lambda x, u: np.zeros((len(u), 1, n)),
+                           name=name)
+    return build
 
 
 def _sech2(u):
@@ -399,28 +419,19 @@ def _sech2(u):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def _tanh(n=2):
-    # bounded input map: |F| < 1, so the feedback exists only locally
-    return SystemModel(1, n, lambda x, u: np.tanh(u),
-                       jac_u=lambda x, u: _sech2(u)[:, :, None],
-                       jac_x=lambda x, u: np.zeros((len(u), 1, n)),
-                       name="tanh")
-
-
 MODEL_CATALOG = {
     "chain": (_chain, "integrator chain, F = U, any m and n"),
-    "cubic": (_cubic, "scalar F = u + u^3, coercive input nonlinearity"),
-    "tanh": (_tanh, "scalar F = tanh(u), bounded input map"),
+    # coercive, with a globally nonsingular J_{F,U}
+    "cubic": (_scalar("cubic", lambda u: u + u ** 3,
+                      lambda u: 1.0 + 3.0 * u ** 2),
+              "scalar F = u + u^3, coercive input nonlinearity"),
+    # |F| < 1, so the feedback exists only locally
+    "tanh": (_scalar("tanh", np.tanh, _sech2),
+             "scalar F = tanh(u), bounded input map"),
 }
 
 
 def make_model(name, m=1, n=2):
-    """Instantiate a catalog model by its stable identifier."""
-    if name not in MODEL_CATALOG:
-        raise KeyError(f"unknown model {name!r}; catalog: {sorted(MODEL_CATALOG)}")
-    factory = MODEL_CATALOG[name][0]
-    if name == "chain":
-        return factory(m=m, n=n)
-    if m != 1:
-        raise ValueError(f"model {name!r} is scalar (m=1), got m={m}")
-    return factory(n=n)
+    """Instantiate a catalog model by its stable identifier, with m
+    channels of order n (ValueError if the model has no such form)."""
+    return _entry("model", MODEL_CATALOG, name)(m=m, n=n)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diminishing import (chirp_freq, constant_term, exp_chirp,
                           quartic_chirp)
-from .model import PerturbationSpec, _size
+from .model import PerturbationSpec, _entry, _size
 
 
 # (0.5 t sin t^4, -t cos t^4) = Re[(-0.5i, -1) t e^{i t^4}]
@@ -64,8 +64,6 @@ def _check_dim(name, have, requested):
     if requested is not None and _size("dim", requested) != have:
         raise ValueError(
             f"{name!r} has dimension {have}, requested {requested}")
-
-
 
 
 def _time_signal(name, width, w, terms):
@@ -149,8 +147,4 @@ def make_perturbation(name, dim=None):
     """Instantiate a catalog disturbance; ``dim`` is the output dimension,
     which only ``zero`` and ``const_e1`` may choose (ValueError if another
     entry does not have it)."""
-    if name not in PERTURBATION_CATALOG:
-        raise KeyError(
-            f"unknown perturbation {name!r}; catalog: "
-            f"{sorted(PERTURBATION_CATALOG)}")
-    return PERTURBATION_CATALOG[name][0](dim=dim)
+    return _entry("perturbation", PERTURBATION_CATALOG, name)(dim=dim)

@@ -17,10 +17,11 @@ Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
 state.  W is the ``unchecked`` W(t, x) of
-:class:`evuas.model.PerturbationSpec`; its width is checked once per run,
-and a non-finite W stops the run with an IntegrationError (or with F's
-EvaluationError, where F meets the non-finite stage state first).  F goes
-through :meth:`evuas.model.SystemModel.eval_f`, checked on every call.
+:class:`evuas.model.PerturbationSpec`; its width (and, on an integrated
+run, its shapes at t0) is checked once per run, and a non-finite W stops
+the run with an IntegrationError (or with F's EvaluationError, where F
+meets the non-finite stage state first).  F goes through
+:meth:`evuas.model.SystemModel.eval_f`, checked on every call.
 
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, which cancels F: on the closed loop the
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import (ControllerEvaluationError, DesignError, NewtonError,
                      ShapeError)
 from .integrate import _shaped, _stack, integrate, propagate_linear
-from .model import _size, flatten_state, unflatten_state
+from .model import _entry, _size, flatten_state, unflatten_state
 from .norms import point_norms
 from .synthesis import ImplicitController, _first_order, closed_loop_matrix
 
@@ -49,21 +50,17 @@ _ADMISSIBLE_TOL = 1e-8      # bound on |F(X_d(t), 0)|
 _ADMISSIBLE_GRID = 17       # sample times of the admissibility check
 
 
-def _check_width(pert, width):
-    # a zero W has no width to get wrong
-    if pert is not None and pert.kind != "zero" and pert.dim != width:
-        raise ShapeError(f"perturbation {pert.name!r} has {pert.dim} "
-                         f"components; this system takes {width}")
-
-
-def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None,
-                term=None):
+def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
+                track=None, term=None):
     """Run x' = A x + (0, term(x) + W(t, x_true)), each in the last entries
     of its width and x_true = x + X_d(t) for the deviation from a reference
     ``track``: propagated on a sample grid under a zero or chirp-form W
     (each term's c zero-padded to the state) and no state ``term``, else
-    integrated."""
+    integrated.  A W that is not zero must have ``width`` components."""
     w = None if pert is None else pert.unchecked
+    if w is not None and pert.dim != width:
+        raise ShapeError(f"perturbation {pert.name!r} has {pert.dim} "
+                         f"components; this system takes {width}")
     if sample_times is not None and term is None and (
             w is None or pert.terms is not None):
         terms = () if w is None else [
@@ -71,6 +68,9 @@ def _run_linear(a, pert, x0, t0, t_end, tol, sample_times, track=None,
                                              chirp.c]))
             for chirp in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
+    if w is not None:
+        pert._check_at(t0, x0 if track is None
+                       else x0 + flatten_state(track.value(t0)))
     # x.dot(A^T) is A x on one state and on each row of a batch
     a_t = a.T
     split = None if w is None else len(a) - pert.dim
@@ -130,8 +130,8 @@ def simulate_error_dynamics(hurwitz, pert, e0, t0, t_end, tol=1e-8,
     """
     dim = len(hurwitz.a_h)
     e0 = _stack(e0, dim, "e0")
-    _check_width(pert, dim)
-    return _run_linear(hurwitz.a_h, pert, e0, t0, t_end, tol, sample_times)
+    return _run_linear(hurwitz.a_h, pert, dim, e0, t0, t_end, tol,
+                       sample_times)
 
 
 def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
@@ -152,7 +152,6 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
     not m raises ShapeError.
     """
     x0 = _stack(x0, model.state_dim)
-    _check_width(pert, model.m)
     if isinstance(ctrl, ImplicitController) and ctrl.model is model:
         a, term = closed_loop_matrix(ctrl.design, ctrl.hurwitz), None
     else:
@@ -160,7 +159,8 @@ def simulate_closed_loop(model, ctrl, pert, x0, t0, t_end, tol=1e-8,
 
         def term(x):
             return model.eval_f(x, ctrl.solve(x))
-    traj = _run_linear(a, pert, x0, t0, t_end, tol, sample_times, term=term)
+    traj = _run_linear(a, pert, model.m, x0, t0, t_end, tol, sample_times,
+                       term=term)
     return _report_inputs(traj, model.m, ctrl.solve)
 
 
@@ -242,13 +242,12 @@ def simulate_tracking(model, ctrl, track, pert, x0, t0, t_end, tol=1e-8,
         raise ShapeError(
             f"reference {track.name!r} has m={track.m}, n={track.n}; the "
             f"model has m={model.m}, n={model.n}")
-    _check_width(pert, model.m)
     track.check_consistency(t0, t_end)
     track.check_admissible(model, t0, t_end)
     delta0 = flatten_state(unflatten_state(x0, model.m, model.n)
                            - track.value(t0))
     traj = _run_linear(closed_loop_matrix(ctrl.design, ctrl.hurwitz), pert,
-                       delta0, t0, t_end, tol, sample_times, track)
+                       model.m, delta0, t0, t_end, tol, sample_times, track)
 
     ref = np.array([flatten_state(track.value(t)) for t in traj.times])
     ydn = np.array([track.feedforward(t) for t in traj.times])
@@ -283,10 +282,7 @@ REFERENCE_CATALOG = {
 def make_reference(name, m=1, n=2):
     """Instantiate a catalog reference for a system of m channels of
     order n; ValueError if the reference has no such form."""
-    if name not in REFERENCE_CATALOG:
-        raise KeyError(
-            f"unknown reference {name!r}; catalog: {sorted(REFERENCE_CATALOG)}")
-    return REFERENCE_CATALOG[name][0](m, n)
+    return _entry("reference", REFERENCE_CATALOG, name)(m=m, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import model as _model
 from ._expm import expm
 from .errors import DesignError, NewtonError, ShapeError
-from .integrate import _stack
+from .integrate import _positive, _stack
 from .norms import point_norms, unit_directions
 
 NEWTON_TOL = 1e-12
@@ -682,8 +682,7 @@ def estimate_roa(design, r_max, epsilon, delta_E_of_eps, theta1=1.0,
     for nm, v in (("r_max", r_max), ("epsilon", epsilon),
                   ("delta_E_of_eps", delta_E_of_eps), ("theta1", theta1),
                   ("theta2", theta2)):
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{nm} must be positive and finite, got {v}")
+        _positive(nm, v)
     if epsilon >= r_max * design.mu_gamma:
         raise DesignError(
             f"epsilon {epsilon} must be below r_max*mu_gamma = "

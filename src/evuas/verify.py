@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
                      NewtonError, QuadratureBudgetError, ShapeError)
+from .integrate import _finite, _positive
 from .model import _size
 from .norms import (check_norm_id, point_norms, sphere_samples,
                     unit_directions)
@@ -105,41 +106,35 @@ def _settle(times, norms, t0, eps):
     return float(times[above[-1] + 1] - t0)
 
 
-def _batch_norms(traj, count, norm):
-    """(T, count) norms of a batched factory run, one column per sample."""
-    if traj.states.ndim != 3 or traj.states.shape[1] != count:
-        raise ShapeError(
-            f"a factory given {count} initial states must return states of "
-            f"shape (T, {count}, dim), got {traj.states.shape}")
-    return point_norms(traj.states, norm)
+def _run(sim, t0, x0s, horizon, norm):
+    """(times, (T, N) norms) of ``sim(t0, x0s)``, one column per sample:
+    ValueError if the run does not cover [t0, t0 + horizon], ShapeError if
+    its states are not (T, N, dim)."""
+    traj = sim(t0, x0s)
+    start, end = float(traj.times[0]), float(traj.times[-1])
+    if start > t0 + 1e-12 or end < t0 + horizon - 1e-12:
+        raise ValueError(
+            f"a factory run from t0={t0} spans [{start}, {end}], which "
+            f"does not cover the horizon {horizon}")
+    if traj.states.ndim != 3 or traj.states.shape[1] != len(x0s):
+        raise ShapeError(f"a factory run from {len(x0s)} initial states must "
+                         f"be (T, {len(x0s)}, dim), got {traj.states.shape}")
+    return traj.times, point_norms(traj.states, norm)
 
 
-def _covering(sim, horizon):
-    """``sim`` with each run checked to cover [t0, t0 + horizon]."""
-    def run(t0, x0s):
-        traj = sim(t0, x0s)
-        start, end = float(traj.times[0]), float(traj.times[-1])
-        if start > t0 + 1e-12 or end < t0 + horizon - 1e-12:
-            raise ValueError(
-                f"a factory run from t0={t0} spans [{start}, {end}], which "
-                f"does not cover the horizon {horizon}")
-        return traj
-    return run
-
-
-def _alone(sim, t0, x0, norm, sim_failures):
+def _alone(sim, t0, x0, horizon, norm, sim_failures):
     """(times, norms) of x0 run alone, ``sim(t0, x0[None])``; None if that
     run fails, which is then recorded in ``sim_failures``."""
     try:
-        traj = sim(t0, x0[None])
+        times, norms = _run(sim, t0, x0[None], horizon, norm)
     except _SIM_FAILURES as exc:
         sim_failures.append({"t0": t0, "x0": x0.tolist(),
                              "error": str(exc)})
         return None
-    return traj.times, _batch_norms(traj, 1, norm)[:, 0]
+    return times, norms[:, 0]
 
 
-def _sweep(sim, t0, x0s, norm, sim_failures):
+def _sweep(sim, t0, x0s, horizon, norm, sim_failures):
     """[(row, times, norms)] of every sample of one start time that ran.
 
     One factory call covers the whole stack.  When it hits a runtime
@@ -147,29 +142,28 @@ def _sweep(sim, t0, x0s, norm, sim_failures):
     against its own x0, as a serial sweep would record it.
     """
     try:
-        traj = sim(t0, x0s)
+        times, norms = _run(sim, t0, x0s, horizon, norm)
     except _SIM_FAILURES:
         pass
     else:
-        norms = _batch_norms(traj, len(x0s), norm)
-        return [(i, traj.times, norms[:, i]) for i in range(len(x0s))]
-    runs = [_alone(sim, t0, x0, norm, sim_failures) for x0 in x0s]
+        return [(i, times, norms[:, i]) for i in range(len(x0s))]
+    runs = [_alone(sim, t0, x0, horizon, norm, sim_failures) for x0 in x0s]
     return [(i,) + run for i, run in enumerate(runs) if run is not None]
 
 
-def _witness(sim, t0, x0, norm, kind, eps, at_peak, sim_failures):
-    """[witness] re-derived from a run of its sample alone.
+def _witness(sim, t0, x0, horizon, norm, kind, eps, sim_failures):
+    """[witness] at the peak ("evus") or end ("evua") of x0's own run.
 
     A batch shares its step sequence among its rows, so the figures of the
     sample's own run are the ones a replay reproduces.  If that run fails,
     the failure is recorded in ``sim_failures`` and the list is empty.
     """
     t0 = float(t0)
-    run = _alone(sim, t0, x0, norm, sim_failures)
+    run = _alone(sim, t0, x0, horizon, norm, sim_failures)
     if run is None:
         return []
     times, norms = run
-    i = int(np.argmax(norms)) if at_peak else norms.size - 1
+    i = int(np.argmax(norms)) if kind == "evus" else norms.size - 1
     return [{"kind": kind, "eps": eps, "t0": t0, "x0": x0.tolist(),
              "t": float(times[i]), "value": float(norms[i])}]
 
@@ -202,19 +196,19 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     ----------
     sim : callable
         Trajectory factory ``sim(t0, x0) -> Trajectory`` covering at least
-        [t0, t0 + horizon] (a run that does not raises ValueError).  It
-        takes (N, dim) stacks of initial states only
-        and returns states of shape (T, N, dim), one column per sample (the
-        factories of this module and :func:`evuas.integrate.integrate`
-        do).  It is called once per start time with the (3 * samples, dim)
-        stack; a lone sample runs as the one-row stack ``sim(t0, x0[None])``.
-        Its runtime failures (IntegrationError, NewtonError,
-        EvaluationError, QuadratureBudgetError) are data: when the stack
-        fails, its samples run again one at a time and each failure is
-        recorded against its own x0 in ``sim_failures``.  Any other
-        exception propagates.  Witnesses are re-derived from the sample's
-        own one-row run, so they replay exactly; if that run fails, the
-        failure goes to ``sim_failures`` in place of the witness.
+        [t0, t0 + horizon] (else ValueError).  It takes (N, dim) stacks of
+        initial states only and returns states of shape (T, N, dim), one
+        column per sample (else ShapeError), as the factories of this
+        module and :func:`evuas.integrate.integrate` do.  It is called once
+        per start time with the (3 * samples, dim) stack; a lone sample
+        runs as the one-row stack ``sim(t0, x0[None])``.  Its runtime
+        failures (IntegrationError, NewtonError, EvaluationError,
+        QuadratureBudgetError) are data: when the stack fails, its samples
+        run again one at a time and each failure is recorded against its
+        own x0 in ``sim_failures``.  Any other exception propagates.
+        Witnesses are re-derived from the sample's own one-row run, so they
+        replay exactly; if that run fails, the failure goes to
+        ``sim_failures`` in place of the witness.
     delta0 : float
         Radius of the sampled initial ball, positive and finite; spheres
         at delta0, delta0/2 and delta0/4 are drawn.
@@ -236,13 +230,13 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     StabilityReport
     """
     check_norm_id(norm)
-    eps_levels = [float(e) for e in eps_levels]
-    if not eps_levels or not all(0.0 < e < math.inf for e in eps_levels) \
+    eps_levels = [_positive("eps_levels", float(e)) for e in eps_levels]
+    if not eps_levels \
             or any(b >= a for a, b in zip(eps_levels, eps_levels[1:])):
-        raise ValueError("eps_levels must be positive, finite and strictly "
-                         "decreasing, and not empty")
-    if not (0.0 < delta0 < math.inf and 0.0 < horizon < math.inf):
-        raise ValueError("delta0 and horizon must be positive and finite")
+        raise ValueError("eps_levels must be strictly decreasing, and not "
+                         "empty")
+    _positive("delta0", delta0)
+    _positive("horizon", horizon)
     samples = _size("samples", samples)
     dim = _size("dim", dim)
     t0_grid = [float(t) for t in t0_grid]
@@ -255,7 +249,6 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
             raise ValueError(f"t0_grid must hold non-negative start times, "
                              f"got {t0}")
 
-    sim = _covering(sim, horizon)
     radii, x0s = sphere_samples(
         delta0, unit_directions(dim, samples, np.random.default_rng(seed)))
 
@@ -264,7 +257,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     table = []
     sim_failures = []
     for t0 in t0_grid:
-        for i, times, norms in _sweep(sim, t0, x0s, norm, sim_failures):
+        for i, times, norms in _sweep(sim, t0, x0s, horizon, norm,
+                                      sim_failures):
             table.append([t0, i, np.max(norms), norms[-1],
                           _tail_decreasing(norms)]
                          + [_settle(times, norms, t0, e) for e in eps_levels])
@@ -301,8 +295,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
                            else "inconclusive"})
         if peak.size:
             j = int(np.argmax(peak))
-            witnesses += _witness(sim, starts[j], x0s[rows[j]], norm, "evus",
-                                  eps, at_peak=True, sim_failures=sim_failures)
+            witnesses += _witness(sim, starts[j], x0s[rows[j]], horizon,
+                                  norm, "evus", eps, sim_failures)
     doubt = "inconclusive" if sim_failures else "pass"
     evus = _worst(*(row["verdict"] for row in evus_table), doubt)
 
@@ -330,9 +324,9 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
                     "inconclusive" if unsettled.any() else "pass"
                 if unsettled.any():
                     j = int(np.argmax(hard if hard.any() else unsettled))
-                    witnesses += _witness(sim, starts[j], x0s[rows[j]], norm,
-                                          "evua", eps, at_peak=False,
-                                          sim_failures=sim_failures)
+                    witnesses += _witness(sim, starts[j], x0s[rows[j]],
+                                          horizon, norm, "evua", eps,
+                                          sim_failures)
             evua_table.append({"eps": eps, "T": None, "verdict": verdict})
     evua = _worst(*(row["verdict"] for row in evua_table),
                   doubt if alpha0 is not None else "inconclusive")
@@ -428,16 +422,14 @@ def estimate_delta_of_eps(sim, eps, t0, dim=None, directions=8, seed=0,
     seeded and shared across levels, and the factory fixes the window.
     Returns 0.0 when even the smallest tested level fails.  The factory
     ``sim`` is called once per level with the (directions, dim) stack of
-    initial states and must return states of shape (T, directions, dim),
-    as the factories of this module do.  A
-    runtime failure anywhere in the stack fails the level; any other
-    exception propagates.
+    initial states and must return states of shape (T, directions, dim)
+    (else ShapeError) from a run that starts at t0 (else ValueError), as
+    the factories of this module do.  A runtime failure anywhere in the
+    stack fails the level; any other exception propagates.
     """
     check_norm_id(norm)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be a finite start time, got {t0}")
+    _positive("eps", eps)
+    _finite("t0", t0)
     directions = _size("directions", directions)
     iters = _size("iters", iters)
     dim = _size("dim", dim)
@@ -445,10 +437,9 @@ def estimate_delta_of_eps(sim, eps, t0, dim=None, directions=8, seed=0,
 
     def passes(level):
         try:
-            traj = sim(t0, level * dirs)
+            _, norms = _run(sim, t0, level * dirs, 0.0, norm)
         except _SIM_FAILURES:
             return False
-        norms = _batch_norms(traj, directions, norm)
         if float(np.max(norms)) >= eps:
             return False
         # a tail still growing at the window end certifies nothing

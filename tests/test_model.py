@@ -155,6 +155,13 @@ def test_dimension_mismatch_reports_shapes():
         model.eval_f(np.zeros(2), np.zeros(2))
     with pytest.raises(ev.ShapeError, match="x0: expected shape"):
         _open_loop(model, None, np.zeros(3))
+    # a stack of states takes as many inputs, one state one input
+    with pytest.raises(ev.ShapeError, match=r"^state \(3, 2\) and input "
+                       r"\(2, 1\)"):
+        model.eval_f(np.zeros((3, 2)), np.zeros((2, 1)))
+    with pytest.raises(ev.ShapeError, match=r"^state \(1, 2\) and input "
+                       r"\(1,\)"):
+        ev.jacobian_F_U(model, np.zeros((1, 2)), np.zeros(1))
 
 
 def test_non_finite_evaluation_flags_component():
@@ -364,8 +371,12 @@ def test_model_is_reentrant_after_construction():
 def test_catalog_names_resolve():
     for name in ("chain", "cubic", "tanh"):
         assert ev.make_model(name).name == name
-    with pytest.raises(KeyError):
-        ev.make_model("nope")
+    for make, kind in ((ev.make_model, "model"),
+                       (ev.make_perturbation, "perturbation"),
+                       (ev.make_reference, "reference")):
+        with pytest.raises(KeyError, match=rf"unknown {kind} 'nope'; "
+                           r"catalog: \['"):
+            make("nope")
 
 
 @pytest.mark.parametrize("name", ["example1_unbounded", "example1_bounded",
@@ -480,6 +491,31 @@ def test_a_non_finite_w_names_its_time_and_row(kind):
         pert.evaluate(ts, xs)
     assert (exc.value.row, exc.value.component) == (row, idx)
     assert exc.value.where == "W"
+
+
+def test_a_scalar_k_is_rejected_at_dim_1():
+    # K(x) is exactly (dim,): a scalar passed evaluate for one component,
+    # while every run died on it in numpy
+    pert = ev.PerturbationSpec.factored(_constant_d(np.eye(1)),
+                                        lambda x: float(x[0]), 1, name="k0")
+    with pytest.raises(ev.ShapeError, match=r"^K\(x\): expected shape "
+                       r"\(1,\), got \(\)$"):
+        pert.evaluate([0.0, 1.0], np.ones((2, 1)))
+    with pytest.raises(ev.ShapeError, match="^perturbation 'k0' at t0=0.0: "
+                       "K"):
+        ev.simulate_error_dynamics(ev.default_hurwitz(1), pert, [1.0], 0.0,
+                                   1.0)
+
+
+def test_evaluate_checks_its_states_by_the_stack_rule():
+    # a scalar state used to raise a bare TypeError from len(); a flat
+    # state is a one-row batch
+    pert = ev.make_perturbation("example1_bounded")
+    with pytest.raises(ev.ShapeError, match=r"^state: expected shape"):
+        pert.evaluate([0.0, 1.0], 0.5)
+    x = np.array([0.3, -0.4])
+    assert np.array_equal(pert.evaluate([0.0, 1.0], x),
+                          pert.evaluate([0.0, 1.0], x[None]))
 
 
 def test_freq_hint_defaults_to_the_chirp_terms():

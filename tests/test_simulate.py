@@ -681,6 +681,56 @@ def test_disturbance_of_the_wrong_width_is_rejected(ts):
         "zero"), [0.0, 0.0], 0.0, 1.0, sample_times=ts)
 
 
+def _counted(fn, calls):
+    def counted(*args):
+        calls.append(args[0])
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("case", ["scalar_w", "narrow_k", "square_d"])
+def test_w_of_the_wrong_shape_fails_before_the_run(case):
+    # a scalar w(t) at dim 2 drove both channels with one value, and a K of
+    # width 1 died in numpy's matmul; each is checked once, at t0, naming
+    # the perturbation
+    d2 = lambda t: np.multiply.outer(np.eye(2), np.cos(t))
+    pert = {
+        "scalar_w": ev.PerturbationSpec.from_signal(
+            lambda t: np.cos(np.asarray(t, dtype=float)), 2, name="cos2"),
+        "narrow_k": ev.PerturbationSpec.factored(
+            d2, lambda x: x[:1], 2, name="cos2"),
+        "square_d": ev.PerturbationSpec.factored(
+            lambda t: np.cos(t) * np.ones(2), lambda x: x, 2, name="cos2"),
+    }[case]
+    what = {"scalar_w": "w", "narrow_k": "K", "square_d": "D"}[case]
+    with pytest.raises(ev.ShapeError, match=rf"^perturbation 'cos2' at "
+                       rf"t0=0\.5: {what}"):
+        ev.simulate_error_dynamics(ev.default_hurwitz(2), pert,
+                                   np.array([[0.3, 0.1], [0.0, 1.0]]), 0.5,
+                                   2.0)
+
+
+@pytest.mark.parametrize("kind", ["time", "factored"])
+def test_w_is_checked_once_per_run(kind):
+    # one call of w (or D) at t0 on top of one per right-hand-side call; K
+    # once per row at t0 on top of one per row and call
+    w_calls, k_calls = [], []
+    if kind == "time":
+        pert = ev.PerturbationSpec.from_signal(
+            _counted(lambda t: np.cos(t) * np.ones(np.shape(t)), w_calls), 1)
+    else:
+        pert = ev.PerturbationSpec.factored(
+            _counted(lambda t: np.multiply.outer(np.eye(1), np.cos(t)),
+                     w_calls), _counted(lambda x: x[:1], k_calls), 1)
+    x0s = np.array([[0.5], [-0.2], [0.1]])
+    traj = ev.simulate_error_dynamics(ev.default_hurwitz(1), pert, x0s, 0.0,
+                                      2.0, tol=1e-6)
+    n_rhs = traj.diagnostics["n_rhs"]
+    assert w_calls[0] == 0.0 and len(w_calls) == n_rhs + 1
+    assert len(k_calls) == (len(x0s) * (n_rhs + 1) if kind == "factored"
+                            else 0)
+
+
 def test_tracking_rejects_inconsistent_reference():
     bad = ev.TrackingSpec(lambda t: np.array([[np.sin(t), np.sin(t)]]),
                           lambda t: np.array([-np.sin(t)]), m=1, n=2)

@@ -234,7 +234,7 @@ def test_closed_loop_batch_failure_records_only_its_sample():
     with pytest.raises(ev.ControllerEvaluationError):
         sim(0.5, x0s)
     failures = []
-    done = _sweep(sim, 0.5, x0s, "euclidean", failures)
+    done = _sweep(sim, 0.5, x0s, 2.0, "euclidean", failures)
     assert [(f["t0"], f["x0"]) for f in failures] == [(0.5, [3.0, 0.0])]
     assert [i for i, _, _ in done] == [0, 2]
     for i, times, norms in done:
@@ -425,6 +425,17 @@ def test_delta_of_eps_checks_its_inputs_before_any_run(kwargs, name):
         raise AssertionError("the factory ran")
     with pytest.raises(ValueError, match=f"^{name} must"):
         ev.estimate_delta_of_eps(never_called, eps=0.5, dim=1, **kwargs)
+
+
+def test_delta_of_eps_rejects_a_run_that_starts_late():
+    # a run from t0 + 1 used to be judged as if it started at t0
+    late = _decay_factory()
+
+    def sim(t0, x0):
+        return late(t0 + 1.0, x0)
+    with pytest.raises(ValueError, match=r"^a factory run from t0=0\.0 "
+                       r"spans \[1\.0, 13\.0\]"):
+        ev.estimate_delta_of_eps(sim, eps=0.5, t0=0.0, dim=2)
 
 
 def test_delta_for_monotone_scalar_decay():
