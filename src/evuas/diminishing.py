@@ -15,6 +15,13 @@ corresponding period and refined by doubling until the running integral is
 reproduced to the requested tolerance.  Blind adaptive schemes stall on
 phases like t**4, which is why the hint is threaded through everywhere.
 
+The running integral calls the signal on blocks of 512 panels (4096
+times) and reduces each block to its panel sums at once.  A window's peak
+memory is therefore one block of signal values, 4096 x dim**2 floats for
+a column of a factored W whose D(t) is dim x dim, plus the O(n dim)
+running integral over n panels; it does not grow with n times dim**2.
+A non-finite signal value raises EvaluationError at its time.
+
 The chirp terms (:class:`ChirpTerm`) here are the form in which the time
 signals of :mod:`evuas.perturbations` declare their frequency hint.
 """
@@ -26,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureBudgetError, ShapeError
+from .errors import EvaluationError, QuadratureBudgetError, ShapeError
 from .integrate import _finite, _positive, _step_cap, _time_grid
 from .norms import check_norm_id, point_norms, sphere_samples, unit_directions
 
@@ -35,6 +42,7 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 _DEFAULT_PANELS = 256          # also the minimum lambda-grid density
 _MAX_PANELS = 1 << 20          # refinement budget per window
+_BLOCK_PANELS = 512            # panels per signal call of the running integral
 _GOLDEN_TOL = 1e-8             # lambda resolution of the sup refinement
 _DECAY_SLACK = 1.1             # tolerated wobble above the reference bucket
 _FINAL_FRACTION = 0.2          # required drop from first to last bucket
@@ -66,7 +74,7 @@ class SignalAdapter:
 
 def _crossing_count(sig, t0, t1):
     """Max sign-change count over components, scanned on 2048 samples."""
-    signs = np.sign(sig(np.linspace(t0, t1, 2048)))
+    signs = np.sign(_checked(sig, np.linspace(t0, t1, 2048)))
     # carry the previous sign across exact zeros so they do not double-count
     last = np.where(signs != 0.0, np.arange(signs.shape[1]), 0)
     np.maximum.accumulate(last, axis=1, out=last)
@@ -89,17 +97,39 @@ def _initial_panels(sig, t, freq_hint):
     return min(n, _MAX_PANELS // 2)
 
 
+def _checked(sig, taus):
+    """sig on the increasing times taus, else EvaluationError naming the
+    earliest non-finite time and its first non-finite component."""
+    vals = sig(taus)
+    if np.isfinite(vals).all():
+        return vals
+    bad = ~np.isfinite(vals)
+    col = int(np.argmax(bad.any(axis=0)))
+    idx = int(np.argmax(bad[:, col]))
+    raise EvaluationError(f"time signal returned a non-finite value at "
+                          f"t={taus[col]} at component {idx}",
+                          component=idx, where="time signal")
+
+
 def _running_integral(sig, t, n_panels):
-    """Cumulative integral of sig over [t, t+1] at n_panels+1 boundaries."""
+    """Cumulative integral of sig over [t, t+1] at n_panels+1 boundaries.
+
+    sig is called on _BLOCK_PANELS panels (8 nodes each) at a time, and each
+    block is reduced to its panel sums at once, so only the (dim, n_panels)
+    sums outlive a block.
+    """
     nodes, weights = _GL8
     bounds = t + np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 / n_panels
-    centers = 0.5 * (bounds[:-1] + bounds[1:])
-    taus = (centers[:, None] + half * nodes[None, :]).ravel()
-    vals = sig(taus)
-    dim = vals.shape[0]
-    panels = (vals.reshape(dim, n_panels, nodes.size) * weights).sum(axis=2) * half
-    cum = np.zeros((dim, n_panels + 1))
+    panels = []
+    for start in range(0, n_panels, _BLOCK_PANELS):
+        edges = bounds[start:start + _BLOCK_PANELS + 1]
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        vals = _checked(sig, (centers[:, None] + half * nodes[None, :]).ravel())
+        panels.append((vals.reshape(len(vals), centers.size, nodes.size)
+                       * weights).sum(axis=2) * half)
+    panels = np.concatenate(panels, axis=1)
+    cum = np.zeros((len(panels), n_panels + 1))
     np.cumsum(panels, axis=1, out=cum[:, 1:])
     return bounds, cum
 
@@ -110,7 +140,7 @@ def _partial_integral(sig, a, b):
         return 0.0
     half = 0.5 * (b - a)
     taus = 0.5 * (a + b) + half * nodes
-    return sig(taus) @ weights * half
+    return _checked(sig, taus) @ weights * half
 
 
 def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
@@ -142,6 +172,16 @@ def window_integral_sup(h, t, quad_tol=1e-10, norm="euclidean", freq_hint=None):
     QuadratureBudgetError
         If the doubling refinement would exceed the panel budget; the error
         carries the best estimate and the last refinement difference.
+    EvaluationError
+        If h returns a non-finite value, naming the earliest such time of
+        the call and its first non-finite component.
+
+    Notes
+    -----
+    h is called on blocks of at most 4096 times, so memory peaks at one
+    block of its values (4096 x dim**2 floats for a column of a factored
+    W with a dim x dim D(t)) plus O(n dim) for the running integral on an
+    n-panel mesh, up to 2**20 panels.
     """
     check_norm_id(norm)
     _positive("quad_tol", quad_tol)
@@ -245,7 +285,8 @@ def diminishing_profile(h, t_grid, quad_tol=1e-10, norm="euclidean",
     """Windowed-integral metric over a grid of window starts, with a trend verdict.
 
     Budget failures at single grid points leave NaN values and mark the
-    profile partial instead of aborting the whole sweep.
+    profile partial instead of aborting the whole sweep; a non-finite
+    signal value is a data error and raises EvaluationError.
     """
     t_grid = _time_grid(t_grid, "t_grid")
     values = np.empty(t_grid.size)

@@ -171,10 +171,11 @@ def _evaluate(fn, shape, where, x, *rest):
     return _check_finite(out, where, rows=not one)
 
 
-def _disturbance(kind, w, d, k):
+def _disturbance(kind, dim, w, d, k):
     """Unchecked W(t, x) on a flat state or an (N, state_dim) batch: w(t),
     to broadcast, or D(t) once and K row by row, each row's product with D
-    taken on its own so that it is the one-state value bit for bit."""
+    taken on its own so that it is the one-state value bit for bit.  A
+    product that fails raises ShapeError naming the factor of wrong shape."""
     if kind == "zero":
         return None
     if kind == "time":
@@ -183,9 +184,33 @@ def _disturbance(kind, w, d, k):
     def factored(t, x):
         d_t = np.asarray(d(t), dtype=float).T
         if x.ndim == 1:
-            return np.asarray(k(x), dtype=float).dot(d_t)
-        return (np.array([k(row) for row in x])[:, None] @ d_t)[:, 0]
+            kx = k(x)
+            try:
+                return np.asarray(kx, dtype=float).dot(d_t)
+            except ValueError:
+                _check_factors(dim, d_t, [kx], False)
+                raise
+        ks = [k(row) for row in x]
+        try:
+            return (np.array(ks)[:, None] @ d_t)[:, 0]
+        except ValueError:
+            _check_factors(dim, d_t, ks, True)
+            raise
     return factored
+
+
+def _check_factors(dim, d_t, ks, rows):
+    """After a failed product of the K(x) in ``ks`` with D(t) (given
+    transposed), ShapeError naming D(t) if it is not (dim, dim), else the
+    first K(x) that is not (dim,), with its row in a batch."""
+    if d_t.shape != (dim, dim):
+        raise ShapeError(f"D(t): expected shape {(dim, dim)}, "
+                         f"got {d_t.T.shape}") from None
+    for row, kx in enumerate(ks):
+        if np.shape(kx) != (dim,):
+            where = f"K(x) in row {row}" if rows else "K(x)"
+            raise ShapeError(f"{where}: expected shape ({dim},), "
+                             f"got {np.shape(kx)}") from None
 
 
 def _column(kind, dim, w, d):
@@ -275,7 +300,7 @@ class PerturbationSpec:
                                                              state_dim)
         self.name = name
         self.terms = None if terms is None else tuple(terms)
-        self.unchecked = _disturbance(kind, w, d, k)
+        self.unchecked = _disturbance(kind, dim, w, d, k)
         self._column = _column(kind, dim, w, d)
 
     @classmethod

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,8 +100,90 @@ def test_budget_error_carries_estimate(monkeypatch):
     with pytest.raises(ev.QuadratureBudgetError) as exc:
         ev.window_integral_sup(sig.w, 9.0, quad_tol=1e-14,
                                freq_hint=sig.freq_hint)
-    assert exc.value.estimate is not None
-    assert exc.value.error_bound is not None
+    # the estimate of the last mesh, several blocks wide, and its difference
+    assert 0.0 < exc.value.estimate <= 4.0 * math.exp(-9.0)
+    assert exc.value.error_bound > 1e-14
+
+
+def _one_shot_running_integral(sig, t, n_panels):
+    # the running integral with the signal evaluated on all 8 n nodes at once
+    nodes, weights = dim._GL8
+    bounds = t + np.linspace(0.0, 1.0, n_panels + 1)
+    half = 0.5 / n_panels
+    centers = 0.5 * (bounds[:-1] + bounds[1:])
+    vals = sig((centers[:, None] + half * nodes[None, :]).ravel())
+    panels = (vals.reshape(len(vals), n_panels, nodes.size)
+              * weights).sum(axis=2) * half
+    cum = np.zeros((len(vals), n_panels + 1))
+    np.cumsum(panels, axis=1, out=cum[:, 1:])
+    return bounds, cum
+
+
+@pytest.mark.parametrize("n_blocks", [0.5, 1, 2.3, 4],
+                         ids=["below", "one", "not_a_multiple", "several"])
+@pytest.mark.parametrize("name", ["vec_cos_sin_exp", "example1_bounded"])
+def test_blocked_running_integral_is_the_one_shot_bit_for_bit(name, n_blocks):
+    # blocks of at most _BLOCK_PANELS panels reduce to the same panel sums
+    pert = ev.make_perturbation(name)
+    sig = dim.SignalAdapter(pert.w if pert.kind == "time"
+                            else pert.columns()[1])
+    n = int(n_blocks * dim._BLOCK_PANELS)
+    sizes = []
+
+    def recorded(ts):
+        sizes.append(ts.size)
+        return sig(ts)
+    bounds, cum = dim._running_integral(recorded, 3.25, n)
+    ref_bounds, ref_cum = _one_shot_running_integral(sig, 3.25, n)
+    assert np.array_equal(bounds, ref_bounds)
+    assert np.array_equal(cum, ref_cum)
+    assert sum(sizes) == 8 * n
+    assert max(sizes) == 8 * min(n, dim._BLOCK_PANELS)
+
+
+def test_late_window_memory_stays_bounded():
+    # blocks hold the peak to about 8 MB; the whole 8 n-node D array of the
+    # t = 10 mesh took 71.5 MB
+    pert = ev.make_perturbation("example1_bounded")
+    col = pert.columns()[0]
+    tracemalloc.start()
+    try:
+        ev.window_integral_sup(col, 10.0, quad_tol=1e-8,
+                               freq_hint=pert.freq_hint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("freq_hint", [None, 200.0], ids=["scan", "hint"])
+def test_a_non_finite_signal_value_raises_at_its_time(bad, freq_hint):
+    # it used to run the mesh up to the panel budget and raise
+    # QuadratureBudgetError with a NaN estimate (an inf warned first)
+    calls = []
+
+    def h(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.cos(t), np.where(t > 0.5, bad, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ev.EvaluationError) as exc:
+            ev.window_integral_sup(_recording(h, calls), 0.0,
+                                   freq_hint=freq_hint)
+    ts = calls[-1]
+    first = float(np.min(ts[ts > 0.5]))
+    assert str(exc.value) == (f"time signal returned a non-finite value at "
+                              f"t={first} at component 1")
+    assert exc.value.component == 1 and exc.value.where == "time signal"
+
+
+def test_a_non_finite_signal_value_is_no_partial_profile():
+    # a data error is raised, never turned into an "inconclusive" verdict
+    def h(t):
+        return np.where(np.asarray(t) > 0.5, np.nan, 1.0)
+    with pytest.raises(ev.EvaluationError, match=r"at t=0\.5\d* "):
+        ev.diminishing_profile(h, [0.0, 1.0, 2.0])
 
 
 def test_profile_point_over_the_budget_is_a_partial_profile(monkeypatch):

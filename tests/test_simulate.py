@@ -731,6 +731,35 @@ def test_w_is_checked_once_per_run(kind):
                             else 0)
 
 
+def _wide_k_below(x):
+    # K(x) is (2,) until x[0] falls below -0.5, then (3,)
+    return np.zeros(3) if x[0] < -0.5 else np.array([-1.0, 0.0])
+
+
+@pytest.mark.parametrize("factor, e0, match", [
+    ("k", [-0.4, 0.0], r"^K\(x\): expected shape \(2,\), got \(3,\)$"),
+    ("k", [[0.3, 0.0], [-0.4, 0.0]],
+     r"^K\(x\) in row 1: expected shape \(2,\), got \(3,\)$"),
+    ("d", [0.3, 0.0], r"^D\(t\): expected shape \(2, 2\), got \(3, 3\)$"),
+    ("d", [[0.3, 0.0], [-0.4, 0.0]],
+     r"^D\(t\): expected shape \(2, 2\), got \(3, 3\)$")],
+    ids=["k_one", "k_batch", "d_one", "d_batch"])
+def test_a_factor_changing_shape_mid_run_raises_shape_error(factor, e0, match):
+    # the check at t0 passes; the product later died in numpy ("shapes not
+    # aligned" on one state, "inhomogeneous shape" on a batch)
+    if factor == "k":
+        pert = ev.PerturbationSpec.factored(
+            lambda t: np.multiply.outer(np.eye(2), np.ones(np.shape(t))),
+            _wide_k_below, 2)
+    else:
+        pert = ev.PerturbationSpec.factored(
+            lambda t: np.multiply.outer(np.eye(3 if t > 1.0 else 2),
+                                        np.ones(np.shape(t))),
+            lambda x: -x, 2)
+    with pytest.raises(ev.ShapeError, match=match):
+        ev.simulate_error_dynamics(ev.default_hurwitz(2), pert, e0, 0.0, 5.0)
+
+
 def test_tracking_rejects_inconsistent_reference():
     bad = ev.TrackingSpec(lambda t: np.array([[np.sin(t), np.sin(t)]]),
                           lambda t: np.array([-np.sin(t)]), m=1, n=2)
