@@ -39,16 +39,3 @@ prof = ev.diminishing_profile(pert.w, GRID, quad_tol=1e-9,
 assert np.all(prof.values <= np.sqrt(32.0) * np.exp(-GRID) + 1e-9)
 print("\n(cos e^t, sin e^t): |h(t)| = 1 for all t, metric under "
       "sqrt(32) e^{-t}: confirmed")
-
-try:
-    import matplotlib.pyplot as plt
-    fig, ax = plt.subplots()
-    ax.semilogy(prof.t_grid, prof.values, "o-", label="window metric")
-    ax.semilogy(GRID, np.sqrt(32.0) * np.exp(-GRID), "--", label="analytic bound")
-    ax.set_xlabel("window start t")
-    ax.set_ylabel("sup |integral|")
-    ax.legend()
-    fig.savefig("diminishing_signals.png", dpi=120)
-    print("wrote diminishing_signals.png")
-except ImportError:
-    pass

@@ -18,7 +18,6 @@ runs = [
     ("bounded state-coupled, phase e^t", "example1_bounded", 10.0, 1e-7),
 ]
 
-results = {}
 for label, pert_name, horizon, tol in runs:
     pert = ev.make_perturbation(pert_name)
     traj = ev.simulate_error_dynamics(
@@ -33,7 +32,6 @@ for label, pert_name, horizon, tol in runs:
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         i = int(frac * (len(norms) - 1))
         print(f"   t={traj.times[i]:5.2f}   |E| = {norms[i]:.3e}")
-    results[pert_name] = traj
     ev.trajectory_to_csv(traj, f"error_{pert_name}.csv")
     print(f"   wrote error_{pert_name}.csv")
 
@@ -42,18 +40,3 @@ pert = ev.make_perturbation("const_e1", dim=2)
 traj = ev.simulate_error_dynamics(A_H, pert, E0, 0.0, 15.0, tol=1e-8)
 print(f"constant (1,0) disturbance: terminal E = {traj.states[-1]} "
       "(the forced equilibrium, not the origin)")
-
-try:
-    import matplotlib.pyplot as plt
-    fig, axes = plt.subplots(1, 2, figsize=(10, 3.5), sharey=False)
-    for ax, (name, traj) in zip(axes, results.items()):
-        ax.plot(traj.times, traj.states[:, 0], label="e1")
-        ax.plot(traj.times, traj.states[:, 1], label="e2")
-        ax.set_title(name)
-        ax.set_xlabel("t")
-        ax.legend()
-    fig.tight_layout()
-    fig.savefig("error_dynamics.png", dpi=120)
-    print("wrote error_dynamics.png")
-except ImportError:
-    pass

@@ -23,9 +23,11 @@ import sys
 
 from .errors import ScenarioError
 from .model import MODEL_CATALOG
+from .norms import NORM_IDS
 from .perturbations import PERTURBATION_CATALOG
 from .simulate import REFERENCE_CATALOG
-from .scenarios import list_scenarios, run_scenario
+from .scenarios import (_DESIGN_MODES, _FORMATS, _SIMULATE_KINDS,
+                        list_scenarios, run_scenario)
 
 
 def _parse_pole(token):
@@ -60,9 +62,9 @@ def _common_flags(sub):
     sub.add_argument("--seed", type=int, help="override seed")
     sub.add_argument("--tol", type=float,
                      help="override integration tolerance")
-    sub.add_argument("--norm", choices=("euclidean", "inf"))
+    sub.add_argument("--norm", choices=NORM_IDS)
     sub.add_argument("--format", dest="formats", action="append",
-                     choices=("csv", "json", "svg"),
+                     choices=_FORMATS,
                      help="artifact formats (repeatable)")
 
 
@@ -203,7 +205,7 @@ def main(argv=None):
     p_syn.add_argument("--model", required=True, choices=sorted(MODEL_CATALOG))
     p_syn.add_argument("--m", type=int)
     p_syn.add_argument("--n", type=int)
-    p_syn.add_argument("--mode", choices=("implicit", "linear"))
+    p_syn.add_argument("--mode", choices=_DESIGN_MODES)
     p_syn.add_argument("--poles", type=_parse_poles, required=True,
                        help="';'-separated columns of ','-separated poles "
                             "(implicit) or a flat pole list (linear)")
@@ -215,8 +217,7 @@ def main(argv=None):
 
     p_sim = subs.add_parser("simulate", help="simulate a loop or the error "
                                              "dynamics")
-    p_sim.add_argument("--kind", choices=("error", "closed-loop", "tracking"),
-                       default="error")
+    p_sim.add_argument("--kind", choices=_SIMULATE_KINDS, default="error")
     p_sim.add_argument("--model", default="chain",
                        choices=sorted(MODEL_CATALOG))
     p_sim.add_argument("--m", type=int)

@@ -171,11 +171,12 @@ def _evaluate(fn, shape, where, x, *rest):
     return _check_finite(out, where, rows=not one)
 
 
-def _disturbance(kind, dim, w, d, k):
+def _disturbance(kind, w, d, k, check):
     """Unchecked W(t, x) on a flat state or an (N, state_dim) batch: w(t),
     to broadcast, or D(t) once and K row by row, each row's product with D
     taken on its own so that it is the one-state value bit for bit.  A
-    product that fails raises ShapeError naming the factor of wrong shape."""
+    product that fails runs ``check(t, x)``, which raises ShapeError
+    naming the factor of wrong shape."""
     if kind == "zero":
         return None
     if kind == "time":
@@ -183,48 +184,14 @@ def _disturbance(kind, dim, w, d, k):
 
     def factored(t, x):
         d_t = np.asarray(d(t), dtype=float).T
-        if x.ndim == 1:
-            kx = k(x)
-            try:
-                return np.asarray(kx, dtype=float).dot(d_t)
-            except ValueError:
-                _check_factors(dim, d_t, [kx], False)
-                raise
-        ks = [k(row) for row in x]
         try:
-            return (np.array(ks)[:, None] @ d_t)[:, 0]
+            if x.ndim == 1:
+                return np.asarray(k(x), dtype=float).dot(d_t)
+            return (np.array([k(row) for row in x])[:, None] @ d_t)[:, 0]
         except ValueError:
-            _check_factors(dim, d_t, ks, True)
+            check(t, x)
             raise
     return factored
-
-
-def _check_factors(dim, d_t, ks, rows):
-    """After a failed product of the K(x) in ``ks`` with D(t) (given
-    transposed), ShapeError naming D(t) if it is not (dim, dim), else the
-    first K(x) that is not (dim,), with its row in a batch."""
-    if d_t.shape != (dim, dim):
-        raise ShapeError(f"D(t): expected shape {(dim, dim)}, "
-                         f"got {d_t.T.shape}") from None
-    for row, kx in enumerate(ks):
-        if np.shape(kx) != (dim,):
-            where = f"K(x) in row {row}" if rows else "K(x)"
-            raise ShapeError(f"{where}: expected shape ({dim},), "
-                             f"got {np.shape(kx)}") from None
-
-
-def _column(kind, dim, w, d):
-    """(j, t) -> column j of D(t), with D = diag(w(t)) for a time signal."""
-    if kind == "factored":
-        return lambda j, t: np.asarray(d(t), dtype=float)[:, j]
-    if kind == "zero":
-        return lambda j, t: np.zeros((dim,) + np.shape(t))
-
-    def diagonal(j, t):
-        out = np.zeros((dim,) + np.shape(t))
-        out[j] = np.reshape(np.asarray(w(t), dtype=float), out.shape)[j]
-        return out
-    return diagonal
 
 
 class PerturbationSpec:
@@ -235,7 +202,9 @@ class PerturbationSpec:
     (None for the zero kind) serves right-hand sides at one float time on
     one flat state or an (N, state_dim) batch, whose integrator checks the
     states; :meth:`evaluate` checks W on a grid of times and states; and
-    :meth:`columns` slices D (diag(w(t)) for a time signal).
+    :meth:`columns` slices D (diag(w(t)) for a time signal).  Each factor
+    has one shape check, shared by :meth:`evaluate`, :meth:`columns` and
+    an integrated run, in which W keeps its t0 shape on every call.
 
     Parameters
     ----------
@@ -251,7 +220,6 @@ class PerturbationSpec:
         ``d(t)`` and ``k(x_flat)`` for ``kind="factored"``: ``d`` is
         called like ``w`` and returns ``(dim, dim)`` or ``(dim, dim, N)``;
         ``k`` only ever sees one state and returns exactly ``(dim,)``.
-        An integrated run checks the one-time shapes once, at t0.
     freq_hint : float or callable, optional
         Dominant angular frequency of the fastest oscillation (a constant
         or a function of t); integrators and quadrature cap their step at
@@ -300,8 +268,7 @@ class PerturbationSpec:
                                                              state_dim)
         self.name = name
         self.terms = None if terms is None else tuple(terms)
-        self.unchecked = _disturbance(kind, dim, w, d, k)
-        self._column = _column(kind, dim, w, d)
+        self.unchecked = _disturbance(kind, w, d, k, self._check_at)
 
     @classmethod
     def zero(cls, dim):
@@ -317,6 +284,29 @@ class PerturbationSpec:
         return cls("factored", dim, d=d, k=k, freq_hint=freq_hint,
                    name=name, state_dim=state_dim)
 
+    def _signal(self, t, where=""):
+        """w(t) or D(t): (dim,) (or () at dim 1) and (dim, dim) at one float
+        time, (dim, N) by :class:`SignalAdapter` and (dim, dim, N) on a 1-d
+        array of N times; else ShapeError naming ``where`` and the factor."""
+        if self.kind == "factored":
+            return _shaped(self.d(t), (self.dim, self.dim) + np.shape(t),
+                           where + "D(t)")
+        if np.ndim(t):
+            return _shaped(SignalAdapter(self.w)(t), (self.dim, np.size(t)),
+                           where + "W")
+        w = np.asarray(self.w(t), dtype=float)
+        scalar = w.shape == () and self.dim == 1
+        return _shaped(w, () if scalar else (self.dim,), where + "w(t)")
+
+    def _k(self, x, where="", rows=True):
+        """K on a flat state, (dim,), or row by row on an (N, state_dim)
+        batch, (N, dim): each value exactly (dim,), else ShapeError naming
+        ``where``, K and, on a batch with ``rows``, the row."""
+        out = np.array([_shaped(self.k(row), (self.dim,), where + (
+            f"K(x) in row {i}" if rows and x.ndim == 2 else "K(x)"))
+            for i, row in enumerate(x.reshape(-1, x.shape[-1]))])
+        return out.reshape(x.shape[:-1] + (self.dim,))
+
     def evaluate(self, ts, x):
         """W at T times and N states, (T, N, dim): one call of ``w`` or ``d``
         on the 1-d array ``ts``, one of ``k`` per row of the (N, state_dim)
@@ -331,12 +321,9 @@ class PerturbationSpec:
         if self.kind == "zero":
             return np.zeros(shape)
         if self.kind == "time":
-            w = _shaped(SignalAdapter(self.w)(ts), (self.dim, ts.size), "W")
-            out = np.broadcast_to(w.T[:, None], shape)
+            out = np.broadcast_to(self._signal(ts).T[:, None], shape)
         else:
-            d = _shaped(self.d(ts), (self.dim, self.dim, ts.size), "D(t)")
-            k = np.array([_shaped(self.k(row), (self.dim,), "K(x)")
-                          for row in x])
+            d, k = self._signal(ts), self._k(x, rows=False)
             # K(x) against an F-ordered D(t).T, as unchecked multiplies them
             d_t = np.ascontiguousarray(np.moveaxis(d, -1, 0))
             with np.errstate(over="ignore", invalid="ignore"):
@@ -349,26 +336,32 @@ class PerturbationSpec:
                 f"at component {idx}", component=idx, where="W", row=row)
         return out
 
-    def _check_at(self, t, x):
-        """ShapeError naming the spec and t unless w(t) is (dim,) (or () at
-        dim 1), or D(t) is (dim, dim) and K (dim,) on each row of x."""
-        where = f"perturbation {self.name!r} at t0={t}: "
+    def _check_at(self, t, x, at=None, shape=None):
+        """The shape of W at one float time t on a flat state or batch x,
+        after the rules of its factors; with ``shape``, ShapeError unless W
+        has it.  Errors name the factor and, given ``at`` ("t0" or "t"),
+        the spec and its time."""
+        where = f"perturbation {self.name!r} at {at}={t}: " if at else ""
+        got = self._signal(t, where).shape
+        if self.kind == "factored":
+            got = self._k(x, where).shape
+        if shape is not None and got != shape:
+            raise ShapeError(f"{where}W: expected shape {shape}, got {got}")
+        return got
+
+    def _column(self, j, t):
+        """Column j of D(t), or of diag(w(t)), by the rule of D or w."""
+        if self.kind == "factored":
+            return self._signal(t)[:, j]
+        out = np.zeros((self.dim,) + np.shape(t))
         if self.kind == "time":
-            w = np.asarray(self.w(t), dtype=float)
-            scalar = w.shape == () and self.dim == 1
-            _shaped(w, () if scalar else (self.dim,), where + "w(t)")
-        elif self.kind == "factored":
-            _shaped(self.d(t), (self.dim, self.dim), where + "D(t)")
-            for row in x.reshape(-1, x.shape[-1]):
-                _shaped(self.k(row), (self.dim,), where + "K(x)")
+            out[j] = np.atleast_1d(self._signal(t))[j]
+        return out
 
     def columns(self):
-        """The columns of D as time signals t -> (dim,).
-
-        A column called on a 1-d array of N times returns (dim, N), as
-        :class:`evuas.diminishing.SignalAdapter` requires; so D (or w)
-        must take such an array too.
-        """
+        """The columns of D as time signals t -> (dim,), and (dim, N) on a
+        1-d array of N times as :class:`SignalAdapter` requires, checked as
+        :meth:`evaluate` checks D or w (which must take such arrays too)."""
         return [functools.partial(self._column, j) for j in range(self.dim)]
 
     def __repr__(self):

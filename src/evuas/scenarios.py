@@ -60,6 +60,8 @@ _NEEDS = {"classify": ("classify", "perturbation"), "synthesize": _LOOP,
           ("simulate", "closed-loop"): _LOOP, ("simulate", "tracking"): _LOOP,
           ("verify", "closed-loop"): _LOOP}
 _FORMATS = ("csv", "json", "svg")
+_DESIGN_MODES = ("implicit", "linear")
+_SIMULATE_KINDS = ("error", "closed-loop", "tracking")
 _REQUIRED = object()        # the default of a field that must be given
 
 
@@ -212,7 +214,7 @@ _SCHEMA = _object(
         _Field("name", _one_of(PERTURBATION_CATALOG), _REQUIRED),
         _Field("dim", _at_least(1)))),
     _Field("design", _object(
-        _Field("mode", _one_of(("implicit", "linear")), "implicit"),
+        _Field("mode", _one_of(_DESIGN_MODES), "implicit"),
         # implicit: one list of poles per column of Gamma
         _Field("poles", _list_of(_list_of(_pole)), only=("implicit",)),
         _Field("poles", _list_of(_pole), _REQUIRED, only=("linear",)),
@@ -224,8 +226,7 @@ _SCHEMA = _object(
         _Field("profile_grid",
                _rule(_numbers, _increasing, "strictly increasing")))),
     _Field("simulate", _object(
-        _Field("kind", _one_of(("error", "closed-loop", "tracking")),
-               _REQUIRED),
+        _Field("kind", _one_of(_SIMULATE_KINDS), _REQUIRED),
         _Field("t0", _number, 0.0),
         _Field("t_end", _number, _REQUIRED),
         _Field("tol", _positive, 1e-7),

@@ -18,9 +18,10 @@ Error-dynamics and closed-loop runs take one flat state (dim,) or an
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
 state.  W is the ``unchecked`` W(t, x) of
 :class:`evuas.model.PerturbationSpec`; its width (and, on an integrated
-run, its shapes at t0) is checked once per run, and a non-finite W stops
-the run with an IntegrationError (or with F's EvaluationError, where F
-meets the non-finite stage state first).  F goes through
+run, its factors at t0) is checked once per run; W keeps its t0 shape
+on every call (else ShapeError naming t and the factor), and a non-finite
+W stops the run with an IntegrationError (or with F's EvaluationError,
+where F meets the non-finite stage state first).  F goes through
 :meth:`evuas.model.SystemModel.eval_f`, checked on every call.
 
 An implicit controller defines U = G(X) by the closing residual
@@ -69,8 +70,8 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
             for chirp in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
     if w is not None:
-        pert._check_at(t0, x0 if track is None
-                       else x0 + flatten_state(track.value(t0)))
+        x_true = x0 if track is None else x0 + flatten_state(track.value(t0))
+        shape = pert._check_at(t0, x_true, "t0")
     # x.dot(A^T) is A x on one state and on each row of a batch
     a_t = a.T
     split = None if w is None else len(a) - pert.dim
@@ -81,7 +82,10 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
             f = term(x)
             out[..., len(a) - f.shape[-1]:] += f
         if w is not None:
-            v = w(t, x if track is None else x + flatten_state(track.value(t)))
+            x_true = x if track is None else x + flatten_state(track.value(t))
+            v = w(t, x_true)
+            if getattr(v, "shape", None) != shape:   # a number has none
+                pert._check_at(t, x_true, "t", shape)
             if split:
                 out[..., split:] += v
             else:

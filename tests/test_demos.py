@@ -28,6 +28,11 @@ def _run(script, cwd):
 
 # lines a demo must print, by its number
 EXPECTED = {
+    "01": ("cos_exp: trend=decreasing", "const1: trend=not-decreasing",
+           "metric under sqrt(32) e^{-t}: confirmed"),
+    "02": ("(the forced equilibrium, not the origin)",),
+    "03": ("input-cost growth for 'cubic': coercive-evidence",
+           "input-cost growth for 'tanh': non-coercive-evidence"),
     "04": ("states bitwise equal: True",),
     "05": ("unforced error system: pass", "attraction=fail",
            "bounded oscillating disturbance: pass"),

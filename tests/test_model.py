@@ -507,6 +507,55 @@ def test_a_scalar_k_is_rejected_at_dim_1():
                                    1.0)
 
 
+@pytest.mark.parametrize("case", ["time_major", "scalar_w", "flat_d"])
+def test_columns_check_w_and_d_as_evaluate_does(case):
+    # the time-major w was reshaped into scrambled columns, whose quadrature
+    # ran out of its panel budget (3.4 s) to an "inconclusive" profile; the
+    # scalar w died in np.reshape, and the D without a time axis was named
+    # a "time signal"
+    ts = np.linspace(0.0, 1.0, 5)
+    if case == "time_major":
+        pert = ev.PerturbationSpec.from_signal(
+            lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1), 2)
+        match = r"^time signal: expected shape \(N,\) or \(dim, N\)"
+    elif case == "scalar_w":
+        pert = ev.PerturbationSpec.from_signal(np.cos, 2)
+        match = r"^W: expected shape \(2, 5\), got \(1, 5\)$"
+    else:
+        pert = ev.PerturbationSpec.factored(lambda t: np.eye(2),
+                                            lambda x: x, 2)
+        match = r"^D\(t\): expected shape \(2, 2, 5\), got \(2, 2\)$"
+    for col in pert.columns():
+        with pytest.raises(ev.ShapeError, match=match):
+            col(ts)
+    with pytest.raises(ev.ShapeError, match=match):
+        pert.evaluate(ts, np.zeros((1, 2)))
+    with pytest.raises(ev.ShapeError):
+        ev.diminishing_profile(pert.columns()[0], [0.0, 1.0])
+    if case == "scalar_w":
+        with pytest.raises(ev.ShapeError, match=r"^w\(t\): expected shape "
+                           r"\(2,\), got \(\)$"):
+            pert.columns()[0](0.5)
+
+
+@pytest.mark.parametrize("name", list(ev.PERTURBATION_CATALOG))
+def test_columns_are_slices_of_w_or_d(name, rng):
+    # column j of D(t), or of diag(w(t)), at one time and on an array
+    pert = ev.make_perturbation(name)
+    ts = rng.uniform(0.0, 8.0, 7)
+    for t in (float(ts[0]), ts):
+        want = np.zeros((pert.dim, pert.dim) + np.shape(t))
+        if pert.kind == "factored":
+            want = np.asarray(pert.d(t), dtype=float)
+        elif pert.kind == "time":
+            # a scalar signal's () or (N,) is its one component
+            w = np.reshape(pert.w(t), (pert.dim,) + np.shape(t))
+            for j in range(pert.dim):
+                want[j, j] = w[j]
+        for j, col in enumerate(pert.columns()):
+            assert np.array_equal(col(t), want[:, j])
+
+
 def test_evaluate_checks_its_states_by_the_stack_rule():
     # a scalar state used to raise a bare TypeError from len(); a flat
     # state is a one-row batch

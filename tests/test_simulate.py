@@ -760,6 +760,56 @@ def test_a_factor_changing_shape_mid_run_raises_shape_error(factor, e0, match):
         ev.simulate_error_dynamics(ev.default_hurwitz(2), pert, e0, 0.0, 5.0)
 
 
+def _narrows_after_one(t):
+    # (cos t, sin t) until t = 1, then (cos t,)
+    return np.array([np.cos(t)] if t > 1.0 else [np.cos(t), np.sin(t)])
+
+
+def _scalar_k_below(x):
+    # K(x) is (2,) until x[0] falls below -0.5, then a scalar
+    return np.float64(1.0) if x[0] < -0.5 else np.array([-1.0, 0.0])
+
+
+@pytest.mark.parametrize("e0", [[-0.4, 0.0], [[0.3, 0.0], [-0.4, 0.0]]],
+                         ids=["one", "batch"])
+@pytest.mark.parametrize("case", ["time", "k", "dim_1"])
+def test_w_keeps_its_t0_shape_for_the_whole_run(case, e0):
+    # the narrowed time signal was broadcast to both channels to the end of
+    # the run, and the scalar K on one state died in numpy ("non-broadcastable
+    # output operand"); W at dim 1 may be () or (1,), but not both in a run
+    e0 = np.array(e0)
+    if case == "time":
+        pert = ev.PerturbationSpec.from_signal(_narrows_after_one, 2,
+                                               name="late")
+        match = (r"^perturbation 'late' at t=1\.\d+: w\(t\): expected "
+                 r"shape \(2,\), got \(1,\)$")
+    elif case == "k":
+        pert = ev.PerturbationSpec.factored(
+            lambda t: np.multiply.outer(np.eye(2), np.ones(np.shape(t))),
+            _scalar_k_below, 2, name="k_scalar")
+        match = (r"^perturbation 'k_scalar' at t=[\d.]+: K\(x\): expected "
+                 r"shape \(2,\), got \(\)$" if e0.ndim == 1 else
+                 r"^K\(x\) in row 1: expected shape \(2,\), got \(\)$")
+    else:
+        e0 = e0[..., :1]
+        pert = ev.PerturbationSpec.from_signal(
+            lambda t: np.cos(t) * np.ones(1 if t > 1.0 else ()), 1,
+            name="grows")
+        match = (r"^perturbation 'grows' at t=1\.\d+: W: expected shape "
+                 r"\(\), got \(1,\)$")
+    with pytest.raises(ev.ShapeError, match=match):
+        ev.simulate_error_dynamics(ev.default_hurwitz(e0.shape[-1]), pert, e0,
+                                   0.0, 5.0)
+
+
+def test_a_python_number_w_runs_as_its_numpy_twin():
+    # a value without a shape is checked on every call and passes
+    runs = [ev.simulate_error_dynamics(
+        ev.default_hurwitz(1), ev.PerturbationSpec.from_signal(w, 1), [0.5],
+        0.0, 2.0) for w in (lambda t: float(np.cos(t)), np.cos)]
+    assert np.array_equal(runs[0].states, runs[1].states)
+
+
 def test_tracking_rejects_inconsistent_reference():
     bad = ev.TrackingSpec(lambda t: np.array([[np.sin(t), np.sin(t)]]),
                           lambda t: np.array([-np.sin(t)]), m=1, n=2)
