@@ -9,12 +9,17 @@ eighth of the local period, which keeps the controller from blindly
 marching across whole oscillation periods of phases like t**4.
 
 Capped phases such as t**4 take hundreds of thousands of steps, so the step
-loop keeps its bookkeeping small: the current state is row 0 of one
-(8, dim) buffer and the seven stages are rows 1-7, and the tableau is one
-(7, 8) array whose column 0 weighs the state.  Scaled by the step once per
-step, with that column set to 1 on the stage rows, it makes every stage
-input, the new state and the error estimate's numerator one dot product of
-a tableau row with the whole buffer: one numpy call each.
+loop keeps its bookkeeping small, and no array but the new state (and any
+dense-output samples) is allocated in a step: the current state is row 0 of
+one (8, dim) buffer and the seven stages are rows 1-7, and the tableau is
+one (7, 8) array whose column 0 weighs the state.  Each step writes it,
+scaled by the step, into a buffer made once per call and refills column 0
+with 1 on the stage rows; then every stage input, the new state and the
+error estimate's numerator is one dot product of a row of that buffer with
+the state and stages: one numpy call each.  Stages 1-5 write their inputs
+into buffers of their own and the error estimate and its scale into
+preallocated vectors, all through views made once per call; the new state
+is fresh because it may be stored.
 
 The cap depends on t only, so many initial states of one system take nearly
 the same steps.  A batch of N states, given as an (N, dim) array, is
@@ -124,8 +129,15 @@ def _finite(name, t):
 
 
 def _shaped(values, shape, name):
-    """``values`` as floats of ``shape``, else ShapeError naming ``name``."""
-    out = np.asarray(values, dtype=float)
+    """``values`` as floats of ``shape``, else ShapeError naming ``name``:
+    bool, integer and float values are real; None, complex and any other
+    values are not, and are rejected before the cast to float, which would
+    make None a NaN and drop an imaginary part."""
+    out = np.asarray(values)
+    if out.dtype.kind not in "biuf":
+        got = "None" if values is None else f"values of dtype {out.dtype}"
+        raise ShapeError(f"{name}: expected real values, got {got}")
+    out = out.astype(float, copy=False)
     if out.shape != shape:
         raise ShapeError(f"{name}: expected shape {shape}, got {out.shape}")
     return out
@@ -167,7 +179,12 @@ def _step_cap(freq_hint):
                          + ("" if t is None else f" at t={t}"))
 
     if callable(freq_hint):
-        return lambda t: cap(freq_hint(t), t)
+        def capped(t):             # the usual case in one frame
+            omega = abs(float(freq_hint(t)))
+            if 0.0 < omega < math.inf:
+                return (2.0 * math.pi / omega) / 8.0
+            return cap(omega, t)
+        return capped
     const = math.inf if freq_hint is None else cap(freq_hint)
     return lambda t: const
 
@@ -225,7 +242,9 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     ----------
     rhs : callable
         ``rhs(t, x) -> ndarray`` of the shape of x; a result of another
-        shape raises ShapeError naming the time of the call.
+        shape raises ShapeError naming the time of the call.  ``x`` is
+        valid only during the call: it may be a buffer that later calls
+        overwrite, so ``rhs`` must copy what it keeps.
     t0 : float
     x0 : array_like
         One initial state, shape (dim,), or a batch of N, shape (N, dim).
@@ -270,8 +289,20 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     YK = np.zeros((8, x0.size))
     y, K = YK[0], YK[1:]
     y[:] = x0.ravel()
-    K_rhs = K.reshape((7,) + shape)       # the stages as rhs returns them
     batch = len(shape) > 1                # one state is already flat
+    # every buffer of the step and every view of one, made once: the stages
+    # as rhs returns them, the tableau's rows scaled by the step (column 0
+    # refilled with the state's weight 1 after each scaling), the error
+    # estimate and its scale, and for stages 1-5 (tableau row, input buffer,
+    # the input as rhs sees it, node, stage as rhs returns it)
+    K_rhs = list(K.reshape((7,) + shape))
+    coef = np.empty_like(_TABLEAU)
+    coef_rows, state_weight = list(coef), coef[:6, 0]
+    abs_y = np.abs(y)
+    abs_new, scale, r = np.empty((3, x0.size))
+    r_rows, row_sq = r.reshape(rows, width), np.empty(rows)
+    stages = [(coef_rows[i - 1], buf, buf.reshape(shape), _C[i], K_rhs[i])
+              for i, buf in enumerate(np.empty((5, x0.size)), start=1)]
 
     out_t = [t0]
     out_y = [y.copy()]
@@ -287,7 +318,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
             raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
                                    x_last=y.reshape(shape).copy(),
                                    reason="non-finite")
-        K_rhs[0] = f
+        K_rhs[0][...] = f
         n_rhs = 2  # f0 plus the initial-step probe
         cap = _step_cap(freq_hint)
         h = _initial_step(rhs, t, x0, f, t_end, tol, cap(t))
@@ -296,7 +327,6 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
         n_rejected = 0
         min_step = math.inf
         rejected_last = False
-        abs_y = np.abs(y)
 
         while t < t_end:
             h_eff = min(h, cap(t), cap(min(t + h, t_end)))
@@ -315,34 +345,47 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
                     x_last=y.reshape(shape).copy(), reason="budget")
 
             # row i - 1 of coef gives stage i's input (1, h a_i) . (y, K);
-            # ndarray.dot is np.dot, bit for bit, without its dispatch cost
+            # ndarray.dot is np.dot, bit for bit, without its dispatch cost.
+            # Stages 1-5 get their inputs in reused buffers, stage 5 at
+            # t_new; the last stage's input is y_new, a fresh array, since
+            # it may be stored.  Every stage is shape-checked
             hh = h_eff
-            coef = hh * _TABLEAU
-            coef[:6, 0] = 1.0
-            # the last stage is at y_new; every result is shape-checked
-            for i in range(1, 7):
-                y_i = coef[i - 1].dot(YK)
-                t_i = t + _C[i] * hh if i < 5 else t_new
-                f = rhs(t_i, y_i.reshape(shape) if batch else y_i)
-                K_rhs[i] = f if getattr(f, "shape", None) == shape else \
+            np.multiply(_TABLEAU, hh, out=coef)
+            state_weight.fill(1.0)
+            for row, buf, x_i, node, k_i in stages:
+                row.dot(YK, out=buf)
+                t_i = t + node * hh if node < 1.0 else t_new
+                f = rhs(t_i, x_i)
+                k_i[...] = f if getattr(f, "shape", None) == shape else \
                     _shaped(f, shape, f"rhs at t={t_i}")
-            y_new = y_i
+            y_new = coef_rows[5].dot(YK)
+            f = rhs(t_new, y_new.reshape(shape) if batch else y_new)
+            K_rhs[6][...] = f if getattr(f, "shape", None) == shape else \
+                _shaped(f, shape, f"rhs at t={t_new}")
             n_rhs += 6
 
             # a non-finite y_new is caught before the division (its squared
             # norm alone also overflows on huge finite entries); with y_new
             # finite, a non-finite K[6] shows as a non-finite error norm,
-            # which otherwise means an overflow and a rejected step
+            # which otherwise means an overflow and a rejected step.  The
+            # scale is tol + tol max(|y|, |y_new|), built in place
             if not (y_new.dot(y_new) < math.inf or np.isfinite(y_new).all()):
                 raise _non_finite(t_new, t, y, shape)
-            abs_new = np.abs(y_new)
-            r = coef[6].dot(YK) / (tol + tol * np.maximum(abs_y, abs_new))
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= tol
+            scale += tol
+            coef_rows[6].dot(YK, out=r)
+            r /= scale
             if rows == 1:
                 err = math.sqrt(float(r.dot(r)) / width)
             else:
-                r = r.reshape(rows, width)
-                err = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r)))
-                                / width)
+                # each row's sum of squares: a one-entry row's is its square
+                if width == 1:
+                    np.multiply(r, r, out=row_sq)
+                else:
+                    np.einsum("ij,ij->i", r_rows, r_rows, out=row_sq)
+                err = math.sqrt(float(row_sq.max()) / width)
             if not err < math.inf and not np.isfinite(K[6]).all():
                 raise _non_finite(t_new, t, y, shape)
 
@@ -359,7 +402,8 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
                     out_y.append(y_new)
                 n_accepted += 1
                 min_step = min(min_step, hh)
-                t, abs_y = t_new, abs_new
+                t = t_new
+                abs_y, abs_new = abs_new, abs_y
                 y[:] = y_new
                 K[0] = K[6]
                 factor = _MAX_FACTOR if err == 0.0 else min(

@@ -171,19 +171,22 @@ def _evaluate(fn, shape, where, x, *rest):
     return _check_finite(out, where, rows=not one)
 
 
-def _disturbance(kind, w, d, k, check):
+def _disturbance(kind, dim, w, d, k, check):
     """Unchecked W(t, x) on a flat state or an (N, state_dim) batch: w(t),
     to broadcast, or D(t) once and K row by row, each row's product with D
-    taken on its own so that it is the one-state value bit for bit.  A
-    product that fails runs ``check(t, x)``, which raises ShapeError
-    naming the factor of wrong shape."""
+    taken on its own so that it is the one-state value bit for bit.  A D(t)
+    that is not (dim, dim), or a product that fails, runs ``check(t, x)``,
+    which raises ShapeError naming the factor of wrong shape."""
     if kind == "zero":
         return None
     if kind == "time":
         return lambda t, x: w(t)
+    square = (dim, dim)
 
     def factored(t, x):
         d_t = np.asarray(d(t), dtype=float).T
+        if d_t.shape != square:     # a scalar D would only scale K
+            check(t, x)
         try:
             if x.ndim == 1:
                 return np.asarray(k(x), dtype=float).dot(d_t)
@@ -268,7 +271,7 @@ class PerturbationSpec:
                                                              state_dim)
         self.name = name
         self.terms = None if terms is None else tuple(terms)
-        self.unchecked = _disturbance(kind, w, d, k, self._check_at)
+        self.unchecked = _disturbance(kind, dim, w, d, k, self._check_at)
 
     @classmethod
     def zero(cls, dim):
@@ -294,8 +297,8 @@ class PerturbationSpec:
         if np.ndim(t):
             return _shaped(SignalAdapter(self.w)(t), (self.dim, np.size(t)),
                            where + "W")
-        w = np.asarray(self.w(t), dtype=float)
-        scalar = w.shape == () and self.dim == 1
+        w = self.w(t)
+        scalar = np.shape(w) == () and self.dim == 1
         return _shaped(w, () if scalar else (self.dim,), where + "w(t)")
 
     def _k(self, x, where="", rows=True):

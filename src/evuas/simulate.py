@@ -17,7 +17,8 @@ Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
 state.  W is the ``unchecked`` W(t, x) of
-:class:`evuas.model.PerturbationSpec`; its width (and, on an integrated
+:class:`evuas.model.PerturbationSpec`, or its time signal w(t) itself on a
+run without a state term or reference; its width (and, on an integrated
 run, its factors at t0) is checked once per run; W keeps its t0 shape
 on every call (else ShapeError naming t and the factor), and a non-finite
 W stops the run with an IntegrationError (or with F's EvaluationError,
@@ -72,25 +73,52 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
     if w is not None:
         x_true = x0 if track is None else x0 + flatten_state(track.value(t0))
         shape = pert._check_at(t0, x_true, "t0")
-    # x.dot(A^T) is A x on one state and on each row of a batch
-    a_t = a.T
-    split = None if w is None else len(a) - pert.dim
-
-    def rhs(t, x):
-        out = x.dot(a_t)
-        if term is not None:
+    # the right-hand side, built once for its case: x.dot(A^T) is A x on
+    # one state and on each row of a batch, a state term F(x) adds to the
+    # last entries of its width, and W to the last ``width`` entries, at the
+    # true state x + X_d(t) of a tracking run
+    a_t, tail = a.T, len(a) - width
+    if term is None:
+        def drift(t, x):
+            return x.dot(a_t)
+    else:
+        def drift(t, x):
+            out = x.dot(a_t)
             f = term(x)
             out[..., len(a) - f.shape[-1]:] += f
-        if w is not None:
+            return out
+    if w is None:
+        rhs = drift
+    elif term is None and track is None and pert.kind == "time":
+        signal = pert.w             # the verify sweeps' case: no state needed
+
+        def rhs(t, x):
+            out = x.dot(a_t)
+            v = signal(t)
+            if getattr(v, "shape", None) != shape:   # a number has none
+                pert._check_at(t, x, "t", shape)
+            last = out[..., tail:] if tail else out
+            last += v
+            return out
+    elif term is None and track is None:
+        def rhs(t, x):
+            out = x.dot(a_t)
+            v = w(t, x)
+            if getattr(v, "shape", None) != shape:
+                pert._check_at(t, x, "t", shape)
+            last = out[..., tail:] if tail else out
+            last += v
+            return out
+    else:
+        def rhs(t, x):
+            out = drift(t, x)
             x_true = x if track is None else x + flatten_state(track.value(t))
             v = w(t, x_true)
-            if getattr(v, "shape", None) != shape:   # a number has none
+            if getattr(v, "shape", None) != shape:
                 pert._check_at(t, x_true, "t", shape)
-            if split:
-                out[..., split:] += v
-            else:
-                out += v
-        return out
+            last = out[..., tail:] if tail else out
+            last += v
+            return out
     return integrate(rhs, t0, x0, t_end, tol=tol,
                      freq_hint=None if w is None else pert.freq_hint,
                      sample_times=sample_times)

@@ -89,9 +89,12 @@ def dopri_reference(rhs, t0, x0, t_end, tol, freq_hint=None,
     Same step-size sequence, step cap (an eighth of the local period,
     evaluated at t and at min(t + h, t_end)), initial-step heuristic and
     cubic Hermite samples as ``evuas.integrate``, written with one array
-    per stage and scalar-times-array sums.  Returns (times, states,
-    {"n_accepted", "n_rejected", "n_rhs"}); raises RuntimeError where the
-    package raises IntegrationError.
+    per stage and scalar-times-array sums.  ``x0`` is one state (dim,) or a
+    batch (N, dim), which ``rhs`` receives whole: the batch shares one step,
+    the error norm is the largest row RMS and the initial step the smallest
+    row step.  Returns (times, states, {"n_accepted", "n_rejected",
+    "n_rhs"}); raises RuntimeError where the package raises
+    IntegrationError.
     """
     c2, c3, c4, c5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
     a21 = 1 / 5
@@ -113,11 +116,12 @@ def dopri_reference(rhs, t0, x0, t_end, tol, freq_hint=None,
         omega = abs(freq_hint(t)) if callable(freq_hint) else abs(freq_hint)
         return math.inf if omega <= 0.0 else (2.0 * math.pi / omega) / 8.0
 
-    def rms(v):
-        return math.sqrt(float(np.mean(v ** 2)))
+    def rms(v):                 # of each row; one state is one row
+        return np.sqrt(np.mean(np.atleast_2d(v) ** 2, axis=1))
 
     t, t_end = float(t0), float(t_end)
-    y = np.array(x0, dtype=float).ravel()
+    y = np.array(x0, dtype=float)
+    y = y.ravel() if y.ndim < 2 else y
     samples = None
     if sample_times is not None:
         samples = np.asarray(sample_times, dtype=float)
@@ -132,15 +136,18 @@ def dopri_reference(rhs, t0, x0, t_end, tol, freq_hint=None,
     # initial step (Hairer-Norsett-Wanner II.4)
     scale = tol + tol * np.abs(y)
     d0, d1 = rms(y / scale), rms(k1 / scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
+             for a, b in zip(d0, d1))
     h0 = min(h0, t_end - t, cap(t))
     d2 = rms((f(t + h0, y + h0 * k1) - k1) / scale) / h0
-    if not math.isfinite(d2):
-        h = h0
-    else:
-        h1 = (max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
-              else (0.01 / max(d1, d2)) ** 0.2)
-        h = min(100 * h0, h1, t_end - t, cap(t))
+    h = math.inf
+    for b, c in zip(d1, d2):
+        if not math.isfinite(c):
+            h = min(h, h0)
+        else:
+            h1 = (max(1e-6, h0 * 1e-3) if max(b, c) <= 1e-15
+                  else (0.01 / max(b, c)) ** 0.2)
+            h = min(h, 100 * h0, h1, t_end - t, cap(t))
 
     n_acc = n_rej = 0
     n_rhs = 2
@@ -167,7 +174,8 @@ def dopri_reference(rhs, t0, x0, t_end, tol, freq_hint=None,
             raise RuntimeError(f"non-finite state at t={t_new}")
         err_vec = hh * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6
                         + e7 * k7)
-        err = rms(err_vec / (tol + tol * np.maximum(np.abs(y), np.abs(y_new))))
+        err = float(np.max(rms(
+            err_vec / (tol + tol * np.maximum(np.abs(y), np.abs(y_new))))))
         if err <= 1.0:
             if samples is None:
                 out_t.append(t_new)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import evuas as ev
 from evuas.integrate import propagate_linear
 from evuas.norms import point_norms
+from evuas.synthesis import closed_loop_matrix
 
 from oracles import dopri_reference, linear_trajectory
 
@@ -323,12 +324,30 @@ def test_diagnostics_are_plain_python_types():
 
 _A_EX1 = np.array([[-1.0, 2.0], [0.0, -1.5]])     # the Example 1 scenarios
 _A_LIN3 = np.array([[-0.5, 2.0, 0.0], [-2.0, -0.5, 1.0], [0.0, -1.0, -1.0]])
+# 9-row batches as the verify sweeps step them: radii of the 1-D error
+# system, and directions of radius 0.5 in the 2-D closed-loop state
+_ROWS_1D = np.linspace(-0.5, 0.5, 9)[:, None]
+_ANGLES = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
+_ROWS_2D = 0.5 * np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
 
 
 def _reference_system(name):
-    """(rhs, freq_hint) of an error system under a catalog perturbation."""
+    """(rhs, freq_hint) of an error system under a catalog perturbation, or
+    of the closed loop of ``cubic`` under ``cos_exp``."""
     if name == "linear3":
         return (lambda t, x: _A_LIN3 @ x), None
+    if name == "closed_loop":    # the system of the verify_closed_loop sweep
+        model = ev.make_model("cubic", m=1, n=2)
+        ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                      ev.default_hurwitz(1))
+        a, pert = (closed_loop_matrix(ctrl.design, ctrl.hurwitz),
+                   ev.make_perturbation("cos_exp"))
+
+        def rhs(t, x):           # W on the last entry of each row
+            out = x @ a.T
+            out[..., -1] += pert.w(t)
+            return out
+        return rhs, pert.freq_hint
     pert = ev.make_perturbation(name)
     if name == "cos_exp":        # the system of the verify_error sweep
         return (lambda t, e: -e + pert.w(t)), pert.freq_hint
@@ -338,29 +357,51 @@ def _reference_system(name):
             + np.asarray(pert.d(t), dtype=float) @ pert.k(e)), pert.freq_hint
 
 
-@pytest.mark.parametrize("system, x0, t_end, tol, samples", [
-    ("example1_unbounded", [-1.0, 1.5], 5.0, 1e-6, np.linspace(0.0, 5.0, 501)),
-    ("example1_bounded", [-1.0, 1.5], 3.0, 1e-7, np.linspace(0.0, 3.0, 601)),
-    ("linear3", [1.0, -2.0, 0.5], 10.0, 1e-8, np.linspace(0.0, 10.0, 101)),
+@pytest.mark.parametrize("system, t0, x0, t_end, tol, samples", [
+    ("example1_unbounded", 0.0, [-1.0, 1.5], 5.0, 1e-6,
+     np.linspace(0.0, 5.0, 501)),
+    ("example1_bounded", 0.0, [-1.0, 1.5], 3.0, 1e-7,
+     np.linspace(0.0, 3.0, 601)),
+    ("linear3", 0.0, [1.0, -2.0, 0.5], 10.0, 1e-8,
+     np.linspace(0.0, 10.0, 101)),
     # every accepted step stored: rows must not alias the stage buffer
-    ("example1_unbounded", [-1.0, 1.5], 5.0, 1e-6, None),
+    ("example1_unbounded", 0.0, [-1.0, 1.5], 5.0, 1e-6, None),
     # the cap-driven window of the verify sweeps, t0 up to 2 plus horizon 6
-    ("cos_exp", [0.5], 8.0, 1e-7, np.linspace(0.0, 8.0, 801)),
-    ("cos_exp", [0.5], 8.0, 1e-7, None),
+    ("cos_exp", 0.0, [0.5], 8.0, 1e-7, np.linspace(0.0, 8.0, 801)),
+    ("cos_exp", 0.0, [0.5], 8.0, 1e-7, None),
+    # the batches of the verify sweeps at t0 = 2: the largest row norm is
+    # the error norm and the smallest row step the initial step
+    ("cos_exp", 2.0, _ROWS_1D, 8.0, 1e-7, None),
+    ("closed_loop", 2.0, _ROWS_2D, 7.0, 1e-6, None),
 ], ids=["example1_unbounded", "example1_bounded", "linear3", "every_step",
-        "cos_exp", "cos_exp_every_step"])
-def test_matches_reference_stepper(system, x0, t_end, tol, samples):
+        "cos_exp", "cos_exp_every_step", "cos_exp_batch", "closed_loop_batch"])
+def test_matches_reference_stepper(system, t0, x0, t_end, tol, samples):
     rhs, hint = _reference_system(system)
-    traj = ev.integrate(rhs, 0.0, np.array(x0), t_end, tol=tol,
+    seen = []
+
+    def recording(t, x):         # the inputs rhs receives, buffers included
+        seen.append(x)
+        return rhs(t, x)
+    traj = ev.integrate(recording, t0, np.array(x0), t_end, tol=tol,
                         freq_hint=hint, sample_times=samples)
-    times, states, counts = dopri_reference(rhs, 0.0, x0, t_end, tol,
+    times, states, counts = dopri_reference(rhs, t0, x0, t_end, tol,
                                             freq_hint=hint,
                                             sample_times=samples)
     for key, value in counts.items():
         assert traj.diagnostics[key] == value, key
     assert traj.times.shape == times.shape
-    assert np.max(np.abs(traj.times - times)) <= 1e-11
-    assert np.max(np.abs(traj.states - states)) <= 1e-11
+    assert traj.states.shape == states.shape
+    shift = np.max(np.abs(traj.times - times))
+    assert shift <= 1e-11
+    # a batch's error norm, the largest over its rows, is rounded otherwise
+    # than the reference's, so its steps may end up to 1e-11 apart (8e-12 in
+    # cos_exp_batch), where its states move by less than twice that
+    slack = 2.0 * shift if traj.states.ndim == 3 else 0.0
+    assert np.max(np.abs(traj.states - states)) <= 1e-11 + slack
+    # no stored row is a reused stage buffer, or a copy of one step's
+    assert not any(np.shares_memory(traj.states, x) for x in seen)
+    flat = traj.states.reshape(times.size, -1)
+    assert len(np.unique(flat, axis=0)) == times.size
 
 
 def test_tableau_is_dormand_prince():

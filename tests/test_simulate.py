@@ -802,6 +802,38 @@ def test_w_keeps_its_t0_shape_for_the_whole_run(case, e0):
                                    0.0, 5.0)
 
 
+def _scalar_after_one(t):
+    # the identity until t = 1 (as (2, 2, N) on arrays of times), then 2.0
+    if np.ndim(t) == 0 and t > 1.0:
+        return np.float64(2.0)
+    return np.multiply.outer(np.eye(2), np.ones(np.shape(t)))
+
+
+@pytest.mark.parametrize("e0", [[0.3, 0.1], [[0.3, 0.1], [0.2, 0.0]]],
+                         ids=["one", "batch"])
+def test_a_d_turning_scalar_mid_run_raises_shape_error(e0):
+    # on one state the scalar D scaled K to the end of the run
+    pert = ev.PerturbationSpec.factored(_scalar_after_one, lambda x: -x, 2)
+    with pytest.raises(ev.ShapeError,
+                       match=r"^D\(t\): expected shape \(2, 2\), got \(\)$"):
+        ev.simulate_error_dynamics(ev.default_hurwitz(2), pert, e0, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("e0", [[0.3], [[0.3], [-0.2]]], ids=["one", "batch"])
+@pytest.mark.parametrize("w, got", [
+    (lambda t: None, "None"),
+    (lambda t: np.exp(1j * t), "values of dtype complex128")],
+    ids=["none", "complex"])
+def test_a_w_of_no_real_values_raises_shape_error(w, got, e0):
+    # None died in numpy's add; a complex w lost its imaginary part with
+    # only a ComplexWarning
+    pert = ev.PerturbationSpec.from_signal(w, 1, name="unreal")
+    match = (r"^perturbation 'unreal' at t0=0\.0: w\(t\): expected real "
+             rf"values, got {got}$")
+    with pytest.raises(ev.ShapeError, match=match):
+        ev.simulate_error_dynamics(ev.default_hurwitz(1), pert, e0, 0.0, 3.0)
+
+
 def test_a_python_number_w_runs_as_its_numpy_twin():
     # a value without a shape is checked on every call and passes
     runs = [ev.simulate_error_dynamics(
