@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, QuadratureBudgetError, ShapeError
-from .integrate import _finite, _positive, _step_cap, _time_grid
+from .integrate import _finite, _positive, _real, _step_cap, _time_grid
 from .norms import check_norm_id, point_norms, sphere_samples, unit_directions
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -54,8 +54,8 @@ class SignalAdapter:
     """A time signal evaluated on a 1-d array of N times, as ``(dim, N)``.
 
     ``h`` is called once per evaluation on the whole array and returns
-    ``(dim, N)``, or ``(N,)`` for a scalar signal; any other shape raises
-    ShapeError.
+    real values (by :func:`evuas.integrate._real`) of shape ``(dim, N)``,
+    or ``(N,)`` for a scalar signal; any other values raise ShapeError.
     """
 
     def __init__(self, h):
@@ -63,7 +63,7 @@ class SignalAdapter:
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=float)
-        out = np.asarray(self.h(ts), dtype=float)
+        out = _real(self.h(ts), "time signal")
         if out.shape == ts.shape:
             return out[None, :]
         if out.ndim == 2 and out.shape[1] == ts.size:

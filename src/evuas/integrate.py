@@ -21,6 +21,18 @@ into buffers of their own and the error estimate and its scale into
 preallocated vectors, all through views made once per call; the new state
 is fresh because it may be stored.
 
+Every system that :mod:`evuas.simulate` integrates has the form
+x' = A x + (0, g(t, x)), with g feeding the last ``width`` entries, so
+``integrate`` takes that structure as keywords and writes each stage
+derivative into its row of the stage buffer in place: A x by one
+``dot(..., out=)``, then g added into a view of the row's last entries,
+made once per call.  g comes in two parts: a part of t alone (w(t), or
+D(t) of a factored disturbance) called once per distinct stage time, five
+per attempted step since the fifth and the last stage share the new time,
+and a part called once per stage on the stage state.  A plain
+x' = rhs(t, x) is the case without A, of full width and without a time
+part, in the same step loop.
+
 The cap depends on t only, so many initial states of one system take nearly
 the same steps.  A batch of N states, given as an (N, dim) array, is
 therefore stepped in that shape with one shared step: ``rhs`` fills the
@@ -128,16 +140,22 @@ def _finite(name, t):
     return t
 
 
-def _shaped(values, shape, name):
-    """``values`` as floats of ``shape``, else ShapeError naming ``name``:
-    bool, integer and float values are real; None, complex and any other
-    values are not, and are rejected before the cast to float, which would
-    make None a NaN and drop an imaginary part."""
+def _real(values, name):
+    """``values`` as floats, else ShapeError naming ``name``: bool, integer
+    and float values are real; None, complex and any other values are not,
+    and are rejected before the cast to float, which would make None a NaN
+    and drop an imaginary part."""
     out = np.asarray(values)
     if out.dtype.kind not in "biuf":
         got = "None" if values is None else f"values of dtype {out.dtype}"
         raise ShapeError(f"{name}: expected real values, got {got}")
-    out = out.astype(float, copy=False)
+    return out.astype(float, copy=False)
+
+
+def _shaped(values, shape, name):
+    """``values`` as real floats (by :func:`_real`) of ``shape``, else
+    ShapeError naming ``name``."""
+    out = _real(values, name)
     if out.shape != shape:
         raise ShapeError(f"{name}: expected shape {shape}, got {out.shape}")
     return out
@@ -198,16 +216,17 @@ def _hermite(t, t0, h, y0, y1, f0, f1):
                    + (theta - 1.0) * h * f0 + theta * h * f1))
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, tol, cap):
+def _initial_step(derivative, t0, y0, f0, t_end, tol, cap):
     # the usual heuristic per row, probed once at the smallest row step;
-    # a batch takes the smallest of its rows' steps
+    # a batch takes the smallest of its rows' steps.  derivative(t, x)
+    # returns x' at (t, x) as a new array
     y, f = np.atleast_2d(y0), np.atleast_2d(f0)
     scale = tol + tol * np.abs(y)
     d0 = [math.sqrt(v) for v in np.mean((y / scale) ** 2, axis=1).tolist()]
     d1 = [math.sqrt(v) for v in np.mean((f / scale) ** 2, axis=1).tolist()]
     h0 = min(min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
                  for a, b in zip(d0, d1)), t_end - t0, cap)
-    f1 = _shaped(rhs(t0 + h0, y0 + h0 * f0), f0.shape, f"rhs at t={t0 + h0}")
+    f1 = derivative(t0 + h0, y0 + h0 * f0)
     d2 = np.mean(((f1.reshape(f.shape) - f) / scale) ** 2, axis=1).tolist()
     h = math.inf
     for b, c in zip(d1, d2):
@@ -235,15 +254,20 @@ def _time_span(t0, t_end):
     return t0, t_end
 
 
-def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
-    """Integrate x' = rhs(t, x) from t0 to t_end.
+def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
+              *, a=None, width=None, time_part=None):
+    """Integrate x' = rhs(t, x) from t0 to t_end, or x' = A x + (0, g(t, x)).
 
     Parameters
     ----------
     rhs : callable
         ``rhs(t, x) -> ndarray`` of the shape of x; a result of another
-        shape raises ShapeError naming the time of the call.  ``x`` is
-        valid only during the call: it may be a buffer that later calls
+        shape raises ShapeError naming the time of the call.  With ``a``
+        it is the state part of g instead, ``rhs(t, x, v, out)``, which
+        adds g(t, x) into ``out``, the last ``width`` entries of each
+        state's derivative, where A x is already written; v is
+        ``time_part(t)``, or None without a time part.  ``x`` is valid
+        only during the call: it may be a buffer that later calls
         overwrite, so ``rhs`` must copy what it keeps.
     t0 : float
     x0 : array_like
@@ -265,6 +289,21 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     sample_times : array_like, optional
         Dense-output sample times; defaults to the accepted step points.
         t0 is always included as the first sample.
+    a : array_like, optional, keyword-only
+        The (dim, dim) matrix A of x' = A x + (0, g(t, x)); A x is written
+        into each stage derivative in place, as ``x.dot(A.T, out=...)``,
+        one state or each row of a batch.
+    width : int, optional, keyword-only
+        How many last entries of a state g feeds, 1 to dim; dim by default.
+    time_part : callable, optional, keyword-only
+        The part of g that depends on t alone, ``time_part(t)``.  It is
+        called once per distinct stage time: a Dormand-Prince step has six
+        stages but five stage times, its fifth stage sharing the new time
+        with the last, so it makes five calls per attempted step, plus one
+        for the first derivative and one for the initial-step probe.
+
+    The diagnostics count in ``n_rhs`` the stage derivatives taken: six
+    per attempted step, plus the first derivative and the probe.
 
     Raises
     ------
@@ -275,8 +314,23 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     t0, t_end = _time_span(t0, t_end)
     _positive("tol", tol)
     x0 = _stack(x0)
-    shape, width = x0.shape, x0.shape[-1]    # as rhs sees the state
-    rows = x0.size // width
+    shape, dim = x0.shape, x0.shape[-1]    # as rhs sees the state
+    rows = x0.size // dim
+    if a is None:
+        # x' = rhs(t, x): its value, checked by _shaped's rule, is the
+        # whole derivative
+        a_t, lo, full = None, 0, rhs
+
+        def rhs(t, x, v, out):
+            f = full(t, x)
+            if getattr(f, "shape", None) != shape or f.dtype.kind != "f":
+                f = _shaped(f, shape, f"rhs at t={t}")
+            out[...] = f
+    else:
+        a_t = _shaped(a, (dim, dim), "a").T
+        lo = 0 if width is None else dim - width
+        if not 0 <= lo < dim:
+            raise ValueError(f"width must be 1 to {dim}, got {width}")
 
     # a list starting at t0, for cheap lookups per step
     samples = None if sample_times is None else _sample_grid(
@@ -291,18 +345,31 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     y[:] = x0.ravel()
     batch = len(shape) > 1                # one state is already flat
     # every buffer of the step and every view of one, made once: the stages
-    # as rhs returns them, the tableau's rows scaled by the step (column 0
-    # refilled with the state's weight 1 after each scaling), the error
-    # estimate and its scale, and for stages 1-5 (tableau row, input buffer,
-    # the input as rhs sees it, node, stage as rhs returns it)
+    # as rhs sees them and their last entries that g feeds, the tableau's
+    # rows scaled by the step (column 0 refilled with the state's weight 1
+    # after each scaling), the error estimate and its scale, and for stages
+    # 1-5 (tableau row, input buffer, the input as rhs sees it, node, stage,
+    # its entries fed by g)
     K_rhs = list(K.reshape((7,) + shape))
+    K_g = [k[..., lo:] for k in K_rhs]
     coef = np.empty_like(_TABLEAU)
     coef_rows, state_weight = list(coef), coef[:6, 0]
     abs_y = np.abs(y)
     abs_new, scale, r = np.empty((3, x0.size))
-    r_rows, row_sq = r.reshape(rows, width), np.empty(rows)
-    stages = [(coef_rows[i - 1], buf, buf.reshape(shape), _C[i], K_rhs[i])
+    r_rows, row_sq = r.reshape(rows, dim), np.empty(rows)
+    stages = [(coef_rows[i - 1], buf, buf.reshape(shape), _C[i], K_rhs[i],
+               K_g[i])
               for i, buf in enumerate(np.empty((5, x0.size)), start=1)]
+
+    def derivative(t, x, out=None):
+        # x' at (t, x), into out or a new array; the step loop below spells
+        # this out per stage
+        out = np.empty(shape) if out is None else out
+        if a_t is not None:
+            x.dot(a_t, out=out)
+        rhs(t, x, None if time_part is None else time_part(t),
+            out[..., lo:])
+        return out
 
     out_t = [t0]
     out_y = [y.copy()]
@@ -313,15 +380,14 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
     # once per call: the checks below raise IntegrationError, with the last
     # good (t, x), in place of a RuntimeWarning
     with np.errstate(invalid="ignore", over="ignore"):
-        f = _shaped(rhs(t, y.reshape(shape)), shape, f"rhs at t={t}")
+        f = derivative(t, y.reshape(shape), K_rhs[0])
         if not np.isfinite(f).all():
             raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
                                    x_last=y.reshape(shape).copy(),
                                    reason="non-finite")
-        K_rhs[0][...] = f
         n_rhs = 2  # f0 plus the initial-step probe
         cap = _step_cap(freq_hint)
-        h = _initial_step(rhs, t, x0, f, t_end, tol, cap(t))
+        h = _initial_step(derivative, t, x0, f, t_end, tol, cap(t))
 
         n_accepted = 0
         n_rejected = 0
@@ -348,20 +414,24 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
             # ndarray.dot is np.dot, bit for bit, without its dispatch cost.
             # Stages 1-5 get their inputs in reused buffers, stage 5 at
             # t_new; the last stage's input is y_new, a fresh array, since
-            # it may be stored.  Every stage is shape-checked
+            # it may be stored.  Each stage derivative is written in place:
+            # A x, then g's state part, with its time part taken once per
+            # stage time (the last stage reuses stage 5's, at t_new)
             hh = h_eff
             np.multiply(_TABLEAU, hh, out=coef)
             state_weight.fill(1.0)
-            for row, buf, x_i, node, k_i in stages:
+            for row, buf, x_i, node, k_i, g_i in stages:
                 row.dot(YK, out=buf)
                 t_i = t + node * hh if node < 1.0 else t_new
-                f = rhs(t_i, x_i)
-                k_i[...] = f if getattr(f, "shape", None) == shape else \
-                    _shaped(f, shape, f"rhs at t={t_i}")
+                v = None if time_part is None else time_part(t_i)
+                if a_t is not None:
+                    x_i.dot(a_t, out=k_i)
+                rhs(t_i, x_i, v, g_i)
             y_new = coef_rows[5].dot(YK)
-            f = rhs(t_new, y_new.reshape(shape) if batch else y_new)
-            K_rhs[6][...] = f if getattr(f, "shape", None) == shape else \
-                _shaped(f, shape, f"rhs at t={t_new}")
+            x_new = y_new.reshape(shape) if batch else y_new
+            if a_t is not None:
+                x_new.dot(a_t, out=K_rhs[6])
+            rhs(t_new, x_new, v, K_g[6])
             n_rhs += 6
 
             # a non-finite y_new is caught before the division (its squared
@@ -378,14 +448,14 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None):
             coef_rows[6].dot(YK, out=r)
             r /= scale
             if rows == 1:
-                err = math.sqrt(float(r.dot(r)) / width)
+                err = math.sqrt(float(r.dot(r)) / dim)
             else:
                 # each row's sum of squares: a one-entry row's is its square
-                if width == 1:
+                if dim == 1:
                     np.multiply(r, r, out=row_sq)
                 else:
                     np.einsum("ij,ij->i", r_rows, r_rows, out=row_sq)
-                err = math.sqrt(float(row_sq.max()) / width)
+                err = math.sqrt(float(row_sq.max()) / dim)
             if not err < math.inf and not np.isfinite(K[6]).all():
                 raise _non_finite(t_new, t, y, shape)
 

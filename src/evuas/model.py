@@ -171,43 +171,22 @@ def _evaluate(fn, shape, where, x, *rest):
     return _check_finite(out, where, rows=not one)
 
 
-def _disturbance(kind, dim, w, d, k, check):
-    """Unchecked W(t, x) on a flat state or an (N, state_dim) batch: w(t),
-    to broadcast, or D(t) once and K row by row, each row's product with D
-    taken on its own so that it is the one-state value bit for bit.  A D(t)
-    that is not (dim, dim), or a product that fails, runs ``check(t, x)``,
-    which raises ShapeError naming the factor of wrong shape."""
-    if kind == "zero":
-        return None
-    if kind == "time":
-        return lambda t, x: w(t)
-    square = (dim, dim)
-
-    def factored(t, x):
-        d_t = np.asarray(d(t), dtype=float).T
-        if d_t.shape != square:     # a scalar D would only scale K
-            check(t, x)
-        try:
-            if x.ndim == 1:
-                return np.asarray(k(x), dtype=float).dot(d_t)
-            return (np.array([k(row) for row in x])[:, None] @ d_t)[:, 0]
-        except ValueError:
-            check(t, x)
-            raise
-    return factored
+def _add_signal(t, x, v, out):
+    # W = w(t) = v, the same for every state
+    out += v
 
 
 class PerturbationSpec:
     """Additive disturbance ``W(t, X)``: zero, a time signal or ``D(t) K(X)``.
 
     ``kind`` is ``"zero"``, ``"time"`` (W = w(t)) or ``"factored"``.  The
-    spec alone knows how W of each kind is evaluated: ``unchecked(t, x)``
-    (None for the zero kind) serves right-hand sides at one float time on
-    one flat state or an (N, state_dim) batch, whose integrator checks the
-    states; :meth:`evaluate` checks W on a grid of times and states; and
-    :meth:`columns` slices D (diag(w(t)) for a time signal).  Each factor
-    has one shape check, shared by :meth:`evaluate`, :meth:`columns` and
-    an integrated run, in which W keeps its t0 shape on every call.
+    spec alone knows how W of each kind is evaluated: :meth:`stage_parts`
+    splits it, for the right-hand sides of integrated runs, into a part of
+    t alone and a part that adds W at each state; :meth:`evaluate` checks W
+    on a grid of times and states; and :meth:`columns` slices D
+    (diag(w(t)) for a time signal).  Each factor has one shape check,
+    shared by :meth:`evaluate`, :meth:`columns` and an integrated run, in
+    which W keeps its t0 shape on every call.
 
     Parameters
     ----------
@@ -271,7 +250,6 @@ class PerturbationSpec:
                                                              state_dim)
         self.name = name
         self.terms = None if terms is None else tuple(terms)
-        self.unchecked = _disturbance(kind, dim, w, d, k, self._check_at)
 
     @classmethod
     def zero(cls, dim):
@@ -291,15 +269,20 @@ class PerturbationSpec:
         """w(t) or D(t): (dim,) (or () at dim 1) and (dim, dim) at one float
         time, (dim, N) by :class:`SignalAdapter` and (dim, dim, N) on a 1-d
         array of N times; else ShapeError naming ``where`` and the factor."""
-        if self.kind == "factored":
-            return _shaped(self.d(t), (self.dim, self.dim) + np.shape(t),
-                           where + "D(t)")
-        if np.ndim(t):
+        if self.kind == "time" and np.ndim(t):
             return _shaped(SignalAdapter(self.w)(t), (self.dim, np.size(t)),
                            where + "W")
-        w = self.w(t)
-        scalar = np.shape(w) == () and self.dim == 1
-        return _shaped(w, () if scalar else (self.dim,), where + "w(t)")
+        return self._value(t, (self.d if self.kind == "factored" else self.w)(t),
+                           where)
+
+    def _value(self, t, value, where=""):
+        """``value``, the value of D or of w at t, checked as
+        :meth:`_signal` checks it."""
+        if self.kind == "factored":
+            return _shaped(value, (self.dim, self.dim) + np.shape(t),
+                           where + "D(t)")
+        scalar = np.shape(value) == () and self.dim == 1
+        return _shaped(value, () if scalar else (self.dim,), where + "w(t)")
 
     def _k(self, x, where="", rows=True):
         """K on a flat state, (dim,), or row by row on an (N, state_dim)
@@ -327,7 +310,7 @@ class PerturbationSpec:
             out = np.broadcast_to(self._signal(ts).T[:, None], shape)
         else:
             d, k = self._signal(ts), self._k(x, rows=False)
-            # K(x) against an F-ordered D(t).T, as unchecked multiplies them
+            # K(x) against an F-ordered D(t).T, as stage_parts multiplies them
             d_t = np.ascontiguousarray(np.moveaxis(d, -1, 0))
             with np.errstate(over="ignore", invalid="ignore"):
                 out = (k[:, None] @ d_t.transpose(0, 2, 1)[:, None])[:, :, 0]
@@ -351,6 +334,68 @@ class PerturbationSpec:
         if shape is not None and got != shape:
             raise ShapeError(f"{where}W: expected shape {shape}, got {got}")
         return got
+
+    def stage_parts(self, shape):
+        """W(t, x) split for :func:`evuas.integrate.integrate`, as
+        ``(time_part, add)``, on a flat state or an (N, state_dim) batch
+        where W has ``shape`` (its shape at t0, by :meth:`_check_at`).
+
+        ``time_part(t)`` is the factor of one float time: w(t), or D(t)
+        transposed.  ``add(t, x, v, out)`` adds W(t, x) into ``out``: v
+        itself, or K(x) v, row by row, each row's product taken on its own
+        so that it is the one-state value bit for bit.  Both check the
+        values they get against the factors' rules and W against
+        ``shape``, and raise ShapeError naming the factor: a w of another
+        shape or a w or D of values that are not real names the spec and
+        t, as does a product of the wrong shape on one state.
+        """
+        if self.kind == "time":
+            w = self.w
+
+            def time_part(t):
+                v = w(t)
+                if getattr(v, "shape", None) != shape or \
+                        v.dtype.kind not in "biuf":
+                    v = self._stage_value(t, v, shape)
+                return v
+            return time_part, _add_signal
+        d, k, square = self.d, self.k, (self.dim, self.dim)
+
+        def time_part(t):
+            d_t = d(t)
+            if getattr(d_t, "shape", None) != square or \
+                    d_t.dtype.kind not in "biuf":
+                d_t = self._stage_value(t, d_t, square)
+            return d_t.T
+
+        def add(t, x, d_t, out):
+            try:
+                if x.ndim == 1:
+                    p = np.asarray(k(x)).dot(d_t)
+                else:
+                    p = (np.array([k(row) for row in x])[:, None] @ d_t)[:, 0]
+            except ValueError:
+                self._check_at(t, x)
+                raise
+            if p.shape != shape or p.dtype.kind != "f":
+                # a scalar K only scales D, a complex K makes W complex
+                self._check_at(t, x, "t", shape)
+            out += p
+        return time_part, add
+
+    def _stage_value(self, t, value, shape):
+        """``value`` of w or D at t as :meth:`_value` checks it, and of
+        ``shape``; else ShapeError.  The error names the spec and t, except
+        for a real D of the wrong shape, named as the factors' check names
+        it."""
+        where = f"perturbation {self.name!r} at t={t}: "
+        if self.kind == "factored" and np.asarray(value).dtype.kind in "biuf":
+            where = ""
+        value = self._value(t, value, where)
+        if value.shape != shape:
+            raise ShapeError(f"{where}W: expected shape {shape}, "
+                             f"got {value.shape}")
+        return value
 
     def _column(self, j, t):
         """Column j of D(t), or of diag(w(t)), by the rule of D or w."""

@@ -10,11 +10,12 @@ derived; Remark 1's analytic decay bounds are kept by catalog name in
 ``REMARK1_BOUNDS``.  Signals take one time or an array through one numpy
 path, with the time as an array first (``np.float64 ** 4`` rounds unlike
 the array power), so both agree bit for bit.  Only D of
-``example1_bounded`` keeps a ``math`` path for one time: it sits in every
-right-hand-side call of the integrator there, where it takes about
-0.5 us against about 1 us for the array path on one time, some 0.1 s
-over the run's 168,788 calls (contention-corrected, on a shared 2-vCPU
-Xeon VM); it matches its array path to an ulp of e^t in phase.
+``example1_bounded`` keeps a ``math`` path for one time: the integrator
+calls it once per stage time there, five times per attempted step, where
+it takes about 0.5 us against about 1.5 us for the array path on one
+time, some 0.13 s over the run's 140,658 calls (28,131 attempted steps;
+medians of timeit runs on a shared 2-vCPU Xeon VM); it matches its array
+path to an ulp of e^t in phase.
 """
 import math
 

@@ -1,7 +1,9 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
-Every integrated run is one system with one right-hand side,
-x' = M x + (0, F(x) + W(t, x)).  M is A_H for the error system,
+Every integrated run is one system, x' = M x + (0, F(x) + W(t, x)),
+which :func:`evuas.integrate.integrate` steps in that structure: it
+writes M x into each stage in place, then adds F and W into the last
+block.  M is A_H for the error system,
 :func:`evuas.synthesis.closed_loop_matrix` for a loop closed by an
 implicit controller and for the deviation from a reference under the
 tracking feedback, and the column shift for a loop closed by any other
@@ -16,14 +18,16 @@ factories), factored disturbances and state terms are integrated.
 Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
-state.  W is the ``unchecked`` W(t, x) of
-:class:`evuas.model.PerturbationSpec`, or its time signal w(t) itself on a
-run without a state term or reference; its width (and, on an integrated
-run, its factors at t0) is checked once per run; W keeps its t0 shape
-on every call (else ShapeError naming t and the factor), and a non-finite
-W stops the run with an IntegrationError (or with F's EvaluationError,
-where F meets the non-finite stage state first).  F goes through
-:meth:`evuas.model.SystemModel.eval_f`, checked on every call.
+state.  W is split by :meth:`evuas.model.PerturbationSpec.stage_parts`
+into its factor of t alone, w(t) or D(t), evaluated once per stage time
+(with the reference X_d(t) on a tracking run), and a part that adds W at
+each stage state, after F.  Its width (and, on an integrated run, its
+factors at t0) is checked once per run; W keeps its t0 shape on every
+call (else ShapeError naming the factor, and t where the value of w or D
+is at fault), and a non-finite W stops the run with an IntegrationError
+(or with F's EvaluationError, where F meets the non-finite stage state
+first).  F goes through :meth:`evuas.model.SystemModel.eval_f`, checked
+on every call.
 
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, which cancels F: on the closed loop the
@@ -34,6 +38,7 @@ trajectory (the controller's domain of validity).
 """
 
 import csv
+import functools
 import json
 
 import numpy as np
@@ -52,76 +57,61 @@ _ADMISSIBLE_TOL = 1e-8      # bound on |F(X_d(t), 0)|
 _ADMISSIBLE_GRID = 17       # sample times of the admissibility check
 
 
+def _no_input(t, x, v, out):
+    pass
+
+
+def _with_reference(track, w_time, t):
+    # the reference's flat state and W's factor of t alone
+    return flatten_state(track.value(t)), w_time(t)
+
+
+def _add_at_reference(add_w, t, x, v, out):
+    # W at the true state x + X_d(t)
+    x_d, w_t = v
+    add_w(t, x + x_d, w_t, out)
+
+
+def _add_term(term, add_w, t, x, v, out):
+    # F(x) before W, as the first-order form sums them
+    out += term(x)
+    add_w(t, x, v, out)
+
+
 def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
                 track=None, term=None):
     """Run x' = A x + (0, term(x) + W(t, x_true)), each in the last entries
     of its width and x_true = x + X_d(t) for the deviation from a reference
     ``track``: propagated on a sample grid under a zero or chirp-form W
     (each term's c zero-padded to the state) and no state ``term``, else
-    integrated.  A W that is not zero must have ``width`` components."""
-    w = None if pert is None else pert.unchecked
-    if w is not None and pert.dim != width:
+    integrated, with W split by :meth:`PerturbationSpec.stage_parts` (the
+    reference joins W's part of t alone).  A W that is not zero must have
+    ``width`` components."""
+    if pert is not None and pert.kind == "zero":
+        pert = None
+    if pert is not None and pert.dim != width:
         raise ShapeError(f"perturbation {pert.name!r} has {pert.dim} "
                          f"components; this system takes {width}")
     if sample_times is not None and term is None and (
-            w is None or pert.terms is not None):
-        terms = () if w is None else [
+            pert is None or pert.terms is not None):
+        terms = () if pert is None else [
             chirp._replace(c=np.concatenate([np.zeros(len(a) - pert.dim),
                                              chirp.c]))
             for chirp in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
-    if w is not None:
+    time_part, add = None, _no_input
+    if pert is not None:
         x_true = x0 if track is None else x0 + flatten_state(track.value(t0))
-        shape = pert._check_at(t0, x_true, "t0")
-    # the right-hand side, built once for its case: x.dot(A^T) is A x on
-    # one state and on each row of a batch, a state term F(x) adds to the
-    # last entries of its width, and W to the last ``width`` entries, at the
-    # true state x + X_d(t) of a tracking run
-    a_t, tail = a.T, len(a) - width
-    if term is None:
-        def drift(t, x):
-            return x.dot(a_t)
-    else:
-        def drift(t, x):
-            out = x.dot(a_t)
-            f = term(x)
-            out[..., len(a) - f.shape[-1]:] += f
-            return out
-    if w is None:
-        rhs = drift
-    elif term is None and track is None and pert.kind == "time":
-        signal = pert.w             # the verify sweeps' case: no state needed
-
-        def rhs(t, x):
-            out = x.dot(a_t)
-            v = signal(t)
-            if getattr(v, "shape", None) != shape:   # a number has none
-                pert._check_at(t, x, "t", shape)
-            last = out[..., tail:] if tail else out
-            last += v
-            return out
-    elif term is None and track is None:
-        def rhs(t, x):
-            out = x.dot(a_t)
-            v = w(t, x)
-            if getattr(v, "shape", None) != shape:
-                pert._check_at(t, x, "t", shape)
-            last = out[..., tail:] if tail else out
-            last += v
-            return out
-    else:
-        def rhs(t, x):
-            out = drift(t, x)
-            x_true = x if track is None else x + flatten_state(track.value(t))
-            v = w(t, x_true)
-            if getattr(v, "shape", None) != shape:
-                pert._check_at(t, x_true, "t", shape)
-            last = out[..., tail:] if tail else out
-            last += v
-            return out
-    return integrate(rhs, t0, x0, t_end, tol=tol,
-                     freq_hint=None if w is None else pert.freq_hint,
-                     sample_times=sample_times)
+        time_part, add = pert.stage_parts(pert._check_at(t0, x_true, "t0"))
+        if track is not None:
+            time_part = functools.partial(_with_reference, track, time_part)
+            add = functools.partial(_add_at_reference, add)
+    if term is not None:
+        add = functools.partial(_add_term, term, add)
+    return integrate(add, t0, x0, t_end, tol=tol,
+                     freq_hint=None if pert is None else pert.freq_hint,
+                     sample_times=sample_times, a=a, width=width,
+                     time_part=time_part)
 
 
 def _report_inputs(traj, m, solve):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (EnvelopeFitError, EvaluationError, IntegrationError,
                      NewtonError, QuadratureBudgetError, ShapeError)
-from .integrate import _finite, _positive
+from .integrate import Trajectory, _finite, _positive
 from .model import _size
 from .norms import (check_norm_id, point_norms, sphere_samples,
                     unit_directions)
@@ -108,9 +108,14 @@ def _settle(times, norms, t0, eps):
 
 def _run(sim, t0, x0s, horizon, norm):
     """(times, (T, N) norms) of ``sim(t0, x0s)``, one column per sample:
-    ValueError if the run does not cover [t0, t0 + horizon], ShapeError if
-    its states are not (T, N, dim)."""
+    TypeError naming the factory if it returns no Trajectory, ValueError
+    if the run does not cover [t0, t0 + horizon], ShapeError if its states
+    are not (T, N, dim)."""
     traj = sim(t0, x0s)
+    if not isinstance(traj, Trajectory):
+        name = getattr(sim, "__qualname__", type(sim).__qualname__)
+        raise TypeError(f"verify factory {name} returned "
+                        f"{type(traj).__name__}, not a Trajectory")
     start, end = float(traj.times[0]), float(traj.times[-1])
     if start > t0 + 1e-12 or end < t0 + horizon - 1e-12:
         raise ValueError(
@@ -196,7 +201,8 @@ def verify_evuas(sim, delta0, t0_grid, eps_levels, horizon, samples=8,
     ----------
     sim : callable
         Trajectory factory ``sim(t0, x0) -> Trajectory`` covering at least
-        [t0, t0 + horizon] (else ValueError).  It takes (N, dim) stacks of
+        [t0, t0 + horizon] (else ValueError; TypeError naming the factory
+        if it returns anything else).  It takes (N, dim) stacks of
         initial states only and returns states of shape (T, N, dim), one
         column per sample (else ShapeError), as the factories of this
         module and :func:`evuas.integrate.integrate` do.  It is called once

@@ -522,6 +522,20 @@ def test_a_signal_that_does_not_take_arrays_raises(h, error, match):
         ev.window_integral_sup(h, 0.0)
 
 
+@pytest.mark.parametrize("run", ["columns", "window_integral_sup"])
+def test_a_complex_signal_raises_shape_error(run):
+    # its values were cast to float with a ComplexWarning, dropping the
+    # imaginary part
+    w = lambda t: np.exp(1j * np.asarray(t, dtype=float))
+    with pytest.raises(ev.ShapeError, match=r"^time signal: expected real "
+                       r"values, got values of dtype complex128$"):
+        if run == "columns":
+            ev.PerturbationSpec.from_signal(w, 1).columns()[0](
+                np.linspace(0.0, 1.0, 5))
+        else:
+            ev.window_integral_sup(w, 0.0)
+
+
 def _sign_patterns(rng, count, width):
     # rows of signs with runs of zeros, leading zeros and all-zero rows
     for _ in range(count):

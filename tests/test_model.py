@@ -406,13 +406,16 @@ def test_batched_evaluate_rows_are_one_state_values(name, rng):
     ts = rng.uniform(0.0, 20.0, 10)
     grid = pert.evaluate(ts, xs)
     assert grid.shape == (10, 25, pert.dim)
-    if pert.unchecked is None:
+    if pert.kind == "zero":
         assert np.array_equal(grid, np.zeros(grid.shape))
         return
+    # W as an integrated run's right-hand side adds it
+    time_part, add = pert.stage_parts((pert.dim,))
     d_ts = None if pert.d is None else pert.d(ts)
     for i, t in enumerate(ts.tolist()):
         for j, x in enumerate(xs):
-            one = pert.unchecked(t, x)
+            one = np.zeros(pert.dim)
+            add(t, x, time_part(t), one)
             if name != "example1_bounded":
                 assert np.array_equal(grid[i, j], one)
                 continue

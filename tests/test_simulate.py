@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from oracles import forced_linear_reference, newton_reference
 
 import evuas as ev
-from evuas.norms import unit_directions
-from evuas.synthesis import closed_loop_matrix
+from evuas.norms import point_norms, unit_directions
+from evuas.simulate import _run_linear
+from evuas.synthesis import _first_order, closed_loop_matrix
 
 A_H = [[-1.0, 2.0], [0.0, -1.5]]
 
@@ -206,6 +208,123 @@ def test_generic_loop_is_the_first_order_form_bit_for_bit(m, n, kind, rows):
     assert np.array_equal(traj.times, ts)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.inputs, inputs)
+
+
+def _full_rhs(a, pert, width, track=None, term=None):
+    """x' = A x + (0, term(x) + W(t, x_true)) as one function of (t, x):
+    the drift, then F, then W, each added in turn to the last entries."""
+    a_t = np.asarray(a, dtype=float).T
+
+    def rhs(t, x):
+        out = x.dot(a_t)
+        if term is not None:
+            out[..., -width:] += term(x)
+        if pert.kind == "zero":
+            return out
+        x_true = x if track is None else x + ev.flatten_state(track.value(t))
+        if pert.kind == "time":
+            v = pert.w(t)
+        else:
+            d_t = np.asarray(pert.d(t), dtype=float).T
+            v = (np.asarray(pert.k(x_true), dtype=float).dot(d_t)
+                 if x.ndim == 1 else
+                 (np.array([pert.k(row) for row in x_true])[:, None]
+                  @ d_t)[:, 0])
+        out[..., -width:] += v
+        return out
+    return rhs
+
+
+def _run_linear_cases():
+    # (A, W, width, reference, state term), and the state's width
+    a_h = np.array(A_H)
+    chain = ev.make_model("chain", m=1, n=2)
+    design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
+    coupled = ev.PerturbationSpec.factored(
+        lambda t: np.cos(3.0 * t) * np.ones((1, 1)),
+        lambda x: np.sin(x[:1]) + x[1:] ** 3, 1, freq_hint=3.0, state_dim=2)
+    gain = ev.LinearController([[-1.0, -1.5]])
+    model = ev.make_model("cubic")
+    return {
+        "zero": (a_h, ev.PerturbationSpec.zero(2), 2, None, None),
+        "time": (a_h, ev.make_perturbation("vec_cos_sin_exp"), 2, None, None),
+        "factored": (a_h, ev.make_perturbation("example1_bounded"), 2, None,
+                     None),
+        "implicit": (closed_loop_matrix(design, hurwitz),
+                     ev.make_perturbation("cos_exp"), 1, None, None),
+        "linear_gain": (_first_order(1, 2, 0), coupled, 1, None,
+                        lambda x: model.eval_f(x, gain.solve(x))),
+        "tracking": (closed_loop_matrix(design, hurwitz), coupled, 1,
+                     ev.make_reference("sin_cos"), None),
+    }
+
+
+@pytest.mark.parametrize("rows", [None, 4], ids=["one", "batch"])
+@pytest.mark.parametrize("case", ["zero", "time", "factored", "implicit",
+                                  "linear_gain", "tracking"])
+def test_run_linear_is_integrate_on_the_full_rhs_bit_for_bit(case, rows):
+    # the structured stages (A x in place, W's factor of t once per stage
+    # time) take the same steps to the same states as one function of
+    # (t, x) that spells the sum out
+    a, pert, width, track, term = _run_linear_cases()[case]
+    rng = np.random.default_rng(len(case))
+    x0 = rng.uniform(-0.5, 0.5, (len(a),) if rows is None else (rows, len(a)))
+    run = _run_linear(a, pert, width, x0, 0.5, 3.0, 1e-7, None, track, term)
+    plain = ev.integrate(_full_rhs(a, pert, width, track, term), 0.5, x0, 3.0,
+                         tol=1e-7, freq_hint=pert.freq_hint)
+    assert np.array_equal(run.times, plain.times)
+    assert run.states.tobytes() == plain.states.tobytes()
+    assert run.diagnostics == plain.diagnostics
+
+
+def _coupled_model():
+    # coupled and state dependent in both channels; J_{F,U} = [[1, 0.6 u2^2],
+    # [0.6 u1^2, 1]] is nonsingular while |u1 u2| < 1/0.6
+    def f(x, u):
+        return np.stack([
+            u[:, 0] + 0.2 * u[:, 1] ** 3 + 0.1 * np.sin(x[:, 0]) * x[:, 3],
+            u[:, 1] + 0.2 * u[:, 0] ** 3 + 0.1 * x[:, 1] * x[:, 2]], axis=1)
+    return ev.SystemModel(2, 2, f, name="coupled")
+
+
+class _NewtonInRhs:
+    """The implicit controller's feedback behind a controller of no known
+    kind, so that the closed loop solves it in every right-hand-side call."""
+
+    def __init__(self, ctrl):
+        self.solve = ctrl.solve
+
+
+def test_implicit_shortcut_holds_on_a_coupled_model():
+    # the shortcut runs the nonlinear loop as x' = closed_loop_matrix x + B W;
+    # the generic loop (Newton in the right-hand side) and DOP853 on the
+    # first-order form check it against paths that do not assume it
+    model = _coupled_model()
+    ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0], [-2.0]], 2),
+                                  ev.default_hurwitz(2))
+    pert = ev.make_perturbation("vec_cos_sin_exp")
+    x0 = np.array([0.3, -0.2, 0.1, 0.05])
+    short = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.0, 3.0,
+                                    tol=1e-10)
+    ts = short.times
+    generic = ev.simulate_closed_loop(model, _NewtonInRhs(ctrl), pert, x0,
+                                      0.0, 3.0, tol=1e-10, sample_times=ts)
+
+    def first_order(t, x):
+        out = np.empty_like(x)
+        out[:-2] = x[2:]
+        out[-2:] = model.eval_f(x, ctrl.solve(x)) + pert.w(t)
+        return out
+    dop = scipy.integrate.solve_ivp(first_order, (0.0, 3.0), x0,
+                                    method="DOP853", rtol=1e-12, atol=1e-14,
+                                    t_eval=ts)
+    assert dop.success
+    for a, b in ((short.states, generic.states), (short.states, dop.y.T),
+                 (generic.states, dop.y.T)):
+        assert np.max(np.abs(a - b)) <= 1e-6
+    # the stored inputs solve F(x, u) = -input_free_term(x)
+    assert np.all(point_norms(ctrl.residual(short.states, short.inputs))
+                  <= ctrl.tol)
 
 
 def _inf_after(t_bad):
@@ -712,8 +831,10 @@ def test_w_of_the_wrong_shape_fails_before_the_run(case):
 
 @pytest.mark.parametrize("kind", ["time", "factored"])
 def test_w_is_checked_once_per_run(kind):
-    # one call of w (or D) at t0 on top of one per right-hand-side call; K
-    # once per row at t0 on top of one per row and call
+    # one call of w (or D) at t0 on top of one per stage time: five per
+    # attempted step (the last stage shares the new time with the fifth),
+    # plus the first derivative and the initial-step probe; K once per row
+    # at t0 on top of one per row and stage derivative
     w_calls, k_calls = [], []
     if kind == "time":
         pert = ev.PerturbationSpec.from_signal(
@@ -725,8 +846,10 @@ def test_w_is_checked_once_per_run(kind):
     x0s = np.array([[0.5], [-0.2], [0.1]])
     traj = ev.simulate_error_dynamics(ev.default_hurwitz(1), pert, x0s, 0.0,
                                       2.0, tol=1e-6)
-    n_rhs = traj.diagnostics["n_rhs"]
-    assert w_calls[0] == 0.0 and len(w_calls) == n_rhs + 1
+    diag = traj.diagnostics
+    n_rhs, steps = diag["n_rhs"], diag["n_accepted"] + diag["n_rejected"]
+    assert n_rhs == 6 * steps + 2
+    assert w_calls[0] == 0.0 and len(w_calls) == 5 * steps + 3
     assert len(k_calls) == (len(x0s) * (n_rhs + 1) if kind == "factored"
                             else 0)
 
@@ -832,6 +955,48 @@ def test_a_w_of_no_real_values_raises_shape_error(w, got, e0):
              rf"values, got {got}$")
     with pytest.raises(ev.ShapeError, match=match):
         ev.simulate_error_dynamics(ev.default_hurwitz(1), pert, e0, 0.0, 3.0)
+
+
+def _complex_after_one(kind):
+    # real until t = 1, then (1 + 1j) times its value, at one float time
+    def turn(t, v):
+        return v * (1 + 1j) if np.ndim(t) == 0 and t > 1.0 else v
+    if kind == "d":
+        return ev.PerturbationSpec.factored(
+            lambda t: turn(t, np.multiply.outer(np.eye(2),
+                                                np.ones(np.shape(t)))),
+            lambda x: -x, 2, name="turns")
+    return ev.PerturbationSpec.from_signal(
+        lambda t: turn(t, np.stack([np.cos(t), np.sin(t)])), 2, name="turns")
+
+
+@pytest.mark.parametrize("e0", [[0.3, 0.1], [[0.3, 0.1], [0.2, 0.0]]],
+                         ids=["one", "batch"])
+@pytest.mark.parametrize("kind", ["d", "w"])
+def test_a_factor_turning_complex_mid_run_raises_shape_error(kind, e0):
+    # the complex D lost its imaginary part with only a ComplexWarning, and
+    # the complex w died in numpy's untyped add
+    factor = "D" if kind == "d" else "w"
+    match = (rf"^perturbation 'turns' at t=1\.\d+: {factor}\(t\): expected "
+             r"real values, got values of dtype complex128$")
+    with pytest.raises(ev.ShapeError, match=match):
+        ev.simulate_error_dynamics(ev.default_hurwitz(2),
+                                   _complex_after_one(kind), e0, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("e0, where", [
+    ([0.3, 0.1], "K"), ([[0.3, 0.1], [0.25, 0.0]], "K in row 1")],
+    ids=["one", "batch"])
+def test_a_k_turning_complex_mid_run_raises_shape_error(e0, where):
+    # K(x) was cast to float with only a ComplexWarning
+    pert = ev.PerturbationSpec.factored(
+        lambda t: np.multiply.outer(np.eye(2), np.ones(np.shape(t))),
+        lambda x: -x * (1j if x[0] < 0.2 else 1.0), 2, name="kc")
+    where = where.replace("K", r"K\(x\)")
+    with pytest.raises(ev.ShapeError, match=rf"^perturbation 'kc' at "
+                       rf"t=0\.\d+: {where}: expected real values, got "
+                       r"values of dtype complex128$"):
+        ev.simulate_error_dynamics(ev.default_hurwitz(2), pert, e0, 0.0, 3.0)
 
 
 def test_a_python_number_w_runs_as_its_numpy_twin():

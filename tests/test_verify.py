@@ -125,6 +125,25 @@ def test_factory_programming_errors_propagate():
         ev.estimate_delta_of_eps(broken, eps=0.1, t0=0.0, dim=1)
 
 
+def _tuple_factory(t0, x0):
+    # returns the run's fields, not the Trajectory
+    traj = ev.integrate(lambda t, x: -x, t0, x0, t0 + 8.0, tol=1e-8)
+    return traj.times, traj.states
+
+
+def test_a_factory_returning_no_trajectory_raises_naming_it():
+    # a bare AttributeError ('tuple' object has no attribute 'times') was
+    # neither typed nor recorded
+    match = (r"^verify factory _tuple_factory returned tuple, not a "
+             r"Trajectory$")
+    with pytest.raises(TypeError, match=match):
+        ev.verify_evuas(_tuple_factory, delta0=0.5, t0_grid=[0.0],
+                        eps_levels=[0.6], horizon=8.0, samples=3, seed=0,
+                        dim=1)
+    with pytest.raises(TypeError, match=match):
+        ev.estimate_delta_of_eps(_tuple_factory, eps=0.1, t0=0.0, dim=1)
+
+
 def test_failed_witness_replay_is_a_sim_failure():
     # the batch runs, but the witness sample's own one-row run fails: the
     # failure is recorded against that sample and no witness is reported
