@@ -16,8 +16,9 @@ from .diminishing import (PerturbationClassification, WindowMetricProfile,
                           classify, diminishing_profile, trend_verdict,
                           window_integral_sup)
 from .errors import (ControllerEvaluationError, DesignError, EnvelopeFitError,
-                     EvaluationError, IntegrationError, NewtonError,
-                     QuadratureBudgetError, ScenarioError, ShapeError)
+                     EvaluationError, EvuasError, IntegrationError,
+                     NewtonError, QuadratureBudgetError, ScenarioError,
+                     ShapeError)
 from .integrate import Trajectory, integrate
 from .model import (MODEL_CATALOG, PerturbationSpec, SystemModel,
                     flatten_state, jacobian_F_U, jacobian_F_X, make_model,
@@ -41,7 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ControllerEvaluationError", "DesignError",
-    "EnvelopeFitError", "EvaluationError", "GammaDesign", "HurwitzMatrix",
+    "EnvelopeFitError", "EvaluationError", "EvuasError", "GammaDesign",
+    "HurwitzMatrix",
     "ImplicitController", "IntegrationError", "KlEnvelope",
     "LinearController", "MODEL_CATALOG", "NewtonError",
     "NonSingularityReport", "PERTURBATION_CATALOG",

@@ -55,20 +55,22 @@ class SignalAdapter:
 
     ``h`` is called once per evaluation on the whole array and returns
     real values (by :func:`evuas.integrate._real`) of shape ``(dim, N)``,
-    or ``(N,)`` for a scalar signal; any other values raise ShapeError.
+    or ``(N,)`` for a scalar signal; any other values raise ShapeError,
+    whose message opens with ``name``.
     """
 
-    def __init__(self, h):
+    def __init__(self, h, name="time signal"):
         self.h = h
+        self.name = name
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=float)
-        out = _real(self.h(ts), "time signal")
+        out = _real(self.h(ts), self.name)
         if out.shape == ts.shape:
             return out[None, :]
         if out.ndim == 2 and out.shape[1] == ts.size:
             return out
-        raise ShapeError(f"time signal: expected shape (N,) or (dim, N) "
+        raise ShapeError(f"{self.name}: expected shape (N,) or (dim, N) "
                          f"on N = {ts.size} times, got {out.shape}")
 
 

@@ -1,11 +1,20 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every error here derives from :class:`EvuasError`, so one ``except`` clause
+catches any of them, and keeps a builtin base (``ValueError``,
+``ArithmeticError`` or ``RuntimeError``) for callers that catch by kind.
+"""
 
 
-class ShapeError(ValueError):
+class EvuasError(Exception):
+    """Base of every error the package raises on its own account."""
+
+
+class ShapeError(EvuasError, ValueError):
     """An array argument has the wrong shape; the message carries the shape report."""
 
 
-class EvaluationError(ArithmeticError):
+class EvaluationError(EvuasError, ArithmeticError):
     """A user-supplied map returned NaN/inf.
 
     ``component`` is the index of the first offending entry, ``where`` names
@@ -21,11 +30,11 @@ class EvaluationError(ArithmeticError):
         self.row = row
 
 
-class DesignError(ValueError):
+class DesignError(EvuasError, ValueError):
     """A controller design input is inadmissible (bad poles, non-Hurwitz matrix, ...)."""
 
 
-class NewtonError(RuntimeError):
+class NewtonError(EvuasError, RuntimeError):
     """The implicit feedback solve failed to converge at some state.
 
     Carries the state, the last residual norm and the iteration count so a
@@ -44,7 +53,7 @@ class NewtonError(RuntimeError):
         self.row = row
 
 
-class QuadratureBudgetError(RuntimeError):
+class QuadratureBudgetError(EvuasError, RuntimeError):
     """Adaptive quadrature hit its refinement budget before reaching the tolerance.
 
     ``estimate`` is the best available value, ``error_bound`` the last
@@ -57,7 +66,7 @@ class QuadratureBudgetError(RuntimeError):
         self.error_bound = error_bound
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(EvuasError, RuntimeError):
     """Time integration failed (step underflow or non-finite state).
 
     ``t_last``/``x_last`` hold the last accepted point.
@@ -84,7 +93,7 @@ class ControllerEvaluationError(IntegrationError):
         self.row = row
 
 
-class EnvelopeFitError(RuntimeError):
+class EnvelopeFitError(EvuasError, RuntimeError):
     """Decay-envelope fitting rejected the data; ``mu`` is the (non-positive) fitted rate."""
 
     def __init__(self, message, mu=None):
@@ -92,7 +101,7 @@ class EnvelopeFitError(RuntimeError):
         self.mu = mu
 
 
-class ScenarioError(ValueError):
+class ScenarioError(EvuasError, ValueError):
     """A scenario document failed validation; ``field`` is the offending field path."""
 
     def __init__(self, message, field=None):

@@ -9,35 +9,44 @@ eighth of the local period, which keeps the controller from blindly
 marching across whole oscillation periods of phases like t**4.
 
 Capped phases such as t**4 take hundreds of thousands of steps, so the step
-loop keeps its bookkeeping small, and no array but the new state (and any
-dense-output samples) is allocated in a step: the current state is row 0 of
-one (8, dim) buffer and the seven stages are rows 1-7, and the tableau is
-one (7, 8) array whose column 0 weighs the state.  Each step writes it,
-scaled by the step, into a buffer made once per call and refills column 0
-with 1 on the stage rows; then every stage input, the new state and the
-error estimate's numerator is one dot product of a row of that buffer with
-the state and stages: one numpy call each.  Stages 1-5 write their inputs
-into buffers of their own and the error estimate and its scale into
-preallocated vectors, all through views made once per call; the new state
-is fresh because it may be stored.
+loop keeps its bookkeeping small, and no array but the stored copy of an
+accepted state (or its dense-output samples) and the time rows of W is
+allocated in a step: the current state is row 0 of one buffer of eight
+rows and the seven stages are rows 1-7, and the tableau is one (7, 8)
+array whose column 0 weighs the state.  Each step writes it, scaled by the
+step, into a buffer made once per call and refills column 0 with 1 on the
+stage rows; then every stage input, the new state and the error
+estimate's numerator is one dot product of a row of that buffer with the
+state and stages: one numpy call each.  Stages 1-5 and the new state
+write their inputs into buffers of their own and the error estimate and
+its scale into preallocated vectors, all through views made once per call;
+an accepted state is copied where it is stored.
 
 Every system that :mod:`evuas.simulate` integrates has the form
-x' = A x + (0, g(t, x)), with g feeding the last ``width`` entries, so
-``integrate`` takes that structure as keywords and writes each stage
-derivative into its row of the stage buffer in place: A x by one
-``dot(..., out=)``, then g added into a view of the row's last entries,
-made once per call.  g comes in two parts: a part of t alone (w(t), or
-D(t) of a factored disturbance) called once per distinct stage time, five
-per attempted step since the fifth and the last stage share the new time,
-and a part called once per stage on the stage state.  A plain
-x' = rhs(t, x) is the case without A, of full width and without a time
-part, in the same step loop.
+x' = A x + (0, g(t, x)), with g feeding the last ``width`` entries and
+g(t, x) = [1, s(t, x)] R(t): time rows R(t) of t alone (w(t) of a time
+signal, or a zero row over D(t)^T of a factored disturbance, which weighs
+s = K(x)), and a state part s with p entries (none for a time signal).
+So each state is stored as the row [x, 1, s], and each stage derivative is
+one product, x' = [x, 1, s] M(t), with M(t) the (q, q) matrix, q = dim + 1
++ p, that holds A^T over x and R(t) over [1, s] in the columns of the last
+``width`` entries, and zero columns past dim.  The stage rows' entries past
+x are therefore zero, and each stage input keeps the state's 1.  The time
+rows come from one call per attempted step on the step's five stage times
+(the fifth and the last stage share the new time), which fills the five
+M(t) of the step at once; the state part writes s into a stage's input
+before its product.  A plain x' = rhs(t, x) is the case A = 0, R = [0; I]
+and s = rhs(t, x), in the same step loop.
 
 The cap depends on t only, so many initial states of one system take nearly
 the same steps.  A batch of N states, given as an (N, dim) array, is
-therefore stepped in that shape with one shared step: ``rhs`` fills the
-flat (7, N*dim) stage buffer through (N, dim) views, and the error norm is
-the largest of the rows' own norms, so every row meets its own tolerance.
+therefore stepped in that shape with one shared step: the flat
+(7, N*q) stage buffer holds N rows [x, 1, s], ``rhs`` sees their x and s
+through (N, dim) and (N, p) views, each stage derivative is one (N, q) by
+(q, q) product, and the error norm is the largest of the rows' own norms,
+so every row meets its own tolerance.  The Runge-Kutta sums of one state
+take its x alone, so that they round as those of an (8, dim) buffer,
+whatever p is.
 
 A linear system under a chirp-form forcing, x' = A x + w(t) with w the
 real part of a sum of c a(t) e^{i phase(t)}, needs no steps between
@@ -64,6 +73,7 @@ from .norms import point_norms
 # estimate.  Column 0 weighs the state and is 0 here; columns 1-7 weigh the
 # stages
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_NODES = _C[1:5]           # the stage times before the new time, per step
 _TABLEAU = np.array([(0.0,) + row + (0.0,) * (7 - len(row)) for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -216,17 +226,17 @@ def _hermite(t, t0, h, y0, y1, f0, f1):
                    + (theta - 1.0) * h * f0 + theta * h * f1))
 
 
-def _initial_step(derivative, t0, y0, f0, t_end, tol, cap):
+def _initial_step(probe, t0, y0, f0, t_end, tol, cap):
     # the usual heuristic per row, probed once at the smallest row step;
-    # a batch takes the smallest of its rows' steps.  derivative(t, x)
-    # returns x' at (t, x) as a new array
+    # a batch takes the smallest of its rows' steps.  probe(h0) returns x'
+    # at (t0 + h0, y0 + h0 f0) as a new array
     y, f = np.atleast_2d(y0), np.atleast_2d(f0)
     scale = tol + tol * np.abs(y)
     d0 = [math.sqrt(v) for v in np.mean((y / scale) ** 2, axis=1).tolist()]
     d1 = [math.sqrt(v) for v in np.mean((f / scale) ** 2, axis=1).tolist()]
     h0 = min(min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
                  for a, b in zip(d0, d1)), t_end - t0, cap)
-    f1 = derivative(t0 + h0, y0 + h0 * f0)
+    f1 = probe(h0)
     d2 = np.mean(((f1.reshape(f.shape) - f) / scale) ** 2, axis=1).tolist()
     h = math.inf
     for b, c in zip(d1, d2):
@@ -240,10 +250,9 @@ def _initial_step(derivative, t0, y0, f0, t_end, tol, cap):
     return h
 
 
-def _non_finite(t_new, t, y, shape):
+def _non_finite(t_new, t, x):
     return IntegrationError(f"non-finite state at t={t_new}", t_last=t,
-                            x_last=y.reshape(shape).copy(),
-                            reason="non-finite")
+                            x_last=x.copy(), reason="non-finite")
 
 
 def _time_span(t0, t_end):
@@ -254,21 +263,38 @@ def _time_span(t0, t_end):
     return t0, t_end
 
 
+def _whole(rhs, shape):
+    """The state part of a plain x' = rhs(t, x): its value, checked by
+    :func:`_shaped`'s rule, fills the p = dim slots of s."""
+    def state(t, x, out):
+        f = rhs(t, x)
+        if getattr(f, "shape", None) != shape or f.dtype.kind != "f":
+            f = _shaped(f, shape, f"rhs at t={t}")
+        out[...] = f
+    return state
+
+
 def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
               *, a=None, width=None, time_part=None):
     """Integrate x' = rhs(t, x) from t0 to t_end, or x' = A x + (0, g(t, x)).
 
+    Each stage derivative is one product: the state x is stored as the row
+    [x, 1, s], with s(t, x) in its last p entries, and
+    x' = [x, 1, s] M(t), where M(t) holds A^T over x and the time rows
+    R(t) over [1, s], in the columns of the last ``width`` entries; so
+    g(t, x) = [1, s] R(t).
+
     Parameters
     ----------
-    rhs : callable
+    rhs : callable or None
         ``rhs(t, x) -> ndarray`` of the shape of x; a result of another
         shape raises ShapeError naming the time of the call.  With ``a``
-        it is the state part of g instead, ``rhs(t, x, v, out)``, which
-        adds g(t, x) into ``out``, the last ``width`` entries of each
-        state's derivative, where A x is already written; v is
-        ``time_part(t)``, or None without a time part.  ``x`` is valid
-        only during the call: it may be a buffer that later calls
-        overwrite, so ``rhs`` must copy what it keeps.
+        it is the state part instead, ``rhs(t, x, out)``, which writes
+        s(t, x) into ``out``: shape (p,) for one state, (N, p) for a batch.
+        It is called once per stage derivative, and not at all when p is
+        0 (it may then be None).  ``x`` is valid only during the call: it
+        may be a buffer that later calls overwrite, so ``rhs`` must copy
+        what it keeps.
     t0 : float
     x0 : array_like
         One initial state, shape (dim,), or a batch of N, shape (N, dim).
@@ -290,17 +316,19 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         Dense-output sample times; defaults to the accepted step points.
         t0 is always included as the first sample.
     a : array_like, optional, keyword-only
-        The (dim, dim) matrix A of x' = A x + (0, g(t, x)); A x is written
-        into each stage derivative in place, as ``x.dot(A.T, out=...)``,
-        one state or each row of a batch.
+        The (dim, dim) matrix A of x' = A x + (0, g(t, x)).
     width : int, optional, keyword-only
         How many last entries of a state g feeds, 1 to dim; dim by default.
     time_part : callable, optional, keyword-only
-        The part of g that depends on t alone, ``time_part(t)``.  It is
-        called once per distinct stage time: a Dormand-Prince step has six
-        stages but five stage times, its fifth stage sharing the new time
-        with the last, so it makes five calls per attempted step, plus one
-        for the first derivative and one for the initial-step probe.
+        The time rows, ``time_part(ts)`` on a 1-d array of T times: an
+        array (T, 1 + p, width) whose row 0 at each time is the part of g
+        of t alone and whose rows 1 to p weigh s; p is read from its shape
+        at t0.  It is called once per attempted step, on the step's five
+        stage times (a Dormand-Prince step has six stages, its fifth and
+        last at the new time), plus once at t0 for the first derivative
+        and once for the initial-step probe.  Without it, R = [0; I] and
+        s = g(t, x) itself, of p = width entries.  A plain
+        ``integrate(rhs, ...)`` is that case with A = 0 and full width.
 
     The diagnostics count in ``n_rhs`` the stage derivatives taken: six
     per attempted step, plus the first derivative and the probe.
@@ -317,62 +345,77 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     shape, dim = x0.shape, x0.shape[-1]    # as rhs sees the state
     rows = x0.size // dim
     if a is None:
-        # x' = rhs(t, x): its value, checked by _shaped's rule, is the
-        # whole derivative
-        a_t, lo, full = None, 0, rhs
-
-        def rhs(t, x, v, out):
-            f = full(t, x)
-            if getattr(f, "shape", None) != shape or f.dtype.kind != "f":
-                f = _shaped(f, shape, f"rhs at t={t}")
-            out[...] = f
+        a, width, time_part, rhs = np.zeros((dim, dim)), dim, None, _whole(
+            rhs, shape)
+    a_t = _shaped(a, (dim, dim), "a").T
+    lo = 0 if width is None else dim - width
+    if not 0 <= lo < dim:
+        raise ValueError(f"width must be 1 to {dim}, got {width}")
+    if time_part is None:
+        time_rows = np.vstack([np.zeros(dim - lo), np.eye(dim - lo)])[None]
     else:
-        a_t = _shaped(a, (dim, dim), "a").T
-        lo = 0 if width is None else dim - width
-        if not 0 <= lo < dim:
-            raise ValueError(f"width must be 1 to {dim}, got {width}")
+        time_rows = time_part(np.array([t0]))
+        if np.ndim(time_rows) != 3 or np.shape(time_rows)[::2] != (
+                1, dim - lo) or np.shape(time_rows)[1] < 1:
+            raise ShapeError(f"time_part: expected shape (1, 1 + p, "
+                             f"{dim - lo}) at t0, got {np.shape(time_rows)}")
+    p = np.shape(time_rows)[1] - 1
+    q = dim + 1 + p                        # the entries of [x, 1, s]
 
     # a list starting at t0, for cheap lookups per step
     samples = None if sample_times is None else _sample_grid(
         sample_times, t0, t_end)
 
-    # the state, one flat vector with batch rows back to back, then the
-    # stages; FSAL carries K[6] into K[0].  Zeros, not np.empty: a stage
-    # input's dot product takes every row, and 0 times a NaN left in a row
-    # not yet filled would poison the first step
-    YK = np.zeros((8, x0.size))
+    # the state row, one flat vector with batch rows back to back, then the
+    # stages; FSAL carries K[6] into K[0].  M's columns past dim are zero,
+    # so every stage row's entries past its x are zero and each stage input
+    # (1, h a_i) . (y, K) keeps y's 1.  Zeros, not np.empty: a stage input's
+    # dot product takes every row, and 0 times a NaN left in a row not yet
+    # filled would poison the first step
+    YK = np.zeros((8, rows * q))
     y, K = YK[0], YK[1:]
-    y[:] = x0.ravel()
-    batch = len(shape) > 1                # one state is already flat
-    # every buffer of the step and every view of one, made once: the stages
-    # as rhs sees them and their last entries that g feeds, the tableau's
-    # rows scaled by the step (column 0 refilled with the state's weight 1
-    # after each scaling), the error estimate and its scale, and for stages
-    # 1-5 (tableau row, input buffer, the input as rhs sees it, node, stage,
-    # its entries fed by g)
-    K_rhs = list(K.reshape((7,) + shape))
-    K_g = [k[..., lo:] for k in K_rhs]
+    shape_q = (rows, q) if len(shape) > 1 else (q,)
+    y_q = y.reshape(shape_q)
+    y_q[..., :dim] = x0
+    y_q[..., dim] = 1.0
+    y_x = y_q[..., :dim]
+    # the Runge-Kutta sums (stage inputs, new state, error estimate) take
+    # the entries that change: one state's x alone, an (8, dim) view whose
+    # sums are those of an (8, dim) array whatever p is, or a batch's whole
+    # rows, whose entries past x sum to 1 and to y's s
+    sums = YK[:, :dim] if rows == 1 else YK
+    n_sums = sums.shape[1]
+    # M at the five stage times of a step, the time rows' block of each
+    mats = np.zeros((5, q, q))
+    mats[:, :dim, :dim] = a_t
+    time_block = mats[:, dim:, lo:dim]
+    time_block[...] = time_rows
+    # every buffer of the step and every view of one, made once: the stage
+    # rows as [x, 1, s] and their x, the tableau's rows scaled by the step
+    # (column 0 refilled with the state's weight 1 after each scaling), the
+    # error estimate and its scale, and for stages 1-5 (tableau row, input
+    # buffer, the input as [x, 1, s], its x and s, stage, M at its time)
+    K_q = [k.reshape(shape_q) for k in K]
     coef = np.empty_like(_TABLEAU)
     coef_rows, state_weight = list(coef), coef[:6, 0]
-    abs_y = np.abs(y)
-    abs_new, scale, r = np.empty((3, x0.size))
-    r_rows, row_sq = r.reshape(rows, dim), np.empty(rows)
-    stages = [(coef_rows[i - 1], buf, buf.reshape(shape), _C[i], K_rhs[i],
-               K_g[i])
-              for i, buf in enumerate(np.empty((5, x0.size)), start=1)]
-
-    def derivative(t, x, out=None):
-        # x' at (t, x), into out or a new array; the step loop below spells
-        # this out per stage
-        out = np.empty(shape) if out is None else out
-        if a_t is not None:
-            x.dot(a_t, out=out)
-        rhs(t, x, None if time_part is None else time_part(t),
-            out[..., lo:])
-        return out
+    abs_y = np.abs(y[:n_sums])
+    abs_new, scale, r = np.empty((3, n_sums))
+    r_x = r if rows == 1 else r.reshape(rows, q)[:, :dim]
+    r_col, row_sq = r_x[..., 0], np.empty(rows)
+    bufs = np.repeat(y[None], 6, axis=0)
+    stages = []
+    for i, buf in enumerate(bufs[:5], start=1):
+        z = buf.reshape(shape_q)
+        stages.append((coef_rows[i - 1], buf[:n_sums], z, z[..., :dim],
+                       z[..., dim + 1:], K_q[i], mats[i - 1]))
+    # the new state, as [x, 1, s], its x and s, and its entries summed
+    y_new, new_sums = bufs[5], bufs[5, :n_sums]
+    z_new = y_new.reshape(shape_q)
+    x_new, s_new = z_new[..., :dim], z_new[..., dim + 1:]
+    k0_x, k6_x = K_q[0][..., :dim], K_q[6][..., :dim]
 
     out_t = [t0]
-    out_y = [y.copy()]
+    out_y = [y_x.copy()]
     sample_ptr = 1
 
     t = t0
@@ -380,14 +423,25 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     # once per call: the checks below raise IntegrationError, with the last
     # good (t, x), in place of a RuntimeWarning
     with np.errstate(invalid="ignore", over="ignore"):
-        f = derivative(t, y.reshape(shape), K_rhs[0])
-        if not np.isfinite(f).all():
+        if p:
+            rhs(t, y_x, y_q[..., dim + 1:])
+        y_q.dot(mats[0], out=K_q[0])
+        if not np.isfinite(K[0]).all():
             raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
-                                   x_last=y.reshape(shape).copy(),
-                                   reason="non-finite")
+                                   x_last=y_x.copy(), reason="non-finite")
         n_rhs = 2  # f0 plus the initial-step probe
+
+        def probe(h0):
+            # x' at (t0 + h0, x0 + h0 f0), as a new array
+            z = (y + h0 * K[0]).reshape(shape_q)
+            if time_part is not None:
+                time_block[0] = time_part(np.array([t0 + h0]))[0]
+            if p:
+                rhs(t0 + h0, z[..., :dim], z[..., dim + 1:])
+            return z.dot(mats[0])[..., :dim]
+
         cap = _step_cap(freq_hint)
-        h = _initial_step(derivative, t, x0, f, t_end, tol, cap(t))
+        h = _initial_step(probe, t, x0, k0_x, t_end, tol, cap(t))
 
         n_accepted = 0
         n_rejected = 0
@@ -404,60 +458,64 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
             if h_eff < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationError(
                     f"step underflow at t={t} (h={h_eff:.3e})", t_last=t,
-                    x_last=y.reshape(shape).copy(), reason="step-underflow")
+                    x_last=y_x.copy(), reason="step-underflow")
             if n_accepted + n_rejected >= _MAX_STEPS:
                 raise IntegrationError(
                     f"step budget {_MAX_STEPS} exhausted at t={t}", t_last=t,
-                    x_last=y.reshape(shape).copy(), reason="budget")
+                    x_last=y_x.copy(), reason="budget")
 
             # row i - 1 of coef gives stage i's input (1, h a_i) . (y, K);
             # ndarray.dot is np.dot, bit for bit, without its dispatch cost.
             # Stages 1-5 get their inputs in reused buffers, stage 5 at
-            # t_new; the last stage's input is y_new, a fresh array, since
-            # it may be stored.  Each stage derivative is written in place:
-            # A x, then g's state part, with its time part taken once per
-            # stage time (the last stage reuses stage 5's, at t_new)
+            # t_new, and the last stage's input is the new state, in one
+            # more, whose x is copied when it is stored.  The time rows come
+            # once per step, at the five stage times (the last stage shares
+            # stage 5's, at t_new); each stage derivative is then s written
+            # into its input, and one product with M at its time
             hh = h_eff
             np.multiply(_TABLEAU, hh, out=coef)
             state_weight.fill(1.0)
-            for row, buf, x_i, node, k_i, g_i in stages:
-                row.dot(YK, out=buf)
-                t_i = t + node * hh if node < 1.0 else t_new
-                v = None if time_part is None else time_part(t_i)
-                if a_t is not None:
-                    x_i.dot(a_t, out=k_i)
-                rhs(t_i, x_i, v, g_i)
-            y_new = coef_rows[5].dot(YK)
-            x_new = y_new.reshape(shape) if batch else y_new
-            if a_t is not None:
-                x_new.dot(a_t, out=K_rhs[6])
-            rhs(t_new, x_new, v, K_g[6])
+            times = [t + node * hh for node in _NODES]
+            times.append(t_new)
+            if time_part is not None:
+                time_block[...] = time_part(np.array(times))
+            for (row, buf, z, x_i, s_i, k_i, m_i), t_i in zip(stages, times):
+                row.dot(sums, out=buf)
+                if p:
+                    rhs(t_i, x_i, s_i)
+                z.dot(m_i, out=k_i)
+            coef_rows[5].dot(sums, out=new_sums)
+            if p:
+                rhs(t_new, x_new, s_new)
+            z_new.dot(mats[4], out=K_q[6])
             n_rhs += 6
 
             # a non-finite y_new is caught before the division (its squared
             # norm alone also overflows on huge finite entries); with y_new
             # finite, a non-finite K[6] shows as a non-finite error norm,
             # which otherwise means an overflow and a rejected step.  The
-            # scale is tol + tol max(|y|, |y_new|), built in place
-            if not (y_new.dot(y_new) < math.inf or np.isfinite(y_new).all()):
-                raise _non_finite(t_new, t, y, shape)
-            np.abs(y_new, out=abs_new)
+            # scale is tol + tol max(|y|, |y_new|), built in place; the
+            # error estimate is zero past each row's x
+            if not (new_sums.dot(new_sums) < math.inf
+                    or np.isfinite(new_sums).all()):
+                raise _non_finite(t_new, t, y_x)
+            np.abs(new_sums, out=abs_new)
             np.maximum(abs_y, abs_new, out=scale)
             scale *= tol
             scale += tol
-            coef_rows[6].dot(YK, out=r)
+            coef_rows[6].dot(sums, out=r)
             r /= scale
             if rows == 1:
-                err = math.sqrt(float(r.dot(r)) / dim)
+                err = math.sqrt(float(r_x.dot(r_x)) / dim)
             else:
                 # each row's sum of squares: a one-entry row's is its square
                 if dim == 1:
-                    np.multiply(r, r, out=row_sq)
+                    np.multiply(r_col, r_col, out=row_sq)
                 else:
-                    np.einsum("ij,ij->i", r_rows, r_rows, out=row_sq)
+                    np.einsum("ij,ij->i", r_x, r_x, out=row_sq)
                 err = math.sqrt(float(row_sq.max()) / dim)
             if not err < math.inf and not np.isfinite(K[6]).all():
-                raise _non_finite(t_new, t, y, shape)
+                raise _non_finite(t_new, t, y_x)
 
             if err <= 1.0:
                 if samples is not None:
@@ -465,11 +523,11 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                            and samples[sample_ptr] <= t_new + 1e-13):
                         out_t.append(samples[sample_ptr])
                         out_y.append(_hermite(min(samples[sample_ptr], t_new),
-                                              t, hh, y, y_new, K[0], K[6]))
+                                              t, hh, y_x, x_new, k0_x, k6_x))
                         sample_ptr += 1
                 else:
                     out_t.append(t_new)
-                    out_y.append(y_new)
+                    out_y.append(x_new.copy())
                 n_accepted += 1
                 min_step = min(min_step, hh)
                 t = t_new
@@ -491,7 +549,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     states = np.asarray(out_y)
     if samples is not None:
         # exact-end bookkeeping: the final requested sample is t_end itself
-        states[-1] = y if abs(times[-1] - t_end) <= 1e-12 else states[-1]
+        states[-1] = y_x if abs(times[-1] - t_end) <= 1e-12 else states[-1]
     states = states.reshape(times.shape + shape)
     diagnostics = {"n_accepted": n_accepted, "n_rejected": n_rejected,
                    "n_rhs": n_rhs,

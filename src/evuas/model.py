@@ -171,22 +171,17 @@ def _evaluate(fn, shape, where, x, *rest):
     return _check_finite(out, where, rows=not one)
 
 
-def _add_signal(t, x, v, out):
-    # W = w(t) = v, the same for every state
-    out += v
-
-
 class PerturbationSpec:
     """Additive disturbance ``W(t, X)``: zero, a time signal or ``D(t) K(X)``.
 
     ``kind`` is ``"zero"``, ``"time"`` (W = w(t)) or ``"factored"``.  The
     spec alone knows how W of each kind is evaluated: :meth:`stage_parts`
-    splits it, for the right-hand sides of integrated runs, into a part of
-    t alone and a part that adds W at each state; :meth:`evaluate` checks W
-    on a grid of times and states; and :meth:`columns` slices D
-    (diag(w(t)) for a time signal).  Each factor has one shape check,
-    shared by :meth:`evaluate`, :meth:`columns` and an integrated run, in
-    which W keeps its t0 shape on every call.
+    splits it, for the right-hand sides of integrated runs, into time rows
+    of t alone and a state part; :meth:`evaluate` checks W on a grid of
+    times and states; and :meth:`columns` slices D (diag(w(t)) for a time
+    signal).  w and D are only ever called on 1-d arrays of times, and
+    each factor has one check, shared by :meth:`evaluate`, :meth:`columns`
+    and an integrated run.
 
     Parameters
     ----------
@@ -194,14 +189,13 @@ class PerturbationSpec:
     dim : int
         Output dimension (the m of the system it perturbs).
     w : callable, optional
-        ``w(t)`` for ``kind="time"``: ``(dim,)`` at one float time (or a
-        scalar when dim is 1), as the right-hand side calls it, and
-        ``(dim, N)`` (or ``(N,)`` when dim is 1) on a 1-d array of N
-        times, as :meth:`evaluate` and :meth:`columns` call it.
+        ``w(t)`` for ``kind="time"``, called on a 1-d array of N times:
+        it returns ``(dim, N)``, or ``(N,)`` when dim is 1.  A callable
+        that takes one float time only (``math.cos``) raises ShapeError.
     d, k : callable, optional
         ``d(t)`` and ``k(x_flat)`` for ``kind="factored"``: ``d`` is
-        called like ``w`` and returns ``(dim, dim)`` or ``(dim, dim, N)``;
-        ``k`` only ever sees one state and returns exactly ``(dim,)``.
+        called like ``w`` and returns ``(dim, dim, N)``; ``k`` only ever
+        sees one state and returns exactly ``(dim,)``.
     freq_hint : float or callable, optional
         Dominant angular frequency of the fastest oscillation (a constant
         or a function of t); integrators and quadrature cap their step at
@@ -265,24 +259,25 @@ class PerturbationSpec:
         return cls("factored", dim, d=d, k=k, freq_hint=freq_hint,
                    name=name, state_dim=state_dim)
 
-    def _signal(self, t, where=""):
-        """w(t) or D(t): (dim,) (or () at dim 1) and (dim, dim) at one float
-        time, (dim, N) by :class:`SignalAdapter` and (dim, dim, N) on a 1-d
-        array of N times; else ShapeError naming ``where`` and the factor."""
-        if self.kind == "time" and np.ndim(t):
-            return _shaped(SignalAdapter(self.w)(t), (self.dim, np.size(t)),
-                           where + "W")
-        return self._value(t, (self.d if self.kind == "factored" else self.w)(t),
-                           where)
+    def _factor(self, ts, where=""):
+        """w or D on the 1-d array ts of N times: (dim, N) for w, by the
+        rule of :class:`SignalAdapter` ((N,) stands for (1, N) at dim 1),
+        (dim, dim, N) for D.  Else ShapeError naming ``where`` and the
+        factor, also when the callable takes one float time only."""
+        name = where + ("D(t)" if self.kind == "factored" else "w(t)")
+        try:
+            if self.kind == "factored":
+                return _shaped(self.d(ts), (self.dim, self.dim, ts.size),
+                               name)
+            value = SignalAdapter(self.w, name)(ts)
+        except TypeError as exc:
+            raise ShapeError(f"{name}: the callable must take a 1-d array "
+                             f"of times; on one it raised TypeError: "
+                             f"{exc}") from exc
+        return _shaped(value, (self.dim, ts.size), name)
 
-    def _value(self, t, value, where=""):
-        """``value``, the value of D or of w at t, checked as
-        :meth:`_signal` checks it."""
-        if self.kind == "factored":
-            return _shaped(value, (self.dim, self.dim) + np.shape(t),
-                           where + "D(t)")
-        scalar = np.shape(value) == () and self.dim == 1
-        return _shaped(value, () if scalar else (self.dim,), where + "w(t)")
+    def _where(self, at):
+        return f"perturbation {self.name!r} at {at}: "
 
     def _k(self, x, where="", rows=True):
         """K on a flat state, (dim,), or row by row on an (N, state_dim)
@@ -307,13 +302,14 @@ class PerturbationSpec:
         if self.kind == "zero":
             return np.zeros(shape)
         if self.kind == "time":
-            out = np.broadcast_to(self._signal(ts).T[:, None], shape)
+            out = np.broadcast_to(self._factor(ts).T[:, None], shape)
         else:
-            d, k = self._signal(ts), self._k(x, rows=False)
-            # K(x) against an F-ordered D(t).T, as stage_parts multiplies them
-            d_t = np.ascontiguousarray(np.moveaxis(d, -1, 0))
+            # K(x) against D(t)^T, laid out as the time rows of a run hold
+            # it, one time and state at a time
+            d_t = np.ascontiguousarray(self._factor(ts).transpose(2, 1, 0))
+            k = self._k(x, rows=False)
             with np.errstate(over="ignore", invalid="ignore"):
-                out = (k[:, None] @ d_t.transpose(0, 2, 1)[:, None])[:, :, 0]
+                out = (k[:, None] @ d_t[:, None])[:, :, 0]
         bad = ~np.isfinite(out)
         if bad.any():
             i, row, idx = map(int, np.unravel_index(np.argmax(bad), shape))
@@ -322,88 +318,78 @@ class PerturbationSpec:
                 f"at component {idx}", component=idx, where="W", row=row)
         return out
 
-    def _check_at(self, t, x, at=None, shape=None):
-        """The shape of W at one float time t on a flat state or batch x,
-        after the rules of its factors; with ``shape``, ShapeError unless W
-        has it.  Errors name the factor and, given ``at`` ("t0" or "t"),
-        the spec and its time."""
-        where = f"perturbation {self.name!r} at {at}={t}: " if at else ""
-        got = self._signal(t, where).shape
-        if self.kind == "factored":
-            got = self._k(x, where).shape
-        if shape is not None and got != shape:
-            raise ShapeError(f"{where}W: expected shape {shape}, got {got}")
-        return got
+    def stage_parts(self, t0, x):
+        """W(t, x) as [1, s] R(t) for :func:`evuas.integrate.integrate`:
+        ``(time_rows, state)``, on a run from t0 whose state (a flat state
+        or an (N, state_dim) batch) is ``x`` at t0.
 
-    def stage_parts(self, shape):
-        """W(t, x) split for :func:`evuas.integrate.integrate`, as
-        ``(time_part, add)``, on a flat state or an (N, state_dim) batch
-        where W has ``shape`` (its shape at t0, by :meth:`_check_at`).
-
-        ``time_part(t)`` is the factor of one float time: w(t), or D(t)
-        transposed.  ``add(t, x, v, out)`` adds W(t, x) into ``out``: v
-        itself, or K(x) v, row by row, each row's product taken on its own
-        so that it is the one-state value bit for bit.  Both check the
-        values they get against the factors' rules and W against
-        ``shape``, and raise ShapeError naming the factor: a w of another
-        shape or a w or D of values that are not real names the spec and
-        t, as does a product of the wrong shape on one state.
+        ``time_rows(ts)``, on a 1-d array of T times, returns the time rows
+        R, (T, 1 + p, dim): for a time signal p = 0 and row 0 is w(t); for
+        a factored W row 0 is zero and rows 1 to dim are D(t)^T, weighing
+        s = K(x).  ``state(t, x, out)`` writes K(x) into ``out``, (dim,) or
+        (N, dim), row by row; it is None for a time signal, whose s is
+        empty.  K is checked on every row of ``x`` here.  Every value of w,
+        D and K is checked by the rules of :meth:`evaluate`, and ShapeError
+        names the spec, the times (t0 at the first call) and the factor.
         """
-        if self.kind == "time":
-            w = self.w
+        if self.kind == "factored":
+            self._k(x, self._where(f"t0={t0}"))
+        dim, factored = self.dim, self.kind == "factored"
+        factor = self.d if factored else self.w
+        shape = (dim,) * factored + (dim,)
+        flat = not factored and dim == 1        # w may give (N,) for (1, N)
 
-            def time_part(t):
-                v = w(t)
-                if getattr(v, "shape", None) != shape or \
-                        v.dtype.kind not in "biuf":
-                    v = self._stage_value(t, v, shape)
-                return v
-            return time_part, _add_signal
-        d, k, square = self.d, self.k, (self.dim, self.dim)
+        def checked(ts):
+            # the factor by _factor's rules, its errors naming the times
+            at = (f"t in [{ts[0]}, {ts[-1]}]" if ts.size > 1 else
+                  f"t0={t0}" if ts[0] == t0 else f"t={ts[0]}")
+            return self._factor(ts, self._where(at))
 
-        def time_part(t):
-            d_t = d(t)
-            if getattr(d_t, "shape", None) != square or \
-                    d_t.dtype.kind not in "biuf":
-                d_t = self._stage_value(t, d_t, square)
-            return d_t.T
-
-        def add(t, x, d_t, out):
+        def value(ts):
+            # the factor at ts, checked at the cost of a few attribute
+            # reads when it is already a float array of the wanted shape
             try:
-                if x.ndim == 1:
-                    p = np.asarray(k(x)).dot(d_t)
-                else:
-                    p = (np.array([k(row) for row in x])[:, None] @ d_t)[:, 0]
-            except ValueError:
-                self._check_at(t, x)
-                raise
-            if p.shape != shape or p.dtype.kind != "f":
-                # a scalar K only scales D, a complex K makes W complex
-                self._check_at(t, x, "t", shape)
-            out += p
-        return time_part, add
+                v = factor(ts)
+            except TypeError:
+                v = None
+            if type(v) is not np.ndarray or v.dtype.kind != "f" or (
+                    v.shape != shape + ts.shape
+                    and not (flat and v.shape == ts.shape)):
+                v = checked(ts)
+            return v
 
-    def _stage_value(self, t, value, shape):
-        """``value`` of w or D at t as :meth:`_value` checks it, and of
-        ``shape``; else ShapeError.  The error names the spec and t, except
-        for a real D of the wrong shape, named as the factors' check names
-        it."""
-        where = f"perturbation {self.name!r} at t={t}: "
-        if self.kind == "factored" and np.asarray(value).dtype.kind in "biuf":
-            where = ""
-        value = self._value(t, value, where)
-        if value.shape != shape:
-            raise ShapeError(f"{where}W: expected shape {shape}, "
-                             f"got {value.shape}")
-        return value
+        if not factored:
+            return (lambda ts: value(ts).reshape(dim, -1).T[:, None]), None
+
+        def time_rows(ts):
+            rows = np.zeros((ts.size, 1 + dim, dim))
+            rows[:, 1:] = value(ts).transpose(2, 1, 0)
+            return rows
+
+        k = self.k
+
+        def state(t, x, out):
+            try:
+                v = k(x) if x.ndim == 1 else np.array([k(row) for row in x])
+            except ValueError:
+                v = None            # rows of K that do not stack
+            if getattr(v, "shape", None) != out.shape or v.dtype.kind != "f":
+                v = self._k(x, self._where(f"t={t}"))
+            out[...] = v
+        return time_rows, state
 
     def _column(self, j, t):
-        """Column j of D(t), or of diag(w(t)), by the rule of D or w."""
+        """Column j of D(t), or of diag(w(t)), by the rule of D or w: (dim,)
+        at one time, from D or w on the array [t], and (dim, N) on a 1-d
+        array of N times."""
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim == 0:
+            return self._column(j, ts[None])[:, 0]
         if self.kind == "factored":
-            return self._signal(t)[:, j]
-        out = np.zeros((self.dim,) + np.shape(t))
+            return self._factor(ts)[:, j]
+        out = np.zeros((self.dim,) + ts.shape)
         if self.kind == "time":
-            out[j] = np.atleast_1d(self._signal(t))[j]
+            out[j] = self._factor(ts)[j]
         return out
 
     def columns(self):

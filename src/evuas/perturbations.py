@@ -7,18 +7,11 @@ exponential phase and a cube-root state coupling.  Every time signal
 here also declares its chirp form (see
 :class:`evuas.diminishing.ChirpTerm`), from which its frequency hint is
 derived; Remark 1's analytic decay bounds are kept by catalog name in
-``REMARK1_BOUNDS``.  Signals take one time or an array through one numpy
-path, with the time as an array first (``np.float64 ** 4`` rounds unlike
-the array power), so both agree bit for bit.  Only D of
-``example1_bounded`` keeps a ``math`` path for one time: the integrator
-calls it once per stage time there, five times per attempted step, where
-it takes about 0.5 us against about 1.5 us for the array path on one
-time, some 0.13 s over the run's 140,658 calls (28,131 attempted steps;
-medians of timeit runs on a shared 2-vCPU Xeon VM); it matches its array
-path to an ulp of e^t in phase.
+``REMARK1_BOUNDS``.  Signals and D are called on 1-d arrays of times,
+by the integrator once per attempted step on its five stage times, and
+by ``evaluate`` and the classifier on their grids, through one numpy
+path.
 """
-import math
-
 import numpy as np
 
 from .diminishing import (chirp_freq, constant_term, exp_chirp,
@@ -40,12 +33,6 @@ def _stack2(f1, f2):
 
 
 def _d_example1_bounded(t):
-    if isinstance(t, float) or np.ndim(t) == 0:
-        e = math.exp(t)
-        out = np.zeros((2, 2))
-        out[0, 0] = math.sin(e)
-        out[1, 1] = math.cos(e)
-        return out
     e = np.exp(np.asarray(t, dtype=float))
     out = np.zeros((2, 2) + e.shape)
     out[0, 0] = np.sin(e)

@@ -1,9 +1,11 @@
 """Closed-loop, error-dynamics and tracking simulations.
 
 Every integrated run is one system, x' = M x + (0, F(x) + W(t, x)),
-which :func:`evuas.integrate.integrate` steps in that structure: it
-writes M x into each stage in place, then adds F and W into the last
-block.  M is A_H for the error system,
+which :func:`evuas.integrate.integrate` steps in that structure, one
+product per stage: x' = [x, 1, s] M(t), with the state part
+s = (F(x), K(x)) and M(t) holding M^T over x and the time rows over
+[1, s] (w(t) or zeros over the 1, the identity over F, D(t)^T over K).
+M is A_H for the error system,
 :func:`evuas.synthesis.closed_loop_matrix` for a loop closed by an
 implicit controller and for the deviation from a reference under the
 tracking feedback, and the column shift for a loop closed by any other
@@ -19,12 +21,13 @@ Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
 state.  W is split by :meth:`evuas.model.PerturbationSpec.stage_parts`
-into its factor of t alone, w(t) or D(t), evaluated once per stage time
-(with the reference X_d(t) on a tracking run), and a part that adds W at
-each stage state, after F.  Its width (and, on an integrated run, its
-factors at t0) is checked once per run; W keeps its t0 shape on every
-call (else ShapeError naming the factor, and t where the value of w or D
-is at fault), and a non-finite W stops the run with an IntegrationError
+into its time rows, w(t) or D(t)^T, read once per attempted step on the
+step's five stage times, and its state part K(x), which a tracking run
+takes at the true state x + X_d(t).  Its width is checked once per run,
+and K on every row at t0; every value of w, D and K is checked by the
+rules of :meth:`~evuas.model.PerturbationSpec.evaluate` (else ShapeError
+naming the factor, and the time or times where it is at fault; t0 at the
+first call), and a non-finite W stops the run with an IntegrationError
 (or with F's EvaluationError, where F meets the non-finite stage state
 first).  F goes through :meth:`evuas.model.SystemModel.eval_f`, checked
 on every call.
@@ -57,25 +60,28 @@ _ADMISSIBLE_TOL = 1e-8      # bound on |F(X_d(t), 0)|
 _ADMISSIBLE_GRID = 17       # sample times of the admissibility check
 
 
-def _no_input(t, x, v, out):
-    pass
+def _no_w(width, ts):
+    # the time rows of W = 0: a zero row of t alone and no state part
+    return np.zeros((ts.size, 1, width))
 
 
-def _with_reference(track, w_time, t):
-    # the reference's flat state and W's factor of t alone
-    return flatten_state(track.value(t)), w_time(t)
+def _at_reference(track, state, t, x, out):
+    # W's state part at the true state x + X_d(t)
+    state(t, x + flatten_state(track.value(t)), out)
 
 
-def _add_at_reference(add_w, t, x, v, out):
-    # W at the true state x + X_d(t)
-    x_d, w_t = v
-    add_w(t, x + x_d, w_t, out)
+def _term_rows(time_rows, eye, ts):
+    # F's rows, the identity, between W's row of t alone and W's rows of s
+    rows = time_rows(ts)
+    return np.concatenate([rows[:, :1], np.broadcast_to(
+        eye, (ts.size,) + eye.shape), rows[:, 1:]], axis=1)
 
 
-def _add_term(term, add_w, t, x, v, out):
-    # F(x) before W, as the first-order form sums them
-    out += term(x)
-    add_w(t, x, v, out)
+def _term_state(term, width, state, t, x, out):
+    # s = (F(x), W's state part)
+    out[..., :width] = term(x)
+    if state is not None:
+        state(t, x, out[..., width:])
 
 
 def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
@@ -84,9 +90,10 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
     of its width and x_true = x + X_d(t) for the deviation from a reference
     ``track``: propagated on a sample grid under a zero or chirp-form W
     (each term's c zero-padded to the state) and no state ``term``, else
-    integrated, with W split by :meth:`PerturbationSpec.stage_parts` (the
-    reference joins W's part of t alone).  A W that is not zero must have
-    ``width`` components."""
+    integrated as x' = [x, 1, s] M(t), with W's time rows and state part
+    from :meth:`PerturbationSpec.stage_parts` (the reference shifts the
+    state K sees) and s = (term(x), W's state part).  A W that is not zero
+    must have ``width`` components."""
     if pert is not None and pert.kind == "zero":
         pert = None
     if pert is not None and pert.dim != width:
@@ -99,19 +106,19 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
                                              chirp.c]))
             for chirp in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
-    time_part, add = None, _no_input
+    time_rows, state = functools.partial(_no_w, width), None
     if pert is not None:
         x_true = x0 if track is None else x0 + flatten_state(track.value(t0))
-        time_part, add = pert.stage_parts(pert._check_at(t0, x_true, "t0"))
-        if track is not None:
-            time_part = functools.partial(_with_reference, track, time_part)
-            add = functools.partial(_add_at_reference, add)
+        time_rows, state = pert.stage_parts(t0, x_true)
+        if track is not None and state is not None:
+            state = functools.partial(_at_reference, track, state)
     if term is not None:
-        add = functools.partial(_add_term, term, add)
-    return integrate(add, t0, x0, t_end, tol=tol,
+        time_rows = functools.partial(_term_rows, time_rows, np.eye(width))
+        state = functools.partial(_term_state, term, width, state)
+    return integrate(state, t0, x0, t_end, tol=tol,
                      freq_hint=None if pert is None else pert.freq_hint,
                      sample_times=sample_times, a=a, width=width,
-                     time_part=time_part)
+                     time_part=time_rows)
 
 
 def _report_inputs(traj, m, solve):

@@ -336,8 +336,7 @@ def test_classify_constant_refuted():
 
 def test_classify_decaying_signal_vanishes_at_infinity():
     pert = ev.PerturbationSpec.from_signal(
-        lambda t: np.exp(-np.asarray(t, dtype=float))[None]
-        if np.ndim(t) else np.array([math.exp(-t)]), 1, name="decay")
+        lambda t: np.exp(-np.asarray(t, dtype=float))[None], 1, name="decay")
     cls = ev.classify(pert, 1.0, 40.0, profile_grid=np.arange(0.0, 6.0))
     assert cls.vanishing_at_tinf == "yes"
 
@@ -525,9 +524,10 @@ def test_a_signal_that_does_not_take_arrays_raises(h, error, match):
 @pytest.mark.parametrize("run", ["columns", "window_integral_sup"])
 def test_a_complex_signal_raises_shape_error(run):
     # its values were cast to float with a ComplexWarning, dropping the
-    # imaginary part
+    # imaginary part; a spec's column names its w
     w = lambda t: np.exp(1j * np.asarray(t, dtype=float))
-    with pytest.raises(ev.ShapeError, match=r"^time signal: expected real "
+    name = r"w\(t\)" if run == "columns" else "time signal"
+    with pytest.raises(ev.ShapeError, match=rf"^{name}: expected real "
                        r"values, got values of dtype complex128$"):
         if run == "columns":
             ev.PerturbationSpec.from_signal(w, 1).columns()[0](

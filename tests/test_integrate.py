@@ -331,11 +331,37 @@ _ANGLES = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
 _ROWS_2D = 0.5 * np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
 
 
+def _generic_loop():
+    # the loop of ``cubic`` closed by a pole-placement gain under cos_exp,
+    # which the simulate module runs with F(x, G x) as the state part
+    model = ev.make_model("cubic", m=1, n=2)
+    return (model, ev.linearize_and_place(model, [-1.0, -2.0]),
+            ev.make_perturbation("cos_exp"))
+
+
 def _reference_system(name):
     """(rhs, freq_hint) of an error system under a catalog perturbation, or
-    of the closed loop of ``cubic`` under ``cos_exp``."""
+    of a closed loop of ``cubic`` under ``cos_exp``, by the implicit
+    controller or by a gain (``generic_loop``), as one function of (t, x)
+    that takes a state or a batch."""
     if name == "linear3":
         return (lambda t, x: _A_LIN3 @ x), None
+    if name == "factored_batch":
+        pert = _smooth_factored()
+
+        def factored(t, e):      # A e + D(t) K(e), row by row
+            k = np.array([pert.k(row) for row in e])
+            return e @ _A_EX1.T + k @ pert.d(t).T
+        return factored, pert.freq_hint
+    if name == "generic_loop":   # the first-order form spelled out
+        model, ctrl, pert = _generic_loop()
+
+        def first_order(t, x):
+            out = np.empty_like(x)
+            out[..., :-1] = x[..., 1:]
+            out[..., -1:] = model.eval_f(x, ctrl.solve(x)) + pert.w(t)
+            return out
+        return first_order, pert.freq_hint
     if name == "closed_loop":    # the system of the verify_closed_loop sweep
         model = ev.make_model("cubic", m=1, n=2)
         ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
@@ -353,8 +379,34 @@ def _reference_system(name):
         return (lambda t, e: -e + pert.w(t)), pert.freq_hint
     if pert.kind == "time":
         return (lambda t, e: _A_EX1 @ e + pert.w(t)), pert.freq_hint
+
     return (lambda t, e: _A_EX1 @ e
             + np.asarray(pert.d(t), dtype=float) @ pert.k(e)), pert.freq_hint
+
+
+def _smooth_factored():
+    # Example 1's D(t) against a smooth K: the catalog's cube root, of
+    # infinite slope where a row crosses e_1 = 0, puts the batch's accept
+    # or reject decisions within rounding of the threshold (it rejects a
+    # third of its steps), so that no two summation orders take one count
+    bounded = ev.make_perturbation("example1_bounded")
+    return ev.PerturbationSpec.factored(
+        bounded.d,
+        lambda x: np.array([-x[1], 2.0 * (np.sin(x[0]) + x[1] + 1.0)]), 2,
+        freq_hint=bounded.freq_hint)
+
+
+def _structured_run(name, t0, x0, t_end, tol, samples):
+    """The simulate module's run of a reference system on the structured
+    stages [x, 1, s] M(t), or None for a system run as x' = rhs(t, x)."""
+    if name == "factored_batch":
+        return ev.simulate_error_dynamics(
+            ev.build_hurwitz(_A_EX1), _smooth_factored(), x0, t0, t_end,
+            tol=tol, sample_times=samples)
+    if name == "generic_loop":
+        return ev.simulate_closed_loop(*_generic_loop(), x0, t0, t_end,
+                                       tol=tol, sample_times=samples)
+    return None
 
 
 @pytest.mark.parametrize("system, t0, x0, t_end, tol, samples", [
@@ -373,8 +425,13 @@ def _reference_system(name):
     # the error norm and the smallest row step the initial step
     ("cos_exp", 2.0, _ROWS_1D, 8.0, 1e-7, None),
     ("closed_loop", 2.0, _ROWS_2D, 7.0, 1e-6, None),
+    # the structured stages of the simulate module, with a state part: K(x)
+    # of a factored W, and F(x, G x) of a loop closed by a gain
+    ("factored_batch", 0.0, _ROWS_2D, 4.0, 1e-7, None),
+    ("generic_loop", 2.0, _ROWS_2D, 7.0, 1e-6, None),
 ], ids=["example1_unbounded", "example1_bounded", "linear3", "every_step",
-        "cos_exp", "cos_exp_every_step", "cos_exp_batch", "closed_loop_batch"])
+        "cos_exp", "cos_exp_every_step", "cos_exp_batch", "closed_loop_batch",
+        "factored_batch", "generic_loop_batch"])
 def test_matches_reference_stepper(system, t0, x0, t_end, tol, samples):
     rhs, hint = _reference_system(system)
     seen = []
@@ -382,8 +439,10 @@ def test_matches_reference_stepper(system, t0, x0, t_end, tol, samples):
     def recording(t, x):         # the inputs rhs receives, buffers included
         seen.append(x)
         return rhs(t, x)
-    traj = ev.integrate(recording, t0, np.array(x0), t_end, tol=tol,
-                        freq_hint=hint, sample_times=samples)
+    traj = _structured_run(system, t0, np.array(x0), t_end, tol, samples)
+    if traj is None:
+        traj = ev.integrate(recording, t0, np.array(x0), t_end, tol=tol,
+                            freq_hint=hint, sample_times=samples)
     times, states, counts = dopri_reference(rhs, t0, x0, t_end, tol,
                                             freq_hint=hint,
                                             sample_times=samples)

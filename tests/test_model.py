@@ -48,7 +48,7 @@ def test_time_perturbation_enters_last_block():
 def test_zero_kind_matches_zero_factored_bitwise(rng):
     model = ev.make_model("cubic")
     zero = ev.PerturbationSpec.zero(1)
-    dzero = ev.PerturbationSpec.factored(lambda t: np.zeros((1, 1)),
+    dzero = ev.PerturbationSpec.factored(lambda t: np.zeros((1, 1, t.size)),
                                          lambda x: np.ones(1), 1,
                                          state_dim=2)
     ctrl = ev.LinearController(np.array([[-1.0, -2.0]]))
@@ -409,23 +409,43 @@ def test_batched_evaluate_rows_are_one_state_values(name, rng):
     if pert.kind == "zero":
         assert np.array_equal(grid, np.zeros(grid.shape))
         return
-    # W as an integrated run's right-hand side adds it
-    time_part, add = pert.stage_parts((pert.dim,))
-    d_ts = None if pert.d is None else pert.d(ts)
+    # W from the time rows of an integrated run, R(t): w(t) in row 0, or
+    # K(x) against D(t)^T in rows 1 to dim, one time and state at a time
+    time_rows, state = pert.stage_parts(ts[0], xs)
+    rows = time_rows(ts)
     for i, t in enumerate(ts.tolist()):
         for j, x in enumerate(xs):
-            one = np.zeros(pert.dim)
-            add(t, x, time_part(t), one)
-            if name != "example1_bounded":
-                assert np.array_equal(grid[i, j], one)
+            if state is None:
+                assert np.array_equal(grid[i, j], rows[i, 0])
                 continue
-            # D keeps a math path for one time: the grid is K against D's
-            # array path, and within what an ulp of e^t does of the math
-            k = pert.k(x)
-            d_i = np.ascontiguousarray(d_ts[..., i])
-            assert np.array_equal(grid[i, j], k.dot(d_i.T))
-            assert np.max(np.abs(grid[i, j] - one)) <= (
-                4.0 * np.finfo(float).eps * math.exp(t) * np.max(np.abs(k)))
+            k = np.empty(pert.dim)
+            state(t, x, k)
+            assert np.array_equal(k, pert.k(x))
+            assert np.array_equal(grid[i, j], k.dot(rows[i, 1:]))
+
+
+@pytest.mark.parametrize("name", [name for name in ev.PERTURBATION_CATALOG
+                                  if name != "zero"])
+def test_time_rows_of_a_step_are_evaluate_bit_for_bit(name):
+    # an integrated run and classify read w or D through one path: the time
+    # rows of a step, at its five stage times, hold W of evaluate at those
+    # times (w(t) in row 0), or D(t)^T, which is W at the unit states under
+    # an identity K (rows 1 to dim, under a zero row 0)
+    pert = ev.make_perturbation(name)
+    t, h = 1.3, 0.01
+    ts = t + h * np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+    time_rows, state = pert.stage_parts(t, np.zeros(pert.state_dim))
+    rows = time_rows(ts)
+    if pert.kind == "time":
+        assert state is None and rows.shape == (5, 1, pert.dim)
+        want = pert.evaluate(ts, np.zeros(pert.state_dim))[:, 0]
+        assert rows[:, 0].tobytes() == want.tobytes()
+    else:
+        unit = ev.PerturbationSpec.factored(pert.d, lambda x: x, pert.dim)
+        assert rows.shape == (5, 1 + pert.dim, pert.dim)
+        assert not rows[:, 0].any()
+        want = unit.evaluate(ts, np.eye(pert.dim))
+        assert rows[:, 1:].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("ts", [0.5, [[0.1, 0.2]], [], [0.1, math.nan]],
@@ -466,7 +486,7 @@ def test_bad_row_of_a_batch_raises():
     for d in (_constant_d(np.eye(3)), lambda t: np.eye(2)):
         with pytest.raises(ev.ShapeError, match="D"):
             ev.PerturbationSpec.factored(d, lambda x: x, 2).evaluate(ts, good)
-    with pytest.raises(ev.ShapeError, match="W"):
+    with pytest.raises(ev.ShapeError, match=r"w\(t\)"):
         ev.PerturbationSpec.from_signal(
             lambda t: np.ones((3, np.size(t))), 2).evaluate(ts, good)
 
@@ -520,10 +540,10 @@ def test_columns_check_w_and_d_as_evaluate_does(case):
     if case == "time_major":
         pert = ev.PerturbationSpec.from_signal(
             lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1), 2)
-        match = r"^time signal: expected shape \(N,\) or \(dim, N\)"
+        match = r"^w\(t\): expected shape \(N,\) or \(dim, N\)"
     elif case == "scalar_w":
         pert = ev.PerturbationSpec.from_signal(np.cos, 2)
-        match = r"^W: expected shape \(2, 5\), got \(1, 5\)$"
+        match = r"^w\(t\): expected shape \(2, 5\), got \(1, 5\)$"
     else:
         pert = ev.PerturbationSpec.factored(lambda t: np.eye(2),
                                             lambda x: x, 2)
@@ -536,8 +556,9 @@ def test_columns_check_w_and_d_as_evaluate_does(case):
     with pytest.raises(ev.ShapeError):
         ev.diminishing_profile(pert.columns()[0], [0.0, 1.0])
     if case == "scalar_w":
+        # a column at one time reads w on the array [0.5]
         with pytest.raises(ev.ShapeError, match=r"^w\(t\): expected shape "
-                           r"\(2,\), got \(\)$"):
+                           r"\(2, 1\), got \(1, 1\)$"):
             pert.columns()[0](0.5)
 
 

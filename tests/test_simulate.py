@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -177,16 +179,17 @@ def test_closed_form_tracking_matches_newton_in_rhs():
 
 
 def _generic_pert(kind, m, n):
+    # w and D take a 1-d array of times, as (m, N) and (m, m, N)
     if kind == "zero":
         return ev.PerturbationSpec.zero(m)
     if kind == "time":
         return ev.PerturbationSpec.from_signal(
-            lambda t: np.cos(3.0 * t) * np.arange(1.0, m + 1), m,
-            freq_hint=3.0)
+            lambda t: np.multiply.outer(np.arange(1.0, m + 1),
+                                        np.cos(3.0 * t)), m, freq_hint=3.0)
     d = np.random.default_rng(5).standard_normal((m, m))
     return ev.PerturbationSpec.factored(
-        lambda t: np.cos(t) * d, lambda x: np.sin(x[:m]) + x[-m:] ** 3, m,
-        state_dim=m * n)
+        lambda t: np.multiply.outer(d, np.cos(t)),
+        lambda x: np.sin(x[:m]) + x[-m:] ** 3, m, state_dim=m * n)
 
 
 @pytest.mark.parametrize("rows", [None, 4], ids=["one", "batch"])
@@ -195,7 +198,9 @@ def _generic_pert(kind, m, n):
 def test_generic_loop_is_the_first_order_form_bit_for_bit(m, n, kind, rows):
     # a loop closed by a linear gain runs the shared right-hand side, with
     # the column shift for M and F(x, Gx) + W in the last block; it must
-    # equal integrate on the reference's shift, F and W, to the last bit
+    # equal integrate on one function of (t, x) that takes the same
+    # product [x, 1, F, K] M(t), to the last bit (test_matches_reference_
+    # stepper checks the loop against the first-order form spelled out)
     model = ev.make_model("chain", m=m, n=n)
     rng = np.random.default_rng(m * n)
     ctrl = ev.LinearController(-rng.uniform(0.5, 1.5, (m, m * n)))
@@ -204,34 +209,42 @@ def test_generic_loop_is_the_first_order_form_bit_for_bit(m, n, kind, rows):
     ts = np.linspace(0.5, 2.5, 41)
     traj = ev.simulate_closed_loop(model, ctrl, pert, x0, 0.5, 2.5,
                                    sample_times=ts)
-    states, inputs = _newton_in_rhs(model, ctrl, pert, x0, ts)
+    plain = ev.integrate(
+        _full_rhs(_first_order(m, n, 0), pert, m,
+                  term=lambda x: model.eval_f(x, ctrl.solve(x))),
+        0.5, x0, 2.5, freq_hint=pert.freq_hint, sample_times=ts)
     assert np.array_equal(traj.times, ts)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.inputs, inputs)
+    assert np.array_equal(traj.states, plain.states)
+    assert np.array_equal(traj.inputs,
+                          [ctrl.solve(x) for x in plain.states])
 
 
 def _full_rhs(a, pert, width, track=None, term=None):
     """x' = A x + (0, term(x) + W(t, x_true)) as one function of (t, x):
-    the drift, then F, then W, each added in turn to the last entries."""
-    a_t = np.asarray(a, dtype=float).T
+    the product [x, 1, s] M(t), with s = (term(x), K(x_true)) and M(t)
+    holding A^T over x and, in the columns of the last entries, w(t) (or
+    zeros), the identity over term(x) and D(t)^T over K."""
+    a = np.asarray(a, dtype=float)
+    dim = len(a)
 
     def rhs(t, x):
-        out = x.dot(a_t)
-        if term is not None:
-            out[..., -width:] += term(x)
-        if pert.kind == "zero":
-            return out
         x_true = x if track is None else x + ev.flatten_state(track.value(t))
+        batch = x.shape[:-1]
+        parts, rows = [x, np.ones(batch + (1,))], [np.zeros((1, width))]
         if pert.kind == "time":
-            v = pert.w(t)
-        else:
-            d_t = np.asarray(pert.d(t), dtype=float).T
-            v = (np.asarray(pert.k(x_true), dtype=float).dot(d_t)
-                 if x.ndim == 1 else
-                 (np.array([pert.k(row) for row in x_true])[:, None]
-                  @ d_t)[:, 0])
-        out[..., -width:] += v
-        return out
+            rows[0] = np.reshape(pert.w(np.array([t])), (1, width))
+        if term is not None:
+            parts.append(np.reshape(term(x), batch + (width,)))
+            rows.append(np.eye(width))
+        if pert.kind == "factored":
+            parts.append(np.reshape([pert.k(row) for row in
+                                     np.atleast_2d(x_true)], batch + (width,)))
+            rows.append(pert.d(np.array([t]))[..., 0].T)
+        z = np.concatenate(parts, axis=-1)
+        m = np.zeros((z.shape[-1],) * 2)
+        m[:dim, :dim] = a.T
+        m[dim:, dim - width:dim] = np.vstack(rows)
+        return z.dot(m)[..., :dim]
     return rhs
 
 
@@ -241,7 +254,7 @@ def _run_linear_cases():
     chain = ev.make_model("chain", m=1, n=2)
     design, hurwitz = ev.build_gamma([[-1.0]], 2), ev.default_hurwitz(1)
     coupled = ev.PerturbationSpec.factored(
-        lambda t: np.cos(3.0 * t) * np.ones((1, 1)),
+        lambda t: np.multiply.outer(np.ones((1, 1)), np.cos(3.0 * t)),
         lambda x: np.sin(x[:1]) + x[1:] ** 3, 1, freq_hint=3.0, state_dim=2)
     gain = ev.LinearController([[-1.0, -1.5]])
     model = ev.make_model("cubic")
@@ -263,9 +276,9 @@ def _run_linear_cases():
 @pytest.mark.parametrize("case", ["zero", "time", "factored", "implicit",
                                   "linear_gain", "tracking"])
 def test_run_linear_is_integrate_on_the_full_rhs_bit_for_bit(case, rows):
-    # the structured stages (A x in place, W's factor of t once per stage
-    # time) take the same steps to the same states as one function of
-    # (t, x) that spells the sum out
+    # the structured stages ([x, 1, s] M(t), W's time rows once per step)
+    # take the same steps to the same states as one function of (t, x)
+    # that takes the same product
     a, pert, width, track, term = _run_linear_cases()[case]
     rng = np.random.default_rng(len(case))
     x0 = rng.uniform(-0.5, 0.5, (len(a),) if rows is None else (rows, len(a)))
@@ -330,7 +343,7 @@ def test_implicit_shortcut_holds_on_a_coupled_model():
 def _inf_after(t_bad):
     # a finite scalar W that turns infinite after t_bad
     return ev.PerturbationSpec.from_signal(
-        lambda t: np.array([np.inf if t > t_bad else np.cos(t)]), 1)
+        lambda t: np.where(t > t_bad, np.inf, np.cos(t)), 1)
 
 
 @pytest.mark.parametrize("run", ["error", "error_batch", "designed",
@@ -582,13 +595,11 @@ def test_batched_factored_disturbance_rows_match_serial():
 
 
 def test_factored_error_run_is_the_plain_rhs_bit_for_bit():
-    # the runner's right-hand side is A e + D(t) K(e) spelled out in row
-    # form, to the last bit, on a sample grid and on the stored steps
+    # the runner's right-hand side is A e + D(t) K(e) as the product
+    # [e, 1, K(e)] M(t), to the last bit, on a sample grid and on the
+    # stored steps
     pert = ev.make_perturbation("example1_bounded")
-    a = np.array(A_H)
-
-    def rhs(t, e):
-        return e @ a.T + pert.k(e) @ np.asarray(pert.d(t), dtype=float).T
+    rhs = _full_rhs(A_H, pert, 2)
     for samples in (np.linspace(0.0, 3.0, 601), None):
         run = ev.simulate_error_dynamics(ev.build_hurwitz(A_H), pert,
                                          [-1.0, 1.5], 0.0, 3.0, tol=1e-7,
@@ -829,12 +840,26 @@ def test_w_of_the_wrong_shape_fails_before_the_run(case):
                                    2.0)
 
 
+def test_a_flat_d_at_dim_1_raises_shape_error():
+    # only a time signal's (N,) stands for (1, N); D of dim 1 is (1, 1, N)
+    pert = ev.PerturbationSpec.factored(np.cos, lambda x: x, 1, name="flat")
+    with pytest.raises(ev.ShapeError, match=r"^perturbation 'flat' at "
+                       r"t0=0\.0: D\(t\): expected shape \(1, 1, 1\), got "
+                       r"\(1,\)$"):
+        ev.simulate_error_dynamics(ev.default_hurwitz(1), pert, [0.5], 0.0,
+                                   2.0)
+    with pytest.raises(ev.ShapeError, match=r"^D\(t\): expected shape "
+                       r"\(1, 1, 5\), got \(5,\)$"):
+        pert.evaluate(np.linspace(0.0, 2.0, 5), [0.5])
+
+
 @pytest.mark.parametrize("kind", ["time", "factored"])
 def test_w_is_checked_once_per_run(kind):
-    # one call of w (or D) at t0 on top of one per stage time: five per
-    # attempted step (the last stage shares the new time with the fifth),
-    # plus the first derivative and the initial-step probe; K once per row
-    # at t0 on top of one per row and stage derivative
+    # one call of w (or D) per attempted step, on its five stage times (the
+    # last stage shares the new time with the fifth), plus one at t0 for
+    # the first derivative, which is also the check at t0, and one for the
+    # initial-step probe; K once per row at t0 on top of one per row and
+    # stage derivative
     w_calls, k_calls = [], []
     if kind == "time":
         pert = ev.PerturbationSpec.from_signal(
@@ -849,7 +874,10 @@ def test_w_is_checked_once_per_run(kind):
     diag = traj.diagnostics
     n_rhs, steps = diag["n_rhs"], diag["n_accepted"] + diag["n_rejected"]
     assert n_rhs == 6 * steps + 2
-    assert w_calls[0] == 0.0 and len(w_calls) == 5 * steps + 3
+    assert len(w_calls) == steps + 2
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 for t in w_calls)
+    assert [t.tolist() for t in w_calls[:1]] == [[0.0]]
+    assert [t.size for t in w_calls] == [1, 1] + [5] * steps
     assert len(k_calls) == (len(x0s) * (n_rhs + 1) if kind == "factored"
                             else 0)
 
@@ -859,24 +887,30 @@ def _wide_k_below(x):
     return np.zeros(3) if x[0] < -0.5 else np.array([-1.0, 0.0])
 
 
+_AT_T = r"^perturbation None at t=[\d.]+: "
+_AT_STEP = r"^perturbation None at t in \[[\d.]+, [\d.]+\]: "
+
+
 @pytest.mark.parametrize("factor, e0, match", [
-    ("k", [-0.4, 0.0], r"^K\(x\): expected shape \(2,\), got \(3,\)$"),
+    ("k", [-0.4, 0.0], _AT_T + r"K\(x\): expected shape \(2,\), got \(3,\)$"),
     ("k", [[0.3, 0.0], [-0.4, 0.0]],
-     r"^K\(x\) in row 1: expected shape \(2,\), got \(3,\)$"),
-    ("d", [0.3, 0.0], r"^D\(t\): expected shape \(2, 2\), got \(3, 3\)$"),
+     _AT_T + r"K\(x\) in row 1: expected shape \(2,\), got \(3,\)$"),
+    ("d", [0.3, 0.0],
+     _AT_STEP + r"D\(t\): expected shape \(2, 2, 5\), got \(3, 3, 5\)$"),
     ("d", [[0.3, 0.0], [-0.4, 0.0]],
-     r"^D\(t\): expected shape \(2, 2\), got \(3, 3\)$")],
+     _AT_STEP + r"D\(t\): expected shape \(2, 2, 5\), got \(3, 3, 5\)$")],
     ids=["k_one", "k_batch", "d_one", "d_batch"])
 def test_a_factor_changing_shape_mid_run_raises_shape_error(factor, e0, match):
     # the check at t0 passes; the product later died in numpy ("shapes not
-    # aligned" on one state, "inhomogeneous shape" on a batch)
+    # aligned" on one state, "inhomogeneous shape" on a batch).  D turns
+    # (3, 3, N) on the first step that reaches past t = 1
     if factor == "k":
         pert = ev.PerturbationSpec.factored(
             lambda t: np.multiply.outer(np.eye(2), np.ones(np.shape(t))),
             _wide_k_below, 2)
     else:
         pert = ev.PerturbationSpec.factored(
-            lambda t: np.multiply.outer(np.eye(3 if t > 1.0 else 2),
+            lambda t: np.multiply.outer(np.eye(3 if np.max(t) > 1.0 else 2),
                                         np.ones(np.shape(t))),
             lambda x: -x, 2)
     with pytest.raises(ev.ShapeError, match=match):
@@ -884,8 +918,9 @@ def test_a_factor_changing_shape_mid_run_raises_shape_error(factor, e0, match):
 
 
 def _narrows_after_one(t):
-    # (cos t, sin t) until t = 1, then (cos t,)
-    return np.array([np.cos(t)] if t > 1.0 else [np.cos(t), np.sin(t)])
+    # (cos t, sin t) until a time past 1, then (cos t,)
+    return np.array([np.cos(t)] if np.max(t) > 1.0
+                    else [np.cos(t), np.sin(t)])
 
 
 def _scalar_k_below(x):
@@ -899,35 +934,39 @@ def _scalar_k_below(x):
 def test_w_keeps_its_t0_shape_for_the_whole_run(case, e0):
     # the narrowed time signal was broadcast to both channels to the end of
     # the run, and the scalar K on one state died in numpy ("non-broadcastable
-    # output operand"); W at dim 1 may be () or (1,), but not both in a run
+    # output operand").  Every call of w is checked by the rule of its t0
+    # call: at dim 1 it may give (N,) or (1, N), but not the time-major
+    # (N, 1) that it turns to past t = 1 here
     e0 = np.array(e0)
+    step = r"t in \[[\d.]+, [\d.]+\]"
     if case == "time":
         pert = ev.PerturbationSpec.from_signal(_narrows_after_one, 2,
                                                name="late")
-        match = (r"^perturbation 'late' at t=1\.\d+: w\(t\): expected "
-                 r"shape \(2,\), got \(1,\)$")
+        match = (rf"^perturbation 'late' at {step}: w\(t\): expected "
+                 r"shape \(2, 5\), got \(1, 5\)$")
     elif case == "k":
         pert = ev.PerturbationSpec.factored(
             lambda t: np.multiply.outer(np.eye(2), np.ones(np.shape(t))),
             _scalar_k_below, 2, name="k_scalar")
-        match = (r"^perturbation 'k_scalar' at t=[\d.]+: K\(x\): expected "
-                 r"shape \(2,\), got \(\)$" if e0.ndim == 1 else
-                 r"^K\(x\) in row 1: expected shape \(2,\), got \(\)$")
+        match = (r"^perturbation 'k_scalar' at t=[\d.]+: K\(x\)"
+                 + ("" if e0.ndim == 1 else " in row 1")
+                 + r": expected shape \(2,\), got \(\)$")
     else:
         e0 = e0[..., :1]
         pert = ev.PerturbationSpec.from_signal(
-            lambda t: np.cos(t) * np.ones(1 if t > 1.0 else ()), 1,
-            name="grows")
-        match = (r"^perturbation 'grows' at t=1\.\d+: W: expected shape "
-                 r"\(\), got \(1,\)$")
+            lambda t: np.cos(t) if np.max(t) <= 1.0 else np.cos(t)[:, None],
+            1, name="grows")
+        match = (rf"^perturbation 'grows' at {step}: w\(t\): expected "
+                 r"shape \(N,\) or \(dim, N\) on N = 5 times, got "
+                 r"\(5, 1\)$")
     with pytest.raises(ev.ShapeError, match=match):
         ev.simulate_error_dynamics(ev.default_hurwitz(e0.shape[-1]), pert, e0,
                                    0.0, 5.0)
 
 
 def _scalar_after_one(t):
-    # the identity until t = 1 (as (2, 2, N) on arrays of times), then 2.0
-    if np.ndim(t) == 0 and t > 1.0:
+    # the identity (as (2, 2, N)) until a time past 1, then 2.0
+    if np.max(t) > 1.0:
         return np.float64(2.0)
     return np.multiply.outer(np.eye(2), np.ones(np.shape(t)))
 
@@ -937,8 +976,8 @@ def _scalar_after_one(t):
 def test_a_d_turning_scalar_mid_run_raises_shape_error(e0):
     # on one state the scalar D scaled K to the end of the run
     pert = ev.PerturbationSpec.factored(_scalar_after_one, lambda x: -x, 2)
-    with pytest.raises(ev.ShapeError,
-                       match=r"^D\(t\): expected shape \(2, 2\), got \(\)$"):
+    with pytest.raises(ev.ShapeError, match=_AT_STEP + r"D\(t\): expected "
+                       r"shape \(2, 2, 5\), got \(\)$"):
         ev.simulate_error_dynamics(ev.default_hurwitz(2), pert, e0, 0.0, 3.0)
 
 
@@ -958,9 +997,9 @@ def test_a_w_of_no_real_values_raises_shape_error(w, got, e0):
 
 
 def _complex_after_one(kind):
-    # real until t = 1, then (1 + 1j) times its value, at one float time
+    # real until a time past 1, then (1 + 1j) times its value
     def turn(t, v):
-        return v * (1 + 1j) if np.ndim(t) == 0 and t > 1.0 else v
+        return v * (1 + 1j) if np.max(t) > 1.0 else v
     if kind == "d":
         return ev.PerturbationSpec.factored(
             lambda t: turn(t, np.multiply.outer(np.eye(2),
@@ -977,8 +1016,9 @@ def test_a_factor_turning_complex_mid_run_raises_shape_error(kind, e0):
     # the complex D lost its imaginary part with only a ComplexWarning, and
     # the complex w died in numpy's untyped add
     factor = "D" if kind == "d" else "w"
-    match = (rf"^perturbation 'turns' at t=1\.\d+: {factor}\(t\): expected "
-             r"real values, got values of dtype complex128$")
+    match = (rf"^perturbation 'turns' at t in \[[\d.]+, [\d.]+\]: "
+             rf"{factor}\(t\): expected real values, got values of dtype "
+             r"complex128$")
     with pytest.raises(ev.ShapeError, match=match):
         ev.simulate_error_dynamics(ev.default_hurwitz(2),
                                    _complex_after_one(kind), e0, 0.0, 3.0)
@@ -999,12 +1039,30 @@ def test_a_k_turning_complex_mid_run_raises_shape_error(e0, where):
         ev.simulate_error_dynamics(ev.default_hurwitz(2), pert, e0, 0.0, 3.0)
 
 
-def test_a_python_number_w_runs_as_its_numpy_twin():
-    # a value without a shape is checked on every call and passes
-    runs = [ev.simulate_error_dynamics(
-        ev.default_hurwitz(1), ev.PerturbationSpec.from_signal(w, 1), [0.5],
-        0.0, 2.0) for w in (lambda t: float(np.cos(t)), np.cos)]
-    assert np.array_equal(runs[0].states, runs[1].states)
+@pytest.mark.parametrize("fn", [math.cos, lambda t: float(np.cos(t))],
+                         ids=["math_cos", "float_of_numpy"])
+@pytest.mark.parametrize("factor", ["w", "d"])
+def test_a_one_time_factor_raises_shape_error(factor, fn):
+    # w and D are called on 1-d arrays of times only: a callable of one
+    # float time ran on the integrator (which called it per stage time) but
+    # died in classify with a bare TypeError
+    if factor == "w":
+        pert = ev.PerturbationSpec.from_signal(fn, 1, name="one_time")
+    else:
+        pert = ev.PerturbationSpec.factored(
+            lambda t: np.reshape(fn(t), (1, 1)), lambda x: x, 1,
+            name="one_time")
+    what = rf"{factor.upper() if factor == 'd' else 'w'}\(t\): the callable " \
+        r"must take a 1-d array of times; on one it raised TypeError: "
+    with pytest.raises(ev.ShapeError, match=r"^perturbation 'one_time' at "
+                       r"t0=0\.0: " + what) as exc:
+        ev.simulate_error_dynamics(ev.default_hurwitz(1), pert, [0.5], 0.0,
+                                   2.0)
+    assert isinstance(exc.value.__cause__, TypeError)
+    for call in (lambda: pert.columns()[0](np.linspace(0.0, 1.0, 5)),
+                 lambda: ev.classify(pert, 1.0, 4.0, profile_grid=[0.0, 1.0])):
+        with pytest.raises(ev.ShapeError, match="^" + what):
+            call()
 
 
 def test_tracking_rejects_inconsistent_reference():
