@@ -55,8 +55,9 @@ class SignalAdapter:
 
     ``h`` is called once per evaluation on the whole array and returns
     real values (by :func:`evuas.integrate._real`) of shape ``(dim, N)``,
-    or ``(N,)`` for a scalar signal; any other values raise ShapeError,
-    whose message opens with ``name``.
+    or ``(N,)`` for a scalar signal; any other values, and a TypeError of
+    an ``h`` that takes one float time only (``math.cos``), raise
+    ShapeError, whose message opens with ``name``.
     """
 
     def __init__(self, h, name="time signal"):
@@ -65,7 +66,12 @@ class SignalAdapter:
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=float)
-        out = _real(self.h(ts), self.name)
+        try:
+            out = _real(self.h(ts), self.name)
+        except TypeError as exc:
+            raise ShapeError(f"{self.name}: the callable must take a 1-d "
+                             f"array of times; on one it raised TypeError: "
+                             f"{exc}") from exc
         if out.shape == ts.shape:
             return out[None, :]
         if out.ndim == 2 and out.shape[1] == ts.size:

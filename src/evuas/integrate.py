@@ -27,6 +27,7 @@ x' = A x + (0, g(t, x)), with g feeding the last ``width`` entries and
 g(t, x) = [1, s(t, x)] R(t): time rows R(t) of t alone (w(t) of a time
 signal, or a zero row over D(t)^T of a factored disturbance, which weighs
 s = K(x)), and a state part s with p entries (none for a time signal).
+The time rows' shape at t0, (1, 1 + p, width), gives p and the width.
 So each state is stored as the row [x, 1, s], and each stage derivative is
 one product, x' = [x, 1, s] M(t), with M(t) the (q, q) matrix, q = dim + 1
 + p, that holds A^T over x and R(t) over [1, s] in the columns of the last
@@ -124,10 +125,11 @@ class Trajectory:
 
 
 def _stack(x, dim=None, name="x0"):
-    """x as floats of shape (dim,) or (N, dim), N >= 1: one state, or a
-    stack of N, one per row.  Any dim >= 1 when ``dim`` is None; a scalar
-    is one state of dim 1.  Any other shape raises ShapeError."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """x as real floats (by :func:`_real`) of shape (dim,) or (N, dim),
+    N >= 1: one state, or a stack of N, one per row.  Any dim >= 1 when
+    ``dim`` is None; a scalar is one state of dim 1.  Any other shape
+    raises ShapeError."""
+    x = np.atleast_1d(_real(x, name))
     if x.ndim > 2 or not x.size or (dim is not None and x.shape[-1] != dim):
         want = "dim" if dim is None else dim
         raise ShapeError(f"{name}: expected shape ({want},) or (N, {want}), "
@@ -275,14 +277,15 @@ def _whole(rhs, shape):
 
 
 def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
-              *, a=None, width=None, time_part=None):
+              *, a=None, time_part=None):
     """Integrate x' = rhs(t, x) from t0 to t_end, or x' = A x + (0, g(t, x)).
 
     Each stage derivative is one product: the state x is stored as the row
     [x, 1, s], with s(t, x) in its last p entries, and
     x' = [x, 1, s] M(t), where M(t) holds A^T over x and the time rows
     R(t) over [1, s], in the columns of the last ``width`` entries; so
-    g(t, x) = [1, s] R(t).
+    g(t, x) = [1, s] R(t).  The width, like p, is read from the shape of
+    the time rows at t0.
 
     Parameters
     ----------
@@ -317,18 +320,18 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         t0 is always included as the first sample.
     a : array_like, optional, keyword-only
         The (dim, dim) matrix A of x' = A x + (0, g(t, x)).
-    width : int, optional, keyword-only
-        How many last entries of a state g feeds, 1 to dim; dim by default.
     time_part : callable, optional, keyword-only
         The time rows, ``time_part(ts)`` on a 1-d array of T times: an
         array (T, 1 + p, width) whose row 0 at each time is the part of g
-        of t alone and whose rows 1 to p weigh s; p is read from its shape
-        at t0.  It is called once per attempted step, on the step's five
-        stage times (a Dormand-Prince step has six stages, its fifth and
-        last at the new time), plus once at t0 for the first derivative
-        and once for the initial-step probe.  Without it, R = [0; I] and
-        s = g(t, x) itself, of p = width entries.  A plain
-        ``integrate(rhs, ...)`` is that case with A = 0 and full width.
+        of t alone and whose rows 1 to p weigh s.  Its shape at t0 sets p
+        and the width, the number of last entries of a state that g feeds:
+        it must be (1, 1 + p, width) with p >= 0 and 1 <= width <= dim,
+        else ShapeError before the first step.  It is called once per
+        attempted step, on the step's five stage times (a Dormand-Prince
+        step has six stages, its fifth and last at the new time), plus
+        once at t0 for the first derivative and once for the initial-step
+        probe.  Without it, R = [0; I] and s = g(t, x) itself, of p = dim
+        entries.  A plain ``integrate(rhs, ...)`` is that case with A = 0.
 
     The diagnostics count in ``n_rhs`` the stage derivatives taken: six
     per attempted step, plus the first derivative and the probe.
@@ -345,21 +348,16 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     shape, dim = x0.shape, x0.shape[-1]    # as rhs sees the state
     rows = x0.size // dim
     if a is None:
-        a, width, time_part, rhs = np.zeros((dim, dim)), dim, None, _whole(
-            rhs, shape)
+        a, time_part, rhs = np.zeros((dim, dim)), None, _whole(rhs, shape)
     a_t = _shaped(a, (dim, dim), "a").T
-    lo = 0 if width is None else dim - width
-    if not 0 <= lo < dim:
-        raise ValueError(f"width must be 1 to {dim}, got {width}")
-    if time_part is None:
-        time_rows = np.vstack([np.zeros(dim - lo), np.eye(dim - lo)])[None]
-    else:
-        time_rows = time_part(np.array([t0]))
-        if np.ndim(time_rows) != 3 or np.shape(time_rows)[::2] != (
-                1, dim - lo) or np.shape(time_rows)[1] < 1:
-            raise ShapeError(f"time_part: expected shape (1, 1 + p, "
-                             f"{dim - lo}) at t0, got {np.shape(time_rows)}")
-    p = np.shape(time_rows)[1] - 1
+    time_rows = (np.vstack([np.zeros(dim), np.eye(dim)])[None]
+                 if time_part is None else time_part(np.array([t0])))
+    got = np.shape(time_rows)
+    if len(got) != 3 or got[0] != 1 or got[1] < 1 or not 1 <= got[2] <= dim:
+        raise ShapeError(f"time_part: expected shape (1, 1 + p, width) at "
+                         f"t0, with 1 <= width <= {dim}, got {got}")
+    p, width = got[1] - 1, got[2]
+    lo = dim - width
     q = dim + 1 + p                        # the entries of [x, 1, s]
 
     # a list starting at t0, for cheap lookups per step

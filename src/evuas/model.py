@@ -174,14 +174,13 @@ def _evaluate(fn, shape, where, x, *rest):
 class PerturbationSpec:
     """Additive disturbance ``W(t, X)``: zero, a time signal or ``D(t) K(X)``.
 
-    ``kind`` is ``"zero"``, ``"time"`` (W = w(t)) or ``"factored"``.  The
-    spec alone knows how W of each kind is evaluated: :meth:`stage_parts`
-    splits it, for the right-hand sides of integrated runs, into time rows
-    of t alone and a state part; :meth:`evaluate` checks W on a grid of
-    times and states; and :meth:`columns` slices D (diag(w(t)) for a time
-    signal).  w and D are only ever called on 1-d arrays of times, and
-    each factor has one check, shared by :meth:`evaluate`, :meth:`columns`
-    and an integrated run.
+    ``kind`` is ``"zero"``, ``"time"`` (W = w(t)) or ``"factored"``.
+    :meth:`evaluate` checks W on a grid of times and states, and
+    :meth:`columns` slices D (diag(w(t)) for a time signal); the runs of
+    :mod:`evuas.simulate` read w(t) or D(t) once per attempted step and
+    K(x) at each stage state.  w and D are only ever called on 1-d arrays
+    of times, and each factor has one check, shared by :meth:`evaluate`,
+    :meth:`columns` and an integrated run.
 
     Parameters
     ----------
@@ -259,22 +258,39 @@ class PerturbationSpec:
         return cls("factored", dim, d=d, k=k, freq_hint=freq_hint,
                    name=name, state_dim=state_dim)
 
-    def _factor(self, ts, where=""):
+    def _factor(self, ts, t0=None):
         """w or D on the 1-d array ts of N times: (dim, N) for w, by the
         rule of :class:`SignalAdapter` ((N,) stands for (1, N) at dim 1),
-        (dim, dim, N) for D.  Else ShapeError naming ``where`` and the
-        factor, also when the callable takes one float time only."""
-        name = where + ("D(t)" if self.kind == "factored" else "w(t)")
+        (dim, dim, N) for D.  A float array of that shape passes after a
+        few attribute reads; anything else is checked, else ShapeError
+        naming the factor, also when the callable takes one float time
+        only, and on a run from ``t0`` the spec and the times."""
+        factored = self.kind == "factored"
+        shape = (self.dim,) * factored + (self.dim, ts.size)
         try:
-            if self.kind == "factored":
-                return _shaped(self.d(ts), (self.dim, self.dim, ts.size),
-                               name)
-            value = SignalAdapter(self.w, name)(ts)
+            v = (self.d if factored else self.w)(ts)
+        except TypeError:
+            v = None                # raised again by a second call below
+        if type(v) is np.ndarray and v.dtype.char == "d":
+            if v.shape == shape:
+                return v
+            if shape == (1, ts.size) and v.shape == ts.shape:
+                return v[None]
+        name = "D(t)" if factored else "w(t)"
+        if t0 is not None:
+            name = self._where(f"t in [{ts[0]}, {ts[-1]}]" if ts.size > 1
+                               else f"t0={t0}" if ts[0] == t0
+                               else f"t={ts[0]}") + name
+        if not factored:
+            h = self.w if v is None else lambda ts: v
+            return _shaped(SignalAdapter(h, name)(ts), shape, name)
+        try:
+            value = self.d(ts) if v is None else v
         except TypeError as exc:
             raise ShapeError(f"{name}: the callable must take a 1-d array "
                              f"of times; on one it raised TypeError: "
                              f"{exc}") from exc
-        return _shaped(value, (self.dim, ts.size), name)
+        return _shaped(value, shape, name)
 
     def _where(self, at):
         return f"perturbation {self.name!r} at {at}: "
@@ -317,66 +333,6 @@ class PerturbationSpec:
                 f"W returned a non-finite value at t={ts[i]} in row {row} "
                 f"at component {idx}", component=idx, where="W", row=row)
         return out
-
-    def stage_parts(self, t0, x):
-        """W(t, x) as [1, s] R(t) for :func:`evuas.integrate.integrate`:
-        ``(time_rows, state)``, on a run from t0 whose state (a flat state
-        or an (N, state_dim) batch) is ``x`` at t0.
-
-        ``time_rows(ts)``, on a 1-d array of T times, returns the time rows
-        R, (T, 1 + p, dim): for a time signal p = 0 and row 0 is w(t); for
-        a factored W row 0 is zero and rows 1 to dim are D(t)^T, weighing
-        s = K(x).  ``state(t, x, out)`` writes K(x) into ``out``, (dim,) or
-        (N, dim), row by row; it is None for a time signal, whose s is
-        empty.  K is checked on every row of ``x`` here.  Every value of w,
-        D and K is checked by the rules of :meth:`evaluate`, and ShapeError
-        names the spec, the times (t0 at the first call) and the factor.
-        """
-        if self.kind == "factored":
-            self._k(x, self._where(f"t0={t0}"))
-        dim, factored = self.dim, self.kind == "factored"
-        factor = self.d if factored else self.w
-        shape = (dim,) * factored + (dim,)
-        flat = not factored and dim == 1        # w may give (N,) for (1, N)
-
-        def checked(ts):
-            # the factor by _factor's rules, its errors naming the times
-            at = (f"t in [{ts[0]}, {ts[-1]}]" if ts.size > 1 else
-                  f"t0={t0}" if ts[0] == t0 else f"t={ts[0]}")
-            return self._factor(ts, self._where(at))
-
-        def value(ts):
-            # the factor at ts, checked at the cost of a few attribute
-            # reads when it is already a float array of the wanted shape
-            try:
-                v = factor(ts)
-            except TypeError:
-                v = None
-            if type(v) is not np.ndarray or v.dtype.kind != "f" or (
-                    v.shape != shape + ts.shape
-                    and not (flat and v.shape == ts.shape)):
-                v = checked(ts)
-            return v
-
-        if not factored:
-            return (lambda ts: value(ts).reshape(dim, -1).T[:, None]), None
-
-        def time_rows(ts):
-            rows = np.zeros((ts.size, 1 + dim, dim))
-            rows[:, 1:] = value(ts).transpose(2, 1, 0)
-            return rows
-
-        k = self.k
-
-        def state(t, x, out):
-            try:
-                v = k(x) if x.ndim == 1 else np.array([k(row) for row in x])
-            except ValueError:
-                v = None            # rows of K that do not stack
-            if getattr(v, "shape", None) != out.shape or v.dtype.kind != "f":
-                v = self._k(x, self._where(f"t={t}"))
-            out[...] = v
-        return time_rows, state
 
     def _column(self, j, t):
         """Column j of D(t), or of diag(w(t)), by the rule of D or w: (dim,)

@@ -20,11 +20,12 @@ factories), factored disturbances and state terms are integrated.
 Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
-state.  W is split by :meth:`evuas.model.PerturbationSpec.stage_parts`
-into its time rows, w(t) or D(t)^T, read once per attempted step on the
-step's five stage times, and its state part K(x), which a tracking run
-takes at the true state x + X_d(t).  Its width is checked once per run,
-and K on every row at t0; every value of w, D and K is checked by the
+state.  One builder, :func:`_stage_parts`, gives every integrated run
+its time rows, read once per attempted step on the step's five stage
+times, and its state part, with K at the true state x + X_d(t) of a
+tracking run; the time rows are m wide, which sets the width of g for
+integrate.  W's width is checked once per run, and K on every row at
+t0; every value of w, D and K is checked by the
 rules of :meth:`~evuas.model.PerturbationSpec.evaluate` (else ShapeError
 naming the factor, and the time or times where it is at fault; t0 at the
 first call), and a non-finite W stops the run with an IntegrationError
@@ -41,7 +42,6 @@ trajectory (the controller's domain of validity).
 """
 
 import csv
-import functools
 import json
 
 import numpy as np
@@ -60,28 +60,60 @@ _ADMISSIBLE_TOL = 1e-8      # bound on |F(X_d(t), 0)|
 _ADMISSIBLE_GRID = 17       # sample times of the admissibility check
 
 
-def _no_w(width, ts):
-    # the time rows of W = 0: a zero row of t alone and no state part
-    return np.zeros((ts.size, 1, width))
+def _stage_parts(pert, width, t0, x0, track=None, term=None):
+    """W(t, x_true) + term(x), in the last ``width`` entries of x', as
+    integrate's [1, s] R(t): ``(time_rows, state)`` for a run from t0 whose
+    state (a flat state or an (N, dim) batch) is x0 there, with
+    x_true = x + X_d(t) for the deviation from a reference ``track``.
 
+    ``time_rows(ts)``, on a 1-d array of T times, returns R, (T, 1 + p,
+    width): row 0 is w(t) for a time signal and zero otherwise, then the
+    identity over term(x), then D(t)^T over K(x_true) for a factored W.
+    ``state(t, x, out)`` writes s = (term(x), K(x_true)) into ``out``, (p,)
+    or (N, p), and is None when p is 0.  K is checked on every row of x0
+    here; every value of w, D and K is checked by the rules of
+    :meth:`~evuas.model.PerturbationSpec.evaluate`, and ShapeError names
+    the spec, the times (t0 at the first call) and the factor.
+    """
+    kind = "zero" if pert is None else pert.kind
+    if kind == "time" and term is None:
+        return (lambda ts: pert._factor(ts, t0).T[:, None]), None
+    factored = kind == "factored"
+    p = width * ((term is not None) + factored)
+    eye = np.eye(width)
 
-def _at_reference(track, state, t, x, out):
-    # W's state part at the true state x + X_d(t)
-    state(t, x + flatten_state(track.value(t)), out)
+    def time_rows(ts):
+        rows = np.zeros((ts.size, 1 + p, width))
+        if kind == "time":
+            rows[:, 0] = pert._factor(ts, t0).T
+        if term is not None:
+            rows[:, 1:1 + width] = eye
+        if factored:
+            rows[:, 1 + p - width:] = pert._factor(ts, t0).transpose(2, 1, 0)
+        return rows
 
+    if factored:
+        pert._k(x0 if track is None else x0 + flatten_state(track.value(t0)),
+                pert._where(f"t0={t0}"))
+        k = pert.k
 
-def _term_rows(time_rows, eye, ts):
-    # F's rows, the identity, between W's row of t alone and W's rows of s
-    rows = time_rows(ts)
-    return np.concatenate([rows[:, :1], np.broadcast_to(
-        eye, (ts.size,) + eye.shape), rows[:, 1:]], axis=1)
-
-
-def _term_state(term, width, state, t, x, out):
-    # s = (F(x), W's state part)
-    out[..., :width] = term(x)
-    if state is not None:
-        state(t, x, out[..., width:])
+    def state(t, x, out):
+        if term is not None:
+            out[..., :width] = term(x)
+            out = out[..., width:]
+        if factored:
+            # K(x_true), checked at the cost of a few attribute reads when
+            # it is already a float array of out's shape
+            if track is not None:
+                x = x + flatten_state(track.value(t))
+            try:
+                v = k(x) if x.ndim == 1 else np.array([k(row) for row in x])
+            except ValueError:
+                v = None            # rows of K that do not stack
+            if getattr(v, "shape", None) != out.shape or v.dtype.kind != "f":
+                v = pert._k(x, pert._where(f"t={t}"))
+            out[...] = v
+    return time_rows, state if p else None
 
 
 def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
@@ -90,10 +122,9 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
     of its width and x_true = x + X_d(t) for the deviation from a reference
     ``track``: propagated on a sample grid under a zero or chirp-form W
     (each term's c zero-padded to the state) and no state ``term``, else
-    integrated as x' = [x, 1, s] M(t), with W's time rows and state part
-    from :meth:`PerturbationSpec.stage_parts` (the reference shifts the
-    state K sees) and s = (term(x), W's state part).  A W that is not zero
-    must have ``width`` components."""
+    integrated as x' = [x, 1, s] M(t), with the time rows and state part
+    of :func:`_stage_parts`.  A W that is not zero must have ``width``
+    components."""
     if pert is not None and pert.kind == "zero":
         pert = None
     if pert is not None and pert.dim != width:
@@ -106,19 +137,10 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
                                              chirp.c]))
             for chirp in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
-    time_rows, state = functools.partial(_no_w, width), None
-    if pert is not None:
-        x_true = x0 if track is None else x0 + flatten_state(track.value(t0))
-        time_rows, state = pert.stage_parts(t0, x_true)
-        if track is not None and state is not None:
-            state = functools.partial(_at_reference, track, state)
-    if term is not None:
-        time_rows = functools.partial(_term_rows, time_rows, np.eye(width))
-        state = functools.partial(_term_state, term, width, state)
+    time_rows, state = _stage_parts(pert, width, t0, x0, track, term)
     return integrate(state, t0, x0, t_end, tol=tol,
                      freq_hint=None if pert is None else pert.freq_hint,
-                     sample_times=sample_times, a=a, width=width,
-                     time_part=time_rows)
+                     sample_times=sample_times, a=a, time_part=time_rows)
 
 
 def _report_inputs(traj, m, solve):

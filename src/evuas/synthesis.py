@@ -25,7 +25,7 @@ import numpy as np
 from . import model as _model
 from ._expm import expm
 from .errors import DesignError, NewtonError, ShapeError
-from .integrate import _positive, _stack
+from .integrate import _positive, _real, _stack
 from .norms import point_norms, unit_directions
 
 NEWTON_TOL = 1e-12
@@ -164,10 +164,12 @@ def build_gamma(poles_per_column, n):
         conjugation, with strictly negative real parts and magnitudes
         within a factor 1e12 of each other.
     n : int
-        Derivative order of the system; must exceed 1.
+        Derivative order of the system: an integer (else ValueError, by
+        :func:`evuas.model._size`), which must exceed 1 (else DesignError).
     """
     if n <= 1:
         raise DesignError(f"order n must exceed 1, got {n}")
+    n = _model._size("n", n)
     m = len(poles_per_column)
     if m < 1:
         raise DesignError("need at least one pole column")
@@ -207,9 +209,10 @@ class HurwitzMatrix:
 
 
 def build_hurwitz(a_h):
-    a_h = np.asarray(a_h, dtype=float)
-    if a_h.ndim != 2 or a_h.shape[0] != a_h.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a_h.shape}")
+    a_h = _real(a_h, "a_h")
+    if a_h.ndim != 2 or a_h.shape[0] != a_h.shape[1] or not a_h.size:
+        raise ShapeError(f"a_h: expected a non-empty square matrix, got shape "
+                         f"{a_h.shape}")
     if not np.isfinite(a_h).all():
         raise DesignError(f"matrix {a_h.tolist()} is not finite")
     eig = np.linalg.eigvals(a_h)

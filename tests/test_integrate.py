@@ -565,14 +565,43 @@ def test_batch_error_control_is_per_row():
         ev.integrate(lambda t, x: x[0], 0.0, np.ones((3, 2)), 1.0)
 
 
-@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2)],
-                         ids=["0", "3x0", "0x2"])
-def test_an_empty_state_is_rejected_before_any_rhs_call(shape):
-    # no entries is neither a state nor a batch of them
+@pytest.mark.parametrize("x0, match", [
+    (np.zeros(0), "got (0,)"), (np.zeros((3, 0)), "got (3, 0)"),
+    (np.zeros((0, 2)), "got (0, 2)"),
+    (None, "x0: expected real values, got None"),
+    ([1 + 1j], "x0: expected real values, got values of dtype complex128")],
+    ids=["0", "3x0", "0x2", "none", "complex"])
+def test_an_empty_state_is_rejected_before_any_rhs_call(x0, match):
+    # no entries is neither a state nor a batch of them; None ran as a NaN
+    # state into an IntegrationError at t0, and a complex x0 raised a bare
+    # TypeError
     def never_called(t, x):
         raise AssertionError("rhs ran")
-    with pytest.raises(ev.ShapeError, match=re.escape(f"got {shape}")):
-        ev.integrate(never_called, 0.0, np.zeros(shape), 1.0)
+    with pytest.raises(ev.ShapeError, match=re.escape(match)):
+        ev.integrate(never_called, 0.0, x0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1, 2), (1, 0, 2), (1, 1, 0),
+                                   (1, 1, 3), (1, 1, 2, 1)],
+                         ids=["2d", "two_times", "no_row", "width_0",
+                              "width_3", "4d"])
+def test_time_rows_of_another_shape_are_rejected_before_any_step(shape):
+    # the time rows at t0 set p and the width g feeds: they must be
+    # (1, 1 + p, width) with 1 <= width <= dim, here 2
+    times = []
+
+    def time_part(ts):
+        times.append(ts.tolist())
+        return np.zeros(shape)
+
+    def never_called(t, x, out):
+        raise AssertionError("state part ran")
+    with pytest.raises(ev.ShapeError, match=re.escape(
+            "time_part: expected shape (1, 1 + p, width) at t0, with "
+            f"1 <= width <= 2, got {shape}")):
+        ev.integrate(never_called, 0.5, np.ones(2), 1.0, a=-np.eye(2),
+                     time_part=time_part)
+    assert times == [[0.5]]
 
 
 def test_two_dimensional_x0_is_always_a_batch():

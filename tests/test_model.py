@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import evuas as ev
 from evuas.diminishing import quartic_chirp
 from evuas.model import ORIGIN_TOL
+from evuas.simulate import _stage_parts
 
 
 def _open_loop(model, pert, x0, t_end=1.0):
@@ -411,7 +412,7 @@ def test_batched_evaluate_rows_are_one_state_values(name, rng):
         return
     # W from the time rows of an integrated run, R(t): w(t) in row 0, or
     # K(x) against D(t)^T in rows 1 to dim, one time and state at a time
-    time_rows, state = pert.stage_parts(ts[0], xs)
+    time_rows, state = _stage_parts(pert, pert.dim, ts[0], xs)
     rows = time_rows(ts)
     for i, t in enumerate(ts.tolist()):
         for j, x in enumerate(xs):
@@ -434,7 +435,8 @@ def test_time_rows_of_a_step_are_evaluate_bit_for_bit(name):
     pert = ev.make_perturbation(name)
     t, h = 1.3, 0.01
     ts = t + h * np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-    time_rows, state = pert.stage_parts(t, np.zeros(pert.state_dim))
+    time_rows, state = _stage_parts(pert, pert.dim, t,
+                                    np.zeros(pert.state_dim))
     rows = time_rows(ts)
     if pert.kind == "time":
         assert state is None and rows.shape == (5, 1, pert.dim)

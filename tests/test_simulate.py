@@ -853,17 +853,21 @@ def test_a_flat_d_at_dim_1_raises_shape_error():
         pert.evaluate(np.linspace(0.0, 2.0, 5), [0.5])
 
 
-@pytest.mark.parametrize("kind", ["time", "factored"])
+@pytest.mark.parametrize("kind", ["time", "time_int", "factored"])
 def test_w_is_checked_once_per_run(kind):
     # one call of w (or D) per attempted step, on its five stage times (the
     # last stage shares the new time with the fifth), plus one at t0 for
     # the first derivative, which is also the check at t0, and one for the
     # initial-step probe; K once per row at t0 on top of one per row and
-    # stage derivative
+    # stage derivative.  A w of integer values takes the full check, on
+    # the value of that one call (it was called twice)
     w_calls, k_calls = [], []
     if kind == "time":
         pert = ev.PerturbationSpec.from_signal(
             _counted(lambda t: np.cos(t) * np.ones(np.shape(t)), w_calls), 1)
+    elif kind == "time_int":
+        pert = ev.PerturbationSpec.from_signal(
+            _counted(lambda t: np.ones(np.shape(t), dtype=int), w_calls), 1)
     else:
         pert = ev.PerturbationSpec.factored(
             _counted(lambda t: np.multiply.outer(np.eye(1), np.cos(t)),

@@ -48,6 +48,13 @@ def test_build_gamma_rejections():
         ev.build_gamma([[-1.0]], 1)                     # order too low
     with pytest.raises(ev.DesignError):
         ev.build_gamma([[-1.0, -2.0]], 2)               # wrong pole count
+    with pytest.raises(ev.DesignError):
+        ev.build_gamma([[-1.0]], 0)                     # order too low
+    # an order that is no integer raised a bare TypeError in np.zeros
+    with pytest.raises(ValueError, match=r"^n: expected an integer, "
+                       r"got 2\.5$") as exc:
+        ev.build_gamma([[-1.0]], 2.5)
+    assert not isinstance(exc.value, ev.DesignError)
 
 
 def test_build_gamma_accepts_a_noisy_conjugate_partner():
@@ -162,6 +169,14 @@ def test_hurwitz_scalar():
     assert ev.build_hurwitz([[-3.0]]).max_real_part == pytest.approx(-3.0)
     with pytest.raises(ev.DesignError):
         ev.build_hurwitz([[0.0]])
+    # an empty or complex matrix raised numpy's bare ValueError (argmax of
+    # no eigenvalues) or TypeError
+    with pytest.raises(ev.ShapeError, match=r"^a_h: expected a non-empty "
+                       r"square matrix, got shape \(0, 0\)$"):
+        ev.build_hurwitz(np.zeros((0, 0)))
+    with pytest.raises(ev.ShapeError, match=r"^a_h: expected real values, "
+                       r"got values of dtype complex128$"):
+        ev.build_hurwitz([[-1 + 1j]])
 
 
 # --- diagonal dominance
