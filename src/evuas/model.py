@@ -261,7 +261,7 @@ class PerturbationSpec:
     def _factor(self, ts, t0=None):
         """w or D on the 1-d array ts of N times: (dim, N) for w, by the
         rule of :class:`SignalAdapter` ((N,) stands for (1, N) at dim 1),
-        (dim, dim, N) for D.  A float array of that shape passes after a
+        (dim, dim, N) for D.  A float64 array of that shape passes after a
         few attribute reads; anything else is checked, else ShapeError
         naming the factor, also when the callable takes one float time
         only, and on a run from ``t0`` the spec and the times."""
@@ -282,7 +282,7 @@ class PerturbationSpec:
                                else f"t0={t0}" if ts[0] == t0
                                else f"t={ts[0]}") + name
         if not factored:
-            h = self.w if v is None else lambda ts: v
+            h = self.w if v is None else lambda _: v
             return _shaped(SignalAdapter(h, name)(ts), shape, name)
         try:
             value = self.d(ts) if v is None else v
