@@ -430,7 +430,8 @@ def _sech2(u):
 MODEL_CATALOG = {
     "chain": (_chain, "integrator chain, F = U, any m and n"),
     # coercive, with a globally nonsingular J_{F,U}
-    "cubic": (_scalar("cubic", lambda u: u + u ** 3,
+    # u * u * u rather than u ** 3, which numpy sends through np.power
+    "cubic": (_scalar("cubic", lambda u: u + u * u * u,
                       lambda u: 1.0 + 3.0 * u ** 2),
               "scalar F = u + u^3, coercive input nonlinearity"),
     # |F| < 1, so the feedback exists only locally

@@ -208,11 +208,18 @@ class HurwitzMatrix:
     max_real_part: float
 
 
+def _square(values, name):
+    """``values`` as a real (by ``integrate._real``) non-empty square
+    matrix, else ShapeError naming ``name``."""
+    out = _real(values, name)
+    if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
+        raise ShapeError(f"{name}: expected a non-empty square matrix, got "
+                         f"shape {out.shape}")
+    return out
+
+
 def build_hurwitz(a_h):
-    a_h = _real(a_h, "a_h")
-    if a_h.ndim != 2 or a_h.shape[0] != a_h.shape[1] or not a_h.size:
-        raise ShapeError(f"a_h: expected a non-empty square matrix, got shape "
-                         f"{a_h.shape}")
+    a_h = _square(a_h, "a_h")
     if not np.isfinite(a_h).all():
         raise DesignError(f"matrix {a_h.tolist()} is not finite")
     eig = np.linalg.eigvals(a_h)
@@ -243,10 +250,9 @@ def check_nonsingular(b):
     Strict diagonal dominance (|b_ii| greater than the off-diagonal row
     sum, every row) is sufficient for non-singularity, so a true
     levy_desplanques verdict always comes with a true numeric verdict.
+    ``b`` must be a real, non-empty square matrix, else ShapeError.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {b.shape}")
+    b = _square(b, "b")
     diag = np.abs(np.diag(b))
     off = np.sum(np.abs(b), axis=1) - diag
     sdd = bool(np.all(diag > off))
@@ -309,10 +315,20 @@ def closed_loop_matrix(design, hurwitz):
 def _newton_steps(jac, r):
     """Newton steps -J^{-1} r of a stack of rows, and which J are singular.
 
-    One stacked solve when no J is singular, else row by row, since LAPACK
-    rejects the whole stack; either way each row's step is the one-state
-    solve bit for bit.
+    With one input (m = 1) each step is one division -r / J, which is
+    LAPACK's solve of the 1x1 system bit for bit, and a J equal to zero is
+    singular, as LAPACK has it.  Otherwise one stacked solve when no J is
+    singular, else row by row, since LAPACK rejects the whole stack.
+    Either way each row's step is the one-state solve bit for bit.
     """
+    if r.shape[-1] == 1:
+        jac = jac[:, 0]
+        singular = jac[:, 0] == 0
+        step = np.zeros_like(r)
+        # LAPACK's solve warns of no overflow, underflow or inf / inf
+        with np.errstate(all="ignore"):
+            np.divide(-r, jac, out=step, where=~singular[:, None])
+        return step, singular
     singular = np.zeros(len(r), dtype=bool)
     try:
         return np.linalg.solve(jac, -r[..., None])[..., 0], singular
@@ -334,7 +350,9 @@ class ImplicitController:
     on one flat state or on each row of an (N, m*n) batch at once, from
     U = 0 (so the feedback is exactly zero at the origin).  A row's result
     is its one-state solve bit for bit when the model's maps treat rows
-    independently.  The controller is immutable, so
+    independently.  With one input (m = 1) a Newton step is one division
+    by the 1x1 Jacobian, equal bit for bit to LAPACK's solve, so each row
+    is still that one-state solve.  The controller is immutable, so
     one instance can serve many concurrent trajectories.  A failed solve
     raises :class:`~evuas.errors.NewtonError` carrying the state, residual
     and iteration count (of the lowest failing row, on a batch).  The
@@ -460,12 +478,17 @@ class ImplicitController:
 
 
 class LinearController:
-    """Constant-gain feedback U = G x on the flat state."""
+    """Constant-gain feedback U = G x on the flat state; G must be a real,
+    non-empty (m, m*n) matrix, else ShapeError."""
 
     mode = "linear-gain"
 
     def __init__(self, gain, model=None, placed_poles=None):
-        self.gain = np.asarray(gain, dtype=float)
+        gain = _real(gain, "gain")
+        if gain.ndim != 2 or not gain.size:
+            raise ShapeError(f"gain: expected a non-empty (m, m*n) matrix, "
+                             f"got shape {gain.shape}")
+        self.gain = gain
         self.model = model
         self.placed_poles = placed_poles
 

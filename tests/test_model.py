@@ -292,6 +292,16 @@ def test_catalog_rows_are_one_state_values(name, rows):
             assert np.array_equal(batch[i], evaluate(xs[i], us[i]))
 
 
+def test_cubic_f_is_u_plus_u_cubed_within_4_ulp():
+    # F is evaluated as u + u * u * u, not through np.power
+    grid = np.concatenate([np.linspace(-50.0, 50.0, 20001),
+                           np.geomspace(1e-100, 1e100, 2001)])
+    u = np.concatenate([grid, -grid])[:, None]
+    got = ev.make_model("cubic").eval_f(np.zeros((len(u), 2)), u)
+    want = u + np.power(u, 3)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
 def _counted(fn, calls, key):
     def wrapped(x, u):
         calls[key].append(len(x))

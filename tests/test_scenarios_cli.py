@@ -268,6 +268,43 @@ def test_verify_scenario_closed_loop_target(tmp_path):
     assert rep["evuas"] == "pass"
 
 
+def test_closed_loop_verify_newton_counts(tmp_path, monkeypatch):
+    # the benchmark's closed-loop sweep: one batched feedback solve per
+    # start time, whose iteration count is the number of J_U evaluations
+    doc = {
+        "name": "cubic_closed_loop", "seed": 3,
+        "stages": ["synthesize", "verify"],
+        "model": {"name": "cubic", "m": 1, "n": 2},
+        "perturbation": {"name": "cos_exp"},
+        "design": {"mode": "implicit", "poles": [[-1.0]], "a_h": "default"},
+        "verify": {"target": "closed-loop", "delta0": 0.5,
+                   "t0_grid": [0, 1, 2], "eps_levels": [0.5, 0.25],
+                   "horizon": 5.0, "samples": 3, "tol": 1e-6},
+    }
+    counts = {"solves": 0, "iterations": 0}
+    solving = []
+    solve, jacobian = ev.ImplicitController._solve, ev.model.jacobian_F_U
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    def counted_jacobian(*args):
+        counts["iterations"] += bool(solving)
+        return jacobian(*args)
+
+    monkeypatch.setattr(ev.ImplicitController, "_solve", counted_solve)
+    monkeypatch.setattr(ev.model, "jacobian_F_U", counted_jacobian)
+    run_scenario(doc, tmp_path / "o")
+    rep = json.loads((tmp_path / "o" / "stability_report.json").read_text())
+    assert rep["evuas"] == "pass" and not rep["sim_failures"]
+    assert counts == {"solves": 3, "iterations": 18}
+
+
 def test_tracking_scenario(tmp_path):
     out = run_scenario("tracking_demo", tmp_path / "o")
     rows = _read_csv(tmp_path / "o" / "trajectory.csv")

@@ -1,5 +1,7 @@
 import functools
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import newton_reference, place_reference
 
 import evuas as ev
-from evuas.synthesis import closed_loop_matrix
+from evuas.synthesis import _newton_steps, closed_loop_matrix
 
 
 # --- error-polynomial designs
@@ -190,6 +192,28 @@ def test_nonsingular_reports():
     assert not r.levy_desplanques and not r.numeric_nonsingular
 
 
+@pytest.mark.parametrize("call, message", [
+    # complex values raised a bare TypeError, None gave a NaN 0-d gain and
+    # the empty matrix passed as diagonally dominant but not nonsingular
+    (lambda: ev.check_nonsingular([[1 + 1j]]),
+     "b: expected real values, got values of dtype complex128"),
+    (lambda: ev.check_nonsingular(np.zeros((0, 0))),
+     "b: expected a non-empty square matrix, got shape (0, 0)"),
+    (lambda: ev.check_nonsingular([[1.0, 2.0]]),
+     "b: expected a non-empty square matrix, got shape (1, 2)"),
+    (lambda: ev.LinearController([[1 + 1j, 0]]),
+     "gain: expected real values, got values of dtype complex128"),
+    (lambda: ev.LinearController(None),
+     "gain: expected real values, got None"),
+    (lambda: ev.LinearController(np.zeros((1, 0))),
+     "gain: expected a non-empty (m, m*n) matrix, got shape (1, 0)"),
+], ids=["nonsingular_complex", "nonsingular_empty", "nonsingular_1x2",
+        "gain_complex", "gain_none", "gain_empty"])
+def test_synthesis_matrices_are_read_by_the_package_rules(call, message):
+    with pytest.raises(ev.ShapeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # --- implicit feedback
 
 def test_affine_chain_closed_form():
@@ -353,6 +377,72 @@ def test_batched_newton_covers_every_failure():
     with pytest.raises(ev.NewtonError, match="no convergence in 1") as exc:
         stalled.solve(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert exc.value.row == 1 and exc.value.iterations == 1
+
+
+def _lapack_steps(jac, r):
+    # the generic path's fallback: one LAPACK solve per row
+    step, singular = np.zeros_like(r), np.zeros(len(r), dtype=bool)
+    for i in range(len(r)):
+        try:
+            step[i] = np.linalg.solve(jac[i], -r[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return step, singular
+
+
+def _same_bits(got, want):
+    # equal values with equal signs (so -0.0 is not 0.0), or NaN for NaN
+    both_nan = np.isnan(got) & np.isnan(want)
+    return bool(np.all(both_nan | ((got == want)
+                                   & (np.signbit(got) == np.signbit(want)))))
+
+
+_TINY = 2.2250738585072014e-308       # the smallest normal float
+_SIGNS = st.sampled_from([1.0, -1.0])
+_JACOBIAN_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, _TINY, -_TINY]),
+    st.floats(-_TINY, _TINY, allow_subnormal=True),
+    st.builds(lambda sign, exp, mant: sign * mant * 10.0 ** exp, _SIGNS,
+              st.integers(-300, 299), st.floats(1.0, 10.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_one_input_newton_step_is_the_lapack_solve(data):
+    # with m = 1 the step is a division: each row's step and singular flag
+    # must be LAPACK's bit for bit, and no warning may be raised
+    rows = data.draw(st.integers(1, 8))
+    jac = np.array(data.draw(st.lists(_JACOBIAN_ENTRIES, min_size=rows,
+                                      max_size=rows))).reshape(rows, 1, 1)
+    r = np.array(data.draw(st.lists(st.one_of(_JACOBIAN_ENTRIES, st.floats()),
+                                    min_size=rows, max_size=rows)))[:, None]
+    want, want_singular = _lapack_steps(jac, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, singular = _newton_steps(jac, r)
+    assert got.shape == r.shape and singular.shape == (rows,)
+    assert np.array_equal(singular, want_singular)
+    assert _same_bits(got, want)
+
+
+def test_only_a_one_input_newton_step_skips_lapack(monkeypatch, rng):
+    calls, lapack = [], np.linalg.solve
+
+    def solve(a, b):
+        calls.append(a.shape)
+        return lapack(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    jac1, r1 = rng.standard_normal((5, 1, 1)), rng.standard_normal((5, 1))
+    jac1[2] = 0.0
+    step, singular = _newton_steps(jac1, r1)
+    assert calls == [] and singular.tolist() == [False, False, True, False,
+                                                 False]
+    jac2, r2 = rng.standard_normal((5, 2, 2)), rng.standard_normal((5, 2))
+    step, singular = _newton_steps(jac2, r2)
+    assert calls == [(5, 2, 2)] and not singular.any()
+    assert np.array_equal(step, lapack(jac2, -r2[..., None])[..., 0])
 
 
 def test_linear_controller_batch_rows_are_one_state_values(rng):
