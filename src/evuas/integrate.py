@@ -10,34 +10,35 @@ marching across whole oscillation periods of phases like t**4.
 
 Capped phases such as t**4 take hundreds of thousands of steps, so the step
 loop keeps its bookkeeping small, and no array but the stored copy of an
-accepted state (or its dense-output samples) and the time rows of W is
-allocated in a step: the current state is row 0 of one buffer of eight
-rows and the seven stages are rows 1-7, and the tableau is one (7, 8)
-array whose column 0 weighs the state.  Each step writes it, scaled by the
-step, into a buffer made once per call and refills column 0 with 1 on the
-stage rows; then every stage input, the new state and the error
-estimate's numerator is one dot product of a row of that buffer with the
-state and stages: one numpy call each.  Stages 1-5 and the new state
-write their inputs into buffers of their own and the error estimate and
-its scale into preallocated vectors, all through views made once per call;
-an accepted state is copied where it is stored.
+accepted state (or its dense-output samples), the stage times and what
+w(t) or D(t) return is allocated in a step: the current state is row 0 of
+one buffer of eight rows and the seven stages are rows 1-7, and the
+tableau is one (7, 8) array whose column 0 weighs the state.  Each step
+writes it, scaled by the step, into a buffer made once per call and
+refills column 0 with 1 on the stage rows; then every stage input, the new
+state and the error estimate's numerator is one dot product of a row of
+that buffer with the state and stages: one numpy call each.  Stages 1-5
+and the new state write their inputs into buffers of their own and the
+error estimate and its scale into preallocated vectors, all through views
+made once per call; an accepted state is copied where it is stored.
 
 Every system that :mod:`evuas.simulate` integrates has the form
 x' = A x + (0, g(t, x)), with g feeding the last ``width`` entries and
 g(t, x) = [1, s(t, x)] R(t): time rows R(t) of t alone (w(t) of a time
 signal, or a zero row over D(t)^T of a factored disturbance, which weighs
 s = K(x)), and a state part s with p entries (none for a time signal).
-The time rows' shape at t0, (1, 1 + p, width), gives p and the width.
-So each state is stored as the row [x, 1, s], and each stage derivative is
-one product, x' = [x, 1, s] M(t), with M(t) the (q, q) matrix, q = dim + 1
-+ p, that holds A^T over x and R(t) over [1, s] in the columns of the last
-``width`` entries, and zero columns past dim.  The stage rows' entries past
-x are therefore zero, and each stage input keeps the state's 1.  The time
-rows come from one call per attempted step on the step's five stage times
-(the fifth and the last stage share the new time), which fills the five
-M(t) of the step at once; the state part writes s into a stage's input
-before its product.  A plain x' = rhs(t, x) is the case A = 0, R = [0; I]
-and s = rhs(t, x), in the same step loop.
+The shape of R, (1 + p, width), gives p and the width.  So each state is
+stored as the row [x, 1, s], and each stage derivative is one product,
+x' = [x, 1, s] M(t), with M(t) the (q, q) matrix, q = dim + 1 + p, that
+holds A^T over x and R(t) over [1, s] in the columns of the last ``width``
+entries, and zero columns past dim.  The stage rows' entries past x are
+therefore zero, and each stage input keeps the state's 1.  The rows of R
+constant in t are written into the five M(t) of a step once per call, and
+the others over them in place by one call per attempted step on its five
+stage times (the fifth and the last stage share the new time); the state
+part writes s into a stage's input before its product.  A plain
+x' = rhs(t, x) is the case A = 0, R = [0; I] and s = rhs(t, x), in the
+same step loop.
 
 The cap depends on t only, so many initial states of one system take nearly
 the same steps.  A batch of N states, given as an (N, dim) array, is
@@ -252,6 +253,27 @@ def _initial_step(probe, t0, y0, f0, t_end, tol, cap):
     return h
 
 
+def _peak_norm(r):
+    """() -> max_i |r_i| / sqrt(dim) over the rows of the (N, dim) array r,
+    as math.sqrt(float(np.einsum("ij,ij->i", r, r).max()) / dim) bit for
+    bit, NaN included, but without ndarray.max and np.einsum's Python
+    wrappers up to dim 2 (einsum sums three or more as no ufunc does)."""
+    dim = r.shape[1]
+    sq, peak = np.empty(r.shape), np.maximum.reduce
+    a, b = sq[:, 0], sq[:, -1]
+    if dim == 1:
+        col = r[:, 0]
+        return lambda: math.sqrt(float(peak(np.multiply(col, col, out=a))))
+    if dim > 2:
+        return lambda: math.sqrt(float(peak(np.einsum(
+            "ij,ij->i", r, r, out=a))) / dim)
+
+    def norm():
+        np.multiply(r, r, out=sq)
+        return math.sqrt(float(peak(np.add(a, b, out=a))) / 2)
+    return norm
+
+
 def _non_finite(t_new, t, x):
     return IntegrationError(f"non-finite state at t={t_new}", t_last=t,
                             x_last=x.copy(), reason="non-finite")
@@ -285,7 +307,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     x' = [x, 1, s] M(t), where M(t) holds A^T over x and the time rows
     R(t) over [1, s], in the columns of the last ``width`` entries; so
     g(t, x) = [1, s] R(t).  The width, like p, is read from the shape of
-    the time rows at t0.
+    the time rows R.
 
     Parameters
     ----------
@@ -320,18 +342,18 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         t0 is always included as the first sample.
     a : array_like, optional, keyword-only
         The (dim, dim) matrix A of x' = A x + (0, g(t, x)).
-    time_part : callable, optional, keyword-only
-        The time rows, ``time_part(ts)`` on a 1-d array of T times: an
-        array (T, 1 + p, width) whose row 0 at each time is the part of g
-        of t alone and whose rows 1 to p weigh s.  Its shape at t0 sets p
-        and the width, the number of last entries of a state that g feeds:
-        it must be (1, 1 + p, width) with p >= 0 and 1 <= width <= dim,
-        else ShapeError before the first step.  It is called once per
-        attempted step, on the step's five stage times (a Dormand-Prince
-        step has six stages, its fifth and last at the new time), plus
-        once at t0 for the first derivative and once for the initial-step
-        probe.  Without it, R = [0; I] and s = g(t, x) itself, of p = dim
-        entries.  A plain ``integrate(rhs, ...)`` is that case with A = 0.
+    time_part : (rows, fill), optional, keyword-only
+        The time rows R, (1 + p, width): row 0 is the part of g of t alone
+        and rows 1 to p weigh s.  The array ``rows`` holds R's rows that
+        do not change with t; its shape sets p and the width of g, with
+        p >= 0 and 1 <= width <= dim, else ShapeError before the first
+        step.  ``fill(ts, out)``, None when R is constant, writes the other
+        rows at a 1-d array of T times into ``out``, a (T, 1 + p, width)
+        view of the M(t) holding ``rows``: once per attempted step on its
+        five stage times (a Dormand-Prince step has six stages, its fifth
+        and last at the new time), at t0 and at the initial-step probe.
+        Without it, R = [0; I] and s = g(t, x) itself, of p = dim entries.
+        A plain ``integrate(rhs, ...)`` is that case with A = 0.
 
     The diagnostics count in ``n_rhs`` the stage derivatives taken: six
     per attempted step, plus the first derivative and the probe.
@@ -350,13 +372,13 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     if a is None:
         a, time_part, rhs = np.zeros((dim, dim)), None, _whole(rhs, shape)
     a_t = _shaped(a, (dim, dim), "a").T
-    time_rows = (np.vstack([np.zeros(dim), np.eye(dim)])[None]
-                 if time_part is None else time_part(np.array([t0])))
-    got = np.shape(time_rows)
-    if len(got) != 3 or got[0] != 1 or got[1] < 1 or not 1 <= got[2] <= dim:
-        raise ShapeError(f"time_part: expected shape (1, 1 + p, width) at "
-                         f"t0, with 1 <= width <= {dim}, got {got}")
-    p, width = got[1] - 1, got[2]
+    rows_t, fill = ((np.vstack([np.zeros(dim), np.eye(dim)]), None)
+                    if time_part is None else time_part)
+    got = np.shape(rows_t)
+    if len(got) != 2 or got[0] < 1 or not 1 <= got[1] <= dim:
+        raise ShapeError(f"time_part: expected rows of shape (1 + p, width), "
+                         f"with 1 <= width <= {dim}, got {got}")
+    p, width = got[0] - 1, got[1]
     lo = dim - width
     q = dim + 1 + p                        # the entries of [x, 1, s]
 
@@ -387,7 +409,9 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     mats = np.zeros((5, q, q))
     mats[:, :dim, :dim] = a_t
     time_block = mats[:, dim:, lo:dim]
-    time_block[...] = time_rows
+    time_block[...] = rows_t
+    if fill is not None:
+        fill(np.array([t0]), time_block[:1])
     # every buffer of the step and every view of one, made once: the stage
     # rows as [x, 1, s] and their x, the tableau's rows scaled by the step
     # (column 0 refilled with the state's weight 1 after each scaling), the
@@ -399,7 +423,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     abs_y = np.abs(y[:n_sums])
     abs_new, scale, r = np.empty((3, n_sums))
     r_x = r if rows == 1 else r.reshape(rows, q)[:, :dim]
-    r_col, row_sq = r_x[..., 0], np.empty(rows)
+    peak_norm = None if rows == 1 else _peak_norm(r_x)
     bufs = np.repeat(y[None], 6, axis=0)
     stages = []
     for i, buf in enumerate(bufs[:5], start=1):
@@ -410,7 +434,8 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     y_new, new_sums = bufs[5], bufs[5, :n_sums]
     z_new = y_new.reshape(shape_q)
     x_new, s_new = z_new[..., :dim], z_new[..., dim + 1:]
-    k0_x, k6_x = K_q[0][..., :dim], K_q[6][..., :dim]
+    k_first, k_last, k_last_q, m_new = K[0], K[6], K_q[6], mats[4]
+    k0_x, k6_x = K_q[0][..., :dim], k_last_q[..., :dim]
 
     out_t = [t0]
     out_y = [y_x.copy()]
@@ -432,13 +457,14 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         def probe(h0):
             # x' at (t0 + h0, x0 + h0 f0), as a new array
             z = (y + h0 * K[0]).reshape(shape_q)
-            if time_part is not None:
-                time_block[0] = time_part(np.array([t0 + h0]))[0]
+            if fill is not None:
+                fill(np.array([t0 + h0]), time_block[:1])
             if p:
                 rhs(t0 + h0, z[..., :dim], z[..., dim + 1:])
             return z.dot(mats[0])[..., :dim]
 
         cap = _step_cap(freq_hint)
+        c1, c2, c3, c4 = _NODES
         h = _initial_step(probe, t, x0, k0_x, t_end, tol, cap(t))
 
         n_accepted = 0
@@ -473,10 +499,10 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
             hh = h_eff
             np.multiply(_TABLEAU, hh, out=coef)
             state_weight.fill(1.0)
-            times = [t + node * hh for node in _NODES]
-            times.append(t_new)
-            if time_part is not None:
-                time_block[...] = time_part(np.array(times))
+            times = (t + c1 * hh, t + c2 * hh, t + c3 * hh, t + c4 * hh,
+                     t_new)
+            if fill is not None:
+                fill(np.array(times), time_block)
             for (row, buf, z, x_i, s_i, k_i, m_i), t_i in zip(stages, times):
                 row.dot(sums, out=buf)
                 if p:
@@ -485,7 +511,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
             coef_rows[5].dot(sums, out=new_sums)
             if p:
                 rhs(t_new, x_new, s_new)
-            z_new.dot(mats[4], out=K_q[6])
+            z_new.dot(m_new, out=k_last_q)
             n_rhs += 6
 
             # a non-finite y_new is caught before the division (its squared
@@ -503,15 +529,8 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
             scale += tol
             coef_rows[6].dot(sums, out=r)
             r /= scale
-            if rows == 1:
-                err = math.sqrt(float(r_x.dot(r_x)) / dim)
-            else:
-                # each row's sum of squares: a one-entry row's is its square
-                if dim == 1:
-                    np.multiply(r_col, r_col, out=row_sq)
-                else:
-                    np.einsum("ij,ij->i", r_x, r_x, out=row_sq)
-                err = math.sqrt(float(row_sq.max()) / dim)
+            err = (math.sqrt(float(r_x.dot(r_x)) / dim) if rows == 1
+                   else peak_norm())
             if not err < math.inf and not np.isfinite(K[6]).all():
                 raise _non_finite(t_new, t, y_x)
 
@@ -531,7 +550,7 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                 t = t_new
                 abs_y, abs_new = abs_new, abs_y
                 y[:] = y_new
-                K[0] = K[6]
+                k_first[...] = k_last
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** -0.2)
                 if rejected_last:

@@ -200,7 +200,7 @@ def _object(*fields):
 _SCHEMA = _object(
     _Field("name", _string, _REQUIRED),
     _Field("description", _string, ""),
-    _Field("seed", _integer, 0),
+    _Field("seed", _at_least(0), 0),
     _Field("norm", _one_of(NORM_IDS), "euclidean"),
     _Field("outputs", _object(
         _Field("formats", _list_of(_one_of(_FORMATS)), ["csv", "json"])),
@@ -224,7 +224,8 @@ _SCHEMA = _object(
         _Field("t_horizon", _positive, 20.0),
         _Field("quad_tol", _positive, 1e-8),
         _Field("profile_grid",
-               _rule(_numbers, _increasing, "strictly increasing")))),
+               _rule(_numbers, lambda g: g and _increasing(g),
+                     "non-empty and strictly increasing")))),
     _Field("simulate", _object(
         _Field("kind", _one_of(_SIMULATE_KINDS), _REQUIRED),
         _Field("t0", _number, 0.0),

@@ -20,18 +20,18 @@ factories), factored disturbances and state terms are integrated.
 Error-dynamics and closed-loop runs take one flat state (dim,) or an
 (N, dim) batch, one state per row, with one shared step (the Monte-Carlo
 sweeps of :mod:`evuas.verify` use this); tracking runs take one flat
-state.  One builder, :func:`_stage_parts`, gives every integrated run
-its time rows, read once per attempted step on the step's five stage
-times, and its state part, with K at the true state x + X_d(t) of a
-tracking run; the time rows are m wide, which sets the width of g for
-integrate.  W's width is checked once per run, and K on every row at
-t0; every value of w, D and K is checked by the
-rules of :meth:`~evuas.model.PerturbationSpec.evaluate` (else ShapeError
-naming the factor, and the time or times where it is at fault; t0 at the
-first call), and a non-finite W stops the run with an IntegrationError
-(or with F's EvaluationError, where F meets the non-finite stage state
-first).  F goes through :meth:`evuas.model.SystemModel.eval_f`, checked
-on every call.
+state.  One builder, :func:`_stage_parts`, sets up once per run the time
+rows of every integrated run (the rows constant in t, with w(t) or
+D(t)^T written over them once per attempted step) and its state part,
+with K at the true state x + X_d(t) of a tracking run; the time rows are
+m wide, which sets the width of g for integrate.  W's width is checked
+once per run, and K on every row at t0; every value of w, D and K is
+checked by the rules of :meth:`~evuas.model.PerturbationSpec.evaluate`
+(else ShapeError naming the factor, and the time or times where it is at
+fault; t0 at the first call), and a non-finite W stops the run with an
+IntegrationError (or with F's EvaluationError, where F meets the
+non-finite stage state first).  F goes through
+:meth:`evuas.model.SystemModel.eval_f`, checked on every call.
 
 An implicit controller defines U = G(X) by the closing residual
 shift(X) + F(X, U) - A_H e(X) = 0, which cancels F: on the closed loop the
@@ -62,35 +62,31 @@ _ADMISSIBLE_GRID = 17       # sample times of the admissibility check
 
 def _stage_parts(pert, width, t0, x0, track=None, term=None):
     """W(t, x_true) + term(x), in the last ``width`` entries of x', as
-    integrate's [1, s] R(t): ``(time_rows, state)`` for a run from t0 whose
+    integrate's [1, s] R(t): ``(time_part, state)`` for a run from t0 whose
     state (a flat state or an (N, dim) batch) is x0 there, with
     x_true = x + X_d(t) for the deviation from a reference ``track``.
 
-    ``time_rows(ts)``, on a 1-d array of T times, returns R, (T, 1 + p,
-    width): row 0 is w(t) for a time signal and zero otherwise, then the
-    identity over term(x), then D(t)^T over K(x_true) for a factored W.
-    ``state(t, x, out)`` writes s = (term(x), K(x_true)) into ``out``, (p,)
-    or (N, p), and is None when p is 0.  K is checked on every row of x0
-    here; every value of w, D and K is checked by the rules of
+    ``time_part`` is integrate's ``(rows, fill)`` for R, (1 + p, width):
+    row 0 is w(t) for a time signal and zero otherwise, then the identity
+    over term(x), then D(t)^T over K(x_true) for a factored W.  ``state(t,
+    x, out)`` writes s = (term(x), K(x_true)) into ``out``, (p,) or (N, p),
+    and is None when p is 0.  K is checked on every row of x0 here; every
+    value of w, D and K is checked by the rules of
     :meth:`~evuas.model.PerturbationSpec.evaluate`, and ShapeError names
     the spec, the times (t0 at the first call) and the factor.
     """
     kind = "zero" if pert is None else pert.kind
-    if kind == "time" and term is None:
-        return (lambda ts: pert._factor(ts, t0).T[:, None]), None
     factored = kind == "factored"
     p = width * ((term is not None) + factored)
-    eye = np.eye(width)
-
-    def time_rows(ts):
-        rows = np.zeros((ts.size, 1 + p, width))
-        if kind == "time":
-            rows[:, 0] = pert._factor(ts, t0).T
-        if term is not None:
-            rows[:, 1:1 + width] = eye
-        if factored:
-            rows[:, 1 + p - width:] = pert._factor(ts, t0).transpose(2, 1, 0)
-        return rows
+    rows = np.zeros((1 + p, width))
+    if term is not None:
+        rows[1:1 + width] = np.eye(width)
+    if kind == "time":
+        def fill(ts, out):
+            out[:, 0] = pert._factor(ts, t0).T
+    else:
+        def fill(ts, out):
+            out[:, 1 + p - width:] = pert._factor(ts, t0).transpose(2, 1, 0)
 
     if factored:
         pert._k(x0 if track is None else x0 + flatten_state(track.value(t0)),
@@ -113,7 +109,7 @@ def _stage_parts(pert, width, t0, x0, track=None, term=None):
             if getattr(v, "shape", None) != out.shape or v.dtype.kind != "f":
                 v = pert._k(x, pert._where(f"t={t}"))
             out[...] = v
-    return time_rows, state if p else None
+    return (rows, None if kind == "zero" else fill), state if p else None
 
 
 def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
@@ -137,10 +133,10 @@ def _run_linear(a, pert, width, x0, t0, t_end, tol, sample_times,
                                              chirp.c]))
             for chirp in pert.terms]
         return propagate_linear(a, terms, t0, x0, t_end, sample_times)
-    time_rows, state = _stage_parts(pert, width, t0, x0, track, term)
+    time_part, state = _stage_parts(pert, width, t0, x0, track, term)
     return integrate(state, t0, x0, t_end, tol=tol,
                      freq_hint=None if pert is None else pert.freq_hint,
-                     sample_times=sample_times, a=a, time_part=time_rows)
+                     sample_times=sample_times, a=a, time_part=time_part)
 
 
 def _report_inputs(traj, m, solve):

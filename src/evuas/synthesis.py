@@ -25,7 +25,7 @@ import numpy as np
 from . import model as _model
 from ._expm import expm
 from .errors import DesignError, NewtonError, ShapeError
-from .integrate import _positive, _real, _stack
+from .integrate import _positive, _real, _shaped, _stack
 from .norms import point_norms, unit_directions
 
 NEWTON_TOL = 1e-12
@@ -396,21 +396,22 @@ class ImplicitController:
 
         Solves shift_term(delta) + F(f_state, U) + offset - A_H e(delta) = 0;
         the offset carries the reference feedforward, (m,) or one row per
-        state.  Shapes are as for :meth:`solve`, ``f_state`` laid out as
-        ``delta_flat``.
+        state.  Shapes are as for :meth:`solve`, ``f_state`` real and of
+        the shape of ``delta_flat`` (else ShapeError naming it).
         """
-        return self._solve(delta_flat,
-                           f_state=np.asarray(f_state, dtype=float),
-                           offset=offset)
+        return self._solve(delta_flat, (f_state, offset))
 
-    def _solve(self, x_flat, f_state=None, offset=None):
+    def _solve(self, x_flat, shift=None):
+        """:meth:`solve`, or with ``shift`` the (f_state, offset) of
+        :meth:`solve_shifted`."""
         model, m, tol = self.model, self.model.m, self.tol
         x_flat = _stack(x_flat, model.state_dim, "state")
-        x = np.atleast_2d(x_flat)
-        x_eval = x if f_state is None else f_state.reshape(x.shape)
+        x = x_eval = np.atleast_2d(x_flat)
         free = input_free_term(x, self.design.gamma, self.hurwitz.a_h,
                                m, model.n)
-        if offset is not None:
+        if shift is not None:
+            f_state, offset = shift
+            x_eval = _shaped(f_state, x_flat.shape, "f_state").reshape(x.shape)
             free = free + offset
 
         u = np.zeros((len(x), m))
@@ -554,22 +555,25 @@ def coercivity_probe(model, x_samples, ray_count=16, radii=(1.0, 10.0, 100.0, 10
     sampling proves nothing either way, hence the naming.  A ray on which F
     fails arithmetically (EvaluationError for a non-finite value, overflow)
     is listed in "excluded"; any other exception propagates.  At least
-    one probe state and one ray are required (ValueError).
+    one probe state and one ray are required (ValueError).  Real ``radii``
+    and ``x_samples`` only, else ShapeError; ``x_samples`` is array-like,
+    one state or a stack of them (a generator is not, and raises
+    ShapeError).
     """
-    radii = np.asarray(radii, dtype=float)
+    radii = _real(radii, "radii")
     if radii.size < 3 or not np.isfinite(radii).all() \
             or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be at least 3 finite, increasing values")
-    x_samples = list(x_samples)
-    if not x_samples:
+    x_samples = _real(x_samples, "x_samples")
+    if not x_samples.size:
         raise ValueError("x_samples must hold at least one probe state")
+    x_samples = np.atleast_2d(_stack(x_samples, model.state_dim, "x_samples"))
     ray_count = _model._size("ray_count", ray_count)
     rays = unit_directions(model.m, ray_count, np.random.default_rng(seed))
 
     data = []       # (state index, ray index) -> cost per radius
     excluded = []
     for xi, x in enumerate(x_samples):
-        x = np.asarray(x, dtype=float)
         for ri, d in enumerate(rays):
             costs = []
             try:

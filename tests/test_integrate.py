@@ -565,6 +565,35 @@ def test_batch_error_control_is_per_row():
         ev.integrate(lambda t, x: x[0], 0.0, np.ones((3, 2)), 1.0)
 
 
+_NORM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e200, math.nan]),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.floats(-1e160, 1e160), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batch_error_norm_is_the_einsum_max_bit_for_bit(data):
+    # a batch's error norm is the largest of its rows' RMS norms, read from
+    # a view of the wider stage rows at each call; it must be the einsum
+    # and ndarray.max form bit for bit, a NaN anywhere included (Python's
+    # max would drop it, depending on where it sits)
+    dim, rows = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+    wide = np.zeros((rows, dim + 3))
+    r = wide[:, :dim]
+    norm = integrate_module._peak_norm(r)
+    # extreme entries, then moderate ones, where another order of the
+    # row sums would round otherwise
+    for entries in (_NORM_ENTRIES, st.floats(-4.0, 4.0)):
+        r[...] = np.reshape(data.draw(st.lists(
+            entries, min_size=rows * dim, max_size=rows * dim)), (rows, dim))
+        with np.errstate(over="ignore"):
+            want = math.sqrt(float(np.einsum("ij,ij->i", r, r).max()) / dim)
+            got = norm()
+        assert got == want or math.isnan(got) and math.isnan(want)
+
+
 @pytest.mark.parametrize("x0, match", [
     (np.zeros(0), "got (0,)"), (np.zeros((3, 0)), "got (3, 0)"),
     (np.zeros((0, 2)), "got (0, 2)"),
@@ -581,27 +610,53 @@ def test_an_empty_state_is_rejected_before_any_rhs_call(x0, match):
         ev.integrate(never_called, 0.0, x0, 1.0)
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (2, 1, 2), (1, 0, 2), (1, 1, 0),
-                                   (1, 1, 3), (1, 1, 2, 1)],
-                         ids=["2d", "two_times", "no_row", "width_0",
+@pytest.mark.parametrize("shape", [(2,), (2, 1, 2), (0, 2), (1, 0), (1, 3),
+                                   (1, 1, 2, 1)],
+                         ids=["1d", "two_times", "no_row", "width_0",
                               "width_3", "4d"])
 def test_time_rows_of_another_shape_are_rejected_before_any_step(shape):
-    # the time rows at t0 set p and the width g feeds: they must be
-    # (1, 1 + p, width) with 1 <= width <= dim, here 2
+    # the constant time rows set p and the width g feeds: they must be
+    # (1 + p, width) with 1 <= width <= dim, here 2, with no axis of times,
+    # and fill never runs
     times = []
 
-    def time_part(ts):
+    def fill(ts, out):
         times.append(ts.tolist())
-        return np.zeros(shape)
 
     def never_called(t, x, out):
         raise AssertionError("state part ran")
     with pytest.raises(ev.ShapeError, match=re.escape(
-            "time_part: expected shape (1, 1 + p, width) at t0, with "
+            "time_part: expected rows of shape (1 + p, width), with "
             f"1 <= width <= 2, got {shape}")):
         ev.integrate(never_called, 0.5, np.ones(2), 1.0, a=-np.eye(2),
-                     time_part=time_part)
-    assert times == [[0.5]]
+                     time_part=(np.zeros(shape), fill))
+    assert times == []
+
+
+def test_time_rows_are_written_in_place_once_per_attempted_step():
+    # fill writes the rows that change with t into the M(t) blocks: at t0,
+    # at the initial-step probe and once per attempted step on its five
+    # stage times, each time into the same (T, 1 + p, width) blocks; the
+    # rows constant in t keep what the run started with.  Here
+    # x' = -x + w(t) with w(t) = 1 and a constant state part s = x0 under an
+    # identity row, so x' = -x + 1 + 1 and x(t) = 2 - e^-t
+    calls = []
+
+    def fill(ts, out):
+        calls.append((ts.copy(), out.shape, out.base is not None))
+        out[:, 0] = 1.0
+
+    def state(t, x, out):
+        out[...] = 1.0
+    traj = ev.integrate(state, 0.0, [1.0], 1.0, tol=1e-10, a=[[-1.0]],
+                        time_part=(np.array([[7.0], [1.0]]), fill))
+    assert np.allclose(traj.states[:, 0], 2.0 - np.exp(-traj.times),
+                       rtol=0.0, atol=1e-9)
+    steps = traj.diagnostics["n_accepted"] + traj.diagnostics["n_rejected"]
+    assert [ts.size for ts, _, _ in calls] == [1, 1] + [5] * steps
+    assert calls[0][0].tolist() == [0.0]
+    assert all(view for _, _, view in calls)
+    assert [shape for _, shape, _ in calls[2:]] == [(5, 2, 1)] * steps
 
 
 def test_two_dimensional_x0_is_always_a_batch():

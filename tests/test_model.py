@@ -399,6 +399,20 @@ def test_perturbation_rejects_a_dim_it_does_not_have(name):
         ev.make_perturbation(name, dim=3)
 
 
+def _time_rows(time_part, ts):
+    """The time rows of _stage_parts at the 1-d array ts, (T, 1 + p, width),
+    as integrate writes them into the M(t) of a step: the rows constant in
+    t once, then ``fill`` over them, in a block strided as integrate's."""
+    rows, fill = time_part
+    width = rows.shape[1]
+    mats = np.full((ts.size,) + (width + rows.shape[0],) * 2, np.nan)
+    block = mats[:, width:, :width]
+    block[...] = rows
+    if fill is not None:
+        fill(ts, block)
+    return block
+
+
 def _random_factored(dim, seed):
     # a dense D, so a batched product summing in another order would show
     d = np.random.default_rng(seed).standard_normal((dim, dim))
@@ -422,8 +436,8 @@ def test_batched_evaluate_rows_are_one_state_values(name, rng):
         return
     # W from the time rows of an integrated run, R(t): w(t) in row 0, or
     # K(x) against D(t)^T in rows 1 to dim, one time and state at a time
-    time_rows, state = _stage_parts(pert, pert.dim, ts[0], xs)
-    rows = time_rows(ts)
+    time_part, state = _stage_parts(pert, pert.dim, ts[0], xs)
+    rows = _time_rows(time_part, ts)
     for i, t in enumerate(ts.tolist()):
         for j, x in enumerate(xs):
             if state is None:
@@ -445,9 +459,9 @@ def test_time_rows_of_a_step_are_evaluate_bit_for_bit(name):
     pert = ev.make_perturbation(name)
     t, h = 1.3, 0.01
     ts = t + h * np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-    time_rows, state = _stage_parts(pert, pert.dim, t,
+    time_part, state = _stage_parts(pert, pert.dim, t,
                                     np.zeros(pert.state_dim))
-    rows = time_rows(ts)
+    rows = _time_rows(time_part, ts)
     if pert.kind == "time":
         assert state is None and rows.shape == (5, 1, pert.dim)
         want = pert.evaluate(ts, np.zeros(pert.state_dim))[:, 0]
@@ -458,6 +472,44 @@ def test_time_rows_of_a_step_are_evaluate_bit_for_bit(name):
         assert not rows[:, 0].any()
         want = unit.evaluate(ts, np.eye(pert.dim))
         assert rows[:, 1:].tobytes() == want.tobytes()
+
+
+def _allocated_rows(pert, width, ts, term):
+    # the time rows as one new array per call, from w and D themselves:
+    # w(t) in row 0, the identity over term(x), D(t)^T over K
+    p = width * ((term is not None) + (pert.kind == "factored"))
+    rows = np.zeros((ts.size, 1 + p, width))
+    if pert.kind == "time":
+        rows[:, 0] = np.reshape(pert.w(ts), (width, ts.size)).T
+    if term is not None:
+        rows[:, 1:1 + width] = np.eye(width)
+    if pert.kind == "factored":
+        rows[:, 1 + p - width:] = pert.d(ts).transpose(2, 1, 0)
+    return rows
+
+
+@pytest.mark.parametrize("ts", [[1.3], [1.31], 1.3 + 0.01 * np.array(
+    [1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])], ids=["t0", "probe", "step"])
+@pytest.mark.parametrize("kind", ["zero", "time", "factored", "term",
+                                  "term_factored", "tracking"])
+def test_time_rows_written_in_place_are_the_allocated_rows(kind, ts):
+    # the constant rows go into M(t) once per run and fill writes the others
+    # at the stage times: together the rows of one new array, bit for bit,
+    # at t0, at the initial-step probe's one time and at a step's five
+    name = ("example1_bounded" if "factored" in kind or kind == "tracking"
+            else "zero" if kind == "zero" else "vec_cos_sin_exp")
+    pert = ev.make_perturbation(name, dim=2) if kind == "zero" \
+        else ev.make_perturbation(name)
+    term = (lambda x: -x) if kind.startswith("term") else None
+    track = ev.make_reference("zero", m=1, n=2) if kind == "tracking" \
+        else None
+    time_part, state = _stage_parts(pert, 2, 1.3, np.full(2, 0.2), track,
+                                    term)
+    assert (time_part[1] is None) == (kind == "zero")
+    assert (state is None) == (kind in ("zero", "time"))
+    ts = np.asarray(ts)
+    rows = _time_rows(time_part, ts)
+    assert rows.tobytes() == _allocated_rows(pert, 2, ts, term).tobytes()
 
 
 @pytest.mark.parametrize("ts", [0.5, [[0.1, 0.2]], [], [0.1, math.nan]],

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import shlex
 from importlib import resources
 from pathlib import Path
@@ -102,6 +103,23 @@ def test_validate_rejects_empty_eps_levels():
     with pytest.raises(ev.ScenarioError, match="must be non-empty") as exc:
         validate_scenario(bad)
     assert exc.value.field == "verify.eps_levels"
+
+
+@pytest.mark.parametrize("field, doc, match", [
+    ("seed", {"seed": -1}, "seed: must be >= 0"),
+    ("classify.profile_grid",
+     {"classify": {"profile_grid": []}},
+     "classify.profile_grid: must be non-empty and strictly increasing")],
+    ids=["negative_seed", "empty_profile_grid"])
+def test_a_bad_seed_or_profile_grid_fails_before_any_stage(
+        tmp_path, field, doc, match):
+    # a seed of -1 failed inside classify, and an empty grid passed
+    doc = {**_bundled("remark1_bounds"), **doc}
+    out = tmp_path / "out"
+    with pytest.raises(ev.ScenarioError, match=re.escape(match)) as exc:
+        run_scenario(doc, str(out))
+    assert exc.value.field == field
+    assert not out.exists()
 
 
 def test_validate_eps_levels_ordering():

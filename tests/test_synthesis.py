@@ -538,6 +538,38 @@ def test_coercivity_probe_needs_a_ray_and_a_state(kwargs, match):
         ev.coercivity_probe(ev.make_model("cubic"), **args)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"x_samples": None}, "x_samples: expected real values, got None"),
+    ({"x_samples": [[1j, 0.0]]}, "x_samples: expected real values, got "
+     "values of dtype complex128"),
+    ({"x_samples": [np.zeros(3)]}, "x_samples: expected shape (2,) or "
+     "(N, 2), with N >= 1, got (1, 3)"),
+    ({"radii": None}, "radii: expected real values, got None"),
+    ({"radii": (1.0, 10j, 100.0)}, "radii: expected real values, got "
+     "values of dtype complex128")],
+    ids=["states_none", "states_complex", "states_width", "radii_none",
+         "radii_complex"])
+def test_coercivity_probe_reads_its_inputs_as_real_states(kwargs, match):
+    # a complex value or None raised a bare TypeError, or dropped the
+    # imaginary part with a warning
+    args = {"x_samples": [np.zeros(2)], **kwargs}
+    with pytest.raises(ev.ShapeError, match=re.escape(match)):
+        ev.coercivity_probe(ev.make_model("cubic"), **args)
+
+
+@pytest.mark.parametrize("f_state, match", [
+    (None, "f_state: expected real values, got None"),
+    ([1j, 0.0], "f_state: expected real values, got values of dtype "
+     "complex128"),
+    (np.zeros((2, 2)), "f_state: expected shape (2,), got (2, 2)")],
+    ids=["none", "complex", "shape"])
+def test_solve_shifted_reads_f_state_as_the_state(f_state, match):
+    # None raised a bare ValueError from a reshape, a complex value a bare
+    # TypeError
+    with pytest.raises(ev.ShapeError, match=re.escape(match)):
+        _controller("cubic").solve_shifted(np.zeros(2), f_state, np.zeros(1))
+
+
 def test_coercivity_excludes_failing_rays():
     def f(x, u):
         return np.where(u > 50.0, np.nan, u)
