@@ -8,47 +8,65 @@ constant or a function of t) and the step is additionally capped at an
 eighth of the local period, which keeps the controller from blindly
 marching across whole oscillation periods of phases like t**4.
 
-Capped phases such as t**4 take hundreds of thousands of steps, so the step
-loop keeps its bookkeeping small, and no array but the stored copy of an
-accepted state (or its dense-output samples), the stage times and what
-w(t) or D(t) return is allocated in a step: the current state is row 0 of
-one buffer of eight rows and the seven stages are rows 1-7, and the
-tableau is one (7, 8) array whose column 0 weighs the state.  Each step
-writes it, scaled by the step, into a buffer made once per call and
-refills column 0 with 1 on the stage rows; then every stage input, the new
-state and the error estimate's numerator is one dot product of a row of
-that buffer with the state and stages: one numpy call each.  Stages 1-5
-and the new state write their inputs into buffers of their own and the
-error estimate and its scale into preallocated vectors, all through views
-made once per call; an accepted state is copied where it is stored.
-
 Every system that :mod:`evuas.simulate` integrates has the form
 x' = A x + (0, g(t, x)), with g feeding the last ``width`` entries and
 g(t, x) = [1, s(t, x)] R(t): time rows R(t) of t alone (w(t) of a time
 signal, or a zero row over D(t)^T of a factored disturbance, which weighs
 s = K(x)), and a state part s with p entries (none for a time signal).
-The shape of R, (1 + p, width), gives p and the width.  So each state is
-stored as the row [x, 1, s], and each stage derivative is one product,
-x' = [x, 1, s] M(t), with M(t) the (q, q) matrix, q = dim + 1 + p, that
-holds A^T over x and R(t) over [1, s] in the columns of the last ``width``
-entries, and zero columns past dim.  The stage rows' entries past x are
-therefore zero, and each stage input keeps the state's 1.  The rows of R
-constant in t are written into the five M(t) of a step once per call, and
-the others over them in place by one call per attempted step on its five
-stage times (the fifth and the last stage share the new time); the state
-part writes s into a stage's input before its product.  A plain
-x' = rhs(t, x) is the case A = 0, R = [0; I] and s = rhs(t, x), in the
-same step loop.
+The shape of R, (1 + p, width), gives p and the width, and p the step a
+run takes.  A plain x' = rhs(t, x) is the case A = 0, R = [0; I] and
+s = rhs(t, x).
+
+Capped phases such as t**4 take hundreds of thousands of steps, so each
+step keeps its bookkeeping small: no array but the stored copy of an
+accepted state (or its dense-output samples), the stage times and what
+w(t), D(t) or the state part return is allocated in a step, and every
+product writes into a buffer made once per call, through views made once
+per call; an accepted state is copied where it is stored.
+
+With a state part (p >= 1: factored disturbances, loops closed by a gain,
+plain right-hand sides) each state is stored as the row [x, 1, s], and
+each stage derivative is one product, x' = [x, 1, s] M(t), with M(t) the
+(q, q) matrix, q = dim + 1 + p, that holds A^T over x and R(t) over
+[1, s] in the columns of the last ``width`` entries, and zero columns past
+dim.  The stage rows' entries past x are therefore zero, and each stage
+input keeps the state's 1.  The current state is row 0 of one buffer of
+eight rows and the seven stages are rows 1-7, and the tableau is one
+(7, 8) array whose column 0 weighs the state: each step writes it, scaled
+by the step, into a buffer and refills column 0 with 1 on the stage rows,
+so that every stage input, the new state and the error estimate's
+numerator is one dot product of a row of that buffer with the state and
+stages.  The rows of R constant in t are written into the five M(t) of a
+step once per call, and the others over them in place by one call per
+attempted step on its five stage times (the fifth and the last stage
+share the new time); the state part writes s into a stage's input before
+its product.
+
+Without one (p = 0: zero W, time signals, loops closed by an implicit
+controller, tracking under a time signal) x' = A x + B w(t) is linear in
+the state, and so is a step: y_new - y is y (P(h A^T) - I) plus h B times
+the w values at the step's six distinct stage times, each weighed by a
+polynomial in h A^T, and the error estimate's numerator likewise, P being
+the method's stability polynomial 1 + z + ... + z^6/600.  The
+polynomials' coefficients are derived once at import from the tableau,
+in float arithmetic, and their matrices, the step tensor D of
+G(h) = sum_m h^m D[m], once per call from the powers of A^T.  A step is
+one power of h, one product for G, one fill of w on the five stage times
+broadcast into the rows [y, w_0 ... w_5], and two products, for the
+increment and the error numerator (:func:`_affine_step`).  It stands for
+the stage loop's six stage derivatives, to rounding, and takes its steps.
 
 The cap depends on t only, so many initial states of one system take nearly
 the same steps.  A batch of N states, given as an (N, dim) array, is
-therefore stepped in that shape with one shared step: the flat
-(7, N*q) stage buffer holds N rows [x, 1, s], ``rhs`` sees their x and s
-through (N, dim) and (N, p) views, each stage derivative is one (N, q) by
-(q, q) product, and the error norm is the largest of the rows' own norms,
-so every row meets its own tolerance.  The Runge-Kutta sums of one state
-take its x alone, so that they round as those of an (8, dim) buffer,
-whatever p is.
+therefore stepped in that shape with one shared step, and the error norm
+is the largest of the rows' own norms, so every row meets its own
+tolerance.  In the stage loop the flat (7, N*q) stage buffer holds N rows
+[x, 1, s], ``rhs`` sees their x and s through (N, dim) and (N, p) views,
+and each stage derivative is one (N, q) by (q, q) product; the
+Runge-Kutta sums of one state take its x alone, so that they round as
+those of an (8, dim) buffer, whatever p is.  The affine step holds the
+rows [y, w_0 ... w_5] one per column, so that y, the new state and the
+error estimate are contiguous (dim, N) blocks.
 
 A linear system under a chirp-form forcing, x' = A x + w(t) with w the
 real part of a sum of c a(t) e^{i phase(t)}, needs no steps between
@@ -259,7 +277,7 @@ def _peak_norm(r):
     bit, NaN included, but without ndarray.max and np.einsum's Python
     wrappers up to dim 2 (einsum sums three or more as no ufunc does)."""
     dim = r.shape[1]
-    sq, peak = np.empty(r.shape), np.maximum.reduce
+    sq, peak = np.empty_like(r), np.maximum.reduce    # in r's memory order
     a, b = sq[:, 0], sq[:, -1]
     if dim == 1:
         col = r[:, 0]
@@ -298,16 +316,281 @@ def _whole(rhs, shape):
     return state
 
 
+def _stage_step(rhs, a_t, rows_t, fill, t0, x0, tol):
+    """The Dormand-Prince step on the stages [x, 1, s] M(t) of a run with a
+    state part s of p >= 1 entries: ``(y_x, x_new, k0, k0_x, probe, attempt,
+    accept, slopes)``, as :func:`integrate` takes them.
+
+    y_x and x_new are views, in x0's shape, of the step's state and of the
+    new state an attempt writes; k0 is the derivative at t0, whose entries
+    past x the finiteness check sees too, and k0_x its x.  ``probe(h0)``
+    returns x' at (t0 + h0, x0 + h0 f0) as a new array, ``attempt(t, h,
+    t_new)`` steps from t by h and returns the error norm, ``accept()``
+    makes the new state the step's, and ``slopes()`` returns x' at the two
+    ends of the last attempted step."""
+    shape, dim = x0.shape, x0.shape[-1]
+    rows, (p, width) = x0.size // dim, np.shape(rows_t)
+    p -= 1                                 # the rows of R past row 0
+    q = dim + 1 + p                        # the entries of [x, 1, s]
+    # the state row, one flat vector with batch rows back to back, then the
+    # stages; FSAL carries K[6] into K[0].  M's columns past dim are zero,
+    # so every stage row's entries past its x are zero and each stage input
+    # (1, h a_i) . (y, K) keeps y's 1.  Zeros, not np.empty: a stage input's
+    # dot product takes every row, and 0 times a NaN left in a row not yet
+    # filled would poison the first step
+    YK = np.zeros((8, rows * q))
+    y, K = YK[0], YK[1:]
+    shape_q = (rows, q) if len(shape) > 1 else (q,)
+    y_q = y.reshape(shape_q)
+    y_q[..., :dim] = x0
+    y_q[..., dim] = 1.0
+    y_x = y_q[..., :dim]
+    # the Runge-Kutta sums (stage inputs, new state, error estimate) take
+    # the entries that change: one state's x alone, an (8, dim) view whose
+    # sums are those of an (8, dim) array whatever p is, or a batch's whole
+    # rows, whose entries past x sum to 1 and to y's s
+    sums = YK[:, :dim] if rows == 1 else YK
+    n_sums = sums.shape[1]
+    # M at the five stage times of a step, the time rows' block of each
+    mats = np.zeros((5, q, q))
+    mats[:, :dim, :dim] = a_t
+    time_block = mats[:, dim:, dim - width:dim]
+    time_block[...] = rows_t
+    if fill is not None:
+        fill(np.array([t0]), time_block[:1])
+    # every buffer of the step and every view of one, made once: the stage
+    # rows as [x, 1, s] and their x, the tableau's rows scaled by the step
+    # (column 0 refilled with the state's weight 1 after each scaling), the
+    # error estimate and its scale, and for stages 1-5 (tableau row, input
+    # buffer, its x and s, stage, M at its time)
+    K_q = [k.reshape(shape_q) for k in K]
+    coef = np.empty_like(_TABLEAU)
+    coef_rows, state_weight = list(coef), coef[:6, 0]
+    abs_y = np.abs(y[:n_sums])
+    abs_new, scale, r = np.empty((3, n_sums))
+    r_x = r if rows == 1 else r.reshape(rows, q)[:, :dim]
+    peak_norm = None if rows == 1 else _peak_norm(r_x)
+    bufs = np.repeat(y[None], 6, axis=0)
+    stages = []
+    for i, buf in enumerate(bufs[:5], start=1):
+        z = buf.reshape(shape_q)
+        stages.append((coef_rows[i - 1], buf[:n_sums], z, z[..., :dim],
+                       z[..., dim + 1:], K_q[i], mats[i - 1]))
+    # the new state, as [x, 1, s], its x and s, and its entries summed
+    y_new, new_sums = bufs[5], bufs[5, :n_sums]
+    z_new = y_new.reshape(shape_q)
+    x_new, s_new = z_new[..., :dim], z_new[..., dim + 1:]
+    k_first, k_last, k_last_q, m_new = K[0], K[6], K_q[6], mats[4]
+    k0_x, k6_x = K_q[0][..., :dim], k_last_q[..., :dim]
+    c1, c2, c3, c4 = _NODES
+
+    rhs(t0, y_x, y_q[..., dim + 1:])
+    y_q.dot(mats[0], out=K_q[0])
+
+    def probe(h0):
+        z = (y + h0 * K[0]).reshape(shape_q)
+        if fill is not None:
+            fill(np.array([t0 + h0]), time_block[:1])
+        rhs(t0 + h0, z[..., :dim], z[..., dim + 1:])
+        return z.dot(mats[0])[..., :dim]
+
+    def attempt(t, hh, t_new):
+        # row i - 1 of coef gives stage i's input (1, h a_i) . (y, K);
+        # ndarray.dot is np.dot, bit for bit, without its dispatch cost.
+        # Stages 1-5 get their inputs in reused buffers, stage 5 at t_new,
+        # and the last stage's input is the new state, in one more, whose x
+        # is copied when it is stored.  The time rows come once per step, at
+        # the five stage times (the last stage shares stage 5's, at t_new);
+        # each stage derivative is then s written into its input, and one
+        # product with M at its time
+        np.multiply(_TABLEAU, hh, out=coef)
+        state_weight.fill(1.0)
+        times = (t + c1 * hh, t + c2 * hh, t + c3 * hh, t + c4 * hh, t_new)
+        if fill is not None:
+            fill(np.array(times), time_block)
+        for (row, buf, z, x_i, s_i, k_i, m_i), t_i in zip(stages, times):
+            row.dot(sums, out=buf)
+            rhs(t_i, x_i, s_i)
+            z.dot(m_i, out=k_i)
+        coef_rows[5].dot(sums, out=new_sums)
+        rhs(t_new, x_new, s_new)
+        z_new.dot(m_new, out=k_last_q)
+
+        # a non-finite y_new is caught before the division (its squared
+        # norm alone also overflows on huge finite entries); with y_new
+        # finite, a non-finite K[6] shows as a non-finite error norm, which
+        # otherwise means an overflow and a rejected step.  The scale is
+        # tol + tol max(|y|, |y_new|), built in place; the error estimate
+        # is zero past each row's x
+        if not (new_sums.dot(new_sums) < math.inf
+                or np.isfinite(new_sums).all()):
+            raise _non_finite(t_new, t, y_x)
+        np.abs(new_sums, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        np.multiply(scale, tol, scale)
+        np.add(scale, tol, scale)
+        coef_rows[6].dot(sums, out=r)
+        np.divide(r, scale, r)
+        err = (math.sqrt(float(r_x.dot(r_x)) / dim) if rows == 1
+               else peak_norm())
+        if not err < math.inf and not np.isfinite(k_last).all():
+            raise _non_finite(t_new, t, y_x)
+        return err
+
+    def accept():
+        nonlocal abs_y, abs_new
+        abs_y, abs_new = abs_new, abs_y
+        y[:] = y_new
+        k_first[...] = k_last
+
+    return (y_x, x_new, K[0], k0_x, probe, attempt, accept,
+            lambda: (k0_x, k6_x))
+
+
+def _affine_tables():
+    """The increment and the error estimate's numerator of a Dormand-Prince
+    step of x' = A x + B w(t), as polynomials in Z = h A^T: a (2, 7, 8)
+    array, whose row 0 of each block weighs the state y, row 1 + j weighs
+    h w_j B (w at the step's six distinct stage times, the last at t + h)
+    and column m weighs Z^m.  Derived in float arithmetic from _TABLEAU:
+    stage i is h k_i = (y + sum_j a_ij h k_j) Z + h w_i B, and the last
+    stage, at the new state, shares w_5."""
+    stages = np.zeros((7, 7, 8))        # h k_i: stage, source, power of Z
+    for i in range(7):
+        given = np.zeros((7, 8))
+        given[0, 0] = 1.0
+        for j in range(i):
+            given += _TABLEAU[i - 1, j + 1] * stages[j]
+        stages[i, :, 1:] = given[:, :-1]
+        stages[i, 1 + min(i, 5), 0] = 1.0
+    return (_TABLEAU[5:, 1:] @ stages.reshape(7, -1)).reshape(2, 7, 8)
+
+
+_AFFINE = _affine_tables()
+_POWERS = np.arange(1.0, 8.0)   # of h in the step matrices, as D's rows
+
+
+def _affine_step(a_t, rows_t, fill, t0, x0, tol):
+    """The Dormand-Prince step of a run with no state part, as
+    :func:`_stage_step` returns it.  Under a w(t) of t alone a step is
+    affine in the state: with u = [y, w_0 ... w_5], w at the step's six
+    distinct stage times, the increment is y_new - y = u G_inc(h) and the
+    error estimate's numerator u G_err(h), where
+    G(h) = sum_m h^m D[m] and D comes from the powers of A^T once per
+    call.  So an attempted step is one power of h, one product for G, the
+    w values (one fill on the five stage times; row 0 keeps w(t) of the
+    last accepted step) broadcast into the augmented rows, and two
+    products.  The derivatives a step stands for are computed only for
+    dense output, and to check the new state where the error norm is not
+    finite.  The augmented rows are stored one per column, so that y, the
+    new state and the error estimate are contiguous (dim, N) blocks.  The
+    powers of h are taken unscaled: a step longer than about 1e44 (h^7
+    overflows) gives a non-finite state, while the step-underflow check
+    keeps h >= 1e-14, where they stay normal."""
+    shape, dim = x0.shape, x0.shape[-1]
+    rows, width = x0.size // dim, np.shape(rows_t)[1]
+    lo, n_in = dim - width, dim + 6 * width
+    powers = [np.eye(dim)]
+    for _ in range(7):
+        powers.append(powers[-1] @ a_t)
+    powers = np.array(powers)
+    # D[m - 1], transposed, maps u to h^m's share of the increment and of
+    # the numerator; h w_j B Z^k is h^(k + 1) w_j times rows lo: of (A^T)^k
+    step = np.zeros((7, 2, n_in, dim))
+    for block, table in zip(step.transpose(1, 0, 2, 3), _AFFINE):
+        block[:, :dim] = table[0, 1:, None, None] * powers[1:]
+        block[:, dim:] = (table[1:, :7].T[:, :, None, None]
+                          * powers[:7, None, lo:]).reshape(7, -1, dim)
+    step = step.transpose(0, 1, 3, 2).reshape(7, -1)
+    hp, g = np.empty(7), np.empty(step.shape[1])
+    g_inc, g_err = g.reshape(2, dim, n_in)
+    # w at the step's six distinct stage times, as (T, 1, width) rows for
+    # fill: row 0 at t, rows 1-5 at the stage times after it
+    w = np.empty((6, 1, width))
+    w[...] = rows_t
+    if fill is not None:
+        fill(np.array([t0]), w[:1])
+    w_col, w_first, w_last = w.reshape(-1, 1), w[0], w[5]
+    # u, one column per state, and its y; the new state, the error
+    # estimate, its scale and |y_new|, and the states' (N, dim) views
+    u = np.empty((n_in, rows))
+    y = u[:dim]
+    y[...] = x0.reshape(rows, dim).T
+    u_w = u[dim:]
+    u_w[...] = w_col
+    y_new, r, scale, abs_new = np.empty((4, dim, rows))
+    abs_y = np.abs(y)
+    y_x, x_new = y.T.reshape(shape), y_new.T.reshape(shape)
+    new_flat, r_flat = y_new.reshape(-1), r.reshape(-1)
+    peak_norm = None if rows == 1 else _peak_norm(r.T)
+    c1, c2, c3, c4 = _NODES
+
+    def slope(x, w_t):
+        # x' = x A^T + w B, in x0's shape
+        f = x.reshape(rows, dim).dot(a_t)
+        f[:, lo:] += w_t.reshape(width)
+        return f.reshape(shape)
+
+    f0 = slope(y_x, w_first)
+
+    def probe(h0):
+        if fill is not None:
+            fill(np.array([t0 + h0]), w[1:2])
+        return slope(y_x + h0 * f0, w[1])
+
+    def attempt(t, hh, t_new):
+        np.power(hh, _POWERS, hp)
+        hp.dot(step, g)
+        if fill is not None:
+            fill(np.array((t + c1 * hh, t + c2 * hh, t + c3 * hh,
+                           t + c4 * hh, t_new)), w[1:])
+            u_w[...] = w_col
+        g_inc.dot(u, y_new)
+        np.add(y_new, y, y_new)
+        # the checks of the stage loop: a non-finite y_new fails the step,
+        # as does a non-finite derivative there when the error norm is not
+        # finite, which otherwise means an overflow and a rejected step.
+        # The error estimate is taken over 1 + max(|y|, |y_new|), its norm
+        # over tol
+        if not (new_flat.dot(new_flat) < math.inf
+                or np.isfinite(new_flat).all()):
+            raise _non_finite(t_new, t, y_x)
+        np.abs(y_new, abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        np.add(scale, 1.0, scale)
+        g_err.dot(u, r)
+        np.divide(r, scale, r)
+        err = (math.sqrt(float(r_flat.dot(r_flat)) / dim) if rows == 1
+               else peak_norm()) / tol
+        if not err < math.inf and not np.isfinite(
+                slope(x_new, w_last)).all():
+            raise _non_finite(t_new, t, y_x)
+        return err
+
+    def accept():
+        nonlocal abs_y, abs_new
+        abs_y, abs_new = abs_new, abs_y
+        y[...] = y_new
+        w_first[...] = w_last
+
+    def slopes():
+        return slope(y_x, w_first), slope(x_new, w_last)
+
+    return y_x, x_new, f0, f0, probe, attempt, accept, slopes
+
+
 def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
               *, a=None, time_part=None):
     """Integrate x' = rhs(t, x) from t0 to t_end, or x' = A x + (0, g(t, x)).
 
-    Each stage derivative is one product: the state x is stored as the row
-    [x, 1, s], with s(t, x) in its last p entries, and
-    x' = [x, 1, s] M(t), where M(t) holds A^T over x and the time rows
-    R(t) over [1, s], in the columns of the last ``width`` entries; so
-    g(t, x) = [1, s] R(t).  The width, like p, is read from the shape of
-    the time rows R.
+    The state x is stored as the row [x, 1, s], with s(t, x) in its last p
+    entries, and x' = [x, 1, s] M(t), where M(t) holds A^T over x and the
+    time rows R(t) over [1, s], in the columns of the last ``width``
+    entries; so g(t, x) = [1, s] R(t).  The width, like p, is read from the
+    shape of the time rows R.  With p >= 1 each stage derivative is one
+    such product.  With p = 0, g = w(t) is of t alone and a step is affine
+    in the state: it is two products of the state and the w values with
+    step matrices in h A, built once per call (see :func:`_affine_step`).
 
     Parameters
     ----------
@@ -349,14 +632,16 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
         p >= 0 and 1 <= width <= dim, else ShapeError before the first
         step.  ``fill(ts, out)``, None when R is constant, writes the other
         rows at a 1-d array of T times into ``out``, a (T, 1 + p, width)
-        view of the M(t) holding ``rows``: once per attempted step on its
-        five stage times (a Dormand-Prince step has six stages, its fifth
-        and last at the new time), at t0 and at the initial-step probe.
+        view of the buffer holding ``rows`` (the M(t) of the stages, or the
+        w rows of a step when p is 0): once per attempted step on its five
+        stage times (a Dormand-Prince step has six stages, its fifth and
+        last at the new time), at t0 and at the initial-step probe.
         Without it, R = [0; I] and s = g(t, x) itself, of p = dim entries.
         A plain ``integrate(rhs, ...)`` is that case with A = 0.
 
-    The diagnostics count in ``n_rhs`` the stage derivatives taken: six
-    per attempted step, plus the first derivative and the probe.
+    The diagnostics count in ``n_rhs`` the stage derivatives a step stands
+    for, six per attempted step, plus the first derivative and the probe,
+    whichever way the step is taken.
 
     Raises
     ------
@@ -368,7 +653,6 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     _positive("tol", tol)
     x0 = _stack(x0)
     shape, dim = x0.shape, x0.shape[-1]    # as rhs sees the state
-    rows = x0.size // dim
     if a is None:
         a, time_part, rhs = np.zeros((dim, dim)), None, _whole(rhs, shape)
     a_t = _shaped(a, (dim, dim), "a").T
@@ -378,95 +662,33 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
     if len(got) != 2 or got[0] < 1 or not 1 <= got[1] <= dim:
         raise ShapeError(f"time_part: expected rows of shape (1 + p, width), "
                          f"with 1 <= width <= {dim}, got {got}")
-    p, width = got[0] - 1, got[1]
-    lo = dim - width
-    q = dim + 1 + p                        # the entries of [x, 1, s]
+    p = got[0] - 1
 
     # a list starting at t0, for cheap lookups per step
     samples = None if sample_times is None else _sample_grid(
         sample_times, t0, t_end)
 
-    # the state row, one flat vector with batch rows back to back, then the
-    # stages; FSAL carries K[6] into K[0].  M's columns past dim are zero,
-    # so every stage row's entries past its x are zero and each stage input
-    # (1, h a_i) . (y, K) keeps y's 1.  Zeros, not np.empty: a stage input's
-    # dot product takes every row, and 0 times a NaN left in a row not yet
-    # filled would poison the first step
-    YK = np.zeros((8, rows * q))
-    y, K = YK[0], YK[1:]
-    shape_q = (rows, q) if len(shape) > 1 else (q,)
-    y_q = y.reshape(shape_q)
-    y_q[..., :dim] = x0
-    y_q[..., dim] = 1.0
-    y_x = y_q[..., :dim]
-    # the Runge-Kutta sums (stage inputs, new state, error estimate) take
-    # the entries that change: one state's x alone, an (8, dim) view whose
-    # sums are those of an (8, dim) array whatever p is, or a batch's whole
-    # rows, whose entries past x sum to 1 and to y's s
-    sums = YK[:, :dim] if rows == 1 else YK
-    n_sums = sums.shape[1]
-    # M at the five stage times of a step, the time rows' block of each
-    mats = np.zeros((5, q, q))
-    mats[:, :dim, :dim] = a_t
-    time_block = mats[:, dim:, lo:dim]
-    time_block[...] = rows_t
-    if fill is not None:
-        fill(np.array([t0]), time_block[:1])
-    # every buffer of the step and every view of one, made once: the stage
-    # rows as [x, 1, s] and their x, the tableau's rows scaled by the step
-    # (column 0 refilled with the state's weight 1 after each scaling), the
-    # error estimate and its scale, and for stages 1-5 (tableau row, input
-    # buffer, the input as [x, 1, s], its x and s, stage, M at its time)
-    K_q = [k.reshape(shape_q) for k in K]
-    coef = np.empty_like(_TABLEAU)
-    coef_rows, state_weight = list(coef), coef[:6, 0]
-    abs_y = np.abs(y[:n_sums])
-    abs_new, scale, r = np.empty((3, n_sums))
-    r_x = r if rows == 1 else r.reshape(rows, q)[:, :dim]
-    peak_norm = None if rows == 1 else _peak_norm(r_x)
-    bufs = np.repeat(y[None], 6, axis=0)
-    stages = []
-    for i, buf in enumerate(bufs[:5], start=1):
-        z = buf.reshape(shape_q)
-        stages.append((coef_rows[i - 1], buf[:n_sums], z, z[..., :dim],
-                       z[..., dim + 1:], K_q[i], mats[i - 1]))
-    # the new state, as [x, 1, s], its x and s, and its entries summed
-    y_new, new_sums = bufs[5], bufs[5, :n_sums]
-    z_new = y_new.reshape(shape_q)
-    x_new, s_new = z_new[..., :dim], z_new[..., dim + 1:]
-    k_first, k_last, k_last_q, m_new = K[0], K[6], K_q[6], mats[4]
-    k0_x, k6_x = K_q[0][..., :dim], k_last_q[..., :dim]
-
-    out_t = [t0]
-    out_y = [y_x.copy()]
-    sample_ptr = 1
-
     t = t0
     # arithmetic on a state or stage that turned non-finite stays silent,
-    # once per call: the checks below raise IntegrationError, with the last
-    # good (t, x), in place of a RuntimeWarning
+    # once per call: the checks raise IntegrationError, with the last good
+    # (t, x), in place of a RuntimeWarning
     with np.errstate(invalid="ignore", over="ignore"):
         if p:
-            rhs(t, y_x, y_q[..., dim + 1:])
-        y_q.dot(mats[0], out=K_q[0])
-        if not np.isfinite(K[0]).all():
+            parts = _stage_step(rhs, a_t, rows_t, fill, t0, x0, tol)
+        else:
+            parts = _affine_step(a_t, rows_t, fill, t0, x0, tol)
+        y_x, x_new, k0, k0_x, probe, attempt, accept, slopes = parts
+        if not np.isfinite(k0).all():
             raise IntegrationError(f"non-finite derivative at t={t}", t_last=t,
                                    x_last=y_x.copy(), reason="non-finite")
         n_rhs = 2  # f0 plus the initial-step probe
 
-        def probe(h0):
-            # x' at (t0 + h0, x0 + h0 f0), as a new array
-            z = (y + h0 * K[0]).reshape(shape_q)
-            if fill is not None:
-                fill(np.array([t0 + h0]), time_block[:1])
-            if p:
-                rhs(t0 + h0, z[..., :dim], z[..., dim + 1:])
-            return z.dot(mats[0])[..., :dim]
-
         cap = _step_cap(freq_hint)
-        c1, c2, c3, c4 = _NODES
         h = _initial_step(probe, t, x0, k0_x, t_end, tol, cap(t))
 
+        out_t = [t0]
+        out_y = [y_x.copy()]
+        sample_ptr = 1
         n_accepted = 0
         n_rejected = 0
         min_step = math.inf
@@ -488,69 +710,27 @@ def integrate(rhs, t0, x0, t_end, tol=1e-8, freq_hint=None, sample_times=None,
                     f"step budget {_MAX_STEPS} exhausted at t={t}", t_last=t,
                     x_last=y_x.copy(), reason="budget")
 
-            # row i - 1 of coef gives stage i's input (1, h a_i) . (y, K);
-            # ndarray.dot is np.dot, bit for bit, without its dispatch cost.
-            # Stages 1-5 get their inputs in reused buffers, stage 5 at
-            # t_new, and the last stage's input is the new state, in one
-            # more, whose x is copied when it is stored.  The time rows come
-            # once per step, at the five stage times (the last stage shares
-            # stage 5's, at t_new); each stage derivative is then s written
-            # into its input, and one product with M at its time
             hh = h_eff
-            np.multiply(_TABLEAU, hh, out=coef)
-            state_weight.fill(1.0)
-            times = (t + c1 * hh, t + c2 * hh, t + c3 * hh, t + c4 * hh,
-                     t_new)
-            if fill is not None:
-                fill(np.array(times), time_block)
-            for (row, buf, z, x_i, s_i, k_i, m_i), t_i in zip(stages, times):
-                row.dot(sums, out=buf)
-                if p:
-                    rhs(t_i, x_i, s_i)
-                z.dot(m_i, out=k_i)
-            coef_rows[5].dot(sums, out=new_sums)
-            if p:
-                rhs(t_new, x_new, s_new)
-            z_new.dot(m_new, out=k_last_q)
+            err = attempt(t, hh, t_new)
             n_rhs += 6
 
-            # a non-finite y_new is caught before the division (its squared
-            # norm alone also overflows on huge finite entries); with y_new
-            # finite, a non-finite K[6] shows as a non-finite error norm,
-            # which otherwise means an overflow and a rejected step.  The
-            # scale is tol + tol max(|y|, |y_new|), built in place; the
-            # error estimate is zero past each row's x
-            if not (new_sums.dot(new_sums) < math.inf
-                    or np.isfinite(new_sums).all()):
-                raise _non_finite(t_new, t, y_x)
-            np.abs(new_sums, out=abs_new)
-            np.maximum(abs_y, abs_new, out=scale)
-            scale *= tol
-            scale += tol
-            coef_rows[6].dot(sums, out=r)
-            r /= scale
-            err = (math.sqrt(float(r_x.dot(r_x)) / dim) if rows == 1
-                   else peak_norm())
-            if not err < math.inf and not np.isfinite(K[6]).all():
-                raise _non_finite(t_new, t, y_x)
-
             if err <= 1.0:
-                if samples is not None:
+                if samples is None:
+                    out_t.append(t_new)
+                    out_y.append(x_new.copy())
+                elif (sample_ptr < len(samples)
+                      and samples[sample_ptr] <= t_new + 1e-13):
+                    f0, f1 = slopes()
                     while (sample_ptr < len(samples)
                            and samples[sample_ptr] <= t_new + 1e-13):
                         out_t.append(samples[sample_ptr])
                         out_y.append(_hermite(min(samples[sample_ptr], t_new),
-                                              t, hh, y_x, x_new, k0_x, k6_x))
+                                              t, hh, y_x, x_new, f0, f1))
                         sample_ptr += 1
-                else:
-                    out_t.append(t_new)
-                    out_y.append(x_new.copy())
                 n_accepted += 1
                 min_step = min(min_step, hh)
                 t = t_new
-                abs_y, abs_new = abs_new, abs_y
-                y[:] = y_new
-                k_first[...] = k_last
+                accept()
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** -0.2)
                 if rejected_last:

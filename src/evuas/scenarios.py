@@ -126,6 +126,8 @@ def _at_least(k):
 
 _numbers = _list_of(_number)
 _positive = _rule(_number, lambda v: v > 0, "positive")
+# a tolerance of 1 or more lets errors as large as the values themselves pass
+_tolerance = _rule(_positive, lambda v: v < 1, "below 1")
 
 
 def _pole(value, path):
@@ -222,7 +224,7 @@ _SCHEMA = _object(
     _Field("classify", _object(
         _Field("probe_radius", _positive, 1.0),
         _Field("t_horizon", _positive, 20.0),
-        _Field("quad_tol", _positive, 1e-8),
+        _Field("quad_tol", _tolerance, 1e-8),
         _Field("profile_grid",
                _rule(_numbers, lambda g: g and _increasing(g),
                      "non-empty and strictly increasing")))),
@@ -230,7 +232,7 @@ _SCHEMA = _object(
         _Field("kind", _one_of(_SIMULATE_KINDS), _REQUIRED),
         _Field("t0", _number, 0.0),
         _Field("t_end", _number, _REQUIRED),
-        _Field("tol", _positive, 1e-7),
+        _Field("tol", _tolerance, 1e-7),
         _Field("e0", _numbers, _REQUIRED, only=("error",)),
         _Field("x0", _numbers, _REQUIRED, only=("closed-loop", "tracking")),
         _Field("reference", _one_of(REFERENCE_CATALOG), "sin_cos",
@@ -247,7 +249,7 @@ _SCHEMA = _object(
                      "strictly decreasing"), _REQUIRED),
         _Field("horizon", _positive, _REQUIRED),
         _Field("samples", _at_least(1), 6),
-        _Field("tol", _positive, 1e-6))),
+        _Field("tol", _tolerance, 1e-6))),
 )
 
 

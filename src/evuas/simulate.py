@@ -5,6 +5,8 @@ which :func:`evuas.integrate.integrate` steps in that structure, one
 product per stage: x' = [x, 1, s] M(t), with the state part
 s = (F(x), K(x)) and M(t) holding M^T over x and the time rows over
 [1, s] (w(t) or zeros over the 1, the identity over F, D(t)^T over K).
+A run with no state part (a zero W or a time signal, and no F) is linear
+in the state, and integrate takes its affine step instead.
 M is A_H for the error system,
 :func:`evuas.synthesis.closed_loop_matrix` for a loop closed by an
 implicit controller and for the deviation from a reference under the

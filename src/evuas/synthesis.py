@@ -396,8 +396,9 @@ class ImplicitController:
 
         Solves shift_term(delta) + F(f_state, U) + offset - A_H e(delta) = 0;
         the offset carries the reference feedforward, (m,) or one row per
-        state.  Shapes are as for :meth:`solve`, ``f_state`` real and of
-        the shape of ``delta_flat`` (else ShapeError naming it).
+        state, (N, m).  Shapes are as for :meth:`solve`, ``f_state`` real
+        and of the shape of ``delta_flat``, ``offset`` real and of one of
+        its two shapes (else ShapeError naming the argument).
         """
         return self._solve(delta_flat, (f_state, offset))
 
@@ -412,6 +413,10 @@ class ImplicitController:
         if shift is not None:
             f_state, offset = shift
             x_eval = _shaped(f_state, x_flat.shape, "f_state").reshape(x.shape)
+            offset = _real(offset, "offset")
+            if offset.shape not in ((m,), (len(x), m)):
+                raise ShapeError(f"offset: expected shape ({m},) or "
+                                 f"({len(x)}, {m}), got {offset.shape}")
             free = free + offset
 
         u = np.zeros((len(x), m))
@@ -555,12 +560,15 @@ def coercivity_probe(model, x_samples, ray_count=16, radii=(1.0, 10.0, 100.0, 10
     sampling proves nothing either way, hence the naming.  A ray on which F
     fails arithmetically (EvaluationError for a non-finite value, overflow)
     is listed in "excluded"; any other exception propagates.  At least
-    one probe state and one ray are required (ValueError).  Real ``radii``
-    and ``x_samples`` only, else ShapeError; ``x_samples`` is array-like,
-    one state or a stack of them (a generator is not, and raises
-    ShapeError).
+    one probe state and one ray are required (ValueError).  Real 1-d
+    ``radii`` and real ``x_samples`` only, else ShapeError; ``x_samples`` is
+    array-like, one state or a stack of them (a generator is not, and
+    raises ShapeError).
     """
     radii = _real(radii, "radii")
+    if radii.ndim != 1:
+        raise ShapeError(f"radii: expected a 1-d sequence, got shape "
+                         f"{radii.shape}")
     if radii.size < 3 or not np.isfinite(radii).all() \
             or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be at least 3 finite, increasing values")

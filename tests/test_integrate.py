@@ -2,6 +2,7 @@ import importlib
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -362,26 +363,45 @@ def _reference_system(name):
             out[..., -1:] = model.eval_f(x, ctrl.solve(x)) + pert.w(t)
             return out
         return first_order, pert.freq_hint
-    if name == "closed_loop":    # the system of the verify_closed_loop sweep
-        model = ev.make_model("cubic", m=1, n=2)
-        ctrl = ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
-                                      ev.default_hurwitz(1))
-        a, pert = (closed_loop_matrix(ctrl.design, ctrl.hurwitz),
-                   ev.make_perturbation("cos_exp"))
+    if name == "time_signal":
+        pert = _time_signal()
+        return (lambda t, e: _A_EX1 @ e + pert.w(t)), pert.freq_hint
+    if name in ("closed_loop", "closed_loop_implicit"):
+        # the system of the verify_closed_loop sweep
+        model, ctrl, pert = _implicit_loop()
+        a = closed_loop_matrix(ctrl.design, ctrl.hurwitz)
 
         def rhs(t, x):           # W on the last entry of each row
             out = x @ a.T
             out[..., -1] += pert.w(t)
             return out
         return rhs, pert.freq_hint
-    pert = ev.make_perturbation(name)
-    if name == "cos_exp":        # the system of the verify_error sweep
+    if name in ("cos_exp", "cos_exp_error"):
+        # the system of the verify_error sweep
+        pert = ev.make_perturbation("cos_exp")
         return (lambda t, e: -e + pert.w(t)), pert.freq_hint
+    pert = ev.make_perturbation(name)
     if pert.kind == "time":
         return (lambda t, e: _A_EX1 @ e + pert.w(t)), pert.freq_hint
 
     return (lambda t, e: _A_EX1 @ e
             + np.asarray(pert.d(t), dtype=float) @ pert.k(e)), pert.freq_hint
+
+
+def _implicit_loop():
+    # the loop of ``cubic`` closed by the implicit controller under cos_exp
+    model = ev.make_model("cubic", m=1, n=2)
+    return (model, ev.synthesize_feedback(model, ev.build_gamma([[-1.0]], 2),
+                                          ev.default_hurwitz(1)),
+            ev.make_perturbation("cos_exp"))
+
+
+def _time_signal():
+    # a time signal with no chirp terms, so that a sampled run of it is
+    # integrated, not propagated
+    return ev.PerturbationSpec.from_signal(
+        lambda t: np.stack([np.cos(6.0 * t), 0.5 * np.sin(9.0 * t)]), 2,
+        freq_hint=9.0)
 
 
 def _smooth_factored():
@@ -398,7 +418,19 @@ def _smooth_factored():
 
 def _structured_run(name, t0, x0, t_end, tol, samples):
     """The simulate module's run of a reference system on the structured
-    stages [x, 1, s] M(t), or None for a system run as x' = rhs(t, x)."""
+    stages [x, 1, s] M(t), or on the affine step of a run with no state
+    part, or None for a system run as x' = rhs(t, x)."""
+    if name == "cos_exp_error":
+        return ev.simulate_error_dynamics(
+            ev.default_hurwitz(1), ev.make_perturbation("cos_exp"), x0, t0,
+            t_end, tol=tol, sample_times=samples)
+    if name == "closed_loop_implicit":
+        return ev.simulate_closed_loop(*_implicit_loop(), x0, t0, t_end,
+                                       tol=tol, sample_times=samples)
+    if name == "time_signal":
+        return ev.simulate_error_dynamics(
+            ev.build_hurwitz(_A_EX1), _time_signal(), x0, t0, t_end, tol=tol,
+            sample_times=samples)
     if name == "factored_batch":
         return ev.simulate_error_dynamics(
             ev.build_hurwitz(_A_EX1), _smooth_factored(), x0, t0, t_end,
@@ -429,9 +461,16 @@ def _structured_run(name, t0, x0, t_end, tol, samples):
     # of a factored W, and F(x, G x) of a loop closed by a gain
     ("factored_batch", 0.0, _ROWS_2D, 4.0, 1e-7, None),
     ("generic_loop", 2.0, _ROWS_2D, 7.0, 1e-6, None),
+    # the affine step of a run with no state part: the batches of the
+    # verify sweeps as the simulate module runs them, and a sampled run
+    # under a time signal, for its dense output
+    ("cos_exp_error", 2.0, _ROWS_1D, 8.0, 1e-7, None),
+    ("closed_loop_implicit", 2.0, _ROWS_2D, 7.0, 1e-6, None),
+    ("time_signal", 0.0, [-1.0, 1.5], 5.0, 1e-7, np.linspace(0.0, 5.0, 501)),
 ], ids=["example1_unbounded", "example1_bounded", "linear3", "every_step",
         "cos_exp", "cos_exp_every_step", "cos_exp_batch", "closed_loop_batch",
-        "factored_batch", "generic_loop_batch"])
+        "factored_batch", "generic_loop_batch", "cos_exp_error_batch",
+        "closed_loop_implicit_batch", "time_signal_sampled"])
 def test_matches_reference_stepper(system, t0, x0, t_end, tol, samples):
     rhs, hint = _reference_system(system)
     seen = []
@@ -477,6 +516,106 @@ def test_tableau_is_dormand_prince():
     b4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40]          # the published fourth-order weights
     np.testing.assert_allclose(b - e, b4, rtol=0.0, atol=1e-16)
+
+
+# the Dormand-Prince tableau in exact rationals: the rows of A, then b and
+# E, each over the stages before it (Dormand & Prince, J. Comput. Appl.
+# Math. 6, 1980)
+_DOPRI = [[Fraction(*v) for v in row] for row in (
+    [(1, 5)],
+    [(3, 40), (9, 40)],
+    [(44, 45), (-56, 15), (32, 9)],
+    [(19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729)],
+    [(9017, 3168), (-355, 33), (46732, 5247), (49, 176), (-5103, 18656)],
+    [(35, 384), (0,), (500, 1113), (125, 192), (-2187, 6784), (11, 84)],
+    [(71, 57600), (0,), (-71, 16695), (71, 1920), (-17253, 339200),
+     (22, 525), (-1, 40)])]
+
+
+def _exact_affine_tables():
+    """The increment and error numerator of a step of x' = A x + B w(t) as
+    polynomials in Z = h A^T, in exact rationals: per block, one list per
+    source (y, then h w_j B at the six distinct stage times) of the
+    coefficients of Z^0 ... Z^7."""
+    zero = [Fraction(0)] * 8
+    stages = []
+    for i in range(7):
+        given = [zero[:] for _ in range(7)]
+        given[0][0] += 1
+        for a, stage in zip(_DOPRI[i - 1] if i else [], stages):
+            given = [[g + a * c for g, c in zip(row, coefs)]
+                     for row, coefs in zip(given, stage)]
+        stage = [[Fraction(0)] + row[:-1] for row in given]   # times Z
+        stage[1 + min(i, 5)][0] += 1
+        stages.append(stage)
+    return [[[sum(wt * k[src][m] for wt, k in zip(row, stages))
+              for m in range(8)] for src in range(7)] for row in _DOPRI[5:]]
+
+
+def test_affine_step_tables_are_the_exact_rationals():
+    # the tables are derived in float arithmetic at import; they must be
+    # the exact polynomials to rounding, P(z) = 1 + increment's y row must
+    # be the method's stability polynomial, and the error estimate's y row
+    # must start at z^5 (a fourth-order embedding)
+    exact = _exact_affine_tables()
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(integrate_module._AFFINE,
+                               np.array(exact, dtype=float),
+                               rtol=4 * eps, atol=8 * eps)
+    stability = [1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24),
+                 Fraction(1, 120), Fraction(1, 600), 0]
+    assert [1 + exact[0][0][0]] + exact[0][0][1:] == stability
+    assert integrate_module._AFFINE[0, 0, 0] == 0.0
+    np.testing.assert_allclose(integrate_module._AFFINE[0, 0, 1:],
+                               np.array(stability[1:], dtype=float),
+                               rtol=4 * eps, atol=0.0)
+    assert not any(exact[1][0][:5])
+    # to first order each w_j enters the increment with its stage's weight
+    # b_j (the last stage, which shares w_5, has none)
+    assert [row[0] for row in exact[0][1:]] == _DOPRI[5]
+
+
+def _tableau_step(f, t, y, h):
+    """One Dormand-Prince step of x' = f(t, x) from (t, y), stage by stage."""
+    nodes = integrate_module._C
+    stages = []
+    for i in range(6):
+        given = y + h * sum(float(a) * k
+                            for a, k in zip(_DOPRI[i - 1], stages)) if i else y
+        stages.append(f(t + nodes[i] * h, given))
+    return y + h * sum(float(b) * k for b, k in zip(_DOPRI[5], stages))
+
+
+@pytest.mark.parametrize("case", ["error", "implicit_batch"])
+def test_each_affine_step_is_a_tableau_step(case):
+    # every stored state of a run with no state part is one stage-by-stage
+    # step, with the same h, from the state stored before it: to a few
+    # units of its rounding, eps |x| plus |x'| times the spacing of t,
+    # which the step recovered as t_{k+1} - t_k carries
+    if case == "error":
+        pert = ev.make_perturbation("vec_cos_sin_exp")
+        traj = ev.simulate_error_dynamics(ev.build_hurwitz(_A_EX1), pert,
+                                          [-1.0, 1.5], 0.0, 3.0, tol=1e-9)
+
+        def f(t, x):
+            return x @ _A_EX1.T + pert.w(t)
+    else:
+        model, ctrl, pert = _implicit_loop()
+        a = closed_loop_matrix(ctrl.design, ctrl.hurwitz)
+        traj = ev.simulate_closed_loop(model, ctrl, pert, _ROWS_2D, 2.0, 5.0,
+                                       tol=1e-7)
+
+        def f(t, x):
+            out = x @ a.T
+            out[..., -1] += pert.w(t)
+            return out
+    ts, xs = traj.times, traj.states
+    assert ts.size > 100
+    for k in range(ts.size - 1):
+        want = _tableau_step(f, ts[k], xs[k], ts[k + 1] - ts[k])
+        unit = (np.spacing(np.max(np.abs(xs[k:k + 2])))
+                + np.max(np.abs(f(ts[k], xs[k]))) * np.spacing(ts[k + 1]))
+        assert np.max(np.abs(xs[k + 1] - want)) <= 8 * unit, k
 
 
 @st.composite
@@ -657,6 +796,28 @@ def test_time_rows_are_written_in_place_once_per_attempted_step():
     assert calls[0][0].tolist() == [0.0]
     assert all(view for _, _, view in calls)
     assert [shape for _, shape, _ in calls[2:]] == [(5, 2, 1)] * steps
+
+
+def test_time_row_of_a_run_with_no_state_part_is_written_once_per_step():
+    # with p = 0, fill writes w into the (T, 1, width) rows of the affine
+    # step: at t0, at the probe and once per attempted step on its five
+    # stage times, so steps + 2 calls.  Here x' = -x + w(t) with w = 1
+    # from x0 = 0, so x(t) = 1 - e^-t
+    calls = []
+
+    def fill(ts, out):
+        calls.append((ts.copy(), out.shape))
+        out[:, 0] = 1.0
+    traj = ev.integrate(None, 0.0, [0.0], 1.0, tol=1e-10, a=[[-1.0]],
+                        time_part=(np.array([[7.0]]), fill))
+    assert np.allclose(traj.states[:, 0], 1.0 - np.exp(-traj.times),
+                       rtol=0.0, atol=1e-9)
+    steps = traj.diagnostics["n_accepted"] + traj.diagnostics["n_rejected"]
+    assert [ts.size for ts, _ in calls] == [1, 1] + [5] * steps
+    assert calls[0][0].tolist() == [0.0]
+    assert [shape for _, shape in calls] == [(1, 1, 1)] * 2 + [
+        (5, 1, 1)] * steps
+    assert traj.diagnostics["n_rhs"] == 6 * steps + 2
 
 
 def test_two_dimensional_x0_is_always_a_batch():

@@ -168,6 +168,13 @@ _RULES = {
     "object": (_with_section("model", ["chain"]), "model"),
     "positive": (_with_section("classify", {"probe_radius": 0}),
                  "classify.probe_radius"),
+    # a tolerance of 1 or more used to run
+    "below_one_quad_tol": (_with_section("classify", {"quad_tol": 1.0}),
+                           "classify.quad_tol"),
+    "below_one_simulate_tol": (_with_section("simulate", dict(_SIM, tol=2.5)),
+                               "simulate.tol"),
+    "below_one_verify_tol": (_with_section("verify", dict(
+        _SMALL_VERIFY["verify"], tol=1.0)), "verify.tol"),
     "at_least": (_with_section("simulate", dict(_SIM, samples=1)),
                  "simulate.samples"),
     "one_of": (_with_section("design", {"mode": "explicit"}), "design.mode"),
@@ -394,6 +401,7 @@ def test_svg_format_plots_the_signal_profile(tmp_path, name, bound):
 
 def test_overrides_are_validated_like_document_fields(tmp_path):
     for override, field in [({"tol": -1}, "simulate.tol"),
+                            ({"tol": 2.5}, "simulate.tol"),
                             ({"norm": "manhattan"}, "norm"),
                             ({"formats": ["pdf"]}, "outputs.formats[0]"),
                             ({"seed": "7"}, "seed")]:
@@ -584,13 +592,15 @@ evuas.verify_evuas(factory, delta0=0.5, t0_grid=[0.0, 1.0], eps_levels=[0.5],
                    horizon=6.0, samples=2, seed=7, dim=1)
 evuas.scenarios.run_scenario("tracking_demo", sys.argv[1])
 evuas.build_gamma([[-1.0, -2.0]], 3)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "fractions")))
 """
 
 
 def test_the_package_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: an error verify sweep, a scenario
-    # that propagates and designs Gamma, and a Gamma design load none of it
+    # that propagates and designs Gamma, and a Gamma design load none of it.
+    # Nor fractions: the affine step's tables are derived in floats
     import subprocess
     import sys
     proc = subprocess.run(

@@ -546,12 +546,15 @@ def test_coercivity_probe_needs_a_ray_and_a_state(kwargs, match):
      "(N, 2), with N >= 1, got (1, 3)"),
     ({"radii": None}, "radii: expected real values, got None"),
     ({"radii": (1.0, 10j, 100.0)}, "radii: expected real values, got "
-     "values of dtype complex128")],
+     "values of dtype complex128"),
+    ({"radii": [[1, 10, 100]]}, "radii: expected a 1-d sequence, got shape "
+     "(1, 3)")],
     ids=["states_none", "states_complex", "states_width", "radii_none",
-         "radii_complex"])
+         "radii_complex", "radii_2d"])
 def test_coercivity_probe_reads_its_inputs_as_real_states(kwargs, match):
     # a complex value or None raised a bare TypeError, or dropped the
-    # imaginary part with a warning
+    # imaginary part with a warning; 2-d radii failed inside input_cost,
+    # naming its input
     args = {"x_samples": [np.zeros(2)], **kwargs}
     with pytest.raises(ev.ShapeError, match=re.escape(match)):
         ev.coercivity_probe(ev.make_model("cubic"), **args)
@@ -568,6 +571,33 @@ def test_solve_shifted_reads_f_state_as_the_state(f_state, match):
     # TypeError
     with pytest.raises(ev.ShapeError, match=re.escape(match)):
         _controller("cubic").solve_shifted(np.zeros(2), f_state, np.zeros(1))
+
+
+@pytest.mark.parametrize("x, offset, match", [
+    (np.zeros(2), None, "offset: expected real values, got None"),
+    (np.zeros(2), [1j], "offset: expected real values, got values of dtype "
+     "complex128"),
+    (np.zeros(2), np.zeros(3), "offset: expected shape (1,) or (1, 1), got "
+     "(3,)"),
+    (np.zeros((4, 2)), np.zeros((3, 1)), "offset: expected shape (1,) or "
+     "(4, 1), got (3, 1)")],
+    ids=["none", "complex", "width", "rows"])
+def test_solve_shifted_reads_offset_by_the_package_rules(x, offset, match):
+    # None raised a bare TypeError, a complex value a bare ComplexWarning
+    # under -W error, and a (3,) offset on cubic was broadcast to a result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ev.ShapeError, match=re.escape(match)):
+            _controller("cubic").solve_shifted(x, x, offset)
+
+
+def test_solve_shifted_takes_an_offset_per_state():
+    # one offset for every state, or one row per state, solve alike
+    ctrl = _controller("cubic")
+    x = np.array([[2.0, 0.0], [0.5, -0.5]])
+    shared = ctrl.solve_shifted(x, x, np.ones(1))
+    assert np.array_equal(ctrl.solve_shifted(x, x, np.ones((2, 1))), shared)
+    assert np.array_equal(ctrl.solve_shifted(x[0], x[0], [1]), shared[0])
 
 
 def test_coercivity_excludes_failing_rays():
